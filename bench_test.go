@@ -147,7 +147,7 @@ func BenchmarkAblationFrostPrecompute(b *testing.B) {
 }
 
 // BenchmarkAblationGroups is ablation A3: the SG02 decryption-share
-// primitive on the from-scratch edwards25519 group against the
+// primitive on the 51-bit-limb edwards25519 group against the
 // stdlib-backed P-256 group.
 func BenchmarkAblationGroups(b *testing.B) {
 	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {

@@ -4,55 +4,32 @@ import (
 	"crypto/sha512"
 	"io"
 	"math/big"
-	"sync"
-
-	"thetacrypt/internal/mathutil"
 )
 
-// edwards25519 implements the prime-order subgroup of the twisted Edwards
-// curve -x^2 + y^2 = 1 + d*x^2*y^2 over GF(2^255-19), the curve underlying
-// Ed25519. The implementation is written from scratch on math/big using
-// extended coordinates (X:Y:Z:T) with the RFC 8032 formulas; it favours
-// clarity and auditability over constant-time execution, matching the
-// paper's use of a shared multi-scheme arithmetic library.
+// edwards25519 is the prime-order subgroup of the twisted Edwards curve
+// -x^2 + y^2 = 1 + d*x^2*y^2 over GF(2^255-19), the curve underlying
+// Ed25519. Field elements are five 51-bit limbs (edwards25519_field.go)
+// and points are extended coordinates (edwards25519_curve.go), both
+// ported from the Go distribution's crypto/internal/fips140/edwards25519;
+// this file adapts them to the Group/Point interfaces, whose scalars are
+// *big.Int.
+//
+// Constant-time with respect to the scalar: Point.Mul and Group.BaseMul —
+// the two operations that see key shares and FROST nonces. Each recodes
+// its scalar to 64 signed radix-16 digits, runs the same sequence of point
+// operations for every scalar and selects table entries by masking over
+// the whole table (see edPoint.scalarMult and scalarBaseMult). The claim
+// starts at the 32 reduced bytes: reducing the *big.Int modulo the group
+// order and serialising it is math/big's work and is not constant-time.
+//
+// Deliberately variable-time, public inputs only: multiScalarMul (its
+// callers — batch verification, interpolation in the exponent,
+// Relation.Holds — pass public coefficients), UnmarshalPoint including its
+// subgroup check, HashToPoint, Equal and IsIdentity.
 
 type ed25519Group struct{}
 
-type ed25519Params struct {
-	p     *big.Int // field prime 2^255 - 19
-	l     *big.Int // subgroup order 2^252 + 27742317777372353535851937790883648493
-	d     *big.Int // curve constant
-	d2    *big.Int // 2d
-	baseX *big.Int
-	baseY *big.Int
-	// sqrtM1 is sqrt(-1) = 2^((p-1)/4) mod p, used in point decoding.
-	sqrtM1 *big.Int
-}
-
-var ed25519ParamsOnce = sync.OnceValue(func() *ed25519Params {
-	p := new(big.Int).Lsh(big.NewInt(1), 255)
-	p.Sub(p, big.NewInt(19))
-
-	l, _ := new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
-
-	// d = -121665/121666 mod p
-	inv := new(big.Int).ModInverse(big.NewInt(121666), p)
-	d := new(big.Int).Mul(big.NewInt(-121665), inv)
-	d.Mod(d, p)
-
-	baseX, _ := new(big.Int).SetString("15112221349535400772501151409588531511454012693041857206046113283949847762202", 10)
-	baseY, _ := new(big.Int).SetString("46316835694926478169428394003475163141307993866256225615783033603165251855960", 10)
-
-	e := new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 2)
-	sqrtM1 := new(big.Int).Exp(big.NewInt(2), e, p)
-
-	return &ed25519Params{
-		p: p, l: l, d: d,
-		d2:    new(big.Int).Mod(new(big.Int).Lsh(d, 1), p),
-		baseX: baseX, baseY: baseY,
-		sqrtM1: sqrtM1,
-	}
-})
+var ed25519Order, _ = new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
 
 // Edwards25519 returns the prime-order edwards25519 group.
 func Edwards25519() Group { return ed25519Group{} }
@@ -61,21 +38,20 @@ var _ Group = ed25519Group{}
 
 func (ed25519Group) Name() string { return "edwards25519" }
 
-func (ed25519Group) Order() *big.Int { return ed25519ParamsOnce().l }
+func (ed25519Group) Order() *big.Int { return ed25519Order }
 
-func (ed25519Group) Identity() Point {
-	pp := ed25519ParamsOnce()
-	return &ed25519Point{
-		x: big.NewInt(0), y: big.NewInt(1), z: big.NewInt(1), t: big.NewInt(0), pp: pp,
-	}
+func (ed25519Group) Identity() Point { return &ed25519Point{edIdentity} }
+
+func (ed25519Group) Generator() Point { return &ed25519Point{edGenerator} }
+
+// BaseMul returns k*G from the precomputed base-point table, in constant
+// time with respect to k.
+func (ed25519Group) BaseMul(k *big.Int) Point {
+	s := ed25519Scalar(k)
+	r := new(ed25519Point)
+	r.p.scalarBaseMult(&s)
+	return r
 }
-
-func (ed25519Group) Generator() Point {
-	pp := ed25519ParamsOnce()
-	return newEd25519Affine(pp, pp.baseX, pp.baseY)
-}
-
-func (g ed25519Group) BaseMul(k *big.Int) Point { return g.Generator().Mul(k) }
 
 func (g ed25519Group) RandomScalar(r io.Reader) (*big.Int, error) {
 	return randomScalar(r, g.Order())
@@ -89,7 +65,6 @@ func (g ed25519Group) HashToScalar(domain string, data ...[]byte) *big.Int {
 // try-and-increment on candidate y coordinates followed by cofactor
 // clearing (multiplication by 8).
 func (g ed25519Group) HashToPoint(domain string, data ...[]byte) Point {
-	pp := ed25519ParamsOnce()
 	h := sha512.New()
 	h.Write([]byte("thetacrypt/h2p/" + domain))
 	for _, d := range data {
@@ -99,231 +74,119 @@ func (g ed25519Group) HashToPoint(domain string, data ...[]byte) Point {
 		h.Write(d)
 	}
 	seed := h.Sum(nil)
-	ctr := uint64(0)
-	for {
+	for ctr := uint64(0); ; ctr++ {
 		hh := sha512.New()
 		hh.Write(seed)
 		var cb [8]byte
 		putUint64(cb[:], ctr)
 		hh.Write(cb[:])
 		digest := hh.Sum(nil)
-		var enc [32]byte
-		copy(enc[:], digest[:32])
-		cand, err := decodeEd25519(pp, enc[:])
-		ctr++
-		if err != nil {
+		cand := new(ed25519Point)
+		if !cand.p.setBytes(digest[:32]) {
 			continue
 		}
 		// Clear the cofactor to land in the order-l subgroup.
-		cleared := cand.double().double().double()
-		if cleared.IsIdentity() {
+		cand.p.double(&cand.p)
+		cand.p.double(&cand.p)
+		cand.p.double(&cand.p)
+		if cand.IsIdentity() {
 			continue
 		}
-		return cleared
+		return cand
 	}
 }
 
 func (ed25519Group) PointLen() int { return 32 }
 
-func (g ed25519Group) UnmarshalPoint(data []byte) (Point, error) {
-	pp := ed25519ParamsOnce()
-	pt, err := decodeEd25519(pp, data)
-	if err != nil {
-		return nil, err
+func (ed25519Group) UnmarshalPoint(data []byte) (Point, error) {
+	pt := new(ed25519Point)
+	if !pt.p.setBytes(data) {
+		return nil, ErrInvalidPoint
 	}
 	// Reject elements outside the prime-order subgroup: mixed-order points
 	// would undermine the DLEQ proofs built on this group.
-	if !pt.Mul(pp.l).IsIdentity() {
+	if !pt.p.inPrimeOrderSubgroup() {
 		return nil, ErrInvalidPoint
 	}
 	return pt, nil
 }
 
-// ed25519Point is a point in extended coordinates: x = X/Z, y = Y/Z,
-// T = XY/Z.
+// ed25519Scalar reduces k modulo the group order and returns it as the 32
+// little-endian bytes the curve arithmetic takes.
+func ed25519Scalar(k *big.Int) [32]byte {
+	var s [32]byte
+	new(big.Int).Mod(k, ed25519Order).FillBytes(s[:])
+	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
+		s[i], s[j] = s[j], s[i]
+	}
+	return s
+}
+
+// ed25519Point is an immutable point of the prime-order subgroup.
 type ed25519Point struct {
-	x, y, z, t *big.Int
-	pp         *ed25519Params
+	p edPoint
 }
 
 var _ Point = (*ed25519Point)(nil)
 
-func newEd25519Affine(pp *ed25519Params, x, y *big.Int) *ed25519Point {
-	return &ed25519Point{
-		x:  mathutil.Clone(x),
-		y:  mathutil.Clone(y),
-		z:  big.NewInt(1),
-		t:  mathutil.MulMod(x, y, pp.p),
-		pp: pp,
+// asEd25519 unwraps an operand; mixing group implementations is a
+// programming error, so it fails loud.
+func asEd25519(q Point) *ed25519Point {
+	qq, ok := q.(*ed25519Point)
+	if !ok {
+		panic("group: mixing edwards25519 with foreign point")
 	}
+	return qq
 }
 
 func (p *ed25519Point) Add(q Point) Point {
-	qq, ok := q.(*ed25519Point)
-	if !ok {
-		// Mixing group implementations is a programming error; fail loud.
-		panic("group: mixing edwards25519 with foreign point")
-	}
-	return p.add(qq)
-}
-
-// add implements the unified extended-coordinate addition (RFC 8032 §5.1.4).
-func (p *ed25519Point) add(q *ed25519Point) *ed25519Point {
-	fp := p.pp.p
-	a := mathutil.MulMod(mathutil.SubMod(p.y, p.x, fp), mathutil.SubMod(q.y, q.x, fp), fp)
-	b := mathutil.MulMod(mathutil.AddMod(p.y, p.x, fp), mathutil.AddMod(q.y, q.x, fp), fp)
-	c := mathutil.MulMod(mathutil.MulMod(p.t, p.pp.d2, fp), q.t, fp)
-	d := mathutil.MulMod(mathutil.AddMod(p.z, p.z, fp), q.z, fp)
-	e := mathutil.SubMod(b, a, fp)
-	f := mathutil.SubMod(d, c, fp)
-	g := mathutil.AddMod(d, c, fp)
-	h := mathutil.AddMod(b, a, fp)
-	return &ed25519Point{
-		x:  mathutil.MulMod(e, f, fp),
-		y:  mathutil.MulMod(g, h, fp),
-		t:  mathutil.MulMod(e, h, fp),
-		z:  mathutil.MulMod(f, g, fp),
-		pp: p.pp,
-	}
-}
-
-// double implements dedicated point doubling (RFC 8032 §5.1.4).
-func (p *ed25519Point) double() *ed25519Point {
-	fp := p.pp.p
-	a := mathutil.MulMod(p.x, p.x, fp)
-	b := mathutil.MulMod(p.y, p.y, fp)
-	zz := mathutil.MulMod(p.z, p.z, fp)
-	c := mathutil.AddMod(zz, zz, fp)
-	hh := mathutil.AddMod(a, b, fp)
-	xy := mathutil.AddMod(p.x, p.y, fp)
-	e := mathutil.SubMod(hh, mathutil.MulMod(xy, xy, fp), fp)
-	g := mathutil.SubMod(a, b, fp)
-	f := mathutil.AddMod(c, g, fp)
-	return &ed25519Point{
-		x:  mathutil.MulMod(e, f, fp),
-		y:  mathutil.MulMod(g, hh, fp),
-		t:  mathutil.MulMod(e, hh, fp),
-		z:  mathutil.MulMod(f, g, fp),
-		pp: p.pp,
-	}
+	r := new(ed25519Point)
+	r.p.add(&p.p, &asEd25519(q).p)
+	return r
 }
 
 func (p *ed25519Point) Neg() Point {
-	fp := p.pp.p
-	return &ed25519Point{
-		x:  mathutil.SubMod(big.NewInt(0), p.x, fp),
-		y:  mathutil.Clone(p.y),
-		z:  mathutil.Clone(p.z),
-		t:  mathutil.SubMod(big.NewInt(0), p.t, fp),
-		pp: p.pp,
-	}
+	r := new(ed25519Point)
+	r.p.negate(&p.p)
+	return r
 }
 
+// Mul returns k*P by the signed fixed-window ladder, in constant time with
+// respect to k.
 func (p *ed25519Point) Mul(k *big.Int) Point {
-	kk := new(big.Int).Mod(k, p.pp.l)
-	acc := ed25519Group{}.Identity().(*ed25519Point)
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc = acc.double()
-		if kk.Bit(i) == 1 {
-			acc = acc.add(p)
-		}
-	}
-	return acc
+	s := ed25519Scalar(k)
+	r := new(ed25519Point)
+	r.p.scalarMult(&s, &p.p)
+	return r
 }
 
 func (p *ed25519Point) Equal(q Point) bool {
 	qq, ok := q.(*ed25519Point)
-	if !ok {
-		return false
-	}
-	fp := p.pp.p
-	// x1/z1 == x2/z2  <=>  x1*z2 == x2*z1, same for y.
-	if mathutil.MulMod(p.x, qq.z, fp).Cmp(mathutil.MulMod(qq.x, p.z, fp)) != 0 {
-		return false
-	}
-	return mathutil.MulMod(p.y, qq.z, fp).Cmp(mathutil.MulMod(qq.y, p.z, fp)) == 0
+	return ok && p.p.equal(&qq.p) == 1
 }
 
-func (p *ed25519Point) IsIdentity() bool {
-	fp := p.pp.p
-	return mathutil.Mod(p.x, fp).Sign() == 0 &&
-		mathutil.Mod(p.y, fp).Cmp(mathutil.Mod(p.z, fp)) == 0
-}
+func (p *ed25519Point) IsIdentity() bool { return p.p.isIdentity() == 1 }
 
 // Marshal produces the RFC 8032 encoding: 32 bytes little-endian y with the
 // sign of x in the most significant bit.
 func (p *ed25519Point) Marshal() []byte {
-	fp := p.pp.p
-	zinv := new(big.Int).ModInverse(p.z, fp)
-	x := mathutil.MulMod(p.x, zinv, fp)
-	y := mathutil.MulMod(p.y, zinv, fp)
-	out := make([]byte, 32)
-	yb := y.Bytes()
-	// big.Int.Bytes is big-endian; reverse into little-endian.
-	for i := range yb {
-		out[i] = yb[len(yb)-1-i]
-	}
-	if x.Bit(0) == 1 {
-		out[31] |= 0x80
-	}
-	return out
+	out := p.p.bytes()
+	return out[:]
 }
 
-// decodeEd25519 decodes an RFC 8032 point encoding and validates the curve
-// equation. It does not check subgroup membership; callers that need the
-// prime-order subgroup use UnmarshalPoint.
-func decodeEd25519(pp *ed25519Params, data []byte) (*ed25519Point, error) {
-	if len(data) != 32 {
-		return nil, ErrInvalidPoint
+// multiScalarMul is the edwards25519 fast path of MultiScalarMul: Straus's
+// method over width-5 NAFs, so k terms share one doubling chain and each
+// costs a table of eight odd multiples plus about one addition per six
+// scalar bits. Variable-time — callers pass public scalars only.
+func (ed25519Group) multiScalarMul(points []Point, scalars []*big.Int) Point {
+	nafs := make([][256]int8, len(points))
+	tables := make([]nafLookupTable5, len(points))
+	for i, p := range points {
+		s := ed25519Scalar(scalars[i])
+		nafs[i] = nonAdjacentForm5(&s)
+		tables[i].fromP3(&asEd25519(p).p)
 	}
-	var buf [32]byte
-	copy(buf[:], data)
-	signX := buf[31] >> 7
-	buf[31] &= 0x7f
-	// Little-endian to big.Int.
-	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	y := new(big.Int).SetBytes(buf[:])
-	if y.Cmp(pp.p) >= 0 {
-		return nil, ErrInvalidPoint
-	}
-	// Recover x from y: x^2 = (y^2 - 1) / (d*y^2 + 1).
-	y2 := mathutil.MulMod(y, y, pp.p)
-	u := mathutil.SubMod(y2, big.NewInt(1), pp.p)
-	v := mathutil.AddMod(mathutil.MulMod(pp.d, y2, pp.p), big.NewInt(1), pp.p)
-	vinv := new(big.Int).ModInverse(v, pp.p)
-	if vinv == nil {
-		return nil, ErrInvalidPoint
-	}
-	x2 := mathutil.MulMod(u, vinv, pp.p)
-	x, ok := sqrtEd25519(pp, x2)
-	if !ok {
-		return nil, ErrInvalidPoint
-	}
-	if x.Sign() == 0 && signX == 1 {
-		return nil, ErrInvalidPoint
-	}
-	if uint8(x.Bit(0)) != signX {
-		x = mathutil.SubMod(big.NewInt(0), x, pp.p)
-	}
-	return newEd25519Affine(pp, x, y), nil
-}
-
-// sqrtEd25519 computes a square root modulo p = 2^255-19 (p ≡ 5 mod 8)
-// using the candidate a^((p+3)/8) and the sqrt(-1) correction.
-func sqrtEd25519(pp *ed25519Params, a *big.Int) (*big.Int, bool) {
-	e := new(big.Int).Add(pp.p, big.NewInt(3))
-	e.Rsh(e, 3)
-	r := new(big.Int).Exp(a, e, pp.p)
-	r2 := mathutil.MulMod(r, r, pp.p)
-	am := mathutil.Mod(a, pp.p)
-	if r2.Cmp(am) == 0 {
-		return r, true
-	}
-	negA := mathutil.SubMod(big.NewInt(0), am, pp.p)
-	if r2.Cmp(negA) == 0 {
-		return mathutil.MulMod(r, pp.sqrtM1, pp.p), true
-	}
-	return nil, false
+	r := new(ed25519Point)
+	r.p.varTimeNAFSum(nafs, tables)
+	return r
 }

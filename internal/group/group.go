@@ -1,11 +1,20 @@
 // Package group defines the prime-order group abstraction shared by all
 // discrete-logarithm based threshold schemes in Thetacrypt.
 //
-// Two implementations are provided: a from-scratch edwards25519 group
-// (the curve used by SG02, KG20, and CKS05 in the paper's Table 3) and a
-// wrapper around the standard library's NIST P-256 curve. Schemes are
-// written against the Group/Point interfaces so the two can be swapped
-// freely; the pairing-based schemes use internal/pairing instead.
+// Two implementations are provided: edwards25519 (the curve used by SG02,
+// KG20, and CKS05 in the paper's Table 3) on 51-bit-limb field arithmetic
+// ported from the Go distribution, and a wrapper around the standard
+// library's NIST P-256 curve. Schemes are written against the Group/Point
+// interfaces so the two can be swapped freely; the pairing-based schemes
+// use internal/pairing instead.
+//
+// Scalars are *big.Int at the interface, so reducing and serialising them
+// is math/big's variable-time work in either group. From the reduced
+// scalar on, edwards25519's Point.Mul and Group.BaseMul — the operations
+// that take key shares and nonces — run in constant time; MultiScalarMul,
+// UnmarshalPoint and HashToPoint are variable-time and take public inputs
+// only (see edwards25519.go). P-256 inherits whatever crypto/elliptic
+// provides for a generic big.Int-coordinate caller.
 package group
 
 import (

@@ -26,10 +26,12 @@ type multiScalarMuler interface {
 
 // MultiScalarMul computes the multi-scalar multiplication
 // Σ scalars[i]*points[i] in one pass. Groups that implement the internal
-// fast path (edwards25519 shares one doubling chain across all terms)
-// use it; any other group falls back to the naive per-term
-// scalar-multiply-and-add, so callers can batch unconditionally. The
-// empty sum is the identity; the slices must have equal length.
+// fast path (edwards25519 runs Straus's method: one doubling chain shared
+// across all terms) use it; any other group falls back to the naive
+// per-term scalar-multiply-and-add, so callers can batch unconditionally.
+// The fast path is variable-time: pass public scalars only — secret
+// scalars go through Point.Mul and Group.BaseMul. The empty sum is the
+// identity; the slices must have equal length.
 func MultiScalarMul(g Group, points []Point, scalars []*big.Int) Point {
 	if len(points) != len(scalars) {
 		panic("group: MultiScalarMul called with mismatched slice lengths")
@@ -43,38 +45,6 @@ func MultiScalarMul(g Group, points []Point, scalars []*big.Int) Point {
 	acc := g.Identity()
 	for i, p := range points {
 		acc = acc.Add(p.Mul(scalars[i]))
-	}
-	return acc
-}
-
-// multiScalarMul is the edwards25519 fast path: the interleaved binary
-// method walks all scalars' bits from the top sharing a single doubling
-// chain, so k terms cost one ~252-doubling pass plus the adds for set
-// bits instead of k independent double-and-add ladders.
-func (ed25519Group) multiScalarMul(points []Point, scalars []*big.Int) Point {
-	pp := ed25519ParamsOnce()
-	pts := make([]*ed25519Point, len(points))
-	ks := make([]*big.Int, len(points))
-	maxBits := 0
-	for i, p := range points {
-		ep, ok := p.(*ed25519Point)
-		if !ok {
-			panic("group: mixing edwards25519 with foreign point")
-		}
-		pts[i] = ep
-		ks[i] = new(big.Int).Mod(scalars[i], pp.l)
-		if bl := ks[i].BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
-	acc := ed25519Group{}.Identity().(*ed25519Point)
-	for i := maxBits - 1; i >= 0; i-- {
-		acc = acc.double()
-		for j := range pts {
-			if ks[j].Bit(i) == 1 {
-				acc = acc.add(pts[j])
-			}
-		}
 	}
 	return acc
 }

@@ -129,7 +129,15 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 	if wedged, ok := st.Peer(2); !ok || wedged.QueueDepth < 1 {
 		t.Fatalf("wedged peer stats = %+v, want a backed-up queue", wedged)
 	}
-	if healthy, ok := st.Peer(3); !ok || healthy.Sent < 1 || healthy.State != network.PeerUp {
+	// The writer counts a frame as sent after the write returns, which can
+	// be after the receiver has already delivered it: poll, don't sample.
+	var healthy network.PeerStats
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if healthy, _ = t1.TransportStats().Peer(3); healthy.Sent >= 1 && healthy.State == network.PeerUp {
+			break
+		}
+	}
+	if healthy.Sent < 1 || healthy.State != network.PeerUp {
 		t.Fatalf("healthy peer stats = %+v, want Up with sends", healthy)
 	}
 }

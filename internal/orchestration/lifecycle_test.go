@@ -37,7 +37,7 @@ func coinReq(session string) protocols.Request {
 
 // TestRetentionCapBoundsMemory is the sustained-load acceptance test:
 // far more requests than the retention cap are submitted and consumed,
-// and every engine's instance count settles at the cap instead of
+// and every engine's retained results settle at the cap instead of
 // growing without bound.
 func TestRetentionCapBoundsMemory(t *testing.T) {
 	const cap = 16
@@ -67,15 +67,26 @@ func TestRetentionCapBoundsMemory(t *testing.T) {
 		}
 	}
 	for i, e := range c.engines {
-		e := e
-		waitUntil(t, 20*time.Second, func() bool { return e.InstanceCount() == cap },
-			fmt.Sprintf("engine %d: instance count %d, want retention cap %d", i+1, e.InstanceCount(), cap))
-		st := e.Stats()
-		if st.Finished != cap || st.Live != 0 {
-			t.Fatalf("engine %d stats: %+v, want finished=%d live=0", i+1, st, cap)
+		// Retained results sit at the cap and no run is left unfinished.
+		// Whatever else is tracked is a bare placeholder: a share that
+		// reached this node after the cap had already evicted its
+		// finished run parks as one (any activity on an evicted id
+		// supersedes its tombstone) until RetainTTL, bounded by the
+		// placeholder cap. How many there are depends on how far the
+		// slowest peer's shares trail the fastest quorum.
+		settled := func() (retained, live, placeholders, tracked int) {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return e.retained.Len(), e.live.Len(), e.placeholders.Len(), len(e.instances)
 		}
-		if st.Evicted < total-cap {
-			t.Fatalf("engine %d evicted %d, want >= %d", i+1, st.Evicted, total-cap)
+		waitUntil(t, 20*time.Second, func() bool {
+			retained, live, _, _ := settled()
+			return retained == cap && live == 0 && e.Stats().Evicted >= total-cap
+		}, fmt.Sprintf("engine %d never settled at retention cap %d: %+v", i+1, cap, e.Stats()))
+		retained, live, placeholders, tracked := settled()
+		if retained != cap || live != 0 || tracked != cap+placeholders || placeholders > total-cap {
+			t.Fatalf("engine %d: retained=%d live=%d placeholders=%d tracked=%d, want retained=%d, no live run, nothing else but late-share placeholders",
+				i+1, retained, live, placeholders, tracked, cap)
 		}
 	}
 }
@@ -107,6 +118,78 @@ func TestRetainTTLEvictsAndAttachExpires(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("attach on evicted instance did not resolve immediately")
 	}
+}
+
+// TestFinishedInstanceReleasesProtocolState: a result reaches its
+// watchers only once the instance is retired into the retention window,
+// where it keeps the result and drops the protocol state machine; and
+// everything a retained instance is asked to do — duplicate submit,
+// Attach, a late peer share — still answers from the result exactly as
+// when the state machine was kept.
+func TestFinishedInstanceReleasesProtocolState(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) {
+		cfg.RetainTTL = time.Hour
+	})
+	req := coinReq("release")
+	id := req.InstanceID()
+	want := waitAll(t, c.submitAll(t, req))[0]
+
+	// The result was released, so the instance is already retired.
+	e := c.engines[0]
+	if st := e.Stats(); st.Finished != 1 || st.Live != 0 {
+		t.Fatalf("stats with the result in hand: %+v, want the instance retired", st)
+	}
+	e.mu.Lock()
+	inst := e.instances[id]
+	created := inst != nil && inst.created
+	e.mu.Unlock()
+	if !created {
+		t.Fatal("retained instance is not recorded as started")
+	}
+	inst.mu.Lock()
+	proto, finished := inst.proto, inst.finished
+	inst.mu.Unlock()
+	if !finished || proto != nil {
+		t.Fatalf("retained instance: finished=%v proto=%v, want finished with no protocol state", finished, proto)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	same := func(what string, f *Future) {
+		t.Helper()
+		got, err := f.Wait(ctx)
+		if err != nil || got.Err != nil {
+			t.Fatalf("%s: %v / %v", what, err, got.Err)
+		}
+		if string(got.Value) != string(want.Value) || !got.Finished.Equal(want.Finished) {
+			t.Fatalf("%s returned a different result: %+v, want %+v", what, got, want)
+		}
+	}
+
+	// Duplicate submit: flagged, and served from the retained result.
+	subs, err := e.SubmitBatch(ctx, []protocols.Request{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !subs[0].Duplicate || subs[0].InstanceID != id {
+		t.Fatalf("re-submission of a retained instance: %+v, want the same handle flagged duplicate", subs[0])
+	}
+	same("duplicate submit", subs[0].Future)
+	same("attach", e.Attach(id))
+
+	// A late share for the finished instance is dropped without being
+	// parsed (garbage would otherwise count as a rejected share). The
+	// worker handles events in order, so once a later request finished
+	// the late share has been through.
+	late := network.Envelope{Instance: id, Kind: network.KindProto, Round: 1, Payload: []byte("late")}
+	if err := c.hub.Endpoint(4).Send(ctx, 1, late); err != nil {
+		t.Fatal(err)
+	}
+	waitAll(t, c.submitAll(t, coinReq("release-after")))
+	if st := e.Stats(); st.Finished != 2 || st.RejectedShares != 0 || st.Evicted != 0 || st.Live != 0 {
+		t.Fatalf("stats after a late share on a retained instance: %+v", st)
+	}
+	same("attach after a late share", e.Attach(id))
 }
 
 // TestResubmitAfterEvictionStartsFresh: an evicted instance does not
@@ -358,6 +441,14 @@ func TestRejectedSharesCounted(t *testing.T) {
 	if err := c.hub.Endpoint(4).Broadcast(context.Background(), garbage); err != nil {
 		t.Fatal(err)
 	}
+	// Let the garbage park on a placeholder first: a share that reaches an
+	// instance after it finished is dropped unparsed, and a coin finishes
+	// within a couple of link hops.
+	for _, e := range c.engines[:3] {
+		e := e
+		waitUntil(t, 5*time.Second, func() bool { return e.InstanceCount() == 1 },
+			"garbage share never reached the engine")
+	}
 	futures := make([]*Future, 0, 3)
 	for _, e := range c.engines[:3] {
 		f, err := e.Submit(context.Background(), req)
@@ -406,8 +497,8 @@ func BenchmarkSustainedLoad(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	waitUntil(b, 20*time.Second, func() bool { return c.engines[0].InstanceCount() <= cap },
-		"instance count above retention cap after load")
-	b.ReportMetric(float64(c.engines[0].InstanceCount()), "retained-instances")
+	waitUntil(b, 20*time.Second, func() bool { return c.engines[0].Stats().Finished <= cap },
+		"retained results above retention cap after load")
+	b.ReportMetric(float64(c.engines[0].Stats().Finished), "retained-instances")
 	b.ReportMetric(float64(c.engines[0].Stats().Evicted), "evicted")
 }

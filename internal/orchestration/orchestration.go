@@ -273,12 +273,23 @@ type instance struct {
 	gen int
 	// mu serializes all access to the TRI protocol, which is not safe
 	// for concurrent use (relevant when Workers > 1).
-	mu       sync.Mutex
-	proto    protocols.Protocol
+	mu    sync.Mutex
+	proto protocols.Protocol
+	// created records that the protocol was published for this instance
+	// (guarded by Engine.mu). It is what "this instance was started"
+	// means once release has dropped proto: a finished instance only
+	// ever serves result, so it does not keep the state machine —
+	// adapter, ciphertext, every share and dealing — alive for the whole
+	// retention window.
+	created  bool
 	futures  []*Future
 	started  time.Time
 	finished bool
 	result   Result
+	// released marks that result has been handed to the watchers, which
+	// happens after the engine's own books show the instance finished
+	// (see releaseLocked).
+	released bool
 	// backlog holds protocol messages that arrived before the instance
 	// (or its generation) was started on this node.
 	backlog []backlogEntry
@@ -580,7 +591,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]S
 		// is not a running instance: the submission that adopts it is
 		// still the first submission.
 		inst, exists := e.instances[id]
-		dup := exists && (inst.starting || inst.proto != nil)
+		dup := exists && (inst.starting || inst.created)
 		f := &Future{ch: make(chan Result, 1)}
 		subs[i] = Submission{InstanceID: id, Future: f, Duplicate: dup || inBatch[id]}
 		items[i] = batchItem{req: req, future: f}
@@ -682,14 +693,14 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	e.mu.Lock()
 	inst, ok := e.instances[id]
 	var superseded *instance
-	if ok && gen > inst.gen && (inst.starting || inst.proto != nil) {
+	if ok && gen > inst.gen && (inst.starting || inst.created) {
 		superseded = inst
 		e.supersedeLocked(inst)
 		inst, ok = nil, false
 	}
 	adopt := false
 	if ok {
-		if inst.proto == nil && !inst.starting {
+		if !inst.created && !inst.starting {
 			g := gen
 			if g == 0 {
 				// Local adoption of a placeholder: join the newest run
@@ -737,11 +748,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	}
 	if future != nil {
 		inst.mu.Lock()
-		if inst.finished {
-			future.ch <- inst.result
-		} else {
-			inst.futures = append(inst.futures, future)
-		}
+		inst.watchLocked(future)
 		inst.mu.Unlock()
 	}
 	if !adopt {
@@ -756,10 +763,11 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 		Roster:        e.cfg.Roster,
 	})
 	if err == nil {
-		// Publish under e.mu so handleEnvelope's proto==nil check is
-		// race free.
+		// Publish under e.mu so handleEnvelope's created check is race
+		// free.
 		e.mu.Lock()
 		inst.proto = proto
+		inst.created = true
 		e.mu.Unlock()
 	}
 
@@ -855,7 +863,7 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 		}
 		e.mu.Lock()
 		inst, ok := e.instances[env.Instance]
-		if ok && inst.proto != nil {
+		if ok && inst.created {
 			switch {
 			case gen < inst.gen:
 				e.mu.Unlock()
@@ -924,7 +932,7 @@ func (e *Engine) deferForKey(req protocols.Request, env network.Envelope, retrie
 // ones are dropped.
 func (e *Engine) drainBacklog(id string, inst *instance) {
 	e.mu.Lock()
-	if inst.proto == nil {
+	if !inst.created {
 		// The adopting worker has not published the protocol yet
 		// (possible with Workers > 1 when a duplicate submission races
 		// the adoption): draining now would feed the parked shares to
@@ -1015,8 +1023,9 @@ func (e *Engine) advanceLocked(id string, inst *instance, firstRound bool) {
 }
 
 // finishLocked completes an instance; inst.mu is held. Retention
-// bookkeeping happens in retire, which workers call once inst.mu is
-// released (lock order forbids taking e.mu here).
+// bookkeeping and the hand-over of the result to the watchers happen in
+// retire, which workers call once inst.mu is released (lock order
+// forbids taking e.mu here).
 func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 	if inst.finished {
 		return
@@ -1025,10 +1034,6 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 	res.Started = inst.started
 	res.Finished = time.Now()
 	inst.result = res
-	for _, f := range inst.futures {
-		f.ch <- res
-	}
-	inst.futures = nil
 	if inst.op == protocols.OpReshare && res.Err == nil {
 		// The reshare advanced the key's epoch: drop cached Lagrange
 		// coefficients and banked nonces of the superseded sharing, so
@@ -1039,9 +1044,35 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 	}
 }
 
-// retire moves a finished instance into the retention window and
-// enforces the retention cap, evicting the oldest finished instances in
-// O(1) each. It is idempotent and a no-op for unfinished instances.
+// releaseLocked hands a finished instance's result to its watchers and
+// lets go of the protocol state machine; inst.mu is held. It runs after
+// the instance left the live books (retired into the retention window,
+// or removed by eviction or expiry), never from finishLocked: a caller
+// holding a result must find Stats, Attach and duplicate detection
+// already agreeing that the instance finished. Idempotent.
+func (inst *instance) releaseLocked() {
+	inst.released = true
+	for _, f := range inst.futures {
+		f.ch <- inst.result
+	}
+	inst.futures = nil
+	inst.proto = nil
+}
+
+// watchLocked registers a future on the instance: served at once when
+// the result has been released, parked until then; inst.mu is held.
+func (inst *instance) watchLocked(f *Future) {
+	if inst.released {
+		f.ch <- inst.result
+		return
+	}
+	inst.futures = append(inst.futures, f)
+}
+
+// retire moves a finished instance into the retention window, enforces
+// the retention cap (evicting the oldest finished instances in O(1)
+// each) and then releases the result. It is idempotent and a no-op for
+// unfinished instances.
 func (e *Engine) retire(inst *instance) {
 	if inst == nil {
 		return
@@ -1054,16 +1085,19 @@ func (e *Engine) retire(inst *instance) {
 		return
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if inst.relem != nil || e.instances[inst.id] != inst {
-		return // already retired, or evicted and replaced
+	// Unless already retired, or evicted and replaced.
+	if inst.relem == nil && e.instances[inst.id] == inst {
+		e.unlistLocked(inst)
+		inst.finishedAt = finishedAt
+		inst.relem = e.retained.PushBack(inst)
+		for e.retained.Len() > e.cfg.RetainMax {
+			e.evictLocked(e.retained.Front().Value.(*instance))
+		}
 	}
-	e.unlistLocked(inst)
-	inst.finishedAt = finishedAt
-	inst.relem = e.retained.PushBack(inst)
-	for e.retained.Len() > e.cfg.RetainMax {
-		e.evictLocked(e.retained.Front().Value.(*instance))
-	}
+	e.mu.Unlock()
+	inst.mu.Lock()
+	inst.releaseLocked()
+	inst.mu.Unlock()
 }
 
 // evictLocked removes a retained instance from the engine, leaving a
@@ -1163,6 +1197,7 @@ func (e *Engine) expireAll(insts []*instance) {
 	for _, inst := range insts {
 		inst.mu.Lock()
 		e.finishLocked(inst.id, inst, Result{InstanceID: inst.id, Err: ErrExpired})
+		inst.releaseLocked()
 		inst.mu.Unlock()
 	}
 }
@@ -1263,7 +1298,7 @@ func (e *Engine) sweep(now time.Time) {
 		if now.Sub(inst.adoptedAt) < e.liveTTL {
 			break
 		}
-		if inst.proto == nil {
+		if !inst.created {
 			break // protocol creation in flight; the next pass decides
 		}
 		e.unlistLocked(inst)
@@ -1297,12 +1332,8 @@ func (e *Engine) Attach(id string) *Future {
 	e.mu.Unlock()
 	e.expireAll(evicted)
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if inst.finished {
-		f.ch <- inst.result
-		return f
-	}
-	inst.futures = append(inst.futures, f)
+	inst.watchLocked(f)
+	inst.mu.Unlock()
 	return f
 }
 

@@ -292,6 +292,14 @@ func TestCorruptSharesDoNotBlockProgress(t *testing.T) {
 	if err := adv.Broadcast(context.Background(), garbage); err != nil {
 		t.Fatal(err)
 	}
+	// "Before" has to be made true: the garbage travels its own links,
+	// and a share that reaches an instance after it finished is dropped
+	// unparsed, which a coin does within a couple of link hops.
+	for _, e := range engines {
+		e := e
+		waitUntil(t, 5*time.Second, func() bool { return e.InstanceCount() == 1 },
+			"garbage share never reached the engine")
+	}
 
 	futures := make([]*Future, 0, 3)
 	for _, e := range engines {

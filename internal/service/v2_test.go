@@ -299,6 +299,15 @@ func TestV2IdempotentDuplicateSubmit(t *testing.T) {
 		t.Fatalf("first submit: %+v", out1.Results)
 	}
 
+	// Duplicate detection is a snapshot of the engine's instance table
+	// (Engine.SubmitBatch), and the 202 above only says the request was
+	// queued: wait until the worker has taken it before re-submitting.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := clients[0].Wait(ctx, api.Handle{InstanceID: out1.Results[0].InstanceID}); err != nil {
+		t.Fatal(err)
+	}
+
 	// Identical re-submission: 200, same handle, flagged duplicate.
 	resp2, err := http.Post(srv.URL+"/v2/protocol/submit", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -318,8 +327,6 @@ func TestV2IdempotentDuplicateSubmit(t *testing.T) {
 
 	// The SDK surfaces the same flag, and the duplicate still resolves
 	// to the shared instance's result.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	req := protocols.Request{
 		Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte("dup"), Session: "dup-1",
 	}
