@@ -138,34 +138,6 @@ func Jacobi(a, p *big.Int) int {
 	return big.Jacobi(new(big.Int).Mod(a, p), p)
 }
 
-// NAF returns the non-adjacent form of a non-negative integer as digits in
-// {-1, 0, 1}, least-significant first.
-func NAF(k *big.Int) []int8 {
-	if k.Sign() < 0 {
-		return nil
-	}
-	n := new(big.Int).Set(k)
-	var digits []int8
-	four := big.NewInt(4)
-	for n.Sign() > 0 {
-		if n.Bit(0) == 1 {
-			mod4 := new(big.Int).Mod(n, four).Int64()
-			var d int8
-			if mod4 == 1 {
-				d = 1
-			} else {
-				d = -1
-			}
-			digits = append(digits, d)
-			n.Sub(n, big.NewInt(int64(d)))
-		} else {
-			digits = append(digits, 0)
-		}
-		n.Rsh(n, 1)
-	}
-	return digits
-}
-
 // Clone returns a defensive copy of a big integer, mapping nil to nil.
 func Clone(a *big.Int) *big.Int {
 	if a == nil {

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
-	"testing/quick"
 )
 
 func TestFactorial(t *testing.T) {
@@ -30,31 +29,6 @@ func TestSafePrimeSmall(t *testing.T) {
 	}
 	if _, _, err := SafePrime(rand.Reader, 4); err == nil {
 		t.Fatal("tiny bit length accepted")
-	}
-}
-
-func TestNAF(t *testing.T) {
-	// Reconstruct the value from its NAF digits and check the
-	// non-adjacency property.
-	f := func(v uint32) bool {
-		k := new(big.Int).SetUint64(uint64(v))
-		digits := NAF(k)
-		acc := new(big.Int)
-		pow := big.NewInt(1)
-		for i, d := range digits {
-			if d != 0 && i+1 < len(digits) && digits[i+1] != 0 {
-				return false // adjacent non-zeros
-			}
-			acc.Add(acc, new(big.Int).Mul(big.NewInt(int64(d)), pow))
-			pow = new(big.Int).Lsh(pow, 1)
-		}
-		return acc.Cmp(k) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if NAF(big.NewInt(-1)) != nil {
-		t.Fatal("negative NAF should be nil")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network"
@@ -77,7 +78,7 @@ func TestRetentionCapBoundsMemory(t *testing.T) {
 		settled := func() (retained, live, placeholders, tracked int) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			return e.retained.Len(), e.live.Len(), e.placeholders.Len(), len(e.instances)
+			return e.retained.n, e.live.Len(), e.placeholders.Len(), len(e.instances)
 		}
 		waitUntil(t, 20*time.Second, func() bool {
 			retained, live, _, _ := settled()
@@ -147,10 +148,10 @@ func TestFinishedInstanceReleasesProtocolState(t *testing.T) {
 		t.Fatal("retained instance is not recorded as started")
 	}
 	inst.mu.Lock()
-	proto, finished := inst.proto, inst.finished
+	live, finished := inst.run, inst.finished
 	inst.mu.Unlock()
-	if !finished || proto != nil {
-		t.Fatalf("retained instance: finished=%v proto=%v, want finished with no protocol state", finished, proto)
+	if !finished || live != nil {
+		t.Fatalf("retained instance: finished=%v run=%+v, want finished with no run (no protocol state, futures, backlog or request strings)", finished, live)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -190,6 +191,116 @@ func TestFinishedInstanceReleasesProtocolState(t *testing.T) {
 		t.Fatalf("stats after a late share on a retained instance: %+v", st)
 	}
 	same("attach after a late share", e.Attach(id))
+}
+
+// TestRetainedInstanceFootprint pins what every finished request costs
+// for the whole retention window (RetainMax 4096 instances per node): the
+// instance struct itself. A fast scheme completes thousands of requests
+// inside RetainTTL, so bytes added here show up as resident memory of the
+// deployment; state only a live run reads belongs behind instance.run,
+// which retire drops.
+func TestRetainedInstanceFootprint(t *testing.T) {
+	// 144 is the allocator's size class for today's 136 bytes; the next
+	// field costs every retained result 16 bytes.
+	if size := unsafe.Sizeof(instance{}); size > 144 {
+		t.Fatalf("instance is %d bytes, want at most 144: move live-run state into run", size)
+	}
+}
+
+// TestRetentionWindowLinks walks the intrusive FIFO through the removals
+// the engine makes: the front (cap and TTL eviction), the middle and the
+// back (supersession), and an instance that is not in the window.
+func TestRetentionWindowLinks(t *testing.T) {
+	var w retention
+	insts := make([]*instance, 5)
+	for i := range insts {
+		insts[i] = &instance{id: fmt.Sprint(i)}
+		w.pushBack(insts[i])
+	}
+	order := func() string {
+		var fwd, back string
+		for inst := w.front; inst != nil; inst = inst.next {
+			fwd += inst.id
+		}
+		for inst := w.back; inst != nil; inst = inst.prev {
+			back = inst.id + back
+		}
+		if fwd != back || len(fwd) != w.n {
+			t.Fatalf("window reads %q forwards, %q backwards, n=%d", fwd, back, w.n)
+		}
+		return fwd
+	}
+	for _, step := range []struct {
+		remove int
+		want   string
+	}{{2, "0134"}, {0, "134"}, {4, "13"}, {4, "13"}, {1, "3"}, {3, ""}} {
+		w.remove(insts[step.remove])
+		if got := order(); got != step.want {
+			t.Fatalf("after removing %d: %q, want %q", step.remove, got, step.want)
+		}
+		if in := insts[step.remove]; in.retained || in.prev != nil || in.next != nil {
+			t.Fatalf("removed instance %d keeps links", step.remove)
+		}
+	}
+	w.pushBack(insts[2])
+	if got := order(); got != "2" {
+		t.Fatalf("re-inserted into an emptied window: %q", got)
+	}
+}
+
+// TestRetainedInstanceParksNewerGenerationShare: a share of generation
+// N+1 that overtakes its start announcement finds the retained, released
+// copy of generation N. It must still park there — on a bare run that
+// holds nothing but the backlog — and reach the fresh run when the start
+// announcement supersedes the copy.
+func TestRetainedInstanceParksNewerGenerationShare(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) {
+		cfg.RetainTTL = time.Hour
+	})
+	req := coinReq("park-on-retained")
+	id := req.InstanceID()
+	waitAll(t, c.submitAll(t, req))
+	e := c.engines[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	early := network.Envelope{Instance: id, Kind: network.KindProto, Round: 1, Gen: 2, Payload: []byte("early")}
+	if err := c.hub.Endpoint(4).Send(ctx, 1, early); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		inst := e.instances[id]
+		return inst != nil && inst.run != nil
+	}, "the early share never parked on the retained instance")
+	e.mu.Lock()
+	inst := e.instances[id]
+	parked, bare := len(inst.run.backlog), inst.run.proto == nil && inst.run.futures == nil && inst.run.lelem == nil
+	e.mu.Unlock()
+	if parked != 1 || !bare {
+		t.Fatalf("retained instance after an early share: %d parked, bare run=%v; want 1 on a bare run", parked, bare)
+	}
+	// Still retained, still serving its result.
+	if res, err := e.Attach(id).Wait(ctx); err != nil || res.Err != nil {
+		t.Fatalf("attach on the retained instance: %v / %v", err, res.Err)
+	}
+	if st := e.Stats(); st.Finished != 1 || st.RejectedShares != 0 {
+		t.Fatalf("stats with the share parked: %+v", st)
+	}
+
+	// The start announcement of generation 2 supersedes the copy and
+	// replays the parked share into the fresh run, where the garbage is
+	// parsed and rejected.
+	start := network.Envelope{Instance: id, Kind: network.KindStart, Gen: 2, Payload: req.Marshal()}
+	if err := c.hub.Endpoint(4).Send(ctx, 1, start); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, func() bool { return e.Stats().RejectedShares == 1 },
+		"the parked share never reached the superseding run")
+	if st := e.Stats(); st.Finished != 0 || st.Live != 1 {
+		t.Fatalf("stats after the superseding start: %+v, want the stale copy gone and the fresh run live", st)
+	}
 }
 
 // TestResubmitAfterEvictionStartsFresh: an evicted instance does not

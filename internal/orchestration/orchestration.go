@@ -220,10 +220,10 @@ type Engine struct {
 	mu        sync.Mutex
 	instances map[string]*instance
 	stopped   bool
-	// retained holds finished instances in finish order (*instance);
-	// the front is always the next to evict, making both cap and TTL
-	// eviction O(1) per instance.
-	retained *list.List
+	// retained holds finished instances in finish order; the front is
+	// always the next to evict, making both cap and TTL eviction O(1)
+	// per instance.
+	retained retention
 	// placeholders holds bare instances awaiting adoption (creation
 	// order): watchers for ids this node has not seen and parked early
 	// shares. They expire after RetainTTL and are capped at
@@ -262,6 +262,11 @@ type Engine struct {
 	done sync.WaitGroup
 }
 
+// instance is what the engine keeps per instance id for as long as the id
+// is tracked, through the whole retention window (RetainMax per node), so
+// it holds only what a finished instance still serves; everything a live
+// run needs besides sits behind run. TestRetainedInstanceFootprint pins
+// the size.
 type instance struct {
 	id string
 	// gen is the run generation of this id: a re-submission after a
@@ -273,31 +278,21 @@ type instance struct {
 	gen int
 	// mu serializes all access to the TRI protocol, which is not safe
 	// for concurrent use (relevant when Workers > 1).
-	mu    sync.Mutex
-	proto protocols.Protocol
+	mu sync.Mutex
+	// run is the live half of the instance, nil once the instance has
+	// been retired and released. The pointer is set before the instance
+	// is published and cleared with both Engine.mu and mu held
+	// (releaseLocked), so it may be read under either lock; the fields
+	// behind it keep the lock they name. After the release only
+	// parkLocked, under Engine.mu, sets it again.
+	run *run
 	// created records that the protocol was published for this instance
 	// (guarded by Engine.mu). It is what "this instance was started"
-	// means once release has dropped proto: a finished instance only
+	// means once release has dropped the run: a finished instance only
 	// ever serves result, so it does not keep the state machine —
 	// adapter, ciphertext, every share and dealing — alive for the whole
 	// retention window.
-	created  bool
-	futures  []*Future
-	started  time.Time
-	finished bool
-	result   Result
-	// released marks that result has been handed to the watchers, which
-	// happens after the engine's own books show the instance finished
-	// (see releaseLocked).
-	released bool
-	// backlog holds protocol messages that arrived before the instance
-	// (or its generation) was started on this node.
-	backlog []backlogEntry
-	// op/scheme/keyID mirror the request that started this instance
-	// (set at adoption, read at finish for precompute invalidation).
-	op     protocols.Operation
-	scheme string
-	keyID  string
+	created bool
 	// starting marks that a worker has claimed the instance for
 	// protocol creation (guarded by Engine.mu). It distinguishes a
 	// placeholder — created by Attach or by a peer share arriving
@@ -305,15 +300,110 @@ type instance struct {
 	// is being (or has been) set up, so exactly one submission adopts
 	// and starts each placeholder.
 	starting bool
-	// relem/pelem/lelem are this instance's entries in Engine.retained,
-	// Engine.placeholders, and Engine.live (guarded by Engine.mu; nil
-	// when absent).
-	relem, pelem, lelem *list.Element
-	// adoptedAt is the live-run clock, set when a worker adopts the
-	// instance; finishedAt is the retention clock, set when it is
-	// retired into the retention window (both guarded by Engine.mu).
-	adoptedAt  time.Time
-	finishedAt time.Time
+	finished bool
+	// released marks that the result has been handed to the watchers,
+	// which happens after the engine's own books show the instance
+	// finished (see releaseLocked).
+	released bool
+	// retained marks membership of Engine.retained, whose links are
+	// prev and next (all three guarded by Engine.mu).
+	retained   bool
+	prev, next *instance
+	// started is the creation time: the start of the server-side latency
+	// and the placeholder sweep's clock. With value, err and took, final
+	// once finished is set, it is the result, which result() spells out:
+	// a Result would repeat the id and hold two full time.Time values.
+	started time.Time
+	took    time.Duration
+	value   []byte
+	err     error
+}
+
+// result is the instance's Result; inst.finished is set. Finished is
+// derived the same way every time, so every watcher of an instance sees
+// equal timestamps, and it keeps started's monotonic reading.
+func (inst *instance) result() Result {
+	return Result{InstanceID: inst.id, Value: inst.value, Err: inst.err, Started: inst.started, Finished: inst.finishedAt()}
+}
+
+// finishedAt is when the instance finished: the retention clock.
+func (inst *instance) finishedAt() time.Time { return inst.started.Add(inst.took) }
+
+// retention is the retention window: a FIFO of finished instances linked
+// through the instances themselves, so that a retained result costs no
+// list element on top of its instance.
+type retention struct {
+	front, back *instance
+	n           int
+}
+
+func (l *retention) pushBack(inst *instance) {
+	inst.retained, inst.prev, inst.next = true, l.back, nil
+	if l.back != nil {
+		l.back.next = inst
+	} else {
+		l.front = inst
+	}
+	l.back = inst
+	l.n++
+}
+
+// remove unlinks inst if it is in the window.
+func (l *retention) remove(inst *instance) {
+	if !inst.retained {
+		return
+	}
+	if inst.prev != nil {
+		inst.prev.next = inst.next
+	} else {
+		l.front = inst.next
+	}
+	if inst.next != nil {
+		inst.next.prev = inst.prev
+	} else {
+		l.back = inst.prev
+	}
+	inst.retained, inst.prev, inst.next = false, nil, nil
+	l.n--
+}
+
+// run is the state of an instance that only a live run reads: released
+// (and left to the collector) when the instance finishes.
+type run struct {
+	// proto is published under Engine.mu and used under instance.mu.
+	proto   protocols.Protocol
+	futures []*Future
+	// backlog holds protocol messages that arrived before the instance
+	// (or their generation) was started on this node (guarded by
+	// Engine.mu).
+	backlog []backlogEntry
+	// op/scheme/keyID mirror the request that started this instance
+	// (set at adoption, read at finish for precompute invalidation).
+	op     protocols.Operation
+	scheme string
+	keyID  string
+	// pelem/lelem are this instance's entries in Engine.placeholders and
+	// Engine.live (guarded by Engine.mu; nil when absent); adoptedAt is
+	// the live-run clock, set when a worker adopts the instance.
+	pelem, lelem *list.Element
+	adoptedAt    time.Time
+}
+
+func newInstance(id string, gen int) *instance {
+	return &instance{id: id, gen: gen, started: time.Now(), run: &run{}}
+}
+
+// parkLocked queues a protocol message that arrived ahead of the run it
+// belongs to; Engine.mu is held. A released instance grows a bare run
+// again for it: a share of a newer generation waits there for the start
+// announcement that will supersede the retained copy.
+func (inst *instance) parkLocked(msg protocols.ProtocolMessage, gen int) {
+	if inst.run == nil {
+		inst.run = &run{}
+	}
+	if len(inst.run.backlog) < maxBacklog {
+		inst.run.backlog = append(inst.run.backlog, backlogEntry{msg: msg, gen: gen})
+	}
 }
 
 type event struct {
@@ -396,7 +486,6 @@ func New(cfg Config) *Engine {
 		}),
 		events:         make(chan event, cfg.QueueLen),
 		instances:      make(map[string]*instance),
-		retained:       list.New(),
 		placeholders:   list.New(),
 		placeholderMax: 4 * cfg.RetainMax,
 		live:           list.New(),
@@ -707,7 +796,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 				// hinted by parked shares, else start the next known
 				// generation.
 				g = e.nextGenLocked(id)
-				for _, b := range inst.backlog {
+				for _, b := range inst.run.backlog {
 					if b.gen > g {
 						g = b.gen
 					}
@@ -725,21 +814,21 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 			g = e.nextGenLocked(id)
 		}
 		e.clearTombstoneLocked(id)
-		inst = &instance{id: id, started: time.Now(), gen: g}
-		if superseded != nil {
+		inst = newInstance(id, g)
+		if superseded != nil && superseded.run != nil {
 			// Early shares of the fresh run may have parked on the old
 			// copy; carry them over (drainBacklog filters by generation).
-			inst.backlog = superseded.backlog
-			superseded.backlog = nil
+			inst.run.backlog = superseded.run.backlog
+			superseded.run.backlog = nil
 		}
 		e.instances[id] = inst
 		e.adoptLocked(inst)
 		adopt = true
 	}
 	if adopt {
-		inst.op = req.Op
-		inst.scheme = string(req.Scheme)
-		inst.keyID = req.EffectiveKeyID()
+		inst.run.op = req.Op
+		inst.run.scheme = string(req.Scheme)
+		inst.run.keyID = req.EffectiveKeyID()
 	}
 	e.mu.Unlock()
 	if superseded != nil {
@@ -766,7 +855,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 		// Publish under e.mu so handleEnvelope's created check is race
 		// free.
 		e.mu.Lock()
-		inst.proto = proto
+		inst.run.proto = proto
 		inst.created = true
 		e.mu.Unlock()
 	}
@@ -872,9 +961,7 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 				// Early share of a fresh run racing ahead of its start
 				// announcement: park it; the superseding start carries
 				// the backlog over.
-				if len(inst.backlog) < maxBacklog {
-					inst.backlog = append(inst.backlog, backlogEntry{msg: msg, gen: gen})
-				}
+				inst.parkLocked(msg, gen)
 				e.mu.Unlock()
 				return
 			}
@@ -892,9 +979,7 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 			e.clearTombstoneLocked(env.Instance)
 			inst, evicted = e.newPlaceholderLocked(env.Instance)
 		}
-		if len(inst.backlog) < maxBacklog {
-			inst.backlog = append(inst.backlog, backlogEntry{msg: msg, gen: gen})
-		}
+		inst.parkLocked(msg, gen)
 		e.mu.Unlock()
 		e.expireAll(evicted)
 	}
@@ -940,8 +1025,14 @@ func (e *Engine) drainBacklog(id string, inst *instance) {
 		e.mu.Unlock()
 		return
 	}
-	backlog := inst.backlog
-	inst.backlog = nil
+	r := inst.run
+	if r == nil {
+		// Already finished and released (another worker got there
+		// first): nothing is parked that this run could still use.
+		e.mu.Unlock()
+		return
+	}
+	backlog := r.backlog
 	gen := inst.gen
 	var keep []backlogEntry
 	for _, entry := range backlog {
@@ -949,7 +1040,7 @@ func (e *Engine) drainBacklog(id string, inst *instance) {
 			keep = append(keep, entry)
 		}
 	}
-	inst.backlog = keep
+	r.backlog = keep
 	e.mu.Unlock()
 	for _, entry := range backlog {
 		if entry.gen == gen {
@@ -961,10 +1052,10 @@ func (e *Engine) drainBacklog(id string, inst *instance) {
 func (e *Engine) deliver(id string, inst *instance, msg protocols.ProtocolMessage) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	if inst.finished || inst.proto == nil {
+	if inst.finished || inst.run.proto == nil {
 		return
 	}
-	if err := inst.proto.Update(msg); err != nil {
+	if err := inst.run.proto.Update(msg); err != nil {
 		if errors.Is(err, protocols.ErrShareRejected) {
 			e.rejectedShares.Add(1)
 			if e.cfg.OnRejectedShare != nil {
@@ -982,13 +1073,14 @@ func (e *Engine) deliver(id string, inst *instance, msg protocols.ProtocolMessag
 // advanceLocked runs the TRI state machine: execute rounds while ready,
 // send produced messages, and finalize when possible. inst.mu is held.
 func (e *Engine) advanceLocked(id string, inst *instance, firstRound bool) {
-	if inst.finished || inst.proto == nil {
+	if inst.finished || inst.run.proto == nil {
 		return
 	}
+	proto := inst.run.proto
 	runRound := firstRound
 	for {
 		if runRound {
-			out, err := inst.proto.DoRound()
+			out, err := proto.DoRound()
 			if err != nil {
 				e.finishLocked(id, inst, Result{InstanceID: id, Err: err})
 				return
@@ -1009,12 +1101,12 @@ func (e *Engine) advanceLocked(id string, inst *instance, firstRound bool) {
 				}
 			}
 		}
-		if inst.proto.IsReadyToFinalize() {
-			value, err := inst.proto.Finalize()
+		if proto.IsReadyToFinalize() {
+			value, err := proto.Finalize()
 			e.finishLocked(id, inst, Result{InstanceID: id, Value: value, Err: err})
 			return
 		}
-		if inst.proto.IsReadyForNextRound() {
+		if proto.IsReadyForNextRound() {
 			runRound = true
 			continue
 		}
@@ -1031,42 +1123,57 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 		return
 	}
 	inst.finished = true
-	res.Started = inst.started
-	res.Finished = time.Now()
-	inst.result = res
-	if inst.op == protocols.OpReshare && res.Err == nil {
+	r := inst.run
+	inst.value, inst.err, inst.took = res.Value, res.Err, time.Since(inst.started)
+	if r.op == protocols.OpReshare && res.Err == nil {
 		// The reshare advanced the key's epoch: drop cached Lagrange
 		// coefficients and banked nonces of the superseded sharing, so
 		// stale precomputed material can never meet the new shares.
-		if k, err := e.cfg.Keys.Get(schemes.ID(inst.scheme), inst.keyID); err == nil {
-			e.suite.Invalidate(inst.scheme, inst.keyID, k.Epoch)
+		if k, err := e.cfg.Keys.Get(schemes.ID(r.scheme), r.keyID); err == nil {
+			e.suite.Invalidate(r.scheme, r.keyID, k.Epoch)
 		}
 	}
 }
 
-// releaseLocked hands a finished instance's result to its watchers and
-// lets go of the protocol state machine; inst.mu is held. It runs after
-// the instance left the live books (retired into the retention window,
-// or removed by eviction or expiry), never from finishLocked: a caller
-// holding a result must find Stats, Attach and duplicate detection
-// already agreeing that the instance finished. Idempotent.
-func (inst *instance) releaseLocked() {
-	inst.released = true
-	for _, f := range inst.futures {
-		f.ch <- inst.result
+// fireLocked hands a finished instance's result to its watchers; inst.mu
+// is held. It runs after the instance left the live books (retired into
+// the retention window, or removed by eviction or expiry), never from
+// finishLocked: a caller holding a result must find Stats, Attach and
+// duplicate detection already agreeing that the instance finished.
+// Idempotent.
+func (inst *instance) fireLocked() {
+	if inst.released {
+		return
 	}
-	inst.futures = nil
-	inst.proto = nil
+	inst.released = true
+	for _, f := range inst.run.futures {
+		f.ch <- inst.result()
+	}
+	inst.run.futures = nil
+}
+
+// releaseLocked fires the watchers of an instance that retire has just
+// booked as finished and lets go of its run — the protocol state machine
+// and everything else only a live run reads; Engine.mu and inst.mu are
+// both held. Shares of a newer generation parked on the instance stay.
+// Idempotent.
+func (inst *instance) releaseLocked() {
+	inst.fireLocked()
+	var parked *run
+	if inst.run != nil && len(inst.run.backlog) > 0 {
+		parked = &run{backlog: inst.run.backlog}
+	}
+	inst.run = parked
 }
 
 // watchLocked registers a future on the instance: served at once when
 // the result has been released, parked until then; inst.mu is held.
 func (inst *instance) watchLocked(f *Future) {
 	if inst.released {
-		f.ch <- inst.result
+		f.ch <- inst.result()
 		return
 	}
-	inst.futures = append(inst.futures, f)
+	inst.run.futures = append(inst.run.futures, f)
 }
 
 // retire moves a finished instance into the retention window, enforces
@@ -1079,34 +1186,31 @@ func (e *Engine) retire(inst *instance) {
 	}
 	inst.mu.Lock()
 	finished := inst.finished
-	finishedAt := inst.result.Finished
 	inst.mu.Unlock()
 	if !finished {
 		return
 	}
 	e.mu.Lock()
 	// Unless already retired, or evicted and replaced.
-	if inst.relem == nil && e.instances[inst.id] == inst {
+	if !inst.retained && e.instances[inst.id] == inst {
 		e.unlistLocked(inst)
-		inst.finishedAt = finishedAt
-		inst.relem = e.retained.PushBack(inst)
-		for e.retained.Len() > e.cfg.RetainMax {
-			e.evictLocked(e.retained.Front().Value.(*instance))
+		e.retained.pushBack(inst)
+		for e.retained.n > e.cfg.RetainMax {
+			e.evictLocked(e.retained.front)
 		}
 	}
-	e.mu.Unlock()
+	// Nobody holds a finished instance's mutex for long, so taking it
+	// under e.mu does not stall the engine.
 	inst.mu.Lock()
 	inst.releaseLocked()
 	inst.mu.Unlock()
+	e.mu.Unlock()
 }
 
 // evictLocked removes a retained instance from the engine, leaving a
 // tombstone; e.mu is held.
 func (e *Engine) evictLocked(inst *instance) {
-	if inst.relem != nil {
-		e.retained.Remove(inst.relem)
-		inst.relem = nil
-	}
+	e.retained.remove(inst)
 	if cur, ok := e.instances[inst.id]; ok && cur == inst {
 		delete(e.instances, inst.id)
 	}
@@ -1122,10 +1226,7 @@ func (e *Engine) evictLocked(inst *instance) {
 // fails with ErrExpired.
 func (e *Engine) supersedeLocked(inst *instance) {
 	e.unlistLocked(inst)
-	if inst.relem != nil {
-		e.retained.Remove(inst.relem)
-		inst.relem = nil
-	}
+	e.retained.remove(inst)
 	if cur, ok := e.instances[inst.id]; ok && cur == inst {
 		delete(e.instances, inst.id)
 	}
@@ -1152,9 +1253,9 @@ func (e *Engine) nextGenLocked(id string) int {
 // watchers get ErrExpired). No tombstone is left — the id never ran
 // here, so a later Attach may park a fresh watcher.
 func (e *Engine) newPlaceholderLocked(id string) (*instance, []*instance) {
-	inst := &instance{id: id, started: time.Now()}
+	inst := newInstance(id, 0)
 	e.instances[id] = inst
-	inst.pelem = e.placeholders.PushBack(inst)
+	inst.run.pelem = e.placeholders.PushBack(inst)
 	var evicted []*instance
 	for e.placeholders.Len() > e.placeholderMax {
 		old := e.placeholders.Front().Value.(*instance)
@@ -1170,24 +1271,25 @@ func (e *Engine) newPlaceholderLocked(id string) (*instance, []*instance) {
 // moves it onto the live-run sweep list; e.mu is held.
 func (e *Engine) adoptLocked(inst *instance) {
 	inst.starting = true
-	if inst.pelem != nil {
-		e.placeholders.Remove(inst.pelem)
-		inst.pelem = nil
-	}
-	inst.adoptedAt = time.Now()
-	inst.lelem = e.live.PushBack(inst)
+	e.unlistLocked(inst)
+	inst.run.adoptedAt = time.Now()
+	inst.run.lelem = e.live.PushBack(inst)
 }
 
 // unlistLocked drops an instance from whichever sweep list holds it;
 // e.mu is held.
 func (e *Engine) unlistLocked(inst *instance) {
-	if inst.pelem != nil {
-		e.placeholders.Remove(inst.pelem)
-		inst.pelem = nil
+	r := inst.run
+	if r == nil {
+		return // released: on neither list
 	}
-	if inst.lelem != nil {
-		e.live.Remove(inst.lelem)
-		inst.lelem = nil
+	if r.pelem != nil {
+		e.placeholders.Remove(r.pelem)
+		r.pelem = nil
+	}
+	if r.lelem != nil {
+		e.live.Remove(r.lelem)
+		r.lelem = nil
 	}
 }
 
@@ -1197,7 +1299,7 @@ func (e *Engine) expireAll(insts []*instance) {
 	for _, inst := range insts {
 		inst.mu.Lock()
 		e.finishLocked(inst.id, inst, Result{InstanceID: inst.id, Err: ErrExpired})
-		inst.releaseLocked()
+		inst.fireLocked()
 		inst.mu.Unlock()
 	}
 }
@@ -1271,9 +1373,8 @@ func (e *Engine) sweeper() {
 func (e *Engine) sweep(now time.Time) {
 	var expired []*instance
 	e.mu.Lock()
-	for front := e.retained.Front(); front != nil; front = e.retained.Front() {
-		inst := front.Value.(*instance)
-		if now.Sub(inst.finishedAt) < e.cfg.RetainTTL {
+	for inst := e.retained.front; inst != nil; inst = e.retained.front {
+		if now.Sub(inst.finishedAt()) < e.cfg.RetainTTL {
 			break
 		}
 		e.evictLocked(inst)
@@ -1295,7 +1396,7 @@ func (e *Engine) sweep(now time.Time) {
 	// stays bounded on every path.
 	for front := e.live.Front(); front != nil; front = e.live.Front() {
 		inst := front.Value.(*instance)
-		if now.Sub(inst.adoptedAt) < e.liveTTL {
+		if now.Sub(inst.run.adoptedAt) < e.liveTTL {
 			break
 		}
 		if !inst.created {
@@ -1349,8 +1450,8 @@ func (e *Engine) InstanceCount() int {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := Stats{
-		Live:       len(e.instances) - e.retained.Len(),
-		Finished:   e.retained.Len(),
+		Live:       len(e.instances) - e.retained.n,
+		Finished:   e.retained.n,
 		Evicted:    e.evicted,
 		QueueDepth: len(e.events),
 		QueueCap:   cap(e.events),

@@ -1,203 +1,167 @@
 package pairing
 
-import (
-	"math/big"
-
-	"thetacrypt/internal/mathutil"
-)
-
-// fp2 is an element of Fp2 = Fp[i]/(i^2 + 1), represented as c0 + c1*i.
-// All operations are functional: they return fresh values and never
-// mutate their operands.
-type fp2 struct {
-	c0, c1 *big.Int
+// fe2 is an element of Fp2 = Fp[i]/(i^2 + 1), c0 + c1·i. Like fe, its
+// operations write into the receiver, which may alias any operand.
+type fe2 struct {
+	c0, c1 fe
 }
 
-func fp2Zero() fp2 { return fp2{c0: big.NewInt(0), c1: big.NewInt(0)} }
-func fp2One() fp2  { return fp2{c0: big.NewInt(1), c1: big.NewInt(0)} }
+var fe2One = fe2{c0: feOne}
 
-func (a fp2) isZero() bool { return a.c0.Sign() == 0 && a.c1.Sign() == 0 }
+func (z *fe2) isZero() uint64 { return z.c0.isZero() & z.c1.isZero() }
 
-func (a fp2) equal(b fp2) bool {
-	return a.c0.Cmp(b.c0) == 0 && a.c1.Cmp(b.c1) == 0
+func (z *fe2) equal(x *fe2) uint64 { return z.c0.equal(&x.c0) & z.c1.equal(&x.c1) }
+
+func (z *fe2) sel(cond uint64, x, y *fe2) {
+	z.c0.sel(cond, &x.c0, &y.c0)
+	z.c1.sel(cond, &x.c1, &y.c1)
 }
 
-func (a fp2) clone() fp2 {
-	return fp2{c0: mathutil.Clone(a.c0), c1: mathutil.Clone(a.c1)}
+func (z *fe2) add(x, y *fe2) {
+	z.c0.add(&x.c0, &y.c0)
+	z.c1.add(&x.c1, &y.c1)
 }
 
-func (a fp2) add(b fp2, pp *bnParams) fp2 {
-	return fp2{
-		c0: mathutil.AddMod(a.c0, b.c0, pp.p),
-		c1: mathutil.AddMod(a.c1, b.c1, pp.p),
+func (z *fe2) sub(x, y *fe2) {
+	z.c0.sub(&x.c0, &y.c0)
+	z.c1.sub(&x.c1, &y.c1)
+}
+
+func (z *fe2) dbl(x *fe2) {
+	z.c0.dbl(&x.c0)
+	z.c1.dbl(&x.c1)
+}
+
+func (z *fe2) neg(x *fe2) {
+	z.c0.neg(&x.c0)
+	z.c1.neg(&x.c1)
+}
+
+// conj sets z = c0 - c1·i, which is x^p.
+func (z *fe2) conj(x *fe2) {
+	z.c0 = x.c0
+	z.c1.neg(&x.c1)
+}
+
+// mul is Karatsuba over i^2 = -1: three base-field products.
+func (z *fe2) mul(x, y *fe2) {
+	var v0, v1, s, t fe
+	v0.mul(&x.c0, &y.c0)
+	v1.mul(&x.c1, &y.c1)
+	s.add(&x.c0, &x.c1)
+	t.add(&y.c0, &y.c1)
+	s.mul(&s, &t)
+	s.sub(&s, &v0)
+	z.c1.sub(&s, &v1)
+	z.c0.sub(&v0, &v1)
+}
+
+// square uses (c0 + c1)(c0 - c1) + 2·c0·c1·i: two base-field products.
+func (z *fe2) square(x *fe2) {
+	var s, d, m fe
+	s.add(&x.c0, &x.c1)
+	d.sub(&x.c0, &x.c1)
+	m.mul(&x.c0, &x.c1)
+	z.c0.mul(&s, &d)
+	z.c1.dbl(&m)
+}
+
+// mulFe multiplies both coefficients by a base-field element.
+func (z *fe2) mulFe(x *fe2, k *fe) {
+	z.c0.mul(&x.c0, k)
+	z.c1.mul(&x.c1, k)
+}
+
+// mulXi multiplies by the sextic non-residue ξ = 9 + i:
+// (9·c0 - c1) + (9·c1 + c0)·i.
+func (z *fe2) mulXi(x *fe2) {
+	var t fe2
+	t.dbl(x)
+	t.dbl(&t)
+	t.dbl(&t)
+	t.add(&t, x) // 9x
+	c0 := x.c0
+	z.c0.sub(&t.c0, &x.c1)
+	z.c1.add(&t.c1, &c0)
+}
+
+// inv sets z = conj(x) / (c0^2 + c1^2); the inverse of 0 is 0.
+func (z *fe2) inv(x *fe2) {
+	var n, t fe
+	n.square(&x.c0)
+	t.square(&x.c1)
+	n.add(&n, &t)
+	n.inv(&n)
+	z.c0.mul(&x.c0, &n)
+	t.neg(&x.c1)
+	z.c1.mul(&t, &n)
+}
+
+// sqrt sets z to a square root of x and reports whether one exists, by
+// the norm method for p ≡ 3 (mod 4). Which of the two roots comes out is
+// part of HashToG2's output, so the order of the attempts below is fixed.
+// Variable-time: hash-to-curve input is public.
+func (z *fe2) sqrt(x *fe2) bool {
+	if x.isZero() == 1 {
+		*z = fe2{}
+		return true
 	}
-}
-
-func (a fp2) sub(b fp2, pp *bnParams) fp2 {
-	return fp2{
-		c0: mathutil.SubMod(a.c0, b.c0, pp.p),
-		c1: mathutil.SubMod(a.c1, b.c1, pp.p),
-	}
-}
-
-func (a fp2) neg(pp *bnParams) fp2 {
-	return fp2{
-		c0: mathutil.SubMod(big.NewInt(0), a.c0, pp.p),
-		c1: mathutil.SubMod(big.NewInt(0), a.c1, pp.p),
-	}
-}
-
-func (a fp2) dbl(pp *bnParams) fp2 { return a.add(a, pp) }
-
-// mul computes (a0 + a1 i)(b0 + b1 i) = (a0b0 - a1b1) + (a0b1 + a1b0) i.
-func (a fp2) mul(b fp2, pp *bnParams) fp2 {
-	t0 := new(big.Int).Mul(a.c0, b.c0)
-	t1 := new(big.Int).Mul(a.c1, b.c1)
-	t2 := new(big.Int).Mul(a.c0, b.c1)
-	t3 := new(big.Int).Mul(a.c1, b.c0)
-	return fp2{
-		c0: new(big.Int).Mod(t0.Sub(t0, t1), pp.p),
-		c1: new(big.Int).Mod(t2.Add(t2, t3), pp.p),
-	}
-}
-
-// square computes (a0 + a1 i)^2 = (a0+a1)(a0-a1) + 2 a0 a1 i.
-func (a fp2) square(pp *bnParams) fp2 {
-	s := new(big.Int).Add(a.c0, a.c1)
-	d := new(big.Int).Sub(a.c0, a.c1)
-	m := new(big.Int).Mul(a.c0, a.c1)
-	return fp2{
-		c0: new(big.Int).Mod(s.Mul(s, d), pp.p),
-		c1: new(big.Int).Mod(m.Lsh(m, 1), pp.p),
-	}
-}
-
-// mulScalar multiplies both coefficients by an Fp scalar.
-func (a fp2) mulScalar(k *big.Int, pp *bnParams) fp2 {
-	return fp2{
-		c0: mathutil.MulMod(a.c0, k, pp.p),
-		c1: mathutil.MulMod(a.c1, k, pp.p),
-	}
-}
-
-// conj returns the Fp2 conjugate c0 - c1*i, which equals a^p.
-func (a fp2) conj(pp *bnParams) fp2 {
-	return fp2{
-		c0: mathutil.Clone(a.c0),
-		c1: mathutil.SubMod(big.NewInt(0), a.c1, pp.p),
-	}
-}
-
-// mulByXi multiplies by the sextic non-residue ξ = 9 + i:
-// (9 a0 - a1) + (9 a1 + a0) i.
-func (a fp2) mulByXi(pp *bnParams) fp2 {
-	nine := big.NewInt(9)
-	t0 := new(big.Int).Mul(a.c0, nine)
-	t0.Sub(t0, a.c1)
-	t1 := new(big.Int).Mul(a.c1, nine)
-	t1.Add(t1, a.c0)
-	return fp2{
-		c0: new(big.Int).Mod(t0, pp.p),
-		c1: new(big.Int).Mod(t1, pp.p),
-	}
-}
-
-// inv returns 1/a = conj(a) / (a0^2 + a1^2).
-func (a fp2) inv(pp *bnParams) fp2 {
-	norm := new(big.Int).Mul(a.c0, a.c0)
-	norm.Add(norm, new(big.Int).Mul(a.c1, a.c1))
-	norm.Mod(norm, pp.p)
-	ninv := new(big.Int).ModInverse(norm, pp.p)
-	if ninv == nil {
-		// Only the zero element is non-invertible in a field.
-		return fp2Zero()
-	}
-	return fp2{
-		c0: mathutil.MulMod(a.c0, ninv, pp.p),
-		c1: mathutil.MulMod(mathutil.SubMod(big.NewInt(0), a.c1, pp.p), ninv, pp.p),
-	}
-}
-
-// exp computes a^e by square-and-multiply.
-func (a fp2) exp(e *big.Int, pp *bnParams) fp2 {
-	acc := fp2One()
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		acc = acc.square(pp)
-		if e.Bit(i) == 1 {
-			acc = acc.mul(a, pp)
+	if x.c1.isZero() == 1 {
+		// x lies in Fp: its root is sqrt(c0), or i·sqrt(-c0).
+		var r, n fe
+		if r.sqrt(&x.c0) {
+			*z = fe2{c0: r}
+			return true
 		}
-	}
-	return acc
-}
-
-// sqrt computes a square root in Fp2 if one exists, using the norm-based
-// method for p ≡ 3 (mod 4). The result is verified by squaring.
-func (a fp2) sqrt(pp *bnParams) (fp2, bool) {
-	if a.isZero() {
-		return fp2Zero(), true
-	}
-	if a.c1.Sign() == 0 {
-		// a is in Fp: either sqrt(a0) in Fp or i*sqrt(-a0).
-		if root, ok := mathutil.Sqrt3Mod4(a.c0, pp.p); ok {
-			return fp2{c0: root, c1: big.NewInt(0)}, true
+		n.neg(&x.c0)
+		if r.sqrt(&n) {
+			*z = fe2{c1: r}
+			return true
 		}
-		negA := mathutil.SubMod(big.NewInt(0), a.c0, pp.p)
-		if root, ok := mathutil.Sqrt3Mod4(negA, pp.p); ok {
-			return fp2{c0: big.NewInt(0), c1: root}, true
-		}
-		return fp2Zero(), false
+		return false
 	}
-	// norm = a0^2 + a1^2 must be a square in Fp.
-	norm := mathutil.AddMod(
-		mathutil.MulMod(a.c0, a.c0, pp.p),
-		mathutil.MulMod(a.c1, a.c1, pp.p), pp.p)
-	s, ok := mathutil.Sqrt3Mod4(norm, pp.p)
-	if !ok {
-		return fp2Zero(), false
+	// The norm c0^2 + c1^2 must be a square in Fp.
+	var norm, t, s fe
+	norm.square(&x.c0)
+	t.square(&x.c1)
+	norm.add(&norm, &t)
+	if !s.sqrt(&norm) {
+		return false
 	}
-	twoInv := new(big.Int).ModInverse(big.NewInt(2), pp.p)
-	for _, sign := range []int{1, -1} {
-		var delta *big.Int
-		if sign == 1 {
-			delta = mathutil.AddMod(a.c0, s, pp.p)
+	for _, plus := range []bool{true, false} {
+		// root.c0 = sqrt((c0 ± s)/2), root.c1 = c1 / (2·root.c0).
+		var delta, r0, r1 fe
+		if plus {
+			delta.add(&x.c0, &s)
 		} else {
-			delta = mathutil.SubMod(a.c0, s, pp.p)
+			delta.sub(&x.c0, &s)
 		}
-		delta = mathutil.MulMod(delta, twoInv, pp.p)
-		x0, ok := mathutil.Sqrt3Mod4(delta, pp.p)
-		if !ok {
+		delta.mul(&delta, &feHalf)
+		if !r0.sqrt(&delta) || r0.isZero() == 1 {
 			continue
 		}
-		if x0.Sign() == 0 {
-			continue
-		}
-		x1 := mathutil.MulMod(a.c1, twoInv, pp.p)
-		x0inv := new(big.Int).ModInverse(x0, pp.p)
-		x1 = mathutil.MulMod(x1, x0inv, pp.p)
-		cand := fp2{c0: x0, c1: x1}
-		if cand.square(pp).equal(fp2{c0: mathutil.Mod(a.c0, pp.p), c1: mathutil.Mod(a.c1, pp.p)}) {
-			return cand, true
+		r1.inv(&r0)
+		r1.mul(&r1, &x.c1)
+		r1.mul(&r1, &feHalf)
+		cand := fe2{c0: r0, c1: r1}
+		var chk fe2
+		chk.square(&cand)
+		if chk.equal(x) == 1 {
+			*z = cand
+			return true
 		}
 	}
-	return fp2Zero(), false
+	return false
 }
 
-// bytes returns the fixed 64-byte big-endian encoding c0 || c1.
-func (a fp2) bytes() []byte {
-	out := make([]byte, 64)
-	a.c0.FillBytes(out[:32])
-	a.c1.FillBytes(out[32:])
-	return out
+// setBytes decodes c0 || c1, 64 bytes, and reports whether both are
+// below p.
+func (z *fe2) setBytes(b []byte) bool {
+	return z.c0.setBytes(b[:32]) && z.c1.setBytes(b[32:64])
 }
 
-func fp2FromBytes(data []byte, pp *bnParams) (fp2, bool) {
-	if len(data) != 64 {
-		return fp2{}, false
-	}
-	c0 := new(big.Int).SetBytes(data[:32])
-	c1 := new(big.Int).SetBytes(data[32:])
-	if c0.Cmp(pp.p) >= 0 || c1.Cmp(pp.p) >= 0 {
-		return fp2{}, false
-	}
-	return fp2{c0: c0, c1: c1}, true
+// putBytes writes c0 || c1, 64 bytes.
+func (z *fe2) putBytes(b []byte) {
+	z.c0.putBytes(b[:32])
+	z.c1.putBytes(b[32:64])
 }

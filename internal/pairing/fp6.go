@@ -1,90 +1,150 @@
 package pairing
 
-// fp6 is an element of Fp6 = Fp2[v]/(v^3 - ξ), represented as
-// c0 + c1*v + c2*v^2.
-type fp6 struct {
-	c0, c1, c2 fp2
+// fe6 is an element of Fp6 = Fp2[v]/(v^3 - ξ), c0 + c1·v + c2·v^2.
+type fe6 struct {
+	c0, c1, c2 fe2
 }
 
-func fp6Zero() fp6 { return fp6{c0: fp2Zero(), c1: fp2Zero(), c2: fp2Zero()} }
-func fp6One() fp6  { return fp6{c0: fp2One(), c1: fp2Zero(), c2: fp2Zero()} }
-
-func (a fp6) isZero() bool { return a.c0.isZero() && a.c1.isZero() && a.c2.isZero() }
-
-func (a fp6) equal(b fp6) bool {
-	return a.c0.equal(b.c0) && a.c1.equal(b.c1) && a.c2.equal(b.c2)
+func (z *fe6) equal(x *fe6) uint64 {
+	return z.c0.equal(&x.c0) & z.c1.equal(&x.c1) & z.c2.equal(&x.c2)
 }
 
-func (a fp6) add(b fp6, pp *bnParams) fp6 {
-	return fp6{c0: a.c0.add(b.c0, pp), c1: a.c1.add(b.c1, pp), c2: a.c2.add(b.c2, pp)}
+func (z *fe6) add(x, y *fe6) {
+	z.c0.add(&x.c0, &y.c0)
+	z.c1.add(&x.c1, &y.c1)
+	z.c2.add(&x.c2, &y.c2)
 }
 
-func (a fp6) sub(b fp6, pp *bnParams) fp6 {
-	return fp6{c0: a.c0.sub(b.c0, pp), c1: a.c1.sub(b.c1, pp), c2: a.c2.sub(b.c2, pp)}
+func (z *fe6) sub(x, y *fe6) {
+	z.c0.sub(&x.c0, &y.c0)
+	z.c1.sub(&x.c1, &y.c1)
+	z.c2.sub(&x.c2, &y.c2)
 }
 
-func (a fp6) neg(pp *bnParams) fp6 {
-	return fp6{c0: a.c0.neg(pp), c1: a.c1.neg(pp), c2: a.c2.neg(pp)}
+func (z *fe6) dbl(x *fe6) {
+	z.c0.dbl(&x.c0)
+	z.c1.dbl(&x.c1)
+	z.c2.dbl(&x.c2)
 }
 
-// mul uses the Karatsuba-style interpolation for cubic extensions.
-func (a fp6) mul(b fp6, pp *bnParams) fp6 {
-	t0 := a.c0.mul(b.c0, pp)
-	t1 := a.c1.mul(b.c1, pp)
-	t2 := a.c2.mul(b.c2, pp)
-
-	// c0 = t0 + ξ((a1+a2)(b1+b2) - t1 - t2)
-	s12 := a.c1.add(a.c2, pp).mul(b.c1.add(b.c2, pp), pp).sub(t1, pp).sub(t2, pp)
-	c0 := t0.add(s12.mulByXi(pp), pp)
-
-	// c1 = (a0+a1)(b0+b1) - t0 - t1 + ξ t2
-	s01 := a.c0.add(a.c1, pp).mul(b.c0.add(b.c1, pp), pp).sub(t0, pp).sub(t1, pp)
-	c1 := s01.add(t2.mulByXi(pp), pp)
-
-	// c2 = (a0+a2)(b0+b2) - t0 - t2 + t1
-	s02 := a.c0.add(a.c2, pp).mul(b.c0.add(b.c2, pp), pp).sub(t0, pp).sub(t2, pp)
-	c2 := s02.add(t1, pp)
-
-	return fp6{c0: c0, c1: c1, c2: c2}
+func (z *fe6) neg(x *fe6) {
+	z.c0.neg(&x.c0)
+	z.c1.neg(&x.c1)
+	z.c2.neg(&x.c2)
 }
 
-func (a fp6) square(pp *bnParams) fp6 { return a.mul(a, pp) }
+// mul is Karatsuba for a cubic extension: six Fp2 products.
+func (z *fe6) mul(x, y *fe6) {
+	var t0, t1, t2, s, u, c0, c1, c2 fe2
+	t0.mul(&x.c0, &y.c0)
+	t1.mul(&x.c1, &y.c1)
+	t2.mul(&x.c2, &y.c2)
 
-// mulByV multiplies by v: (c0 + c1 v + c2 v^2) * v = ξ c2 + c0 v + c1 v^2.
-func (a fp6) mulByV(pp *bnParams) fp6 {
-	return fp6{c0: a.c2.mulByXi(pp), c1: a.c0.clone(), c2: a.c1.clone()}
+	// c0 = t0 + ξ((x1+x2)(y1+y2) - t1 - t2)
+	s.add(&x.c1, &x.c2)
+	u.add(&y.c1, &y.c2)
+	c0.mul(&s, &u)
+	c0.sub(&c0, &t1)
+	c0.sub(&c0, &t2)
+	c0.mulXi(&c0)
+	c0.add(&c0, &t0)
+
+	// c1 = (x0+x1)(y0+y1) - t0 - t1 + ξ·t2
+	s.add(&x.c0, &x.c1)
+	u.add(&y.c0, &y.c1)
+	c1.mul(&s, &u)
+	c1.sub(&c1, &t0)
+	c1.sub(&c1, &t1)
+	s.mulXi(&t2)
+	c1.add(&c1, &s)
+
+	// c2 = (x0+x2)(y0+y2) - t0 - t2 + t1
+	s.add(&x.c0, &x.c2)
+	u.add(&y.c0, &y.c2)
+	c2.mul(&s, &u)
+	c2.sub(&c2, &t0)
+	c2.sub(&c2, &t2)
+	c2.add(&c2, &t1)
+
+	z.c0, z.c1, z.c2 = c0, c1, c2
 }
 
-// mulByFp2 multiplies every coefficient by an Fp2 element.
-func (a fp6) mulByFp2(k fp2, pp *bnParams) fp6 {
-	return fp6{c0: a.c0.mul(k, pp), c1: a.c1.mul(k, pp), c2: a.c2.mul(k, pp)}
+// mulSparse01 multiplies by y0 + y1·v (no v^2 term): five Fp2 products.
+func (z *fe6) mulSparse01(x *fe6, y0, y1 *fe2) {
+	var t0, t1, s, u, c0, c1, c2 fe2
+	t0.mul(&x.c0, y0)
+	t1.mul(&x.c1, y1)
+
+	// c0 = t0 + ξ·x2·y1
+	c0.mul(&x.c2, y1)
+	c0.mulXi(&c0)
+	c0.add(&c0, &t0)
+
+	// c1 = (x0+x1)(y0+y1) - t0 - t1
+	s.add(&x.c0, &x.c1)
+	u.add(y0, y1)
+	c1.mul(&s, &u)
+	c1.sub(&c1, &t0)
+	c1.sub(&c1, &t1)
+
+	// c2 = x2·y0 + t1
+	c2.mul(&x.c2, y0)
+	c2.add(&c2, &t1)
+
+	z.c0, z.c1, z.c2 = c0, c1, c2
 }
 
-// inv computes the inverse using the standard norm-based method for cubic
-// extensions.
-func (a fp6) inv(pp *bnParams) fp6 {
-	// A = c0^2 - ξ c1 c2
-	A := a.c0.square(pp).sub(a.c1.mul(a.c2, pp).mulByXi(pp), pp)
-	// B = ξ c2^2 - c0 c1
-	B := a.c2.square(pp).mulByXi(pp).sub(a.c0.mul(a.c1, pp), pp)
-	// C = c1^2 - c0 c2
-	C := a.c1.square(pp).sub(a.c0.mul(a.c2, pp), pp)
-	// F = c0 A + ξ(c2 B + c1 C)
-	F := a.c2.mul(B, pp).add(a.c1.mul(C, pp), pp).mulByXi(pp).add(a.c0.mul(A, pp), pp)
-	Finv := F.inv(pp)
-	return fp6{c0: A.mul(Finv, pp), c1: B.mul(Finv, pp), c2: C.mul(Finv, pp)}
+// mulFe2 multiplies every coefficient by an Fp2 element.
+func (z *fe6) mulFe2(x *fe6, k *fe2) {
+	z.c0.mul(&x.c0, k)
+	z.c1.mul(&x.c1, k)
+	z.c2.mul(&x.c2, k)
 }
 
-// frobenius applies the p-power Frobenius endomorphism:
-// (c0 + c1 v + c2 v^2)^p = conj(c0) + conj(c1) γ2 v + conj(c2) γ4 v^2.
-func (a fp6) frobenius(pp *bnParams) fp6 {
-	return fp6{
-		c0: a.c0.conj(pp),
-		c1: a.c1.conj(pp).mul(pp.frobGamma[2], pp),
-		c2: a.c2.conj(pp).mul(pp.frobGamma[4], pp),
-	}
+// mulV multiplies by v: ξ·c2 + c0·v + c1·v^2.
+func (z *fe6) mulV(x *fe6) {
+	var t fe2
+	t.mulXi(&x.c2)
+	z.c2 = x.c1
+	z.c1 = x.c0
+	z.c0 = t
 }
 
-func (a fp6) clone() fp6 {
-	return fp6{c0: a.c0.clone(), c1: a.c1.clone(), c2: a.c2.clone()}
+// inv uses the norm to Fp2; the inverse of 0 is 0.
+func (z *fe6) inv(x *fe6) {
+	var a, b, c, t, f fe2
+	// a = c0^2 - ξ·c1·c2
+	a.square(&x.c0)
+	t.mul(&x.c1, &x.c2)
+	t.mulXi(&t)
+	a.sub(&a, &t)
+	// b = ξ·c2^2 - c0·c1
+	b.square(&x.c2)
+	b.mulXi(&b)
+	t.mul(&x.c0, &x.c1)
+	b.sub(&b, &t)
+	// c = c1^2 - c0·c2
+	c.square(&x.c1)
+	t.mul(&x.c0, &x.c2)
+	c.sub(&c, &t)
+	// f = c0·a + ξ(c2·b + c1·c)
+	f.mul(&x.c2, &b)
+	t.mul(&x.c1, &c)
+	f.add(&f, &t)
+	f.mulXi(&f)
+	t.mul(&x.c0, &a)
+	f.add(&f, &t)
+	f.inv(&f)
+	z.c0.mul(&a, &f)
+	z.c1.mul(&b, &f)
+	z.c2.mul(&c, &f)
+}
+
+// frobenius sets z = x^p: conj(c0) + conj(c1)·γ2·v + conj(c2)·γ4·v^2.
+func (z *fe6) frobenius(x *fe6) {
+	z.c0.conj(&x.c0)
+	z.c1.conj(&x.c1)
+	z.c1.mul(&z.c1, &frobGamma[2])
+	z.c2.conj(&x.c2)
+	z.c2.mul(&z.c2, &frobGamma[4])
 }

@@ -1,213 +1,135 @@
 package pairing
 
-import (
-	"math/big"
-
-	"thetacrypt/internal/mathutil"
-)
+import "math/big"
 
 // GT is an element of the pairing target group, the order-r subgroup of
-// Fp12*.
+// Fp12*. Its operations are variable-time; no scheme feeds them a secret.
 type GT struct {
-	v fp12
+	v fe12
 }
 
 // GTOne returns the neutral element of GT.
-func GTOne() *GT { return &GT{v: fp12One()} }
+func GTOne() *GT { return &GT{v: fe12One} }
 
 // IsOne reports whether the element is the identity.
 func (g *GT) IsOne() bool { return g.v.isOne() }
 
 // Equal reports element equality.
-func (g *GT) Equal(h *GT) bool { return g.v.equal(h.v) }
+func (g *GT) Equal(h *GT) bool { return g.v.equal(&h.v) }
 
 // Mul returns the product of two GT elements.
-func (g *GT) Mul(h *GT) *GT { return &GT{v: g.v.mul(h.v, bn)} }
+func (g *GT) Mul(h *GT) *GT {
+	out := new(GT)
+	out.v.mul(&g.v, &h.v)
+	return out
+}
 
 // Inv returns the inverse. GT elements lie in the cyclotomic subgroup,
 // where inversion is conjugation.
-func (g *GT) Inv() *GT { return &GT{v: g.v.conjugate(bn)} }
+func (g *GT) Inv() *GT {
+	out := new(GT)
+	out.v.conjugate(&g.v)
+	return out
+}
 
 // Exp returns g^k with k reduced modulo r.
 func (g *GT) Exp(k *big.Int) *GT {
-	kk := new(big.Int).Mod(k, bn.r)
-	return &GT{v: g.v.exp(kk, bn)}
+	kk := new(big.Int).Mod(k, Order())
+	out := GTOne()
+	for i := kk.BitLen() - 1; i >= 0; i-- {
+		out.v.square(&out.v)
+		if kk.Bit(i) == 1 {
+			out.v.mul(&out.v, &g.v)
+		}
+	}
+	return out
 }
 
 // Marshal returns the canonical 384-byte encoding, suitable for hashing.
-func (g *GT) Marshal() []byte { return g.v.bytes() }
+func (g *GT) Marshal() []byte {
+	out := make([]byte, 384)
+	g.v.putBytes(out)
+	return out
+}
 
-// Pair computes the optimal ate pairing e(P, Q) ∈ GT.
+// Pair computes the optimal ate pairing e(P, Q) ∈ GT. Variable-time.
 func Pair(p *G1, q *G2) *GT {
 	if p.IsIdentity() || q.IsIdentity() {
 		return GTOne()
 	}
-	px, py, _ := p.affine()
-	qx, qy, _ := q.affine()
-	return &GT{v: finalExponentiation(millerLoopAte(px, py, qx, qy))}
+	pairs := [1]millerPair{newMillerPair(p, q)}
+	out := new(GT)
+	out.v = millerLoop(pairs[:])
+	finalExponentiation(&out.v)
+	return out
 }
 
 // PairingCheck reports whether e(a1, b1) == e(a2, b2), the form used by
-// BLS04 and BZ03 verification. It multiplies the Miller values of
-// (a1, b1) and (a2, -b2) and applies a single final exponentiation, which
-// halves the cost compared to two independent pairings.
+// BLS04 and BZ03 verification. It runs one Miller loop over (a1, b1) and
+// (a2, -b2), which shares the squarings of the accumulator, and applies a
+// single final exponentiation. Variable-time: verification inputs are
+// public.
 func PairingCheck(a1 *G1, b1 *G2, a2 *G1, b2 *G2) bool {
 	if a1.IsIdentity() || b1.IsIdentity() || a2.IsIdentity() || b2.IsIdentity() {
 		return Pair(a1, b1).Equal(Pair(a2, b2))
 	}
-	p1x, p1y, _ := a1.affine()
-	q1x, q1y, _ := b1.affine()
-	p2x, p2y, _ := a2.affine()
-	q2x, q2y, _ := b2.Neg().affine()
-	f := millerLoopAte(p1x, p1y, q1x, q1y).mul(millerLoopAte(p2x, p2y, q2x, q2y), bn)
-	return finalExponentiation(f).isOne()
+	pairs := [2]millerPair{newMillerPair(a1, b1), newMillerPair(a2, b2.Neg())}
+	f := millerLoop(pairs[:])
+	finalExponentiation(&f)
+	return f.isOne()
 }
 
-// pairTate computes the reduced Tate pairing. It is retained as an
-// independent reference implementation for property tests: both pairings
-// must be bilinear and non-degenerate, and they expose disjoint Miller
-// loop code paths.
-//
-// The Miller loop iterates over the group order r with line functions
-// whose coefficients live in Fp (P-arithmetic); they are evaluated at the
-// untwisted image ψ(Q) = (x_Q w^2, y_Q w^3) ∈ E(Fp12). Vertical lines and
-// denominators lie in the subfield Fp6 and are eliminated by the final
-// exponentiation, so they are skipped.
-func pairTate(p *G1, q *G2) *GT {
-	if p.IsIdentity() || q.IsIdentity() {
-		return GTOne()
-	}
-	px, py, _ := p.affine()
-	qx, qy, _ := q.affine()
-	return &GT{v: finalExponentiation(millerLoopTate(px, py, qx, qy))}
-}
+// finalExponentiation raises the Miller value to (p^12 - 1)/r in place.
+// The easy part (p^6-1)(p^2+1) uses conjugation, one inversion, and
+// Frobenius; the hard part (p^4 - p^2 + 1)/r uses the standard BN addition
+// chain (Devegili et al.) with three exponentiations by the curve
+// parameter u. After the easy part every value lies in the cyclotomic
+// subgroup, where squaring is cheap and conjugation inverts.
+func finalExponentiation(f *fe12) {
+	var t1, inv fe12
+	// t1 = f^(p^6 - 1) = conj(f)·f^-1, then t1 ^= (p^2 + 1).
+	inv.inv(f)
+	t1.conjugate(f)
+	t1.mul(&t1, &inv)
+	inv.frobeniusP2(&t1)
+	t1.mul(&inv, &t1)
 
-// millerLoopTate computes f_{r,P}(ψ(Q)) for affine P = (px, py) and twist
-// point Q = (qx, qy).
-func millerLoopTate(px, py *big.Int, qx, qy fp2) fp12 {
-	pp := bn
-	f := fp12One()
-	// T tracks multiples of P in affine coordinates over Fp.
-	tx, ty := mathutil.Clone(px), mathutil.Clone(py)
-	r := pp.r
-	for i := r.BitLen() - 2; i >= 0; i-- {
-		f = f.square(pp)
-		f = f.mul(lineDouble(&tx, &ty, qx, qy), pp)
-		if r.Bit(i) == 1 {
-			if l, ok := lineAdd(&tx, &ty, px, py, qx, qy); ok {
-				f = f.mul(l, pp)
-			}
-		}
-	}
-	return f
-}
+	var fp1, fp2, fp3, fu, fu2, fu3 fe12
+	fp1.frobenius(&t1)
+	fp2.frobeniusP2(&t1)
+	fp3.frobenius(&fp2)
 
-// lineDouble evaluates the tangent line at T = (tx, ty) at ψ(Q) and
-// advances T to 2T. The affine slope λ = 3x^2 / 2y requires ty != 0, which
-// holds for all points of odd prime order.
-func lineDouble(tx, ty **big.Int, qx, qy fp2) fp12 {
-	fp := bn.p
-	x, y := *tx, *ty
-	// λ = 3x^2 / (2y)
-	num := mathutil.MulMod(big.NewInt(3), mathutil.MulMod(x, x, fp), fp)
-	den := new(big.Int).ModInverse(mathutil.AddMod(y, y, fp), fp)
-	lambda := mathutil.MulMod(num, den, fp)
-	l := lineEval(lambda, x, y, qx, qy)
-	// x3 = λ^2 - 2x ; y3 = λ(x - x3) - y
-	x3 := mathutil.SubMod(mathutil.MulMod(lambda, lambda, fp), new(big.Int).Lsh(x, 1), fp)
-	y3 := mathutil.SubMod(mathutil.MulMod(lambda, mathutil.SubMod(x, x3, fp), fp), y, fp)
-	*tx, *ty = x3, y3
-	return l
-}
+	fu.expU(&t1)
+	fu2.expU(&fu)
+	fu3.expU(&fu2)
 
-// lineAdd evaluates the line through T and P at ψ(Q) and advances T to
-// T + P. ok is false for vertical lines (T = -P), whose contribution is
-// eliminated by the final exponentiation; T is then set to infinity, which
-// cannot occur before the last iteration of the Miller loop since r is the
-// exact order of P.
-func lineAdd(tx, ty **big.Int, px, py *big.Int, qx, qy fp2) (fp12, bool) {
-	fp := bn.p
-	x1, y1 := *tx, *ty
-	if x1.Cmp(px) == 0 {
-		if y1.Cmp(py) == 0 {
-			return lineDouble(tx, ty, qx, qy), true
-		}
-		// Vertical line: T + P = O.
-		*tx, *ty = big.NewInt(0), big.NewInt(0)
-		return fp12{}, false
-	}
-	num := mathutil.SubMod(py, y1, fp)
-	den := new(big.Int).ModInverse(mathutil.SubMod(px, x1, fp), fp)
-	lambda := mathutil.MulMod(num, den, fp)
-	l := lineEval(lambda, x1, y1, qx, qy)
-	x3 := mathutil.SubMod(mathutil.SubMod(mathutil.MulMod(lambda, lambda, fp), x1, fp), px, fp)
-	y3 := mathutil.SubMod(mathutil.MulMod(lambda, mathutil.SubMod(x1, x3, fp), fp), y1, fp)
-	*tx, *ty = x3, y3
-	return l, true
-}
+	var y0, y1, y2, y3, y4, y5, y6 fe12
+	y3.frobenius(&fu)
+	y3.conjugate(&y3)
+	y4.frobenius(&fu2)
+	y4.mul(&fu, &y4)
+	y4.conjugate(&y4)
+	y6.frobenius(&fu3)
+	y6.mul(&fu3, &y6)
+	y6.conjugate(&y6)
+	y2.frobeniusP2(&fu2)
+	y0.mul(&fp1, &fp2)
+	y0.mul(&y0, &fp3)
+	y1.conjugate(&t1)
+	y5.conjugate(&fu2)
 
-// lineEval computes l(ψ(Q)) = y_ψ - y_T - λ(x_ψ - x_T) as a sparse Fp12
-// element, where ψ(Q) = (qx w^2, qy w^3):
-//
-//	constant term (Fp):        λ x_T - y_T
-//	coefficient of v (= w^2):  -λ qx      (Fp2, in c0.c1)
-//	coefficient of v w (= w^3): qy        (Fp2, in c1.c1)
-func lineEval(lambda, xt, yt *big.Int, qx, qy fp2) fp12 {
-	fp := bn.p
-	c := mathutil.SubMod(mathutil.MulMod(lambda, xt, fp), yt, fp)
-	negLambda := mathutil.SubMod(big.NewInt(0), lambda, fp)
-	return fp12{
-		c0: fp6{
-			c0: fp2{c0: c, c1: big.NewInt(0)},
-			c1: qx.mulScalar(negLambda, bn),
-			c2: fp2Zero(),
-		},
-		c1: fp6{
-			c0: fp2Zero(),
-			c1: qy.clone(),
-			c2: fp2Zero(),
-		},
-	}
-}
-
-// finalExponentiation raises the Miller value to (p^12 - 1)/r. The easy
-// part (p^6-1)(p^2+1) uses conjugation, one inversion, and Frobenius; the
-// hard part (p^4 - p^2 + 1)/r uses the standard BN addition chain with
-// three exponentiations by the curve parameter u.
-func finalExponentiation(in fp12) fp12 {
-	pp := bn
-
-	// Easy part: t1 = in^(p^6 - 1) = conj(in) * in^-1, then t1 ^= (p^2 + 1).
-	t1 := in.conjugate(pp).mul(in.inv(pp), pp)
-	t1 = t1.frobeniusP2(pp).mul(t1, pp)
-
-	// Hard part (Devegili et al. addition chain).
-	fp := t1.frobenius(pp)
-	fp2v := t1.frobeniusP2(pp)
-	fp3 := fp2v.frobenius(pp)
-
-	fu := t1.exp(pp.u, pp)
-	fu2 := fu.exp(pp.u, pp)
-	fu3 := fu2.exp(pp.u, pp)
-
-	y3 := fu.frobenius(pp)
-	fu2p := fu2.frobenius(pp)
-	fu3p := fu3.frobenius(pp)
-	y2 := fu2.frobeniusP2(pp)
-
-	y0 := fp.mul(fp2v, pp).mul(fp3, pp)
-	y1 := t1.conjugate(pp)
-	y5 := fu2.conjugate(pp)
-	y3 = y3.conjugate(pp)
-	y4 := fu.mul(fu2p, pp).conjugate(pp)
-	y6 := fu3.mul(fu3p, pp).conjugate(pp)
-
-	t0 := y6.square(pp).mul(y4, pp).mul(y5, pp)
-	t1b := y3.mul(y5, pp).mul(t0, pp)
-	t0 = t0.mul(y2, pp)
-	t1b = t1b.square(pp).mul(t0, pp).square(pp)
-	t0 = t1b.mul(y1, pp)
-	t1b = t1b.mul(y0, pp)
-	t0 = t0.square(pp).mul(t1b, pp)
-	return t0
+	var t0 fe12
+	t0.cyclotomicSquare(&y6)
+	t0.mul(&t0, &y4)
+	t0.mul(&t0, &y5)
+	t1.mul(&y3, &y5)
+	t1.mul(&t1, &t0)
+	t0.mul(&t0, &y2)
+	t1.cyclotomicSquare(&t1)
+	t1.mul(&t1, &t0)
+	t1.cyclotomicSquare(&t1)
+	t0.mul(&t1, &y1)
+	t1.mul(&t1, &y0)
+	t0.cyclotomicSquare(&t0)
+	f.mul(&t0, &t1)
 }

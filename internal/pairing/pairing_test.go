@@ -6,13 +6,37 @@ import (
 	"testing"
 )
 
+func randFe2(t testing.TB) fe2 {
+	t.Helper()
+	var buf [64]byte
+	var a fe2
+	for {
+		if _, err := rand.Read(buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] &= 0x3f
+		buf[32] &= 0x3f
+		if a.setBytes(buf[:]) {
+			return a
+		}
+	}
+}
+
+func randFe12(t testing.TB) fe12 {
+	t.Helper()
+	return fe12{
+		c0: fe6{randFe2(t), randFe2(t), randFe2(t)},
+		c1: fe6{randFe2(t), randFe2(t), randFe2(t)},
+	}
+}
+
 func TestG1GeneratorOrder(t *testing.T) {
 	g := G1Generator()
-	if !onCurveG1(big.NewInt(1), big.NewInt(2)) {
+	if !onCurveG1(&g.x, &g.y) {
 		t.Fatal("G1 generator not on curve")
 	}
 	// (r-1)G == -G implies rG == O without tripping the mod-r reduction.
-	rm1 := new(big.Int).Sub(bn.r, big.NewInt(1))
+	rm1 := new(big.Int).Sub(Order(), big.NewInt(1))
 	if !g.Mul(rm1).Equal(g.Neg()) {
 		t.Fatal("(r-1)G != -G")
 	}
@@ -20,10 +44,12 @@ func TestG1GeneratorOrder(t *testing.T) {
 
 func TestG2GeneratorOnTwistAndOrder(t *testing.T) {
 	g := G2Generator()
-	if !onTwist(bn.g2GenX, bn.g2GenY) {
+	if !onTwist(&g.x, &g.y) {
 		t.Fatal("G2 generator not on twist")
 	}
-	if !g.mulRaw(bn.r).IsIdentity() {
+	var rg G2
+	rg.scalarMul(g, &orderBytes)
+	if !rg.IsIdentity() {
 		t.Fatal("rG2 != identity: generator not in order-r subgroup")
 	}
 }
@@ -78,14 +104,14 @@ func TestPairingNonDegenerate(t *testing.T) {
 	if e.IsOne() {
 		t.Fatal("e(G1, G2) == 1: degenerate pairing")
 	}
-	if !e.Exp(bn.r).IsOne() {
+	if !e.Exp(Order()).IsOne() {
 		t.Fatal("e(G1, G2)^r != 1: pairing value outside order-r subgroup")
 	}
 }
 
 func TestPairingBilinearity(t *testing.T) {
-	a, _ := rand.Int(rand.Reader, bn.r)
-	b, _ := rand.Int(rand.Reader, bn.r)
+	a, _ := rand.Int(rand.Reader, Order())
+	b, _ := rand.Int(rand.Reader, Order())
 
 	base := Pair(G1Generator(), G2Generator())
 	lhs := Pair(G1BaseMul(a), G2BaseMul(b))
@@ -121,7 +147,7 @@ func TestPairingIdentity(t *testing.T) {
 
 func TestPairingCheck(t *testing.T) {
 	// e(aG1, G2) == e(G1, aG2).
-	a, _ := rand.Int(rand.Reader, bn.r)
+	a, _ := rand.Int(rand.Reader, Order())
 	if !PairingCheck(G1BaseMul(a), G2Generator(), G1Generator(), G2BaseMul(a)) {
 		t.Fatal("PairingCheck rejected a valid relation")
 	}
@@ -179,7 +205,7 @@ func TestHashToG1(t *testing.T) {
 		t.Fatal("hash produced identity")
 	}
 	x, y, _ := p.affine()
-	if !onCurveG1(x, y) {
+	if !onCurveG1(&x, &y) {
 		t.Fatal("hash output off curve")
 	}
 	if !p.Equal(HashToG1("test", []byte("msg"))) {
@@ -195,7 +221,9 @@ func TestHashToG2(t *testing.T) {
 	if p.IsIdentity() {
 		t.Fatal("hash produced identity")
 	}
-	if !p.mulRaw(bn.r).IsIdentity() {
+	var rp G2
+	rp.scalarMul(p, &orderBytes)
+	if !rp.IsIdentity() {
 		t.Fatal("hash output outside order-r subgroup")
 	}
 	if !p.Equal(HashToG2("test", []byte("msg"))) {
@@ -205,54 +233,89 @@ func TestHashToG2(t *testing.T) {
 
 func TestFp2Sqrt(t *testing.T) {
 	for i := 0; i < 8; i++ {
-		c0, _ := rand.Int(rand.Reader, bn.p)
-		c1, _ := rand.Int(rand.Reader, bn.p)
-		a := fp2{c0: c0, c1: c1}
-		sq := a.square(bn)
-		root, ok := sq.sqrt(bn)
-		if !ok {
+		a := randFe2(t)
+		if i == 0 {
+			// An element of Fp takes the other branch.
+			a.c1 = fe{}
+		}
+		var sq, root, back fe2
+		sq.square(&a)
+		if !root.sqrt(&sq) {
 			t.Fatal("square of an element reported as non-residue")
 		}
-		if !root.square(bn).equal(sq) {
+		back.square(&root)
+		if back.equal(&sq) != 1 {
 			t.Fatal("sqrt result does not square back")
 		}
 	}
 }
 
 func TestFp12FieldLaws(t *testing.T) {
-	randFp12 := func() fp12 {
-		el := fp12One()
-		for i := 0; i < 2; i++ {
-			k, _ := rand.Int(rand.Reader, bn.r)
-			el = el.mul(Pair(G1BaseMul(k), G2Generator()).v, bn)
+	// Generic elements exercise mul, square and inv; cyclotomicSquare and
+	// expU hold on the cyclotomic subgroup only, where pairing values live.
+	for _, cyclotomic := range []bool{false, true} {
+		a, b := randFe12(t), randFe12(t)
+		if cyclotomic {
+			k, _ := rand.Int(rand.Reader, Order())
+			a = Pair(G1BaseMul(k), G2Generator()).v
+			b = Pair(G1Generator(), G2BaseMul(k)).v
 		}
-		return el
-	}
-	a := randFp12()
-	b := randFp12()
-	if !a.mul(b, bn).equal(b.mul(a, bn)) {
-		t.Fatal("Fp12 multiplication not commutative")
-	}
-	if !a.mul(a.inv(bn), bn).isOne() {
-		t.Fatal("a * a^-1 != 1 in Fp12")
-	}
-	if !a.square(bn).equal(a.mul(a, bn)) {
-		t.Fatal("square != mul(self) in Fp12")
-	}
-	// Frobenius has order 12: applying it twelve times is the identity map.
-	f := a
-	for i := 0; i < 12; i++ {
-		f = f.frobenius(bn)
-	}
-	if !f.equal(a) {
-		t.Fatal("Frobenius^12 != identity")
+		var ab, ba, t1, t2 fe12
+		ab.mul(&a, &b)
+		ba.mul(&b, &a)
+		if !ab.equal(&ba) {
+			t.Fatal("Fp12 multiplication not commutative")
+		}
+		t1.inv(&a)
+		t1.mul(&t1, &a)
+		if !t1.isOne() {
+			t.Fatal("a * a^-1 != 1 in Fp12")
+		}
+		t1.square(&a)
+		t2.mul(&a, &a)
+		if !t1.equal(&t2) {
+			t.Fatal("square != mul(self) in Fp12")
+		}
+		// Frobenius has order 12: applying it twelve times is the identity map.
+		f := a
+		for i := 0; i < 12; i++ {
+			f.frobenius(&f)
+		}
+		if !f.equal(&a) {
+			t.Fatal("Frobenius^12 != identity")
+		}
+		// A line multiplies in like the full element it abbreviates.
+		l := lineEval{a: randFe2(t), b: randFe2(t), c: randFe2(t)}
+		full := fe12{c0: fe6{c0: l.a}, c1: fe6{c0: l.b, c1: l.c}}
+		t1.mulLine(&a, &l.a, &l.b, &l.c)
+		t2.mul(&a, &full)
+		if !t1.equal(&t2) {
+			t.Fatal("mulLine != mul by the same element written out")
+		}
+		if !cyclotomic {
+			continue
+		}
+		t1.cyclotomicSquare(&a)
+		t2.square(&a)
+		if !t1.equal(&t2) {
+			t.Fatal("cyclotomic square != square on a pairing value")
+		}
+		t1.expU(&a)
+		if want := (&GT{v: a}).Exp(new(big.Int).SetUint64(bnU)); !t1.equal(&want.v) {
+			t.Fatal("expU != Exp(u) on a pairing value")
+		}
+		t1.conjugate(&a)
+		t1.mul(&t1, &a)
+		if !t1.isOne() {
+			t.Fatal("conjugate does not invert a pairing value")
+		}
 	}
 }
 
 func TestGTExpHomomorphism(t *testing.T) {
 	base := Pair(G1Generator(), G2Generator())
-	a, _ := rand.Int(rand.Reader, bn.r)
-	b, _ := rand.Int(rand.Reader, bn.r)
+	a, _ := rand.Int(rand.Reader, Order())
+	b, _ := rand.Int(rand.Reader, Order())
 	lhs := base.Exp(a).Mul(base.Exp(b))
 	rhs := base.Exp(new(big.Int).Add(a, b))
 	if !lhs.Equal(rhs) {
@@ -273,7 +336,7 @@ func BenchmarkPair(b *testing.B) {
 }
 
 func BenchmarkG1ScalarMult(b *testing.B) {
-	k, _ := rand.Int(rand.Reader, bn.r)
+	k, _ := rand.Int(rand.Reader, Order())
 	p := G1Generator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -282,7 +345,7 @@ func BenchmarkG1ScalarMult(b *testing.B) {
 }
 
 func BenchmarkG2ScalarMult(b *testing.B) {
-	k, _ := rand.Int(rand.Reader, bn.r)
+	k, _ := rand.Int(rand.Reader, Order())
 	p := G2Generator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -292,8 +355,8 @@ func BenchmarkG2ScalarMult(b *testing.B) {
 
 func TestAteBilinearityMatrix(t *testing.T) {
 	// e(aP, bQ) == e(abP, Q) == e(P, abQ) for the default (ate) pairing.
-	a, _ := rand.Int(rand.Reader, bn.r)
-	b, _ := rand.Int(rand.Reader, bn.r)
+	a, _ := rand.Int(rand.Reader, Order())
+	b, _ := rand.Int(rand.Reader, Order())
 	ab := new(big.Int).Mul(a, b)
 	e1 := Pair(G1BaseMul(a), G2BaseMul(b))
 	e2 := Pair(G1BaseMul(ab), G2Generator())
@@ -304,32 +367,37 @@ func TestAteBilinearityMatrix(t *testing.T) {
 }
 
 func TestTateReferencePairing(t *testing.T) {
-	// The Tate reference implementation must independently be bilinear
-	// and non-degenerate.
-	a, _ := rand.Int(rand.Reader, bn.r)
-	base := pairTate(G1Generator(), G2Generator())
+	// The math/big Tate pairing shares no Miller loop with the ate pairing
+	// and none of its arithmetic with the limb code. It must be bilinear
+	// and non-degenerate over points the limb code multiplied, and the ate
+	// pairing of the same points must relate to its base the same way.
+	toOracle := func(p *G1, q *G2) (*oracleG1, *oracleG2) {
+		op, ok1 := oracleUnmarshalG1(p.Marshal())
+		oq, ok2 := oracleUnmarshalG2(q.Marshal())
+		if !ok1 || !ok2 {
+			t.Fatal("oracle rejected a point the limb code produced")
+		}
+		return op, oq
+	}
+	a, _ := rand.Int(rand.Reader, Order())
+	base := oraclePairTate(toOracle(G1Generator(), G2Generator()))
 	if base.IsOne() {
 		t.Fatal("Tate pairing degenerate")
 	}
-	if !pairTate(G1BaseMul(a), G2Generator()).Equal(base.Exp(a)) {
+	if !oraclePairTate(toOracle(G1BaseMul(a), G2Generator())).Equal(base.Exp(a)) {
 		t.Fatal("Tate pairing not bilinear")
 	}
-	if !pairTate(G1Generator(), G2BaseMul(a)).Equal(base.Exp(a)) {
+	if !oraclePairTate(toOracle(G1Generator(), G2BaseMul(a))).Equal(base.Exp(a)) {
 		t.Fatal("Tate pairing not bilinear in second argument")
 	}
-}
-
-func BenchmarkPairTate(b *testing.B) {
-	p := G1Generator()
-	q := G2Generator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairTate(p, q)
+	ate := Pair(G1Generator(), G2Generator())
+	if !Pair(G1BaseMul(a), G2Generator()).Equal(ate.Exp(a)) || !Pair(G1Generator(), G2BaseMul(a)).Equal(ate.Exp(a)) {
+		t.Fatal("ate pairing disagrees with the relation the Tate pairing satisfies")
 	}
 }
 
 func BenchmarkPairingCheck(b *testing.B) {
-	a, _ := rand.Int(rand.Reader, bn.r)
+	a, _ := rand.Int(rand.Reader, Order())
 	p := G1BaseMul(a)
 	q := G2BaseMul(a)
 	b.ResetTimer()
