@@ -27,11 +27,16 @@ type multiScalarMuler interface {
 // MultiScalarMul computes the multi-scalar multiplication
 // Σ scalars[i]*points[i] in one pass. Groups that implement the internal
 // fast path (edwards25519 runs Straus's method: one doubling chain shared
-// across all terms) use it; any other group falls back to the naive
-// per-term scalar-multiply-and-add, so callers can batch unconditionally.
-// The fast path is variable-time: pass public scalars only — secret
-// scalars go through Point.Mul and Group.BaseMul. The empty sum is the
-// identity; the slices must have equal length.
+// across all terms) use it. Any other group (P-256) falls back to a
+// per-term sum that pays each term at its true price: after reduction
+// modulo the order, a scalar of 0 (or an identity point) is skipped, 1
+// adds the point, −1 adds its negation, and a term on the standard
+// generator goes through the fixed-base Group.BaseMul; only the rest
+// cost a full Point.Mul. A relation as written — F*G − A − e*H — thus
+// costs one base and one full multiplication, not three full ones.
+// Both paths branch on scalar values and are variable-time: pass public
+// scalars only — secret scalars go through Point.Mul and Group.BaseMul.
+// The empty sum is the identity; the slices must have equal length.
 func MultiScalarMul(g Group, points []Point, scalars []*big.Int) Point {
 	if len(points) != len(scalars) {
 		panic("group: MultiScalarMul called with mismatched slice lengths")
@@ -42,9 +47,24 @@ func MultiScalarMul(g Group, points []Point, scalars []*big.Int) Point {
 	if m, ok := g.(multiScalarMuler); ok {
 		return m.multiScalarMul(points, scalars)
 	}
+	order := g.Order()
+	minusOne := new(big.Int).Sub(order, big.NewInt(1))
+	gen := g.Generator()
 	acc := g.Identity()
 	for i, p := range points {
-		acc = acc.Add(p.Mul(scalars[i]))
+		k := new(big.Int).Mod(scalars[i], order)
+		switch {
+		case k.Sign() == 0 || p.IsIdentity():
+			continue
+		case k.IsInt64() && k.Int64() == 1:
+			acc = acc.Add(p)
+		case k.Cmp(minusOne) == 0:
+			acc = acc.Add(p.Neg())
+		case p.Equal(gen):
+			acc = acc.Add(g.BaseMul(k))
+		default:
+			acc = acc.Add(p.Mul(k))
+		}
 	}
 	return acc
 }

@@ -42,7 +42,19 @@ import (
 // maxFrame bounds a single wire frame (16 MiB).
 const maxFrame = 16 << 20
 
-// Config describes one node's view of the mesh.
+// inboundQueueLen is the capacity of the channel delivered frames wait
+// in until the consumer (the engine's pump) takes them. The pump hands
+// each one straight on to the engine's own event queue, so this is
+// only burst slack in front of that queue, and every slot is an
+// envelope allocated up front. 1024 slots are a quarter of the former
+// default's memory. Much smaller buffers save a little more but were
+// measured to slow the key-lifecycle benchmark: with a smaller live
+// heap the collector runs more often.
+const inboundQueueLen = 1024
+
+// Config describes one node's view of the mesh. The inbound queue is
+// not configurable: the QueueLen option, which no caller set, is gone
+// and the queue holds inboundQueueLen frames.
 type Config struct {
 	// Self is this node's index (1-based).
 	Self int
@@ -56,8 +68,6 @@ type Config struct {
 	DialRetry time.Duration
 	// DialBackoffMax caps the exponential dial backoff (default 4 s).
 	DialBackoffMax time.Duration
-	// QueueLen is the inbound queue length (default 4096).
-	QueueLen int
 	// OutQueueLen bounds each peer's outbound queue (default 1024
 	// frames). The queue absorbs bursts and peer outages; overflow is
 	// resolved by Policy.
@@ -158,9 +168,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.DialBackoffMax < cfg.DialRetry {
 		cfg.DialBackoffMax = cfg.DialRetry
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 4096
-	}
 	if cfg.OutQueueLen <= 0 {
 		cfg.OutQueueLen = 1024
 	}
@@ -187,7 +194,7 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:   cfg,
 		ln:    ln,
-		in:    make(chan network.Envelope, cfg.QueueLen),
+		in:    make(chan network.Envelope, inboundQueueLen),
 		epoch: relink.NewEpoch(),
 		rcfg: relink.Config{
 			Window:        cfg.AckWindow,

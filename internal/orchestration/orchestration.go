@@ -36,6 +36,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -236,21 +237,24 @@ type Engine struct {
 	// liveTTL, so no path grows engine state without bound.
 	live    *list.List
 	liveTTL time.Duration
-	// tombstones remembers evicted instance ids (id -> element of
-	// tombOrder) so lookups report ErrExpired instead of recreating
-	// state; bounded FIFO of tombstoneMax entries.
-	tombstones   map[string]*list.Element
-	tombOrder    *list.List
+	// tombstones remembers evicted instance ids so lookups report
+	// ErrExpired instead of recreating state: id -> position of its
+	// slot in tombOrder, a bounded FIFO of tombstoneMax live entries.
+	// See evictions.go.
+	tombstones   map[string]uint64
+	tombOrder    ring[tombSlot]
 	tombstoneMax int
 	// gens is a second, longer memory of the highest generation an id
-	// is known to have run as. It is written alongside every tombstone
-	// but never cleared when the tombstone is superseded or pushed out
-	// of its FIFO: without it, a double eviction (the tombstone itself
-	// evicted by churn before the re-submission arrives) would restart
-	// the id at generation 1, which peers still retaining generation N
-	// ignore, stalling the run until liveTTL. Bounded FIFO of genMax.
-	gens     map[string]*list.Element
-	genOrder *list.List
+	// is known to have run as, keyed by a hash of the id under genSeed.
+	// An id's generation moves here when its tombstone is pushed out of
+	// its FIFO or superseded: without it, a double eviction (the
+	// tombstone itself evicted by churn before the re-submission
+	// arrives) would restart the id at generation 1, which peers still
+	// retaining generation N ignore, stalling the run until liveTTL.
+	// Bounded FIFO (genOrder) of genMax.
+	gens     map[uint64]int
+	genOrder ring[uint64]
+	genSeed  maphash.Seed
 	genMax   int
 	evicted  uint64
 
@@ -430,13 +434,6 @@ type backlogEntry struct {
 	gen int
 }
 
-// tombstone remembers an evicted instance id and the generation it ran
-// as, so a re-submission can announce the next generation.
-type tombstone struct {
-	id  string
-	gen int
-}
-
 // New creates and starts an engine.
 func New(cfg Config) *Engine {
 	if cfg.Rand == nil {
@@ -490,11 +487,11 @@ func New(cfg Config) *Engine {
 		placeholderMax: 4 * cfg.RetainMax,
 		live:           list.New(),
 		liveTTL:        liveTTL,
-		tombstones:     make(map[string]*list.Element),
-		tombOrder:      list.New(),
+		tombstones:     make(map[string]uint64),
 		tombstoneMax:   4 * cfg.RetainMax,
-		gens:           make(map[string]*list.Element),
-		genOrder:       list.New(),
+		gens:           make(map[uint64]int),
+		genOrder:       ring[uint64]{limit: 16 * cfg.RetainMax},
+		genSeed:        maphash.MakeSeed(),
 		genMax:         16 * cfg.RetainMax,
 		stop:           make(chan struct{}),
 	}
@@ -1233,20 +1230,6 @@ func (e *Engine) supersedeLocked(inst *instance) {
 	e.evicted++
 }
 
-// nextGenLocked is the generation a fresh local submission of id should
-// run as: one above the evicted run's, when remembered; e.mu is held.
-// The gens FIFO backstops the tombstone, so generation memory survives
-// the tombstone's own eviction or supersession.
-func (e *Engine) nextGenLocked(id string) int {
-	if elem, ok := e.tombstones[id]; ok {
-		return elem.Value.(tombstone).gen + 1
-	}
-	if elem, ok := e.gens[id]; ok {
-		return elem.Value.(tombstone).gen + 1
-	}
-	return 1
-}
-
 // newPlaceholderLocked registers a bare instance awaiting adoption and
 // enforces the placeholder cap; e.mu is held. Evicted placeholders are
 // returned for the caller to expire once e.mu is released (their
@@ -1301,53 +1284,6 @@ func (e *Engine) expireAll(insts []*instance) {
 		e.finishLocked(inst.id, inst, Result{InstanceID: inst.id, Err: ErrExpired})
 		inst.fireLocked()
 		inst.mu.Unlock()
-	}
-}
-
-// tombstoneLocked remembers an evicted id (and the generation it ran
-// as) in the bounded FIFO; e.mu is held.
-func (e *Engine) tombstoneLocked(id string, gen int) {
-	e.rememberGenLocked(id, gen)
-	if elem, ok := e.tombstones[id]; ok {
-		if ts := elem.Value.(tombstone); gen > ts.gen {
-			elem.Value = tombstone{id: id, gen: gen}
-		}
-		return
-	}
-	e.tombstones[id] = e.tombOrder.PushBack(tombstone{id: id, gen: gen})
-	for e.tombOrder.Len() > e.tombstoneMax {
-		front := e.tombOrder.Front()
-		e.tombOrder.Remove(front)
-		delete(e.tombstones, front.Value.(tombstone).id)
-	}
-}
-
-// rememberGenLocked records the highest generation id is known to have
-// run as; e.mu is held. Unlike the tombstone, this memory is not
-// cleared by clearTombstoneLocked — only FIFO pressure forgets it.
-func (e *Engine) rememberGenLocked(id string, gen int) {
-	if elem, ok := e.gens[id]; ok {
-		if ts := elem.Value.(tombstone); gen > ts.gen {
-			elem.Value = tombstone{id: id, gen: gen}
-		}
-		return
-	}
-	e.gens[id] = e.genOrder.PushBack(tombstone{id: id, gen: gen})
-	for e.genOrder.Len() > e.genMax {
-		front := e.genOrder.Front()
-		e.genOrder.Remove(front)
-		delete(e.gens, front.Value.(tombstone).id)
-	}
-}
-
-// clearTombstoneLocked forgets an evicted id (new activity supersedes
-// the tombstone); e.mu is held. The generation memory in e.gens is
-// deliberately kept: the superseding run still needs to announce a
-// generation above the evicted one if it is ever resubmitted.
-func (e *Engine) clearTombstoneLocked(id string) {
-	if elem, ok := e.tombstones[id]; ok {
-		e.tombOrder.Remove(elem)
-		delete(e.tombstones, id)
 	}
 }
 

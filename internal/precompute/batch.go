@@ -38,6 +38,15 @@ type batchItem struct {
 // a detached drainer, so no request's latency grows with other callers'
 // traffic. A failed batch is replayed item by item, preserving
 // per-share attribution. A nil *BatchVerifier verifies directly.
+//
+// A batch of one item is checked directly, relation by relation, as
+// written: the random multipliers only pay for themselves when there is
+// something to fold them with, and scaling a lone relation would turn
+// its generator and ±1 terms — which MultiScalarMul's per-term path
+// takes at the price of a fixed-base multiplication or an addition —
+// into full multiplications. On the deployments measured so far
+// (precompute.coalesced_ratio 0.000 on every benchmark workload) every
+// flush holds one item, so this is the path shares actually take.
 type BatchVerifier struct {
 	rand io.Reader
 
@@ -125,12 +134,13 @@ func checkDirect(g group.Group, rels []group.Relation) error {
 	return nil
 }
 
-// flush verifies one drained batch: per distinct group, every pending
-// relation is scaled by a fresh 128-bit multiplier and folded into a
-// single multi-scalar multiplication. If the folded sum is the identity
-// all items pass (a forged share would need to guess the multipliers);
-// otherwise each item is replayed individually so exactly the bad
-// shares are rejected.
+// flush verifies one drained batch: per distinct group holding two or
+// more items, every pending relation is scaled by a fresh 128-bit
+// multiplier and folded into a single multi-scalar multiplication. If
+// the folded sum is the identity all items pass (a forged share would
+// need to guess the multipliers); otherwise each item is replayed
+// individually so exactly the bad shares are rejected. A group's lone
+// item is checked directly.
 func (b *BatchVerifier) flush(batch []*batchItem) {
 	b.batches.Add(1)
 	if n := int64(len(batch)); n > b.maxBatch.Load() {
@@ -155,6 +165,10 @@ func (b *BatchVerifier) flush(batch []*batchItem) {
 var batchMultiplierBound = new(big.Int).Lsh(big.NewInt(1), 128)
 
 func (b *BatchVerifier) flushGroup(g group.Group, items []*batchItem) {
+	if len(items) == 1 {
+		items[0].done <- checkDirect(g, items[0].rels)
+		return
+	}
 	var pts []group.Point
 	var scalars []*big.Int
 	order := g.Order()

@@ -3,6 +3,7 @@ package precompute
 import (
 	"crypto/rand"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -152,19 +153,105 @@ func badRel(g group.Group) group.Relation {
 	}
 }
 
-func TestBatchVerifyPassesAndFailsWithAttribution(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{})
-	b := s.Verifier()
-	g := group.Edwards25519()
+// parkThenDrain submits each relation set from its own goroutine while
+// a flush is marked as running, so all of them park in one pending
+// batch; it then drains that batch as the flushing caller would and
+// returns every caller's verdict. This makes the fold-and-replay path
+// deterministic instead of depending on how goroutines interleave.
+func parkThenDrain(t *testing.T, b *BatchVerifier, g group.Group, sets [][]group.Relation) []error {
+	t.Helper()
+	b.mu.Lock()
+	b.flushing = true
+	b.mu.Unlock()
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, rels := range sets {
+		wg.Add(1)
+		go func(i int, rels []group.Relation) {
+			defer wg.Done()
+			errs[i] = b.Verify(g, rels)
+		}(i, rels)
+	}
+	for {
+		b.mu.Lock()
+		n := len(b.pending)
+		b.mu.Unlock()
+		if n == len(sets) {
+			break
+		}
+		runtime.Gosched()
+	}
+	b.drain()
+	wg.Wait()
+	return errs
+}
 
-	if err := b.Verify(g, []group.Relation{relFor(t, g), relFor(t, g)}); err != nil {
-		t.Fatalf("true relations rejected: %v", err)
+func TestBatchVerifyPassesAndFailsWithAttribution(t *testing.T) {
+	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
+		t.Run(g.Name(), func(t *testing.T) {
+			s := NewSuite(rand.Reader, Options{})
+			b := s.Verifier()
+
+			// Two concurrent items fold into one multi-scalar
+			// multiplication and pass together.
+			errs := parkThenDrain(t, b, g, [][]group.Relation{
+				{relFor(t, g), relFor(t, g)},
+				{relFor(t, g)},
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("true relations of caller %d rejected: %v", i, err)
+				}
+			}
+			if st := s.Stats(); st.BatchesVerified != 1 || st.CoalescedRequests != 1 || st.BatchFallbacks != 0 {
+				t.Fatalf("want one folded batch of two and no fallback, got %+v", st)
+			}
+
+			// A false relation in a fold fails the batch, which is
+			// replayed so that only its caller is rejected.
+			errs = parkThenDrain(t, b, g, [][]group.Relation{
+				{relFor(t, g)},
+				{relFor(t, g), badRel(g)},
+				{relFor(t, g)},
+			})
+			if errs[0] != nil || errs[2] != nil {
+				t.Fatalf("good callers rejected alongside the bad one: %v", errs)
+			}
+			if errs[1] != ErrRelation {
+				t.Fatalf("false relation accepted: %v", errs[1])
+			}
+			if st := s.Stats(); st.BatchFallbacks != 1 {
+				t.Fatalf("failed batch should have been replayed individually once, got %d fallbacks", st.BatchFallbacks)
+			}
+		})
 	}
-	if err := b.Verify(g, []group.Relation{relFor(t, g), badRel(g)}); err != ErrRelation {
-		t.Fatalf("false relation accepted: %v", err)
-	}
-	if st := s.Stats(); st.BatchFallbacks == 0 {
-		t.Fatal("failed batch should have been replayed individually")
+}
+
+// TestBatchVerifyLoneItemIsDirect: a flush holding one item checks its
+// relations as written, with no fold and so no fallback, and its
+// verdict is that item's alone.
+func TestBatchVerifyLoneItemIsDirect(t *testing.T) {
+	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
+		t.Run(g.Name(), func(t *testing.T) {
+			s := NewSuite(rand.Reader, Options{})
+			b := s.Verifier()
+			if err := b.Verify(g, []group.Relation{relFor(t, g), relFor(t, g)}); err != nil {
+				t.Fatalf("true relations rejected: %v", err)
+			}
+			if err := b.Verify(g, []group.Relation{relFor(t, g), badRel(g)}); err != ErrRelation {
+				t.Fatalf("false relation accepted: %v", err)
+			}
+			if err := b.Verify(g, []group.Relation{relFor(t, g)}); err != nil {
+				t.Fatalf("a rejected item poisoned the next one: %v", err)
+			}
+			st := s.Stats()
+			if st.BatchesVerified != 3 || st.BatchedRelations != 5 || st.MaxBatch != 1 {
+				t.Fatalf("want three one-item batches of 5 relations in all, got %+v", st)
+			}
+			if st.BatchFallbacks != 0 || st.CoalescedRequests != 0 {
+				t.Fatalf("a lone item must not take the fold-and-replay path, got %+v", st)
+			}
+		})
 	}
 }
 

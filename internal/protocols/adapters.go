@@ -256,6 +256,10 @@ type sg02Adapter struct {
 	src    share.CoefficientSource
 	batch  *precompute.BatchVerifier
 	shares map[int]*sg02.DecShare
+	// ctValid records that ct passed VerifyCiphertext on this node —
+	// DecryptShare checks it before it makes the share — so Combine
+	// reuses the verdict instead of checking the same ciphertext twice.
+	ctValid bool
 }
 
 func (a *sg02Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
@@ -263,6 +267,7 @@ func (a *sg02Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	a.ctValid = true
 	return a.ks.Index, ds.Marshal(), nil
 }
 
@@ -296,7 +301,12 @@ func (a *sg02Adapter) Combine() ([]byte, error) {
 	for _, ds := range a.shares {
 		dss = append(dss, ds)
 	}
-	return sg02.CombineWith(a.src, a.pk, a.ct, dss)
+	if !a.ctValid {
+		// A quorum of peer shares without a share of our own: the
+		// ciphertext was never checked here.
+		return sg02.CombineWith(a.src, a.pk, a.ct, dss)
+	}
+	return sg02.CombineVerified(a.src, a.pk, a.ct, dss)
 }
 
 // bz03Adapter plugs the BZ03 threshold cipher into the single-round

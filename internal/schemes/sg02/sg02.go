@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"thetacrypt/internal/group"
 	"thetacrypt/internal/mathutil"
@@ -87,10 +88,19 @@ type Ciphertext struct {
 	F       *big.Int
 }
 
+// gBars caches Ḡ per group name: it depends on nothing else, and
+// hashing it to the curve costs more than a scalar multiplication.
+// Points are immutable, so one value is shared by every goroutine.
+var gBars sync.Map
+
 // gBar derives the second independent generator Ḡ whose discrete log is
 // unknown.
 func gBar(g group.Group) group.Point {
-	return g.HashToPoint("sg02/gbar", []byte(g.Name()))
+	if p, ok := gBars.Load(g.Name()); ok {
+		return p.(group.Point)
+	}
+	p, _ := gBars.LoadOrStore(g.Name(), g.HashToPoint("sg02/gbar", []byte(g.Name())))
+	return p.(group.Point)
 }
 
 // Encrypt produces a ciphertext of message bound to label.
@@ -225,6 +235,16 @@ func CombineWith(src share.CoefficientSource, pk *PublicKey, ct *Ciphertext, dss
 	if err := VerifyCiphertext(pk, ct); err != nil {
 		return nil, err
 	}
+	return CombineVerified(src, pk, ct, dss)
+}
+
+// CombineVerified is CombineWith without the ciphertext check, for a
+// caller that has already passed this very ciphertext through
+// VerifyCiphertext — typically through DecryptShare, which a party runs
+// before it combines — so one party checks one ciphertext once. The
+// shares must be verified (VerifyShare or their ShareRelations), and
+// the AEAD tag is still checked on the way out.
+func CombineVerified(src share.CoefficientSource, pk *PublicKey, ct *Ciphertext, dss []*DecShare) ([]byte, error) {
 	if len(dss) < pk.T+1 {
 		return nil, share.ErrNotEnoughShares
 	}

@@ -360,10 +360,12 @@ func (f *Front) handleReshareKey(w http.ResponseWriter, r *http.Request) {
 
 // deadlineTable is the bounded per-instance deadline map shared by
 // Server and Front: v2 submissions record timeout_ms here and the
-// results endpoints enforce it.
+// results endpoints enforce it. Each id maps to its record in the
+// insertion-ordered list that pruning walks, so replacing or clearing
+// a deadline releases the record at once.
 type deadlineTable struct {
 	mu    *sync.Mutex
-	byID  map[string]time.Time
+	byID  map[string]*list.Element
 	order *list.List
 }
 
@@ -374,33 +376,43 @@ type deadlineRecord struct {
 }
 
 func newDeadlineTable() deadlineTable {
-	return deadlineTable{mu: &sync.Mutex{}, byID: make(map[string]time.Time), order: list.New()}
+	return deadlineTable{mu: &sync.Mutex{}, byID: make(map[string]*list.Element), order: list.New()}
 }
 
 func (t deadlineTable) set(id string, d time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.byID[id] = d
-	t.order.PushBack(deadlineRecord{id: id, deadline: d})
+	t.removeLocked(id)
+	t.byID[id] = t.order.PushBack(deadlineRecord{id: id, deadline: d})
 	t.pruneLocked(time.Now())
 }
 
 func (t deadlineTable) get(id string) (time.Time, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	d, ok := t.byID[id]
-	return d, ok
+	if elem, ok := t.byID[id]; ok {
+		return elem.Value.(deadlineRecord).deadline, true
+	}
+	return time.Time{}, false
 }
 
 // clear drops an instance's deadline (observed-finished instances, and
-// fresh runs submitted without one). The order-list entry goes stale
-// and is dropped by the next prune. Expired deadlines of unfinished
+// fresh runs submitted without one). Expired deadlines of unfinished
 // instances are kept until the grace window passes, so polls keep
 // reporting the timeout while the engine still tracks the instance.
 func (t deadlineTable) clear(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.byID, id)
+	t.removeLocked(id)
+}
+
+// removeLocked forgets id's deadline and its order record; t.mu is
+// held.
+func (t deadlineTable) removeLocked(id string) {
+	if elem, ok := t.byID[id]; ok {
+		t.order.Remove(elem)
+		delete(t.byID, id)
+	}
 }
 
 // pruneLocked bounds the table: entries whose deadline passed more than
@@ -415,8 +427,6 @@ func (t deadlineTable) pruneLocked(now time.Time) {
 			break
 		}
 		t.order.Remove(front)
-		if d, ok := t.byID[rec.id]; ok && d.Equal(rec.deadline) {
-			delete(t.byID, rec.id)
-		}
+		delete(t.byID, rec.id)
 	}
 }

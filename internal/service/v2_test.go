@@ -724,3 +724,38 @@ func postJSONRaw(t *testing.T, url, body string) *http.Response {
 	}
 	return resp
 }
+
+// TestDeadlineTableReleasesRecords: clearing or replacing a deadline
+// drops its order record at once, so observed-finished requests leave
+// nothing behind; pruning still drops deadlines past their grace window
+// and keeps the ones inside it.
+func TestDeadlineTableReleasesRecords(t *testing.T) {
+	tbl := newDeadlineTable()
+	now := time.Now()
+	for i := 0; i < 100; i++ {
+		tbl.set(fmt.Sprintf("id-%d", i), now.Add(time.Minute))
+	}
+	tbl.set("id-0", now.Add(2*time.Minute)) // replaced, not duplicated
+	if n := tbl.order.Len(); n != 100 {
+		t.Fatalf("100 ids hold %d order records", n)
+	}
+	if d, ok := tbl.get("id-0"); !ok || !d.Equal(now.Add(2*time.Minute)) {
+		t.Fatalf("replaced deadline reads %v, %v", d, ok)
+	}
+	for i := 0; i < 100; i++ {
+		tbl.clear(fmt.Sprintf("id-%d", i))
+	}
+	if tbl.order.Len() != 0 || len(tbl.byID) != 0 {
+		t.Fatalf("cleared table still holds %d records, %d ids", tbl.order.Len(), len(tbl.byID))
+	}
+	tbl.clear("never-set")
+
+	tbl.set("stale", now.Add(-deadlineGrace-time.Second))
+	tbl.set("fresh", now.Add(-time.Second)) // expired, inside the grace window
+	if _, ok := tbl.get("stale"); ok {
+		t.Fatal("deadline past its grace window survived pruning")
+	}
+	if _, ok := tbl.get("fresh"); !ok {
+		t.Fatal("expired deadline inside its grace window was pruned")
+	}
+}

@@ -9,8 +9,9 @@
 // challenge form (E, F): the challenge is recomputable from the
 // commitments, and verification then reduces to two LINEAR point
 // equations — F*g1 - A1 - e*h1 == 0 and F*g2 - A2 - e*h2 == 0 — which
-// the precompute layer folds across many proofs into one random-linear-
-// combination multi-scalar multiplication (batch verification). The
+// the precompute layer folds across proofs pending at the same time
+// into one random-linear-combination multi-scalar multiplication (batch
+// verification), and checks as written when a proof is alone. The
 // challenge-form proof cannot be batched: recomputing the challenge
 // needs the commitments as hash inputs.
 //
@@ -44,12 +45,29 @@ type DLEQProof struct {
 
 // ProveDLEQ produces a proof bound to a domain string and an optional
 // transcript (message, context) to prevent proof replay across contexts.
+//
+// When g1 is the group's standard generator — the usual case: h1 is a
+// verification key x*G — the commitment A1 = s*G is computed with
+// Group.BaseMul, the fixed-base table path, at a fraction of a variable-
+// base Point.Mul. The nonce s is as secret as x (either one reveals the
+// other from F), so only constant-time operations may take it. BaseMul
+// and Point.Mul both are, from the reduced scalar on (see the group
+// package): edwards25519 selects table entries by masking over the
+// whole table, and P-256 runs on crypto/elliptic's constant-time
+// nistec code. MultiScalarMul is variable-time and is never used here.
+// The proof is the same group element either way, so its encoding does
+// not depend on which path computed it.
 func ProveDLEQ(rand io.Reader, g group.Group, domain string, g1, h1, g2, h2 group.Point, x *big.Int, transcript ...[]byte) (*DLEQProof, error) {
 	s, err := g.RandomScalar(rand)
 	if err != nil {
 		return nil, fmt.Errorf("dleq nonce: %w", err)
 	}
-	a1 := g1.Mul(s)
+	var a1 group.Point
+	if g1.Equal(g.Generator()) {
+		a1 = g.BaseMul(s)
+	} else {
+		a1 = g1.Mul(s)
+	}
 	a2 := g2.Mul(s)
 	e := challenge(g, domain, g1, h1, g2, h2, a1, a2, transcript)
 	// f = s + x*e mod q

@@ -3,6 +3,8 @@ package zkp
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/big"
 	"testing"
 
@@ -134,6 +136,79 @@ func TestDLEQRejectsMalformedProof(t *testing.T) {
 	for name, p := range cases {
 		if VerifyDLEQ(g, "test", g1, h1, g2, h2, p) {
 			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+// streamReader is a deterministic randomness source: SHA-256 of a seed
+// and a counter, so two readers with one seed yield the same nonces.
+type streamReader struct {
+	seed []byte
+	ctr  uint64
+	buf  []byte
+}
+
+func (r *streamReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		if len(r.buf) == 0 {
+			h := sha256.New()
+			h.Write(r.seed)
+			h.Write(binary.BigEndian.AppendUint64(nil, r.ctr))
+			r.ctr++
+			r.buf = h.Sum(nil)
+		}
+		c := copy(p[n:], r.buf)
+		r.buf = r.buf[c:]
+		n += c
+	}
+	return n, nil
+}
+
+// TestProveDLEQBaseMulPath: proofs verify whether or not g1 is the
+// generator — spelled Generator(), reached by arithmetic, or a hashed
+// point — on both groups, and the fixed-base path commits to the same
+// A1 = s*g1 the variable-base multiplication gives for the same nonce,
+// so the proof bytes do not depend on which path ran.
+func TestProveDLEQBaseMulPath(t *testing.T) {
+	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
+		bases := map[string]group.Point{
+			"generator":            g.Generator(),
+			"generator-arithmetic": g.BaseMul(big.NewInt(2)).Add(g.Generator().Neg()),
+			"hashed":               g.HashToPoint("dleq-test/g1", []byte("not the generator")),
+		}
+		for name, g1 := range bases {
+			t.Run(g.Name()+"/"+name, func(t *testing.T) {
+				x, err := g.RandomScalar(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g2 := g.HashToPoint("dleq-test/g2", []byte("base"))
+				h1, h2 := g1.Mul(x), g2.Mul(x)
+				seed := []byte(g.Name() + name)
+				proof, err := ProveDLEQ(&streamReader{seed: seed}, g, "test", g1, h1, g2, h2, x, []byte("ct"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !VerifyDLEQ(g, "test", g1, h1, g2, h2, proof, []byte("ct")) {
+					t.Fatal("valid proof rejected")
+				}
+				if VerifyDLEQ(g, "test", g1, h2, g2, h1, proof, []byte("ct")) {
+					t.Fatal("proof accepted for swapped statement")
+				}
+				// The same nonce through Point.Mul, as every commitment
+				// was computed before the fixed-base path existed.
+				s, err := g.RandomScalar(&streamReader{seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := challenge(g, "test", g1, h1, g2, h2, g1.Mul(s), g2.Mul(s), [][]byte{[]byte("ct")})
+				want := &DLEQProof{A1: g1.Mul(s), A2: g2.Mul(s),
+					F: new(big.Int).Mod(new(big.Int).Add(s, new(big.Int).Mul(x, e)), g.Order())}
+				if !bytes.Equal(proof.Marshal(), want.Marshal()) {
+					t.Fatalf("proof bytes differ from the variable-base computation:\n got %x\nwant %x", proof.Marshal(), want.Marshal())
+				}
+			})
 		}
 	}
 }
