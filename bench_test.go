@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Section 4), plus the ablations listed in
-// DESIGN.md. Each target regenerates the corresponding rows/series
-// through internal/eval with scaled-down virtual windows; the full-size
+// paper's evaluation (Section 4), plus three ablations (A1 primitive
+// micro-benchmarks, A2 FROST precomputation, A3 group backends). Each
+// target regenerates the corresponding rows/series through
+// internal/eval with scaled-down virtual windows; the full-size
 // runs (60 s capacity windows, 5 min steady state) are produced by
 // `go run ./cmd/thetabench -duration 60s -steady 5m all`.
 package thetacrypt_test

@@ -1,5 +1,6 @@
-// Command thetabench regenerates the paper's evaluation: every table
-// and figure of Section 4, plus the ablations in DESIGN.md.
+// Command thetabench regenerates the paper's simulated evaluation:
+// every table and figure of Section 4. The end-to-end benchmark of the
+// real stack is bench/run.sh.
 //
 // Subcommands:
 //
@@ -10,13 +11,7 @@
 //	fig5b                      payload-size sweep
 //	micro                      primitive micro-benchmarks (calibration)
 //	validate                   simulator vs real-stack cross check
-//	remote                     drive a deployment through the v2 Service
-//	                           API (embedded, or -addr URL via the SDK)
-//	sharded                    router-vs-single-committee scaling: K
-//	                           embedded committees behind the router
-//	secure                     authenticated-mesh cost: tcpnet signing
-//	                           throughput with secure links off vs on
-//	all                        everything above (except remote/sharded/secure)
+//	all                        everything above except micro and validate
 //
 // Flags: -duration (capacity window, default 5s), -steady (steady-state
 // window, default 30s), -schemes, -deployments, -seed. The paper's full
@@ -51,7 +46,7 @@ func run() error {
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		return fmt.Errorf("missing subcommand (table1|table2|table3|fig4|table4|fig5a|fig5b|micro|validate|remote|sharded|secure|all)")
+		return fmt.Errorf("missing subcommand (table1|table2|table3|fig4|table4|fig5a|fig5b|micro|validate|all)")
 	}
 	opts := eval.Options{
 		Duration:       *duration,
@@ -74,12 +69,6 @@ func run() error {
 	w := os.Stdout
 	cmd := flag.Arg(0)
 	switch cmd {
-	case "remote":
-		return remoteBench(w, flag.Args()[1:])
-	case "sharded":
-		return shardedBench(w, flag.Args()[1:])
-	case "secure":
-		return secureBench(w, flag.Args()[1:])
 	case "table1":
 		eval.Table1(w)
 	case "table2":

@@ -5,8 +5,8 @@
 // forwards every operation over a persistent framed TCP connection to a
 // proxy server embedded in the host platform; inbound messages flow back
 // on the same connection. The original system used gRPC streams for
-// this; the framing here is the stdlib substitution documented in
-// DESIGN.md.
+// this; here frames of an op byte and a 4-byte length prefix over a
+// stdlib net.Conn stand in for it.
 package proxy
 
 import (

@@ -196,10 +196,10 @@ func (p *frostProtocol) DoRound() (*RoundOutput, error) {
 		p.shares[ss.Index] = ss
 		if p.mode == frostModePooled {
 			// Follower's single message: the round-3 reply.
-			return &RoundOutput{Round: 3, Transport: TransportP2P,
+			return &RoundOutput{Round: 3,
 				Payload: marshalPooled(p.pooledSeq, nil, ss)}, nil
 		}
-		return &RoundOutput{Round: 2, Transport: TransportP2P, Payload: ss.Marshal()}, nil
+		return &RoundOutput{Round: 2, Payload: ss.Marshal()}, nil
 	default:
 		return nil, nil
 	}
@@ -217,7 +217,7 @@ func (p *frostProtocol) startFresh() (*RoundOutput, error) {
 	}
 	p.nonce = nonce
 	p.commitments[comm.Index] = comm
-	return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: comm.Marshal()}, nil
+	return &RoundOutput{Round: 1, Payload: comm.Marshal()}, nil
 }
 
 // startPooled attempts the single-round path: consume a banked slot
@@ -240,7 +240,7 @@ func (p *frostProtocol) startPooled() (*RoundOutput, bool, error) {
 		return nil, true, fmt.Errorf("frost pooled round: %w", err)
 	}
 	p.shares[ss.Index] = ss
-	return &RoundOutput{Round: 3, Transport: TransportP2P,
+	return &RoundOutput{Round: 3,
 		Payload: marshalPooled(seq, p.commitmentList(), ss)}, true, nil
 }
 

@@ -137,7 +137,7 @@ func (p *keygenProtocol) DoRound() (*RoundOutput, error) {
 			return nil, fmt.Errorf("keygen deal: %w", err)
 		}
 		p.processed[p.self] = true // Deal self-accounts commitment and sub-share
-		return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: marshalDealing(dealing)}, nil
+		return &RoundOutput{Round: 1, Payload: marshalDealing(dealing)}, nil
 	}
 	switch p.round {
 	case 0:
@@ -159,13 +159,13 @@ func (p *keygenProtocol) DoRound() (*RoundOutput, error) {
 		if err != nil {
 			return nil, fmt.Errorf("keygen seal: %w", err)
 		}
-		return &RoundOutput{Round: 1, Transport: TransportP2P,
+		return &RoundOutput{Round: 1,
 			Payload: marshalSealedDealing(dealing.Commitment.Points, boxes)}, nil
 	case 1:
 		// All dealings heard: broadcast complaints (usually none).
 		p.round = 2
 		p.heardComp[p.self] = true
-		return &RoundOutput{Round: 2, Transport: TransportP2P,
+		return &RoundOutput{Round: 2,
 			Payload: marshalComplaints(p.part.PendingComplaints())}, nil
 	case 2:
 		// All complaints heard: answer the ones against us, and process
@@ -178,7 +178,7 @@ func (p *keygenProtocol) DoRound() (*RoundOutput, error) {
 		for _, s := range js {
 			_ = p.part.ReceiveJustification(p.self, s)
 		}
-		return &RoundOutput{Round: 3, Transport: TransportP2P,
+		return &RoundOutput{Round: 3,
 			Payload: marshalJustifications(js)}, nil
 	default:
 		return nil, nil

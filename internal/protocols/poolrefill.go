@@ -117,7 +117,7 @@ func (p *poolRefillProtocol) DoRound() (*RoundOutput, error) {
 	for _, c := range comms {
 		w.Bytes(c.Marshal())
 	}
-	return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: w.Out()}, nil
+	return &RoundOutput{Round: 1, Payload: w.Out()}, nil
 }
 
 func (p *poolRefillProtocol) Update(msg ProtocolMessage) error {

@@ -22,15 +22,6 @@ import (
 	"thetacrypt/internal/wire"
 )
 
-// Transport selects the channel a protocol message travels on.
-type Transport int
-
-// Message transports: point-to-point gossip or total-order broadcast.
-const (
-	TransportP2P Transport = iota + 1
-	TransportTOB
-)
-
 // Operation is the threshold operation requested by a client.
 type Operation int
 
@@ -279,9 +270,8 @@ type ProtocolMessage struct {
 // to the other parties, or nil when the party has nothing to send in
 // this round.
 type RoundOutput struct {
-	Round     int
-	Transport Transport
-	Payload   []byte
+	Round   int
+	Payload []byte
 }
 
 // Protocol is the Threshold Round Interface. Implementations are NOT
@@ -364,7 +354,7 @@ func (p *nonInteractive) DoRound() (*RoundOutput, error) {
 	if err := p.adapter.OnShare(self, payload); err != nil {
 		return nil, fmt.Errorf("accumulate own share: %w", err)
 	}
-	return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: payload}, nil
+	return &RoundOutput{Round: 1, Payload: payload}, nil
 }
 
 func (p *nonInteractive) Update(msg ProtocolMessage) error {

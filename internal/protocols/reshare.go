@@ -234,7 +234,7 @@ func (p *reshareProtocol) DoRound() (*RoundOutput, error) {
 	// Self-account the local dealing; the broadcast goes to the peers.
 	p.processed[p.myOldIdx] = true
 	p.dealings[p.myOldIdx] = d
-	return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: marshalReshareDealing(d)}, nil
+	return &RoundOutput{Round: 1, Payload: marshalReshareDealing(d)}, nil
 }
 
 func (p *reshareProtocol) doRoundSealed() (*RoundOutput, error) {
@@ -261,7 +261,7 @@ func (p *reshareProtocol) doRoundSealed() (*RoundOutput, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reshare seal: %w", err)
 		}
-		return &RoundOutput{Round: 1, Transport: TransportP2P,
+		return &RoundOutput{Round: 1,
 			Payload: marshalSealedDealing(d.Commitment.Points, boxes)}, nil
 	case 1:
 		// Every old dealing heard: broadcast complaints (only new
@@ -273,7 +273,7 @@ func (p *reshareProtocol) doRoundSealed() (*RoundOutput, error) {
 			dealers = append(dealers, d)
 		}
 		sort.Ints(dealers)
-		return &RoundOutput{Round: 2, Transport: TransportP2P,
+		return &RoundOutput{Round: 2,
 			Payload: marshalComplaints(dealers)}, nil
 	case 2:
 		// Answer the complaints against us as a dealer, and process our
@@ -291,7 +291,7 @@ func (p *reshareProtocol) doRoundSealed() (*RoundOutput, error) {
 		for _, s := range js {
 			p.receiveJustification(p.myOldIdx, s)
 		}
-		return &RoundOutput{Round: 3, Transport: TransportP2P,
+		return &RoundOutput{Round: 3,
 			Payload: marshalJustifications(js)}, nil
 	default:
 		return nil, nil

@@ -12,8 +12,7 @@ import (
 // encapsulates a 256-bit data-encapsulation key and the payload is
 // sealed with an AEAD under that key. The paper uses ChaCha20-Poly1305;
 // this reproduction substitutes AES-256-GCM, the stdlib AEAD with the
-// same interface and negligible cost relative to the threshold KEM
-// (documented in DESIGN.md).
+// same interface and negligible cost relative to the threshold KEM.
 
 // DEKSize is the data-encapsulation key size in bytes.
 const DEKSize = 32

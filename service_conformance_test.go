@@ -25,6 +25,7 @@ import (
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/orchestration"
 	"thetacrypt/internal/schemes"
+	"thetacrypt/internal/schemes/frost"
 	"thetacrypt/internal/service"
 )
 
@@ -497,6 +498,95 @@ func TestRouterInfoMergesCommittees(t *testing.T) {
 	}
 	if info.Committees[0].Stats.Finished != 0 {
 		t.Fatalf("idle committee shows finished instances: %+v", info.Committees[0].Stats)
+	}
+}
+
+// TestRouterPooledSigning drives pooled FROST signing end to end
+// through the public API: two KG20 committees with a nonce pool behind
+// the router, pools warmed, then signs routed by key. Every signature
+// must verify under its committee's key, and each committee must have
+// served its signs from the pool (depth fell, no exhaustion) rather
+// than from the two-round fallback.
+func TestRouterPooledSigning(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Depth 8 refills below 4, so two signs per committee leave the
+	// drop visible.
+	const depth, signs = 8, 2
+	keyIDs := []string{"pool-a", "pool-b"}
+	clusters := make([]*thetacrypt.Cluster, 2)
+	backends := make([]thetacrypt.RouterBackend, 2)
+	for i := range clusters {
+		cluster, err := thetacrypt.NewCluster(1, 4, thetacrypt.ClusterOptions{
+			Schemes: []thetacrypt.SchemeID{thetacrypt.KG20},
+			KeyID:   keyIDs[i],
+			Engine:  thetacrypt.EngineOptions{FrostPoolDepth: depth},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cluster.Close)
+		if err := cluster.WarmNoncePools(ctx); err != nil {
+			t.Fatal(err)
+		}
+		clusters[i] = cluster
+		backends[i] = thetacrypt.RouterBackend{Name: keyIDs[i], Service: cluster}
+	}
+	rt := thetacrypt.NewRouter(backends...)
+
+	crypto := func() []*thetacrypt.CryptoStats {
+		info, err := rt.Info(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*thetacrypt.CryptoStats, len(info.Committees))
+		for i, block := range info.Committees {
+			if block.Stats == nil || block.Stats.Crypto == nil {
+				t.Fatalf("committee %s reports no crypto stats: %+v", block.Name, block)
+			}
+			out[i] = block.Stats.Crypto
+		}
+		return out
+	}
+	before := crypto()
+
+	for i, keyID := range keyIDs {
+		pk, err := thetacrypt.PublicKeyOf[*frost.PublicKey](clusters[i].KeystoreAt(1), thetacrypt.KG20, keyID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < signs; j++ {
+			msg := []byte(fmt.Sprintf("pooled %s %d", keyID, j))
+			val, err := thetacrypt.Execute(ctx, rt, thetacrypt.Request{
+				Scheme:  thetacrypt.KG20,
+				KeyID:   keyID,
+				Op:      thetacrypt.OpSign,
+				Session: fmt.Sprintf("pooled-%s-%d", keyID, j),
+				Payload: msg,
+			})
+			if err != nil {
+				t.Fatalf("sign %s #%d through router: %v", keyID, j, err)
+			}
+			sig, err := frost.UnmarshalSignature(pk.Group, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := frost.Verify(pk, msg, sig); err != nil {
+				t.Fatalf("signature %s #%d does not verify under its key: %v", keyID, j, err)
+			}
+		}
+	}
+
+	after := crypto()
+	for i, keyID := range keyIDs {
+		if after[i].NonceExhaustions != 0 {
+			t.Fatalf("committee %s fell back to two-round signing: %+v", keyID, after[i])
+		}
+		if after[i].NoncePoolDepth >= before[i].NoncePoolDepth {
+			t.Fatalf("committee %s pool depth %d -> %d, want a drop",
+				keyID, before[i].NoncePoolDepth, after[i].NoncePoolDepth)
+		}
 	}
 }
 
