@@ -16,6 +16,7 @@ internal/{keys,dkg}   internal/(keys|dkg)     81
 internal/share        internal/share          86
 internal/router       internal/router         75
 internal/precompute   internal/precompute     90
+internal/service      internal/service        81
 '
 
 part="$(mktemp)"

@@ -386,6 +386,15 @@ type KeyFetcher interface {
 	Key(ctx context.Context, scheme schemes.ID, keyID string) (KeyInfo, error)
 }
 
+// DetailedSubmitter is implemented by Services that report a batch
+// submission item by item: an invalid request or unknown key fails only
+// its own entry, accepted entries carry the idempotent-duplicate flag,
+// and only a failure of the whole hand-off (an overloaded or stopped
+// engine) fails the call. Entries are returned in request order.
+type DetailedSubmitter interface {
+	SubmitDetailed(ctx context.Context, reqs []protocols.Request) ([]SubmitEntry, error)
+}
+
 // FetchKey resolves one named key via the service's direct lookup when
 // available, falling back to filtering the full keychain listing. The
 // empty keyID selects the scheme's default key.

@@ -42,11 +42,6 @@ const (
 	// from it, the node verifies and serves results but holds no share.
 	// Transported as HTTP 409.
 	CodeKeyNoShare Code = "key_no_share"
-	// CodeDuplicateInstance marks a submission that joined an existing
-	// protocol instance. v2 submissions are idempotent, so this code
-	// appears as metadata (HTTP 200 + existing handle), never as a
-	// failure.
-	CodeDuplicateInstance Code = "duplicate_instance"
 	// CodePayloadTooLarge flags a payload above MaxPayload.
 	CodePayloadTooLarge Code = "payload_too_large"
 	// CodeTimeout flags a per-request deadline or wait deadline that

@@ -110,9 +110,10 @@ func (c *Client) retryOverload(ctx context.Context, fn func() error) error {
 }
 
 var (
-	_ api.Service     = (*Client)(nil)
-	_ api.BatchWaiter = (*Client)(nil)
-	_ api.EachWaiter  = (*Client)(nil)
+	_ api.Service           = (*Client)(nil)
+	_ api.BatchWaiter       = (*Client)(nil)
+	_ api.EachWaiter        = (*Client)(nil)
+	_ api.DetailedSubmitter = (*Client)(nil)
 )
 
 // RoundTrips reports the number of HTTP requests issued so far; the

@@ -35,16 +35,25 @@ type Unit struct {
 	Engine *orchestration.Engine
 }
 
-var _ api.Service = Unit{}
+var (
+	_ api.Service           = Unit{}
+	_ api.DetailedSubmitter = Unit{}
+)
+
+// check validates a request and resolves its named key against the
+// unit's keystore, before any instance state is created.
+func (u Unit) check(req protocols.Request) *api.Error {
+	if e := api.ValidateRequest(req); e != nil {
+		return e
+	}
+	return api.CheckRequestKey(u.Store, req)
+}
 
 // Submit starts a threshold operation on this unit's engine: validate,
 // resolve the named key, hand off, map errors onto the structured
 // model.
 func (u Unit) Submit(ctx context.Context, req protocols.Request) (api.Handle, error) {
-	if e := api.ValidateRequest(req); e != nil {
-		return api.Handle{}, e
-	}
-	if e := api.CheckRequestKey(u.Store, req); e != nil {
+	if e := u.check(req); e != nil {
 		return api.Handle{}, e
 	}
 	if _, err := u.Engine.Submit(ctx, req); err != nil {
@@ -58,10 +67,7 @@ func (u Unit) Submit(ctx context.Context, req protocols.Request) (api.Handle, er
 // call (the engine is never reached).
 func (u Unit) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]api.Handle, error) {
 	for i, req := range reqs {
-		if e := api.ValidateRequest(req); e != nil {
-			return nil, fmt.Errorf("thetacrypt: request %d rejected: %w", i, e)
-		}
-		if e := api.CheckRequestKey(u.Store, req); e != nil {
+		if e := u.check(req); e != nil {
 			return nil, fmt.Errorf("thetacrypt: request %d rejected: %w", i, e)
 		}
 	}
@@ -74,6 +80,36 @@ func (u Unit) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]api.
 		hs[i] = api.Handle{InstanceID: sub.InstanceID}
 	}
 	return hs, nil
+}
+
+// SubmitDetailed starts 1..N operations and reports each on its own
+// (api.DetailedSubmitter): invalid requests and unknown keys fail their
+// own entries, the valid rest go to the engine in one hand-off with the
+// idempotent-duplicate flag on every entry, and only an engine failure
+// fails the whole call.
+func (u Unit) SubmitDetailed(ctx context.Context, reqs []protocols.Request) ([]api.SubmitEntry, error) {
+	entries := make([]api.SubmitEntry, len(reqs))
+	var valid []protocols.Request
+	var validIdx []int // position of valid[j] in entries
+	for i, req := range reqs {
+		if e := u.check(req); e != nil {
+			entries[i].Error = e
+			continue
+		}
+		valid = append(valid, req)
+		validIdx = append(validIdx, i)
+	}
+	if len(valid) == 0 {
+		return entries, nil
+	}
+	subs, err := u.Engine.SubmitBatch(ctx, valid)
+	if err != nil {
+		return nil, EngineErr(err)
+	}
+	for j, sub := range subs {
+		entries[validIdx[j]] = api.SubmitEntry{InstanceID: sub.InstanceID, Duplicate: sub.Duplicate}
+	}
+	return entries, nil
 }
 
 // Wait blocks until the instance finishes or ctx expires.

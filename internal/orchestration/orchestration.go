@@ -52,8 +52,7 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrStopped   = errors.New("orchestration: engine stopped")
-	ErrDuplicate = errors.New("orchestration: duplicate instance")
+	ErrStopped = errors.New("orchestration: engine stopped")
 	// ErrOverloaded reports that the event queue is saturated and the
 	// submission was not admitted. The request had no effect; callers
 	// retry with backoff.

@@ -1,19 +1,18 @@
-package service
-
-// Front serves the /v2 HTTP surface over any api.Service. Where Server
-// is bound to one node's engine and keystore, Front is bound only to
-// the Service interface, so the same endpoints — and the same client
-// SDK — work in front of an embedded cluster or a sharding router. The
-// router deployment (cmd/thetacrypt -router) is Front over
-// router.Router: a stateless HTTP tier that owns no shares and no
-// engine, only a placement map.
+// Package service serves Thetacrypt's client-facing API (Section 3.4)
+// over HTTP: the protocol API that runs threshold protocols as a black
+// box, the scheme API that gives direct access to primitives
+// (encryption under the service's public keys), and the keychain API.
+// The original system speaks gRPC/Protocol Buffers; this reproduction
+// uses HTTP/1.1 with JSON bodies (stdlib net/http). The wire types live
+// in package api, so the client SDK and this server cannot drift apart.
 //
-// Behavioral differences from Server, both inherent to the Service
-// seam: submissions cannot report the idempotent-duplicate flag (the
-// seam returns handles, not creation/join distinction), so re-accepted
-// items answer 202 without duplicate=true; and a re-submission's
-// timeout_ms replaces the instance's deadline rather than being ignored
-// for duplicates.
+// Front is the one handler. It is bound only to the api.Service
+// interface, so the same /v2 endpoints — and the same client SDK — work
+// in front of one node (cmd/thetacrypt serves Front over the node's
+// committee.Unit), an embedded cluster, or a sharding router
+// (cmd/thetacrypt -router serves Front over router.Router: a stateless
+// HTTP tier that owns no shares and no engine, only a placement map).
+package service
 
 import (
 	"container/list"
@@ -21,6 +20,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,47 @@ import (
 	"thetacrypt/internal/schemes"
 )
 
-// Front is the Service-backed HTTP handler.
+// Result-wait bounds: a long poll blocks at most maxWaitWindow even if
+// the client asks for more; without an explicit timeout_ms it blocks up
+// to defaultWaitWindow.
+const (
+	defaultWaitWindow = 30 * time.Second
+	maxWaitWindow     = 2 * time.Minute
+)
+
+// maxResultIDs bounds one results query. Each id attaches a watcher to
+// the service (on a node, creating an engine placeholder for ids it has
+// never seen), so an unbounded list would let a single request
+// manufacture arbitrary engine state.
+const maxResultIDs = 1024
+
+// Submission bounds: one batch carries at most maxBatchItems requests
+// and one body at most maxSubmitBody bytes (aligned with the
+// transport's frame cap), so a single request cannot sidestep the
+// engine's queue-slot admission control by sheer size.
+const (
+	maxBatchItems = 1024
+	maxSubmitBody = 16 << 20
+)
+
+// Deadline-map bounds: entries are pruned once their deadline is
+// deadlineGrace in the past (by then the engine has retired or evicted
+// the instance), and capped at maxDeadlines outright, so fire-and-forget
+// traffic cannot grow the service layer without bound.
+const (
+	deadlineGrace = 5 * time.Minute
+	maxDeadlines  = 65536
+)
+
+// Front is the HTTP handler of the /v2 API over an api.Service.
+//
+// Services that implement api.DetailedSubmitter (committee.Unit, the
+// node a deployment serves; client.Client) report each batch item on
+// its own, with the idempotent-duplicate flag. Services without it (the
+// router) are driven through SubmitBatch, which differs in two ways:
+// re-accepted items answer 202 without duplicate=true, and a
+// re-submission's timeout_ms replaces the instance's deadline rather
+// than being ignored.
 type Front struct {
 	svc       api.Service
 	mux       *http.ServeMux
@@ -56,6 +97,16 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeH
 
 var _ http.Handler = (*Front)(nil)
 
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func writeErrorV2(w http.ResponseWriter, e *api.Error) {
+	writeJSON(w, api.HTTPStatus(e.Code), api.ErrorResponse{Error: e})
+}
+
 // asAPIError surfaces a Service error's structured form; errors that
 // carry no code (transport failures to a backing committee, mostly)
 // degrade to unavailable rather than internal, since retrying against a
@@ -68,13 +119,12 @@ func asAPIError(err error) *api.Error {
 	return api.Errf(api.CodeUnavailable, "%v", err)
 }
 
-// handleSubmit mirrors Server.handleSubmitV2 over the Service seam:
-// items failing stateless validation fail individually; the valid rest
-// go through one SubmitBatch. A batch the service rejects as a whole
-// (the router does this when an item names a key no committee holds) is
-// degraded to per-item submission, recovering the per-item error model
-// — submission is idempotent, so items accepted before the rejection
-// are unaffected by the re-submit.
+// handleSubmit accepts a batch of 1..N requests in one body: one JSON
+// decode and one hand-off to the service for the whole batch. Items
+// failing stateless validation fail individually, and so do items the
+// service rejects on their own; a whole-call failure (an overloaded or
+// stopped engine) is the response. The status is 202 when at least one
+// new instance started, 200 otherwise.
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
 	var body api.SubmitBatchRequest
@@ -117,42 +167,78 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reqIdx = append(reqIdx, i)
 	}
 
-	var hs []api.Handle
+	var subs []api.SubmitEntry
 	if len(reqs) > 0 {
 		var err error
-		hs, err = f.svc.SubmitBatch(r.Context(), reqs)
-		if err != nil {
-			hs = make([]api.Handle, len(reqs))
-			for i, req := range reqs {
-				h, err := f.svc.Submit(r.Context(), req)
-				if err != nil {
-					entries[reqIdx[i]] = api.SubmitEntry{Error: asAPIError(err)}
-					continue
-				}
-				hs[i] = h
-			}
+		if subs, err = f.submit(r.Context(), reqs); err != nil {
+			writeErrorV2(w, asAPIError(err))
+			return
 		}
 	}
 	status := http.StatusOK
 	now := time.Now()
-	for i, h := range hs {
-		if h.InstanceID == "" {
-			continue // per-item fallback already recorded the error
+	for j, sub := range subs {
+		i := reqIdx[j]
+		entries[i] = sub
+		if sub.Error != nil || sub.Duplicate {
+			continue
 		}
-		entries[reqIdx[i]] = api.SubmitEntry{InstanceID: h.InstanceID}
 		status = http.StatusAccepted
-		if ms := body.Requests[reqIdx[i]].TimeoutMS; ms > 0 {
-			f.deadlines.set(h.InstanceID, now.Add(time.Duration(ms)*time.Millisecond))
+		// Only the instance-creating submission sets the deadline (a
+		// later duplicate's tighter timeout must not cut short the
+		// waits of clients already attached), and it REPLACES any
+		// deadline left over from a previous, since-evicted run of the
+		// same request — a stale expired deadline must not poison the
+		// fresh run with spurious timeouts.
+		if ms := body.Requests[i].TimeoutMS; ms > 0 {
+			f.deadlines.set(sub.InstanceID, now.Add(time.Duration(ms)*time.Millisecond))
 		} else {
-			f.deadlines.clear(h.InstanceID)
+			f.deadlines.clear(sub.InstanceID)
 		}
 	}
 	writeJSON(w, status, api.SubmitBatchResponse{Results: entries})
 }
 
-// handleResults serves the same long-poll/SSE grammar as the Server,
-// sourcing completions from the Service's streaming wait instead of
-// engine futures.
+// submit hands validated requests to the service and returns one entry
+// per request. Without api.DetailedSubmitter the batch goes through
+// SubmitBatch; a batch the service rejects as a whole is answered whole
+// when it is overloaded (HTTP 429, which the SDK retries), and
+// otherwise degraded to per-item submission, recovering the per-item
+// error model (the router rejects a batch naming a key no committee
+// holds). Submission is idempotent, so items accepted before the
+// rejection are unaffected by the re-submit.
+func (f *Front) submit(ctx context.Context, reqs []protocols.Request) ([]api.SubmitEntry, error) {
+	if ds, ok := f.svc.(api.DetailedSubmitter); ok {
+		return ds.SubmitDetailed(ctx, reqs)
+	}
+	entries := make([]api.SubmitEntry, len(reqs))
+	hs, err := f.svc.SubmitBatch(ctx, reqs)
+	switch {
+	case err == nil:
+		for i, h := range hs {
+			entries[i].InstanceID = h.InstanceID
+		}
+	case api.CodeOf(err) == api.CodeOverloaded:
+		return nil, err
+	default:
+		for i, req := range reqs {
+			h, err := f.svc.Submit(ctx, req)
+			if err != nil {
+				entries[i].Error = asAPIError(err)
+				continue
+			}
+			entries[i].InstanceID = h.InstanceID
+		}
+	}
+	return entries, nil
+}
+
+// handleResults serves GET /v2/protocol/results?ids=a,b,c. Without
+// stream=1 it long-polls: the response is sent once every instance is
+// final or the wait window (timeout_ms, default 30s) elapses, pending
+// instances reported with done=false. With stream=1 it emits one
+// ResultEntry per SSE "data:" event as instances finish, over a single
+// connection.
 func (f *Front) handleResults(w http.ResponseWriter, r *http.Request) {
 	ids, window, e := parseResultsQuery(r)
 	if e != nil {
@@ -210,6 +296,96 @@ func (f *Front) watch(ctx context.Context, ids []string) <-chan resultEvent {
 		}
 	}
 	return events
+}
+
+// resultEvent pairs a finished (or deadline-expired) instance with its
+// position in the query.
+type resultEvent struct {
+	idx   int
+	entry api.ResultEntry
+}
+
+// parseResultsQuery validates the query grammar of the results
+// endpoint: ids=a,b,c plus an optional timeout_ms wait window.
+func parseResultsQuery(r *http.Request) ([]string, time.Duration, *api.Error) {
+	idsParam := r.URL.Query().Get("ids")
+	if idsParam == "" {
+		return nil, 0, api.Errf(api.CodeBadRequest, "missing ids query parameter")
+	}
+	ids := strings.Split(idsParam, ",")
+	if len(ids) > maxResultIDs {
+		return nil, 0, api.Errf(api.CodeBadRequest, "%d ids exceeds limit %d", len(ids), maxResultIDs)
+	}
+	window := defaultWaitWindow
+	if msParam := r.URL.Query().Get("timeout_ms"); msParam != "" {
+		ms, err := strconv.ParseInt(msParam, 10, 64)
+		if err != nil || ms < 0 {
+			return nil, 0, api.Errf(api.CodeBadRequest, "bad timeout_ms %q", msParam)
+		}
+		window = min(time.Duration(ms)*time.Millisecond, maxWaitWindow)
+	}
+	return ids, window, nil
+}
+
+// deadlineEntryFor is the final entry of an instance whose per-request
+// deadline elapsed before its result arrived.
+func deadlineEntryFor(id string) api.ResultEntry {
+	return api.ResultEntry{
+		InstanceID: id,
+		Error:      api.Errf(api.CodeTimeout, "per-request deadline exceeded"),
+	}
+}
+
+// longPollResults collects events until every instance is final or the
+// wait window closes, then writes one response; instances still pending
+// at the window are reported with done=false.
+func longPollResults(ctx context.Context, w http.ResponseWriter, ids []string, events <-chan resultEvent) {
+	entries := make([]api.ResultEntry, len(ids))
+	for i, id := range ids {
+		entries[i] = api.ResultEntry{InstanceID: id} // pending unless finalized below
+	}
+	remaining := len(ids)
+	for remaining > 0 {
+		select {
+		case ev := <-events:
+			entries[ev.idx] = ev.entry
+			remaining--
+		case <-ctx.Done():
+			writeJSON(w, http.StatusOK, api.ResultsResponse{Results: entries})
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, api.ResultsResponse{Results: entries})
+}
+
+// streamResults writes one SSE event per final instance. The stream
+// ends when every requested instance is final or the wait window
+// closes; clients re-poll for instances they did not see.
+func streamResults(ctx context.Context, w http.ResponseWriter, n int, events <-chan resultEvent) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeErrorV2(w, api.Errf(api.CodeInternal, "streaming unsupported by transport"))
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	for remaining := n; remaining > 0; remaining-- {
+		select {
+		case ev := <-events:
+			data, err := json.Marshal(ev.entry)
+			if err != nil {
+				return
+			}
+			if _, err := w.Write([]byte("data: " + string(data) + "\n\n")); err != nil {
+				return
+			}
+			flusher.Flush()
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // resultEntryOf converts a Service result to its wire entry. Result.Err
@@ -285,7 +461,7 @@ func (f *Front) handleKeys(w http.ResponseWriter, r *http.Request) {
 
 // handleKey resolves one named key (GET /v2/keys/{scheme}/{id}) through
 // the Service's direct lookup when it has one, else by filtering the
-// listing — same 404 grammar as the engine-backed Server.
+// listing — scheme_unknown before key_unknown on every service.
 func (f *Front) handleKey(w http.ResponseWriter, r *http.Request) {
 	id := schemes.ID(r.PathValue("scheme"))
 	if _, err := schemes.Lookup(id); err != nil {
@@ -358,9 +534,9 @@ func (f *Front) handleReshareKey(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// deadlineTable is the bounded per-instance deadline map shared by
-// Server and Front: v2 submissions record timeout_ms here and the
-// results endpoints enforce it. Each id maps to its record in the
+// deadlineTable is the Front's bounded per-instance deadline map: v2
+// submissions record timeout_ms here and the results endpoint enforces
+// it. Each id maps to its record in the
 // insertion-ordered list that pruning walks, so replacing or clearing
 // a deadline releases the record at once.
 type deadlineTable struct {

@@ -13,16 +13,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"thetacrypt/api"
 	"thetacrypt/client"
+	"thetacrypt/internal/committee"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/orchestration"
 	"thetacrypt/internal/protocols"
+	"thetacrypt/internal/router"
 	"thetacrypt/internal/schemes"
 )
 
@@ -78,7 +81,7 @@ func TestV2OverloadedEndToEnd(t *testing.T) {
 		Net:      sn,
 		QueueLen: 1,
 	})
-	srv := httptest.NewServer(NewServer(engine, nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
 	t.Cleanup(srv.Close)
 	t.Cleanup(engine.Stop)
 	t.Cleanup(func() { close(sn.release) }) // unwedge the worker before Stop
@@ -123,6 +126,58 @@ func TestV2OverloadedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestV2RouterOverloadedAnswers429: a router in front of a committee
+// whose engine queue is full answers the whole batch with HTTP 429
+// overloaded — not 200 with per-item errors, which the SDK would never
+// retry — and the SDK's default retry gets the submission through once
+// the queue drains.
+func TestV2RouterOverloadedAnswers429(t *testing.T) {
+	nodes, err := keys.Deal(rand.Reader, 1, 4, keys.Options{
+		Schemes: []schemes.ID{schemes.CKS05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := &stallNet{release: make(chan struct{}), in: make(chan network.Envelope)}
+	engine := orchestration.New(orchestration.Config{
+		Keys:     nodes[0],
+		Net:      sn,
+		QueueLen: 1,
+	})
+	rt := router.New([]router.Backend{{Name: "full", Service: committee.Unit{Store: nodes[0], Engine: engine}}})
+	srv := httptest.NewServer(NewFront(rt))
+	t.Cleanup(srv.Close)
+	t.Cleanup(engine.Stop)
+	release := sync.OnceFunc(func() { close(sn.release) })
+	t.Cleanup(release) // unwedge the worker before Stop, even on failure
+
+	cl := client.New(srv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := cl.Submit(ctx, coinReq("rt-a")); err != nil { // admitted; worker wedges in the announce
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return engine.Stats().QueueDepth == 0 },
+		"worker never picked up the first submission")
+	if _, err := cl.Submit(ctx, coinReq("rt-b")); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+
+	status, e := postRaw(t, srv.URL+"/v2/protocol/submit",
+		`{"requests":[{"scheme":"CKS05","op":"coin","payload":"eA==","session":"rt-c"}]}`)
+	if status != http.StatusTooManyRequests || e == nil || e.Code != api.CodeOverloaded {
+		t.Fatalf("router over a saturated committee: status %d error %+v", status, e)
+	}
+
+	go func() {
+		time.Sleep(60 * time.Millisecond)
+		release()
+	}()
+	if _, err := cl.Submit(ctx, coinReq("rt-d")); err != nil {
+		t.Fatalf("default retry never got through the router once the queue drained: %v", err)
+	}
+}
+
 // TestV2RetryAfterOverload: with the retry policy enabled (the
 // default), the SDK absorbs a transient overload once capacity frees up
 // and the submission succeeds.
@@ -139,7 +194,7 @@ func TestV2RetryAfterOverload(t *testing.T) {
 		Net:      sn,
 		QueueLen: 1,
 	})
-	srv := httptest.NewServer(NewServer(engine, nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
 	t.Cleanup(srv.Close)
 	t.Cleanup(engine.Stop)
 
@@ -186,7 +241,7 @@ func TestV2BatchSizeCapped(t *testing.T) {
 		Net:  hub.Endpoint(1),
 	})
 	t.Cleanup(engine.Stop)
-	srv := httptest.NewServer(NewServer(engine, nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
 	t.Cleanup(srv.Close)
 
 	var sb strings.Builder
@@ -229,7 +284,7 @@ func TestV2StaleDeadlineDoesNotPoisonFreshRun(t *testing.T) {
 		SweepInterval: 20 * time.Millisecond,
 	})
 	t.Cleanup(engine.Stop)
-	srv := httptest.NewServer(NewServer(engine, nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
 	t.Cleanup(srv.Close)
 	cl := client.New(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -274,6 +329,62 @@ func TestV2StaleDeadlineDoesNotPoisonFreshRun(t *testing.T) {
 	}
 }
 
+// TestV2DuplicateTimeoutKeepsDeadline: a re-submission joins the
+// running instance without touching its deadline, so a tighter
+// timeout_ms on the duplicate cannot cut short the waits of clients
+// that submitted without one.
+func TestV2DuplicateTimeoutKeepsDeadline(t *testing.T) {
+	// One live node of four: no quorum forms, so the instance stalls.
+	nodes, err := keys.Deal(rand.Reader, 1, 4, keys.Options{
+		Schemes: []schemes.ID{schemes.CKS05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := memnet.NewHub(4, memnet.Options{})
+	t.Cleanup(hub.Close)
+	engine := orchestration.New(orchestration.Config{
+		Keys: nodes[0],
+		Net:  hub.Endpoint(1),
+	})
+	t.Cleanup(engine.Stop)
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
+	t.Cleanup(srv.Close)
+
+	submit := func(body string) api.SubmitEntry {
+		t.Helper()
+		resp := postJSONRaw(t, srv.URL+"/v2/protocol/submit", body)
+		defer resp.Body.Close()
+		var out api.SubmitBatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != 1 || out.Results[0].Error != nil {
+			t.Fatalf("submit: status %d body %+v", resp.StatusCode, out)
+		}
+		return out.Results[0]
+	}
+	first := submit(`{"requests":[{"scheme":"CKS05","op":"coin","payload":"eA==","session":"keep"}]}`)
+	waitFor(t, 5*time.Second, func() bool { return engine.InstanceCount() == 1 },
+		"worker never took the first submission")
+	dup := submit(`{"requests":[{"scheme":"CKS05","op":"coin","payload":"eA==","session":"keep","timeout_ms":50}]}`)
+	if dup.InstanceID != first.InstanceID {
+		t.Fatalf("re-submission got handle %s, want %s", dup.InstanceID, first.InstanceID)
+	}
+
+	var out api.ResultsResponse
+	getJSON(t, srv.URL+"/v2/protocol/results?timeout_ms=400&ids="+first.InstanceID, &out)
+	if len(out.Results) != 1 {
+		t.Fatalf("results: %+v", out)
+	}
+	if e := out.Results[0].Error; e != nil && e.Code == api.CodeTimeout {
+		t.Fatalf("duplicate's timeout_ms shortened the instance's deadline: %+v", out.Results[0])
+	}
+	if !dup.Duplicate {
+		t.Fatalf("re-submission not flagged duplicate: %+v", dup)
+	}
+}
+
 // TestV2ExpiredResultEndToEnd: a result queried after the retention
 // window reports the structured expired code through the SDK.
 func TestV2ExpiredResultEndToEnd(t *testing.T) {
@@ -296,7 +407,7 @@ func TestV2ExpiredResultEndToEnd(t *testing.T) {
 		t.Cleanup(engines[i].Stop)
 	}
 	t.Cleanup(hub.Close)
-	srv := httptest.NewServer(NewServer(engines[0], nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engines[0]}))
 	t.Cleanup(srv.Close)
 	cl := client.New(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -15,6 +15,7 @@ import (
 
 	"thetacrypt/api"
 	"thetacrypt/client"
+	"thetacrypt/internal/committee"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/orchestration"
@@ -54,7 +55,7 @@ func testServiceV2(t *testing.T) ([]*client.Client, []*keys.Keystore, []*countin
 			Keys: nodes[i],
 			Net:  hub.Endpoint(i + 1),
 		})
-		counters[i] = &countingHandler{h: NewServer(engine, nodes[i])}
+		counters[i] = &countingHandler{h: NewFront(committee.Unit{Store: nodes[i], Engine: engine})}
 		srv := httptest.NewServer(counters[i])
 		clients[i] = client.New(srv.URL)
 		t.Cleanup(srv.Close)
@@ -80,7 +81,7 @@ func partialServiceV2(t *testing.T) *client.Client {
 		Keys: nodes[0],
 		Net:  hub.Endpoint(1),
 	})
-	srv := httptest.NewServer(NewServer(engine, nodes[0]))
+	srv := httptest.NewServer(NewFront(committee.Unit{Store: nodes[0], Engine: engine}))
 	t.Cleanup(srv.Close)
 	t.Cleanup(engine.Stop)
 	t.Cleanup(hub.Close)
@@ -398,8 +399,9 @@ func TestV2PerRequestDeadline(t *testing.T) {
 }
 
 // TestV2BatchFewerRoundTrips is the acceptance benchmark: a batch of 32
-// requests over HTTP completes with fewer round-trips than 32
-// sequential v1 submit+poll cycles.
+// requests over HTTP completes in a handful of round-trips — one POST
+// for the batch, one SSE stream for all results — where one-at-a-time
+// submit+poll cycles would take 64.
 func TestV2BatchFewerRoundTrips(t *testing.T) {
 	_, _, counters := testServiceV2(t)
 	srv := httptest.NewServer(counters[0])
@@ -408,21 +410,6 @@ func TestV2BatchFewerRoundTrips(t *testing.T) {
 	defer cancel()
 	const batchSize = 32
 
-	// v1: one POST per submit, one GET per result.
-	v1 := NewClient(srv.URL)
-	before := counters[0].n.Load()
-	for i := 0; i < batchSize; i++ {
-		id, err := v1.Submit(schemes.CKS05, "coin", fmt.Sprintf("v1-%d", i), []byte("rt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v1.WaitResult(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1Trips := counters[0].n.Load() - before
-
-	// v2: the whole batch in one POST, all results over one SSE stream.
 	v2 := client.New(srv.URL)
 	reqs := make([]protocols.Request, batchSize)
 	for i := range reqs {
@@ -431,7 +418,7 @@ func TestV2BatchFewerRoundTrips(t *testing.T) {
 			Payload: []byte("rt"), Session: fmt.Sprintf("v2-%d", i),
 		}
 	}
-	before = counters[0].n.Load()
+	before := counters[0].n.Load()
 	hs, err := v2.SubmitBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -453,13 +440,10 @@ func TestV2BatchFewerRoundTrips(t *testing.T) {
 			t.Fatalf("batch request %d: empty coin", i)
 		}
 	}
-	if v2Trips >= v1Trips {
-		t.Fatalf("batch used %d round-trips, sequential v1 used %d", v2Trips, v1Trips)
-	}
 	if v2Trips > 4 {
 		t.Fatalf("batch of %d took %d round-trips, want a handful", batchSize, v2Trips)
 	}
-	t.Logf("round-trips: v1 sequential=%d, v2 batch=%d", v1Trips, v2Trips)
+	t.Logf("round-trips: v2 batch=%d", v2Trips)
 	if v2.RoundTrips() != v2Trips {
 		t.Fatalf("client round-trip counter %d disagrees with server count %d", v2.RoundTrips(), v2Trips)
 	}
@@ -493,6 +477,117 @@ func TestV2SSEStream(t *testing.T) {
 		if res.Err != nil || len(res.Value) == 0 {
 			t.Fatalf("stream result %d: %+v", i, res)
 		}
+	}
+}
+
+// TestInfoEndpoint pins the raw GET /v2/info body: API version,
+// answering node, deployment parameters, and the dealt schemes.
+func TestInfoEndpoint(t *testing.T) {
+	clients, _, _ := testServiceV2(t)
+	var info api.InfoResponse
+	getJSON(t, clientBase(t, clients[0])+"/v2/info", &info)
+	if info.APIVersion != 2 || info.NodeIndex != 1 || info.N != 4 || info.T != 1 {
+		t.Fatalf("unexpected info: %+v", info)
+	}
+	if len(info.Schemes) != 3 {
+		t.Fatalf("schemes: %v", info.Schemes)
+	}
+}
+
+// TestSignOverHTTP drives a threshold signature over the raw wire:
+// submit at node 2, long-poll the result at node 4.
+func TestSignOverHTTP(t *testing.T) {
+	clients, nodes, _ := testServiceV2(t)
+	msg := []byte("http sig")
+	resp := postJSONRaw(t, clientBase(t, clients[1])+"/v2/protocol/submit",
+		`{"requests":[{"scheme":"BLS04","op":"sign","payload":"aHR0cCBzaWc="}]}`)
+	var sub api.SubmitBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || len(sub.Results) != 1 || sub.Results[0].InstanceID == "" {
+		t.Fatalf("submit: status %d body %+v", resp.StatusCode, sub)
+	}
+	var out api.ResultsResponse
+	getJSON(t, clientBase(t, clients[3])+"/v2/protocol/results?timeout_ms=30000&ids="+sub.Results[0].InstanceID, &out)
+	if len(out.Results) != 1 || !out.Results[0].Done || out.Results[0].Error != nil {
+		t.Fatalf("results: %+v", out)
+	}
+	sig, err := bls04.UnmarshalSignature(out.Results[0].Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bls04.Verify(keys.MustPublic[*bls04.PublicKey](nodes[0], schemes.BLS04), msg, sig); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncryptThenThresholdDecrypt: the scheme API encrypts locally at
+// node 3, the protocol API decrypts through the Θ-network at node 1.
+func TestEncryptThenThresholdDecrypt(t *testing.T) {
+	clients, _, _ := testServiceV2(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	ct, err := clients[2].Encrypt(ctx, schemes.SG02, "", []byte("pending tx"), []byte("L"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := api.Execute(ctx, clients[0], protocols.Request{
+		Scheme: schemes.SG02, Op: protocols.OpDecrypt, Payload: ct,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(pt) != "pending tx" {
+		t.Fatalf("decrypted %q", pt)
+	}
+}
+
+func TestCoinOverHTTP(t *testing.T) {
+	clients, _, _ := testServiceV2(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coin, err := api.Execute(ctx, clients[0], protocols.Request{
+		Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte("beacon-0"), Session: "s1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(coin) != 32 {
+		t.Fatalf("coin %d bytes", len(coin))
+	}
+}
+
+// TestBadRequests: defective items of a batch fail one by one with
+// their codes while the valid item starts (202), and encryption under
+// a signature scheme is refused outright.
+func TestBadRequests(t *testing.T) {
+	clients, _, _ := testServiceV2(t)
+	base := clientBase(t, clients[0])
+	resp := postJSONRaw(t, base+"/v2/protocol/submit", `{"requests":[
+		{"scheme":"NOPE","op":"sign","payload":"eA=="},
+		{"scheme":"BLS04","op":"frobnicate","payload":"eA=="},
+		{"scheme":"CKS05","op":"coin","payload":"eA==","session":"bad-requests"}]}`)
+	var sub api.SubmitBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || len(sub.Results) != 3 {
+		t.Fatalf("mixed batch: status %d body %+v", resp.StatusCode, sub)
+	}
+	for i, want := range []api.Code{api.CodeSchemeUnknown, api.CodeOpUnknown} {
+		if e := sub.Results[i].Error; e == nil || e.Code != want || sub.Results[i].InstanceID != "" {
+			t.Fatalf("item %d: %+v, want %s", i, sub.Results[i], want)
+		}
+	}
+	if sub.Results[2].Error != nil || sub.Results[2].InstanceID == "" {
+		t.Fatalf("valid item: %+v", sub.Results[2])
+	}
+	status, e := postRaw(t, base+"/v2/scheme/encrypt", `{"scheme":"BLS04","message":"eA=="}`)
+	if status != http.StatusBadRequest || e == nil || e.Code != api.CodeSchemeNotCipher {
+		t.Fatalf("encrypt under signature scheme: status %d error %+v", status, e)
 	}
 }
 

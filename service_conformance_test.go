@@ -21,6 +21,7 @@ import (
 	"thetacrypt"
 	"thetacrypt/api"
 	"thetacrypt/client"
+	"thetacrypt/internal/committee"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/orchestration"
@@ -47,7 +48,7 @@ func remoteService(t *testing.T) thetacrypt.Service {
 			Keys: nodes[i],
 			Net:  hub.Endpoint(i + 1),
 		})
-		srv := httptest.NewServer(service.NewServer(engine, nodes[i]))
+		srv := httptest.NewServer(service.NewFront(committee.Unit{Store: nodes[i], Engine: engine}))
 		if i == 0 {
 			first = client.New(srv.URL)
 		}

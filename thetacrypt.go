@@ -471,7 +471,7 @@ type NodeConfig struct {
 type Node struct {
 	unit      committee.Unit
 	transport *tcpnet.Transport
-	handler   *service.Server
+	handler   http.Handler
 }
 
 // NewNode starts the network transport and orchestration engine.
@@ -515,20 +515,25 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Identity: cfg.Identity,
 		Roster:   cfg.Roster,
 	}))
+	unit := committee.Unit{Store: cfg.Keys, Engine: engine}
 	return &Node{
-		unit:      committee.Unit{Store: cfg.Keys, Engine: engine},
+		unit:      unit,
 		transport: transport,
-		handler:   service.NewServer(engine, cfg.Keys),
+		handler:   service.NewFront(unit),
 	}, nil
 }
 
 // Node implements the unified Service interface for in-process use by
 // the hosting application; remote applications reach the same surface
 // through Handler's /v2 endpoints and the client SDK.
-var _ Service = (*Node)(nil)
+var (
+	_ Service               = (*Node)(nil)
+	_ api.DetailedSubmitter = (*Node)(nil)
+)
 
-// Handler returns the HTTP handler of the service layer (/v1 and /v2).
-func (n *Node) Handler() *service.Server { return n.handler }
+// Handler returns the node's /v2 HTTP handler: the same front
+// ServiceHandler builds, over this node.
+func (n *Node) Handler() http.Handler { return n.handler }
 
 // P2PAddr returns the bound P2P listen address (useful with a ":0"
 // ListenAddr).
@@ -547,6 +552,12 @@ func (n *Node) Submit(ctx context.Context, req Request) (Handle, error) {
 // SubmitBatch starts 1..N operations with a single engine hand-off.
 func (n *Node) SubmitBatch(ctx context.Context, reqs []Request) ([]Handle, error) {
 	return n.unit.SubmitBatch(ctx, reqs)
+}
+
+// SubmitDetailed starts 1..N operations and reports each on its own,
+// with the idempotent-duplicate flag (api.DetailedSubmitter).
+func (n *Node) SubmitDetailed(ctx context.Context, reqs []Request) ([]api.SubmitEntry, error) {
+	return n.unit.SubmitDetailed(ctx, reqs)
 }
 
 // Wait blocks until the instance finishes or ctx expires.
