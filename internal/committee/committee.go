@@ -286,8 +286,8 @@ type Config struct {
 	Net memnet.Options
 	// Secure switches the committee to the authenticated mesh: every
 	// node gets a transport identity, the hub enforces the roster, and
-	// DKG/reshare dealings ride per-recipient sealed boxes with
-	// complaint rounds. Fresh identities are generated unless
+	// DKG/reshare sub-share boxes are sealed to each recipient's
+	// identity key. Fresh identities are generated unless
 	// Identities/Roster override them.
 	Secure bool
 	// Identities overrides the generated per-node identities (node

@@ -1,24 +1,16 @@
 package dkg
 
-import (
-	"fmt"
-	"sort"
+import "sort"
 
-	"thetacrypt/internal/share"
-)
-
-// ComplaintLog tracks the complaint/justification state of a DKG or
-// reshare run: who complained against which dealer, and which of those
+// ComplaintLog tracks the complaint/justification state of a dealing
+// run: who complained against which dealer, and which of those
 // complaints a valid justification has since discharged. It is
 // deliberately order-independent — a justification may be recorded
 // before the complaint it answers (messages from faster peers can
 // overtake slower ones across links) and the resolution still comes
 // out right, because Unresolved is computed as complaints minus
-// justifications only when the rounds are complete.
-//
-// The keys are opaque: the DKG uses party indices for both sides,
-// resharing uses old share indices for dealers and new share indices
-// for complainers. The same machinery serves both.
+// justifications only when the rounds are complete. Dealers are keyed
+// by dealer index, complainers by the share index they receive.
 type ComplaintLog struct {
 	complaints map[int]map[int]bool // dealer -> complainer set
 	justified  map[int]map[int]bool // dealer -> discharged complainer set
@@ -83,104 +75,4 @@ func (c *ComplaintLog) Unresolved() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// --- Participant complaint surface -----------------------------------
-
-// Exclude disqualifies a dealer for publicly-verifiable misbehavior (a
-// malformed dealing, a wrong-degree commitment, a garbled broadcast).
-// Public misbehavior needs no complaint round: every honest node
-// observes the same broadcast bytes and excludes identically.
-func (p *Participant) Exclude(dealer int) {
-	if dealer >= 1 && dealer <= p.n {
-		p.excluded[dealer] = true
-	}
-}
-
-// Complain records that dealer's private sub-share for this party is
-// missing or invalid — an unopenable sealed box, or a share failing
-// Feldman verification. The dealer is NOT excluded yet: it gets the
-// justification round to reveal the disputed sub-share, per GJKR.
-func (p *Participant) Complain(dealer int) {
-	if dealer < 1 || dealer > p.n || dealer == p.index {
-		return
-	}
-	p.mine[dealer] = true
-	p.log.Complain(p.index, dealer)
-}
-
-// PendingComplaints returns the sorted dealers this party complains
-// about: the payload of its complaint-round broadcast.
-func (p *Participant) PendingComplaints() []int {
-	out := make([]int, 0, len(p.mine))
-	for dealer := range p.mine {
-		out = append(out, dealer)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ReceiveComplaint records another party's broadcast complaint against
-// a dealer.
-func (p *Participant) ReceiveComplaint(complainer, dealer int) error {
-	if complainer < 1 || complainer > p.n || dealer < 1 || dealer > p.n {
-		return fmt.Errorf("dkg: complaint %d→%d out of range", complainer, dealer)
-	}
-	p.log.Complain(complainer, dealer)
-	return nil
-}
-
-// JustificationShares returns the sub-shares this party must reveal to
-// answer the complaints lodged against it as a dealer: f_self(j) for
-// every complainer j, straight from its dealing. Revealing a disputed
-// sub-share is safe — a single point of a degree-t polynomial — and a
-// dealer that dealt honestly survives; one that cannot produce a
-// verifying share is disqualified by all nodes.
-func (p *Participant) JustificationShares() []share.Share {
-	if p.dealing == nil {
-		return nil
-	}
-	complainers := p.log.Against(p.index)
-	out := make([]share.Share, 0, len(complainers))
-	for _, j := range complainers {
-		if j >= 1 && j <= p.n {
-			out = append(out, p.dealing.SubShares[j-1].Clone())
-		}
-	}
-	return out
-}
-
-// ReceiveJustification verifies a dealer's revealed sub-share against
-// its commitment. A verifying share discharges the matching complaint
-// (whether already recorded or still in flight); when it is addressed
-// to this party, it is adopted as the dealer's sub-share — the
-// complainer ends up with a valid share either way. An invalid
-// justification is simply not a justification: the complaint stands
-// and FinishComplaints disqualifies the dealer.
-func (p *Participant) ReceiveJustification(dealer int, s share.Share) error {
-	com, ok := p.public[dealer]
-	if !ok {
-		return fmt.Errorf("dkg: justification from dealer %d without a commitment", dealer)
-	}
-	if s.Index < 1 || s.Index > p.n || s.Value == nil {
-		return fmt.Errorf("dkg: malformed justification from dealer %d", dealer)
-	}
-	if !com.VerifyShare(s) {
-		return fmt.Errorf("dkg: dealer %d justification for party %d does not verify", dealer, s.Index)
-	}
-	p.log.Resolve(dealer, s.Index)
-	if s.Index == p.index {
-		p.received[dealer] = s.Clone()
-	}
-	return nil
-}
-
-// FinishComplaints disqualifies every dealer left with an unresolved
-// complaint. Call it exactly once, after the justification round
-// completes; because every complaint and justification was broadcast,
-// all honest nodes compute the same exclusion set.
-func (p *Participant) FinishComplaints() {
-	for _, dealer := range p.log.Unresolved() {
-		p.excluded[dealer] = true
-	}
 }

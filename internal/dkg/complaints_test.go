@@ -1,13 +1,8 @@
 package dkg
 
 import (
-	"crypto/rand"
-	"math/big"
 	"reflect"
 	"testing"
-
-	"thetacrypt/internal/group"
-	"thetacrypt/internal/share"
 )
 
 func TestComplaintLogResolution(t *testing.T) {
@@ -43,218 +38,32 @@ func TestComplaintLogOutOfOrder(t *testing.T) {
 	}
 }
 
-// fullExchange deals for every participant and delivers all commitments
-// and sub-shares, returning the dealings by dealer.
-func fullExchange(t *testing.T, parts []*Participant, corrupt func(dealer int, d *Dealing)) map[int]*Dealing {
-	t.Helper()
-	dealings := make(map[int]*Dealing, len(parts))
-	for _, p := range parts {
-		d, err := p.Deal(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if corrupt != nil {
-			corrupt(d.Dealer, d)
-		}
-		dealings[d.Dealer] = d
-	}
-	for _, p := range parts {
-		for dealer, d := range dealings {
-			if dealer == p.index {
-				continue
-			}
-			if err := p.ReceiveCommitment(&PublicDealing{Dealer: dealer, Commitment: d.Commitment}); err != nil {
-				t.Fatal(err)
-			}
-			// Errors are complaint fodder, not fatal: the complaint
-			// round settles them.
-			_ = p.ReceiveSubShare(dealer, d.SubShares[p.index-1])
-		}
-	}
-	return dealings
-}
-
-// TestComplaintRoundDisqualifiesBadDealer runs the full GJKR complaint
-// flow against a dealer whose sub-share for party 3 is forged: party 3
-// complains, the dealer's justification reveals the same bad share and
-// fails verification everywhere, and FinishComplaints excludes the
-// dealer identically on every node — which still finalizes with the
-// same public key from the three honest dealers.
-func TestComplaintRoundDisqualifiesBadDealer(t *testing.T) {
-	g := group.Edwards25519()
-	const tt, n, bad, victim = 1, 4, 2, 3
-	parts := make([]*Participant, n)
-	for i := range parts {
-		p, err := NewParticipant(g, i+1, tt, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = p
-	}
-	fullExchange(t, parts, func(dealer int, d *Dealing) {
-		if dealer == bad {
-			d.SubShares[victim-1].Value = big.NewInt(42)
-		}
-	})
-	// Complaint round: only the victim has anything to say.
-	for _, p := range parts {
-		want := []int(nil)
-		if p.index == victim {
-			want = []int{bad}
-		}
-		if got := p.PendingComplaints(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-			t.Fatalf("party %d complaints %v, want %v", p.index, got, want)
-		}
-	}
-	for _, p := range parts {
-		if p.index != victim {
-			if err := p.ReceiveComplaint(victim, bad); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Justification round: the bad dealer reveals what it dealt — the
-	// forged share — and every node (itself included) rejects it.
-	js := parts[bad-1].JustificationShares()
-	if len(js) != 1 || js[0].Index != victim {
-		t.Fatalf("bad dealer justifications %v", js)
-	}
-	for _, p := range parts {
-		if err := p.ReceiveJustification(bad, js[0]); err == nil {
-			t.Fatalf("party %d accepted a forged justification", p.index)
-		}
-		p.FinishComplaints()
-	}
-	var refKey group.Point
-	for _, p := range parts {
-		if got, want := p.Qualified(), []int{1, 3, 4}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("party %d qualified %v, want %v", p.index, got, want)
-		}
-		res, err := p.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refKey == nil {
-			refKey = res.PublicKey
-		} else if !res.PublicKey.Equal(refKey) {
-			t.Fatalf("party %d derived a different public key", p.index)
-		}
-		if !g.BaseMul(res.Share).Equal(res.VK[p.index-1]) {
-			t.Fatalf("party %d share inconsistent with its verification key", p.index)
-		}
-	}
-}
-
-// TestJustificationRepairsFalseComplaint covers the other complaint
-// outcome: the dealer is honest, so its justification verifies and the
-// complainer ADOPTS the revealed share — the dealer stays qualified and
-// the complainer still finalizes consistently. This is also the path a
-// recipient takes when its sealed box is undecryptable in transit.
-func TestJustificationRepairsFalseComplaint(t *testing.T) {
-	g := group.Edwards25519()
-	const tt, n, accused, complainer = 1, 3, 1, 3
-	parts := make([]*Participant, n)
-	for i := range parts {
-		p, err := NewParticipant(g, i+1, tt, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = p
-	}
-	dealings := make(map[int]*Dealing, n)
-	for _, p := range parts {
-		d, err := p.Deal(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dealings[d.Dealer] = d
-	}
-	for _, p := range parts {
-		for dealer, d := range dealings {
-			if dealer == p.index {
-				continue
-			}
-			if err := p.ReceiveCommitment(&PublicDealing{Dealer: dealer, Commitment: d.Commitment}); err != nil {
-				t.Fatal(err)
-			}
-			// The complainer never sees the accused dealer's sub-share
-			// (an unopenable box): it must recover it from the
-			// justification.
-			if p.index == complainer && dealer == accused {
-				continue
-			}
-			if err := p.ReceiveSubShare(dealer, d.SubShares[p.index-1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	parts[complainer-1].Complain(accused)
-	for _, p := range parts {
-		if p.index != complainer {
-			if err := p.ReceiveComplaint(complainer, accused); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	js := parts[accused-1].JustificationShares()
-	if len(js) != 1 || js[0].Index != complainer {
-		t.Fatalf("accused dealer justifications %v", js)
-	}
-	for _, p := range parts {
-		if err := p.ReceiveJustification(accused, js[0]); err != nil {
-			t.Fatalf("party %d rejected a valid justification: %v", p.index, err)
-		}
-		p.FinishComplaints()
-	}
-	var refKey group.Point
-	for _, p := range parts {
-		if got, want := p.Qualified(), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("party %d qualified %v, want %v", p.index, got, want)
-		}
-		res, err := p.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refKey == nil {
-			refKey = res.PublicKey
-		} else if !res.PublicKey.Equal(refKey) {
-			t.Fatalf("party %d derived a different public key", p.index)
-		}
-	}
-}
-
-// TestComplaintSurfaceValidation pins the guard rails of the complaint
-// API: out-of-range parties, self-complaints, justifications without
-// commitments, and public exclusion.
+// TestComplaintSurfaceValidation pins the edges of the complaint ledger
+// the dealing protocol drives: an empty log accuses nobody, a
+// justification nobody asked for records no complaint, a repeated
+// complaint counts once, and Against lists only recorded complainers.
 func TestComplaintSurfaceValidation(t *testing.T) {
-	g := group.Edwards25519()
-	p, err := NewParticipant(g, 1, 1, 3)
-	if err != nil {
-		t.Fatal(err)
+	c := NewComplaintLog()
+	if got := c.Unresolved(); len(got) != 0 {
+		t.Fatalf("empty log accuses %v", got)
 	}
-	if err := p.ReceiveComplaint(0, 2); err == nil {
-		t.Fatal("accepted complaint from party 0")
+	c.Resolve(1, 2) // a justification nobody asked for
+	if got := c.Unresolved(); len(got) != 0 {
+		t.Fatalf("unrequested justification accused %v", got)
 	}
-	if err := p.ReceiveComplaint(2, 4); err == nil {
-		t.Fatal("accepted complaint against out-of-range dealer")
+	if got := c.Against(1); len(got) != 0 {
+		t.Fatalf("unrequested justification recorded complainers %v", got)
 	}
-	p.Complain(1) // self-complaint: ignored
-	p.Complain(9) // out of range: ignored
-	if got := p.PendingComplaints(); len(got) != 0 {
-		t.Fatalf("bogus complaints recorded: %v", got)
+	c.Complain(3, 1)
+	c.Complain(3, 1)
+	if got := c.Against(1); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("Against(1) = %v, want [3]", got)
 	}
-	if err := p.ReceiveJustification(2, share.Share{Index: 1, Value: big.NewInt(1)}); err == nil {
-		t.Fatal("accepted justification without a commitment")
+	if got := c.Unresolved(); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("Unresolved = %v, want [1]", got)
 	}
-	if _, err := p.Deal(rand.Reader); err != nil {
-		t.Fatal(err)
-	}
-	if js := p.JustificationShares(); len(js) != 0 {
-		t.Fatalf("justifications with no complaints: %v", js)
-	}
-	p.Exclude(0) // out of range: ignored
-	p.Exclude(2)
-	if !p.excluded[2] || p.excluded[0] {
-		t.Fatal("Exclude range handling wrong")
+	c.Resolve(1, 3)
+	if got := c.Unresolved(); len(got) != 0 {
+		t.Fatalf("answered complaint still unresolved: %v", got)
 	}
 }

@@ -4,18 +4,13 @@
 // a Feldman verifiable sharing of a random secret; the group key is the
 // sum of the qualified dealings, and no party ever learns it.
 //
-// The protocol: (1) every participant broadcasts its coefficient
-// commitments and sends each peer its sub-share, (2) each participant
-// verifies its own sub-shares against the commitments. When sub-shares
-// travel sealed (ECIES boxes to each recipient's identity key), other
-// nodes cannot check a dealer's full dealing, so the DKG grows
-// complaint/justification rounds toward GJKR: a recipient whose
-// sub-share is missing or fails Feldman verification broadcasts a
-// complaint, the accused dealer must broadcast the disputed sub-share
-// as a justification, and dealers whose justifications do not verify
-// are disqualified deterministically by every honest node. Legacy
-// cleartext deployments skip the complaint rounds; a dealer whose share
-// fails simply never becomes qualified.
+// Participant holds one party's view: Deal samples and commits its
+// secret, ReceiveCommitment and ReceiveSubShare check a dealer's
+// commitment and this party's sub-share, and Finalize (or Combine)
+// sums the qualified dealings. Each recipient checks only its own
+// sub-share, so the GJKR-style complaint and justification rounds that
+// settle a bad one are run by the dealing protocol in
+// internal/protocols, which keeps its ledger in a ComplaintLog.
 package dkg
 
 import (
@@ -57,13 +52,9 @@ type Participant struct {
 	index int
 	t, n  int
 
-	poly     *share.Polynomial
-	dealing  *Dealing
 	received map[int]share.Share              // verified sub-shares by dealer
 	public   map[int]*share.FeldmanCommitment // commitments by dealer
 	excluded map[int]bool
-	mine     map[int]bool // dealers this party will complain about
-	log      *ComplaintLog
 }
 
 // NewParticipant initializes party `index` of an (t, n) DKG over g.
@@ -79,8 +70,6 @@ func NewParticipant(g group.Group, index, t, n int) (*Participant, error) {
 		received: make(map[int]share.Share, n),
 		public:   make(map[int]*share.FeldmanCommitment, n),
 		excluded: make(map[int]bool),
-		mine:     make(map[int]bool),
-		log:      NewComplaintLog(),
 	}, nil
 }
 
@@ -98,16 +87,11 @@ func (p *Participant) Deal(rand io.Reader) (*Dealing, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.poly = poly
-	p.dealing = &Dealing{
-		Dealer:     p.index,
-		Commitment: com,
-		SubShares:  poly.Shares(p.n),
-	}
+	d := &Dealing{Dealer: p.index, Commitment: com, SubShares: poly.Shares(p.n)}
 	// Account for the self-dealt sub-share immediately.
 	p.public[p.index] = com
-	p.received[p.index] = p.dealing.SubShares[p.index-1]
-	return p.dealing, nil
+	p.received[p.index] = d.SubShares[p.index-1]
+	return d, nil
 }
 
 // ReceiveCommitment records a dealer's broadcast commitment.
@@ -125,12 +109,8 @@ func (p *Participant) ReceiveCommitment(pd *PublicDealing) error {
 }
 
 // ReceiveSubShare is round 2: verify dealer's private sub-share against
-// its commitment. A share failing Feldman verification records a
-// pending complaint against the dealer (GJKR-style) — the dealer is
-// disqualified only if the justification round does not discharge it
-// (see FinishComplaints). Callers that do not run complaint rounds can
-// treat the returned error as a final verdict: the dealer is never
-// added to the received set, so it stays unqualified either way.
+// its commitment. A dealer whose share fails is never added to the
+// received set, so it stays unqualified.
 func (p *Participant) ReceiveSubShare(dealer int, s share.Share) error {
 	if s.Index != p.index {
 		return ErrWrongRecipient
@@ -143,7 +123,6 @@ func (p *Participant) ReceiveSubShare(dealer int, s share.Share) error {
 		return fmt.Errorf("dkg: dealer %d already disqualified", dealer)
 	}
 	if !com.VerifyShare(s) {
-		p.Complain(dealer)
 		return fmt.Errorf("dkg: dealer %d sent an invalid sub-share", dealer)
 	}
 	p.received[dealer] = s.Clone()
@@ -179,30 +158,38 @@ type Result struct {
 // group public key. All honest parties that agree on the qualified set
 // derive a consistent (t, n) sharing whose secret nobody knows.
 func (p *Participant) Finalize() (*Result, error) {
-	qual := p.Qualified()
-	if len(qual) < p.t+1 {
+	return Combine(p.g, p.index, p.t, p.n, p.Qualified(), p.public, p.received)
+}
+
+// Combine sums the dealings of the qualified dealers qual: party
+// index's key share from its sub-shares subs, and the group key and
+// the n verification keys from the commitments coms. Both maps are
+// keyed by dealer and must hold every dealer in qual.
+func Combine(g group.Group, index, t, n int, qual []int,
+	coms map[int]*share.FeldmanCommitment, subs map[int]share.Share) (*Result, error) {
+	if len(qual) < t+1 {
 		return nil, ErrTooFewDealers
 	}
 	// x_i = Σ_{d ∈ QUAL} f_d(i)
 	xi := new(big.Int)
 	for _, dealer := range qual {
-		xi = mathutil.AddMod(xi, p.received[dealer].Value, p.g.Order())
+		xi = mathutil.AddMod(xi, subs[dealer].Value, g.Order())
 	}
 	// Y = Σ A_{d,0}; VK_j = Σ_d f_d(j)*G evaluated in the exponent.
-	y := p.g.Identity()
+	y := g.Identity()
 	for _, dealer := range qual {
-		y = y.Add(p.public[dealer].PublicKey())
+		y = y.Add(coms[dealer].PublicKey())
 	}
-	vk := make([]group.Point, p.n)
-	for j := 1; j <= p.n; j++ {
-		acc := p.g.Identity()
+	vk := make([]group.Point, n)
+	for j := 1; j <= n; j++ {
+		acc := g.Identity()
 		for _, dealer := range qual {
-			acc = acc.Add(p.public[dealer].EvalInExponent(j))
+			acc = acc.Add(coms[dealer].EvalInExponent(j))
 		}
 		vk[j-1] = acc
 	}
 	return &Result{
-		Index:     p.index,
+		Index:     index,
 		Share:     xi,
 		PublicKey: y,
 		VK:        vk,

@@ -164,12 +164,12 @@ type Config struct {
 	// initiator (the node holding share index 1) submits deterministic
 	// OpPoolRefill runs for every KG20 key below its watermark.
 	PoolInterval time.Duration
-	// Identity and Roster, when set, switch DKG and reshare instances
-	// to sealed dealings: sub-shares travel as per-recipient ECIES
-	// boxes and the protocols run complaint/justification rounds. All
-	// nodes of a deployment must agree (the dealing wire format
-	// changes). They are typically the same identity material the
-	// secure transport authenticates with.
+	// Identity and Roster, when set, seal each DKG and reshare
+	// sub-share box to its recipient's identity key; without them a
+	// box carries the bare sub-share. Both run the same three rounds.
+	// All nodes of a deployment must agree (a node opens only the box
+	// encoding it produces). They are typically the same identity
+	// material the secure transport authenticates with.
 	Identity *identity.Key
 	Roster   identity.Roster
 }

@@ -35,12 +35,11 @@ type Env struct {
 	// instead of deferring on a pooled start that will never come.
 	InitiatorNode int
 	// Identity and Roster carry the node's transport identity key and
-	// the deployment's peer roster into the DKG and reshare protocols:
-	// when present, sub-shares travel as per-recipient sealed boxes and
-	// the instances run GJKR-style complaint/justification rounds. Nil
-	// Identity keeps the legacy cleartext dealings. All nodes of a
-	// deployment must agree on the mode — it changes the dealing wire
-	// format.
+	// the deployment's peer roster into the dealing protocol (keygen
+	// and reshare): when present, each sub-share box is sealed to its
+	// recipient's identity key; with nil Identity a box carries the
+	// bare sub-share. All nodes of a deployment must agree, since a
+	// node opens only the box encoding it produces itself.
 	Identity *identity.Key
 	Roster   identity.Roster
 }

@@ -3,11 +3,7 @@ package protocols
 import (
 	"crypto/rand"
 	"errors"
-	"math/big"
 	"testing"
-
-	"thetacrypt/internal/dkg"
-	"thetacrypt/internal/group"
 
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/schemes"
@@ -369,41 +365,5 @@ func TestKeyIDThreadsThroughIdentity(t *testing.T) {
 	}
 	if got.KeyID != "other" || got.InstanceID() != other.InstanceID() {
 		t.Fatalf("wire round trip lost the key id: %+v", got)
-	}
-}
-
-// TestKeygenRejectsDealingWithAnyBadSubShare pins the deterministic
-// exclusion rule: all n sub-shares travel in the broadcast dealing, so
-// a node rejects a dealing whose sub-share for ANY party fails
-// verification — not only its own — and every honest node excludes
-// the dealer identically.
-func TestKeygenRejectsDealingWithAnyBadSubShare(t *testing.T) {
-	nodes := dealNodes(t, 1, 4, schemes.CKS05)
-	gen := Request{Scheme: schemes.CKS05, KeyID: "tamper", Op: OpKeyGen}
-	p1, err := New(rand.Reader, nodes[0], gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p1.DoRound(); err != nil {
-		t.Fatal(err)
-	}
-	// Build dealer 2's dealing honestly, then corrupt the sub-share
-	// addressed to party 3 (NOT the receiving party 1).
-	dealer, err := dkg.NewParticipant(group.Edwards25519(), 2, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dealing, err := dealer.Deal(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dealing.SubShares[2].Value = new(big.Int).Add(dealing.SubShares[2].Value, big.NewInt(1))
-	kg := p1.(*keygenProtocol)
-	err = p1.Update(ProtocolMessage{Sender: 2, Round: 1, Payload: marshalDealing(dealing)})
-	if !errors.Is(err, ErrShareRejected) {
-		t.Fatalf("tampered dealing accepted: %v", err)
-	}
-	if qual := kg.part.Qualified(); len(qual) != 1 || qual[0] != 1 {
-		t.Fatalf("dealer 2 not excluded: qualified=%v", qual)
 	}
 }

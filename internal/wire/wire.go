@@ -81,6 +81,9 @@ func (r *Reader) Err() error { return r.err }
 // Done reports whether the whole buffer was consumed without error.
 func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.buf) }
 
+// Remaining returns the number of bytes not yet consumed.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
 // Bytes reads the next byte field.
 func (r *Reader) Bytes() []byte {
 	if r.err != nil {

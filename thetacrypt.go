@@ -244,8 +244,8 @@ type ClusterOptions struct {
 	// Secure switches the cluster to the authenticated mesh: each node
 	// gets a fresh transport identity, the simulated hub enforces the
 	// shared roster (mirroring tcpnet's handshake semantics), and
-	// DKG/reshare dealings ride per-recipient sealed boxes with
-	// complaint rounds instead of plaintext sub-shares.
+	// DKG/reshare sub-share boxes are sealed to each recipient's
+	// identity key instead of carrying bare sub-shares.
 	Secure bool
 }
 
@@ -457,9 +457,9 @@ type NodeConfig struct {
 	// together with Roster it switches the node to secure mode: every
 	// P2P link runs the mutual-authentication handshake and AEAD record
 	// layer, unrostered peers are rejected before any protocol byte
-	// flows, and DKG/reshare dealings ride sealed boxes with complaint
-	// rounds. All nodes of a deployment must agree on the mode — it
-	// changes both the link and the dealing wire format.
+	// flows, and DKG/reshare sub-share boxes are sealed. All nodes of a
+	// deployment must agree on the mode — it changes both the link and
+	// the dealing box encoding.
 	Identity *IdentityKey
 	// Roster maps node index → public identity for every deployment
 	// member, this node included. Required in secure mode.
