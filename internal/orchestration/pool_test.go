@@ -260,7 +260,9 @@ func TestPoolerBackgroundRefill(t *testing.T) {
 }
 
 // TestCryptoStatsFlow: the engine's stats snapshot carries the
-// precompute counters (the /v2/info surface reads exactly this).
+// precompute counters (the /v2/info surface reads exactly this). A
+// KG20 sign verifies its aggregate signature, not its shares, so it
+// adds no batched relation; a CKS05 coin on the same cluster does.
 func TestCryptoStatsFlow(t *testing.T) {
 	const tt, n = 1, 4
 	c, _ := poolCluster(t, tt, n, 4)
@@ -274,7 +276,20 @@ func TestCryptoStatsFlow(t *testing.T) {
 	if st.LagrangeHits+st.LagrangeMisses == 0 {
 		t.Fatalf("stats carry no Lagrange traffic: %+v", st)
 	}
-	if st.BatchesVerified == 0 {
+	if st.BatchesVerified != 0 || st.BatchedRelations != 0 {
+		t.Fatalf("a KG20 sign went through the batch verifier: %+v", st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	f, err := c.engines[0].Submit(ctx, protocols.Request{Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte("stats-coin")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.Wait(ctx); err != nil || res.Err != nil {
+		t.Fatalf("coin failed: %v / %v", err, res.Err)
+	}
+	if st := c.engines[0].Stats().Crypto; st.BatchesVerified == 0 || st.BatchedRelations == 0 {
 		t.Fatalf("stats carry no verified batches: %+v", st)
 	}
 }

@@ -1,6 +1,9 @@
 package pairing
 
-import "math/big"
+import (
+	"math/big"
+	"sync/atomic"
+)
 
 // GT is an element of the pairing target group, the order-r subgroup of
 // Fp12*. Its operations are variable-time; no scheme feeds them a secret.
@@ -64,12 +67,21 @@ func Pair(p *G1, q *G2) *GT {
 	return out
 }
 
+// checks counts PairingCheck calls process-wide.
+var checks atomic.Uint64
+
+// Checks returns the number of PairingCheck calls made by this process
+// so far. Differences between two reads count the checks an operation
+// ran; the counter is only ever read, never reset.
+func Checks() uint64 { return checks.Load() }
+
 // PairingCheck reports whether e(a1, b1) == e(a2, b2), the form used by
 // BLS04 and BZ03 verification. It runs one Miller loop over (a1, b1) and
 // (a2, -b2), which shares the squarings of the accumulator, and applies a
 // single final exponentiation. Variable-time: verification inputs are
 // public.
 func PairingCheck(a1 *G1, b1 *G2, a2 *G1, b2 *G2) bool {
+	checks.Add(1)
 	if a1.IsIdentity() || b1.IsIdentity() || a2.IsIdentity() || b2.IsIdentity() {
 		return Pair(a1, b1).Equal(Pair(a2, b2))
 	}

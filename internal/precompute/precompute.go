@@ -8,15 +8,17 @@
 //     epoch, canonical signer subset), replacing the per-call
 //     recomputation in the schemes' combine and share-verification
 //     paths.
-//   - BatchVerifier folds the linear point relations of share proofs
-//     (DLEQ, FROST share equations) that are pending at the same time
-//     into one random-linear-combination multi-scalar multiplication,
+//   - BatchVerifier folds the linear point relations of the DLEQ share
+//     proofs of SG02 and CKS05 that are pending at the same time into
+//     one random-linear-combination multi-scalar multiplication,
 //     falling back to per-proof verification on batch failure so
 //     signer attribution is preserved. In the measured deployments
 //     concurrent requests do not coalesce (precompute.coalesced_ratio
 //     reads 0.000 on every benchmark workload): nearly every flush
 //     holds one proof, and a lone proof is checked directly, relation
-//     by relation, at the cost of the equations as written.
+//     by relation, at the cost of the equations as written. BLS04 and
+//     KG20 shares never reach it: their signatures verify themselves,
+//     so those schemes check the combined result once instead.
 //   - NoncePool banks FROST (D, E) nonce pairs and the committee's
 //     commitments during idle time, making the online signing path a
 //     single message round. Nonces are epoch-scoped and consumed

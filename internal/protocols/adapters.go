@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -18,11 +19,12 @@ import (
 )
 
 // Env carries the engine-owned cross-instance facilities into a
-// protocol instance: the precompute suite (coefficient cache, batch
-// verifier, nonce pool) and whether this node initiated the request
-// locally (a submission, as opposed to joining a peer's announcement).
-// The zero Env disables all of it — New uses it, so existing callers
-// get today's behavior unchanged.
+// protocol instance: the precompute suite (coefficient cache, the batch
+// verifier SG02 and CKS05 check their shares with, the KG20 nonce pool)
+// and whether this node initiated the request locally (a submission, as
+// opposed to joining a peer's announcement). The zero Env disables all
+// of it — New uses it, so existing callers get today's behavior
+// unchanged.
 type Env struct {
 	Suite     *precompute.Suite
 	Initiator bool
@@ -61,9 +63,10 @@ func New(rand io.Reader, store *keys.Keystore, req Request) (Protocol, error) {
 }
 
 // NewWith is New threading the engine environment into the instance:
-// the precompute suite serves cached Lagrange coefficients, batches
-// share verification, and — for KG20 with a warm nonce pool — turns the
-// initiator's signing path into a single round.
+// the precompute suite serves cached Lagrange coefficients, batches the
+// share verification of SG02 and CKS05 (BLS04 and KG20 check their
+// combined signature instead), and — for KG20 with a warm nonce pool —
+// turns the initiator's signing path into a single round.
 func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protocol, error) {
 	if req.Op == OpKeyGen {
 		return newKeygen(rand, store, req, env)
@@ -163,7 +166,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, err
 		}
 		return newFrostWith(rand, pk, ks, req.Payload, frostEnv{
-			src: src, batch: batch,
+			src:    src,
 			pool:   env.Suite.NoncePool(),
 			scheme: string(k.Scheme), keyID: k.ID, epoch: k.Epoch,
 			initiator: env.Initiator,
@@ -397,13 +400,22 @@ func (a *sh00Adapter) Combine() ([]byte, error) {
 }
 
 // bls04Adapter plugs the BLS threshold signature into the single-round
-// protocol.
+// protocol. A BLS signature verifies itself, so shares are stored after
+// the structural checks alone and the quorum is checked once, by the
+// pairing check that CombineWith ends in. Only a failed combine checks
+// shares one by one, to drop and name the bad ones.
 type bls04Adapter struct {
 	pk     *bls04.PublicKey
 	ks     bls04.KeyShare
 	msg    []byte
 	src    share.CoefficientSource
 	shares map[int]*bls04.SigShare
+	// verdicts holds the fallback's per-share checks, nil until a
+	// combine first fails: true for a share found valid, which is not
+	// checked again, and false for a rejected sender, whose later
+	// shares are ignored, so each costs at most one check.
+	verdicts map[int]bool
+	sig      []byte // the verified signature, once a quorum combined
 }
 
 func (a *bls04Adapter) CreateShare(io.Reader) (int, []byte, error) {
@@ -411,6 +423,12 @@ func (a *bls04Adapter) CreateShare(io.Reader) (int, []byte, error) {
 }
 
 func (a *bls04Adapter) OnShare(sender int, payload []byte) error {
+	if valid, judged := a.verdicts[sender]; a.sig != nil || judged && !valid {
+		return nil
+	}
+	if _, dup := a.shares[sender]; dup {
+		return nil
+	}
 	ss, err := bls04.UnmarshalSigShare(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
@@ -418,26 +436,54 @@ func (a *bls04Adapter) OnShare(sender int, payload []byte) error {
 	if ss.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ss.Index, sender)
 	}
-	if err := bls04.VerifyShare(a.pk, a.msg, ss); err != nil {
-		return fmt.Errorf("%w: %v", ErrShareRejected, err)
+	if ss.Index < 1 || ss.Index > a.pk.N {
+		return fmt.Errorf("%w: %v", ErrShareRejected, bls04.ErrInvalidShare)
 	}
 	a.shares[ss.Index] = ss
-	return nil
+	if len(a.shares) <= a.pk.T {
+		return nil
+	}
+	return a.combine()
 }
 
-func (a *bls04Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
-
-func (a *bls04Adapter) Combine() ([]byte, error) {
+// combine combines the stored quorum. When the signature fails its
+// check, every unchecked share is checked: bad ones are dropped and
+// returned as rejections, and the adapter waits for further shares.
+func (a *bls04Adapter) combine() error {
 	sss := make([]*bls04.SigShare, 0, len(a.shares))
 	for _, ss := range a.shares {
 		sss = append(sss, ss)
 	}
 	sig, err := bls04.CombineWith(a.src, a.pk, a.msg, sss)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		a.sig = sig.Marshal()
+		return nil
 	}
-	return sig.Marshal(), nil
+	if a.verdicts == nil {
+		a.verdicts = make(map[int]bool)
+	}
+	var rejections []error
+	for _, ss := range sss {
+		if ss.Index == a.ks.Index || a.verdicts[ss.Index] {
+			continue // made here by CreateShare, or checked before
+		}
+		verr := bls04.VerifyShare(a.pk, a.msg, ss)
+		a.verdicts[ss.Index] = verr == nil
+		if verr != nil {
+			delete(a.shares, ss.Index)
+			rejections = append(rejections, rejectShare(ss.Index, verr))
+		}
+	}
+	if len(rejections) == 0 {
+		// Every share checks out, so the node's own share must be bad.
+		return fmt.Errorf("bls04: quorum of valid peer shares does not combine: %w", err)
+	}
+	return errors.Join(rejections...)
 }
+
+func (a *bls04Adapter) Ready() bool { return a.sig != nil }
+
+func (a *bls04Adapter) Combine() ([]byte, error) { return a.sig, nil }
 
 // cks05Adapter plugs the CKS05 coin into the single-round protocol.
 type cks05Adapter struct {

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -34,10 +35,20 @@ import (
 // disabled — everyone starts in fresh mode directly, byte-identical to
 // the pre-pool behavior.
 //
+// A signer signs inside the Update that completes its commitment set
+// and sends the share at the next DoRound. Peer shares are stored
+// after the structural checks alone (decoding, index equal to the
+// sender, membership in the signer group, z in [0, q)). Once every
+// signer's share is in, the Update that completed the set combines
+// them and runs the one Schnorr verification frost.Combine ends in
+// (the FROST aggregator flow). Only if that fails are the peer shares
+// verified one by one: each bad one is dropped and rejected with
+// ErrShareRejected naming its signer, whose later shares are ignored.
+//
 // FROST is not robust: the protocol waits for the contributions of all
-// signers in the group, and an invalid share aborts the instance at
-// finalization while identifying the culprit. A signer that lost its
-// banked nonce for a claimed slot (e.g. a restart) cannot join that
+// signers in the group, so a rejected signer leaves the instance
+// waiting until it expires, with the culprit named. A signer that lost
+// its banked nonce for a claimed slot (e.g. a restart) cannot join that
 // pooled round and fails the instance locally.
 type frostProtocol struct {
 	rand io.Reader
@@ -50,14 +61,20 @@ type frostProtocol struct {
 	inGroup bool
 
 	mode        int
-	round       int
+	round       int // 1 while the first round is still owed
 	nonce       *frost.Nonce
+	signed      bool // the own share is computed (the nonce is spent)
+	sent        bool // the own share went out
 	pooledSeq   uint64
 	seqKnown    bool
 	commitments map[int]*frost.NonceCommitment
-	pending     map[int]pendingShare // share payloads awaiting verification
-	shares      map[int]*frost.SignatureShare
-	finalized   bool
+	pending     map[int]pendingShare          // share payloads awaiting the commitment set
+	shares      map[int]*frost.SignatureShare // unverified, the own share included
+	// rejected marks signers whose share failed verification; their
+	// later shares are ignored. nil until a share fails.
+	rejected  map[int]bool
+	sig       []byte // the verified signature, once every share is in
+	finalized bool
 }
 
 // Protocol modes; see the type comment.
@@ -75,10 +92,9 @@ type pendingShare struct {
 }
 
 // frostEnv is the engine environment threaded into a FROST instance.
-// The zero value disables pooling, caching, and batching.
+// The zero value disables pooling and caching.
 type frostEnv struct {
 	src       share.CoefficientSource
-	batch     *precompute.BatchVerifier
 	pool      *precompute.NoncePool
 	scheme    string
 	keyID     string
@@ -93,10 +109,10 @@ type frostEnv struct {
 }
 
 // NewFrost creates a FROST signing instance for the key share ks under
-// the group public key pk, with no engine environment (no pool, direct
-// verification). If nonce and preComms are non-nil (a precomputed batch
-// entry plus the pre-exchanged commitments of the whole signer group),
-// round 1 is skipped.
+// the group public key pk, with no engine environment (no pool, no
+// coefficient cache). If nonce and preComms are non-nil (a precomputed
+// batch entry plus the pre-exchanged commitments of the whole signer
+// group), round 1 is skipped.
 func NewFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte, nonce *frost.Nonce, preComms []*frost.NonceCommitment) Protocol {
 	p := newFrostWith(rand, pk, ks, msg, frostEnv{}).(*frostProtocol)
 	if nonce != nil && preComms != nil {
@@ -104,7 +120,7 @@ func NewFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte
 		for _, c := range preComms {
 			p.commitments[c.Index] = c
 		}
-		p.round = 2
+		p.round = 0
 	}
 	return p
 }
@@ -184,26 +200,30 @@ func (p *frostProtocol) DoRound() (*RoundOutput, error) {
 	case p.round == 1:
 		p.round = 0
 		return p.startFresh()
-	case p.round == 2:
-		p.round = 0
-		if !p.inGroup {
-			return nil, nil
-		}
-		ss, err := frost.SignWith(p.env.src, p.pk, p.ks, p.nonce, p.msg, p.commitmentList())
-		if err != nil {
-			return nil, fmt.Errorf("frost round 2: %w", err)
-		}
-		p.shares[ss.Index] = ss
-		if p.mode == frostModePooled {
-			// Follower's single message: the round-3 reply.
-			return &RoundOutput{Round: 3,
-				Payload: marshalPooled(p.pooledSeq, nil, ss)}, nil
-		}
-		return &RoundOutput{Round: 2, Payload: ss.Marshal()}, nil
-	default:
+	}
+	// The set was complete before any Update could sign: it was
+	// pre-exchanged, or this signer's own commitment completed it.
+	if err := p.sign(); err != nil {
+		return nil, err
+	}
+	if err := p.settle(); err != nil {
+		return nil, err
+	}
+	if !p.owesShare() {
 		return nil, nil
 	}
+	p.sent = true
+	ss := p.shares[p.ks.Index]
+	if p.mode == frostModePooled {
+		// Follower's single message: the round-3 reply.
+		return &RoundOutput{Round: 3, Payload: marshalPooled(p.pooledSeq, nil, ss)}, nil
+	}
+	return &RoundOutput{Round: 2, Payload: ss.Marshal()}, nil
 }
+
+// owesShare reports whether this signer's share is computed but not
+// yet sent.
+func (p *frostProtocol) owesShare() bool { return p.signed && !p.sent }
 
 // startFresh runs the classic round 1: generate a nonce pair and
 // broadcast its commitment.
@@ -233,15 +253,33 @@ func (p *frostProtocol) startPooled() (*RoundOutput, bool, error) {
 	for _, c := range comms {
 		p.commitments[c.Index] = c
 	}
-	ss, err := frost.SignWith(p.env.src, p.pk, p.ks, nonce, p.msg, p.commitmentList())
+	// The nonce is already consumed (consume-then-sign); failing here
+	// aborts the instance rather than ever reusing it.
+	if err := p.sign(); err != nil {
+		return nil, true, err
+	}
+	p.sent = true // the start carries the share
+	if err := p.settle(); err != nil {
+		return nil, true, err
+	}
+	return &RoundOutput{Round: 3,
+		Payload: marshalPooled(seq, p.commitmentList(), p.shares[p.ks.Index])}, true, nil
+}
+
+// sign computes this signer's share once its nonce and the complete
+// commitment set are known; the next DoRound sends it. It signs at most
+// once per instance.
+func (p *frostProtocol) sign() error {
+	if !p.inGroup || p.signed || p.nonce == nil || !p.commitmentSetComplete() {
+		return nil
+	}
+	p.signed = true
+	ss, err := frost.SignWith(p.env.src, p.pk, p.ks, p.nonce, p.msg, p.commitmentList())
 	if err != nil {
-		// The nonce is already consumed (consume-then-sign); failing
-		// here aborts the instance rather than ever reusing it.
-		return nil, true, fmt.Errorf("frost pooled round: %w", err)
+		return fmt.Errorf("frost signing: %w", err)
 	}
 	p.shares[ss.Index] = ss
-	return &RoundOutput{Round: 3,
-		Payload: marshalPooled(seq, p.commitmentList(), ss)}, true, nil
+	return nil
 }
 
 // marshalPooled encodes a round-3 message: the pool slot, the
@@ -256,45 +294,62 @@ func marshalPooled(seq uint64, comms []*frost.NonceCommitment, ss *frost.Signatu
 }
 
 func (p *frostProtocol) Update(msg ProtocolMessage) error {
-	if p.finalized {
+	if p.finalized || p.sig != nil {
 		return nil
 	}
+	var err error
 	switch msg.Round {
 	case 1:
-		if p.mode == frostModePooled {
-			return fmt.Errorf("%w: fresh commitment from %d in a pooled run", ErrShareRejected, msg.Sender)
-		}
-		p.mode = frostModeFresh
-		comm, err := frost.UnmarshalNonceCommitment(p.pk.Group, msg.Payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrShareRejected, err)
-		}
-		if comm.Index != msg.Sender {
-			return fmt.Errorf("%w: commitment index %d from sender %d", ErrShareRejected, comm.Index, msg.Sender)
-		}
-		if _, dup := p.commitments[comm.Index]; dup {
-			return nil // idempotent redelivery
-		}
-		p.commitments[comm.Index] = comm
-		p.drainPending()
-		return nil
+		err = p.updateCommitment(msg)
 	case 2:
-		if p.mode == frostModePooled {
-			return fmt.Errorf("%w: fresh share from %d in a pooled run", ErrShareRejected, msg.Sender)
-		}
-		p.mode = frostModeFresh
-		if !p.commitmentSetComplete() {
-			// Shares can arrive before the last commitment on slow
-			// links; verification is deferred until the set is complete.
-			p.pending[msg.Sender] = pendingShare{round: 2, payload: msg.Payload}
-			return nil
-		}
-		return p.acceptShare(msg.Sender, msg.Payload)
+		err = p.updateShare(msg)
 	case 3:
-		return p.updatePooled(msg)
+		err = p.updatePooled(msg)
 	default:
-		return fmt.Errorf("%w: unknown round %d", ErrShareRejected, msg.Round)
+		err = fmt.Errorf("%w: unknown round %d", ErrShareRejected, msg.Round)
 	}
+	if err != nil && Rejections(err) == nil {
+		return err
+	}
+	// The message may have completed the commitment set (releasing the
+	// parked shares) or the share set (due for its aggregate check).
+	return errors.Join(err, p.drainPending(), p.settle())
+}
+
+// updateCommitment handles a fresh round-1 commitment; the one that
+// completes the set lets this signer sign.
+func (p *frostProtocol) updateCommitment(msg ProtocolMessage) error {
+	if p.mode == frostModePooled {
+		return fmt.Errorf("%w: fresh commitment from %d in a pooled run", ErrShareRejected, msg.Sender)
+	}
+	p.mode = frostModeFresh
+	comm, err := frost.UnmarshalNonceCommitment(p.pk.Group, msg.Payload)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrShareRejected, err)
+	}
+	if comm.Index != msg.Sender {
+		return fmt.Errorf("%w: commitment index %d from sender %d", ErrShareRejected, comm.Index, msg.Sender)
+	}
+	if _, dup := p.commitments[comm.Index]; dup {
+		return nil // idempotent redelivery
+	}
+	p.commitments[comm.Index] = comm
+	return p.sign()
+}
+
+// updateShare handles a fresh round-2 signature share.
+func (p *frostProtocol) updateShare(msg ProtocolMessage) error {
+	if p.mode == frostModePooled {
+		return fmt.Errorf("%w: fresh share from %d in a pooled run", ErrShareRejected, msg.Sender)
+	}
+	p.mode = frostModeFresh
+	if !p.commitmentSetComplete() {
+		// Shares can arrive before the last commitment on slow links;
+		// they are checked once the set is complete.
+		p.pending[msg.Sender] = pendingShare{round: 2, payload: msg.Payload}
+		return nil
+	}
+	return p.acceptShare(msg.Sender, msg.Payload)
 }
 
 // updatePooled handles round-3 traffic: the initiator's start (seq +
@@ -311,20 +366,13 @@ func (p *frostProtocol) updatePooled(msg ProtocolMessage) error {
 	}
 	if count == 0 {
 		// Follower reply. Before the initiator's start arrives there is
-		// no commitment set to verify against: park it.
-		shareRaw := r.Bytes()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("%w: truncated pooled reply from %d", ErrShareRejected, msg.Sender)
-		}
+		// no commitment set to check it against: park it.
 		p.mode = frostModePooled
 		if !p.seqKnown || !p.commitmentSetComplete() {
 			p.pending[msg.Sender] = pendingShare{round: 3, payload: msg.Payload}
 			return nil
 		}
-		if seq != p.pooledSeq {
-			return fmt.Errorf("%w: pooled reply for slot %d, run uses %d", ErrShareRejected, seq, p.pooledSeq)
-		}
-		return p.acceptShare(msg.Sender, shareRaw)
+		return p.acceptReply(msg.Sender, msg.Payload)
 	}
 
 	// Initiator start.
@@ -370,6 +418,7 @@ func (p *frostProtocol) updatePooled(msg ProtocolMessage) error {
 			return fmt.Errorf("frost: pooled start misrepresents this node's commitment for slot %d", seq)
 		}
 		p.nonce = nonce
+		p.round = 0
 	}
 	p.pooledSeq, p.seqKnown = seq, true
 	for _, c := range comms {
@@ -380,114 +429,141 @@ func (p *frostProtocol) updatePooled(msg ProtocolMessage) error {
 	if !p.commitmentSetComplete() {
 		return fmt.Errorf("%w: pooled start misses signer commitments", ErrShareRejected)
 	}
-	if err := p.acceptShare(msg.Sender, shareRaw); err != nil {
+	if err := p.sign(); err != nil {
 		return err
 	}
-	p.drainPending()
-	return nil
+	return p.acceptShare(msg.Sender, shareRaw)
 }
 
-func (p *frostProtocol) drainPending() {
+// drainPending takes in the parked share messages once the commitment
+// set is complete and returns their rejections, each naming its sender.
+func (p *frostProtocol) drainPending() error {
 	if !p.commitmentSetComplete() {
-		return
+		return nil
 	}
+	var rejections []error
 	for sender, ps := range p.pending {
-		// Invalid queued shares are dropped; FROST aborts at combine if
-		// the signer set is incomplete.
-		switch ps.round {
-		case 2:
-			_ = p.acceptShare(sender, ps.payload)
-		case 3:
-			r := wire.NewReader(ps.payload)
-			seq := r.Uint64()
-			r.Int() // count, zero for replies
-			shareRaw := r.Bytes()
-			if r.Err() == nil && p.seqKnown && seq == p.pooledSeq {
-				_ = p.acceptShare(sender, shareRaw)
-			}
+		accept := p.acceptShare
+		if ps.round == 3 {
+			accept = p.acceptReply
+		}
+		if err := accept(sender, ps.payload); err != nil {
+			rejections = append(rejections, err)
 		}
 		delete(p.pending, sender)
 	}
+	return errors.Join(rejections...)
 }
 
+// acceptReply checks a follower's pooled reply against the run's slot
+// and stores its share.
+func (p *frostProtocol) acceptReply(sender int, payload []byte) error {
+	r := wire.NewReader(payload)
+	seq := r.Uint64()
+	r.Int() // count, zero for replies
+	shareRaw := r.Bytes()
+	if err := r.Err(); err != nil {
+		return rejectShare(sender, fmt.Errorf("truncated pooled reply: %v", err))
+	}
+	if !p.seqKnown {
+		// The set came from fresh commitments: no slot to reply to.
+		return rejectShare(sender, errors.New("pooled reply in a fresh run"))
+	}
+	if seq != p.pooledSeq {
+		return rejectShare(sender, fmt.Errorf("pooled reply for slot %d, run uses %d", seq, p.pooledSeq))
+	}
+	return p.acceptShare(sender, shareRaw)
+}
+
+// acceptShare stores a peer's signature share after the structural
+// checks alone; settle verifies the complete set.
 func (p *frostProtocol) acceptShare(sender int, payload []byte) error {
+	if _, dup := p.shares[sender]; dup || p.rejected[sender] {
+		return nil
+	}
 	ss, err := frost.UnmarshalSignatureShare(payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrShareRejected, err)
-	}
-	if ss.Index != sender {
-		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ss.Index, sender)
-	}
-	rels, err := frost.ShareRelations(p.env.src, p.pk, p.msg, p.commitmentList(), ss)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrShareRejected, err)
-	}
-	if err := p.env.batch.Verify(p.pk.Group, rels); err != nil {
-		return fmt.Errorf("%w: %v", ErrShareRejected, frost.ErrInvalidShare)
+	switch {
+	case err != nil:
+		return rejectShare(sender, err)
+	case ss.Index != sender:
+		return rejectShare(sender, fmt.Errorf("share index %d", ss.Index))
+	case ss.Index < 1 || ss.Index > len(p.signers):
+		// The signer group is the lowest t+1 indices.
+		return rejectShare(sender, frost.ErrNotInSignerSet)
+	case ss.Z.Sign() < 0 || ss.Z.Cmp(p.pk.Group.Order()) >= 0:
+		return rejectShare(sender, frost.ErrInvalidShare)
 	}
 	p.shares[ss.Index] = ss
 	return nil
+}
+
+// settle runs the aggregate check once every signer's share is in:
+// frost.Combine ends in one Schnorr verification against the group
+// key. Only if it fails are the peer shares verified one by one; the
+// bad ones are dropped, their signers remembered, and the rejections
+// returned.
+func (p *frostProtocol) settle() error {
+	if p.sig != nil || len(p.shares) < len(p.signers) {
+		return nil
+	}
+	comms := p.commitmentList()
+	shares := make([]*frost.SignatureShare, 0, len(p.signers))
+	for _, idx := range p.signers {
+		shares = append(shares, p.shares[idx])
+	}
+	sig, err := frost.Combine(p.pk, p.msg, comms, shares)
+	if err == nil {
+		p.sig = sig.Marshal()
+		return nil
+	}
+	var rejections []error
+	for _, ss := range shares {
+		if ss.Index == p.ks.Index && p.signed {
+			continue // made here by sign
+		}
+		if verr := frost.VerifyShareWith(p.env.src, p.pk, p.msg, comms, ss); verr != nil {
+			if p.rejected == nil {
+				p.rejected = make(map[int]bool)
+			}
+			delete(p.shares, ss.Index)
+			p.rejected[ss.Index] = true
+			rejections = append(rejections, rejectShare(ss.Index, verr))
+		}
+	}
+	if len(rejections) == 0 {
+		// Every peer share checks out, so the own share must be bad.
+		return fmt.Errorf("frost: valid peer shares do not combine: %w", err)
+	}
+	return errors.Join(rejections...)
 }
 
 func (p *frostProtocol) IsReadyForNextRound() bool {
 	if p.finalized || !p.inGroup {
 		return false
 	}
-	if _, signed := p.shares[p.ks.Index]; signed {
-		return false
-	}
-	switch p.mode {
-	case frostModeUndecided:
-		return false
-	case frostModePooled:
-		// Follower path: slot claimed, commitment set known, not signed.
-		if p.nonce != nil && p.commitmentSetComplete() {
-			p.round = 2
-			return true
-		}
-		return false
+	switch {
+	case p.owesShare():
+		return true
+	case p.round == 1:
+		// A deferred follower whose run turned out fresh still owes
+		// its round 1.
+		return p.mode == frostModeFresh
 	default:
-		if p.round == 1 {
-			// A deferred follower whose run turned out fresh still owes
-			// its round 1.
-			return p.nonce == nil
-		}
-		if p.round != 0 || p.nonce == nil {
-			return false
-		}
-		if p.commitmentSetComplete() {
-			p.round = 2
-			return true
-		}
-		return false
+		// The own commitment completed the set: sign in DoRound.
+		return !p.signed && p.nonce != nil && p.commitmentSetComplete()
 	}
 }
 
+// IsReadyToFinalize holds once the shares verified and this signer's
+// own share went out: the other signers wait for it.
 func (p *frostProtocol) IsReadyToFinalize() bool {
-	if p.finalized || !p.commitmentSetComplete() {
-		return false
-	}
-	p.drainPending()
-	for _, idx := range p.signers {
-		if _, ok := p.shares[idx]; !ok {
-			return false
-		}
-	}
-	return true
+	return !p.finalized && p.sig != nil && !p.owesShare()
 }
 
 func (p *frostProtocol) Finalize() ([]byte, error) {
 	if !p.IsReadyToFinalize() {
 		return nil, ErrNotReady
 	}
-	shares := make([]*frost.SignatureShare, 0, len(p.signers))
-	for _, idx := range p.signers {
-		shares = append(shares, p.shares[idx])
-	}
-	sig, err := frost.Combine(p.pk, p.msg, p.commitmentList(), shares)
-	if err != nil {
-		return nil, err
-	}
 	p.finalized = true
-	return sig.Marshal(), nil
+	return p.sig, nil
 }

@@ -282,7 +282,10 @@ type Protocol interface {
 	// at the start of the protocol and again whenever
 	// IsReadyForNextRound reports true.
 	DoRound() (*RoundOutput, error)
-	// Update records a message received from the network.
+	// Update records a message received from the network. An error
+	// wrapping ErrShareRejected rejects one or more shares (split them
+	// with Rejections) and leaves the instance running, possibly
+	// advanced by the same message; any other error ends the instance.
 	Update(msg ProtocolMessage) error
 	// IsReadyForNextRound reports whether enough messages arrived to
 	// advance to the next round.
@@ -306,16 +309,61 @@ var (
 	ErrAlreadyFinalized = errors.New("protocols: instance already finalized")
 )
 
+// shareRejection names the sender of a share that failed a check made
+// after the message carrying it was delivered: an aggregate check run
+// when a later share completed the quorum, or a parked share checked
+// when the commitment set completed.
+type shareRejection struct {
+	sender int
+	err    error
+}
+
+func (r *shareRejection) Error() string { return fmt.Sprintf("share from %d: %v", r.sender, r.err) }
+
+func (r *shareRejection) Unwrap() error { return r.err }
+
+// rejectShare attributes err, a share check failure, to sender.
+func rejectShare(sender int, err error) error {
+	return &shareRejection{sender: sender, err: fmt.Errorf("%w: %w", ErrShareRejected, err)}
+}
+
+// Rejections splits an Update error into one error per rejected share.
+// It is empty when err rejects no share, i.e. when err is a protocol
+// failure that ends the instance.
+func Rejections(err error) []error {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		if errors.Is(err, ErrShareRejected) {
+			return []error{err}
+		}
+		return nil
+	}
+	var out []error
+	for _, e := range joined.Unwrap() {
+		r := Rejections(e)
+		if r == nil {
+			return nil
+		}
+		out = append(out, r...)
+	}
+	return out
+}
+
 // shareAdapter is the minimal surface a non-interactive scheme exposes
-// to the generic single-round protocol: create the local share, verify
+// to the generic single-round protocol: create the local share, check
 // and accumulate peer shares, and combine once a quorum is reached. This
 // is the seam that lets a new scheme plug into the protocol module
 // without touching it (the paper's extensibility claim).
 type shareAdapter interface {
 	// CreateShare computes this party's share of the result.
 	CreateShare(rand io.Reader) (selfIndex int, payload []byte, err error)
-	// OnShare verifies and accumulates a peer share. Invalid shares
-	// return ErrShareRejected (wrapped).
+	// OnShare accumulates a share, the party's own included. Schemes
+	// whose result does not verify itself check each share here;
+	// BLS04 checks the combined signature once the share completes a
+	// quorum and, only if that fails, the shares one by one. Invalid
+	// shares return ErrShareRejected (wrapped); shares rejected by a
+	// quorum's check come back as rejectShare errors naming their own
+	// senders, joined when there are several.
 	OnShare(sender int, payload []byte) error
 	// Ready reports whether a combining quorum has accumulated.
 	Ready() bool
@@ -361,10 +409,12 @@ func (p *nonInteractive) Update(msg ProtocolMessage) error {
 	if p.finalized {
 		return nil // late shares are ignored
 	}
-	if err := p.adapter.OnShare(msg.Sender, msg.Payload); err != nil {
-		return fmt.Errorf("share from %d: %w", msg.Sender, err)
+	err := p.adapter.OnShare(msg.Sender, msg.Payload)
+	var attributed *shareRejection
+	if err == nil || errors.As(err, &attributed) {
+		return err
 	}
-	return nil
+	return fmt.Errorf("share from %d: %w", msg.Sender, err)
 }
 
 func (p *nonInteractive) IsReadyForNextRound() bool { return false }

@@ -225,7 +225,7 @@ func VerifyShare(pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *Signat
 
 // VerifyShareWith is VerifyShare drawing Lagrange coefficients from src.
 func VerifyShareWith(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) error {
-	rels, err := ShareRelations(src, pk, msg, comms, ss)
+	rels, err := shareRelations(src, pk, msg, comms, ss)
 	if err != nil {
 		return err
 	}
@@ -237,12 +237,10 @@ func VerifyShareWith(src share.CoefficientSource, pk *PublicKey, msg []byte, com
 	return nil
 }
 
-// ShareRelations does the structural checks, binding-value and
-// challenge recomputation of share verification eagerly and returns the
-// single linear relation completing it,
-// z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0, for a batch verifier to fold
-// across shares.
-func ShareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) ([]group.Relation, error) {
+// shareRelations does the structural checks, binding-value and
+// challenge recomputation of share verification and returns the single
+// linear relation completing it, z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0.
+func shareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) ([]group.Relation, error) {
 	if ss == nil || ss.Z == nil || ss.Index < 1 || ss.Index > pk.N {
 		return nil, ErrInvalidShare
 	}
