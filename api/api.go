@@ -279,8 +279,8 @@ type TransportStats struct {
 	// frames lost between socket and engine are resent after reconnect
 	// and deduplicated before delivery.
 	Reliable bool `json:"reliable,omitempty"`
-	// Authenticated reports that every link runs the identity-keyed
-	// mutual-authentication handshake and AEAD record layer.
+	// Authenticated reports that every link runs identity-keyed,
+	// mutually authenticated TLS 1.3.
 	Authenticated bool `json:"authenticated,omitempty"`
 }
 

@@ -60,7 +60,7 @@ func run() error {
 		frostRefill = flag.Int("frost-refill", 0, "refill the FROST nonce pool when it drops below this watermark (0 = half the pool depth)")
 		routerMode  = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
 		committees  = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")
-		secure      = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link through the mutual-auth handshake and AEAD layer, seal DKG sub-shares")
+		secure      = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link over mutually authenticated TLS 1.3 pinned to the roster, seal DKG sub-shares")
 		idPath      = flag.String("identity", "", "path to this node's private identity file (node<i>.id from thetakeygen)")
 		rosterPath  = flag.String("roster", "", "path to the mesh roster file (roster.json from thetakeygen)")
 	)

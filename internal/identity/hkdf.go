@@ -8,8 +8,7 @@ import (
 // HKDF is RFC 5869 extract-then-expand over HMAC-SHA256, producing n
 // output bytes (n ≤ 255·32). The standard library only grew a hkdf
 // package after this module's floor, so the mesh carries its own —
-// the secure-link handshake and the sealed-box layer both derive
-// their AEAD keys through it.
+// the sealed-box layer derives its AEAD keys through it.
 func HKDF(secret, salt, info []byte, n int) []byte {
 	// Extract: PRK = HMAC(salt, secret). A nil salt hashes as the
 	// RFC's zero-filled default by way of HMAC's key padding.

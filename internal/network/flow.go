@@ -153,7 +153,7 @@ type TransportStats struct {
 	Reliable bool
 	// Authenticated reports that the transport runs every link through
 	// the identity-keyed mutual-authentication handshake: unrostered
-	// peers cannot join, and frames ride per-direction AEAD channels.
+	// peers cannot join, and frames ride TLS 1.3 records.
 	Authenticated bool
 }
 

@@ -80,7 +80,8 @@ func (e Envelope) Marshal() []byte {
 		Uint64(e.Ack).Uint64(e.AckEpoch).Out()
 }
 
-// UnmarshalEnvelope decodes an envelope.
+// UnmarshalEnvelope decodes an envelope. It accepts exactly the
+// encodings Marshal produces: trailing bytes are an error.
 func UnmarshalEnvelope(data []byte) (Envelope, error) {
 	r := wire.NewReader(data)
 	env := Envelope{
@@ -99,6 +100,9 @@ func UnmarshalEnvelope(data []byte) (Envelope, error) {
 	env.AckEpoch = r.Uint64()
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("network envelope: %w", err)
+	}
+	if !r.Done() {
+		return Envelope{}, fmt.Errorf("network envelope: %d trailing bytes", r.Remaining())
 	}
 	return env, nil
 }

@@ -1,68 +1,42 @@
 // Package securelink authenticates and encrypts one mesh link. It
-// implements the secure-link seam of the transport stack: a versioned
-// mutual-authentication handshake over an established net.Conn that
-// binds both endpoints' roster identities, followed by an AEAD record
-// layer with independent per-direction keys, so everything tcpnet
-// writes after the handshake — relink frames, protocol envelopes, DKG
-// dealings — rides ciphertext.
+// implements the secure-link seam of the transport stack with the
+// standard library's TLS 1.3: both endpoints present a self-signed
+// X.509 certificate for their Ed25519 roster identity, and each side
+// pins the other's certificate key to the roster instead of checking
+// a chain to a CA. Everything tcpnet writes after the handshake —
+// relink frames, protocol envelopes, DKG dealings — rides TLS records.
 //
-// The handshake is Noise-IK-shaped but signature-authenticated
-// (SIGMA-style): each side contributes a fresh X25519 ephemeral key,
-// the shared secret comes from the ephemeral-ephemeral agreement, and
-// each side proves its roster identity by signing the full handshake
-// transcript with its long-lived Ed25519 key. A peer whose signature
-// does not verify against the roster entry for the node index it
-// claims — an impostor, or a node that was never rostered — is
-// rejected before a single protocol byte flows. Per-direction
-// AES-256-GCM keys derive from the agreement and the transcript hash,
-// so neither direction's channel can be reflected into the other.
+// A peer whose key is not in the roster, that presents this node's own
+// key, or that is not the node index dialed, is rejected with
+// ErrBadPeer before a single protocol byte flows; TLS's CertificateVerify
+// proves the peer holds the private key of the certificate it showed.
 package securelink
 
 import (
-	"crypto/ecdh"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"fmt"
-	"io"
+	"math/big"
 	"net"
+	"sync"
 	"time"
 
 	"thetacrypt/internal/identity"
 )
-
-// Version is the handshake wire version. Bumping it is a coordinated
-// upgrade: a v1 node cannot complete a handshake with a v2 node (see
-// the README's "Securing the mesh" upgrade note).
-const Version = 1
-
-// handshake transcript labels: domain-separate the two signatures and
-// the key derivation.
-const (
-	labelServerSig = "thetacrypt/handshake/v1/server"
-	labelClientSig = "thetacrypt/handshake/v1/client"
-	labelLinkKeys  = "thetacrypt/link/v1"
-)
-
-// maxHandshakeFrame bounds one handshake message; the largest (the
-// signed response) is well under 256 bytes.
-const maxHandshakeFrame = 1024
 
 // DefaultTimeout bounds the whole handshake when the config does not
 // set one: a black-holed or protocol-stalled peer must release the
 // dialer goroutine, not wedge it.
 const DefaultTimeout = 10 * time.Second
 
-// Typed errors. ErrVersion reports a peer speaking another handshake
-// version (coordinated-upgrade skew); ErrBadPeer an identity failure —
-// an unrostered node index, a signature that does not verify, or a
-// peer claiming an index other than the one dialed.
-var (
-	ErrVersion = errors.New("securelink: handshake version mismatch")
-	ErrBadPeer = errors.New("securelink: peer identity rejected")
-)
+// ErrBadPeer reports an identity failure: an unrostered node index or
+// key, a non-Ed25519 key, this node's own key, a peer other than the
+// one dialed, or not exactly one certificate.
+var ErrBadPeer = errors.New("securelink: peer identity rejected")
 
 // Config carries the local identity and the mesh roster into a
 // handshake.
@@ -71,246 +45,131 @@ type Config struct {
 	Key *identity.Key
 	// Roster maps node index → public identity for every mesh node.
 	Roster identity.Roster
-	// Timeout bounds the whole handshake (default DefaultTimeout). It
-	// is applied to the conn as an absolute deadline and cleared once
-	// the handshake completes.
+	// Timeout bounds the whole handshake (default DefaultTimeout). If
+	// it expires the handshake fails and the conn is closed.
 	Timeout time.Duration
 }
 
+// Conn is an established secure link.
+type Conn struct{ *tls.Conn }
+
+// Close closes the underlying connection without sending TLS's
+// close_notify alert: writing the alert blocks for up to 5 s when the
+// far end is not reading. tcpnet frames are length-prefixed, so a
+// truncated frame is still detected without it.
+func (c *Conn) Close() error { return c.NetConn().Close() }
+
 // Client runs the dialer side of the handshake, expecting the remote
-// endpoint to prove it is node `to`. On success the returned Conn
-// carries the AEAD record layer; the caller replaces its plaintext
-// conn with it.
+// endpoint to prove it is node `to`. The caller replaces its plaintext
+// conn with the returned Conn.
 func Client(conn net.Conn, cfg Config, to int) (*Conn, error) {
-	peerPub, err := cfg.Roster.Lookup(to)
-	if err != nil {
+	if _, err := cfg.Roster.Lookup(to); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPeer, err)
 	}
-	restore, err := applyDeadline(conn, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("securelink: ephemeral key: %w", err)
-	}
-	hello := helloMessage(cfg.Key.Node, eph.PublicKey())
-	if err := writeHandshakeFrame(conn, hello); err != nil {
-		return nil, fmt.Errorf("securelink: send hello: %w", err)
-	}
-
-	resp, err := readHandshakeFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("securelink: read response: %w", err)
-	}
-	peerNode, peerEph, sig, err := parseResponse(resp)
-	if err != nil {
-		return nil, err
-	}
-	if peerNode != to {
-		return nil, fmt.Errorf("%w: dialed node %d but peer claims %d", ErrBadPeer, to, peerNode)
-	}
-	th := transcriptHash(hello, resp[:len(resp)-ed25519.SignatureSize])
-	if !ed25519.Verify(peerPub.Sign, signed(labelServerSig, th), sig) {
-		return nil, fmt.Errorf("%w: node %d handshake signature invalid", ErrBadPeer, to)
-	}
-
-	// Prove our own identity over the same transcript.
-	clientSig := ed25519.Sign(cfg.Key.Sign, signed(labelClientSig, th))
-	if err := writeHandshakeFrame(conn, clientSig); err != nil {
-		return nil, fmt.Errorf("securelink: send confirm: %w", err)
-	}
-
-	secret, err := eph.ECDH(peerEph)
-	if err != nil {
-		return nil, fmt.Errorf("securelink: key agreement: %w", err)
-	}
-	if err := restore(); err != nil {
-		return nil, err
-	}
-	return newConn(conn, secret, th, true)
+	c, _, err := handshake(conn, cfg, tls.Client, func(node int) error {
+		if node != to {
+			return fmt.Errorf("%w: dialed node %d but peer is node %d", ErrBadPeer, to, node)
+		}
+		return nil
+	})
+	return c, err
 }
 
 // Server runs the accepter side of the handshake, returning the
 // secured conn and the authenticated index of the peer. Any node in
-// the roster (other than this one) may connect; the peer's claimed
-// index is authenticated by its transcript signature against the
-// roster.
+// the roster other than this one may connect.
 func Server(conn net.Conn, cfg Config) (*Conn, int, error) {
-	restore, err := applyDeadline(conn, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	hello, err := readHandshakeFrame(conn)
-	if err != nil {
-		return nil, 0, fmt.Errorf("securelink: read hello: %w", err)
-	}
-	peerNode, peerEph, err := parseHello(hello)
-	if err != nil {
-		return nil, 0, err
-	}
-	if peerNode == cfg.Key.Node {
-		return nil, 0, fmt.Errorf("%w: peer claims our own index %d", ErrBadPeer, peerNode)
-	}
-	peerPub, err := cfg.Roster.Lookup(peerNode)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadPeer, err)
-	}
-
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, 0, fmt.Errorf("securelink: ephemeral key: %w", err)
-	}
-	respBody := helloMessage(cfg.Key.Node, eph.PublicKey())
-	th := transcriptHash(hello, respBody)
-	sig := ed25519.Sign(cfg.Key.Sign, signed(labelServerSig, th))
-	if err := writeHandshakeFrame(conn, append(respBody, sig...)); err != nil {
-		return nil, 0, fmt.Errorf("securelink: send response: %w", err)
-	}
-
-	confirm, err := readHandshakeFrame(conn)
-	if err != nil {
-		return nil, 0, fmt.Errorf("securelink: read confirm: %w", err)
-	}
-	if len(confirm) != ed25519.SignatureSize ||
-		!ed25519.Verify(peerPub.Sign, signed(labelClientSig, th), confirm) {
-		return nil, 0, fmt.Errorf("%w: node %d handshake signature invalid", ErrBadPeer, peerNode)
-	}
-
-	secret, err := eph.ECDH(peerEph)
-	if err != nil {
-		return nil, 0, fmt.Errorf("securelink: key agreement: %w", err)
-	}
-	if err := restore(); err != nil {
-		return nil, 0, err
-	}
-	c, err := newConn(conn, secret, th, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, peerNode, nil
+	return handshake(conn, cfg, tls.Server, func(node int) error {
+		if node == cfg.Key.Node {
+			return fmt.Errorf("%w: peer presents our own key", ErrBadPeer)
+		}
+		return nil
+	})
 }
 
-// applyDeadline arms the handshake deadline on the conn and returns
-// the closure that clears it after a successful handshake. The whole
-// exchange — not just individual reads — runs under one absolute
-// deadline, so a peer that connects and stalls mid-handshake cannot
-// wedge the caller.
-func applyDeadline(conn net.Conn, cfg Config) (func() error, error) {
+// handshake runs one side of the TLS 1.3 handshake under the config's
+// deadline. accept vets the rostered index the peer's certificate
+// pins; the accepted index is returned.
+func handshake(conn net.Conn, cfg Config, side func(net.Conn, *tls.Config) *tls.Conn, accept func(node int) error) (*Conn, int, error) {
+	cert, err := certificate(cfg.Key)
+	if err != nil {
+		return nil, 0, err
+	}
+	peer := 0
+	tc := side(conn, &tls.Config{
+		MinVersion:   tls.VersionTLS13,
+		Certificates: []tls.Certificate{cert},
+		ClientAuth:   tls.RequireAnyClientCert,
+		// The roster, not a CA, vouches for peers: chain verification
+		// is skipped and VerifyPeerCertificate pins the key instead.
+		InsecureSkipVerify: true,
+		VerifyPeerCertificate: func(raw [][]byte, _ [][]*x509.Certificate) error {
+			node, err := rostered(cfg.Roster, raw)
+			if err != nil {
+				return err
+			}
+			peer = node
+			return accept(node)
+		},
+		// Go skips VerifyPeerCertificate on a resumed session, so no
+		// session may be resumed.
+		SessionTicketsDisabled: true,
+	})
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, fmt.Errorf("securelink: arm handshake deadline: %w", err)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := tc.HandshakeContext(ctx); err != nil {
+		return nil, 0, fmt.Errorf("securelink: handshake: %w", err)
 	}
-	return func() error {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return fmt.Errorf("securelink: clear handshake deadline: %w", err)
+	return &Conn{tc}, peer, nil
+}
+
+// rostered maps the peer's one certificate to the roster index of its
+// Ed25519 key.
+func rostered(roster identity.Roster, raw [][]byte) (int, error) {
+	if len(raw) != 1 {
+		return 0, fmt.Errorf("%w: %d certificates, want 1", ErrBadPeer, len(raw))
+	}
+	cert, err := x509.ParseCertificate(raw[0])
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadPeer, err)
+	}
+	pub, ok := cert.PublicKey.(ed25519.PublicKey)
+	if !ok {
+		return 0, fmt.Errorf("%w: %T is not an Ed25519 key", ErrBadPeer, cert.PublicKey)
+	}
+	for node, p := range roster {
+		if pub.Equal(p.Sign) {
+			return node, nil
 		}
-		return nil
-	}, nil
+	}
+	return 0, fmt.Errorf("%w: key not in roster", ErrBadPeer)
 }
 
-// helloMessage builds the unsigned handshake body both sides exchange:
-// version, claimed node index, ephemeral X25519 public key.
-func helloMessage(node int, eph *ecdh.PublicKey) []byte {
-	msg := make([]byte, 0, 1+4+32)
-	msg = append(msg, Version)
-	msg = binary.BigEndian.AppendUint32(msg, uint32(node))
-	return append(msg, eph.Bytes()...)
-}
+// certs caches each identity's self-signed certificate, keyed by its
+// public key: signing one per handshake took nearly half its CPU.
+var certs sync.Map // string(ed25519.PublicKey) → tls.Certificate
 
-// parseHello decodes a hello body, rejecting version skew first so a
-// coordinated-upgrade mismatch diagnoses as ErrVersion, not as a
-// garbled identity.
-func parseHello(msg []byte) (int, *ecdh.PublicKey, error) {
-	if len(msg) < 1 {
-		return 0, nil, fmt.Errorf("%w: empty hello", ErrBadPeer)
+// certificate returns the self-signed certificate for k's signing key.
+// Peers check only its key, so it carries no name and its validity
+// dates stay unset.
+func certificate(k *identity.Key) (tls.Certificate, error) {
+	pub := k.Sign.Public().(ed25519.PublicKey)
+	if c, ok := certs.Load(string(pub)); ok {
+		return c.(tls.Certificate), nil
 	}
-	if msg[0] != Version {
-		return 0, nil, fmt.Errorf("%w: peer speaks v%d, this node v%d", ErrVersion, msg[0], Version)
-	}
-	if len(msg) != 1+4+32 {
-		return 0, nil, fmt.Errorf("%w: malformed hello", ErrBadPeer)
-	}
-	node := int(binary.BigEndian.Uint32(msg[1:5]))
-	if node < 1 {
-		return 0, nil, fmt.Errorf("%w: node index %d out of range", ErrBadPeer, node)
-	}
-	eph, err := ecdh.X25519().NewPublicKey(msg[5:])
+	tmpl := &x509.Certificate{SerialNumber: big.NewInt(int64(k.Node))}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, pub, k.Sign)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: bad ephemeral key", ErrBadPeer)
+		return tls.Certificate{}, fmt.Errorf("securelink: certificate: %w", err)
 	}
-	return node, eph, nil
-}
-
-// parseResponse decodes the server's signed response: a hello body
-// followed by the transcript signature.
-func parseResponse(msg []byte) (int, *ecdh.PublicKey, []byte, error) {
-	if len(msg) < ed25519.SignatureSize {
-		return 0, nil, nil, fmt.Errorf("%w: short response", ErrBadPeer)
-	}
-	body, sig := msg[:len(msg)-ed25519.SignatureSize], msg[len(msg)-ed25519.SignatureSize:]
-	node, eph, err := parseHello(body)
+	leaf, err := x509.ParseCertificate(der)
 	if err != nil {
-		return 0, nil, nil, err
+		return tls.Certificate{}, fmt.Errorf("securelink: certificate: %w", err)
 	}
-	return node, eph, sig, nil
-}
-
-// transcriptHash binds every handshake byte both sides exchanged
-// before the signatures: the client hello and the server's unsigned
-// response body.
-func transcriptHash(hello, respBody []byte) []byte {
-	h := sha256.New()
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(hello)))
-	h.Write(lenbuf[:])
-	h.Write(hello)
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(respBody)))
-	h.Write(lenbuf[:])
-	h.Write(respBody)
-	return h.Sum(nil)
-}
-
-// signed prefixes a transcript hash with its role label, so the
-// client's and server's signatures can never be confused for one
-// another.
-func signed(label string, th []byte) []byte {
-	return append([]byte(label), th...)
-}
-
-// writeHandshakeFrame writes one 2-byte length-prefixed handshake
-// message.
-func writeHandshakeFrame(w io.Writer, msg []byte) error {
-	if len(msg) > maxHandshakeFrame {
-		return fmt.Errorf("securelink: handshake frame of %d bytes exceeds cap", len(msg))
-	}
-	var lenbuf [2]byte
-	binary.BigEndian.PutUint16(lenbuf[:], uint16(len(msg)))
-	if _, err := w.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
-}
-
-// readHandshakeFrame reads one length-prefixed handshake message.
-func readHandshakeFrame(r io.Reader) ([]byte, error) {
-	var lenbuf [2]byte
-	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(lenbuf[:])
-	if n > maxHandshakeFrame {
-		return nil, fmt.Errorf("securelink: handshake frame of %d bytes exceeds cap", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	c, _ := certs.LoadOrStore(string(pub), tls.Certificate{Certificate: [][]byte{der}, PrivateKey: k.Sign, Leaf: leaf})
+	return c.(tls.Certificate), nil
 }

@@ -26,10 +26,10 @@ func benchMesh(b *testing.B) ([]*identity.Key, identity.Roster) {
 	return keys, roster
 }
 
-// BenchmarkHandshake measures one full mutual-authentication handshake
-// over an in-memory pipe: two ephemeral X25519 agreements, two Ed25519
-// transcript signatures and verifications, and the per-direction key
-// schedule. This is the per-link setup cost a reconnect pays.
+// BenchmarkHandshake measures one full mutual-authentication TLS 1.3
+// handshake over an in-memory pipe: the key exchange, both Ed25519
+// CertificateVerify signatures and their checks, and both roster pins.
+// This is the per-link setup cost a reconnect pays.
 func BenchmarkHandshake(b *testing.B) {
 	keys, roster := benchMesh(b)
 	b.ReportAllocs()
@@ -56,7 +56,7 @@ func BenchmarkHandshake(b *testing.B) {
 	}
 }
 
-// BenchmarkSecureLinkThroughput measures the AEAD record layer's
+// BenchmarkSecureLinkThroughput measures the TLS record layer's
 // steady-state throughput over loopback TCP: 16 KiB writes sealed,
 // framed, and opened on the far side. b.SetBytes makes the result
 // report MB/s.

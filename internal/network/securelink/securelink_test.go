@@ -2,10 +2,16 @@ package securelink
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"io"
+	"math/big"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,66 +34,107 @@ func testMesh(t *testing.T, n int) ([]*identity.Key, identity.Roster) {
 	return keys, roster
 }
 
-// handshakePair runs Client against Server over a pipe and returns
-// both ends (or the two errors).
-func handshakePair(keys []*identity.Key, roster identity.Roster, clientNode, serverNode, dialTo int) (*Conn, *Conn, int, error, error) {
-	cc, sc := net.Pipe()
-	type serverResult struct {
-		conn *Conn
-		peer int
-		err  error
+// tcpPair returns both ends of a loopback TCP connection. Rejection
+// cases run over TCP rather than net.Pipe: on an unbuffered pipe the
+// rejecting side's alert blocks until the deadline, because its peer
+// has already finished and is not reading.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := make(chan serverResult, 1)
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
 	go func() {
-		conn, peer, err := Server(sc, Config{Key: keys[serverNode], Roster: roster, Timeout: 5 * time.Second})
-		if err != nil {
-			sc.Close() // release a client blocked on the pipe
-		}
-		srv <- serverResult{conn, peer, err}
+		c, _ := ln.Accept()
+		accepted <- c
 	}()
-	clientConn, cerr := Client(cc, Config{Key: keys[clientNode], Roster: roster, Timeout: 5 * time.Second}, dialTo)
-	if cerr != nil {
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := <-accepted
+	if sc == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { cc.Close(); sc.Close() })
+	return cc, sc
+}
+
+type result struct {
+	client, server *Conn
+	peer           int
+	cerr, serr     error
+}
+
+// handshakeOver runs Client (dialing `to`) against Server on the two
+// ends of a connection.
+func handshakeOver(cc, sc net.Conn, client, server Config, to int) result {
+	var r result
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.server, r.peer, r.serr = Server(sc, server)
+		if r.serr != nil {
+			sc.Close() // release a client still waiting on the far end
+		}
+	}()
+	r.client, r.cerr = Client(cc, client, to)
+	if r.cerr != nil {
 		cc.Close()
 	}
-	sr := <-srv
-	return clientConn, sr.conn, sr.peer, cerr, sr.err
+	<-done
+	return r
+}
+
+// handshakeTCP runs node clientNode dialing `to` against node
+// serverNode over loopback TCP.
+func handshakeTCP(t *testing.T, keys []*identity.Key, roster identity.Roster, clientNode, serverNode, to int) result {
+	cc, sc := tcpPair(t)
+	return handshakeOver(cc, sc,
+		Config{Key: keys[clientNode], Roster: roster, Timeout: 5 * time.Second},
+		Config{Key: keys[serverNode], Roster: roster, Timeout: 5 * time.Second}, to)
+}
+
+// roundTrip writes msg on one end and reads it back on the other.
+func roundTrip(t *testing.T, from, to net.Conn, msg []byte) {
+	t.Helper()
+	go func() { from.Write(msg) }()
+	got := make([]byte, len(msg))
+	if _, err := io.ReadFull(to, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("message corrupted across the link")
+	}
 }
 
 func TestHandshakeAndRecordLayer(t *testing.T) {
 	keys, roster := testMesh(t, 3)
-	client, server, peer, cerr, serr := handshakePair(keys, roster, 1, 2, 2)
-	if cerr != nil || serr != nil {
-		t.Fatalf("handshake failed: client=%v server=%v", cerr, serr)
+	cc, sc := net.Pipe()
+	r := handshakeOver(cc, sc,
+		Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second},
+		Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second}, 2)
+	if r.cerr != nil || r.serr != nil {
+		t.Fatalf("handshake failed: client=%v server=%v", r.cerr, r.serr)
 	}
-	if peer != 1 {
-		t.Fatalf("server authenticated peer %d, want 1", peer)
+	if r.peer != 1 {
+		t.Fatalf("server authenticated peer %d, want 1", r.peer)
 	}
-	defer client.Close()
+	defer r.client.Close()
+	defer r.server.Close()
+	if v := r.client.ConnectionState().Version; v != tls.VersionTLS13 {
+		t.Fatalf("negotiated TLS version %#x, want 1.3", v)
+	}
 
-	// Both directions move data; large writes span multiple records.
-	msgs := [][]byte{
-		[]byte("hello over the sealed link"),
-		bytes.Repeat([]byte{0xab}, 3*maxRecord+17),
-	}
-	for _, msg := range msgs {
-		go func() { client.Write(msg) }()
-		got := make([]byte, len(msg))
-		if _, err := io.ReadFull(server, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatal("message corrupted across the link")
-		}
-	}
-	reply := []byte("and back")
-	go func() { server.Write(reply) }()
-	got := make([]byte, len(reply))
-	if _, err := io.ReadFull(client, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, reply) {
-		t.Fatal("reply corrupted across the link")
-	}
+	// Both directions move data; large writes span several TLS
+	// records (16 KiB of plaintext each).
+	big := bytes.Repeat([]byte{0xab}, 3*16<<10+17)
+	roundTrip(t, r.client, r.server, []byte("hello over the sealed link"))
+	roundTrip(t, r.client, r.server, big)
+	roundTrip(t, r.server, r.client, []byte("and back"))
+	roundTrip(t, r.server, r.client, big)
 }
 
 func TestHandshakeRejectsImpostor(t *testing.T) {
@@ -100,24 +147,19 @@ func TestHandshakeRejectsImpostor(t *testing.T) {
 	}
 	forged := []*identity.Key{nil, keys[1], keys[2], impostor}
 
-	// Impostor dials an honest node: rejected by signature check.
-	_, _, _, cerr, serr := handshakePair(forged, roster, 3, 1, 1)
-	if serr == nil || !errors.Is(serr, ErrBadPeer) {
-		t.Fatalf("server accepted an impostor client: %v", serr)
+	// Impostor dials an honest node: the server's pin rejects it. The
+	// client side finishes first in TLS 1.3, so only the server's
+	// verdict matters.
+	if r := handshakeTCP(t, forged, roster, 3, 1, 1); !errors.Is(r.serr, ErrBadPeer) {
+		t.Fatalf("server accepted an impostor client: %v", r.serr)
 	}
-	_ = cerr // client observes a closed/failed pipe; the server verdict is what matters
-
-	// Honest node dials the impostor: rejected by signature check.
-	cc, sc := net.Pipe()
-	go func() {
-		if _, _, err := Server(sc, Config{Key: impostor, Roster: roster, Timeout: 5 * time.Second}); err != nil {
-			sc.Close()
-		}
-	}()
-	_, err = Client(cc, Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second}, 3)
-	cc.Close()
-	if err == nil || !errors.Is(err, ErrBadPeer) {
-		t.Fatalf("client accepted an impostor server: %v", err)
+	// Honest node dials the impostor: the client's pin rejects it.
+	if r := handshakeTCP(t, forged, roster, 1, 3, 3); !errors.Is(r.cerr, ErrBadPeer) {
+		t.Fatalf("client accepted an impostor server: %v", r.cerr)
+	}
+	// A peer presenting the server's own key is not a peer.
+	if r := handshakeTCP(t, keys, roster, 1, 1, 1); !errors.Is(r.serr, ErrBadPeer) {
+		t.Fatalf("server accepted its own key from a peer: %v", r.serr)
 	}
 }
 
@@ -128,23 +170,15 @@ func TestHandshakeRejectsUnrostered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, sc := net.Pipe()
-	serr := make(chan error, 1)
-	go func() {
-		_, _, err := Server(sc, Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second})
-		if err != nil {
-			sc.Close()
-		}
-		serr <- err
-	}()
 	// The stranger needs a roster to dial with; give it the real one
 	// plus itself, as a compromised config would.
 	r2 := identity.Roster{1: roster[1], 2: roster[2], 9: stranger.Public()}
-	if _, err := Client(cc, Config{Key: stranger, Roster: r2, Timeout: 5 * time.Second}, 1); err == nil {
-		cc.Close()
-	}
-	if err := <-serr; err == nil || !errors.Is(err, ErrBadPeer) {
-		t.Fatalf("server accepted an unrostered peer: %v", err)
+	cc, sc := tcpPair(t)
+	r := handshakeOver(cc, sc,
+		Config{Key: stranger, Roster: r2, Timeout: 5 * time.Second},
+		Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second}, 1)
+	if !errors.Is(r.serr, ErrBadPeer) {
+		t.Fatalf("server accepted an unrostered peer: %v", r.serr)
 	}
 
 	// Dialing an index outside the roster fails locally, before any
@@ -157,29 +191,10 @@ func TestHandshakeRejectsUnrostered(t *testing.T) {
 func TestHandshakeRejectsWrongServerIndex(t *testing.T) {
 	keys, roster := testMesh(t, 3)
 	// Client dials expecting node 2, but node 3 answers (e.g. a
-	// misrouted address). Node 3's signature is valid for index 3 —
+	// misrouted address). Node 3's certificate is valid for index 3 —
 	// the client must still refuse, because it wanted node 2.
-	_, _, _, cerr, _ := handshakePair(keys, roster, 1, 3, 2)
-	if cerr == nil || !errors.Is(cerr, ErrBadPeer) {
-		t.Fatalf("client accepted the wrong server identity: %v", cerr)
-	}
-}
-
-func TestHandshakeVersionSkew(t *testing.T) {
-	keys, roster := testMesh(t, 2)
-	cc, sc := net.Pipe()
-	serr := make(chan error, 1)
-	go func() {
-		_, _, err := Server(sc, Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second})
-		serr <- err
-	}()
-	// A future-version hello: version byte 2.
-	hello := append([]byte{2}, make([]byte, 36)...)
-	if err := writeHandshakeFrame(cc, hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serr; err == nil || !errors.Is(err, ErrVersion) {
-		t.Fatalf("server did not diagnose version skew: %v", err)
+	if r := handshakeTCP(t, keys, roster, 1, 3, 2); !errors.Is(r.cerr, ErrBadPeer) {
+		t.Fatalf("client accepted the wrong server identity: %v", r.cerr)
 	}
 }
 
@@ -201,70 +216,136 @@ func TestHandshakeDeadline(t *testing.T) {
 	}
 }
 
+// tamperConn flips the last bit of every write once armed.
+type tamperConn struct {
+	net.Conn
+	armed atomic.Bool
+}
+
+func (c *tamperConn) Write(p []byte) (int, error) {
+	if c.armed.Load() && len(p) > 0 {
+		p = bytes.Clone(p)
+		p[len(p)-1] ^= 1
+	}
+	return c.Conn.Write(p)
+}
+
 func TestRecordLayerRejectsTampering(t *testing.T) {
 	keys, roster := testMesh(t, 2)
+	cc, sc := tcpPair(t)
+	tc := &tamperConn{Conn: cc}
+	r := handshakeOver(tc, sc,
+		Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second},
+		Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second}, 2)
+	if r.cerr != nil || r.serr != nil {
+		t.Fatalf("handshake failed: client=%v server=%v", r.cerr, r.serr)
+	}
+	roundTrip(t, r.client, r.server, []byte("first"))
 
-	// Run the handshake over real sockets so we can interpose on the
-	// raw ciphertext.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// A record altered on the wire must not open.
+	tc.armed.Store(true)
+	if _, err := r.client.Write([]byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.server.Read(make([]byte, 16)); err == nil {
+		t.Fatalf("server accepted a tampered record (%d bytes)", n)
+	}
+}
+
+// TestSecondConnectionDoesNotResume proves every connection runs the
+// roster pin. Go skips VerifyPeerCertificate on a resumed session, so
+// a resumed link would come back with no authenticated peer index. A
+// client that keeps session tickets reconnects to the same server: no
+// connection resumes, each reports the peer, and a roster change in
+// between takes effect on the next one.
+func TestSecondConnectionDoesNotResume(t *testing.T) {
+	keys, roster := testMesh(t, 2)
+	cert, err := certificate(keys[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	type acceptResult struct {
-		conn net.Conn
-		err  error
+	resuming := &tls.Config{
+		Certificates:       []tls.Certificate{cert},
+		InsecureSkipVerify: true,
+		ClientSessionCache: tls.NewLRUClientSessionCache(4),
+		// The session cache is keyed by server name, or else by the
+		// address, which differs for every loopback listener.
+		ServerName: "node-2",
 	}
-	acc := make(chan acceptResult, 1)
-	go func() {
-		c, err := ln.Accept()
-		acc <- acceptResult{c, err}
-	}()
-	rawClient, err := net.Dial("tcp", ln.Addr().String())
+	server := Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second}
+	for i := 1; i <= 3; i++ {
+		if i == 3 {
+			// Node 1 leaves the server's roster.
+			server.Roster = identity.Roster{2: roster[2]}
+		}
+		cc, sc := tcpPair(t)
+		resumed := make(chan bool, 1)
+		go func() {
+			c := tls.Client(cc, resuming)
+			// Reading also takes in any session ticket the server sent.
+			_, err := c.Read(make([]byte, 1))
+			resumed <- err == nil && c.ConnectionState().DidResume
+		}()
+		conn, peer, err := Server(sc, server)
+		if i == 3 {
+			if !errors.Is(err, ErrBadPeer) {
+				t.Fatalf("server skipped the pin on a repeat connection: %v", err)
+			}
+			break
+		}
+		if err != nil || peer != 1 {
+			t.Fatalf("connection %d: peer %d, %v", i, peer, err)
+		}
+		if _, err := conn.Write([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if <-resumed || conn.ConnectionState().DidResume {
+			t.Fatalf("connection %d resumed a session", i)
+		}
+	}
+}
+
+// TestHandshakeRejectsForeignCertificates presents certificates the
+// pin must refuse — a non-Ed25519 key, and a valid roster certificate
+// followed by a second one — from either end of the link.
+func TestHandshakeRejectsForeignCertificates(t *testing.T) {
+	keys, roster := testMesh(t, 2)
+	ecKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rawClient.Close()
-	ar := <-acc
-	if ar.err != nil {
-		t.Fatal(ar.err)
-	}
-	defer ar.conn.Close()
-
-	var server *Conn
-	serverDone := make(chan error, 1)
-	go func() {
-		var err error
-		server, _, err = Server(ar.conn, Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second})
-		serverDone <- err
-	}()
-	client, err := Client(rawClient, Config{Key: keys[1], Roster: roster, Timeout: 5 * time.Second}, 2)
+	tmpl := &x509.Certificate{SerialNumber: big.NewInt(1)}
+	ecDER, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &ecKey.PublicKey, ecKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serverDone; err != nil {
+	own, err := certificate(keys[1])
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A record written by the client but tampered on the wire must be
-	// rejected by the server's opener. Send a valid record first to
-	// capture its shape, then replay it (same bytes, wrong counter).
-	if _, err := client.Write([]byte("first")); err != nil {
-		t.Fatal(err)
+	rogue := map[string]tls.Certificate{
+		"ecdsa":     {Certificate: [][]byte{ecDER}, PrivateKey: ecKey},
+		"two-certs": {Certificate: [][]byte{own.Certificate[0], ecDER}, PrivateKey: keys[1].Sign},
 	}
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(server, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Forge: write garbage that parses as a record frame straight onto
-	// the raw socket beneath the client's record layer.
-	forged := []byte{0, 0, 0, 17}
-	forged = append(forged, bytes.Repeat([]byte{0x42}, 17)...)
-	if _, err := rawClient.Write(forged); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.Read(make([]byte, 16)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("server accepted a forged record: %v", err)
+	for name, cert := range rogue {
+		t.Run(name, func(t *testing.T) {
+			cfg := &tls.Config{
+				Certificates:       []tls.Certificate{cert},
+				ClientAuth:         tls.RequireAnyClientCert,
+				InsecureSkipVerify: true,
+			}
+			// A rogue client against an honest server.
+			cc, sc := tcpPair(t)
+			go tls.Client(cc, cfg).Handshake()
+			if _, _, err := Server(sc, Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second}); !errors.Is(err, ErrBadPeer) {
+				t.Fatalf("server accepted a %s client: %v", name, err)
+			}
+			// An honest client against a rogue server.
+			cc, sc = tcpPair(t)
+			go tls.Server(sc, cfg).Handshake()
+			if _, err := Client(cc, Config{Key: keys[2], Roster: roster, Timeout: 5 * time.Second}, 1); !errors.Is(err, ErrBadPeer) {
+				t.Fatalf("client accepted a %s server: %v", name, err)
+			}
+		})
 	}
 }

@@ -90,13 +90,14 @@ type Config struct {
 	// is retransmitted (default 500 ms).
 	ResendTimeout time.Duration
 	// Secure enables the identity-keyed secure-link layer: every
-	// connection — dialed and accepted — runs the mutual-authentication
-	// handshake before any relink frame flows, peers not provable
-	// against the roster are rejected, and all traffic rides the
-	// per-direction AEAD record layer. The handshake runs under its own
-	// deadline (Secure.Timeout, defaulting to WriteTimeout) so a
-	// black-holed or protocol-stalled peer releases the dialer instead
-	// of wedging it. Nil means plaintext TCP, as before.
+	// connection — dialed and accepted — runs a mutually authenticated
+	// TLS 1.3 handshake with self-signed Ed25519 certificates before
+	// any relink frame flows, peers whose certificate key is not their
+	// roster entry are rejected, and all traffic rides TLS records.
+	// The handshake runs under its own deadline (Secure.Timeout,
+	// defaulting to WriteTimeout) so a black-holed or protocol-stalled
+	// peer releases the dialer instead of wedging it. Nil means
+	// plaintext TCP, as before.
 	Secure *securelink.Config
 }
 
@@ -302,9 +303,9 @@ func (t *Transport) readLoop(conn net.Conn) {
 	// In secure mode the accepted connection must authenticate before
 	// a single relink frame is read: the handshake binds the peer to a
 	// roster identity (rejecting unrostered or impostor peers) and
-	// replaces conn with the AEAD record layer. The handshake runs
-	// under its own deadline, so a connect-and-stall peer cannot pin
-	// this goroutine.
+	// replaces conn with the TLS link. The handshake runs under its
+	// own deadline, so a connect-and-stall peer cannot pin this
+	// goroutine.
 	from := 0
 	if t.cfg.Secure != nil {
 		sconn, peer, err := securelink.Server(conn, *t.cfg.Secure)
@@ -709,16 +710,21 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// writeFrame writes one 4-byte length-prefixed frame.
+// writeFrame writes one 4-byte length-prefixed frame in a single
+// Write, so a secure link seals header and payload together instead of
+// as two records.
 func writeFrame(w io.Writer, payload []byte) error {
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(payload)))
-	if _, err := w.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
+	copy(buf[4:], payload)
+	_, err := w.Write(buf)
 	return err
 }
+
+// readChunk is readFrame's first buffer size for a large frame. The
+// buffer doubles only as bytes arrive, so a header declaring a large
+// frame that never comes cannot make the reader allocate it.
+const readChunk = 64 << 10
 
 // readFrame reads one length-prefixed frame.
 func readFrame(r io.Reader) ([]byte, error) {
@@ -730,9 +736,17 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds cap", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(int(n), readChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if err != nil {
+			return nil, err
+		}
+		if got += m; got == int(n) {
+			return buf, nil
+		}
+		grown := make([]byte, min(int(n), 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }

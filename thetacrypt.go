@@ -455,8 +455,8 @@ type NodeConfig struct {
 	// Identity is this node's private transport identity (from
 	// cmd/thetakeygen's node<i>.id file or identity.Generate). Set
 	// together with Roster it switches the node to secure mode: every
-	// P2P link runs the mutual-authentication handshake and AEAD record
-	// layer, unrostered peers are rejected before any protocol byte
+	// P2P link runs mutually authenticated TLS 1.3 pinned to the
+	// roster, unrostered peers are rejected before any protocol byte
 	// flows, and DKG/reshare sub-share boxes are sealed. All nodes of a
 	// deployment must agree on the mode — it changes both the link and
 	// the dealing box encoding.
