@@ -17,7 +17,7 @@ internal/share        internal/share          86
 internal/router       internal/router         75
 internal/precompute   internal/precompute     90
 internal/service      internal/service        81
-internal/protocols    internal/protocols      64.8
+internal/protocols    internal/protocols      77.8
 '
 
 part="$(mktemp)"

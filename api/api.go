@@ -238,8 +238,8 @@ type EngineStats struct {
 	// Transport is the per-peer health of the node's P2P links; nil when
 	// the endpoint predates API v2.2 or the transport has no peers.
 	Transport *TransportStats `json:"transport,omitempty"`
-	// Crypto is the node's precompute-layer snapshot (Lagrange cache,
-	// verification batching, FROST nonce pool); nil when the endpoint
+	// Crypto is the node's precompute-layer snapshot (Lagrange cache
+	// and verification batching); nil when the endpoint
 	// predates API v2.5.
 	Crypto *CryptoStats `json:"crypto,omitempty"`
 }
@@ -251,12 +251,8 @@ type CryptoStats struct {
 	// skips the modular-inverse chain of a Lagrange basis computation.
 	LagrangeHits   int64 `json:"lagrange_hits"`
 	LagrangeMisses int64 `json:"lagrange_misses"`
-	// NoncePoolDepth is the total number of FROST nonce slots currently
-	// banked across keys; NonceRefills and NonceExhaustions count refill
-	// batches banked and signing requests that found the pool empty
-	// (and degraded to the two-round path).
-	NoncePoolDepth   int   `json:"nonce_pool_depth"`
-	NonceRefills     int64 `json:"nonce_refills"`
+	// NonceExhaustions is always 0. It stays on the wire for clients
+	// that read it.
 	NonceExhaustions int64 `json:"nonce_exhaustions"`
 	// BatchesVerified/BatchedRelations/MaxBatch describe share
 	// verification batching; CoalescedRequests counts verifications that

@@ -62,9 +62,6 @@ func CryptoStatsOf(cs precompute.Stats) *CryptoStats {
 	return &CryptoStats{
 		LagrangeHits:      cs.LagrangeHits,
 		LagrangeMisses:    cs.LagrangeMisses,
-		NoncePoolDepth:    cs.NoncePoolDepth,
-		NonceRefills:      cs.NonceRefills,
-		NonceExhaustions:  cs.NonceExhaustions,
 		BatchesVerified:   cs.BatchesVerified,
 		BatchedRelations:  cs.BatchedRelations,
 		MaxBatch:          cs.MaxBatch,

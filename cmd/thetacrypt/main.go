@@ -56,8 +56,6 @@ func run() error {
 		sendTimeout = flag.Duration("send-timeout", 0, "bound on each round broadcast; bites only when a block-policy peer queue is saturated (0 = default 5s)")
 		persist     = flag.Bool("persist", false, "spill keystore mutations (generated keys, reshared epochs) back to the -key file atomically")
 		refresh     = flag.Duration("refresh-interval", 0, "proactive-refresh schedule: reshare every reshareable key to its own committee at this interval (0 = disabled)")
-		frostPool   = flag.Int("frost-pool", 0, "FROST preprocessed nonce pool depth per key; every committee node must use the same value (0 = disabled, two-round signing)")
-		frostRefill = flag.Int("frost-refill", 0, "refill the FROST nonce pool when it drops below this watermark (0 = half the pool depth)")
 		routerMode  = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
 		committees  = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")
 		secure      = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link over mutually authenticated TLS 1.3 pinned to the roster, seal DKG sub-shares")
@@ -124,8 +122,6 @@ func run() error {
 			RetainMax:       *retainMax,
 			SendTimeout:     *sendTimeout,
 			RefreshInterval: *refresh,
-			FrostPoolDepth:  *frostPool,
-			FrostPoolRefill: *frostRefill,
 		},
 		Transport: thetacrypt.TransportOptions{
 			OutQueueLen:    *peerQueue,

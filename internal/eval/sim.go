@@ -109,8 +109,9 @@ type RunSpec struct {
 	Duration time.Duration
 	// PayloadSize is the request payload in bytes (default 256).
 	PayloadSize int
-	// Precomputed enables FROST's one-round mode with precomputed,
-	// pre-exchanged nonce commitments (ablation A2).
+	// Precomputed models FROST's one-round mode with precomputed,
+	// pre-exchanged nonce commitments (ablation A2). The service does
+	// not implement that mode; it always signs in two rounds.
 	Precomputed bool
 	// Seed makes the run deterministic.
 	Seed uint64

@@ -151,20 +151,6 @@ type Config struct {
 	// refreshes are idempotent across the mesh; a node whose tick
 	// fires late simply joins the instance its peers announced.
 	RefreshInterval time.Duration
-	// FrostPoolDepth, when positive, enables the FROST preprocessed
-	// nonce pool: each KG20 key banks this many commitment slots per
-	// epoch, turning online signing into a single message round while
-	// the pool is warm. Zero disables pooling (two-round signing).
-	FrostPoolDepth int
-	// FrostPoolRefill is the pool's refill watermark (default
-	// FrostPoolDepth/2): a refill run is scheduled when a key's banked
-	// slots drop below it.
-	FrostPoolRefill int
-	// PoolInterval is the cadence of the background pool maintainer
-	// (default 1s when FrostPoolDepth > 0). Each tick the designated
-	// initiator (the node holding share index 1) submits deterministic
-	// OpPoolRefill runs for every KG20 key below its watermark.
-	PoolInterval time.Duration
 	// Identity and Roster, when set, seal each DKG and reshare
 	// sub-share box to its recipient's identity key; without them a
 	// box carries the bare sub-share. Both run the same three rounds.
@@ -202,8 +188,8 @@ type Stats struct {
 	// Transport is the P2P layer's per-peer health snapshot: link state
 	// (up/dialing/down), outbound queue depth, and send/drop counters.
 	Transport network.TransportStats
-	// Crypto snapshots the precompute layer: Lagrange cache hit rate,
-	// nonce pool depth and refills, and share-verification batching.
+	// Crypto snapshots the precompute layer: Lagrange cache hit rate
+	// and share-verification batching.
 	Crypto precompute.Stats
 }
 
@@ -211,9 +197,8 @@ type Stats struct {
 type Engine struct {
 	cfg  Config
 	self int
-	// suite is the node-wide precompute layer (Lagrange cache, batch
-	// verifier, optional nonce pool) threaded into every protocol
-	// instance. Always non-nil.
+	// suite is the node-wide precompute layer (Lagrange cache and batch
+	// verifier) threaded into every protocol instance. Always non-nil.
 	suite *precompute.Suite
 
 	events chan event
@@ -478,9 +463,6 @@ func New(cfg Config) *Engine {
 	if cfg.SendTimeout <= 0 {
 		cfg.SendTimeout = 5 * time.Second
 	}
-	if cfg.FrostPoolDepth > 0 && cfg.PoolInterval <= 0 {
-		cfg.PoolInterval = time.Second
-	}
 	// A started instance gets several retention windows (with a floor)
 	// to finish before it is expired: generous against slow protocol
 	// runs, still a hard bound on stalled ones (e.g. a quorum that
@@ -490,12 +472,9 @@ func New(cfg Config) *Engine {
 		liveTTL = 2 * time.Second
 	}
 	e := &Engine{
-		cfg:  cfg,
-		self: cfg.Keys.Index,
-		suite: precompute.NewSuite(cfg.Rand, precompute.Options{
-			PoolDepth:  cfg.FrostPoolDepth,
-			PoolRefill: cfg.FrostPoolRefill,
-		}),
+		cfg:            cfg,
+		self:           cfg.Keys.Index,
+		suite:          precompute.NewSuite(cfg.Rand, precompute.Options{}),
 		events:         make(chan event, cfg.QueueLen),
 		instances:      make(map[string]*instance),
 		placeholders:   list.New(),
@@ -521,94 +500,7 @@ func New(cfg Config) *Engine {
 		e.done.Add(1)
 		go e.refresher()
 	}
-	if cfg.FrostPoolDepth > 0 {
-		e.done.Add(1)
-		go e.pooler()
-	}
 	return e
-}
-
-// pooler keeps the FROST nonce pool warm: each tick it submits the
-// deterministic refill runs for every KG20 key below its watermark.
-// Results are not awaited; a failed refill retries next tick.
-func (e *Engine) pooler() {
-	defer e.done.Done()
-	ticker := time.NewTicker(e.cfg.PoolInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, sub := range e.poolRefillRequests() {
-				if _, err := e.Submit(context.Background(), sub); err != nil {
-					continue
-				}
-			}
-		case <-e.stop:
-			return
-		}
-	}
-}
-
-// poolRefillRequests builds the OpPoolRefill requests this node should
-// initiate right now: one per KG20 key whose bank for the current epoch
-// is below the refill watermark. Only the key's designated initiator —
-// the node holding share index 1 — submits, so concurrent refills never
-// race on overlapping sequence ranges; the deterministic session
-// ("pool-<epoch>-<run>-<base>") makes a straggler's own tick join the
-// announced instance instead of forking a second one.
-func (e *Engine) poolRefillRequests() []protocols.Request {
-	pool := e.suite.NoncePool()
-	if !pool.Enabled() {
-		return nil
-	}
-	var reqs []protocols.Request
-	for _, info := range e.cfg.Keys.List() {
-		if info.Scheme != schemes.KG20 {
-			continue
-		}
-		k, err := e.cfg.Keys.Get(info.Scheme, info.ID)
-		if err != nil || k.Share == nil || k.MemberIndex(e.self) != 1 {
-			continue
-		}
-		run, base, count, need := pool.NeedRefill(string(k.Scheme), k.ID, k.Epoch)
-		if !need {
-			continue
-		}
-		// The run id in the session keeps a restarted initiator's refill
-		// (which starts over at base 0) from colliding with a retained
-		// pre-restart instance of the same base.
-		reqs = append(reqs, protocols.Request{
-			Scheme:  schemes.KG20,
-			KeyID:   k.ID,
-			Op:      protocols.OpPoolRefill,
-			Payload: protocols.MarshalPoolRefill(run, base, count),
-			Session: fmt.Sprintf("pool-%d-%x-%d", k.Epoch, run, base),
-			Epoch:   k.Epoch,
-		})
-	}
-	return reqs
-}
-
-// WarmNoncePools fills the FROST nonce pools synchronously: it submits
-// the due refill runs and waits for them to finish (or ctx to expire).
-// Benchmarks and tests call it to measure the steady warm-pool state
-// instead of racing the background pooler's first tick. A node that is
-// not the designated initiator of any key returns immediately.
-func (e *Engine) WarmNoncePools(ctx context.Context) error {
-	for _, req := range e.poolRefillRequests() {
-		f, err := e.Submit(ctx, req)
-		if err != nil {
-			return err
-		}
-		res, err := f.Wait(ctx)
-		if err != nil {
-			return err
-		}
-		if res.Err != nil {
-			return res.Err
-		}
-	}
-	return nil
 }
 
 // refresher drives the scheduled proactive refresh: each tick submits
@@ -783,13 +675,10 @@ func (e *Engine) handle(ev event) {
 // retained finished result whose peers already evicted theirs) is
 // retired and this node joins the fresh run deliberately instead of
 // stalling it until liveTTL expiry. gen is the announced generation
-// (0 for a local submission, which derives it); from is the mesh node
-// index that initiated the instance — self for a local submission, the
-// start announcement's sender otherwise — so protocols can tell whether
-// the initiator is able to open their optimized paths (FROST's pooled
-// single round). Lock order is always e.mu before inst.mu. The
-// instance is returned even on error, so callers can retire it.
-func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Future, gen, from int) (*instance, error) {
+// (0 for a local submission, which derives it). Lock order is always
+// e.mu before inst.mu. The instance is returned even on error, so
+// callers can retire it.
+func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Future, gen int) (*instance, error) {
 	id := req.InstanceID()
 	e.mu.Lock()
 	inst, ok := e.instances[id]
@@ -857,11 +746,9 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	}
 
 	proto, err := protocols.NewWith(e.cfg.Rand, e.cfg.Keys, req, protocols.Env{
-		Suite:         e.suite,
-		Initiator:     announce,
-		InitiatorNode: from,
-		Identity:      e.cfg.Identity,
-		Roster:        e.cfg.Roster,
+		Suite:    e.suite,
+		Identity: e.cfg.Identity,
+		Roster:   e.cfg.Roster,
 	})
 	if err == nil {
 		// Publish under e.mu so handleEnvelope's created check is race
@@ -927,7 +814,7 @@ func (e *Engine) broadcast(env network.Envelope) error {
 }
 
 func (e *Engine) handleSubmit(req protocols.Request, future *Future) {
-	inst, err := e.ensureInstance(req, true, future, 0, e.self)
+	inst, err := e.ensureInstance(req, true, future, 0)
 	if err == nil {
 		// Peer shares may have arrived before the local submission.
 		e.drainBacklog(req.InstanceID(), inst)
@@ -953,7 +840,7 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 		if e.deferForKey(req, env, keyRetries) {
 			return
 		}
-		inst, err := e.ensureInstance(req, false, nil, gen, env.From)
+		inst, err := e.ensureInstance(req, false, nil, gen)
 		if err == nil {
 			e.drainBacklog(env.Instance, inst)
 		}
@@ -1148,8 +1035,8 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 	}
 	if r.op == protocols.OpReshare && res.Err == nil {
 		// The reshare advanced the key's epoch: drop cached Lagrange
-		// coefficients and banked nonces of the superseded sharing, so
-		// stale precomputed material can never meet the new shares.
+		// coefficients of the superseded sharing, so stale precomputed
+		// material can never meet the new shares.
 		if k, err := e.cfg.Keys.Get(schemes.ID(r.scheme), r.keyID); err == nil {
 			e.suite.Invalidate(r.scheme, r.keyID, k.Epoch)
 		}

@@ -2,7 +2,7 @@
 // schemes: work whose cost does not depend on the request payload is
 // done once (or off the critical path) and reused across requests.
 //
-// Three mechanisms, one suite:
+// Two mechanisms, one suite:
 //
 //   - Cache memoizes Lagrange coefficient maps keyed by (scheme, key,
 //     epoch, canonical signer subset), replacing the per-call
@@ -19,11 +19,6 @@
 //     by relation, at the cost of the equations as written. BLS04 and
 //     KG20 shares never reach it: their signatures verify themselves,
 //     so those schemes check the combined result once instead.
-//   - NoncePool banks FROST (D, E) nonce pairs and the committee's
-//     commitments during idle time, making the online signing path a
-//     single message round. Nonces are epoch-scoped and consumed
-//     before signing, so they are never reused and a reshare
-//     invalidates them structurally.
 //
 // Everything is keyed by the key's epoch: material precomputed under an
 // old sharing can never be combined with shares of a new one (Gennaro
@@ -31,38 +26,13 @@
 // proactive resharing).
 package precompute
 
-import (
-	"io"
-
-	"thetacrypt/internal/schemes/frost"
-)
+import "io"
 
 // Options configures a Suite.
 type Options struct {
 	// CoeffCap bounds the number of cached coefficient maps (default
 	// 1024, oldest evicted first).
 	CoeffCap int
-	// PoolDepth is the target number of banked FROST nonces per
-	// (key, epoch); zero disables the nonce pool.
-	PoolDepth int
-	// PoolRefill is the low-water mark that triggers a refill (default
-	// PoolDepth/2, minimum 1 when the pool is enabled).
-	PoolRefill int
-}
-
-func (o *Options) fill() {
-	if o.CoeffCap <= 0 {
-		o.CoeffCap = 1024
-	}
-	if o.PoolDepth > 0 && o.PoolRefill <= 0 {
-		o.PoolRefill = o.PoolDepth / 2
-	}
-	if o.PoolDepth > 0 && o.PoolRefill < 1 {
-		o.PoolRefill = 1
-	}
-	if o.PoolRefill > o.PoolDepth {
-		o.PoolRefill = o.PoolDepth
-	}
 }
 
 // Stats is a point-in-time snapshot of the suite's counters, exported
@@ -70,9 +40,6 @@ func (o *Options) fill() {
 type Stats struct {
 	LagrangeHits      int64
 	LagrangeMisses    int64
-	NoncePoolDepth    int
-	NonceRefills      int64
-	NonceExhaustions  int64
 	BatchesVerified   int64
 	BatchedRelations  int64
 	MaxBatch          int
@@ -80,26 +47,22 @@ type Stats struct {
 	CoalescedRequests int64
 }
 
-// Suite bundles the three mechanisms behind one handle the engine owns
+// Suite bundles the two mechanisms behind one handle the engine owns
 // and threads into every protocol instance. A nil *Suite is valid and
 // disables all precomputation (direct computation everywhere).
 type Suite struct {
 	coeffs *Cache
-	pool   *NoncePool
 	batch  *BatchVerifier
 }
 
 // NewSuite builds a suite. rand seeds the batch verifier's random
 // linear combinations.
 func NewSuite(rand io.Reader, opts Options) *Suite {
-	opts.fill()
-	var pool *NoncePool
-	if opts.PoolDepth > 0 {
-		pool = newNoncePool(rand, opts.PoolDepth, opts.PoolRefill)
+	if opts.CoeffCap <= 0 {
+		opts.CoeffCap = 1024
 	}
 	return &Suite{
 		coeffs: newCache(opts.CoeffCap),
-		pool:   pool,
 		batch:  newBatchVerifier(rand),
 	}
 }
@@ -122,14 +85,6 @@ func (s *Suite) Verifier() *BatchVerifier {
 	return s.batch
 }
 
-// NoncePool returns the FROST nonce pool, nil when pooling is disabled.
-func (s *Suite) NoncePool() *NoncePool {
-	if s == nil {
-		return nil
-	}
-	return s.pool
-}
-
 // Invalidate drops all material of the named key precomputed under an
 // epoch older than keepEpoch — the reshare-finalization hook. Lookups
 // are epoch-keyed, so this is memory hygiene rather than a correctness
@@ -139,9 +94,6 @@ func (s *Suite) Invalidate(scheme, keyID string, keepEpoch int) {
 		return
 	}
 	s.coeffs.invalidate(scheme, keyID, keepEpoch)
-	if s.pool != nil {
-		s.pool.invalidate(scheme, keyID, keepEpoch)
-	}
 }
 
 // Stats snapshots all counters.
@@ -149,7 +101,7 @@ func (s *Suite) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	st := Stats{
+	return Stats{
 		LagrangeHits:      s.coeffs.hits.Load(),
 		LagrangeMisses:    s.coeffs.misses.Load(),
 		BatchesVerified:   s.batch.batches.Load(),
@@ -158,32 +110,4 @@ func (s *Suite) Stats() Stats {
 		BatchFallbacks:    s.batch.fallbacks.Load(),
 		CoalescedRequests: s.batch.coalesced.Load(),
 	}
-	if s.pool != nil {
-		st.NoncePoolDepth = s.pool.TotalDepth()
-		st.NonceRefills = s.pool.refills.Load()
-		st.NonceExhaustions = s.pool.exhaustions.Load()
-	}
-	return st
-}
-
-// nonceBankKey scopes banked material to one key epoch.
-type nonceBankKey struct {
-	scheme string
-	keyID  string
-	epoch  int
-}
-
-// nonceBank is the per-(key, epoch) store: this node's secret nonces by
-// sequence number plus every member's observed commitments.
-type nonceBank struct {
-	// run is the refill initiator's per-boot namespace id this bank's
-	// sequence numbers live in. A refill under a different run replaces
-	// the bank wholesale (the initiator restarted; see NoncePool).
-	run uint64
-	// nextSeq is the first sequence number not yet assigned locally
-	// within run; refills below it are ignored so a sequence number is
-	// banked (and hence consumable) at most once per node and run.
-	nextSeq uint64
-	own     map[uint64]*frost.Nonce
-	comms   map[uint64]map[int]*frost.NonceCommitment
 }

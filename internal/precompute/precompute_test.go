@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"thetacrypt/internal/group"
-	"thetacrypt/internal/schemes/frost"
 	"thetacrypt/internal/share"
 )
 
@@ -120,8 +119,8 @@ func TestNilSuiteIsDirect(t *testing.T) {
 	if err != nil || len(m) != 2 {
 		t.Fatalf("nil suite must compute directly, got %v, %v", m, err)
 	}
-	if s.Verifier() != nil || s.NoncePool() != nil {
-		t.Fatal("nil suite must hand out nil verifier and pool")
+	if s.Verifier() != nil {
+		t.Fatal("nil suite must hand out a nil verifier")
 	}
 	s.Invalidate("KG20", "k", 1)
 	if st := s.Stats(); st != (Stats{}) {
@@ -337,207 +336,6 @@ func TestNilBatchVerifierIsDirect(t *testing.T) {
 	}
 }
 
-// --- FROST nonce pool ---
-
-// bankFor fills a pool bank for members 1..n with count slots under
-// refill run `run`.
-func bankFor(t *testing.T, p *NoncePool, scheme, keyID string, epoch, n, count int, run, base uint64) {
-	t.Helper()
-	g := group.Edwards25519()
-	for idx := 1; idx <= n; idx++ {
-		nonces, comms, err := frost.Precompute(rand.Reader, g, idx, count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx == 1 {
-			p.BankOwn(scheme, keyID, epoch, run, base, nonces, comms)
-		} else {
-			p.Observe(scheme, keyID, epoch, run, base, comms)
-		}
-	}
-}
-
-func TestNoncePoolAcquireConsumes(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 4})
-	p := s.NoncePool()
-	bankFor(t, p, "KG20", "k", 1, 3, 4, p.run, 0)
-
-	if d := p.DepthOf("KG20", "k", 1); d != 4 {
-		t.Fatalf("banked depth = %d, want 4", d)
-	}
-	seq, nonce, comms, ok := p.Acquire("KG20", "k", 1, []int{1, 2})
-	if !ok || nonce == nil || len(comms) != 2 {
-		t.Fatalf("acquire failed: ok=%v comms=%d", ok, len(comms))
-	}
-	if seq != 0 {
-		t.Fatalf("lowest slot should be consumed first, got seq %d", seq)
-	}
-	if d := p.DepthOf("KG20", "k", 1); d != 3 {
-		t.Fatalf("depth after acquire = %d, want 3", d)
-	}
-	// The consumed slot is gone for good: a follower cannot claim it.
-	if _, _, ok := p.Claim("KG20", "k", 1, seq, 1); ok {
-		t.Fatal("consumed slot claimable again — nonce reuse")
-	}
-}
-
-func TestNoncePoolClaimConsumes(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 2})
-	p := s.NoncePool()
-	bankFor(t, p, "KG20", "k", 1, 3, 2, p.run, 0)
-
-	nonce, own, ok := p.Claim("KG20", "k", 1, 1, 1)
-	if !ok || nonce == nil || own == nil {
-		t.Fatalf("claim failed: ok=%v", ok)
-	}
-	if _, _, ok := p.Claim("KG20", "k", 1, 1, 1); ok {
-		t.Fatal("slot claimable twice — nonce reuse")
-	}
-	if d := p.DepthOf("KG20", "k", 1); d != 1 {
-		t.Fatalf("depth after claim = %d, want 1", d)
-	}
-}
-
-func TestNoncePoolExhaustionAndIncompleteSlots(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 2})
-	p := s.NoncePool()
-	g := group.Edwards25519()
-
-	// Bank own nonces but only member 2's commitments: slots are
-	// incomplete for signer set {1, 3} and must not be acquirable.
-	nonces, comms, err := frost.Precompute(rand.Reader, g, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.BankOwn("KG20", "k", 1, p.run, 0, nonces, comms)
-	n2, c2, err := frost.Precompute(rand.Reader, g, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = n2
-	p.Observe("KG20", "k", 1, p.run, 0, c2)
-
-	if _, _, _, ok := p.Acquire("KG20", "k", 1, []int{1, 3}); ok {
-		t.Fatal("acquired a slot missing signer 3's commitment")
-	}
-	if st := s.Stats(); st.NonceExhaustions != 1 {
-		t.Fatalf("exhaustions = %d, want 1", st.NonceExhaustions)
-	}
-	// The same slots are complete for {1, 2}.
-	if _, _, _, ok := p.Acquire("KG20", "k", 1, []int{1, 2}); !ok {
-		t.Fatal("complete slot not acquirable")
-	}
-}
-
-func TestNoncePoolRefillWatermark(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 4, PoolRefill: 2})
-	p := s.NoncePool()
-
-	_, base, count, need := p.NeedRefill("KG20", "k", 1)
-	if !need || base != 0 || count != 4 {
-		t.Fatalf("empty bank: need=%v base=%d count=%d, want refill of 4 from 0", need, base, count)
-	}
-	bankFor(t, p, "KG20", "k", 1, 2, 4, p.run, 0)
-	if _, _, _, need := p.NeedRefill("KG20", "k", 1); need {
-		t.Fatal("full bank should not need a refill")
-	}
-	// Consume down to the watermark.
-	p.Acquire("KG20", "k", 1, []int{1, 2})
-	p.Acquire("KG20", "k", 1, []int{1, 2})
-	p.Acquire("KG20", "k", 1, []int{1, 2})
-	_, base, count, need = p.NeedRefill("KG20", "k", 1)
-	if !need || base != 4 || count != 3 {
-		t.Fatalf("depleted bank: need=%v base=%d count=%d, want refill of 3 from 4", need, base, count)
-	}
-}
-
-func TestNoncePoolReplayCannotResurrect(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 2})
-	p := s.NoncePool()
-	g := group.Edwards25519()
-	nonces, comms, err := frost.Precompute(rand.Reader, g, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.BankOwn("KG20", "k", 1, p.run, 0, nonces, comms)
-	if _, _, ok := p.Claim("KG20", "k", 1, 0, 1); !ok {
-		t.Fatal("claim failed")
-	}
-	// Replaying the same refill must not resurrect the consumed slot.
-	p.BankOwn("KG20", "k", 1, p.run, 0, nonces, comms)
-	if _, _, ok := p.Claim("KG20", "k", 1, 0, 1); ok {
-		t.Fatal("replayed refill resurrected a consumed nonce")
-	}
-}
-
-// TestNoncePoolRestartedInitiatorOpensFreshRun: the refill initiator's
-// sequence counter is volatile, so after a restart it proposes base 0
-// again — under a NEW per-boot run id. Followers must re-bank those
-// sequence numbers in the fresh namespace instead of skipping them via
-// the high-water-mark guard (skipping while still broadcasting
-// commitments is the divergence that hard-fails every later pooled
-// round), and the old run's slots — unusable since the initiator lost
-// its secrets — must be dropped with the reset.
-func TestNoncePoolRestartedInitiatorOpensFreshRun(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 2})
-	p := s.NoncePool()
-
-	// Life 1 of the initiator: run A banks seqs 0..1; one is consumed.
-	bankFor(t, p, "KG20", "k", 1, 2, 2, 111, 0)
-	if _, _, _, ok := p.Acquire("KG20", "k", 1, []int{1, 2}); !ok {
-		t.Fatal("run-A slot not acquirable")
-	}
-
-	// Life 2: the restarted initiator proposes base 0 again, run B.
-	bankFor(t, p, "KG20", "k", 1, 2, 2, 222, 0)
-	if d := p.DepthOf("KG20", "k", 1); d != 2 {
-		t.Fatalf("run-B refill banked depth %d, want 2 (old run dropped, base 0 re-banked)", d)
-	}
-	seq, nonce, comms, ok := p.Acquire("KG20", "k", 1, []int{1, 2})
-	if !ok || nonce == nil || len(comms) != 2 {
-		t.Fatalf("run-B slot not acquirable: ok=%v", ok)
-	}
-	if seq != 0 {
-		t.Fatalf("run-B sequence numbers must restart at 0, got %d", seq)
-	}
-	// Consume-once still holds within the new run.
-	if _, _, ok := p.Claim("KG20", "k", 1, seq, 1); ok {
-		t.Fatal("consumed run-B slot claimable again")
-	}
-}
-
-func TestNoncePoolEpochInvalidation(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{PoolDepth: 2})
-	p := s.NoncePool()
-	bankFor(t, p, "KG20", "k", 1, 2, 2, p.run, 0)
-	bankFor(t, p, "KG20", "k", 2, 2, 2, p.run, 0)
-
-	// Epoch keying alone already prevents cross-epoch use.
-	if _, _, _, ok := p.Acquire("KG20", "k", 3, []int{1, 2}); ok {
-		t.Fatal("acquired material for an epoch never banked")
-	}
-	s.Invalidate("KG20", "k", 2)
-	if d := p.DepthOf("KG20", "k", 1); d != 0 {
-		t.Fatalf("old epoch survived invalidation, depth %d", d)
-	}
-	if d := p.DepthOf("KG20", "k", 2); d != 2 {
-		t.Fatalf("current epoch dropped by invalidation, depth %d", d)
-	}
-}
-
-func TestPoolDisabled(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{})
-	if s.NoncePool().Enabled() {
-		t.Fatal("pool enabled without PoolDepth")
-	}
-	if _, _, _, need := s.NoncePool().NeedRefill("KG20", "k", 1); need {
-		t.Fatal("disabled pool wants a refill")
-	}
-	if _, _, _, ok := s.NoncePool().Acquire("KG20", "k", 1, []int{1}); ok {
-		t.Fatal("disabled pool handed out a nonce")
-	}
-}
-
 // --- Benchmarks: the amortization wins the PR claims ---
 
 func BenchmarkLagrangeDirect(b *testing.B) {
@@ -611,35 +409,5 @@ func BenchmarkBatchVerify(b *testing.B) {
 			}(r)
 		}
 		wg.Wait()
-	}
-}
-
-func BenchmarkNoncePoolAcquire(b *testing.B) {
-	g := group.Edwards25519()
-	p := newNoncePool(rand.Reader, 64, 32)
-	signers := []int{1, 2}
-	// Pre-bank b.N slots outside the timer.
-	for idx := 1; idx <= 2; idx++ {
-		batch := 1024
-		var all []*frost.Nonce
-		var comms []*frost.NonceCommitment
-		for len(all) < b.N {
-			ns, cs, err := frost.Precompute(rand.Reader, g, idx, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			all, comms = append(all, ns...), append(comms, cs...)
-		}
-		if idx == 1 {
-			p.BankOwn("KG20", "k", 1, p.run, 0, all, comms)
-		} else {
-			p.Observe("KG20", "k", 1, p.run, 0, comms)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, ok := p.Acquire("KG20", "k", 1, signers); !ok {
-			b.Fatal("pool ran dry")
-		}
 	}
 }

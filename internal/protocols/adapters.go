@@ -19,23 +19,12 @@ import (
 )
 
 // Env carries the engine-owned cross-instance facilities into a
-// protocol instance: the precompute suite (coefficient cache, the batch
-// verifier SG02 and CKS05 check their shares with, the KG20 nonce pool)
-// and whether this node initiated the request locally (a submission, as
-// opposed to joining a peer's announcement). The zero Env disables all
-// of it — New uses it, so existing callers get today's behavior
-// unchanged.
+// protocol instance: the precompute suite (coefficient cache and the
+// batch verifier SG02 and CKS05 check their shares with) and the
+// dealing protocol's identity material. The zero Env disables all of
+// it; New uses it.
 type Env struct {
-	Suite     *precompute.Suite
-	Initiator bool
-	// InitiatorNode is the mesh node index that initiated the instance:
-	// the local node for a submission, the start announcement's sender
-	// when joining a peer's run, 0 when unknown (zero Env). FROST uses
-	// it to decide whether the initiator can open a pooled single-round
-	// run at all — an initiator outside the fixed signer group never
-	// can, so the signers must start the fresh path spontaneously
-	// instead of deferring on a pooled start that will never come.
-	InitiatorNode int
+	Suite *precompute.Suite
 	// Identity and Roster carry the node's transport identity key and
 	// the deployment's peer roster into the dealing protocol (keygen
 	// and reshare): when present, each sub-share box is sealed to its
@@ -65,8 +54,7 @@ func New(rand io.Reader, store *keys.Keystore, req Request) (Protocol, error) {
 // NewWith is New threading the engine environment into the instance:
 // the precompute suite serves cached Lagrange coefficients, batches the
 // share verification of SG02 and CKS05 (BLS04 and KG20 check their
-// combined signature instead), and — for KG20 with a warm nonce pool —
-// turns the initiator's signing path into a single round.
+// combined signature instead), and seals the dealing protocol's boxes.
 func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protocol, error) {
 	if req.Op == OpKeyGen {
 		return newKeygen(rand, store, req, env)
@@ -79,15 +67,6 @@ func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protoc
 		// Reshares translate senders themselves (dealers are OLD
 		// members; the wrapper maps to the new committee).
 		return newReshare(rand, store, k, req, env)
-	}
-	if req.Op == OpPoolRefill {
-		// Refills run on every committee node, signer or not (public
-		// material suffices to observe commitments).
-		p, err := newPoolRefill(rand, k, req, env, k.MemberIndex(store.Index))
-		if err != nil {
-			return nil, err
-		}
-		return mapSenders(p, k), nil
 	}
 	if k.Share == nil {
 		return nil, fmt.Errorf("protocols: %w: %s/%s on node %d",
@@ -165,15 +144,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 		if err != nil {
 			return nil, err
 		}
-		return newFrostWith(rand, pk, ks, req.Payload, frostEnv{
-			src:    src,
-			pool:   env.Suite.NoncePool(),
-			scheme: string(k.Scheme), keyID: k.ID, epoch: k.Epoch,
-			initiator: env.Initiator,
-			// 0 when the initiator is not a committee member (it then
-			// holds no share, let alone a banked nonce).
-			initiatorShare: k.MemberIndex(env.InitiatorNode),
-		}), nil
+		return newFrostWith(rand, pk, ks, req.Payload, frostEnv{src: src}), nil
 
 	default:
 		return nil, fmt.Errorf("protocols: scheme %q does not support operation %q", req.Scheme, req.Op)

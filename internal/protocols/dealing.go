@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sort"
 
 	"thetacrypt/internal/dkg"
@@ -439,7 +438,7 @@ func unmarshalDealing(g group.Group, recipients int, data []byte) (*sharepkg.Fel
 	for i := range boxes {
 		boxes[i] = r.Bytes()
 	}
-	if err := done(r); err != nil {
+	if err := r.End(); err != nil {
 		return nil, nil, err
 	}
 	return &sharepkg.FeldmanCommitment{Group: g, Points: pts}, boxes, nil
@@ -452,11 +451,11 @@ func marshalSubShare(s sharepkg.Share) []byte {
 
 func unmarshalSubShare(data []byte) (sharepkg.Share, error) {
 	r := wire.NewReader(data)
-	s := sharepkg.Share{Index: r.Int(), Value: readValue(r)}
-	if err := done(r); err != nil {
+	s := sharepkg.Share{Index: r.Int(), Value: r.Nat()}
+	if err := r.End(); err != nil {
 		return sharepkg.Share{}, err
 	}
-	if s.Index < 1 || s.Value == nil {
+	if s.Index < 1 {
 		return sharepkg.Share{}, errors.New("malformed sub-share")
 	}
 	return s, nil
@@ -482,7 +481,7 @@ func unmarshalComplaints(data []byte, maxDealer int) ([]int, error) {
 	for i := range out {
 		out[i] = r.Int()
 	}
-	if err := done(r); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	for _, d := range out {
@@ -512,13 +511,13 @@ func unmarshalJustifications(data []byte, maxIndex int) ([]sharepkg.Share, error
 	}
 	out := make([]sharepkg.Share, cnt)
 	for i := range out {
-		out[i] = sharepkg.Share{Index: r.Int(), Value: readValue(r)}
+		out[i] = sharepkg.Share{Index: r.Int(), Value: r.Nat()}
 	}
-	if err := done(r); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	for _, s := range out {
-		if s.Index < 1 || s.Index > maxIndex || s.Value == nil {
+		if s.Index < 1 || s.Index > maxIndex {
 			return nil, errors.New("malformed justification share")
 		}
 	}
@@ -537,27 +536,4 @@ func readCount(r *wire.Reader, max, minSize int) (int, error) {
 		return 0, fmt.Errorf("implausible count %d", n)
 	}
 	return n, nil
-}
-
-// readValue reads a sub-share scalar in the one encoding
-// wire.Writer.BigInt gives a non-negative value (sign byte 0, no
-// leading zero byte), so every accepted message re-encodes to the same
-// bytes. It returns nil for anything else.
-func readValue(r *wire.Reader) *big.Int {
-	b := r.Bytes()
-	if len(b) == 0 || b[0] != 0 || len(b) > 1 && b[1] == 0 {
-		return nil
-	}
-	return new(big.Int).SetBytes(b[1:])
-}
-
-// done reports a decoding error or trailing bytes.
-func done(r *wire.Reader) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !r.Done() {
-		return errors.New("trailing bytes")
-	}
-	return nil
 }

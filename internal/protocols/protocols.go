@@ -42,13 +42,6 @@ const (
 	// decimal. Same-committee specs implement proactive refresh;
 	// different committees grow, shrink or replace nodes live.
 	OpReshare
-	// OpPoolRefill banks a batch of FROST preprocessed nonces as a
-	// one-round protocol instance: the payload carries the base
-	// sequence number and batch size, the epoch pins the sharing the
-	// nonces belong to, and every signer broadcasts its commitments
-	// for the whole batch. It is engine-internal — ParseOperation
-	// never produces it, so clients cannot submit one.
-	OpPoolRefill
 )
 
 // String returns the lowercase operation name.
@@ -64,8 +57,6 @@ func (o Operation) String() string {
 		return "keygen"
 	case OpReshare:
 		return "reshare"
-	case OpPoolRefill:
-		return "poolrefill"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -189,16 +180,6 @@ func (r Request) Validate() error {
 		}
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrReshareUnsupported, err)
-		}
-	case OpPoolRefill:
-		if !keys.ValidKeyID(r.EffectiveKeyID()) {
-			return fmt.Errorf("%w %q", ErrBadKeyID, r.KeyID)
-		}
-		if r.Scheme != schemes.KG20 {
-			return fmt.Errorf("%w: pool refill applies to KG20 only, not %s", ErrUnknownOperation, r.Scheme)
-		}
-		if _, _, _, err := UnmarshalPoolRefill(r.Payload); err != nil {
-			return fmt.Errorf("%w: %v", ErrUnknownOperation, err)
 		}
 	default:
 		return fmt.Errorf("%w %d", ErrUnknownOperation, int(r.Op))

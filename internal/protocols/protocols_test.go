@@ -184,53 +184,6 @@ func TestFrostTRITwoRounds(t *testing.T) {
 	}
 }
 
-func TestFrostPrecomputedSkipsRound1(t *testing.T) {
-	nodes := dealNodes(t, 1, 4, schemes.KG20)
-	pk := keys.MustPublic[*frost.PublicKey](nodes[0], schemes.KG20)
-	g := pk.Group
-	quorum := pk.T + 1
-	// Pre-exchange commitments for the signer group.
-	nonces := make([]*frost.Nonce, quorum)
-	comms := make([]*frost.NonceCommitment, quorum)
-	for i := 0; i < quorum; i++ {
-		n, c, err := frost.GenerateNonce(rand.Reader, g, i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nonces[i], comms[i] = n, c
-	}
-	msg := []byte("one round")
-	// Assertion instance: with precomputed commitments the very first
-	// DoRound emits a round-2 signature share, no commitment exchange.
-	probe := NewFrost(rand.Reader, pk, keys.MustShare[frost.KeyShare](nodes[0], schemes.KG20), msg, nonces[0], comms)
-	out, err := probe.DoRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == nil || out.Round != 2 {
-		t.Fatalf("expected round-2 output, got %+v", out)
-	}
-
-	protos := make([]Protocol, len(nodes))
-	for i, nk := range nodes {
-		var nonce *frost.Nonce
-		if i < quorum {
-			nonce = nonces[i]
-		} else {
-			nonce = nonces[0] // non-signers ignore the nonce
-		}
-		protos[i] = NewFrost(rand.Reader, pk, keys.MustShare[frost.KeyShare](nk, schemes.KG20), msg, nonce, comms)
-	}
-	results := drive(t, protos)
-	sig, err := frost.UnmarshalSignature(g, results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := frost.Verify(pk, msg, sig); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRejectedSharesSurfaceButDoNotKill(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.CKS05)
 	req := Request{Scheme: schemes.CKS05, Op: OpCoin, Payload: []byte("byz")}

@@ -52,7 +52,7 @@ func UnmarshalReshareSpec(data []byte) (ReshareSpec, error) {
 	for i := range s.Members {
 		s.Members[i] = r.Int()
 	}
-	if err := done(r); err != nil {
+	if err := r.End(); err != nil {
 		return ReshareSpec{}, fmt.Errorf("reshare spec: %w", err)
 	}
 	return s, nil

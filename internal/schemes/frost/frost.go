@@ -1,9 +1,10 @@
 // Package frost implements the Komlo-Goldberg FROST threshold Schnorr
 // signature scheme (KG20): a two-round interactive protocol (nonce
-// commitment, then signing) with an optional precomputation phase that
-// generates batches of nonces in advance, reducing signing to a single
-// round. FROST is not robust: a misbehaving signer causes the protocol to
-// abort (and to identify the culprit), matching the paper's description.
+// commitment, then signing). Sign works the same on commitments
+// exchanged in advance (FROST's preprocessing), which would leave only
+// the second round; the service always runs both. FROST is not robust:
+// a misbehaving signer causes the protocol to abort (and to identify
+// the culprit), matching the paper's description.
 package frost
 
 import (
@@ -90,22 +91,6 @@ func GenerateNonce(rand io.Reader, g group.Group, index int) (*Nonce, *NonceComm
 	}
 	return &Nonce{D: d, E: e},
 		&NonceCommitment{Index: index, D: g.BaseMul(d), E: g.BaseMul(e)}, nil
-}
-
-// Precompute generates a batch of nonces and commitments, FROST's
-// preprocessing optimization: with a stock of precomputed nonces the
-// signing protocol needs only one communication round.
-func Precompute(rand io.Reader, g group.Group, index, batch int) ([]*Nonce, []*NonceCommitment, error) {
-	nonces := make([]*Nonce, batch)
-	comms := make([]*NonceCommitment, batch)
-	for i := 0; i < batch; i++ {
-		n, c, err := GenerateNonce(rand, g, index)
-		if err != nil {
-			return nil, nil, err
-		}
-		nonces[i], comms[i] = n, c
-	}
-	return nonces, comms, nil
 }
 
 // SignatureShare is signer i's round-2 response.
@@ -341,13 +326,15 @@ func (nc *NonceCommitment) Marshal() []byte {
 	return wire.NewWriter().Int(nc.Index).Bytes(nc.D.Marshal()).Bytes(nc.E.Marshal()).Out()
 }
 
-// UnmarshalNonceCommitment decodes a nonce commitment.
+// UnmarshalNonceCommitment decodes a nonce commitment. Like the other
+// decoders here it rejects trailing bytes, so every accepted input is
+// the one encoding Marshal gives.
 func UnmarshalNonceCommitment(g group.Group, data []byte) (*NonceCommitment, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
 	dRaw := r.Bytes()
 	eRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("frost commitment: %w", err)
 	}
 	d, err := g.UnmarshalPoint(dRaw)
@@ -366,12 +353,13 @@ func (ss *SignatureShare) Marshal() []byte {
 	return wire.NewWriter().Int(ss.Index).BigInt(ss.Z).Out()
 }
 
-// UnmarshalSignatureShare decodes a signature share.
+// UnmarshalSignatureShare decodes a signature share. z must be a
+// canonically encoded non-negative integer.
 func UnmarshalSignatureShare(data []byte) (*SignatureShare, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
-	z := r.BigInt()
-	if err := r.Err(); err != nil {
+	z := r.Nat()
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("frost share: %w", err)
 	}
 	return &SignatureShare{Index: idx, Z: z}, nil
@@ -382,12 +370,13 @@ func (sig *Signature) Marshal() []byte {
 	return wire.NewWriter().Bytes(sig.R.Marshal()).BigInt(sig.Z).Out()
 }
 
-// UnmarshalSignature decodes a signature.
+// UnmarshalSignature decodes a signature. z must be a canonically
+// encoded non-negative integer.
 func UnmarshalSignature(g group.Group, data []byte) (*Signature, error) {
 	r := wire.NewReader(data)
 	rRaw := r.Bytes()
-	z := r.BigInt()
-	if err := r.Err(); err != nil {
+	z := r.Nat()
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("frost signature: %w", err)
 	}
 	rp, err := g.UnmarshalPoint(rRaw)

@@ -1,12 +1,15 @@
 package frost
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"thetacrypt/internal/group"
+	"thetacrypt/internal/wire"
 )
 
 type signer struct {
@@ -65,7 +68,8 @@ func TestTwoRoundSigning(t *testing.T) {
 }
 
 func TestPrecomputedOneRoundSigning(t *testing.T) {
-	// With precomputed nonce batches, signing needs only round 2.
+	// With nonce batches generated and exchanged ahead of time (FROST's
+	// preprocessing), signing needs only round 2.
 	g := group.Edwards25519()
 	pk, ks, err := Deal(rand.Reader, g, 1, 3)
 	if err != nil {
@@ -75,11 +79,14 @@ func TestPrecomputedOneRoundSigning(t *testing.T) {
 	nonces := make(map[int][]*Nonce)
 	comms := make(map[int][]*NonceCommitment)
 	for _, k := range ks[:2] {
-		n, c, err := Precompute(rand.Reader, g, k.Index, batch)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < batch; i++ {
+			n, c, err := GenerateNonce(rand.Reader, g, k.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonces[k.Index] = append(nonces[k.Index], n)
+			comms[k.Index] = append(comms[k.Index], c)
 		}
-		nonces[k.Index], comms[k.Index] = n, c
 	}
 	// Sign `batch` messages, consuming one precomputed nonce each.
 	for round := 0; round < batch; round++ {
@@ -228,4 +235,118 @@ func TestMarshalRoundTrips(t *testing.T) {
 	if err := Verify(pk, msg, sig2); err != nil {
 		t.Fatal("round-tripped signature invalid")
 	}
+}
+
+// TestDecodersRejectNonCanonical pins that the three decoders accept
+// only the one encoding Marshal gives: a trailing byte, a zero-padded
+// magnitude and a sign byte other than 0 are all rejected.
+func TestDecodersRejectNonCanonical(t *testing.T) {
+	share := func(z []byte) []byte { return wire.NewWriter().Int(1).Bytes(z).Out() }
+	if _, err := UnmarshalSignatureShare(share([]byte{0, 0x30, 0x39})); err != nil {
+		t.Fatalf("rejected a canonical share: %v", err)
+	}
+	for name, z := range map[string][]byte{
+		"zero-padded": {0, 0, 0x30, 0x39},
+		"sign byte 7": {7, 0x30, 0x39},
+		"negative":    {1, 0x30, 0x39},
+		"empty":       {},
+	} {
+		if _, err := UnmarshalSignatureShare(share(z)); err == nil {
+			t.Errorf("share with %s z accepted", name)
+		}
+	}
+	for _, dec := range frostDecoders {
+		for _, seed := range dec.seeds() {
+			if dec.decode(seed) == nil {
+				t.Fatalf("%s: rejected its own encoding", dec.name)
+			}
+			if dec.decode(append(seed, 0)) != nil {
+				t.Fatalf("%s: accepted a trailing byte", dec.name)
+			}
+		}
+	}
+}
+
+// frostDecoders lists the FROST wire decoders for the fuzz target:
+// decode returns nil for a rejected input, and otherwise a function
+// re-encoding what was decoded. seeds returns valid encodings.
+var frostDecoders = []struct {
+	name   string
+	decode func([]byte) func() []byte
+	seeds  func() [][]byte
+}{
+	{"commitment/edwards25519", commitmentDecoder(group.Edwards25519()), commitmentSeeds(group.Edwards25519())},
+	{"commitment/p256", commitmentDecoder(group.P256()), commitmentSeeds(group.P256())},
+	{"share", func(b []byte) func() []byte {
+		ss, err := UnmarshalSignatureShare(b)
+		if err != nil {
+			return nil
+		}
+		return ss.Marshal
+	}, func() [][]byte {
+		return [][]byte{(&SignatureShare{Index: 2, Z: big.NewInt(12345)}).Marshal(),
+			(&SignatureShare{Index: 1, Z: big.NewInt(0)}).Marshal()}
+	}},
+	{"signature/edwards25519", signatureDecoder(group.Edwards25519()), signatureSeeds(group.Edwards25519())},
+	{"signature/p256", signatureDecoder(group.P256()), signatureSeeds(group.P256())},
+}
+
+func commitmentDecoder(g group.Group) func([]byte) func() []byte {
+	return func(b []byte) func() []byte {
+		c, err := UnmarshalNonceCommitment(g, b)
+		if err != nil {
+			return nil
+		}
+		return c.Marshal
+	}
+}
+
+func commitmentSeeds(g group.Group) func() [][]byte {
+	return func() [][]byte {
+		return [][]byte{(&NonceCommitment{Index: 3, D: g.Generator(), E: g.Identity()}).Marshal()}
+	}
+}
+
+func signatureDecoder(g group.Group) func([]byte) func() []byte {
+	return func(b []byte) func() []byte {
+		sig, err := UnmarshalSignature(g, b)
+		if err != nil {
+			return nil
+		}
+		return sig.Marshal
+	}
+}
+
+func signatureSeeds(g group.Group) func() [][]byte {
+	return func() [][]byte {
+		return [][]byte{(&Signature{R: g.Generator(), Z: new(big.Int).Sub(g.Order(), big.NewInt(1))}).Marshal()}
+	}
+}
+
+// FuzzFrostDecoders feeds arbitrary bytes to every FROST wire decoder —
+// nonce commitment and signature (over both groups), signature share —
+// selected by which. It asserts that no input panics, that decoding
+// allocates in proportion to the input, and that every accepted input
+// re-encodes to exactly itself.
+func FuzzFrostDecoders(f *testing.F) {
+	for i, dec := range frostDecoders {
+		for _, seed := range dec.seeds() {
+			f.Add(uint8(i), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		dec := frostDecoders[int(which)%len(frostDecoders)]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reencode := dec.decode(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10+64*len(data)); got > limit {
+			t.Fatalf("%s: decoding %d bytes allocated %d (limit %d)", dec.name, len(data), got, limit)
+		}
+		if reencode != nil {
+			if out := reencode(); !bytes.Equal(out, data) {
+				t.Fatalf("%s: accepted %x but re-encodes to %x", dec.name, data, out)
+			}
+		}
+	})
 }

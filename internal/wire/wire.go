@@ -126,6 +126,31 @@ func (r *Reader) BigInt() *big.Int {
 	return v
 }
 
+// Nat reads a non-negative big integer in the one encoding
+// Writer.BigInt gives it: sign byte 0 and no leading zero byte, so an
+// accepted value re-encodes to the same bytes. Anything else is a
+// decoding error.
+func (r *Reader) Nat() *big.Int {
+	b := r.Bytes()
+	if r.err != nil {
+		return nil
+	}
+	if len(b) == 0 || b[0] != 0 || len(b) > 1 && b[1] == 0 {
+		r.err = errors.New("wire: non-canonical natural number")
+		return nil
+	}
+	return new(big.Int).SetBytes(b[1:])
+}
+
+// End returns the first decoding error, or an error if any input is
+// left unread.
+func (r *Reader) End() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.off)
+	}
+	return r.err
+}
+
 // Int reads a small integer field.
 func (r *Reader) Int() int {
 	b := r.Bytes()

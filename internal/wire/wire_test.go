@@ -92,3 +92,24 @@ func TestQuickRoundTripBigInts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNatAcceptsOnlyCanonical(t *testing.T) {
+	for _, v := range []int64{0, 1, 255, 1 << 40} {
+		r := NewReader(NewWriter().BigInt(big.NewInt(v)).Out())
+		if got := r.Nat(); r.End() != nil || got.Int64() != v {
+			t.Fatalf("Nat(%d) = %v, %v", v, got, r.End())
+		}
+	}
+	for name, b := range map[string][]byte{
+		"empty": {}, "negative": {1, 5}, "unknown sign": {7, 5}, "zero-padded": {0, 0, 5},
+	} {
+		r := NewReader(NewWriter().Bytes(b).Out())
+		if r.Nat() != nil || r.End() == nil {
+			t.Fatalf("Nat accepted %s encoding %x", name, b)
+		}
+	}
+	r := NewReader(append(NewWriter().Int(3).Out(), 0))
+	if r.Int(); r.End() == nil {
+		t.Fatal("End accepted a trailing byte")
+	}
+}

@@ -502,68 +502,64 @@ func TestRouterInfoMergesCommittees(t *testing.T) {
 	}
 }
 
-// TestRouterPooledSigning drives pooled FROST signing end to end
-// through the public API: two KG20 committees with a nonce pool behind
-// the router, pools warmed, then signs routed by key. Every signature
-// must verify under its committee's key, and each committee must have
-// served its signs from the pool (depth fell, no exhaustion) rather
-// than from the two-round fallback.
-func TestRouterPooledSigning(t *testing.T) {
+// TestRouterFrostSigning drives two-round FROST signing end to end
+// through the public API: two KG20 committees behind the router, signs
+// routed by key. Every signature must verify under its committee's
+// key, and each sign must have run on the owning committee alone: its
+// Lagrange counters move, the other committee's stay put.
+func TestRouterFrostSigning(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	// Depth 8 refills below 4, so two signs per committee leave the
-	// drop visible.
-	const depth, signs = 8, 2
-	keyIDs := []string{"pool-a", "pool-b"}
+	const signs = 2
+	keyIDs := []string{"frost-a", "frost-b"}
 	clusters := make([]*thetacrypt.Cluster, 2)
 	backends := make([]thetacrypt.RouterBackend, 2)
 	for i := range clusters {
 		cluster, err := thetacrypt.NewCluster(1, 4, thetacrypt.ClusterOptions{
 			Schemes: []thetacrypt.SchemeID{thetacrypt.KG20},
 			KeyID:   keyIDs[i],
-			Engine:  thetacrypt.EngineOptions{FrostPoolDepth: depth},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(cluster.Close)
-		if err := cluster.WarmNoncePools(ctx); err != nil {
-			t.Fatal(err)
-		}
 		clusters[i] = cluster
 		backends[i] = thetacrypt.RouterBackend{Name: keyIDs[i], Service: cluster}
 	}
 	rt := thetacrypt.NewRouter(backends...)
 
-	crypto := func() []*thetacrypt.CryptoStats {
+	lagrange := func() []int64 {
 		info, err := rt.Info(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]*thetacrypt.CryptoStats, len(info.Committees))
+		out := make([]int64, len(info.Committees))
 		for i, block := range info.Committees {
 			if block.Stats == nil || block.Stats.Crypto == nil {
 				t.Fatalf("committee %s reports no crypto stats: %+v", block.Name, block)
 			}
-			out[i] = block.Stats.Crypto
+			if block.Stats.Crypto.NonceExhaustions != 0 {
+				t.Fatalf("committee %s reports nonce exhaustions: %+v", block.Name, block.Stats.Crypto)
+			}
+			out[i] = block.Stats.Crypto.LagrangeHits + block.Stats.Crypto.LagrangeMisses
 		}
 		return out
 	}
-	before := crypto()
 
 	for i, keyID := range keyIDs {
 		pk, err := thetacrypt.PublicKeyOf[*frost.PublicKey](clusters[i].KeystoreAt(1), thetacrypt.KG20, keyID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := lagrange()
 		for j := 0; j < signs; j++ {
-			msg := []byte(fmt.Sprintf("pooled %s %d", keyID, j))
+			msg := []byte(fmt.Sprintf("routed %s %d", keyID, j))
 			val, err := thetacrypt.Execute(ctx, rt, thetacrypt.Request{
 				Scheme:  thetacrypt.KG20,
 				KeyID:   keyID,
 				Op:      thetacrypt.OpSign,
-				Session: fmt.Sprintf("pooled-%s-%d", keyID, j),
+				Session: fmt.Sprintf("routed-%s-%d", keyID, j),
 				Payload: msg,
 			})
 			if err != nil {
@@ -577,16 +573,12 @@ func TestRouterPooledSigning(t *testing.T) {
 				t.Fatalf("signature %s #%d does not verify under its key: %v", keyID, j, err)
 			}
 		}
-	}
-
-	after := crypto()
-	for i, keyID := range keyIDs {
-		if after[i].NonceExhaustions != 0 {
-			t.Fatalf("committee %s fell back to two-round signing: %+v", keyID, after[i])
-		}
-		if after[i].NoncePoolDepth >= before[i].NoncePoolDepth {
-			t.Fatalf("committee %s pool depth %d -> %d, want a drop",
-				keyID, before[i].NoncePoolDepth, after[i].NoncePoolDepth)
+		after := lagrange()
+		for c := range keyIDs {
+			if moved := after[c] != before[c]; moved != (c == i) {
+				t.Fatalf("signs under %s: committee %s Lagrange lookups %d -> %d",
+					keyID, keyIDs[c], before[c], after[c])
+			}
 		}
 	}
 }

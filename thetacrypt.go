@@ -56,7 +56,7 @@ type (
 	// flow control counters.
 	EngineStats = api.EngineStats
 	// CryptoStats is the precompute layer's snapshot inside EngineStats:
-	// Lagrange cache hit rate, verification batching, FROST nonce pool.
+	// Lagrange cache hit rate and verification batching.
 	CryptoStats = api.CryptoStats
 	// TransportStats is the per-peer health snapshot of a node's P2P
 	// links (state, queue depth, send/drop counters).
@@ -198,15 +198,6 @@ type EngineOptions struct {
 	// submissions are idempotent, so overlapping schedules join the
 	// same instances. Zero disables the schedule.
 	RefreshInterval time.Duration
-	// FrostPoolDepth enables the FROST preprocessed nonce pool: each
-	// KG20 key banks this many commitment slots per epoch off the
-	// critical path, making online signing a single message round while
-	// the pool is warm. All nodes of a deployment must use the same
-	// setting. Zero disables pooling (classic two-round signing).
-	FrostPoolDepth int
-	// FrostPoolRefill is the pool's low-water mark (default
-	// FrostPoolDepth/2): dropping below it schedules a refill run.
-	FrostPoolRefill int
 }
 
 // engineConfig merges the options into an engine config.
@@ -217,8 +208,6 @@ func (o EngineOptions) engineConfig(cfg orchestration.Config) orchestration.Conf
 	cfg.RetainMax = o.RetainMax
 	cfg.SendTimeout = o.SendTimeout
 	cfg.RefreshInterval = o.RefreshInterval
-	cfg.FrostPoolDepth = o.FrostPoolDepth
-	cfg.FrostPoolRefill = o.FrostPoolRefill
 	return cfg
 }
 
@@ -349,19 +338,6 @@ func (c *Cluster) Keys(ctx context.Context) ([]KeyInfo, error) {
 // Key resolves one named key of node 1's keystore (api.KeyFetcher).
 func (c *Cluster) Key(ctx context.Context, scheme SchemeID, keyID string) (KeyInfo, error) {
 	return c.com.Key(ctx, scheme, keyID)
-}
-
-// WarmNoncePools fills every node's FROST nonce pools synchronously and
-// returns when the banked slots are usable: benchmarks call it before a
-// timed run to measure the steady warm-pool state instead of racing the
-// background refills. A no-op when the pool is disabled.
-func (c *Cluster) WarmNoncePools(ctx context.Context) error {
-	for i := 1; i <= c.com.N(); i++ {
-		if err := c.com.UnitAt(i).Engine.WarmNoncePools(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // GenerateKey runs a distributed key generation across the cluster
@@ -586,13 +562,6 @@ func (n *Node) Keys(ctx context.Context) ([]KeyInfo, error) {
 // Key resolves one named key of the node's keystore (api.KeyFetcher).
 func (n *Node) Key(ctx context.Context, scheme SchemeID, keyID string) (KeyInfo, error) {
 	return n.unit.Key(ctx, scheme, keyID)
-}
-
-// WarmNoncePools fills the node's FROST nonce pools synchronously (see
-// Cluster.WarmNoncePools); only the designated refill initiator of a
-// key banks anything, other nodes return immediately.
-func (n *Node) WarmNoncePools(ctx context.Context) error {
-	return n.unit.Engine.WarmNoncePools(ctx)
 }
 
 // GenerateKey runs a distributed key generation across the deployment
