@@ -12,12 +12,12 @@ profile="${1:-coverage.out}"
 gates='
 internal/network/...  internal/network        72.0
 internal/identity     internal/identity       78
-internal/{keys,dkg}   internal/(keys|dkg)     81
+internal/{keys,dkg}   internal/(keys|dkg)     83.1
 internal/share        internal/share          86
 internal/router       internal/router         75
 internal/precompute   internal/precompute     90
 internal/service      internal/service        81
-internal/protocols    internal/protocols      77.8
+internal/protocols    internal/protocols      83.0
 '
 
 part="$(mktemp)"

@@ -49,6 +49,9 @@ var (
 	// a node that only holds the key's public half (it was left out of
 	// the committee by a membership-changing reshare).
 	ErrKeyNoShare = errors.New("keys: node holds no share for key")
+	// ErrKeyShare reports a discrete-log key (SG02, KG20, CKS05) whose
+	// share does not match the share's own verification key.
+	ErrKeyShare = errors.New("keys: share does not match its verification key")
 )
 
 // FirstEpoch is the epoch of freshly dealt or DKG-generated keys.
@@ -232,6 +235,9 @@ func (ks *Keystore) add(k *Key) error {
 	if _, err := schemes.Lookup(k.Scheme); err != nil {
 		return err
 	}
+	if err := checkShare(k); err != nil {
+		return err
+	}
 	if k.Group == "" {
 		k.Group = deriveGroup(k)
 	}
@@ -250,10 +256,14 @@ func (ks *Keystore) add(k *Key) error {
 // install step of a finalized reshare. The key must already exist and
 // the replacement's epoch must be strictly greater than the current
 // one (ErrKeyEpoch otherwise), so a stale or replayed reshare result
-// can never roll a key back.
+// can never roll a key back. Like Add, it refuses a share that does
+// not match its verification key (ErrKeyShare).
 func (ks *Keystore) Replace(k *Key) error {
 	if !ValidKeyID(k.ID) {
 		return fmt.Errorf("%w %q", ErrKeyID, k.ID)
+	}
+	if err := checkShare(k); err != nil {
+		return err
 	}
 	if k.Group == "" {
 		k.Group = deriveGroup(k)
@@ -409,6 +419,38 @@ func MustShare[S any](ks *Keystore, scheme schemes.ID) S {
 		panic(err)
 	}
 	return s
+}
+
+// checkShare refuses a discrete-log key (SG02, KG20, CKS05) whose
+// share x_i does not match its verification key: x_i·G must equal
+// VK[i-1]. The protocols never check the share a node makes itself,
+// and a CKS05 coin does not verify its output, so this install-time
+// check, one fixed-base multiplication per key, is what keeps a
+// corrupt local share from reaching a request. Every dealt, generated,
+// reshared and loaded key comes through it. Public-only keys pass.
+func checkShare(k *Key) error {
+	var (
+		g  group.Group
+		vk []group.Point
+	)
+	switch pk := k.Public.(type) {
+	case *sg02.PublicKey:
+		g, vk = pk.Group, pk.VK
+	case *frost.PublicKey:
+		g, vk = pk.Group, pk.VK
+	case *cks05.PublicKey:
+		g, vk = pk.Group, pk.VK
+	default:
+		return nil
+	}
+	if k.Share == nil {
+		return nil
+	}
+	idx, x := shareRef(k)
+	if x == nil || idx < 1 || idx > len(vk) || !g.BaseMul(x).Equal(vk[idx-1]) {
+		return fmt.Errorf("%w: %s/%s share %d", ErrKeyShare, k.Scheme, k.ID, idx)
+	}
+	return nil
 }
 
 // deriveGroup labels a key's arithmetic structure from its public

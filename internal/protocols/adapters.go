@@ -20,7 +20,8 @@ import (
 
 // Env carries the engine-owned cross-instance facilities into a
 // protocol instance: the precompute suite (coefficient cache and the
-// batch verifier SG02 and CKS05 check their shares with) and the
+// batch verifier SG02 and CKS05 check their peers' shares with; a
+// node's own share is never checked) and the
 // dealing protocol's identity material. The zero Env disables all of
 // it; New uses it.
 type Env struct {
@@ -53,8 +54,9 @@ func New(rand io.Reader, store *keys.Keystore, req Request) (Protocol, error) {
 
 // NewWith is New threading the engine environment into the instance:
 // the precompute suite serves cached Lagrange coefficients, batches the
-// share verification of SG02 and CKS05 (BLS04 and KG20 check their
-// combined signature instead), and seals the dealing protocol's boxes.
+// checks SG02 and CKS05 run on their peers' shares (BLS04 and KG20
+// check their combined signature instead, and no scheme checks the
+// share a node made itself), and seals the dealing protocol's boxes.
 func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protocol, error) {
 	if req.Op == OpKeyGen {
 		return newKeygen(rand, store, req, env)
@@ -235,13 +237,14 @@ type sg02Adapter struct {
 	ctValid bool
 }
 
-func (a *sg02Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
+func (a *sg02Adapter) CreateShare(rand io.Reader) ([]byte, error) {
 	ds, err := sg02.DecryptShare(rand, a.pk, a.ks, a.ct)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	a.ctValid = true
-	return a.ks.Index, ds.Marshal(), nil
+	a.shares[ds.Index] = ds
+	return ds.Marshal(), nil
 }
 
 func (a *sg02Adapter) OnShare(sender int, payload []byte) error {
@@ -291,12 +294,13 @@ type bz03Adapter struct {
 	shares map[int]*bz03.DecShare
 }
 
-func (a *bz03Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
+func (a *bz03Adapter) CreateShare(rand io.Reader) ([]byte, error) {
 	ds, err := bz03.DecryptShare(a.pk, a.ks, a.ct)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return a.ks.Index, ds.Marshal(), nil
+	a.shares[ds.Index] = ds
+	return ds.Marshal(), nil
 }
 
 func (a *bz03Adapter) OnShare(sender int, payload []byte) error {
@@ -333,12 +337,13 @@ type sh00Adapter struct {
 	shares map[int]*sh00.SigShare
 }
 
-func (a *sh00Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
+func (a *sh00Adapter) CreateShare(rand io.Reader) ([]byte, error) {
 	ss, err := sh00.SignShare(rand, a.pk, a.ks, a.msg)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return a.ks.Index, ss.Marshal(), nil
+	a.shares[ss.Index] = ss
+	return ss.Marshal(), nil
 }
 
 func (a *sh00Adapter) OnShare(sender int, payload []byte) error {
@@ -389,8 +394,16 @@ type bls04Adapter struct {
 	sig      []byte // the verified signature, once a quorum combined
 }
 
-func (a *bls04Adapter) CreateShare(io.Reader) (int, []byte, error) {
-	return a.ks.Index, bls04.SignShare(a.ks, a.msg).Marshal(), nil
+func (a *bls04Adapter) CreateShare(io.Reader) ([]byte, error) {
+	ss := bls04.SignShare(a.ks, a.msg)
+	a.shares[ss.Index] = ss
+	if len(a.shares) > a.pk.T {
+		// t = 0: the node's own share is a quorum.
+		if err := a.combine(); err != nil {
+			return nil, err
+		}
+	}
+	return ss.Marshal(), nil
 }
 
 func (a *bls04Adapter) OnShare(sender int, payload []byte) error {
@@ -466,12 +479,13 @@ type cks05Adapter struct {
 	shares map[int]*cks05.CoinShare
 }
 
-func (a *cks05Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
+func (a *cks05Adapter) CreateShare(rand io.Reader) ([]byte, error) {
 	cs, err := cks05.Share(rand, a.pk, a.ks, a.name)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return a.ks.Index, cs.Marshal(), nil
+	a.shares[cs.Index] = cs
+	return cs.Marshal(), nil
 }
 
 func (a *cks05Adapter) OnShare(sender int, payload []byte) error {

@@ -331,17 +331,28 @@ func Rejections(err error) []error {
 }
 
 // shareAdapter is the minimal surface a non-interactive scheme exposes
-// to the generic single-round protocol: create the local share, check
-// and accumulate peer shares, and combine once a quorum is reached. This
-// is the seam that lets a new scheme plug into the protocol module
-// without touching it (the paper's extensibility claim).
+// to the generic single-round protocol: create and record the local
+// share, check and accumulate peer shares, and combine once a quorum is
+// reached. This is the seam that lets a new scheme plug into the
+// protocol module without touching it (the paper's extensibility
+// claim).
+//
+// Peer shares are checked; the node's own share is not, since a check
+// could only fail on a local fault. Such a fault still surfaces: the
+// combine of SG02, BZ03, SH00 and BLS04 verifies its output and ends
+// the instance locally, naming no peer. CKS05's combine does not, so
+// it relies on the keystore, which refuses a discrete-log key share
+// that does not match its verification key at install.
 type shareAdapter interface {
-	// CreateShare computes this party's share of the result.
-	CreateShare(rand io.Reader) (selfIndex int, payload []byte, err error)
-	// OnShare accumulates a share, the party's own included. Schemes
-	// whose result does not verify itself check each share here;
-	// BLS04 checks the combined signature once the share completes a
-	// quorum and, only if that fails, the shares one by one. Invalid
+	// CreateShare computes this party's share of the result and records
+	// it as built, unchecked and without a round trip through its
+	// encoding. It returns the encoding to send to the peers. When the
+	// own share alone completes a quorum (t = 0) BLS04 combines here.
+	CreateShare(rand io.Reader) (payload []byte, err error)
+	// OnShare checks and accumulates a peer's share. Schemes whose
+	// result does not verify itself check each share here; BLS04
+	// checks the combined signature once the share completes a quorum
+	// and, only if that fails, the peer shares one by one. Invalid
 	// shares return ErrShareRejected (wrapped); shares rejected by a
 	// quorum's check come back as rejectShare errors naming their own
 	// senders, joined when there are several.
@@ -374,14 +385,9 @@ func (p *nonInteractive) DoRound() (*RoundOutput, error) {
 		return nil, nil
 	}
 	p.started = true
-	self, payload, err := p.adapter.CreateShare(p.rand)
+	payload, err := p.adapter.CreateShare(p.rand)
 	if err != nil {
 		return nil, fmt.Errorf("create share: %w", err)
-	}
-	// Account for the local share immediately: with t+1 = 1 the quorum
-	// may already be complete.
-	if err := p.adapter.OnShare(self, payload); err != nil {
-		return nil, fmt.Errorf("accumulate own share: %w", err)
 	}
 	return &RoundOutput{Round: 1, Payload: payload}, nil
 }

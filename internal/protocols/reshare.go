@@ -163,9 +163,6 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 				if err != nil {
 					return nil, fmt.Errorf("reshare combine: %w", err)
 				}
-				if !g.BaseMul(x).Equal(vk[myNewIdx-1]) {
-					return nil, fmt.Errorf("reshare: combined share inconsistent with new verification key")
-				}
 				shr = dlMakeShare(req.Scheme, myNewIdx, x)
 			}
 			next := &keys.Key{
@@ -178,7 +175,8 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 				Members: append([]int(nil), spec.Members...),
 			}
 			if err := store.Replace(next); err != nil {
-				// A concurrent reshare advanced the key first.
+				// A concurrent reshare advanced the key first, or the
+				// combined share does not match its new verification key.
 				return nil, err
 			}
 			return []byte(strconv.Itoa(next.Epoch)), nil

@@ -292,7 +292,10 @@ func (ct *Ciphertext) Marshal() []byte {
 		BigInt(ct.E).BigInt(ct.F).Out()
 }
 
-// UnmarshalCiphertext decodes a ciphertext for the given group.
+// UnmarshalCiphertext decodes a ciphertext for the given group. It
+// accepts only the encoding Marshal gives: E and F canonical natural
+// numbers and no trailing bytes, so one ciphertext has one encoding
+// (and a request on it one instance ID).
 func UnmarshalCiphertext(g group.Group, data []byte) (*Ciphertext, error) {
 	r := wire.NewReader(data)
 	ct := &Ciphertext{
@@ -302,9 +305,9 @@ func UnmarshalCiphertext(g group.Group, data []byte) (*Ciphertext, error) {
 	}
 	uRaw := r.Bytes()
 	ubRaw := r.Bytes()
-	ct.E = r.BigInt()
-	ct.F = r.BigInt()
-	if err := r.Err(); err != nil {
+	ct.E = r.Nat()
+	ct.F = r.Nat()
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sg02 ciphertext: %w", err)
 	}
 	var err error
@@ -323,13 +326,14 @@ func (ds *DecShare) Marshal() []byte {
 		Int(ds.Index).Bytes(ds.U.Marshal()).Bytes(ds.Proof.Marshal()).Out()
 }
 
-// UnmarshalDecShare decodes a decryption share for the given group.
+// UnmarshalDecShare decodes a decryption share for the given group,
+// accepting only the encoding Marshal gives.
 func UnmarshalDecShare(g group.Group, data []byte) (*DecShare, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
 	uRaw := r.Bytes()
 	proofRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sg02 share: %w", err)
 	}
 	u, err := g.UnmarshalPoint(uRaw)

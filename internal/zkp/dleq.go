@@ -125,13 +125,15 @@ func (p *DLEQProof) Marshal() []byte {
 	return wire.NewWriter().Bytes(p.A1.Marshal()).Bytes(p.A2.Marshal()).BigInt(p.F).Out()
 }
 
-// UnmarshalDLEQ decodes a proof over the given group.
+// UnmarshalDLEQ decodes a proof over the given group. It accepts only
+// the encoding Marshal gives: F a canonical natural number and no
+// trailing bytes.
 func UnmarshalDLEQ(g group.Group, data []byte) (*DLEQProof, error) {
 	r := wire.NewReader(data)
 	a1Raw := r.Bytes()
 	a2Raw := r.Bytes()
-	f := r.BigInt()
-	if err := r.Err(); err != nil {
+	f := r.Nat()
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	a1, err := g.UnmarshalPoint(a1Raw)
