@@ -12,7 +12,7 @@ profile="${1:-coverage.out}"
 gates='
 internal/network/...  internal/network        72.0
 internal/identity     internal/identity       78
-internal/{keys,dkg}   internal/(keys|dkg)     83.1
+internal/{keys,dkg}   internal/(keys|dkg)     88.1
 internal/share        internal/share          86
 internal/router       internal/router         75
 internal/precompute   internal/precompute     90

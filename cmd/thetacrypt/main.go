@@ -54,7 +54,7 @@ func run() error {
 		dialRetry   = flag.Duration("dial-retry", 0, "initial peer reconnect backoff, doubling per failure (0 = default 250ms)")
 		dialMax     = flag.Duration("dial-backoff-max", 0, "cap on the peer reconnect backoff (0 = default 4s)")
 		sendTimeout = flag.Duration("send-timeout", 0, "bound on each round broadcast; bites only when a block-policy peer queue is saturated (0 = default 5s)")
-		persist     = flag.Bool("persist", false, "spill keystore mutations (generated keys, reshared epochs) back to the -key file atomically")
+		persist     = flag.Bool("persist", false, "make the -key file durable: rewrite it at start, then append one fsynced frame per installed key (generated keys, reshared epochs) and zero the share each reshare supersedes")
 		refresh     = flag.Duration("refresh-interval", 0, "proactive-refresh schedule: reshare every reshareable key to its own committee at this interval (0 = disabled)")
 		routerMode  = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
 		committees  = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")

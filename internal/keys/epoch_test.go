@@ -34,7 +34,7 @@ func TestDealtKeysStartAtFirstEpoch(t *testing.T) {
 // TestEpochedKeystoreRoundTrip serializes a keystore holding the full
 // post-reshare state — an advanced epoch, an explicit committee with a
 // different threshold, and a public-only record on an excluded node —
-// and verifies every field survives the TKS2 v3 round trip.
+// and verifies every field survives the keystore-file round trip.
 func TestEpochedKeystoreRoundTrip(t *testing.T) {
 	nodes, err := Deal(rand.Reader, 1, 4, Options{Schemes: []schemes.ID{schemes.SG02}})
 	if err != nil {

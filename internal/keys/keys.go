@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 
@@ -33,6 +34,12 @@ const DefaultKeyID = "default"
 
 // MaxKeyIDLen bounds key identifiers.
 const MaxKeyIDLen = 64
+
+// maxParties bounds the deployment size N of a store, and so the n of
+// every key in it. The dealer refuses larger deployments and a key
+// file declaring one does not load, which keeps the cost of decoding a
+// hostile file, SH00's n! among it, small.
+const maxParties = 4096
 
 // Typed keystore errors; the service layer maps them onto the
 // structured error model (key_unknown 404, key_exists 409, key_epoch
@@ -179,78 +186,76 @@ type Keystore struct {
 	order []*Key
 	byRef map[keyRef]*Key
 
-	// persistMu serializes writers of the durable key file; it is
-	// always taken before mu's read lock (Marshal), never under it.
+	// persistMu serializes installs and Save, so the log's frame order
+	// is the install order; it is always taken before mu, never under
+	// it. While the file at persistPath is known to be this store's
+	// log, frames counts its frames, size its bytes, and live maps each
+	// key to the body of its last frame, which a Replace of the key
+	// zeroes. frames is -1 otherwise: after SetPersistPath, and after a
+	// failed write that may have left a partial frame. The next install
+	// then writes a snapshot.
 	persistMu   sync.Mutex
 	persistPath string
+	frames      int
+	size        int
+	live        map[keyRef]span
 }
+
+// span is the byte range [from, to) of the key file.
+type span struct{ from, to int }
 
 // NewKeystore creates an empty keystore for party index of an (t, n)
 // deployment.
 func NewKeystore(index, t, n int) *Keystore {
-	return &Keystore{Index: index, N: n, T: t, byRef: make(map[keyRef]*Key)}
+	return &Keystore{Index: index, N: n, T: t, byRef: make(map[keyRef]*Key), frames: -1}
 }
 
 // SetPersistPath makes the keystore durable: every successful Add or
-// Replace re-spills the full store to path with an atomic
-// write-temp-fsync-rename, so DKG and reshare results survive a node
-// restart. The empty path (the default) disables persistence.
+// Replace appends one frame holding the installed key to path and
+// fsyncs it before returning, so DKG and reshare results survive a
+// node restart. A Replace then zeroes the body of the key's previous
+// frame, share included, and fsyncs that too. The file is rewritten
+// whole (Save) only for the first install after SetPersistPath and
+// when the log holds more than twice as many frames as live keys. The
+// empty path (the default) disables persistence.
 func (ks *Keystore) SetPersistPath(path string) {
 	ks.persistMu.Lock()
 	ks.persistPath = path
+	ks.frames, ks.live = -1, nil
 	ks.persistMu.Unlock()
 }
 
-// Save spills the current store to the persist path now (a no-op
-// without one). Call it once after SetPersistPath to verify the file
-// is writable before serving traffic.
-func (ks *Keystore) Save() error { return ks.persist() }
-
-func (ks *Keystore) persist() error {
+// Save writes the store to the persist path now as a compacted
+// snapshot, one frame per key, with an atomic
+// write-temp-fsync-rename (a no-op without a path). Call it once after
+// SetPersistPath to verify the file is writable before serving
+// traffic; it also drops a torn final frame left by a crash, and any
+// superseded frame.
+func (ks *Keystore) Save() error {
 	ks.persistMu.Lock()
 	defer ks.persistMu.Unlock()
 	if ks.persistPath == "" {
 		return nil
 	}
-	if err := atomicfile.WriteFile(ks.persistPath, ks.Marshal(), 0o600); err != nil {
+	return ks.saveLocked()
+}
+
+// saveLocked writes the snapshot; persistMu, held, keeps installs out
+// while it is written. When the write fails the old file stands.
+func (ks *Keystore) saveLocked() error {
+	live := make(map[keyRef]span, ks.Len())
+	data := ks.marshal(live)
+	if err := atomicfile.WriteFile(ks.persistPath, data, 0o600); err != nil {
 		return fmt.Errorf("keys: persist keystore: %w", err)
 	}
+	ks.frames, ks.size, ks.live = len(live), len(data), live
 	return nil
 }
 
 // Add installs a key. The (scheme, ID) pair must be unused
 // (ErrKeyExists) and the ID well-formed (ErrKeyID). Group is derived
 // from the public material when empty.
-func (ks *Keystore) Add(k *Key) error {
-	if err := ks.add(k); err != nil {
-		return err
-	}
-	return ks.persist()
-}
-
-func (ks *Keystore) add(k *Key) error {
-	if !ValidKeyID(k.ID) {
-		return fmt.Errorf("%w %q", ErrKeyID, k.ID)
-	}
-	if _, err := schemes.Lookup(k.Scheme); err != nil {
-		return err
-	}
-	if err := checkShare(k); err != nil {
-		return err
-	}
-	if k.Group == "" {
-		k.Group = deriveGroup(k)
-	}
-	ref := keyRef{scheme: k.Scheme, id: k.ID}
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if _, ok := ks.byRef[ref]; ok {
-		return fmt.Errorf("%w: %s/%s", ErrKeyExists, k.Scheme, k.ID)
-	}
-	ks.byRef[ref] = k
-	ks.order = append(ks.order, k)
-	return nil
-}
+func (ks *Keystore) Add(k *Key) error { return ks.install(k, false) }
 
 // Replace swaps an existing key for its next-epoch version, the
 // install step of a finalized reshare. The key must already exist and
@@ -258,9 +263,23 @@ func (ks *Keystore) add(k *Key) error {
 // one (ErrKeyEpoch otherwise), so a stale or replayed reshare result
 // can never roll a key back. Like Add, it refuses a share that does
 // not match its verification key (ErrKeyShare).
-func (ks *Keystore) Replace(k *Key) error {
+func (ks *Keystore) Replace(k *Key) error { return ks.install(k, true) }
+
+// install checks k, makes it visible, and then makes it durable. It
+// holds persistMu throughout, so the log's frames follow the install
+// order and a concurrent Save neither misses the key nor writes it
+// twice. When the write fails the install is undone, so a node does not
+// go on serving a key it would lose at restart. A Replace then erases
+// the superseded frame's body; an error from that step leaves k
+// installed, since its own frame is already durable.
+func (ks *Keystore) install(k *Key, replace bool) error {
 	if !ValidKeyID(k.ID) {
 		return fmt.Errorf("%w %q", ErrKeyID, k.ID)
+	}
+	if !replace {
+		if _, err := schemes.Lookup(k.Scheme); err != nil {
+			return err
+		}
 	}
 	if err := checkShare(k); err != nil {
 		return err
@@ -269,26 +288,141 @@ func (ks *Keystore) Replace(k *Key) error {
 		k.Group = deriveGroup(k)
 	}
 	ref := keyRef{scheme: k.Scheme, id: k.ID}
+	ks.persistMu.Lock()
+	defer ks.persistMu.Unlock()
 	ks.mu.Lock()
 	old, ok := ks.byRef[ref]
-	if !ok {
+	switch {
+	case !replace && ok:
+		ks.mu.Unlock()
+		return fmt.Errorf("%w: %s/%s", ErrKeyExists, k.Scheme, k.ID)
+	case replace && !ok:
 		ks.mu.Unlock()
 		return fmt.Errorf("%w: %s/%s on node %d", ErrKeyUnknown, k.Scheme, k.ID, ks.Index)
-	}
-	if k.Epoch <= old.Epoch {
+	case replace && k.Epoch <= old.Epoch:
 		ks.mu.Unlock()
 		return fmt.Errorf("%w: replacement epoch %d does not advance current %d for %s/%s",
 			ErrKeyEpoch, k.Epoch, old.Epoch, k.Scheme, k.ID)
 	}
-	ks.byRef[ref] = k
-	for i, cur := range ks.order {
-		if cur == old {
-			ks.order[i] = k
-			break
+	ks.swap(ref, old, k)
+	ks.mu.Unlock()
+	superseded, err := ks.log(ref, k)
+	if err != nil {
+		ks.mu.Lock()
+		ks.swap(ref, k, old)
+		ks.mu.Unlock()
+		return err
+	}
+	return ks.erase(superseded)
+}
+
+// swap puts next where cur is: it adds next when cur is nil and
+// removes cur (the last key added) when next is nil. Called with mu
+// held.
+func (ks *Keystore) swap(ref keyRef, cur, next *Key) {
+	switch {
+	case cur == nil:
+		ks.byRef[ref] = next
+		ks.order = append(ks.order, next)
+	case next == nil:
+		delete(ks.byRef, ref)
+		ks.order = ks.order[:len(ks.order)-1]
+	default:
+		ks.byRef[ref] = next
+		for i := range ks.order {
+			if ks.order[i] == cur {
+				ks.order[i] = next
+				break
+			}
 		}
 	}
-	ks.mu.Unlock()
-	return ks.persist()
+}
+
+// log makes the install of k durable: one frame appended to the log,
+// or a snapshot of the store, k included, when the file is not known
+// to be this store's log, was changed behind it, or would hold more
+// than twice as many frames as live keys. The fixed factor bounds the
+// file at twice the live store under proactive refresh and keeps the
+// amortized cost of an install O(1). It returns where the body of the
+// frame that k supersedes lies, for erase; a snapshot holds no such
+// frame. Called with persistMu held.
+func (ks *Keystore) log(ref keyRef, k *Key) (span, error) {
+	if ks.persistPath == "" {
+		return span{}, nil
+	}
+	if ks.frames < 0 || ks.frames >= 2*ks.Len() {
+		return span{}, ks.saveLocked()
+	}
+	frame := appendFrame(nil, k)
+	switch err := appendFile(ks.persistPath, ks.size, frame); {
+	case errors.Is(err, errLogChanged):
+		return span{}, ks.saveLocked()
+	case err != nil:
+		ks.frames = -1
+		return span{}, fmt.Errorf("keys: append to keystore: %w", err)
+	}
+	superseded := ks.live[ref]
+	ks.live[ref] = span{from: ks.size + bodyOffset(frame), to: ks.size + len(frame)}
+	ks.frames++
+	ks.size += len(frame)
+	return superseded, nil
+}
+
+// errLogChanged reports a key file whose length is not the log's: it
+// was changed behind the store, so the offsets the store keeps for
+// erase no longer hold.
+var errLogChanged = errors.New("keys: key file changed behind the keystore")
+
+// appendFile writes data at the end of the log at path and fsyncs it.
+// The file must still be size bytes long (errLogChanged otherwise, and
+// nothing is written). The directory entry does not change, so the
+// directory needs no fsync.
+func appendFile(path string, size int, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != int64(size) {
+		err = errLogChanged
+	}
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// erase zeroes the superseded frame body at s, share value and CRC
+// included, and fsyncs it, so that a Replace leaves no old share in
+// the key file. Replay never reads a superseded body, so a crash
+// part-way through is harmless. If the write fails, the next install
+// writes a snapshot, which holds no superseded frame. Called with
+// persistMu held.
+func (ks *Keystore) erase(s span) error {
+	if s.to == 0 {
+		return nil
+	}
+	f, err := os.OpenFile(ks.persistPath, os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.WriteAt(make([]byte, s.to-s.from), int64(s.from))
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		ks.frames = -1
+		return fmt.Errorf("keys: erase superseded share: %w", err)
+	}
+	return nil
 }
 
 // Get resolves a key by scheme and ID; the empty ID selects
@@ -528,6 +662,9 @@ func (o *Options) fill() {
 // scheme.
 func Deal(rand io.Reader, t, n int, opts Options) ([]*Keystore, error) {
 	opts.fill()
+	if n > maxParties {
+		return nil, fmt.Errorf("keys: %d parties, more than %d", n, maxParties)
+	}
 	if !ValidKeyID(opts.KeyID) {
 		return nil, fmt.Errorf("%w %q", ErrKeyID, opts.KeyID)
 	}

@@ -174,13 +174,14 @@ func (cs *CoinShare) Marshal() []byte {
 		Int(cs.Index).Bytes(cs.Sigma.Marshal()).Bytes(cs.Proof.Marshal()).Out()
 }
 
-// UnmarshalCoinShare decodes a coin share for the given group.
+// UnmarshalCoinShare decodes a coin share for the given group. It
+// refuses trailing bytes, so an accepted share re-encodes to itself.
 func UnmarshalCoinShare(g group.Group, data []byte) (*CoinShare, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
 	sigmaRaw := r.Bytes()
 	proofRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("cks05 share: %w", err)
 	}
 	sigma, err := g.UnmarshalPoint(sigmaRaw)

@@ -3,6 +3,7 @@ package cks05
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -140,6 +141,36 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalCoinShare(g, []byte("junk")); err == nil {
 		t.Fatal("junk share decoded")
+	}
+}
+
+// TestUnmarshalCoinShareCanonical: a coin share encoded by an earlier
+// release (edwards25519, party 2) still decodes and re-encodes to the
+// same bytes, and the same share with one trailing byte is refused.
+func TestUnmarshalCoinShareCanonical(t *testing.T) {
+	g := group.Edwards25519()
+	old, err := hex.DecodeString("000000080000000000000002000000206bc0a325b56def001c4042e19ab3c471" +
+		"dc14c44c53ad28f0746c8230256dd0180000006d000000202db3cc1e89bb9c684fddb36797bf54d4fb91535e" +
+		"7fa6445e81428645bc5ade9b0000002016b29a0f935a420e5fa81da846dc2c993f8074c98b821aeca3134c60" +
+		"c3335dd700000021000f1255f0b97b0180afe9cd65bf443553e650e57d05d24f1692fcc0a646df5bba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"earlier-release", old, true},
+		{"trailing-byte", append(append([]byte(nil), old...), 0), false},
+	} {
+		cs, err := UnmarshalCoinShare(g, tc.data)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: err = %v, want accepted %v", tc.name, err, tc.ok)
+		}
+		if tc.ok && (cs.Index != 2 || !bytes.Equal(cs.Marshal(), tc.data)) {
+			t.Fatalf("%s: decoded index %d, re-encodes to %x", tc.name, cs.Index, cs.Marshal())
+		}
 	}
 }
 

@@ -412,11 +412,15 @@ func LoadRoster(path string) (IdentityRoster, error) { return identity.LoadRoste
 type NodeConfig struct {
 	// Keys is this node's keystore (from cmd/thetakeygen or keys.Deal).
 	Keys *Keystore
-	// KeyFile makes the keystore durable: every mutation — a
-	// DKG-generated key, a resharing's epoch bump — is spilled to this
-	// path with an atomic write-temp-fsync-rename, and the file is
-	// (re)written once at startup, so a restarted node resumes at the
-	// epoch it crashed at. Empty keeps the keystore in memory only.
+	// KeyFile makes the keystore durable. The file is rewritten once
+	// at startup as a compacted snapshot (atomic write-temp-fsync-
+	// rename); after that every install — a DKG-generated key, a
+	// resharing's epoch bump — appends one fsynced frame, so a
+	// restarted node resumes at the epoch it crashed at. A key is used
+	// from the moment it is installed; the install returns after the
+	// fsync and is undone if the write fails. A resharing's install
+	// also zeroes the superseded share in the file. Empty keeps the
+	// keystore in memory only.
 	KeyFile string
 	// ListenAddr is the P2P listen address.
 	ListenAddr string
