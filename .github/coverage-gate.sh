@@ -10,7 +10,7 @@ profile="${1:-coverage.out}"
 
 # name, extended regexp matched against the profile's lines, baseline %.
 gates='
-internal/network/...  internal/network        72.0
+internal/network/...  internal/network        83.3
 internal/identity     internal/identity       78
 internal/{keys,dkg}   internal/(keys|dkg)     88.1
 internal/share        internal/share          86

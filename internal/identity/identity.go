@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 
 	"thetacrypt/internal/atomicfile"
 )
@@ -232,8 +233,10 @@ func LoadRoster(path string) (Roster, error) {
 func ParseRoster(peers map[string]PublicJSON) (Roster, error) {
 	r := make(Roster, len(peers))
 	for key, pj := range peers {
-		var node int
-		if _, err := fmt.Sscanf(key, "%d", &node); err != nil || node < 1 {
+		// Only the canonical decimal spelling is a node index, so two
+		// spellings of one node cannot collapse into one entry.
+		node, err := strconv.Atoi(key)
+		if err != nil || node < 1 || strconv.Itoa(node) != key {
 			return nil, fmt.Errorf("identity: bad roster node index %q", key)
 		}
 		p, err := UnmarshalPublic(pj)

@@ -110,6 +110,37 @@ func TestRosterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseRosterCanonicalIndex: a roster key is a node index only in
+// its canonical decimal spelling. Earlier releases read "01", "+1",
+// " 1", "1x" and "1 2" all as node 1, so two spellings of one node in
+// one roster collapsed and map order picked the surviving key.
+func TestParseRosterCanonicalIndex(t *testing.T) {
+	k, err := Generate(rand.Reader, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj := MarshalPublic(k.Public())
+	for _, tc := range []struct {
+		key string
+		ok  bool
+	}{
+		{"1", true}, {"12", true},
+		{"01", false}, {"+1", false}, {" 1", false}, {"1x", false}, {"1 2", false},
+		{"0", false}, {"-1", false}, {"", false},
+	} {
+		r, err := ParseRoster(map[string]PublicJSON{tc.key: pj})
+		if (err == nil) != tc.ok {
+			t.Errorf("roster key %q: err = %v, want accepted %v", tc.key, err, tc.ok)
+		}
+		if tc.ok && len(r) != 1 {
+			t.Errorf("roster key %q: %d entries", tc.key, len(r))
+		}
+	}
+	if _, err := ParseRoster(map[string]PublicJSON{"1": pj, "01": pj}); err == nil {
+		t.Error("a roster naming node 1 twice loaded")
+	}
+}
+
 func TestSealOpen(t *testing.T) {
 	alice, _ := Generate(rand.Reader, 1)
 	bob, _ := Generate(rand.Reader, 2)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"thetacrypt/internal/group"
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
 	"thetacrypt/internal/schemes/bz03"
@@ -97,7 +98,8 @@ func logStore(t testing.TB, cur *Key, size int) (*Keystore, string) {
 // TestKeystoreV3GoldenLoads: a version-3 file written by an earlier
 // release (DL keys on both groups, a BLS04 key, a public-only key and a
 // key with an explicit committee) loads to the listing and shares that
-// release recorded next to it, and a v4 snapshot of it loads the same.
+// release recorded next to it, and a v4 snapshot of it loads the same
+// and is byte for byte the snapshot an earlier release wrote of it.
 func TestKeystoreV3GoldenLoads(t *testing.T) {
 	raw, err := os.ReadFile("testdata/keystore_v3.golden")
 	if err != nil {
@@ -143,12 +145,74 @@ func TestKeystoreV3GoldenLoads(t *testing.T) {
 			t.Fatalf("%s/%s share (%d, %s), want (%d, %s)", s.Scheme, s.ID, idx, got, s.Index, s.Value)
 		}
 	}
-	again, err := UnmarshalKeystore(ks.Marshal())
+	snap := ks.Marshal()
+	again, err := UnmarshalKeystore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stateOf(again), stateOf(ks)) {
 		t.Fatal("v4 snapshot of the imported store loads differently")
+	}
+	v4, err := os.ReadFile("testdata/keystore_v4.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, v4) {
+		t.Fatal("v4 snapshot differs from testdata/keystore_v4.golden")
+	}
+}
+
+// TestImportFormatsRefuseTrailingBytes: a v2, v3 or legacy file with
+// bytes after its last record is refused, as a v4 log already is; the
+// same file without them loads.
+func TestImportFormatsRefuseTrailingBytes(t *testing.T) {
+	golden, err := os.ReadFile("testdata/keystore_v3.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := Deal(rand.Reader, 1, 3, Options{Schemes: []schemes.ID{schemes.SG02}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := nodes[0]
+	k, _ := ks.Get(schemes.SG02, "")
+	_, x := shareRef(k)
+	w := wire.NewWriter().String(keystoreMagic).Int(2).Int(ks.Index).Int(ks.N).Int(ks.T).
+		Int(1).String(k.ID).String(string(k.Scheme))
+	writePublic(w, k)
+	v2 := w.BigInt(x).Out()
+	for name, data := range map[string][]byte{"v2": v2, "v3": golden, "legacy": legacyMarshal(t, ks)} {
+		if _, err := UnmarshalKeystore(data); err != nil {
+			t.Fatalf("%s file: %v", name, err)
+		}
+		if _, err := UnmarshalKeystore(append(bytes.Clone(data), 1, 2, 3)); err == nil {
+			t.Fatalf("%s file with 3 trailing bytes loaded", name)
+		}
+	}
+}
+
+// marshalSink keeps BenchmarkMarshal's result alive.
+var marshalSink []byte
+
+// BenchmarkMarshal prices a snapshot of 500 SG02 keys on P-256, what a
+// node pays at startup and at every compaction.
+func BenchmarkMarshal(b *testing.B) {
+	nodes, err := Deal(rand.Reader, 1, 4, Options{Group: group.P256(), Schemes: []schemes.ID{schemes.SG02}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cur, _ := nodes[0].Get(schemes.SG02, "")
+	ks := NewKeystore(1, 1, 4)
+	for i := 0; i < 500; i++ {
+		k := &Key{ID: fmt.Sprintf("k-%06d", i), Scheme: schemes.SG02, Epoch: FirstEpoch, Public: cur.Public, Share: cur.Share}
+		if err := ks.Add(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		marshalSink = ks.Marshal()
 	}
 }
 

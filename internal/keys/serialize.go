@@ -62,29 +62,50 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func (ks *Keystore) Marshal() []byte { return ks.marshal(nil) }
 
 // marshal writes the snapshot. When live is not nil it also records
-// there where each key's frame body lies in the snapshot.
+// there where each key's frame body lies in the snapshot. Every record
+// is encoded through one writer, then framed into one buffer sized for
+// the whole snapshot.
 func (ks *Keystore) marshal(live map[keyRef]span) []byte {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	out := wire.NewWriter().String(keystoreMagic).Int(keystoreVersion).
-		Int(ks.Index).Int(ks.N).Int(ks.T).Out()
+	w := wire.NewWriter().String(keystoreMagic).Int(keystoreVersion).
+		Int(ks.Index).Int(ks.N).Int(ks.T)
+	header := len(w.Out())
+	// ends holds each record's head end and body end in w.
+	ends := make([]int, 0, 2*len(ks.order))
 	for _, k := range ks.order {
-		at := len(out)
-		out = appendFrame(out, k)
+		ends = append(ends, writeRecord(w, k), len(w.Out()))
+	}
+	recs := w.Out()
+	out := make([]byte, header, len(recs)+frameOverhead*len(ks.order))
+	copy(out, recs)
+	at := header
+	for i, k := range ks.order {
+		from, head, end := len(out), ends[2*i], ends[2*i+1]
+		out = appendFrameParts(out, recs[at:head], recs[head:end])
 		if live != nil {
-			live[keyRef{scheme: k.Scheme, id: k.ID}] = span{from: at + bodyOffset(out[at:]), to: len(out)}
+			live[keyRef{scheme: k.Scheme, id: k.ID}] = span{from: from + bodyOffset(out[from:]), to: len(out)}
 		}
+		at = end
 	}
 	return out
 }
 
 // appendFrame appends k to dst as one frame.
 func appendFrame(dst []byte, k *Key) []byte {
-	w := wire.NewWriter().String(k.ID).String(string(k.Scheme)).Int(k.Epoch)
-	head := len(w.Out())
-	writeBody(w, k)
+	w := wire.NewWriter()
+	head := writeRecord(w, k)
 	rec := w.Out()
 	return appendFrameParts(dst, rec[:head], rec[head:])
+}
+
+// writeRecord appends k's head and body to w and returns where in w
+// the head ends.
+func writeRecord(w *wire.Writer, k *Key) int {
+	w.String(k.ID).String(string(k.Scheme)).Int(k.Epoch)
+	head := len(w.Out())
+	writeBody(w, k)
+	return head
 }
 
 // appendFrameParts appends one frame holding an encoded head and body.
@@ -170,7 +191,7 @@ func UnmarshalKeystore(data []byte) (*Keystore, error) {
 			return nil, err
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("keys: %w", err)
 	}
 	return ks, nil
@@ -395,7 +416,7 @@ func unmarshalLegacy(data []byte) (*Keystore, error) {
 			return nil, err
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("keys: %w", err)
 	}
 	return ks, nil

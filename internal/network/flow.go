@@ -174,26 +174,6 @@ type PeerError struct {
 	Err  error
 }
 
-// AttributePeer wraps a queue-policy rejection with the peer it failed
-// for; other errors (context cancellation, closed transport) pass
-// through unwrapped. Shared by every transport's Send path.
-func AttributePeer(peer int, err error) error {
-	if errors.Is(err, ErrPeerBacklogged) {
-		return &PeerError{Peer: peer, Err: err}
-	}
-	return err
-}
-
-// PeerFailure coerces a send failure into its per-peer form for
-// Broadcast aggregation, wrapping errors that are not yet attributed.
-func PeerFailure(peer int, err error) *PeerError {
-	var pe *PeerError
-	if errors.As(err, &pe) {
-		return pe
-	}
-	return &PeerError{Peer: peer, Err: err}
-}
-
 // Error implements error.
 func (e *PeerError) Error() string { return fmt.Sprintf("peer %d: %v", e.Peer, e.Err) }
 
@@ -221,12 +201,8 @@ func NewBroadcastError(attempted int, failed []*PeerError) error {
 
 // Error implements error via errors.Join over the per-peer failures.
 func (e *BroadcastError) Error() string {
-	errs := make([]error, len(e.Failed))
-	for i, pe := range e.Failed {
-		errs[i] = pe
-	}
 	return fmt.Sprintf("network: broadcast failed for %d/%d peers: %v",
-		len(e.Failed), e.Peers, errors.Join(errs...))
+		len(e.Failed), e.Peers, errors.Join(e.Unwrap()...))
 }
 
 // Unwrap exposes every per-peer failure to errors.Is/As (the multi-error

@@ -6,42 +6,40 @@
 // machine. It also serves as the fault-injection surface for tests
 // (crashed nodes, dropped or delayed messages).
 //
-// Like tcpnet, sends are asynchronous: each directed link has a bounded
-// outbound queue drained by a pump goroutine, governed by the same
-// network.QueuePolicy vocabulary. A crashed destination stalls its
-// pumps — the in-process analogue of a dead TCP peer holding the writer
-// in dial-retry — so queues back up, policies fire, and TransportStats
-// reports the peer Down, identically to the real transport.
-//
-// The relink ack layer runs beneath the queues exactly as in tcpnet:
-// data frames carry per-link sequence numbers, receivers acknowledge
-// delivery to the engine, and frames lost in flight (a crash race, a
-// DropIf filter, a drop-oldest eviction) are resent and deduplicated,
-// so the simulated network offers the same reliable-delivery contract
-// as the real one.
+// Queues, the relink ack layer and Broadcast come from the shared link
+// pipeline (internal/network/link), as in tcpnet, so the simulated
+// network offers the same queue policies, stats and reliable-delivery
+// contract as the real one. memnet adds what it simulates: per-link
+// latency, jitter and FIFO order, crashes and restarts, a drop filter
+// for in-flight loss, and the roster check a secure handshake would
+// make. Envelopes are handed over in process, never marshaled. A
+// crashed destination stalls the senders toward it — the in-process
+// analogue of a dead TCP peer holding the writer in dial-retry — so
+// queues back up, policies fire, and TransportStats reports the peer
+// Down, identically to the real transport; frames lost in flight (a
+// crash race, a DropIf filter, a drop-oldest eviction) are resent and
+// deduplicated.
 package memnet
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thetacrypt/internal/identity"
 	"thetacrypt/internal/network"
-	"thetacrypt/internal/network/outq"
-	"thetacrypt/internal/network/relink"
+	"thetacrypt/internal/network/link"
 )
 
-// ErrClosed is returned on operations against a closed endpoint.
-var ErrClosed = errors.New("memnet: closed")
-
-// crashPoll is how often a stalled pump re-checks a crashed
+// crashPoll is how often a stalled sender re-checks a crashed
 // destination; the in-process stand-in for tcpnet's dial backoff.
 const crashPoll = time.Millisecond
+
+// inboxLen is the inbound queue length per node. A deep queue models
+// kernel socket buffers; the paper's capacity experiments drive nodes
+// far beyond their service rate.
+const inboxLen = 4096
 
 // LatencyFunc returns the one-way delay for a message from node i to
 // node j (1-indexed).
@@ -61,10 +59,6 @@ type Options struct {
 	JitterFrac float64
 	// Seed makes jitter deterministic.
 	Seed uint64
-	// QueueLen is the inbound queue length per node (default 4096).
-	// A deep queue models kernel socket buffers; the paper's capacity
-	// experiments drive nodes far beyond their service rate.
-	QueueLen int
 	// OutQueueLen bounds each directed link's outbound queue (default
 	// 1024), mirroring tcpnet's per-peer queues.
 	OutQueueLen int
@@ -86,7 +80,7 @@ type Options struct {
 	// roster entries — an impostor or unrostered node is cut off
 	// exactly as a failed handshake cuts it off on TCP — and
 	// TransportStats reports the same Authenticated markers. Nil means
-	// the polite pre-identity network, as before.
+	// no roster check.
 	Secure *SecureOptions
 }
 
@@ -119,127 +113,62 @@ func (s *SecureOptions) authentic(i int) bool {
 
 // Hub connects n in-process endpoints.
 type Hub struct {
-	n    int
 	opts Options
-	rcfg relink.Config
+	// eps[i] is node i's endpoint, 1..n.
+	eps  []*endpoint
+	stop chan struct{}
+	// wg tracks in-flight deliveries.
+	wg sync.WaitGroup
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	inbox   []chan network.Envelope
 	crashed []bool
 	dropFn  func(env network.Envelope) bool
 	closed  bool
-	// links holds the directed outbound queues, keyed by (from, to);
-	// created lazily, drained by one pump goroutine each.
-	links map[[2]int]*link
-	stop  chan struct{}
-	pumps sync.WaitGroup
-	wg    sync.WaitGroup
 	// lastArrival and lastDone enforce per-link FIFO: a message never
 	// arrives before an earlier message on the same (from, to) link,
 	// matching TCP semantics.
 	lastArrival map[[2]int]time.Time
 	lastDone    map[[2]int]chan struct{}
-	// rel holds each node's ack-layer state (its epoch, outbound
-	// windows, and inbound dedup cursors), indexed 1..n.
-	rel []*nodeRel
-}
-
-// link is one directed outbound queue with its delivery bookkeeping.
-type link struct {
-	from, to int
-	q        *outq.Queue[network.Envelope]
-	sent     atomic.Uint64
-}
-
-// nodeRel is one node's ack-layer state: the outbound in-flight window
-// per destination and the inbound order/dedup cursor per sender.
-type nodeRel struct {
-	epoch uint64
-	mu    sync.Mutex
-	out   map[int]*relink.Link
-	in    map[int]*relink.Inbox
 }
 
 // NewHub creates a hub for nodes 1..n.
 func NewHub(n int, opts Options) *Hub {
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 4096
-	}
-	if opts.OutQueueLen <= 0 {
-		opts.OutQueueLen = 1024
-	}
 	h := &Hub{
-		n:    n,
-		opts: opts,
-		rcfg: relink.Config{
-			Window:        opts.AckWindow,
-			AckInterval:   opts.AckInterval,
-			ResendTimeout: opts.ResendTimeout,
-			Policy:        opts.Policy,
-		}.WithDefaults(),
-		rng:         rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)),
-		inbox:       make([]chan network.Envelope, n+1),
-		crashed:     make([]bool, n+1),
-		links:       make(map[[2]int]*link),
+		opts:        opts,
+		eps:         make([]*endpoint, n+1),
 		stop:        make(chan struct{}),
+		rng:         rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)),
+		crashed:     make([]bool, n+1),
 		lastArrival: make(map[[2]int]time.Time),
 		lastDone:    make(map[[2]int]chan struct{}),
-		rel:         make([]*nodeRel, n+1),
+	}
+	cfg := link.Config{
+		QueueLen:      opts.OutQueueLen,
+		Policy:        opts.Policy,
+		Window:        opts.AckWindow,
+		AckInterval:   opts.AckInterval,
+		ResendTimeout: opts.ResendTimeout,
 	}
 	for i := 1; i <= n; i++ {
-		h.inbox[i] = make(chan network.Envelope, opts.QueueLen)
-		h.rel[i] = &nodeRel{
-			epoch: relink.NewEpoch(),
-			out:   make(map[int]*relink.Link),
-			in:    make(map[int]*relink.Inbox),
+		e := &endpoint{hub: h, index: i, inbox: make(chan network.Envelope, inboxLen)}
+		cfg.Self = i
+		// Queues hold pointers: an 8-byte slot instead of a whole
+		// envelope keeps every idle queue small and cheap to scan for
+		// the collector.
+		e.links = link.New(cfg, func(env network.Envelope) *network.Envelope { return &env }, e.deliver)
+		for to := 1; to <= n; to++ {
+			if to != i {
+				e.links.AddPeer(to, func(env *network.Envelope) bool { return h.write(to, env) })
+			}
 		}
+		h.eps[i] = e
 	}
-	h.pumps.Add(1)
-	go h.flusher()
 	return h
 }
 
-// outLink returns (creating if needed) node from's outbound ack window
-// toward node to.
-func (h *Hub) outLink(from, to int) *relink.Link {
-	nr := h.rel[from]
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	l, ok := nr.out[to]
-	if !ok {
-		l = relink.NewLink(nr.epoch, h.rcfg)
-		nr.out[to] = l
-	}
-	return l
-}
-
-// peekOutLink returns node from's outbound window toward to, or nil.
-func (h *Hub) peekOutLink(from, to int) *relink.Link {
-	nr := h.rel[from]
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	return nr.out[to]
-}
-
-// inboxOf returns (creating if needed) node at's inbound ack-layer
-// cursor for frames sent by from.
-func (h *Hub) inboxOf(at, from int) *relink.Inbox {
-	nr := h.rel[at]
-	nr.mu.Lock()
-	defer nr.mu.Unlock()
-	ib, ok := nr.in[from]
-	if !ok {
-		ib = relink.NewInbox(h.rcfg.Window)
-		nr.in[from] = ib
-	}
-	return ib
-}
-
 // Endpoint returns node i's P2P interface.
-func (h *Hub) Endpoint(i int) network.P2P {
-	return &endpoint{hub: h, index: i}
-}
+func (h *Hub) Endpoint(i int) network.P2P { return h.eps[i] }
 
 // Crash makes a node unreachable and stops its sends, simulating a
 // crashed replica. Frames already queued toward it stay queued (its
@@ -274,81 +203,35 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	links := make([]*link, 0, len(h.links))
-	for _, l := range h.links {
-		links = append(links, l)
-	}
 	h.mu.Unlock()
 	close(h.stop)
-	for _, l := range links {
-		l.q.Close()
+	for _, e := range h.eps[1:] {
+		e.links.Close()
 	}
-	for i := 1; i <= h.n; i++ {
-		nr := h.rel[i]
-		nr.mu.Lock()
-		for _, l := range nr.out {
-			l.Close() // unblock stagers parked on a full window
-		}
-		nr.mu.Unlock()
-	}
-	h.pumps.Wait()
 	h.wg.Wait()
-	h.mu.Lock()
-	for i := 1; i <= h.n; i++ {
-		close(h.inbox[i])
+	for _, e := range h.eps[1:] {
+		close(e.inbox)
 	}
-	h.mu.Unlock()
 }
 
-// link returns (creating and starting if needed) the directed link
-// from -> to.
-func (h *Hub) link(from, to int) (*link, error) {
-	key := [2]int{from, to}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if l, ok := h.links[key]; ok {
-		return l, nil
-	}
-	if h.closed {
-		return nil, ErrClosed
-	}
-	l := &link{
-		from: from, to: to,
-		q: outq.New[network.Envelope](h.opts.OutQueueLen, h.opts.Policy),
-	}
-	h.links[key] = l
-	h.pumps.Add(1)
-	go h.pump(l)
-	return l, nil
-}
-
-// pump drains one directed link. A crashed destination stalls the pump
-// (the sender's "writer" is stuck redialing a dead peer), so the
-// bounded queue backs up exactly as tcpnet's does.
-func (h *Hub) pump(l *link) {
-	defer h.pumps.Done()
+// write is the sender of one directed link toward node to. A crashed
+// destination stalls it (the sender's "writer" is stuck redialing a
+// dead peer), so the bounded queue backs up exactly as tcpnet's does.
+func (h *Hub) write(to int, env *network.Envelope) bool {
 	for {
-		env, ok := l.q.Dequeue(h.stop)
-		if !ok {
-			return
+		h.mu.Lock()
+		down := h.crashed[to] && !h.closed
+		h.mu.Unlock()
+		if !down {
+			h.transmit(to, env)
+			return true
 		}
-		for h.destDown(l.to) {
-			select {
-			case <-h.stop:
-				return
-			case <-time.After(crashPoll):
-			}
+		select {
+		case <-h.stop:
+			return false
+		case <-time.After(crashPoll):
 		}
-		l.sent.Add(1)
-		h.transmit(l.to, env)
 	}
-}
-
-// destDown reports whether the destination is crashed.
-func (h *Hub) destDown(to int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.crashed[to] && !h.closed
 }
 
 // linkAuthentic reports whether the (from, to) link would survive the
@@ -366,14 +249,14 @@ func (h *Hub) linkAuthentic(from, to int) bool {
 // unauthenticated link is wire loss — the handshake the frame would
 // have ridden behind never completes, matching tcpnet's rejection of
 // impostor and unrostered peers.
-func (h *Hub) transmit(to int, env network.Envelope) {
+func (h *Hub) transmit(to int, env *network.Envelope) {
 	now := time.Now()
 	if !h.linkAuthentic(env.From, to) {
 		return
 	}
 	h.mu.Lock()
 	if h.closed || h.crashed[env.From] || h.crashed[to] ||
-		(h.dropFn != nil && h.dropFn(env)) {
+		(h.dropFn != nil && h.dropFn(*env)) {
 		h.mu.Unlock()
 		return
 	}
@@ -406,241 +289,88 @@ func (h *Hub) transmit(to int, env network.Envelope) {
 		if prev != nil {
 			<-prev // strict per-link delivery order
 		}
-		h.deliverTo(to, env)
+		h.arrive(to, env)
 	}()
 }
 
-// deliverTo runs one arrived envelope through the receiving node's ack
-// layer: acknowledgements discharge the reverse link's window, data
-// frames are deduplicated and reordered per sender, and whatever became
-// deliverable is pushed to the node's inbox channel.
+// arrive hands one arrived envelope to the receiving node's pipeline.
 //
 // The crash check runs BEFORE the ack layer sees the frame: a frame
 // arriving at a crashed node is wire loss, and accepting it first
 // would advance the delivery cursor (and later acknowledge it) for a
-// frame the engine never got. A crash landing after Accept is the
-// frame reaching the engine queue just before the death — in memnet's
-// model the inbox survives the crash, so it is still delivered.
-func (h *Hub) deliverTo(to int, env network.Envelope) {
+// frame the engine never got. A crash landing after the ack layer
+// accepted the frame is the frame reaching the engine queue just
+// before the death — in memnet's model the inbox survives the crash,
+// so it is still delivered.
+func (h *Hub) arrive(to int, env *network.Envelope) {
 	h.mu.Lock()
 	dead := h.closed || h.crashed[to]
 	h.mu.Unlock()
-	if dead {
-		return
-	}
-	if env.AckEpoch != 0 {
-		if l := h.peekOutLink(to, env.From); l != nil {
-			l.Ack(env.AckEpoch, env.Ack)
-		}
-	}
-	if env.Kind == network.KindAck {
-		return // control frame, consumed here
-	}
-	if env.From < 1 || env.From > h.n || env.Seq == 0 {
-		h.pushInbox(to, env) // unsequenced frame: deliver raw
-		return
-	}
-	for _, d := range h.inboxOf(to, env.From).Accept(env) {
-		h.pushInbox(to, d)
+	if !dead {
+		h.eps[to].links.Inbound(*env)
 	}
 }
 
-// pushInbox hands one envelope to a node's receive channel. Only a
-// closed hub drops here: an accepted frame must reach the inbox even
-// if a crash landed since deliverTo's check, or the ack layer would
-// acknowledge a frame the engine never saw (the inbox survives a
-// crash/restart cycle, so delivering is correct).
-func (h *Hub) pushInbox(to int, env network.Envelope) {
-	h.mu.Lock()
-	dead := h.closed
-	ch := h.inbox[to]
-	h.mu.Unlock()
-	if dead {
-		return
-	}
-	ch <- env
-}
-
-// flusher is the hub-wide ack/resend ticker: it flushes coalesced
-// standalone acknowledgements and retransmits unacknowledged frames
-// past the resend timeout, using non-blocking enqueues so a stalled
-// link is retried on the next tick. A crashed node's acks and resends
-// are enqueued but dropped at transmit time, exactly like traffic from
-// a dead process.
-func (h *Hub) flusher() {
-	defer h.pumps.Done()
-	ticker := time.NewTicker(h.rcfg.AckInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-		case <-h.stop:
-			return
-		}
-		now := time.Now()
-		for i := 1; i <= h.n; i++ {
-			nr := h.rel[i]
-			nr.mu.Lock()
-			inboxes := make(map[int]*relink.Inbox, len(nr.in))
-			for from, ib := range nr.in {
-				inboxes[from] = ib
-			}
-			outs := make(map[int]*relink.Link, len(nr.out))
-			for to, l := range nr.out {
-				outs[to] = l
-			}
-			nr.mu.Unlock()
-			for from, ib := range inboxes {
-				epoch, upTo, ok := ib.PendingAck()
-				if !ok {
-					continue
-				}
-				lq, err := h.link(i, from)
-				if err != nil {
-					continue
-				}
-				ack := network.Envelope{
-					From: i, To: from,
-					Kind: network.KindAck, Ack: upTo, AckEpoch: epoch,
-				}
-				if lq.q.TryEnqueue(ack) {
-					ib.ClearPending(epoch, upTo)
-				}
-			}
-			for to, l := range outs {
-				lq, err := h.link(i, to)
-				if err != nil {
-					continue
-				}
-				l.Resend(now, func(env network.Envelope) bool {
-					return lq.q.TryEnqueue(env)
-				})
-			}
-		}
-	}
-}
-
+// endpoint is one node of the hub.
 type endpoint struct {
 	hub   *Hub
 	index int
+	links *link.Pipeline[*network.Envelope]
+	inbox chan network.Envelope
 }
 
 var _ network.P2P = (*endpoint)(nil)
 
-// send stages one envelope in the ack layer's in-flight window,
-// piggybacks any pending acknowledgement for the reverse direction,
-// and enqueues it onto the directed link, attributing policy failures
-// to the destination peer. A frame the queue rejects after staging is
-// still recovered by the resend timer.
-func (e *endpoint) send(ctx context.Context, to int, env network.Envelope) error {
-	l, err := e.hub.link(e.index, to)
-	if err != nil {
-		return err
+// deliver hands one envelope to the node's receive channel. Only a
+// closed hub drops here: an accepted frame must reach the inbox even
+// if a crash landed since arrive's check, or the ack layer would
+// acknowledge a frame the engine never saw (the inbox survives a
+// crash/restart cycle, so delivering is correct).
+func (e *endpoint) deliver(env network.Envelope) bool {
+	select {
+	case e.inbox <- env:
+		return true
+	case <-e.hub.stop:
+		return false
 	}
-	staged, err := e.hub.outLink(e.index, to).Stage(ctx, env)
-	if err != nil {
-		return network.AttributePeer(to, err)
-	}
-	ib := e.hub.inboxOf(e.index, to)
-	epoch, upTo, hasAck := ib.AckValue()
-	if hasAck {
-		staged.Ack, staged.AckEpoch = upTo, epoch
-	}
-	if err := l.q.Enqueue(ctx, staged); err != nil {
-		// Pending ack not cleared: its only carrier never left; the
-		// standalone flusher still sends it.
-		return network.AttributePeer(to, err)
-	}
-	if hasAck {
-		ib.ClearPending(epoch, upTo)
-	}
-	return nil
 }
 
 func (e *endpoint) Send(ctx context.Context, to int, env network.Envelope) error {
-	if to < 1 || to > e.hub.n {
-		return fmt.Errorf("memnet: no such node %d", to)
-	}
-	env.From = e.index
-	env.To = to
-	return e.send(ctx, to, env)
+	return e.links.Send(ctx, to, env)
 }
 
-// Broadcast enqueues for every other node, attempting all of them and
-// aggregating per-peer failures into a *network.BroadcastError.
 func (e *endpoint) Broadcast(ctx context.Context, env network.Envelope) error {
-	env.From = e.index
-	env.To = network.Broadcast
-	var failed []*network.PeerError
-	attempted := 0
-	for to := 1; to <= e.hub.n; to++ {
-		if to == e.index {
-			continue
-		}
-		attempted++
-		if err := e.send(ctx, to, env); err != nil {
-			failed = append(failed, network.PeerFailure(to, err))
-		}
-	}
-	return network.NewBroadcastError(attempted, failed)
+	return e.links.Broadcast(ctx, env)
 }
 
 // TransportStats snapshots this node's view of every peer link: a
-// crashed peer is Down (its pump is stalled, its queue backing up),
-// everything else is Up.
+// crashed peer is Down (its sender is stalled, its queue backing up),
+// an unauthenticated link on a secure hub is Down with the shape a
+// failed TCP handshake produces, everything else is Up.
 func (e *endpoint) TransportStats() network.TransportStats {
-	out := network.TransportStats{
-		Policy:        e.hub.opts.Policy,
-		Reliable:      true,
-		Authenticated: e.hub.opts.Secure != nil,
-	}
-	for to := 1; to <= e.hub.n; to++ {
-		if to == e.index {
-			continue
-		}
-		ps := network.PeerStats{Peer: to, State: network.PeerUp}
-		if out.Authenticated {
-			ps.Authenticated = e.hub.linkAuthentic(e.index, to)
+	h := e.hub
+	secure := h.opts.Secure != nil
+	return e.links.Stats(secure, func(ps *network.PeerStats) {
+		ps.State = network.PeerUp
+		if secure {
+			ps.Authenticated = h.linkAuthentic(e.index, ps.Peer)
 			if !ps.Authenticated {
-				// The handshake can never complete: the link reports
-				// down with the same shape a failed TCP handshake
-				// produces.
 				ps.State = network.PeerDown
 				ps.ConsecutiveFailures = 1
 				ps.LastError = "handshake rejected"
 			}
 		}
-		e.hub.mu.Lock()
-		crashed := e.hub.crashed[to]
-		l := e.hub.links[[2]int{e.index, to}]
-		e.hub.mu.Unlock()
+		h.mu.Lock()
+		crashed := h.crashed[ps.Peer]
+		h.mu.Unlock()
 		if crashed {
 			ps.State = network.PeerDown
 			ps.ConsecutiveFailures = 1
 			ps.LastError = "peer crashed"
 		}
-		if l != nil {
-			ps.QueueDepth = l.q.Len()
-			ps.QueueCap = l.q.Cap()
-			ps.Enqueued = l.q.Enqueued()
-			ps.Dropped = l.q.Dropped()
-			ps.Sent = l.sent.Load()
-		} else {
-			ps.QueueCap = e.hub.opts.OutQueueLen
-		}
-		if rl := e.hub.peekOutLink(e.index, to); rl != nil {
-			ps.Delivered = rl.Delivered()
-			ps.Inflight = rl.Inflight()
-			ps.Resent = rl.Resent()
-			ps.Dropped += rl.Dropped()
-		}
-		out.Peers = append(out.Peers, ps)
-	}
-	return out
+	})
 }
 
-func (e *endpoint) Receive() <-chan network.Envelope {
-	return e.hub.inbox[e.index]
-}
+func (e *endpoint) Receive() <-chan network.Envelope { return e.inbox }
 
 func (e *endpoint) Close() error { return nil }

@@ -3,11 +3,14 @@
 // wire envelope, and the network manager that assembles a concrete stack
 // from configuration (the paper's Section 3.6).
 //
-// Three P2P implementations exist: memnet (in-process, with a
-// configurable latency matrix, substituting for the paper's multi-region
-// testbed), tcpnet (length-prefixed TCP full mesh for standalone
-// deployments), and proxy (delegation to a host platform). TOB is
-// provided by internal/tob (sequencer-based) or by the TOB proxy.
+// Three P2P implementations exist. tcpnet (TCP full mesh for
+// standalone deployments) and memnet (in-process, with a latency
+// matrix substituting for the paper's multi-region testbed) share one
+// link pipeline, internal/network/link, which owns queues, acks,
+// resends and Broadcast; each transport adds only how its frames move
+// (see their package comments). proxy delegates to a host platform.
+// TOB is provided by internal/tob (sequencer-based) or by the TOB
+// proxy.
 package network
 
 import (

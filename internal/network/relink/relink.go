@@ -1,6 +1,6 @@
-// Package relink is the reliability layer beneath Send/Broadcast: a
-// per-link sequence/acknowledgement protocol shared by tcpnet and
-// memnet. The paper's model assumes the platform redelivers protocol
+// Package relink is the reliability layer beneath Send/Broadcast: the
+// per-link sequence/acknowledgement protocol the link pipeline runs for
+// tcpnet and memnet. The paper assumes the platform redelivers protocol
 // messages; without acks, a frame handed to the kernel before a peer
 // crash is counted "sent" and silently lost. relink closes that gap:
 //
@@ -23,7 +23,7 @@
 // resumes from the oldest frame the sender can still deliver.
 //
 // The package is sans-I/O: Link and Inbox only manage state and
-// counters; the owning transport moves the frames.
+// counters; the link pipeline moves the frames.
 package relink
 
 import (

@@ -3,23 +3,14 @@
 // libp2p gossip overlay; the paper's model only requires reliable
 // point-to-point channels, which persistent TCP links provide directly.
 //
-// Sends are asynchronous: each peer has a bounded outbound queue
-// drained by a dedicated writer goroutine that owns the peer's
-// connection, dials in the background with exponential backoff, and
-// tracks link health (up/dialing/down). Send and Broadcast enqueue in
-// O(1) and never touch the dialer, so a dead or slow peer cannot stall
-// the caller; a full queue is resolved by the configured
-// network.QueuePolicy. TransportStats snapshots every link for
-// operators and tests.
-//
-// Beneath the queues runs the relink ack layer: every data frame
-// carries a per-link sequence number and stays in a bounded in-flight
-// window until the peer acknowledges delivery to its engine, so a
-// frame handed to the kernel before a peer crash is resent after the
-// reconnect instead of silently lost. Duplicates and reordering from
-// retransmission are repaired before Receive; acknowledgements
-// piggyback on reverse traffic and are otherwise coalesced on
-// AckInterval.
+// Queues, the relink ack layer and Broadcast come from the shared link
+// pipeline (internal/network/link). tcpnet adds what is specific to
+// TCP: the listener and one read loop per accepted connection, a
+// per-peer connection that its sender goroutine dials in the
+// background with exponential backoff while tracking link health
+// (up/dialing/down), the optional securelink handshake with the
+// sender pinned to the authenticated peer, and the length-prefixed
+// frame codec.
 package tcpnet
 
 import (
@@ -28,14 +19,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thetacrypt/internal/network"
-	"thetacrypt/internal/network/outq"
-	"thetacrypt/internal/network/relink"
+	"thetacrypt/internal/network/link"
 	"thetacrypt/internal/network/securelink"
 )
 
@@ -46,15 +34,18 @@ const maxFrame = 16 << 20
 // in until the consumer (the engine's pump) takes them. The pump hands
 // each one straight on to the engine's own event queue, so this is
 // only burst slack in front of that queue, and every slot is an
-// envelope allocated up front. 1024 slots are a quarter of the former
-// default's memory. Much smaller buffers save a little more but were
-// measured to slow the key-lifecycle benchmark: with a smaller live
-// heap the collector runs more often.
+// envelope allocated up front. Much smaller buffers were measured to
+// slow the key-lifecycle benchmark: with a smaller live heap the
+// collector runs more often.
 const inboundQueueLen = 1024
 
-// Config describes one node's view of the mesh. The inbound queue is
-// not configurable: the QueueLen option, which no caller set, is gone
-// and the queue holds inboundQueueLen frames.
+// writeTimeout bounds one frame write on an established connection. A
+// peer that accepts the connection but stops reading trips it,
+// dropping the link into redial instead of wedging the writer forever.
+// It is also the default securelink handshake deadline.
+const writeTimeout = 30 * time.Second
+
+// Config describes one node's view of the mesh.
 type Config struct {
 	// Self is this node's index (1-based).
 	Self int
@@ -75,11 +66,6 @@ type Config struct {
 	// Policy selects the full-queue behavior (default PolicyBlock:
 	// wait for space, bounded by the send context).
 	Policy network.QueuePolicy
-	// WriteTimeout bounds one frame write on an established connection
-	// (default 30 s). A peer that accepts the connection but stops
-	// reading trips it, dropping the link into redial instead of
-	// wedging the writer forever.
-	WriteTimeout time.Duration
 	// AckWindow bounds the unacknowledged frames retained per link for
 	// resend (default 1024); a full window is resolved by Policy.
 	AckWindow int
@@ -95,9 +81,9 @@ type Config struct {
 	// any relink frame flows, peers whose certificate key is not their
 	// roster entry are rejected, and all traffic rides TLS records.
 	// The handshake runs under its own deadline (Secure.Timeout,
-	// defaulting to WriteTimeout) so a black-holed or protocol-stalled
-	// peer releases the dialer instead of wedging it. Nil means
-	// plaintext TCP, as before.
+	// defaulting to 30 s) so a black-holed or protocol-stalled peer
+	// releases the dialer instead of wedging it. Nil means plaintext
+	// TCP.
 	Secure *securelink.Config
 }
 
@@ -106,21 +92,13 @@ type Transport struct {
 	cfg   Config
 	ln    net.Listener
 	in    chan network.Envelope
-	epoch uint64        // this incarnation's id for the ack layer
-	rcfg  relink.Config // shared ack-layer configuration
+	links *link.Pipeline[[]byte]
 
-	// mu guards the peer, inbox, and inbound-connection tables only; it
-	// is never held across a dial or a socket write.
+	// mu guards the peer and inbound-connection tables only; it is
+	// never held across a dial or a socket write.
 	mu      sync.Mutex
 	peers   map[int]*peer
 	inbound []net.Conn
-	// inboxes holds the inbound ack-layer cursor per sender, including
-	// senders whose outbound link is not registered yet (dynamic
-	// wiring: traffic can arrive before SetPeer). Keeping the cursor
-	// here means pre-registration frames are already deduplicated, and
-	// once the peer registers it adopts the same inbox, so the owed
-	// acknowledgements flush and the sender's resend loop ends.
-	inboxes map[int]*relink.Inbox
 
 	done sync.WaitGroup
 	stop chan struct{}
@@ -130,16 +108,10 @@ type Transport struct {
 	close      sync.Once
 }
 
-// peer is one outbound link: its bounded queue, the writer goroutine's
-// connection, the ack layer's two halves, and health bookkeeping.
+// peer is the connection and health of one outbound link; only its
+// sender goroutine dials and writes.
 type peer struct {
 	index int
-	q     *outq.Queue[[]byte]
-	// rel is the outbound reliability state (seq assignment, in-flight
-	// window, resend); inbox restores order and filters duplicates on
-	// the inbound direction of the same peer.
-	rel   *relink.Link
-	inbox *relink.Inbox
 
 	mu          sync.Mutex
 	addr        string
@@ -150,15 +122,14 @@ type peer struct {
 	// authed marks the current outbound connection as having completed
 	// the secure-link handshake; cleared whenever the conn drops.
 	authed bool
-
-	sent atomic.Uint64
 }
 
 var _ network.P2P = (*Transport)(nil)
 
-// New starts listening and returns the transport. Writer goroutines are
-// started per configured peer; outbound connections are dialed in the
-// background once traffic arrives, with exponential backoff on failure.
+// New starts listening and returns the transport. A sender goroutine
+// is started per configured peer; outbound connections are dialed in
+// the background once traffic arrives, with exponential backoff on
+// failure.
 func New(cfg Config) (*Transport, error) {
 	if cfg.DialRetry <= 0 {
 		cfg.DialRetry = 250 * time.Millisecond
@@ -169,12 +140,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.DialBackoffMax < cfg.DialRetry {
 		cfg.DialBackoffMax = cfg.DialRetry
 	}
-	if cfg.OutQueueLen <= 0 {
-		cfg.OutQueueLen = 1024
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	if cfg.Secure != nil {
 		if cfg.Secure.Key == nil || len(cfg.Secure.Roster) == 0 {
 			return nil, fmt.Errorf("tcpnet: secure mode needs an identity key and a roster")
@@ -183,7 +148,7 @@ func New(cfg Config) (*Transport, error) {
 		// caller-shared config.
 		s := *cfg.Secure
 		if s.Timeout <= 0 {
-			s.Timeout = cfg.WriteTimeout
+			s.Timeout = writeTimeout
 		}
 		cfg.Secure = &s
 	}
@@ -193,55 +158,32 @@ func New(cfg Config) (*Transport, error) {
 	}
 	dialCtx, dialCancel := context.WithCancel(context.Background())
 	t := &Transport{
-		cfg:   cfg,
-		ln:    ln,
-		in:    make(chan network.Envelope, inboundQueueLen),
-		epoch: relink.NewEpoch(),
-		rcfg: relink.Config{
-			Window:        cfg.AckWindow,
-			AckInterval:   cfg.AckInterval,
-			ResendTimeout: cfg.ResendTimeout,
-			Policy:        cfg.Policy,
-		}.WithDefaults(),
+		cfg:        cfg,
+		ln:         ln,
+		in:         make(chan network.Envelope, inboundQueueLen),
 		peers:      make(map[int]*peer),
-		inboxes:    make(map[int]*relink.Inbox),
 		stop:       make(chan struct{}),
 		dialCtx:    dialCtx,
 		dialCancel: dialCancel,
 	}
+	t.links = link.New(link.Config{
+		Self:          cfg.Self,
+		QueueLen:      cfg.OutQueueLen,
+		Policy:        cfg.Policy,
+		Window:        cfg.AckWindow,
+		AckInterval:   cfg.AckInterval,
+		ResendTimeout: cfg.ResendTimeout,
+	}, network.Envelope.Marshal, t.deliver)
 	for idx, addr := range cfg.Peers {
-		t.addPeerLocked(idx, addr) // no concurrency yet; lock not needed
+		t.SetPeer(idx, addr)
 	}
-	t.done.Add(2)
+	t.done.Add(1)
 	go t.acceptLoop()
-	go t.ackLoop()
 	return t, nil
 }
 
 // Addr returns the bound listen address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
-
-// addPeerLocked registers a peer and starts its writer; t.mu must be
-// held (or the transport not yet shared).
-func (t *Transport) addPeerLocked(index int, addr string) *peer {
-	p := &peer{
-		index: index,
-		addr:  addr,
-		q:     outq.New[[]byte](t.cfg.OutQueueLen, t.cfg.Policy),
-		rel:   relink.NewLink(t.epoch, t.rcfg),
-		// Adopt the sender's existing inbound cursor when its traffic
-		// arrived before registration, so nothing delivered
-		// pre-registration is redelivered.
-		inbox: t.inboxForLocked(index),
-		// Down until the writer establishes the link: no connection
-		// exists yet.
-		state: network.PeerDown,
-	}
-	t.peers[index] = p
-	t.done.Add(1)
-	go t.writer(p)
-	return p
-}
 
 // SetPeer registers (or re-addresses) a peer; used when ports are
 // assigned dynamically.
@@ -249,37 +191,19 @@ func (t *Transport) SetPeer(index int, addr string) {
 	t.mu.Lock()
 	p, ok := t.peers[index]
 	if !ok {
-		t.addPeerLocked(index, addr)
-		t.mu.Unlock()
-		return
+		// Down until the sender establishes the link: no connection
+		// exists yet.
+		p = &peer{index: index, addr: addr, state: network.PeerDown}
+		t.peers[index] = p
 	}
 	t.mu.Unlock()
+	if !ok {
+		t.links.AddPeer(index, func(frame []byte) bool { return t.write(p, frame) })
+		return
+	}
 	p.mu.Lock()
 	p.addr = addr
 	p.mu.Unlock()
-}
-
-// peer looks up a registered peer.
-func (t *Transport) peer(index int) (*peer, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.peers[index]
-	if !ok {
-		return nil, fmt.Errorf("tcpnet: no address for peer %d", index)
-	}
-	return p, nil
-}
-
-// peerSnapshot returns the registered peers sorted by index.
-func (t *Transport) peerSnapshot() []*peer {
-	t.mu.Lock()
-	out := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		out = append(out, p)
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
-	return out
 }
 
 func (t *Transport) acceptLoop() {
@@ -328,72 +252,10 @@ func (t *Transport) readLoop(conn net.Conn) {
 		if from != 0 && env.From != from {
 			continue
 		}
-		if !t.handleInbound(env) {
+		if !t.links.Inbound(env) {
 			return
 		}
 	}
-}
-
-// maxInboxes bounds the inbound-cursor table against garbage From
-// indices from misbehaving senders; past it, unregistered senders'
-// frames are delivered raw (no dedup, no acks), as before the ack
-// layer.
-const maxInboxes = 4096
-
-// handleInbound runs one received envelope through the ack layer:
-// piggybacked and standalone acknowledgements discharge the sender
-// link's window, sequenced data frames are deduplicated and reordered
-// per link, and whatever became deliverable is handed to the engine.
-// Returns false when the transport is stopping.
-func (t *Transport) handleInbound(env network.Envelope) bool {
-	p, known := t.lookupPeer(env.From)
-	if known && env.AckEpoch != 0 {
-		p.rel.Ack(env.AckEpoch, env.Ack)
-	}
-	if env.Kind == network.KindAck {
-		return true // control frame, consumed here
-	}
-	if env.Seq == 0 {
-		return t.deliver(env) // unsequenced frame: deliver raw
-	}
-	inbox := t.inboxFor(env.From)
-	if inbox == nil {
-		return t.deliver(env)
-	}
-	for _, d := range inbox.Accept(env) {
-		if !t.deliver(d) {
-			return false
-		}
-	}
-	return true
-}
-
-// inboxFor returns (creating if needed and within bounds) the inbound
-// cursor of one sender; nil when the sender is invalid or the table is
-// full of unregistered senders.
-func (t *Transport) inboxFor(from int) *relink.Inbox {
-	if from <= 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.inboxes[from]; !ok {
-		if _, registered := t.peers[from]; !registered && len(t.inboxes) >= maxInboxes {
-			return nil
-		}
-	}
-	return t.inboxForLocked(from)
-}
-
-// inboxForLocked returns (creating if needed) a sender's inbound
-// cursor; t.mu is held (or the transport not yet shared).
-func (t *Transport) inboxForLocked(from int) *relink.Inbox {
-	ib, ok := t.inboxes[from]
-	if !ok {
-		ib = relink.NewInbox(t.rcfg.Window)
-		t.inboxes[from] = ib
-	}
-	return ib
 }
 
 // deliver hands one envelope to the engine's receive channel.
@@ -406,102 +268,43 @@ func (t *Transport) deliver(env network.Envelope) bool {
 	}
 }
 
-// lookupPeer returns the registered peer, if any.
-func (t *Transport) lookupPeer(index int) (*peer, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.peers[index]
-	return p, ok
-}
-
-// ackLoop flushes coalesced acknowledgements and retransmits
-// unacknowledged frames past the resend timeout. Both use the
-// non-blocking TryEnqueue: a full queue is retried on the next tick
-// rather than displacing fresh traffic or stalling the loop.
-func (t *Transport) ackLoop() {
-	defer t.done.Done()
-	ticker := time.NewTicker(t.rcfg.AckInterval)
-	defer ticker.Stop()
-	for {
+// write delivers one frame to peer p, owning its connection. Dial
+// failures and write errors put the link into exponential backoff
+// (DialRetry doubling up to DialBackoffMax); the frame is retried, not
+// dropped — overflow policy applies only at enqueue time. It returns
+// false once the transport stops.
+func (t *Transport) write(p *peer, frame []byte) bool {
+	for backoff := t.cfg.DialRetry; ; backoff = min(backoff*2, t.cfg.DialBackoffMax) {
 		select {
-		case <-ticker.C:
 		case <-t.stop:
-			return
+			return false
+		default:
 		}
-		now := time.Now()
-		for _, p := range t.peerSnapshot() {
-			if epoch, upTo, ok := p.inbox.PendingAck(); ok {
-				ack := network.Envelope{
-					From: t.cfg.Self, To: p.index,
-					Kind: network.KindAck, Ack: upTo, AckEpoch: epoch,
-				}
-				if p.q.TryEnqueue(ack.Marshal()) {
-					p.inbox.ClearPending(epoch, upTo)
-				}
+		conn, err := t.ensureConn(p)
+		if err == nil {
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if err = writeFrame(conn, frame); err == nil {
+				p.noteUp()
+				return true
 			}
-			p.rel.Resend(now, func(env network.Envelope) bool {
-				return p.q.TryEnqueue(env.Marshal())
-			})
+			// A partial frame may be on the wire; the connection
+			// cannot be reused.
+			p.dropConn(conn)
+			p.noteFailure(err)
 		}
-	}
-}
-
-// writer is peer p's dedicated goroutine: it drains the outbound queue
-// and owns the connection. Dial failures and write errors put the link
-// into exponential backoff (DialRetry doubling up to DialBackoffMax);
-// the frame being delivered is retried, not dropped — overflow policy
-// applies only at enqueue time.
-func (t *Transport) writer(p *peer) {
-	defer t.done.Done()
-	backoff := t.cfg.DialRetry
-	for {
-		frame, ok := p.q.Dequeue(t.stop)
-		if !ok {
-			return
+		timer := time.NewTimer(backoff)
+		select {
+		case <-timer.C:
+		case <-t.stop:
+			timer.Stop()
+			return false
 		}
-		for {
-			select {
-			case <-t.stop:
-				return
-			default:
-			}
-			conn, err := t.ensureConn(p)
-			if err == nil {
-				_ = conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-				err = writeFrame(conn, frame)
-				if err == nil {
-					p.noteSent()
-					backoff = t.cfg.DialRetry
-					break
-				}
-				// A partial frame may be on the wire; the connection
-				// cannot be reused.
-				p.dropConn(conn)
-				p.noteFailure(err)
-			}
-			if !t.sleep(backoff) {
-				return
-			}
-			backoff = min(backoff*2, t.cfg.DialBackoffMax)
-		}
-	}
-}
-
-// sleep waits d or until the transport stops; false means stop.
-func (t *Transport) sleep(d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-t.stop:
-		return false
 	}
 }
 
 // ensureConn returns the peer's established connection, dialing if none
-// exists. Only the writer goroutine calls it, so at most one dial per
-// peer is ever in flight.
+// exists. Only the peer's sender goroutine calls it, so at most one
+// dial per peer is ever in flight.
 func (t *Transport) ensureConn(p *peer) (net.Conn, error) {
 	p.mu.Lock()
 	if p.conn != nil {
@@ -543,17 +346,14 @@ func (t *Transport) ensureConn(p *peer) (net.Conn, error) {
 	}
 	p.mu.Lock()
 	p.conn = conn
-	p.state = network.PeerUp
-	p.consecFails = 0
-	p.lastErr = nil
 	p.authed = authed
 	p.mu.Unlock()
+	p.noteUp()
 	return conn, nil
 }
 
-// noteSent records a successful frame write.
-func (p *peer) noteSent() {
-	p.sent.Add(1)
+// noteUp records a working link.
+func (p *peer) noteUp() {
 	p.mu.Lock()
 	p.state = network.PeerUp
 	p.consecFails = 0
@@ -583,107 +383,40 @@ func (p *peer) dropConn(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// Send enqueues one envelope for a peer in O(1); the peer's writer
-// delivers it in the background. The frame is first staged in the ack
-// layer's in-flight window (resolved by the policy when full), so a
-// queue-policy rejection after staging still reports the congestion to
-// the caller while the ack layer guarantees eventual delivery by
-// retransmission. A full queue or window is resolved by the configured
-// policy: block (bounded by ctx), drop-oldest, or fail-fast with a
-// *network.PeerError wrapping network.ErrPeerBacklogged.
+// Send enqueues one envelope for a registered peer in O(1); the
+// peer's sender delivers it in the background (see link.Pipeline.Send).
 func (t *Transport) Send(ctx context.Context, to int, env network.Envelope) error {
-	env.From = t.cfg.Self
-	env.To = to
-	p, err := t.peer(to)
-	if err != nil {
-		return err
-	}
-	return p.enqueue(ctx, env)
-}
-
-// enqueue stages one data frame in the peer's in-flight window,
-// piggybacks the pending acknowledgement for the reverse direction,
-// and admits it to the queue, attributing policy failures to the peer.
-func (p *peer) enqueue(ctx context.Context, env network.Envelope) error {
-	staged, err := p.rel.Stage(ctx, env)
-	if err != nil {
-		return network.AttributePeer(p.index, err)
-	}
-	epoch, upTo, hasAck := p.inbox.AckValue()
-	if hasAck {
-		staged.Ack, staged.AckEpoch = upTo, epoch
-	}
-	if err := p.q.Enqueue(ctx, staged.Marshal()); err != nil {
-		// The frame stays windowed: the resend timer recovers it even
-		// though the queue rejected it now. The error still surfaces so
-		// callers observe the backpressure. The pending ack is NOT
-		// cleared — this frame (its only carrier) never left, so the
-		// standalone flusher must still send it.
-		return network.AttributePeer(p.index, err)
-	}
-	if hasAck {
-		p.inbox.ClearPending(epoch, upTo)
-	}
-	return nil
+	return t.links.Send(ctx, to, env)
 }
 
 // Broadcast enqueues the envelope for every registered peer, addressed
-// To=Broadcast (matching memnet's semantics). Each peer's copy is
-// marshaled separately — the ack layer gives every link its own
-// sequence number. All peers are attempted; failures are aggregated
-// into a *network.BroadcastError naming each failed peer, so callers
-// can judge whether the surviving set still reaches a quorum.
+// To=Broadcast, and aggregates per-peer failures into a
+// *network.BroadcastError.
 func (t *Transport) Broadcast(ctx context.Context, env network.Envelope) error {
-	env.From = t.cfg.Self
-	env.To = network.Broadcast
-	peers := t.peerSnapshot()
-	var failed []*network.PeerError
-	for _, p := range peers {
-		if err := p.enqueue(ctx, env); err != nil {
-			failed = append(failed, network.PeerFailure(p.index, err))
-		}
-	}
-	return network.NewBroadcastError(len(peers), failed)
+	return t.links.Broadcast(ctx, env)
 }
 
 // TransportStats snapshots every peer link.
 func (t *Transport) TransportStats() network.TransportStats {
-	peers := t.peerSnapshot()
-	out := network.TransportStats{
-		Peers:         make([]network.PeerStats, 0, len(peers)),
-		Policy:        t.cfg.Policy,
-		Reliable:      true,
-		Authenticated: t.cfg.Secure != nil,
-	}
-	for _, p := range peers {
+	return t.links.Stats(t.cfg.Secure != nil, func(ps *network.PeerStats) {
+		t.mu.Lock()
+		p := t.peers[ps.Peer]
+		t.mu.Unlock()
 		p.mu.Lock()
-		ps := network.PeerStats{
-			Peer:                p.index,
-			State:               p.state,
-			ConsecutiveFailures: p.consecFails,
-			Authenticated:       p.authed,
-		}
+		defer p.mu.Unlock()
+		ps.State = p.state
+		ps.ConsecutiveFailures = p.consecFails
+		ps.Authenticated = p.authed
 		if p.lastErr != nil {
 			ps.LastError = p.lastErr.Error()
 		}
-		p.mu.Unlock()
-		ps.QueueDepth = p.q.Len()
-		ps.QueueCap = p.q.Cap()
-		ps.Enqueued = p.q.Enqueued()
-		ps.Dropped = p.q.Dropped() + p.rel.Dropped()
-		ps.Sent = p.sent.Load()
-		ps.Delivered = p.rel.Delivered()
-		ps.Inflight = p.rel.Inflight()
-		ps.Resent = p.rel.Resent()
-		out.Peers = append(out.Peers, ps)
-	}
-	return out
+	})
 }
 
 // Receive returns the inbound envelope stream.
 func (t *Transport) Receive() <-chan network.Envelope { return t.in }
 
-// Close shuts down the transport: writers stop, connections close, and
+// Close shuts down the transport: senders stop, connections close, and
 // the inbound channel is closed once every goroutine has exited.
 func (t *Transport) Close() error {
 	t.close.Do(func() {
@@ -692,8 +425,6 @@ func (t *Transport) Close() error {
 		_ = t.ln.Close()
 		t.mu.Lock()
 		for _, p := range t.peers {
-			p.q.Close()
-			p.rel.Close()
 			p.mu.Lock()
 			if p.conn != nil {
 				_ = p.conn.Close()
@@ -704,6 +435,7 @@ func (t *Transport) Close() error {
 			_ = c.Close()
 		}
 		t.mu.Unlock()
+		t.links.Close()
 		t.done.Wait()
 		close(t.in)
 	})
