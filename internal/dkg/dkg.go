@@ -163,8 +163,9 @@ func (p *Participant) Finalize() (*Result, error) {
 
 // Combine sums the dealings of the qualified dealers qual: party
 // index's key share from its sub-shares subs, and the group key and
-// the n verification keys from the commitments coms. Both maps are
-// keyed by dealer and must hold every dealer in qual.
+// the n verification keys from the commitments coms, summed once into
+// one commitment that is then evaluated at 1..n. Both maps are keyed by
+// dealer and must hold every dealer in qual.
 func Combine(g group.Group, index, t, n int, qual []int,
 	coms map[int]*share.FeldmanCommitment, subs map[int]share.Share) (*Result, error) {
 	if len(qual) < t+1 {
@@ -175,23 +176,24 @@ func Combine(g group.Group, index, t, n int, qual []int,
 	for _, dealer := range qual {
 		xi = mathutil.AddMod(xi, subs[dealer].Value, g.Order())
 	}
-	// Y = Σ A_{d,0}; VK_j = Σ_d f_d(j)*G evaluated in the exponent.
-	y := g.Identity()
-	for _, dealer := range qual {
-		y = y.Add(coms[dealer].PublicKey())
+	// The qualified commitments sum to the commitment to the group
+	// polynomial Σ_d f_d: Y is its constant term, VK_j its value at j.
+	qcoms := make([]*share.FeldmanCommitment, len(qual))
+	for i, dealer := range qual {
+		qcoms[i] = coms[dealer]
+	}
+	folded, err := share.Fold(g, qcoms, nil)
+	if err != nil {
+		return nil, err
 	}
 	vk := make([]group.Point, n)
 	for j := 1; j <= n; j++ {
-		acc := g.Identity()
-		for _, dealer := range qual {
-			acc = acc.Add(coms[dealer].EvalInExponent(j))
-		}
-		vk[j-1] = acc
+		vk[j-1] = folded.EvalInExponent(j)
 	}
 	return &Result{
 		Index:     index,
 		Share:     xi,
-		PublicKey: y,
+		PublicKey: folded.PublicKey(),
 		VK:        vk,
 		Qualified: qual,
 	}, nil

@@ -14,7 +14,8 @@ import (
 // allocates in proportion to the input, and that every accepted input
 // saves and loads again to an equal key or roster. The committed corpus
 // holds a valid key file and roster, and the rejected cases: a roster
-// naming node 1 as "01", a node index of 0 and a short box key.
+// naming node 1 as "01", a node index of 0, a short box key, and a key
+// file giving its node both as "node" and as "Node".
 func FuzzIdentityFiles(f *testing.F) {
 	k, err := Generate(rand.Reader, 2)
 	if err != nil {

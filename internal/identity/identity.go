@@ -14,6 +14,7 @@
 package identity
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"encoding/hex"
@@ -22,8 +23,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 
 	"thetacrypt/internal/atomicfile"
 )
@@ -172,7 +175,7 @@ func LoadKey(path string) (*Key, error) {
 		return nil, fmt.Errorf("identity: %w", err)
 	}
 	var kf keyFile
-	if err := json.Unmarshal(data, &kf); err != nil {
+	if err := decodeStrict(data, &kf); err != nil {
 		return nil, fmt.Errorf("identity: parse %s: %w", path, err)
 	}
 	if kf.Version != 1 {
@@ -217,13 +220,96 @@ func LoadRoster(path string) (Roster, error) {
 		return nil, fmt.Errorf("identity: %w", err)
 	}
 	var rf rosterFile
-	if err := json.Unmarshal(data, &rf); err != nil {
+	if err := decodeStrict(data, &rf); err != nil {
 		return nil, fmt.Errorf("identity: parse %s: %w", path, err)
 	}
 	if rf.Version != 1 {
 		return nil, fmt.Errorf("identity: %s: unsupported version %d", path, rf.Version)
 	}
 	return ParseRoster(rf.Peers)
+}
+
+// decodeStrict decodes data into v, a pointer to a struct, and refuses
+// what encoding/json lets through: a field v does not declare, a field
+// name spelled in another case than its tag ("Node" for "node"), and a
+// field or map key given twice, of which json would keep the last. So
+// every accepted file has exactly one reading.
+func decodeStrict(data []byte, v any) error {
+	if err := checkJSONKeys(json.NewDecoder(bytes.NewReader(data)), reflect.TypeOf(v).Elem()); err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
+// checkJSONKeys reads one JSON value from dec. An object read into a
+// struct must use each declared field name at most once, spelled
+// exactly; an object read into a map must not repeat a key. Any other
+// value is skipped, for json.Unmarshal to judge.
+func checkJSONKeys(dec *json.Decoder, t reflect.Type) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if d, ok := tok.(json.Delim); !ok {
+		return nil
+	} else if d != '{' || (t.Kind() != reflect.Struct && t.Kind() != reflect.Map) {
+		return skipJSON(dec)
+	}
+	seen := make(map[string]bool)
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, _ := tok.(string)
+		if seen[key] {
+			return fmt.Errorf("field %q given twice", key)
+		}
+		seen[key] = true
+		ft := jsonField(t, key)
+		if ft == nil {
+			return fmt.Errorf("unknown field %q", key)
+		}
+		if err := checkJSONKeys(dec, ft); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token()
+	return err
+}
+
+// jsonField returns the type a JSON object key decodes into: a map's
+// element type, or the type of the struct field whose json tag is
+// exactly key (nil when there is none).
+func jsonField(t reflect.Type, key string) reflect.Type {
+	if t.Kind() == reflect.Map {
+		return t.Elem()
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); f.IsExported() && name == key {
+			return f.Type
+		}
+	}
+	return nil
+}
+
+// skipJSON consumes the rest of an array or object whose opening
+// delimiter dec has just returned.
+func skipJSON(dec *json.Decoder) error {
+	for depth := 1; depth > 0; {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch tok {
+		case json.Delim('['), json.Delim('{'):
+			depth++
+		case json.Delim(']'), json.Delim('}'):
+			depth--
+		}
+	}
+	return nil
 }
 
 // ParseRoster converts the JSON peer map (node index as string →

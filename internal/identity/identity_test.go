@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -209,4 +210,52 @@ func hexEncode(b []byte) string {
 		out = append(out, digits[c>>4], digits[c&0xf])
 	}
 	return string(out)
+}
+
+// TestIdentityFilesAreStrict: encoding/json matches field names
+// case-insensitively and keeps the last of a repeated name, so a key
+// file holding both "node":1 and "Node":2 used to load as node 2. Both
+// readers now accept exactly the declared names, each at most once.
+func TestIdentityFilesAreStrict(t *testing.T) {
+	k, err := Generate(rand.Reader, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj := MarshalPublic(k.Public())
+	sign, box := hex.EncodeToString(k.Sign.Seed()), hex.EncodeToString(k.Box.Bytes())
+	keyBody := `"sign":"` + sign + `","box":"` + box + `"`
+	peer := `{"sign":"` + pj.Sign + `","box":"` + pj.Box + `"}`
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		roster bool
+		file   string
+		ok     bool
+	}{
+		{"key", false, `{"version":1,"node":1,` + keyBody + `}`, true},
+		{"key node twice", false, `{"version":1,"node":1,"node":2,` + keyBody + `}`, false},
+		{"key node and Node", false, `{"version":1,"node":1,"Node":2,` + keyBody + `}`, false},
+		{"key Node alone", false, `{"version":1,"Node":1,` + keyBody + `}`, false},
+		{"key unknown field", false, `{"version":1,"node":1,"extra":0,` + keyBody + `}`, false},
+		{"roster", true, `{"version":1,"peers":{"1":` + peer + `}}`, true},
+		{"roster VERSION", true, `{"VERSION":1,"peers":{"1":` + peer + `}}`, false},
+		{"roster peers twice", true, `{"version":1,"peers":{"1":` + peer + `},"peers":{}}`, false},
+		{"roster node twice", true, `{"version":1,"peers":{"1":` + peer + `,"1":` + peer + `}}`, false},
+		{"roster peer Sign", true, `{"version":1,"peers":{"1":{"Sign":"` + pj.Sign + `","box":"` + pj.Box + `"}}}`, false},
+		{"roster peer unknown field", true, `{"version":1,"peers":{"1":{"sign":"` + pj.Sign + `","box":"` + pj.Box + `","x":[{}]}}}`, false},
+		{"roster unknown field", true, `{"version":1,"peers":{"1":` + peer + `},"extra":{"a":1}}`, false},
+	} {
+		path := filepath.Join(dir, "file")
+		if err := os.WriteFile(path, []byte(tc.file), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if tc.roster {
+			_, err = LoadRoster(path)
+		} else {
+			_, err = LoadKey(path)
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted %v", tc.name, err, tc.ok)
+		}
+	}
 }

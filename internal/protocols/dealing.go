@@ -19,8 +19,9 @@ import (
 //
 //  1. Deal. Every dealer broadcasts Feldman commitments to a fresh
 //     polynomial and one box per recipient holding that recipient's
-//     sub-share. Every node checks each commitment publicly; each
-//     recipient opens its own box and verifies the sub-share inside.
+//     sub-share; the box in the dealer's own recipient slot is empty.
+//     Every node checks each commitment publicly; each recipient opens
+//     its own box and verifies the sub-share inside.
 //  2. Complain. Every node broadcasts the dealers whose box for it did
 //     not open to a valid sub-share (usually none).
 //  3. Justify. Every accused dealer broadcasts the disputed sub-shares
@@ -155,8 +156,13 @@ func (p *dealingProtocol) deal() (*RoundOutput, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s deal: %w", p.role.kind, err)
 	}
+	// Only the owner of slot j+1 opens box j, and this node takes its
+	// own sub-share from subs, so its own slot travels empty.
 	boxes := make([][]byte, len(subs))
 	for j, s := range subs {
+		if j+1 == p.myRecip {
+			continue
+		}
 		if boxes[j], err = p.seal(j, s); err != nil {
 			return nil, fmt.Errorf("%s seal: %w", p.role.kind, err)
 		}

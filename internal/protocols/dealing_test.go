@@ -201,6 +201,57 @@ func TestSealedDealingCarriesNoPlaintextSubShares(t *testing.T) {
 	}
 }
 
+// TestDealerLeavesOwnBoxEmpty: a dealer that is also a recipient sends
+// an empty box in its own slot, which only it would open and which it
+// never needs, since it keeps its own sub-share. Every peer's box
+// opens to that peer's valid sub-share. A reshare dealer outside the
+// new committee has no slot of its own and seals every box.
+func TestDealerLeavesOwnBoxEmpty(t *testing.T) {
+	nodes := dealNodes(t, 1, 4, schemes.SG02)
+	envs := testEnvs(t, 4)
+	for _, tc := range []struct {
+		name   string
+		req    Request
+		recips []int
+	}{
+		{"keygen", Request{Scheme: schemes.KG20, KeyID: "own-box", Op: OpKeyGen}, []int{1, 2, 3, 4}},
+		{"reshare to 2..4", Request{Scheme: schemes.SG02, Op: OpReshare,
+			Payload: ReshareSpec{NewT: 1, Members: []int{2, 3, 4}}.Marshal(), Epoch: keys.FirstEpoch}, []int{2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewWith(rand.Reader, nodes[0], tc.req, envs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := p.DoRound()
+			if err != nil || out == nil {
+				t.Fatalf("round 1: %v, %v", out, err)
+			}
+			role := p.(*dealingProtocol).role
+			com, boxes, err := unmarshalDealing(role.g, len(tc.recips), out.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, to := range tc.recips {
+				if to == 1 {
+					if len(boxes[j]) != 0 {
+						t.Fatalf("own slot %d carries a %d-byte box", j+1, len(boxes[j]))
+					}
+					continue
+				}
+				recipient := &dealingProtocol{id: envs[to-1].Identity, instID: tc.req.InstanceID(), self: to, role: dealingRole{kind: role.kind}}
+				s, err := recipient.open(1, boxes[j])
+				if err != nil {
+					t.Fatalf("node %d cannot open its box: %v", to, err)
+				}
+				if s.Index != j+1 || !com.VerifyShare(s) {
+					t.Fatalf("node %d's box holds no valid sub-share %d", to, j+1)
+				}
+			}
+		})
+	}
+}
+
 // TestSealedKeygenDisqualifiesFaultyDealer corrupts node 2's sub-share
 // for node 3 before boxing, under both encodings. Node 3's box opens
 // but fails Feldman verification, so it complains; node 2's

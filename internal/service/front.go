@@ -506,8 +506,9 @@ func (f *Front) handleGenerateKey(w http.ResponseWriter, r *http.Request) {
 
 // handleReshareKey forwards the reshare through the Service (the router
 // sends it to the key's owning committee). The target epoch in the 202
-// response is resolved best-effort from the Service's key listing; the
-// authoritative value is the instance's result.
+// response is resolved best-effort by looking up that one key
+// (api.FetchKey), not by listing the whole keychain; the authoritative
+// value is the instance's result.
 func (f *Front) handleReshareKey(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
 	var body api.ReshareKeyRequest
@@ -523,13 +524,8 @@ func (f *Front) handleReshareKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := api.ReshareKeyResponse{InstanceID: h.InstanceID, KeyID: keyID}
-	if keyList, err := f.svc.Keys(r.Context()); err == nil {
-		for _, k := range keyList {
-			if k.Scheme == string(scheme) && k.KeyID == keyID {
-				resp.Epoch = k.Epoch + 1
-				break
-			}
-		}
+	if k, err := api.FetchKey(r.Context(), f.svc, scheme, keyID); err == nil {
+		resp.Epoch = k.Epoch + 1
 	}
 	writeJSON(w, http.StatusAccepted, resp)
 }

@@ -854,3 +854,74 @@ func TestDeadlineTableReleasesRecords(t *testing.T) {
 		t.Fatal("expired deadline inside its grace window was pruned")
 	}
 }
+
+// keysCountingUnit is a node's Service that counts calls to Keys, the
+// whole-keychain listing.
+type keysCountingUnit struct {
+	committee.Unit
+	keysCalls atomic.Int64
+}
+
+func (u *keysCountingUnit) Keys(ctx context.Context) ([]api.KeyInfo, error) {
+	u.keysCalls.Add(1)
+	return u.Unit.Keys(ctx)
+}
+
+// TestReshareEpochWithoutKeyListing: the reshare response's target
+// epoch comes from a lookup of the one key being reshared. Listing the
+// keychain to find it would marshal and sort every key in the store on
+// every reshare.
+func TestReshareEpochWithoutKeyListing(t *testing.T) {
+	const tt, n = 1, 4
+	nodes, err := keys.Deal(rand.Reader, tt, n, keys.Options{Schemes: []schemes.ID{schemes.CKS05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := memnet.NewHub(n, memnet.Options{})
+	t.Cleanup(hub.Close)
+	units := make([]committee.Unit, n)
+	for i := range units {
+		engine := orchestration.New(orchestration.Config{Keys: nodes[i], Net: hub.Endpoint(i + 1)})
+		t.Cleanup(engine.Stop)
+		units[i] = committee.Unit{Store: nodes[i], Engine: engine}
+	}
+	svc := &keysCountingUnit{Unit: units[0]}
+	srv := httptest.NewServer(NewFront(svc))
+	t.Cleanup(srv.Close)
+
+	for _, want := range []int{keys.FirstEpoch + 1, keys.FirstEpoch + 2} {
+		resp := postJSONRaw(t, srv.URL+"/v2/keys/"+keys.DefaultKeyID+"/reshare", `{"scheme":"CKS05","new_t":1,"members":[1,2,3,4]}`)
+		var body api.ReshareKeyResponse
+		err := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("reshare: status %d, decode %v", resp.StatusCode, err)
+		}
+		if body.Epoch != want {
+			t.Fatalf("reshare response epoch %d, want %d", body.Epoch, want)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		res, err := svc.Wait(ctx, api.Handle{InstanceID: body.InstanceID})
+		cancel()
+		if err != nil || res.Err != nil || string(res.Value) != fmt.Sprint(want) {
+			t.Fatalf("reshare result %+v, %v; want epoch %d", res, err, want)
+		}
+		// The next reshare pins the new epoch on every node.
+		for i, store := range nodes {
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				k, err := store.Get(schemes.CKS05, keys.DefaultKeyID)
+				if err == nil && k.Epoch == want {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("node %d never installed epoch %d", i+1, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	if c := svc.keysCalls.Load(); c != 0 {
+		t.Fatalf("reshare listed the keychain %d times", c)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 
 	"thetacrypt/internal/group"
 	"thetacrypt/internal/mathutil"
@@ -67,18 +68,18 @@ func VerifyReshareDealing(g group.Group, dealing *ReshareDealing, oldVK group.Po
 }
 
 // CombineReshares derives new party j's refreshed share from the
-// verified sub-shares of a quorum of oldT+1 old holders. The old
-// secret is preserved: f'(0) = Σ λ_d f_d(0) = Σ λ_d s_d = s.
+// verified sub-shares of a quorum of oldT+1 old holders: the oldT+1
+// lowest dealer indices, so every node given the same sub-shares
+// combines the same quorum. The old secret is preserved:
+// f'(0) = Σ λ_d f_d(0) = Σ λ_d s_d = s.
 func CombineReshares(g group.Group, j, oldT int, subShares map[int]Share) (*big.Int, error) {
-	if len(subShares) < oldT+1 {
-		return nil, ErrNotEnoughShares
+	dealers, err := quorumDealers(subShares, oldT)
+	if err != nil {
+		return nil, err
 	}
-	dealers := make([]int, 0, oldT+1)
-	for d := range subShares {
-		dealers = append(dealers, d)
-		if len(dealers) == oldT+1 {
-			break
-		}
+	lambdas, err := Coefficients(dealers, g.Order())
+	if err != nil {
+		return nil, err
 	}
 	acc := new(big.Int)
 	for _, d := range dealers {
@@ -86,47 +87,53 @@ func CombineReshares(g group.Group, j, oldT int, subShares map[int]Share) (*big.
 		if s.Index != j {
 			return nil, fmt.Errorf("share: sub-share addressed to %d, not %d", s.Index, j)
 		}
-		lambda, err := LagrangeCoefficient(d, dealers, g.Order())
-		if err != nil {
-			return nil, err
-		}
-		acc = mathutil.AddMod(acc, mathutil.MulMod(lambda, s.Value, g.Order()), g.Order())
+		acc = mathutil.AddMod(acc, mathutil.MulMod(lambdas[d], s.Value, g.Order()), g.Order())
 	}
 	return acc, nil
 }
 
 // NewVerificationKeys recomputes the new committee's verification keys
-// from the quorum's commitments: VK'_j = Σ λ_d · F_d(j) in the exponent.
+// and the group key from the commitments of the oldT+1 lowest dealer
+// indices. It folds those commitments under the dealers' Lagrange
+// coefficients into the commitment to the new polynomial
+// f' = Σ λ_d f_d, and evaluates that once per new party:
+// VK'_j = f'(j)*G, and the group key is its constant term f'(0)*G.
 func NewVerificationKeys(g group.Group, oldT, newN int, commitments map[int]*FeldmanCommitment) ([]group.Point, group.Point, error) {
-	if len(commitments) < oldT+1 {
-		return nil, nil, ErrNotEnoughShares
+	dealers, err := quorumDealers(commitments, oldT)
+	if err != nil {
+		return nil, nil, err
 	}
-	dealers := make([]int, 0, oldT+1)
-	for d := range commitments {
-		dealers = append(dealers, d)
-		if len(dealers) == oldT+1 {
-			break
-		}
+	lambdas, err := Coefficients(dealers, g.Order())
+	if err != nil {
+		return nil, nil, err
+	}
+	coms := make([]*FeldmanCommitment, len(dealers))
+	weights := make([]*big.Int, len(dealers))
+	for i, d := range dealers {
+		coms[i], weights[i] = commitments[d], lambdas[d]
+	}
+	folded, err := Fold(g, coms, weights)
+	if err != nil {
+		return nil, nil, err
 	}
 	vk := make([]group.Point, newN)
 	for j := 1; j <= newN; j++ {
-		acc := g.Identity()
-		for _, d := range dealers {
-			lambda, err := LagrangeCoefficient(d, dealers, g.Order())
-			if err != nil {
-				return nil, nil, err
-			}
-			acc = acc.Add(commitments[d].EvalInExponent(j).Mul(lambda))
-		}
-		vk[j-1] = acc
+		vk[j-1] = folded.EvalInExponent(j)
 	}
-	pub := g.Identity()
-	for _, d := range dealers {
-		lambda, err := LagrangeCoefficient(d, dealers, g.Order())
-		if err != nil {
-			return nil, nil, err
-		}
-		pub = pub.Add(commitments[d].PublicKey().Mul(lambda))
+	return vk, folded.PublicKey(), nil
+}
+
+// quorumDealers returns the oldT+1 lowest dealer indices of m. Taking
+// any other oldT+1 would be as valid, but nodes that picked different
+// quorums would derive different sharings.
+func quorumDealers[V any](m map[int]V, oldT int) ([]int, error) {
+	if len(m) < oldT+1 {
+		return nil, ErrNotEnoughShares
 	}
-	return vk, pub, nil
+	dealers := make([]int, 0, len(m))
+	for d := range m {
+		dealers = append(dealers, d)
+	}
+	sort.Ints(dealers)
+	return dealers[:oldT+1], nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sort"
 
 	"thetacrypt/internal/group"
@@ -290,21 +291,90 @@ func (p *Polynomial) Commit(g group.Group) (*FeldmanCommitment, error) {
 // PublicKey returns the commitment to the secret, f(0)*G.
 func (c *FeldmanCommitment) PublicKey() group.Point { return c.Points[0] }
 
-// VerifyShare checks s.Value*G == Σ A_i * index^i.
+// VerifyShare checks s.Value*G == Σ A_i * index^i: one fixed-base
+// multiplication by the secret share, and only additions for the
+// public index.
 func (c *FeldmanCommitment) VerifyShare(s Share) bool {
 	expected := c.EvalInExponent(s.Index)
 	return c.Group.BaseMul(s.Value).Equal(expected)
 }
 
-// EvalInExponent computes f(x)*G from the coefficient commitments.
+// EvalInExponent computes f(x)*G = Σ A_i·x^i from the coefficient
+// commitments by Horner's rule. Each multiplication by x is a
+// double-and-add on Point.Add (mulIndex), not a Point.Mul: that is
+// variable-time in x, and x is a public share index.
 func (c *FeldmanCommitment) EvalInExponent(x int) group.Point {
-	xv := big.NewInt(int64(x))
-	acc := c.Group.Identity()
+	if len(c.Points) == 0 {
+		return c.Group.Identity()
+	}
 	// Horner in the exponent: acc = acc*x + A_i.
-	for i := len(c.Points) - 1; i >= 0; i-- {
-		acc = acc.Mul(xv).Add(c.Points[i])
+	acc := c.Points[len(c.Points)-1]
+	for i := len(c.Points) - 2; i >= 0; i-- {
+		acc = mulIndex(c.Group, acc, x).Add(c.Points[i])
 	}
 	return acc
+}
+
+// mulIndex returns x·P for a public integer x by left-to-right
+// double-and-add: about log2|x| doublings plus one addition per one bit
+// of |x|. It branches on the bits of x, so x must be public; secret
+// scalars go through Point.Mul or Group.BaseMul.
+func mulIndex(g group.Group, p group.Point, x int) group.Point {
+	u := uint64(x)
+	if x < 0 {
+		p, u = p.Neg(), -u
+	}
+	if u == 0 {
+		return g.Identity()
+	}
+	acc := p
+	for bit := bits.Len64(u) - 2; bit >= 0; bit-- {
+		acc = acc.Add(acc)
+		if u>>uint(bit)&1 == 1 {
+			acc = acc.Add(p)
+		}
+	}
+	return acc
+}
+
+// Fold returns the commitment to Σ_d weights[d]·f_d: coefficient k of
+// the result is Σ_d weights[d]·A_{d,k}. Evaluating the folded
+// commitment once gives what evaluating every commitment and weighting
+// the results would, at the price of one evaluation. A nil weights
+// slice weights every commitment 1, which is a plain sum with
+// Point.Add. Otherwise each coefficient is one group.MultiScalarMul,
+// which is variable-time: the weights must be public, as the dealers'
+// Lagrange coefficients are. The commitments must all be over g and of
+// one degree.
+func Fold(g group.Group, coms []*FeldmanCommitment, weights []*big.Int) (*FeldmanCommitment, error) {
+	if len(coms) == 0 {
+		return nil, ErrNotEnoughShares
+	}
+	if weights != nil && len(weights) != len(coms) {
+		return nil, fmt.Errorf("share: %d weights for %d commitments", len(weights), len(coms))
+	}
+	for _, c := range coms {
+		if c == nil || len(c.Points) != len(coms[0].Points) {
+			return nil, fmt.Errorf("share: folding commitments of different degrees")
+		}
+	}
+	out := &FeldmanCommitment{Group: g, Points: make([]group.Point, len(coms[0].Points))}
+	column := make([]group.Point, len(coms))
+	for k := range out.Points {
+		for d, c := range coms {
+			column[d] = c.Points[k]
+		}
+		if weights == nil {
+			acc := column[0]
+			for _, pt := range column[1:] {
+				acc = acc.Add(pt)
+			}
+			out.Points[k] = acc
+		} else {
+			out.Points[k] = group.MultiScalarMul(g, column, weights)
+		}
+	}
+	return out, nil
 }
 
 // IntegerLagrangeCoefficient computes the Shoup coefficient
