@@ -250,9 +250,11 @@ func checkJSONKeys(dec *json.Decoder, t reflect.Type) error {
 	if err != nil {
 		return err
 	}
-	if d, ok := tok.(json.Delim); !ok {
+	d, ok := tok.(json.Delim)
+	if !ok {
 		return nil
-	} else if d != '{' || (t.Kind() != reflect.Struct && t.Kind() != reflect.Map) {
+	}
+	if d != '{' || (t.Kind() != reflect.Struct && t.Kind() != reflect.Map) {
 		return skipJSON(dec)
 	}
 	seen := make(map[string]bool)

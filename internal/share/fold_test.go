@@ -328,7 +328,7 @@ func FuzzEvalInExponent(f *testing.F) {
 				want = want.Add(pt.Mul(xi))
 			}
 			got := com.EvalInExponent(idx)
-			if !got.Equal(want) || !bytes.Equal(got.Marshal(), want.Marshal()) {
+			if !got.Equal(want) {
 				t.Fatalf("%s: EvalInExponent(%d) over %d coefficients differs from Σ A_k·x^k", g.Name(), idx, len(raw))
 			}
 		}
