@@ -1,9 +1,9 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Section 4), plus three ablations (A1 primitive
-// micro-benchmarks, A2 FROST precomputation, A3 group backends). Each
-// target regenerates the corresponding rows/series through
-// internal/eval with scaled-down virtual windows; the full-size
-// runs (60 s capacity windows, 5 min steady state) are produced by
+// paper's evaluation (Section 4), plus two ablations (A1 primitive
+// micro-benchmarks, A3 group backends). Each target regenerates the
+// corresponding rows/series through internal/eval with scaled-down
+// virtual windows; the full-size runs (60 s capacity windows, 5 min
+// steady state) are produced by
 // `go run ./cmd/thetabench -duration 60s -steady 5m all`.
 package thetacrypt_test
 
@@ -111,39 +111,6 @@ func BenchmarkMicroPrimitives(b *testing.B) {
 		if err := eval.MicroBench(benchWriter(b), 10, 31, 256, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationFrostPrecompute is ablation A2: FROST's one-round
-// precomputed mode against the two-round protocol on DO-31-G.
-func BenchmarkAblationFrostPrecompute(b *testing.B) {
-	dep, err := eval.DeploymentByName("DO-31-G")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pre := range []bool{false, true} {
-		name := "two-round"
-		if pre {
-			name = "precomputed"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *eval.RunResult
-			for i := 0; i < b.N; i++ {
-				r, err := eval.Run(eval.RunSpec{
-					Scheme:      schemes.KG20,
-					Deployment:  dep,
-					Rate:        4,
-					Duration:    2 * time.Second,
-					Precomputed: pre,
-					Seed:        21,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(float64(last.LnetTheta)/1e6, "Ltheta-ms")
-		})
 	}
 }
 

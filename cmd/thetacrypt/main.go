@@ -38,37 +38,20 @@ func main() {
 
 func run() error {
 	var (
-		keyPath     = flag.String("key", "", "path to this node's key file")
-		peersPath   = flag.String("peers", "", "path to the peers file (index addr per line)")
-		listen      = flag.String("listen", ":7001", "P2P listen address")
-		httpAddr    = flag.String("http", ":8081", "service-layer HTTP listen address")
-		workers     = flag.Int("workers", 0, "engine worker goroutines (0 = default 1)")
-		queueLen    = flag.Int("queue", 0, "engine event-queue length; a full queue answers HTTP 429 (0 = default 4096)")
-		retainTTL   = flag.Duration("retain-ttl", 0, "how long finished results stay retrievable (0 = default 2m)")
-		retainMax   = flag.Int("retain-max", 0, "max finished results retained, oldest evicted first (0 = default 4096)")
-		peerQueue   = flag.Int("peer-queue", 0, "per-peer outbound queue length, in frames (0 = default 1024)")
-		peerPolicy  = flag.String("peer-policy", "block", "full-queue policy per peer: block, drop-oldest, or fail-fast")
-		ackWindow   = flag.Int("ack-window", 0, "per-peer in-flight window: unacknowledged frames retained for resend-on-reconnect (0 = default 1024)")
-		ackInterval = flag.Duration("ack-interval", 0, "coalescing delay for delivery acknowledgements and the resend scan cadence (0 = default 25ms)")
-		resendAfter = flag.Duration("resend-timeout", 0, "how long a frame stays unacknowledged before retransmission (0 = default 500ms)")
-		dialRetry   = flag.Duration("dial-retry", 0, "initial peer reconnect backoff, doubling per failure (0 = default 250ms)")
-		dialMax     = flag.Duration("dial-backoff-max", 0, "cap on the peer reconnect backoff (0 = default 4s)")
-		sendTimeout = flag.Duration("send-timeout", 0, "bound on each round broadcast; bites only when a block-policy peer queue is saturated (0 = default 5s)")
-		persist     = flag.Bool("persist", false, "make the -key file durable: rewrite it at start, then append one fsynced frame per installed key (generated keys, reshared epochs) and zero the share each reshare supersedes")
-		refresh     = flag.Duration("refresh-interval", 0, "proactive-refresh schedule: reshare every reshareable key to its own committee at this interval (0 = disabled)")
-		routerMode  = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
-		committees  = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")
-		secure      = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link over mutually authenticated TLS 1.3 pinned to the roster, seal DKG sub-shares")
-		idPath      = flag.String("identity", "", "path to this node's private identity file (node<i>.id from thetakeygen)")
-		rosterPath  = flag.String("roster", "", "path to the mesh roster file (roster.json from thetakeygen)")
+		keyPath    = flag.String("key", "", "path to this node's key file")
+		peersPath  = flag.String("peers", "", "path to the peers file (index addr per line)")
+		listen     = flag.String("listen", ":7001", "P2P listen address")
+		httpAddr   = flag.String("http", ":8081", "service-layer HTTP listen address")
+		persist    = flag.Bool("persist", false, "make the -key file durable: rewrite it at start, then append one fsynced frame per installed key (generated keys, reshared epochs) and zero the share each reshare supersedes")
+		routerMode = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
+		committees = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")
+		secure     = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link over mutually authenticated TLS 1.3 pinned to the roster, seal DKG sub-shares")
+		idPath     = flag.String("identity", "", "path to this node's private identity file (node<i>.id from thetakeygen)")
+		rosterPath = flag.String("roster", "", "path to the mesh roster file (roster.json from thetakeygen)")
 	)
 	flag.Parse()
 	if *routerMode {
 		return runRouter(*committees, *httpAddr)
-	}
-	policy, err := thetacrypt.ParseQueuePolicy(*peerPolicy)
-	if err != nil {
-		return err
 	}
 	if *keyPath == "" || *peersPath == "" {
 		return fmt.Errorf("both -key and -peers are required")
@@ -115,23 +98,6 @@ func run() error {
 		Peers:      peers,
 		Identity:   nodeID,
 		Roster:     roster,
-		Engine: thetacrypt.EngineOptions{
-			Workers:         *workers,
-			QueueLen:        *queueLen,
-			RetainTTL:       *retainTTL,
-			RetainMax:       *retainMax,
-			SendTimeout:     *sendTimeout,
-			RefreshInterval: *refresh,
-		},
-		Transport: thetacrypt.TransportOptions{
-			OutQueueLen:    *peerQueue,
-			Policy:         policy,
-			AckWindow:      *ackWindow,
-			AckInterval:    *ackInterval,
-			ResendTimeout:  *resendAfter,
-			DialRetry:      *dialRetry,
-			DialBackoffMax: *dialMax,
-		},
 	})
 	if err != nil {
 		return err

@@ -268,8 +268,6 @@ func EncryptLocal(store *keys.Keystore, scheme schemes.ID, keyID string, message
 type Config struct {
 	// Schemes to deal keys for; empty means all six.
 	Schemes []schemes.ID
-	// RSABits for SH00 (default 2048); fixture keys keep startup fast.
-	RSABits int
 	// KeyID names the dealt keys; empty selects keys.DefaultKeyID.
 	// Sharded deployments give each committee distinct key names so the
 	// router's placement map spreads traffic instead of shadowing
@@ -277,13 +275,10 @@ type Config struct {
 	KeyID string
 	// Latency is the simulated one-way network delay between nodes.
 	Latency time.Duration
-	// Engine post-processes each node's engine config (worker count,
-	// flow control, retention); nil keeps the defaults.
+	// Engine post-processes each node's engine config; nil keeps the
+	// defaults. It is the seam through which a harness wraps each
+	// node's transport.
 	Engine func(orchestration.Config) orchestration.Config
-	// Net tunes the simulated transport (queue capacity, full-queue
-	// policy, ack layer). The Latency field above wins over Net.Latency
-	// when set.
-	Net memnet.Options
 	// Secure switches the committee to the authenticated mesh: every
 	// node gets a transport identity, the hub enforces the roster, and
 	// DKG/reshare sub-share boxes are sealed to each recipient's
@@ -313,15 +308,15 @@ var _ api.Service = (*Committee)(nil)
 func New(t, n int, cfg Config) (*Committee, error) {
 	stores, err := keys.Deal(rand.Reader, t, n, keys.Options{
 		Schemes:       cfg.Schemes,
-		RSABits:       cfg.RSABits,
 		UseRSAFixture: true,
 		KeyID:         cfg.KeyID,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("thetacrypt: deal keys: %w", err)
 	}
+	var net memnet.Options
 	if cfg.Latency > 0 {
-		cfg.Net.Latency = memnet.Uniform(cfg.Latency)
+		net.Latency = memnet.Uniform(cfg.Latency)
 	}
 	ids := cfg.Identities
 	roster := cfg.Roster
@@ -342,9 +337,9 @@ func New(t, n int, cfg Config) (*Committee, error) {
 				roster[i] = k.Public()
 			}
 		}
-		cfg.Net.Secure = &memnet.SecureOptions{Identities: ids, Roster: roster}
+		net.Secure = &memnet.SecureOptions{Identities: ids, Roster: roster}
 	}
-	hub := memnet.NewHub(n, cfg.Net)
+	hub := memnet.NewHub(n, net)
 	units := make([]Unit, n)
 	for i := 0; i < n; i++ {
 		ecfg := orchestration.Config{Keys: stores[i], Net: hub.Endpoint(i + 1)}

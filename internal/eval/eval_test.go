@@ -121,29 +121,6 @@ func TestGlobalDeploymentAddsLatency(t *testing.T) {
 	}
 }
 
-func TestFrostPrecomputationAblation(t *testing.T) {
-	dep, _ := DeploymentByName("DO-7-G")
-	two, err := Run(RunSpec{Scheme: schemes.KG20, Deployment: dep, Rate: 2, Duration: 2 * time.Second, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(RunSpec{Scheme: schemes.KG20, Deployment: dep, Rate: 2, Duration: 2 * time.Second, Seed: 11, Precomputed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two.Completed == 0 || one.Completed == 0 {
-		t.Fatalf("no completions: two=%d one=%d", two.Completed, one.Completed)
-	}
-	// Dropping the commitment round must save at least a large fraction
-	// of one WAN round trip at low load. Read it at Lθ, the latency by
-	// which a quorum of nodes holds the signature: L95 over all nodes is
-	// pinned by the one slowest inter-region link in either mode, so
-	// there the two differ only by the calibrated cost of round 1.
-	if one.LnetTheta+20*time.Millisecond >= two.LnetTheta {
-		t.Fatalf("precomputed (Lθ %v) not faster than two-round (Lθ %v)", one.LnetTheta, two.LnetTheta)
-	}
-}
-
 func TestSchemeOrderingAtSmallScale(t *testing.T) {
 	// Paper: in small deployments, local crypto dominates, so ECDH-based
 	// schemes beat pairing-based ones.

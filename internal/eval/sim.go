@@ -109,10 +109,6 @@ type RunSpec struct {
 	Duration time.Duration
 	// PayloadSize is the request payload in bytes (default 256).
 	PayloadSize int
-	// Precomputed models FROST's one-round mode with precomputed,
-	// pre-exchanged nonce commitments (ablation A2). The service does
-	// not implement that mode; it always signs in two rounds.
-	Precomputed bool
 	// Seed makes the run deterministic.
 	Seed uint64
 	// JitterFrac is the uniform link jitter (default 0.1).
@@ -318,16 +314,6 @@ func Run(spec RunSpec) (*RunResult, error) {
 			st.arrived[j] = true
 			st.arrival[j] = s.now
 			if interactive {
-				if spec.Precomputed {
-					// Commitments were exchanged ahead of time.
-					st.commits[j] = quorum
-					drainPending(m.k, j)
-					if signCont(m.k, j) {
-						return
-					}
-					s.at(s.now+costs.Parse, func() { resume(j) })
-					return
-				}
 				if !isSigner(j) {
 					s.at(s.now+costs.Parse, func() { resume(j) })
 					return

@@ -7,13 +7,12 @@ package network
 // dead peer must not stall the other N-2 links, so sends are decoupled
 // from the protocol hot path by bounded per-peer queues drained by
 // dedicated writers. These types make that decoupling observable
-// (TransportStats) and tunable (QueuePolicy) across tcpnet, memnet,
-// and the proxy identically.
+// (TransportStats) across tcpnet, memnet, and the proxy identically.
+// Deployments run PolicyBlock; only tests select the other two.
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // QueuePolicy selects what an enqueue does when a peer's bounded
@@ -35,7 +34,7 @@ const (
 	PolicyFailFast
 )
 
-// String names the policy as accepted by ParseQueuePolicy.
+// String names the policy.
 func (p QueuePolicy) String() string {
 	switch p {
 	case PolicyBlock:
@@ -46,20 +45,6 @@ func (p QueuePolicy) String() string {
 		return "fail-fast"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParseQueuePolicy maps a configuration string onto a policy.
-func ParseQueuePolicy(s string) (QueuePolicy, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "", "block":
-		return PolicyBlock, nil
-	case "drop-oldest", "drop_oldest", "dropoldest":
-		return PolicyDropOldest, nil
-	case "fail-fast", "fail_fast", "failfast":
-		return PolicyFailFast, nil
-	default:
-		return 0, fmt.Errorf("network: unknown queue policy %q (want block, drop-oldest, or fail-fast)", s)
 	}
 }
 

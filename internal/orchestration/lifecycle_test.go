@@ -409,12 +409,10 @@ func TestPlaceholderCapBoundsWatchers(t *testing.T) {
 }
 
 // TestDuplicateSubmitWithWorkers smoke-tests duplicate submissions
-// racing adoption when several workers share the event queue (the
-// backlog must survive until the adopter publishes the protocol).
+// queued behind the adopting one on the engine's worker (the backlog
+// must survive until the adopter publishes the protocol).
 func TestDuplicateSubmitWithWorkers(t *testing.T) {
-	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) {
-		cfg.Workers = 4
-	})
+	c := newCluster(t, 1, 4, memnet.Options{})
 	for round := 0; round < 5; round++ {
 		req := coinReq(fmt.Sprintf("workers-%d", round))
 		var futures []*Future

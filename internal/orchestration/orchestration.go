@@ -3,10 +3,10 @@
 // a protocol executor driving each instance's TRI state machine, and the
 // dispatch of protocol messages to and from the network layer.
 //
-// Each engine runs a configurable number of worker goroutines that
-// process events (client requests and network messages) sequentially;
-// the default of one worker models the paper's deployment, where every
-// Thetacrypt container is pinned to a single vCPU.
+// Each engine runs one worker goroutine that processes events (client
+// requests and network messages) sequentially. This models the paper's
+// deployment, where every Thetacrypt container is pinned to a single
+// vCPU.
 //
 // The engine is built to run indefinitely under sustained load. Two
 // subsystems bound its state:
@@ -68,6 +68,12 @@ var (
 // dropped (a correct peer sends at most one share per round).
 const maxBacklog = 1024
 
+// sendTimeout bounds each round broadcast onto the transport. The
+// transport enqueues in O(1), so the deadline only bites when a peer
+// queue is saturated: backpressure surfaces as a bounded wait instead
+// of a wedged worker.
+const sendTimeout = 5 * time.Second
+
 // Key-install retry: a peer's start announcement can race ahead of the
 // DKG finalization that installs the key it refers to (each node
 // finalizes on its own schedule). Instead of failing the instance with
@@ -119,9 +125,6 @@ type Config struct {
 	Net network.P2P
 	// Rand defaults to crypto/rand.Reader.
 	Rand io.Reader
-	// Workers is the number of event-processing goroutines (default 1,
-	// modeling the paper's 1-vCPU pin).
-	Workers int
 	// QueueLen bounds the internal event queue (default 4096). A full
 	// queue rejects submissions with ErrOverloaded instead of blocking.
 	QueueLen int
@@ -134,23 +137,10 @@ type Config struct {
 	// SweepInterval is the cadence of the background sweeper (default
 	// RetainTTL/8, clamped to [10ms, 5s]).
 	SweepInterval time.Duration
-	// SendTimeout bounds each round broadcast onto the transport
-	// (default 5s). The transport enqueues in O(1), so the deadline only
-	// bites when a block-policy peer queue is saturated — backpressure
-	// surfaces as a bounded wait instead of a wedged worker.
-	SendTimeout time.Duration
 	// OnRejectedShare, when set, observes invalid shares (for metrics
 	// and tests), once per rejected share. It runs on the worker
 	// goroutine and must be fast.
 	OnRejectedShare func(instanceID string, err error)
-	// RefreshInterval, when positive, schedules proactive key
-	// refreshes: every interval the engine submits one same-committee
-	// OpReshare per reshareable key, pinned to the key's current epoch
-	// with a deterministic session. Every node of a deployment running
-	// the same schedule converges on the same instance IDs, so the
-	// refreshes are idempotent across the mesh; a node whose tick
-	// fires late simply joins the instance its peers announced.
-	RefreshInterval time.Duration
 	// Identity and Roster, when set, seal each DKG and reshare
 	// sub-share box to its recipient's identity key; without them a
 	// box carries the bare sub-share. Both run the same three rounds.
@@ -266,7 +256,7 @@ type instance struct {
 	// published).
 	gen int
 	// mu serializes all access to the TRI protocol, which is not safe
-	// for concurrent use (relevant when Workers > 1).
+	// for concurrent use.
 	mu sync.Mutex
 	// run is the live half of the instance, nil once the instance has
 	// been retired and released. The pointer is set before the instance
@@ -439,9 +429,6 @@ func New(cfg Config) *Engine {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 4096
 	}
@@ -459,9 +446,6 @@ func New(cfg Config) *Engine {
 		if cfg.SweepInterval < 10*time.Millisecond {
 			cfg.SweepInterval = 10 * time.Millisecond
 		}
-	}
-	if cfg.SendTimeout <= 0 {
-		cfg.SendTimeout = 5 * time.Second
 	}
 	// A started instance gets several retention windows (with a floor)
 	// to finish before it is expired: generous against slow protocol
@@ -489,41 +473,11 @@ func New(cfg Config) *Engine {
 		genMax:         16 * cfg.RetainMax,
 		stop:           make(chan struct{}),
 	}
-	e.done.Add(2)
+	e.done.Add(3)
 	go e.pump()
 	go e.sweeper()
-	for i := 0; i < cfg.Workers; i++ {
-		e.done.Add(1)
-		go e.worker()
-	}
-	if cfg.RefreshInterval > 0 {
-		e.done.Add(1)
-		go e.refresher()
-	}
+	go e.worker()
 	return e
-}
-
-// refresher drives the scheduled proactive refresh: each tick submits
-// the deterministic same-committee reshare requests for the current
-// keystore contents. An overloaded queue skips the key until the next
-// tick; results are not awaited (failures surface in the instance
-// lifecycle like any other run).
-func (e *Engine) refresher() {
-	defer e.done.Done()
-	ticker := time.NewTicker(e.cfg.RefreshInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, req := range protocols.ProactiveRefreshRequests(e.cfg.Keys) {
-				if _, err := e.Submit(context.Background(), req); err != nil {
-					continue
-				}
-			}
-		case <-e.stop:
-			return
-		}
-	}
 }
 
 // Stop shuts the engine down and waits for its goroutines.
@@ -782,18 +736,17 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	return inst, nil
 }
 
-// broadcast sends one envelope to every peer under the engine's send
-// deadline (the transport enqueues in O(1); the deadline only bounds a
-// saturated block-policy queue). A partial failure is tolerated only
-// while a quorum is still feasible: the threshold protocol needs t+1
-// shares including this node's own, so at least t of the attempted
-// peers must have been reached. A tolerated incident is counted in
-// Stats.PartialBroadcasts and the lagging peer shows in
-// Stats.Transport. A quorum-killing failure, or one not attributable
-// to specific peers (closed transport), is returned to fail the
-// instance instead of letting it stall until retention expiry.
+// broadcast sends one envelope to every peer under sendTimeout. A
+// partial failure is tolerated only while a quorum is still feasible:
+// the threshold protocol needs t+1 shares including this node's own,
+// so at least t of the attempted peers must have been reached. A
+// tolerated incident is counted in Stats.PartialBroadcasts and the
+// lagging peer shows in Stats.Transport. A quorum-killing failure, or
+// one not attributable to specific peers (closed transport), is
+// returned to fail the instance instead of letting it stall until
+// retention expiry.
 func (e *Engine) broadcast(env network.Envelope) error {
-	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.SendTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), sendTimeout)
 	defer cancel()
 	err := e.cfg.Net.Broadcast(ctx, env)
 	if err == nil {
@@ -917,17 +870,16 @@ func (e *Engine) deferForKey(req protocols.Request, env network.Envelope, retrie
 func (e *Engine) drainBacklog(id string, inst *instance) {
 	e.mu.Lock()
 	if !inst.created {
-		// The adopting worker has not published the protocol yet
-		// (possible with Workers > 1 when a duplicate submission races
-		// the adoption): draining now would feed the parked shares to
-		// deliver, which discards them. The adopter drains afterwards.
+		// The protocol is not published: draining now would feed the
+		// parked shares to deliver, which discards them. The adopter
+		// drains after publishing.
 		e.mu.Unlock()
 		return
 	}
 	r := inst.run
 	if r == nil {
-		// Already finished and released (another worker got there
-		// first): nothing is parked that this run could still use.
+		// Already finished and released: nothing is parked that this
+		// run could still use.
 		e.mu.Unlock()
 		return
 	}

@@ -246,31 +246,3 @@ func dlMakePublic(scheme schemes.ID, g group.Group, pub group.Point, vk []group.
 		return nil
 	}
 }
-
-// ProactiveRefreshRequests builds one same-committee OpReshare request
-// per reshareable key in the store, pinned to the key's current epoch
-// with a deterministic session — every node of a deployment building
-// the requests independently converges on the same instance IDs, so a
-// scheduled refresh is idempotent across the mesh.
-func ProactiveRefreshRequests(store *keys.Keystore) []Request {
-	var out []Request
-	for _, info := range store.List() {
-		if !keys.SupportsReshare(info.Scheme) {
-			continue
-		}
-		members := info.Members
-		if members == nil {
-			members = allNodes(info.N)
-		}
-		spec := ReshareSpec{NewT: info.T, Members: members}
-		out = append(out, Request{
-			Scheme:  info.Scheme,
-			KeyID:   info.ID,
-			Op:      OpReshare,
-			Payload: spec.Marshal(),
-			Session: fmt.Sprintf("refresh-%d", info.Epoch),
-			Epoch:   info.Epoch,
-		})
-	}
-	return out
-}

@@ -282,26 +282,3 @@ func TestReshareEpochPinning(t *testing.T) {
 		t.Fatalf("stale reshare = %v, want ErrKeyEpoch", err)
 	}
 }
-
-// TestProactiveRefreshRequestsConverge checks the scheduled-refresh
-// invariant: every node independently derives the SAME instance IDs, so
-// overlapping tickers across the mesh join rather than fork instances.
-func TestProactiveRefreshRequestsConverge(t *testing.T) {
-	nodes := dealNodes(t, 1, 3, schemes.SG02, schemes.BLS04, schemes.CKS05)
-	reqs1 := ProactiveRefreshRequests(nodes[0])
-	reqs2 := ProactiveRefreshRequests(nodes[1])
-	if len(reqs1) != 2 {
-		t.Fatalf("refresh produced %d requests, want 2 (SG02 + CKS05; BLS04 is deal-only)", len(reqs1))
-	}
-	if len(reqs1) != len(reqs2) {
-		t.Fatalf("nodes disagree on refresh count: %d vs %d", len(reqs1), len(reqs2))
-	}
-	for i := range reqs1 {
-		if reqs1[i].InstanceID() != reqs2[i].InstanceID() {
-			t.Fatalf("request %d: instance IDs diverge across nodes", i)
-		}
-		if err := reqs1[i].Validate(); err != nil {
-			t.Fatalf("refresh request %d invalid: %v", i, err)
-		}
-	}
-}

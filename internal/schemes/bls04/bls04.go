@@ -155,12 +155,13 @@ func (ss *SigShare) Marshal() []byte {
 	return wire.NewWriter().Int(ss.Index).Bytes(ss.S.Marshal()).Out()
 }
 
-// UnmarshalSigShare decodes a signature share.
+// UnmarshalSigShare decodes a signature share. It refuses trailing
+// bytes, so an accepted share re-encodes to itself.
 func UnmarshalSigShare(data []byte) (*SigShare, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
 	sRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("bls04 share: %w", err)
 	}
 	s, ok := pairing.UnmarshalG1(sRaw)

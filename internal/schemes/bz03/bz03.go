@@ -211,7 +211,9 @@ func (ct *Ciphertext) Marshal() []byte {
 		Bytes(ct.U.Marshal()).Bytes(ct.W.Marshal()).Out()
 }
 
-// UnmarshalCiphertext decodes a ciphertext.
+// UnmarshalCiphertext decodes a ciphertext. It refuses trailing bytes,
+// so one ciphertext has one encoding (and a request on it one instance
+// ID).
 func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	r := wire.NewReader(data)
 	ct := &Ciphertext{
@@ -221,7 +223,7 @@ func UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	}
 	uRaw := r.Bytes()
 	wRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("bz03 ciphertext: %w", err)
 	}
 	u, ok := pairing.UnmarshalG1(uRaw)
@@ -241,12 +243,13 @@ func (ds *DecShare) Marshal() []byte {
 	return wire.NewWriter().Int(ds.Index).Bytes(ds.D.Marshal()).Out()
 }
 
-// UnmarshalDecShare decodes a decryption share.
+// UnmarshalDecShare decodes a decryption share. It refuses trailing
+// bytes, so an accepted share re-encodes to itself.
 func UnmarshalDecShare(data []byte) (*DecShare, error) {
 	r := wire.NewReader(data)
 	idx := r.Int()
 	dRaw := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("bz03 share: %w", err)
 	}
 	d, ok := pairing.UnmarshalG1(dRaw)

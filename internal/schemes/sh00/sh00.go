@@ -275,11 +275,12 @@ func (ss *SigShare) Marshal() []byte {
 	return wire.NewWriter().Int(ss.Index).BigInt(ss.Xi).BigInt(ss.C).BigInt(ss.Z).Out()
 }
 
-// UnmarshalSigShare decodes a signature share.
+// UnmarshalSigShare decodes a signature share. It refuses trailing
+// bytes.
 func UnmarshalSigShare(data []byte) (*SigShare, error) {
 	r := wire.NewReader(data)
 	ss := &SigShare{Index: r.Int(), Xi: r.BigInt(), C: r.BigInt(), Z: r.BigInt()}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sh00 share: %w", err)
 	}
 	return ss, nil
@@ -288,11 +289,11 @@ func UnmarshalSigShare(data []byte) (*SigShare, error) {
 // Marshal encodes the signature.
 func (sig *Signature) Marshal() []byte { return wire.NewWriter().BigInt(sig.Y).Out() }
 
-// UnmarshalSignature decodes a signature.
+// UnmarshalSignature decodes a signature. It refuses trailing bytes.
 func UnmarshalSignature(data []byte) (*Signature, error) {
 	r := wire.NewReader(data)
 	y := r.BigInt()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sh00 signature: %w", err)
 	}
 	return &Signature{Y: y}, nil

@@ -1,7 +1,9 @@
 package sh00
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"testing"
@@ -184,6 +186,52 @@ func TestFixtureErrors(t *testing.T) {
 	}
 	if _, _, err := FixedTestKey(rand.Reader, 512, 4, 4); err == nil {
 		t.Fatal("bad threshold accepted")
+	}
+}
+
+// TestDecodersRefuseTrailingBytes: a signature share encoded by an
+// earlier release (512-bit fixture key, party 2) still decodes and
+// re-encodes to the same bytes, and is refused with one trailing byte
+// appended; so is a fresh signature.
+func TestDecodersRefuseTrailingBytes(t *testing.T) {
+	old, err := hex.DecodeString("" +
+		"000000080000000000000002000000410003c47361fe6159d416ab85740a8fd4" +
+		"8ad2e75d30818957ed2faba8fae990a08a7a77805e22f5cd1e45928578f8e573" +
+		"cef78e971d7dde6674177458cd70083de400000011008619900fb700c9acf551" +
+		"f2fe8dc9425f0000006100e5bf734793e1d0a9ffb8dfbd800eae33ca93ae3c56" +
+		"bd7a8cb6bce00dc2e056d759eedfc106c19917dfb9ffc47ddea9e890093a31c2" +
+		"5f6e1c7294a1f16e681d7faab37d609b1baeca91a38556aa9218260a59aeed80" +
+		"48f83848cd359b5e37a117")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := UnmarshalSigShare(old)
+	if err != nil {
+		t.Fatalf("earlier release's share rejected: %v", err)
+	}
+	if ss.Index != 2 || !bytes.Equal(ss.Marshal(), old) {
+		t.Fatalf("decoded index %d, re-encodes to %x", ss.Index, ss.Marshal())
+	}
+	if _, err := UnmarshalSigShare(append(old, 0)); err == nil {
+		t.Fatal("share with a trailing byte accepted")
+	}
+
+	pk, ks := deal(t, 512, 1, 3)
+	msg := []byte("trailing")
+	var shares []*SigShare
+	for _, k := range ks[:2] {
+		s, err := SignShare(rand.Reader, pk, k, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares = append(shares, s)
+	}
+	sig, err := Combine(pk, msg, shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSignature(append(sig.Marshal(), 0)); err == nil {
+		t.Fatal("signature with a trailing byte accepted")
 	}
 }
 

@@ -24,8 +24,6 @@ import (
 	"thetacrypt/internal/group"
 	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
-	"thetacrypt/internal/network"
-	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/network/securelink"
 	"thetacrypt/internal/network/tcpnet"
 	"thetacrypt/internal/orchestration"
@@ -63,10 +61,6 @@ type (
 	TransportStats = api.TransportStats
 	// PeerStats is one peer link's health inside TransportStats.
 	PeerStats = api.PeerStats
-	// QueuePolicy selects what a send does when a peer's bounded
-	// outbound queue is full (see PolicyBlock, PolicyDropOldest,
-	// PolicyFailFast).
-	QueuePolicy = network.QueuePolicy
 	// Future resolves to a raw engine result (embedded deployments
 	// only; the Service interface uses Wait).
 	Future = orchestration.Future
@@ -126,110 +120,17 @@ const (
 	CKS05 = schemes.CKS05
 )
 
-// Full-queue policies for the per-peer outbound queues.
-const (
-	// PolicyBlock waits for queue space, bounded by the send context
-	// (the default: lossless backpressure).
-	PolicyBlock = network.PolicyBlock
-	// PolicyDropOldest evicts the oldest queued frame to admit the new
-	// one; sends never block or fail.
-	PolicyDropOldest = network.PolicyDropOldest
-	// PolicyFailFast rejects the new frame with a typed backlog error;
-	// sends never block.
-	PolicyFailFast = network.PolicyFailFast
-)
-
-// ParseQueuePolicy maps "block", "drop-oldest", or "fail-fast" onto a
-// QueuePolicy (empty selects PolicyBlock).
-func ParseQueuePolicy(s string) (QueuePolicy, error) { return network.ParseQueuePolicy(s) }
-
-// TransportOptions tunes the per-peer outbound pipeline of a node's
-// P2P transport: queue capacity, full-queue policy, the reliability
-// (seq/ack) layer, and (for TCP deployments) the background dial
-// backoff. Zero values select the transport defaults (queue 1024,
-// PolicyBlock, ack window 1024, ack interval 25ms, resend 500ms, 250ms
-// initial backoff doubling to 4s).
-type TransportOptions struct {
-	// OutQueueLen bounds each peer's outbound queue, in frames.
-	OutQueueLen int
-	// Policy selects the full-queue behavior.
-	Policy QueuePolicy
-	// AckWindow bounds the unacknowledged frames the reliability layer
-	// retains per peer link for resend-on-reconnect; a full window is
-	// resolved by Policy.
-	AckWindow int
-	// AckInterval coalesces standalone delivery acknowledgements and
-	// paces the resend scan.
-	AckInterval time.Duration
-	// ResendTimeout is how long a frame stays unacknowledged before it
-	// is retransmitted.
-	ResendTimeout time.Duration
-	// DialRetry is the initial reconnect backoff (TCP deployments).
-	DialRetry time.Duration
-	// DialBackoffMax caps the exponential backoff (TCP deployments).
-	DialBackoffMax time.Duration
-}
-
-// EngineOptions tunes each node's orchestration engine: worker count,
-// event-queue admission control, and the finished-instance retention
-// window. Zero values select the engine defaults (1 worker, queue 4096,
-// 2 minute TTL, 4096 retained instances).
-type EngineOptions struct {
-	// Workers is the number of event-processing goroutines per node.
-	Workers int
-	// QueueLen bounds the event queue; a full queue rejects submissions
-	// with an overloaded error (HTTP 429 on the service layer) instead
-	// of blocking.
-	QueueLen int
-	// RetainTTL is how long finished results stay retrievable before
-	// eviction; later queries report an expired error.
-	RetainTTL time.Duration
-	// RetainMax caps retained finished instances (oldest evicted
-	// first), bounding node memory under sustained load.
-	RetainMax int
-	// SendTimeout bounds each protocol round broadcast onto the
-	// transport (default 5s); it only bites when a block-policy peer
-	// queue is saturated.
-	SendTimeout time.Duration
-	// RefreshInterval enables scheduled proactive refresh: every
-	// interval, the node submits a same-committee resharing for each
-	// reshareable key, advancing its epoch without changing the public
-	// key. All nodes of a deployment should use the same interval; the
-	// submissions are idempotent, so overlapping schedules join the
-	// same instances. Zero disables the schedule.
-	RefreshInterval time.Duration
-}
-
-// engineConfig merges the options into an engine config.
-func (o EngineOptions) engineConfig(cfg orchestration.Config) orchestration.Config {
-	cfg.Workers = o.Workers
-	cfg.QueueLen = o.QueueLen
-	cfg.RetainTTL = o.RetainTTL
-	cfg.RetainMax = o.RetainMax
-	cfg.SendTimeout = o.SendTimeout
-	cfg.RefreshInterval = o.RefreshInterval
-	return cfg
-}
-
-// ClusterOptions configures an embedded cluster.
+// ClusterOptions configures an embedded cluster. Its nodes run the
+// same engine and transport defaults as a standalone Node.
 type ClusterOptions struct {
 	// Schemes to deal keys for; empty means all six.
 	Schemes []SchemeID
-	// RSABits for SH00 (default 2048). Fixture keys are used so cluster
-	// startup stays fast; see keys.Options.
-	RSABits int
 	// KeyID names the dealt keys; empty selects DefaultKeyID. Sharded
 	// deployments give each committee distinct key names so the router's
 	// placement map spreads traffic instead of shadowing duplicates.
 	KeyID string
 	// Latency is the simulated one-way network delay between nodes.
 	Latency time.Duration
-	// Engine tunes every node's orchestration engine (flow control and
-	// instance retention).
-	Engine EngineOptions
-	// Transport tunes the simulated per-peer outbound queues (capacity
-	// and full-queue policy; the dial fields do not apply in-process).
-	Transport TransportOptions
 	// Secure switches the cluster to the authenticated mesh: each node
 	// gets a fresh transport identity, the simulated hub enforces the
 	// shared roster (mirroring tcpnet's handshake semantics), and
@@ -249,18 +150,9 @@ type Cluster struct {
 func NewCluster(t, n int, opts ClusterOptions) (*Cluster, error) {
 	com, err := committee.New(t, n, committee.Config{
 		Schemes: opts.Schemes,
-		RSABits: opts.RSABits,
 		KeyID:   opts.KeyID,
 		Latency: opts.Latency,
-		Engine:  opts.Engine.engineConfig,
-		Net: memnet.Options{
-			OutQueueLen:   opts.Transport.OutQueueLen,
-			Policy:        opts.Transport.Policy,
-			AckWindow:     opts.Transport.AckWindow,
-			AckInterval:   opts.Transport.AckInterval,
-			ResendTimeout: opts.Transport.ResendTimeout,
-		},
-		Secure: opts.Secure,
+		Secure:  opts.Secure,
 	})
 	if err != nil {
 		return nil, err
@@ -426,12 +318,6 @@ type NodeConfig struct {
 	ListenAddr string
 	// Peers maps node index to P2P address for all other nodes.
 	Peers map[int]string
-	// Engine tunes the orchestration engine (flow control and instance
-	// retention).
-	Engine EngineOptions
-	// Transport tunes the per-peer outbound pipeline (queue capacity,
-	// full-queue policy, dial backoff).
-	Transport TransportOptions
 	// Identity is this node's private transport identity (from
 	// cmd/thetakeygen's node<i>.id file or identity.Generate). Set
 	// together with Roster it switches the node to secure mode: every
@@ -474,27 +360,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		secure = &securelink.Config{Key: cfg.Identity, Roster: cfg.Roster}
 	}
 	transport, err := tcpnet.New(tcpnet.Config{
-		Self:           cfg.Keys.Index,
-		ListenAddr:     cfg.ListenAddr,
-		Peers:          cfg.Peers,
-		OutQueueLen:    cfg.Transport.OutQueueLen,
-		Policy:         cfg.Transport.Policy,
-		AckWindow:      cfg.Transport.AckWindow,
-		AckInterval:    cfg.Transport.AckInterval,
-		ResendTimeout:  cfg.Transport.ResendTimeout,
-		DialRetry:      cfg.Transport.DialRetry,
-		DialBackoffMax: cfg.Transport.DialBackoffMax,
-		Secure:         secure,
+		Self:       cfg.Keys.Index,
+		ListenAddr: cfg.ListenAddr,
+		Peers:      cfg.Peers,
+		Secure:     secure,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("thetacrypt: transport: %w", err)
 	}
-	engine := orchestration.New(cfg.Engine.engineConfig(orchestration.Config{
+	engine := orchestration.New(orchestration.Config{
 		Keys:     cfg.Keys,
 		Net:      transport,
 		Identity: cfg.Identity,
 		Roster:   cfg.Roster,
-	}))
+	})
 	unit := committee.Unit{Store: cfg.Keys, Engine: engine}
 	return &Node{
 		unit:      unit,
