@@ -239,7 +239,7 @@ type EngineStats struct {
 	// the endpoint predates API v2.2 or the transport has no peers.
 	Transport *TransportStats `json:"transport,omitempty"`
 	// Crypto is the node's precompute-layer snapshot (Lagrange cache
-	// and verification batching); nil when the endpoint
+	// and peer-share check counts); nil when the endpoint
 	// predates API v2.5.
 	Crypto *CryptoStats `json:"crypto,omitempty"`
 }
@@ -254,13 +254,13 @@ type CryptoStats struct {
 	// NonceExhaustions is always 0. It stays on the wire for clients
 	// that read it.
 	NonceExhaustions int64 `json:"nonce_exhaustions"`
-	// BatchesVerified/BatchedRelations/MaxBatch describe share
-	// verification batching; CoalescedRequests counts verifications that
-	// shared another request's batch, BatchFallbacks the batches that
-	// failed and were replayed individually for attribution.
-	BatchesVerified   int64 `json:"batches_verified"`
-	BatchedRelations  int64 `json:"batched_relations"`
-	MaxBatch          int   `json:"max_batch"`
+	// BatchesVerified counts the direct checks of peer shares, one per
+	// SG02 or CKS05 peer share that decodes; BatchedRelations counts
+	// the DLEQ relations those checks covered.
+	BatchesVerified  int64 `json:"batches_verified"`
+	BatchedRelations int64 `json:"batched_relations"`
+	// BatchFallbacks and CoalescedRequests are always 0: nothing is
+	// batched. They stay on the wire for clients that read them.
 	BatchFallbacks    int64 `json:"batch_fallbacks"`
 	CoalescedRequests int64 `json:"coalesced_requests"`
 }

@@ -60,13 +60,10 @@ func EngineStatsOf(st orchestration.Stats) *EngineStats {
 // CryptoStatsOf converts a precompute snapshot into the wire shape.
 func CryptoStatsOf(cs precompute.Stats) *CryptoStats {
 	return &CryptoStats{
-		LagrangeHits:      cs.LagrangeHits,
-		LagrangeMisses:    cs.LagrangeMisses,
-		BatchesVerified:   cs.BatchesVerified,
-		BatchedRelations:  cs.BatchedRelations,
-		MaxBatch:          cs.MaxBatch,
-		BatchFallbacks:    cs.BatchFallbacks,
-		CoalescedRequests: cs.CoalescedRequests,
+		LagrangeHits:     cs.LagrangeHits,
+		LagrangeMisses:   cs.LagrangeMisses,
+		BatchesVerified:  cs.BatchesVerified,
+		BatchedRelations: cs.BatchedRelations,
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // order and serialising it is math/big's work and is not constant-time.
 //
 // Deliberately variable-time, public inputs only: multiScalarMul (its
-// callers — batch verification, interpolation in the exponent,
+// callers — share.Fold, interpolation in the exponent,
 // Relation.Holds — pass public coefficients), UnmarshalPoint including its
 // subgroup check, HashToPoint, Equal and IsIdentity.
 

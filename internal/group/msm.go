@@ -4,9 +4,8 @@ import "math/big"
 
 // Relation is one linear point equation Σ Scalars[i]*Points[i] == 0
 // (the group identity). Verification predicates that reduce to such
-// relations — DLEQ proofs, FROST share checks — can be folded across
-// many relations into one random-linear-combination multi-scalar
-// multiplication by a batch verifier.
+// relations — DLEQ proofs, FROST share checks — are checked one
+// relation at a time with Holds.
 type Relation struct {
 	Points  []Point
 	Scalars []*big.Int

@@ -179,7 +179,7 @@ type Stats struct {
 	// (up/dialing/down), outbound queue depth, and send/drop counters.
 	Transport network.TransportStats
 	// Crypto snapshots the precompute layer: Lagrange cache hit rate
-	// and share-verification batching.
+	// and the count of direct peer-share checks.
 	Crypto precompute.Stats
 }
 
@@ -187,8 +187,9 @@ type Stats struct {
 type Engine struct {
 	cfg  Config
 	self int
-	// suite is the node-wide precompute layer (Lagrange cache and batch
-	// verifier) threaded into every protocol instance. Always non-nil.
+	// suite is the node-wide precompute layer (Lagrange cache and the
+	// counting share verifier) threaded into every protocol instance.
+	// Always non-nil.
 	suite *precompute.Suite
 
 	events chan event
@@ -458,7 +459,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:            cfg,
 		self:           cfg.Keys.Index,
-		suite:          precompute.NewSuite(cfg.Rand, precompute.Options{}),
+		suite:          precompute.NewSuite(nil, precompute.Options{}),
 		events:         make(chan event, cfg.QueueLen),
 		instances:      make(map[string]*instance),
 		placeholders:   list.New(),

@@ -163,9 +163,6 @@ func TestSG02CorruptDLEQShareAttributed(t *testing.T) {
 		if st.RejectedShares != 1 {
 			t.Fatalf("node %d counted %d rejected shares, want 1", i+1, st.RejectedShares)
 		}
-		if st.Crypto.BatchFallbacks != 0 || st.Crypto.CoalescedRequests != 0 {
-			t.Fatalf("node %d: a lone share went through the fold: %+v", i+1, st.Crypto)
-		}
 	}
 	mu.Lock()
 	defer mu.Unlock()

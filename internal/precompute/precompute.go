@@ -1,24 +1,19 @@
 // Package precompute is the amortization layer under the threshold
 // schemes: work whose cost does not depend on the request payload is
-// done once (or off the critical path) and reused across requests.
+// done once and reused across requests, and the share checks that
+// remain are counted.
 //
-// Two mechanisms, one suite:
+// One suite, two parts:
 //
 //   - Cache memoizes Lagrange coefficient maps keyed by (scheme, key,
 //     epoch, canonical signer subset), replacing the per-call
 //     recomputation in the schemes' combine and share-verification
 //     paths.
-//   - BatchVerifier folds the linear point relations of the DLEQ share
-//     proofs of SG02 and CKS05 that are pending at the same time into
-//     one random-linear-combination multi-scalar multiplication,
-//     falling back to per-proof verification on batch failure so
-//     signer attribution is preserved. In the measured deployments
-//     concurrent requests do not coalesce (precompute.coalesced_ratio
-//     reads 0.000 on every benchmark workload): nearly every flush
-//     holds one proof, and a lone proof is checked directly, relation
-//     by relation, at the cost of the equations as written. BLS04 and
-//     KG20 shares never reach it: their signatures verify themselves,
-//     so those schemes check the combined result once instead.
+//   - Verifier runs one direct check per peer share of SG02 and CKS05:
+//     the linear point relations of its DLEQ proof, each as written, and
+//     counts the checks and relations. BLS04 and KG20 shares never reach
+//     it: their signatures verify themselves, so those schemes check the
+//     combined result once instead.
 //
 // Everything is keyed by the key's epoch: material precomputed under an
 // old sharing can never be combined with shares of a new one (Gennaro
@@ -28,43 +23,38 @@ package precompute
 
 import "io"
 
-// Options configures a Suite.
-type Options struct {
-	// CoeffCap bounds the number of cached coefficient maps (default
-	// 1024, oldest evicted first).
-	CoeffCap int
-}
+// coeffCap bounds the number of cached coefficient maps; the oldest is
+// evicted first.
+const coeffCap = 1024
+
+// Options is empty and unused. It stays only as NewSuite's second
+// argument.
+type Options struct{}
 
 // Stats is a point-in-time snapshot of the suite's counters, exported
 // through the engine's stats and /v2/info.
 type Stats struct {
-	LagrangeHits      int64
-	LagrangeMisses    int64
-	BatchesVerified   int64
-	BatchedRelations  int64
-	MaxBatch          int
-	BatchFallbacks    int64
-	CoalescedRequests int64
+	LagrangeHits   int64
+	LagrangeMisses int64
+	// BatchesVerified counts peer-share checks, one per Verify call with
+	// relations; BatchedRelations counts the relations they checked.
+	BatchesVerified  int64
+	BatchedRelations int64
 }
 
-// Suite bundles the two mechanisms behind one handle the engine owns
-// and threads into every protocol instance. A nil *Suite is valid and
-// disables all precomputation (direct computation everywhere).
+// Suite bundles the two parts behind one handle the engine owns and
+// threads into every protocol instance. A nil *Suite is valid and
+// disables both caching and counting (direct computation everywhere).
 type Suite struct {
 	coeffs *Cache
-	batch  *BatchVerifier
+	verify *Verifier
 }
 
-// NewSuite builds a suite. rand seeds the batch verifier's random
-// linear combinations.
-func NewSuite(rand io.Reader, opts Options) *Suite {
-	if opts.CoeffCap <= 0 {
-		opts.CoeffCap = 1024
-	}
-	return &Suite{
-		coeffs: newCache(opts.CoeffCap),
-		batch:  newBatchVerifier(rand),
-	}
+// NewSuite builds a suite. Neither argument is used; both stay only
+// because benchmark code outside this package calls
+// NewSuite(rand.Reader, Options{}).
+func NewSuite(_ io.Reader, _ Options) *Suite {
+	return &Suite{coeffs: newCache(coeffCap), verify: &Verifier{}}
 }
 
 // Coefficients returns the cached coefficient source bound to one
@@ -76,13 +66,13 @@ func (s *Suite) Coefficients(scheme, keyID string, epoch int) CoeffSource {
 	return CoeffSource{cache: s.coeffs, scheme: scheme, keyID: keyID, epoch: epoch}
 }
 
-// Verifier returns the shared batch verifier (nil on a nil suite; a
-// nil *BatchVerifier verifies directly).
-func (s *Suite) Verifier() *BatchVerifier {
+// Verifier returns the suite's counting share checker (nil on a nil
+// suite; a nil *Verifier checks without counting).
+func (s *Suite) Verifier() *Verifier {
 	if s == nil {
 		return nil
 	}
-	return s.batch
+	return s.verify
 }
 
 // Invalidate drops all material of the named key precomputed under an
@@ -102,12 +92,9 @@ func (s *Suite) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		LagrangeHits:      s.coeffs.hits.Load(),
-		LagrangeMisses:    s.coeffs.misses.Load(),
-		BatchesVerified:   s.batch.batches.Load(),
-		BatchedRelations:  s.batch.relations.Load(),
-		MaxBatch:          int(s.batch.maxBatch.Load()),
-		BatchFallbacks:    s.batch.fallbacks.Load(),
-		CoalescedRequests: s.batch.coalesced.Load(),
+		LagrangeHits:     s.coeffs.hits.Load(),
+		LagrangeMisses:   s.coeffs.misses.Load(),
+		BatchesVerified:  s.verify.checks.Load(),
+		BatchedRelations: s.verify.relations.Load(),
 	}
 }

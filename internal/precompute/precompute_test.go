@@ -3,7 +3,6 @@ package precompute
 import (
 	"crypto/rand"
 	"math/big"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -96,19 +95,22 @@ func TestCacheInvalidateDropsOldEpochs(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{CoeffCap: 2})
+	c := newCache(2)
 	g := group.Edwards25519()
+	src := func(epoch int) CoeffSource {
+		return CoeffSource{cache: c, scheme: "KG20", keyID: "k", epoch: epoch}
+	}
 	for epoch := 1; epoch <= 3; epoch++ {
-		if _, err := s.Coefficients("KG20", "k", epoch).Lagrange([]int{1, 2}, g.Order()); err != nil {
+		if _, err := src(epoch).Lagrange([]int{1, 2}, g.Order()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Epoch 1 is the oldest entry and must have been evicted.
-	if _, err := s.Coefficients("KG20", "k", 1).Lagrange([]int{1, 2}, g.Order()); err != nil {
+	if _, err := src(1).Lagrange([]int{1, 2}, g.Order()); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.LagrangeMisses != 4 {
-		t.Fatalf("want 4 misses after eviction, got %d", st.LagrangeMisses)
+	if misses := c.misses.Load(); misses != 4 {
+		t.Fatalf("want 4 misses after eviction, got %d", misses)
 	}
 }
 
@@ -128,7 +130,7 @@ func TestNilSuiteIsDirect(t *testing.T) {
 	}
 }
 
-// --- Batch verifier ---
+// --- Share verifier ---
 
 // relFor builds a true relation a*G + (-a)*G == 0 with a fresh scalar.
 func relFor(t *testing.T, g group.Group) group.Relation {
@@ -152,83 +154,8 @@ func badRel(g group.Group) group.Relation {
 	}
 }
 
-// parkThenDrain submits each relation set from its own goroutine while
-// a flush is marked as running, so all of them park in one pending
-// batch; it then drains that batch as the flushing caller would and
-// returns every caller's verdict. This makes the fold-and-replay path
-// deterministic instead of depending on how goroutines interleave.
-func parkThenDrain(t *testing.T, b *BatchVerifier, g group.Group, sets [][]group.Relation) []error {
-	t.Helper()
-	b.mu.Lock()
-	b.flushing = true
-	b.mu.Unlock()
-	errs := make([]error, len(sets))
-	var wg sync.WaitGroup
-	for i, rels := range sets {
-		wg.Add(1)
-		go func(i int, rels []group.Relation) {
-			defer wg.Done()
-			errs[i] = b.Verify(g, rels)
-		}(i, rels)
-	}
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == len(sets) {
-			break
-		}
-		runtime.Gosched()
-	}
-	b.drain()
-	wg.Wait()
-	return errs
-}
-
-func TestBatchVerifyPassesAndFailsWithAttribution(t *testing.T) {
-	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
-		t.Run(g.Name(), func(t *testing.T) {
-			s := NewSuite(rand.Reader, Options{})
-			b := s.Verifier()
-
-			// Two concurrent items fold into one multi-scalar
-			// multiplication and pass together.
-			errs := parkThenDrain(t, b, g, [][]group.Relation{
-				{relFor(t, g), relFor(t, g)},
-				{relFor(t, g)},
-			})
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("true relations of caller %d rejected: %v", i, err)
-				}
-			}
-			if st := s.Stats(); st.BatchesVerified != 1 || st.CoalescedRequests != 1 || st.BatchFallbacks != 0 {
-				t.Fatalf("want one folded batch of two and no fallback, got %+v", st)
-			}
-
-			// A false relation in a fold fails the batch, which is
-			// replayed so that only its caller is rejected.
-			errs = parkThenDrain(t, b, g, [][]group.Relation{
-				{relFor(t, g)},
-				{relFor(t, g), badRel(g)},
-				{relFor(t, g)},
-			})
-			if errs[0] != nil || errs[2] != nil {
-				t.Fatalf("good callers rejected alongside the bad one: %v", errs)
-			}
-			if errs[1] != ErrRelation {
-				t.Fatalf("false relation accepted: %v", errs[1])
-			}
-			if st := s.Stats(); st.BatchFallbacks != 1 {
-				t.Fatalf("failed batch should have been replayed individually once, got %d fallbacks", st.BatchFallbacks)
-			}
-		})
-	}
-}
-
-// TestBatchVerifyLoneItemIsDirect: a flush holding one item checks its
-// relations as written, with no fold and so no fallback, and its
-// verdict is that item's alone.
+// TestBatchVerifyLoneItemIsDirect: each call checks its relations as
+// written and counts one check, and its verdict is that call's alone.
 func TestBatchVerifyLoneItemIsDirect(t *testing.T) {
 	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
 		t.Run(g.Name(), func(t *testing.T) {
@@ -243,51 +170,10 @@ func TestBatchVerifyLoneItemIsDirect(t *testing.T) {
 			if err := b.Verify(g, []group.Relation{relFor(t, g)}); err != nil {
 				t.Fatalf("a rejected item poisoned the next one: %v", err)
 			}
-			st := s.Stats()
-			if st.BatchesVerified != 3 || st.BatchedRelations != 5 || st.MaxBatch != 1 {
-				t.Fatalf("want three one-item batches of 5 relations in all, got %+v", st)
-			}
-			if st.BatchFallbacks != 0 || st.CoalescedRequests != 0 {
-				t.Fatalf("a lone item must not take the fold-and-replay path, got %+v", st)
+			if st := s.Stats(); st.BatchesVerified != 3 || st.BatchedRelations != 5 {
+				t.Fatalf("want three checks of 5 relations in all, got %+v", st)
 			}
 		})
-	}
-}
-
-func TestBatchVerifyCoalescesConcurrentCallers(t *testing.T) {
-	s := NewSuite(rand.Reader, Options{})
-	b := s.Verifier()
-	g := group.Edwards25519()
-
-	const callers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Verify(g, []group.Relation{relFor(t, g)})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d rejected: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.BatchedRelations != callers {
-		t.Fatalf("want %d relations verified, got %d", callers, st.BatchedRelations)
-	}
-	// Coalescing is scheduling-dependent; what must hold is conservation:
-	// every caller is accounted for either as a flush or as a coalesced
-	// rider, and no batch exceeded the caller count.
-	if st.BatchesVerified+st.CoalescedRequests != callers {
-		t.Fatalf("batches %d + coalesced %d != callers %d",
-			st.BatchesVerified, st.CoalescedRequests, callers)
-	}
-	if st.MaxBatch < 1 || st.MaxBatch > callers {
-		t.Fatalf("max batch %d out of range", st.MaxBatch)
 	}
 }
 
@@ -296,8 +182,8 @@ func TestBatchVerifyFailureOnlyRejectsBadCaller(t *testing.T) {
 	b := s.Verifier()
 	g := group.Edwards25519()
 
-	// One bad caller among many good ones: attribution must be exact
-	// regardless of how the callers landed in batches.
+	// One bad caller among many concurrent good ones: verdicts and
+	// counters must be exact.
 	const good = 8
 	var wg sync.WaitGroup
 	goodErrs := make([]error, good)
@@ -323,10 +209,13 @@ func TestBatchVerifyFailureOnlyRejectsBadCaller(t *testing.T) {
 	if badErr != ErrRelation {
 		t.Fatalf("bad caller accepted: %v", badErr)
 	}
+	if st := s.Stats(); st.BatchesVerified != good+1 || st.BatchedRelations != good+1 {
+		t.Fatalf("want %d checks of one relation each, got %+v", good+1, st)
+	}
 }
 
 func TestNilBatchVerifierIsDirect(t *testing.T) {
-	var b *BatchVerifier
+	var b *Verifier
 	g := group.Edwards25519()
 	if err := b.Verify(g, []group.Relation{relFor(t, g)}); err != nil {
 		t.Fatalf("nil verifier rejected a true relation: %v", err)
@@ -385,29 +274,9 @@ func BenchmarkVerifyIndividual(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rels {
-			if err := checkDirect(g, r); err != nil {
+			if err := (*Verifier)(nil).Verify(g, r); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-func BenchmarkBatchVerify(b *testing.B) {
-	g := group.Edwards25519()
-	v := newBatchVerifier(rand.Reader)
-	rels := benchRels(b, g, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for _, r := range rels {
-			wg.Add(1)
-			go func(r []group.Relation) {
-				defer wg.Done()
-				if err := v.Verify(g, r); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
 	}
 }

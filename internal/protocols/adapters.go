@@ -20,9 +20,9 @@ import (
 
 // Env carries the engine-owned cross-instance facilities into a
 // protocol instance: the precompute suite (coefficient cache and the
-// batch verifier SG02 and CKS05 check their peers' shares with; a
-// node's own share is never checked) and the
-// dealing protocol's identity material. The zero Env disables all of
+// counting verifier that checks each SG02 and CKS05 peer share
+// directly; a node's own share is never checked) and the dealing
+// protocol's identity material. The zero Env disables all of
 // it; New uses it.
 type Env struct {
 	Suite *precompute.Suite
@@ -53,8 +53,8 @@ func New(rand io.Reader, store *keys.Keystore, req Request) (Protocol, error) {
 }
 
 // NewWith is New threading the engine environment into the instance:
-// the precompute suite serves cached Lagrange coefficients, batches the
-// checks SG02 and CKS05 run on their peers' shares (BLS04 and KG20
+// the precompute suite serves cached Lagrange coefficients, counts the
+// direct checks SG02 and CKS05 run on their peers' shares (BLS04 and KG20
 // check their combined signature instead, and no scheme checks the
 // share a node made itself), and seals the dealing protocol's boxes.
 func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protocol, error) {
@@ -88,7 +88,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 	// changes the epoch and with it every cache key, so stale
 	// coefficients are structurally unreachable.
 	src := env.Suite.Coefficients(string(k.Scheme), k.ID, k.Epoch)
-	batch := env.Suite.Verifier()
+	check := env.Suite.Verifier()
 	switch {
 	case req.Scheme == schemes.SG02 && req.Op == OpDecrypt:
 		pk, ks, err := material[*sg02.PublicKey, sg02.KeyShare](k)
@@ -100,7 +100,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, fmt.Errorf("protocols: %w", err)
 		}
 		return newNonInteractive(rand, &sg02Adapter{pk: pk, ks: ks, ct: ct,
-			src: src, batch: batch,
+			src: src, check: check,
 			shares: make(map[int]*sg02.DecShare)}), nil
 
 	case req.Scheme == schemes.BZ03 && req.Op == OpDecrypt:
@@ -138,7 +138,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, err
 		}
 		return newNonInteractive(rand, &cks05Adapter{pk: pk, ks: ks, name: req.Payload,
-			src: src, batch: batch,
+			src: src, check: check,
 			shares: make(map[int]*cks05.CoinShare)}), nil
 
 	case req.Scheme == schemes.KG20 && req.Op == OpSign:
@@ -229,7 +229,7 @@ type sg02Adapter struct {
 	ks     sg02.KeyShare
 	ct     *sg02.Ciphertext
 	src    share.CoefficientSource
-	batch  *precompute.BatchVerifier
+	check  *precompute.Verifier
 	shares map[int]*sg02.DecShare
 	// ctValid records that ct passed VerifyCiphertext on this node —
 	// DecryptShare checks it before it makes the share — so Combine
@@ -255,15 +255,13 @@ func (a *sg02Adapter) OnShare(sender int, payload []byte) error {
 	if ds.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ds.Index, sender)
 	}
-	// The cheap structural work runs eagerly; the point equations join
-	// the engine's shared verification batch (or run directly when no
-	// batch verifier is threaded in). A failed batch replays items
-	// individually, so this share's verdict stays its own.
+	// After the structural checks, the DLEQ proof's point equations are
+	// checked directly, once, and counted by the engine's verifier.
 	rels, err := sg02.ShareRelations(a.pk, a.ct, ds)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
-	if err := a.batch.Verify(a.pk.Group, rels); err != nil {
+	if err := a.check.Verify(a.pk.Group, rels); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, sg02.ErrInvalidShare)
 	}
 	a.shares[ds.Index] = ds
@@ -475,7 +473,7 @@ type cks05Adapter struct {
 	ks     cks05.KeyShare
 	name   []byte
 	src    share.CoefficientSource
-	batch  *precompute.BatchVerifier
+	check  *precompute.Verifier
 	shares map[int]*cks05.CoinShare
 }
 
@@ -500,7 +498,7 @@ func (a *cks05Adapter) OnShare(sender int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
-	if err := a.batch.Verify(a.pk.Group, rels); err != nil {
+	if err := a.check.Verify(a.pk.Group, rels); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, cks05.ErrInvalidShare)
 	}
 	a.shares[cs.Index] = cs

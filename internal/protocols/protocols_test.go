@@ -297,6 +297,46 @@ func TestKeygenValidation(t *testing.T) {
 	}
 }
 
+// TestOperationNames pins the wire names: each operation's String
+// parses back to it, and anything else is refused or named by number.
+func TestOperationNames(t *testing.T) {
+	for _, op := range []Operation{OpSign, OpDecrypt, OpCoin, OpKeyGen, OpReshare} {
+		got, err := ParseOperation(op.String())
+		if err != nil || got != op {
+			t.Fatalf("ParseOperation(%q) = %v, %v; want %v", op.String(), got, err, op)
+		}
+	}
+	if _, err := ParseOperation("encrypt"); err == nil {
+		t.Fatal("unknown wire name parsed")
+	}
+	if got := Operation(99).String(); got != "op(99)" {
+		t.Fatalf("Operation(99).String() = %q, want op(99)", got)
+	}
+}
+
+// TestValidateRejections pins Validate's rejections outside keygen.
+func TestValidateRejections(t *testing.T) {
+	spec := ReshareSpec{NewT: 1, Members: []int{1, 2, 3}}.Marshal()
+	if err := (Request{Scheme: schemes.KG20, Op: OpReshare, Payload: spec}).Validate(); err != nil {
+		t.Fatalf("valid reshare refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		req  Request
+		want error
+	}{
+		{"unknown op", Request{Scheme: schemes.KG20, Op: Operation(99)}, ErrUnknownOperation},
+		{"negative epoch", Request{Scheme: schemes.KG20, Op: OpSign, Epoch: -1}, ErrBadEpoch},
+		{"oversize payload", Request{Scheme: schemes.KG20, Op: OpSign, Payload: make([]byte, MaxPayload+1)}, ErrPayloadTooLarge},
+		{"deal-only reshare", Request{Scheme: schemes.SH00, Op: OpReshare, Payload: spec}, ErrReshareUnsupported},
+		{"malformed spec", Request{Scheme: schemes.KG20, Op: OpReshare, Payload: append(spec, 0)}, ErrReshareUnsupported},
+	} {
+		if err := c.req.Validate(); !errors.Is(err, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
 // TestKeyIDThreadsThroughIdentity pins that the key ID participates in
 // the instance identity and the wire form, with "" and "default"
 // naming the same instance.

@@ -105,7 +105,8 @@ func VerifyShare(pk *PublicKey, name []byte, cs *CoinShare) error {
 
 // ShareRelations does the structural checks and challenge recomputation
 // eagerly and returns the linear point relations completing share
-// verification, for the batch verifier to fold across shares.
+// verification, for the precompute layer's verifier to check directly
+// and count.
 func ShareRelations(pk *PublicKey, name []byte, cs *CoinShare) ([]group.Relation, error) {
 	if cs == nil || cs.Sigma == nil || cs.Index < 1 || cs.Index > pk.N {
 		return nil, ErrInvalidShare

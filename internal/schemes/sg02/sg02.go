@@ -205,9 +205,8 @@ func VerifyShare(pk *PublicKey, ct *Ciphertext, ds *DecShare) error {
 
 // ShareRelations performs the structural checks and Fiat-Shamir
 // recomputation of share verification eagerly and returns the linear
-// point relations whose truth completes it — the batch-verification
-// split: a batch verifier folds many shares' relations into one
-// multi-scalar multiplication.
+// point relations whose truth completes it, for the precompute layer's
+// verifier to check directly and count.
 func ShareRelations(pk *PublicKey, ct *Ciphertext, ds *DecShare) ([]group.Relation, error) {
 	if ds == nil || ds.U == nil || ds.Index < 1 || ds.Index > pk.N {
 		return nil, ErrInvalidShare

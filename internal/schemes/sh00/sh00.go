@@ -175,12 +175,19 @@ func SignShare(rand io.Reader, pk *PublicKey, ks KeyShare, msg []byte) (*SigShar
 }
 
 // VerifyShare checks the Shoup correctness proof of a signature share.
+// Before any exponentiation it bounds the exponents by what an honest
+// share meets: C is the top secparam bits of a digest, and Z = s_i·c + r
+// with s_i < N and r < 2^(|N|+2·secparam). Unbounded, a peer could make
+// one check cost seconds.
 func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
 	if ss == nil || ss.Xi == nil || ss.C == nil || ss.Z == nil ||
 		ss.Index < 1 || ss.Index > pk.NParties {
 		return ErrInvalidShare
 	}
 	if ss.Z.Sign() < 0 || ss.Xi.Sign() <= 0 || ss.Xi.Cmp(pk.N) >= 0 {
+		return ErrInvalidShare
+	}
+	if ss.C.Sign() < 0 || ss.C.BitLen() > secparam || ss.Z.BitLen() > pk.N.BitLen()+2*secparam+1 {
 		return ErrInvalidShare
 	}
 	x := digest(pk, msg)
@@ -275,11 +282,12 @@ func (ss *SigShare) Marshal() []byte {
 	return wire.NewWriter().Int(ss.Index).BigInt(ss.Xi).BigInt(ss.C).BigInt(ss.Z).Out()
 }
 
-// UnmarshalSigShare decodes a signature share. It refuses trailing
-// bytes.
+// UnmarshalSigShare decodes a signature share. It accepts only the
+// encoding Marshal gives: Xi, C and Z are canonical natural numbers
+// (no sign byte other than 0, no leading zero), and no byte trails.
 func UnmarshalSigShare(data []byte) (*SigShare, error) {
 	r := wire.NewReader(data)
-	ss := &SigShare{Index: r.Int(), Xi: r.BigInt(), C: r.BigInt(), Z: r.BigInt()}
+	ss := &SigShare{Index: r.Int(), Xi: r.Nat(), C: r.Nat(), Z: r.Nat()}
 	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sh00 share: %w", err)
 	}
@@ -289,10 +297,11 @@ func UnmarshalSigShare(data []byte) (*SigShare, error) {
 // Marshal encodes the signature.
 func (sig *Signature) Marshal() []byte { return wire.NewWriter().BigInt(sig.Y).Out() }
 
-// UnmarshalSignature decodes a signature. It refuses trailing bytes.
+// UnmarshalSignature decodes a signature. It accepts only the encoding
+// Marshal gives: Y is a canonical natural number, and no byte trails.
 func UnmarshalSignature(data []byte) (*Signature, error) {
 	r := wire.NewReader(data)
-	y := r.BigInt()
+	y := r.Nat()
 	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sh00 signature: %w", err)
 	}

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"math/big"
 	"testing"
+	"time"
 
 	"thetacrypt/internal/share"
+	"thetacrypt/internal/wire"
 )
 
 func deal(t *testing.T, bits, tt, n int) (*PublicKey, []KeyShare) {
@@ -192,16 +194,10 @@ func TestFixtureErrors(t *testing.T) {
 // TestDecodersRefuseTrailingBytes: a signature share encoded by an
 // earlier release (512-bit fixture key, party 2) still decodes and
 // re-encodes to the same bytes, and is refused with one trailing byte
-// appended; so is a fresh signature.
+// appended, a negative value or a zero-padded one; so is a fresh
+// signature.
 func TestDecodersRefuseTrailingBytes(t *testing.T) {
-	old, err := hex.DecodeString("" +
-		"000000080000000000000002000000410003c47361fe6159d416ab85740a8fd4" +
-		"8ad2e75d30818957ed2faba8fae990a08a7a77805e22f5cd1e45928578f8e573" +
-		"cef78e971d7dde6674177458cd70083de400000011008619900fb700c9acf551" +
-		"f2fe8dc9425f0000006100e5bf734793e1d0a9ffb8dfbd800eae33ca93ae3c56" +
-		"bd7a8cb6bce00dc2e056d759eedfc106c19917dfb9ffc47ddea9e890093a31c2" +
-		"5f6e1c7294a1f16e681d7faab37d609b1baeca91a38556aa9218260a59aeed80" +
-		"48f83848cd359b5e37a117")
+	old, err := hex.DecodeString(goldenShare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +228,59 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	}
 	if _, err := UnmarshalSignature(append(sig.Marshal(), 0)); err == nil {
 		t.Fatal("signature with a trailing byte accepted")
+	}
+
+	// Each value has one encoding: sign byte 0 and no leading zero.
+	// A negative value or a zero-padded magnitude is refused.
+	for name, enc := range map[string]func(*big.Int) []byte{
+		"negative":     func(v *big.Int) []byte { return append([]byte{1}, v.Bytes()...) },
+		"leading zero": func(v *big.Int) []byte { return append([]byte{0, 0}, v.Bytes()...) },
+	} {
+		vs := []*big.Int{ss.Xi, ss.C, ss.Z}
+		for field := range vs {
+			vals := make([][]byte, len(vs))
+			for i, v := range vs {
+				vals[i] = append([]byte{0}, v.Bytes()...)
+			}
+			vals[field] = enc(vs[field])
+			data := wire.NewWriter().Int(ss.Index).Bytes(vals[0]).Bytes(vals[1]).Bytes(vals[2]).Out()
+			if _, err := UnmarshalSigShare(data); err == nil {
+				t.Errorf("share with a %s field %d accepted", name, field)
+			}
+		}
+		if _, err := UnmarshalSignature(wire.NewWriter().Bytes(enc(sig.Y)).Out()); err == nil {
+			t.Errorf("signature with a %s Y accepted", name)
+		}
+	}
+}
+
+// TestVerifyShareBoundsExponents: a share whose Z or C is longer than
+// any honest share's is refused before any exponentiation. Unbounded,
+// Z + 2^(2^20) on a 2048-bit key costs seconds to refuse.
+func TestVerifyShareBoundsExponents(t *testing.T) {
+	pk, ks := deal(t, 2048, 1, 3)
+	msg := []byte("bounded")
+	ss, err := SignShare(rand.Reader, pk, ks[0], msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyShare(pk, msg, ss); err != nil {
+		t.Fatalf("valid share rejected: %v", err)
+	}
+	huge := new(big.Int).Lsh(big.NewInt(1), 1<<20)
+	bigZ := *ss
+	bigZ.Z = new(big.Int).Add(ss.Z, huge)
+	bigC := *ss
+	bigC.C = new(big.Int).Add(ss.C, huge)
+	for name, bad := range map[string]*SigShare{"oversize Z": &bigZ, "oversize C": &bigC} {
+		start := time.Now()
+		err := VerifyShare(pk, msg, bad)
+		if !errors.Is(err, ErrInvalidShare) {
+			t.Fatalf("%s: got %v, want ErrInvalidShare", name, err)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Fatalf("%s: refused after %v", name, d)
+		}
 	}
 }
 

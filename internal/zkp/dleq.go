@@ -9,11 +9,9 @@
 // challenge form (E, F): the challenge is recomputable from the
 // commitments, and verification then reduces to two LINEAR point
 // equations — F*g1 - A1 - e*h1 == 0 and F*g2 - A2 - e*h2 == 0 — which
-// the precompute layer folds across proofs pending at the same time
-// into one random-linear-combination multi-scalar multiplication (batch
-// verification), and checks as written when a proof is alone. The
-// challenge-form proof cannot be batched: recomputing the challenge
-// needs the commitments as hash inputs.
+// the precompute layer checks directly, as written, once per peer share,
+// and counts. With g1 the standard generator that costs one fixed-base
+// and three full multiplications on P-256.
 //
 // COMPATIBILITY: the commitment-form encoding (A1, A2, F) replaced the
 // earlier challenge-form encoding (E, F) and is NOT wire-compatible
@@ -92,9 +90,9 @@ func VerifyDLEQ(g group.Group, domain string, g1, h1, g2, h2 group.Point, proof 
 // DLEQRelations performs the cheap part of verification eagerly — the
 // structural checks and the Fiat-Shamir challenge recomputation — and
 // returns the two linear point relations whose truth is equivalent to
-// the proof verifying. Callers either check them directly (VerifyDLEQ)
-// or hand them to a batch verifier that folds many proofs' relations
-// into one multi-scalar multiplication.
+// the proof verifying. VerifyDLEQ checks them itself; the schemes hand
+// them to the precompute layer's verifier, which checks them the same
+// way and counts them.
 func DLEQRelations(g group.Group, domain string, g1, h1, g2, h2 group.Point, proof *DLEQProof, transcript ...[]byte) ([]group.Relation, error) {
 	if proof == nil || proof.A1 == nil || proof.A2 == nil || proof.F == nil {
 		return nil, fmt.Errorf("zkp: malformed dleq proof")

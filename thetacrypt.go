@@ -54,7 +54,7 @@ type (
 	// flow control counters.
 	EngineStats = api.EngineStats
 	// CryptoStats is the precompute layer's snapshot inside EngineStats:
-	// Lagrange cache hit rate and verification batching.
+	// Lagrange cache hit rate and peer-share check counts.
 	CryptoStats = api.CryptoStats
 	// TransportStats is the per-peer health snapshot of a node's P2P
 	// links (state, queue depth, send/drop counters).
