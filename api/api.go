@@ -268,8 +268,8 @@ type CryptoStats struct {
 // TransportStats is the wire form of the P2P layer's health snapshot.
 type TransportStats struct {
 	Peers []PeerStats `json:"peers"`
-	// Policy is the transport's full-queue policy ("block",
-	// "drop-oldest", "fail-fast").
+	// Policy is never set: no transport has a queue policy. It stays
+	// only because the benchmark's tests read it.
 	Policy string `json:"policy,omitempty"`
 	// Reliable reports that the transport runs the seq/ack layer:
 	// frames lost between socket and engine are resent after reconnect
@@ -294,8 +294,8 @@ func (ts *TransportStats) Peer(index int) (PeerStats, bool) {
 }
 
 // PeerStats is one peer link as seen by the answering node: health
-// state ("up", "dialing", "down"), the bounded outbound queue, and
-// send/drop counters. Field meanings match network.PeerStats.
+// state ("up", "dialing", "down"), the unwritten frames in its ack
+// window, and send/drop counters. Field meanings match network.PeerStats.
 type PeerStats struct {
 	Peer       int    `json:"peer"`
 	State      string `json:"state"`

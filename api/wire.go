@@ -75,7 +75,6 @@ func TransportStatsOf(ts network.TransportStats) *TransportStats {
 	}
 	out := &TransportStats{
 		Peers:         make([]PeerStats, len(ts.Peers)),
-		Policy:        ts.Policy.String(),
 		Reliable:      ts.Reliable,
 		Authenticated: ts.Authenticated,
 	}

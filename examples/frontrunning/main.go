@@ -43,11 +43,7 @@ func run() error {
 	defer hub.Close()
 	channels := make([]*tob.Sequencer, n)
 	for i := 1; i <= n; i++ {
-		ch, err := tob.New(hub.Endpoint(i), i, 1)
-		if err != nil {
-			return err
-		}
-		channels[i-1] = ch
+		channels[i-1] = tob.New(hub.Endpoint(i), i, 1)
 	}
 	defer func() {
 		for _, c := range channels {

@@ -13,9 +13,12 @@ import (
 // every accepted input loads again, after Marshal, to the same header,
 // keys, epochs, committees and shares. The committed corpus holds a v3
 // file from an earlier release, a v4 snapshot of all six schemes, a v4
-// log with an erased superseded frame and a torn final frame, and two
-// v3 files whose verification-key count is -1 and 2^40 (the first
-// panicked and the second exhausted memory on earlier releases).
+// log with an erased superseded frame and a torn final frame, two v3
+// files whose verification-key count is -1 and 2^40 (the first
+// panicked and the second exhausted memory on earlier releases), and
+// two v3 files with a non-canonical integer, an SG02 share with a
+// leading zero byte and a negative SH00 N (both loaded on earlier
+// releases; TestNonCanonicalIntegersRefused asserts their refusal).
 func FuzzUnmarshalKeystore(f *testing.F) {
 	golden, err := os.ReadFile("testdata/keystore_v3.golden")
 	if err != nil {

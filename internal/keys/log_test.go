@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -637,6 +638,46 @@ func TestHostileCountsRefused(t *testing.T) {
 	}
 	if _, err := Deal(rand.Reader, 1, maxParties+1, Options{Schemes: []schemes.ID{schemes.SG02}}); err == nil {
 		t.Fatalf("the dealer dealt to %d parties", maxParties+1)
+	}
+}
+
+// TestNonCanonicalIntegersRefused: every integer of a key file has one
+// encoding. A v3 file whose SG02 share carries a leading zero byte, or
+// whose SH00 modulus N is negative, is refused; both loaded on earlier
+// releases. The two files are also FuzzUnmarshalKeystore corpus
+// entries (v3-share-leading-zero, v3-sh00-negative-n).
+func TestNonCanonicalIntegersRefused(t *testing.T) {
+	nodes, err := Deal(rand.Reader, 1, 4, Options{RSABits: 512, UseRSAFixture: true,
+		Schemes: []schemes.ID{schemes.SG02, schemes.SH00}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := nodes[0]
+	v3 := func(k *Key) []byte {
+		w := wire.NewWriter().String(keystoreMagic).Int(3).Int(ks.Index).Int(ks.N).Int(ks.T).Int(1)
+		writeRecord(w, k)
+		return w.Out()
+	}
+	sg, _ := ks.Get(schemes.SG02, "")
+	good := v3(sg)
+	if _, err := UnmarshalKeystore(good); err != nil {
+		t.Fatalf("canonical v3 file refused: %v", err)
+	}
+	// The share is the record's last field.
+	_, x := shareRef(sg)
+	share := wire.NewWriter().BigInt(x).Out()
+	padded := append(bytes.Clone(good[:len(good)-len(share)]), wire.NewWriter().Bytes(append([]byte{0, 0}, x.Bytes()...)).Out()...)
+
+	sh, _ := ks.Get(schemes.SH00, "")
+	pk := *sh.Public.(*sh00.PublicKey)
+	pk.N = new(big.Int).Neg(pk.N)
+	negN := *sh
+	negN.Public = &pk
+
+	for name, data := range map[string][]byte{"share with a leading zero": padded, "negative SH00 N": v3(&negN)} {
+		if _, err := UnmarshalKeystore(data); err == nil {
+			t.Fatalf("%s loaded", name)
+		}
 	}
 }
 

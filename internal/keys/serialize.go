@@ -380,7 +380,7 @@ func readBody(r *wire.Reader, scheme schemes.ID, maxN int) (*Key, error) {
 	}
 	var shr any
 	if idx > 0 {
-		shr = makeShare(scheme, idx, r.BigInt())
+		shr = makeShare(scheme, idx, r.Nat())
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -533,7 +533,7 @@ func readPublic(r *wire.Reader, scheme schemes.ID, t, n int) (any, error) {
 		pub = &bz03.PublicKey{Y: y, VK: vk, T: t, N: n}
 	case schemes.SH00:
 		pk := &sh00.PublicKey{
-			N: r.BigInt(), E: r.BigInt(), V: r.BigInt(),
+			N: r.Nat(), E: r.Nat(), V: r.Nat(),
 			T: t, NParties: n,
 		}
 		if err := readVKCount(r, n); err != nil {
@@ -541,7 +541,7 @@ func readPublic(r *wire.Reader, scheme schemes.ID, t, n int) (any, error) {
 		}
 		pk.VK = make([]*big.Int, n)
 		for j := range pk.VK {
-			pk.VK[j] = r.BigInt()
+			pk.VK[j] = r.Nat()
 		}
 		// n is at most maxParties (checkHeader, readBody), which bounds
 		// the cost of n! at load.
@@ -637,7 +637,7 @@ func readMaterial(r *wire.Reader, scheme schemes.ID, index, t, n int) (pub, shr 
 	if err != nil {
 		return nil, nil, err
 	}
-	shr = makeShare(scheme, index, r.BigInt())
+	shr = makeShare(scheme, index, r.Nat())
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -1,57 +1,32 @@
 package network
 
-// Transport flow control: the per-peer outbound queue policies, peer
-// health vocabulary, and typed send/broadcast errors shared by every
-// P2P implementation. The paper's model assumes reliable point-to-point
-// channels between all N nodes; in a real deployment a single slow or
-// dead peer must not stall the other N-2 links, so sends are decoupled
-// from the protocol hot path by bounded per-peer queues drained by
-// dedicated writers. These types make that decoupling observable
-// (TransportStats) across tcpnet, memnet, and the proxy identically.
-// Deployments run PolicyBlock; only tests select the other two.
+// Transport flow control: peer health vocabulary and the typed
+// send/broadcast errors shared by every P2P implementation. The paper's
+// model assumes reliable point-to-point channels between all N nodes;
+// in a real deployment a single slow or dead peer must not stall the
+// other N-2 links, so each peer's frames wait in its own bounded ack
+// window and are written by its own sender. These types make that
+// observable (TransportStats) across tcpnet, memnet, and the proxy
+// identically.
 
 import (
 	"errors"
 	"fmt"
 )
 
-// QueuePolicy selects what an enqueue does when a peer's bounded
-// outbound queue is full.
+// QueuePolicy names what a full queue does. No transport has one: a
+// full ack window always refuses. It and PolicyBlock stay only because
+// the benchmark's microbenchmarks call outq.New(16, PolicyBlock).
 type QueuePolicy int
 
-const (
-	// PolicyBlock waits for queue space, bounded by the send context.
-	// This is the default: backpressure propagates to the caller, no
-	// frame is dropped.
-	PolicyBlock QueuePolicy = iota
-	// PolicyDropOldest evicts the oldest queued frame to admit the new
-	// one. Sends never block and never fail; the drop counter records
-	// the loss. Suited to traffic where the newest message supersedes
-	// older ones.
-	PolicyDropOldest
-	// PolicyFailFast rejects the new frame with ErrPeerBacklogged.
-	// Sends never block; the caller decides whether the peer matters.
-	PolicyFailFast
-)
+// PolicyBlock waits for queue space, bounded by the context.
+const PolicyBlock QueuePolicy = 0
 
-// String names the policy.
-func (p QueuePolicy) String() string {
-	switch p {
-	case PolicyBlock:
-		return "block"
-	case PolicyDropOldest:
-		return "drop-oldest"
-	case PolicyFailFast:
-		return "fail-fast"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ErrPeerBacklogged reports that a peer's outbound queue is full under
-// PolicyFailFast. The frame was not enqueued; the peer is lagging or
-// down and its health appears in TransportStats.
-var ErrPeerBacklogged = errors.New("network: peer outbound queue full")
+// ErrPeerBacklogged reports that a peer's ack window is full: 1 024
+// frames toward it are unacknowledged. The frame was refused and got
+// no sequence number; the peer is lagging or down and its health
+// appears in TransportStats.
+var ErrPeerBacklogged = errors.New("network: peer send window full")
 
 // ErrTransportClosed is returned by sends against a closed transport.
 var ErrTransportClosed = errors.New("network: transport closed")
@@ -89,28 +64,27 @@ type PeerStats struct {
 	Peer int
 	// State is the link health (up, dialing, down).
 	State PeerState
-	// QueueDepth and QueueCap describe the bounded outbound queue.
+	// QueueDepth is the number of frames staged but not yet written,
+	// and QueueCap the ack window they wait in (1 024 frames).
 	QueueDepth int
 	QueueCap   int
-	// Enqueued counts frames admitted to the queue since start.
+	// Enqueued counts frames staged since start.
 	Enqueued uint64
-	// Sent counts frames written to the wire since start.
+	// Sent counts frames written to the wire since start: data frames,
+	// resends and standalone acknowledgements.
 	Sent uint64
 	// Delivered counts frames the peer has acknowledged: they reached
 	// the remote transport and were handed to its engine. Sent minus
 	// Delivered is the delivered-vs-sent gap the ack layer closes.
 	Delivered uint64
-	// Inflight is the number of sequenced frames staged in the ack
-	// layer's bounded window, awaiting acknowledgement; they are resent
-	// after a reconnect.
+	// Inflight is the number of sequenced frames in the ack window,
+	// written or not, awaiting acknowledgement; they are resent after a
+	// reconnect.
 	Inflight int
 	// Resent counts retransmissions of unacknowledged frames.
 	Resent uint64
-	// Dropped counts frames rejected or evicted by the queue policy
-	// (evictions under drop-oldest, rejections under fail-fast) plus
-	// in-flight window evictions. On a Reliable transport a queue-policy
-	// drop is recovered by the ack layer while the frame stays windowed;
-	// only window evictions are definitive losses.
+	// Dropped counts frames a full ack window refused. A refused frame
+	// was never sequenced; nothing staged is ever dropped.
 	Dropped uint64
 	// ConsecutiveFailures counts dial/write failures since the last
 	// successful write; zero on a healthy link.
@@ -128,13 +102,9 @@ type PeerStats struct {
 // ordered by peer index.
 type TransportStats struct {
 	Peers []PeerStats
-	// Policy is the transport's full-queue policy.
-	Policy QueuePolicy
 	// Reliable reports that the transport runs the seq/ack layer:
 	// frames lost between socket and engine are resent after reconnect
-	// and duplicates are filtered before Receive. Consumers that need
-	// lossless delivery (the TOB sequencer) accept lossy queue policies
-	// only on reliable transports.
+	// and duplicates are filtered before Receive.
 	Reliable bool
 	// Authenticated reports that the transport runs every link through
 	// the identity-keyed mutual-authentication handshake: unrostered
@@ -166,7 +136,7 @@ func (e *PeerError) Error() string { return fmt.Sprintf("peer %d: %v", e.Peer, e
 func (e *PeerError) Unwrap() error { return e.Err }
 
 // BroadcastError aggregates the per-peer failures of one Broadcast.
-// Peers not listed received (or durably queued) the frame; callers
+// Peers not listed received (or hold in their ack window) the frame; callers
 // decide whether the surviving set still reaches a quorum.
 type BroadcastError struct {
 	// Failed holds one entry per failed peer, in peer order.

@@ -1,11 +1,11 @@
 // Package link is the one link pipeline beneath every reliable P2P
 // transport. Per node it owns what tcpnet and memnet share: each
-// peer's bounded outbound queue (outq) and the one sender goroutine
-// that drains it, the relink ack layer's two halves per peer, the ack
-// piggyback on outbound frames, the inbound ack discharge, dedup and
-// reorder, the ticker that flushes standalone acknowledgements and
-// resends unacknowledged frames, Broadcast's per-peer error
-// aggregation, and the queue and ack-layer half of TransportStats.
+// peer's relink ack window, which is its only send buffer, and the one
+// sender goroutine that writes from it; the ack piggyback on outbound
+// frames, the inbound ack discharge, dedup and reorder, the ticker
+// that wakes senders to resend and to flush standalone
+// acknowledgements, Broadcast's per-peer error aggregation, and the
+// window and ack-layer half of TransportStats.
 //
 // A transport supplies only what moves its frames: an encoding of an
 // envelope into what it writes (tcpnet marshals to bytes, memnet keeps
@@ -16,7 +16,6 @@ package link
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"thetacrypt/internal/network"
-	"thetacrypt/internal/network/outq"
 	"thetacrypt/internal/network/relink"
 )
 
@@ -33,17 +31,13 @@ import (
 // frames are delivered raw (no dedup, no acks).
 const maxInboxes = 4096
 
-// Config sizes one node's pipeline. Zero fields select the defaults.
+// Config sets up one node's pipeline. Zero durations select the
+// defaults.
 type Config struct {
 	// Self is the local node index, stamped as From on every frame.
 	Self int
-	// QueueLen bounds each peer's outbound queue (default 1024).
-	QueueLen int
-	// Policy resolves a full queue or a full ack window.
-	Policy network.QueuePolicy
-	// Window, AckInterval and ResendTimeout tune the ack layer, as in
+	// AckInterval and ResendTimeout tune the ack layer, as in
 	// relink.Config.
-	Window        int
 	AckInterval   time.Duration
 	ResendTimeout time.Duration
 }
@@ -52,7 +46,6 @@ type Config struct {
 // transport writes.
 type Pipeline[F any] struct {
 	self     int
-	qlen     int
 	rcfg     relink.Config
 	epoch    uint64
 	encode   func(network.Envelope) F
@@ -61,14 +54,14 @@ type Pipeline[F any] struct {
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 
-	// mu guards the tables below; it is never held across a queue,
-	// window or delivery wait.
+	// mu guards the tables below; it is never held across a write or a
+	// delivery.
 	mu     sync.Mutex
 	closed bool
-	peers  map[int]*peer[F]
+	peers  map[int]*peer
 	// sorted is the registered peers in index order, replaced (never
 	// mutated) on registration so Broadcast iterates it unlocked.
-	sorted []*peer[F]
+	sorted []*peer
 	// inboxes holds the inbound cursor per sender, including senders
 	// not registered yet: their frames are already deduplicated, and a
 	// later AddPeer adopts the same cursor, so the owed acknowledgements
@@ -76,14 +69,27 @@ type Pipeline[F any] struct {
 	inboxes map[int]*relink.Inbox
 }
 
-// peer is one outbound link: its queue, the ack layer's two halves,
-// and the count of frames its sender handed to the transport.
-type peer[F any] struct {
+// peer is one outbound link: the ack layer's two halves, the signals
+// that wake its sender, and the count of frames the sender wrote.
+type peer struct {
 	index int
-	q     *outq.Queue[F]
 	rel   *relink.Link
 	inbox *relink.Inbox
-	sent  atomic.Uint64
+	// wake holds one pending nudge: a frame was staged, or the ticker
+	// fired.
+	wake chan struct{}
+	// ackDue is set by the ticker: an owed acknowledgement may now go
+	// out on its own.
+	ackDue atomic.Bool
+	sent   atomic.Uint64
+}
+
+// poke wakes the peer's sender without waiting.
+func (pr *peer) poke() {
+	select {
+	case pr.wake <- struct{}{}:
+	default:
+	}
 }
 
 // New starts node cfg.Self's pipeline; its ack ticker runs until
@@ -91,23 +97,17 @@ type peer[F any] struct {
 // writes. deliver hands an inbound envelope to the engine and reports
 // false once the transport is stopping.
 func New[F any](cfg Config, encode func(network.Envelope) F, deliver func(network.Envelope) bool) *Pipeline[F] {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
 	p := &Pipeline[F]{
 		self: cfg.Self,
-		qlen: cfg.QueueLen,
 		rcfg: relink.Config{
-			Window:        cfg.Window,
 			AckInterval:   cfg.AckInterval,
 			ResendTimeout: cfg.ResendTimeout,
-			Policy:        cfg.Policy,
 		}.WithDefaults(),
 		epoch:   relink.NewEpoch(),
 		encode:  encode,
 		deliver: deliver,
 		stop:    make(chan struct{}),
-		peers:   make(map[int]*peer[F]),
+		peers:   make(map[int]*peer),
 		inboxes: make(map[int]*relink.Inbox),
 	}
 	p.wg.Add(1)
@@ -116,24 +116,24 @@ func New[F any](cfg Config, encode func(network.Envelope) F, deliver func(networ
 }
 
 // AddPeer registers a peer and starts its sender goroutine, which
-// hands every dequeued frame to write. write returns once the frame is
-// on its way, retrying as long as it must, and false once the
-// transport is stopping. AddPeer reports false when the peer was
-// already registered or the pipeline is closed.
+// hands every frame it takes from the peer's window to write. write
+// returns once the frame is on its way, retrying as long as it must,
+// and false once the transport is stopping. AddPeer reports false when
+// the peer was already registered or the pipeline is closed.
 func (p *Pipeline[F]) AddPeer(index int, write func(F) bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.peers[index]; ok || p.closed {
 		return false
 	}
-	pr := &peer[F]{
+	pr := &peer{
 		index: index,
-		q:     outq.New[F](p.qlen, p.rcfg.Policy),
 		rel:   relink.NewLink(p.epoch, p.rcfg),
 		inbox: p.inboxLocked(index),
+		wake:  make(chan struct{}, 1),
 	}
 	p.peers[index] = pr
-	sorted := make([]*peer[F], 0, len(p.sorted)+1)
+	sorted := make([]*peer, 0, len(p.sorted)+1)
 	sorted = append(append(sorted, p.sorted...), pr)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].index < sorted[j].index })
 	p.sorted = sorted
@@ -142,15 +142,37 @@ func (p *Pipeline[F]) AddPeer(index int, write func(F) bool) bool {
 	return true
 }
 
-// sender drains one peer's queue into the transport.
-func (p *Pipeline[F]) sender(pr *peer[F], write func(F) bool) {
+// sender writes one peer's frames in the order its Link hands them
+// out, then an acknowledgement the ticker made due, and otherwise
+// sleeps until poked. Every frame carries the current acknowledgement
+// for the reverse direction, stamped at write time.
+func (p *Pipeline[F]) sender(pr *peer, write func(F) bool) {
 	defer p.wg.Done()
 	for {
-		f, ok := pr.q.Dequeue(p.stop)
-		if !ok || !write(f) {
+		env, ok := pr.rel.Next(time.Now())
+		if !ok && pr.ackDue.Swap(false) {
+			_, _, ok = pr.inbox.PendingAck()
+			env = network.Envelope{From: p.self, To: pr.index, Kind: network.KindAck}
+		}
+		if !ok {
+			select {
+			case <-pr.wake:
+				continue
+			case <-p.stop:
+				return
+			}
+		}
+		epoch, upTo, hasAck := pr.inbox.AckValue()
+		if hasAck {
+			env.Ack, env.AckEpoch = upTo, epoch
+		}
+		if !write(p.encode(env)) {
 			return
 		}
 		pr.sent.Add(1)
+		if hasAck {
+			pr.inbox.ClearPending(epoch, upTo)
+		}
 	}
 }
 
@@ -159,36 +181,40 @@ func (p *Pipeline[F]) sender(pr *peer[F], write func(F) bool) {
 func (p *Pipeline[F]) inboxLocked(from int) *relink.Inbox {
 	ib, ok := p.inboxes[from]
 	if !ok {
-		ib = relink.NewInbox(p.rcfg.Window)
+		ib = relink.NewInbox(relink.Window)
 		p.inboxes[from] = ib
 	}
 	return ib
 }
 
-// snapshot returns the registered peers in index order.
-func (p *Pipeline[F]) snapshot() []*peer[F] {
+// snapshot returns the registered peers in index order and whether the
+// pipeline is closed.
+func (p *Pipeline[F]) snapshot() ([]*peer, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sorted
+	return p.sorted, p.closed
 }
 
 // Send stages one envelope for peer to in O(1); the peer's sender
-// delivers it in the background. A full queue or window is resolved
-// by the policy: block (bounded by ctx), drop-oldest, or fail-fast
-// with a *network.PeerError wrapping network.ErrPeerBacklogged.
+// writes it in the background. Send never waits: a peer whose window is
+// full fails at once with a *network.PeerError wrapping
+// network.ErrPeerBacklogged. ctx is unused.
 func (p *Pipeline[F]) Send(ctx context.Context, to int, env network.Envelope) error {
 	p.mu.Lock()
 	pr, ok := p.peers[to]
+	closed := p.closed
 	p.mu.Unlock()
-	if !ok {
+	switch {
+	case closed:
+		return network.ErrTransportClosed
+	case !ok:
 		return fmt.Errorf("network: no link to peer %d", to)
 	}
 	env.From, env.To = p.self, to
-	err := p.enqueue(ctx, pr, env)
-	if errors.Is(err, network.ErrPeerBacklogged) {
+	if err := p.stage(ctx, pr, env); err != nil {
 		return &network.PeerError{Peer: to, Err: err}
 	}
-	return err
+	return nil
 }
 
 // Broadcast stages the envelope, addressed To=Broadcast, for every
@@ -197,39 +223,27 @@ func (p *Pipeline[F]) Send(ctx context.Context, to int, env network.Envelope) er
 // *network.BroadcastError naming each failed peer, so callers can
 // judge whether the surviving set still reaches a quorum.
 func (p *Pipeline[F]) Broadcast(ctx context.Context, env network.Envelope) error {
+	peers, closed := p.snapshot()
+	if closed {
+		return network.ErrTransportClosed
+	}
 	env.From, env.To = p.self, network.Broadcast
-	peers := p.snapshot()
 	var failed []*network.PeerError
 	for _, pr := range peers {
-		if err := p.enqueue(ctx, pr, env); err != nil {
+		if err := p.stage(ctx, pr, env); err != nil {
 			failed = append(failed, &network.PeerError{Peer: pr.index, Err: err})
 		}
 	}
 	return network.NewBroadcastError(len(peers), failed)
 }
 
-// enqueue stages one data frame in the peer's in-flight window,
-// piggybacks the pending acknowledgement for the reverse direction,
-// and admits it to the queue. A frame the queue rejects after staging
-// stays windowed, so the resend timer still delivers it; the error
-// surfaces so callers observe the backpressure.
-func (p *Pipeline[F]) enqueue(ctx context.Context, pr *peer[F], env network.Envelope) error {
-	staged, err := pr.rel.Stage(ctx, env)
-	if err != nil {
+// stage admits one data frame to the peer's window and wakes its
+// sender.
+func (p *Pipeline[F]) stage(ctx context.Context, pr *peer, env network.Envelope) error {
+	if _, err := pr.rel.Stage(ctx, env); err != nil {
 		return err
 	}
-	epoch, upTo, hasAck := pr.inbox.AckValue()
-	if hasAck {
-		staged.Ack, staged.AckEpoch = upTo, epoch
-	}
-	if err := pr.q.Enqueue(ctx, p.encode(staged)); err != nil {
-		// The pending ack is not cleared: its only carrier never left,
-		// so the ticker must still send it.
-		return err
-	}
-	if hasAck {
-		pr.inbox.ClearPending(epoch, upTo)
-	}
+	pr.poke()
 	return nil
 }
 
@@ -278,10 +292,9 @@ func (p *Pipeline[F]) inboxFor(env network.Envelope) *relink.Inbox {
 	return p.inboxLocked(env.From)
 }
 
-// ackLoop flushes coalesced acknowledgements and retransmits frames
-// unacknowledged past the resend timeout. Both use the non-blocking
-// TryEnqueue: a full queue is retried on the next tick rather than
-// displacing fresh traffic or stalling the loop.
+// ackLoop wakes every sender once per AckInterval, with an owed
+// acknowledgement marked due: the sender then flushes it and writes
+// whatever its window has come due for a resend.
 func (p *Pipeline[F]) ackLoop() {
 	defer p.wg.Done()
 	ticker := time.NewTicker(p.rcfg.AckInterval)
@@ -292,67 +305,43 @@ func (p *Pipeline[F]) ackLoop() {
 		case <-p.stop:
 			return
 		}
-		now := time.Now()
-		for _, pr := range p.snapshot() {
-			if epoch, upTo, ok := pr.inbox.PendingAck(); ok {
-				ack := network.Envelope{
-					From: p.self, To: pr.index,
-					Kind: network.KindAck, Ack: upTo, AckEpoch: epoch,
-				}
-				if pr.q.TryEnqueue(p.encode(ack)) {
-					pr.inbox.ClearPending(epoch, upTo)
-				}
-			}
-			pr.rel.Resend(now, func(env network.Envelope) bool {
-				return pr.q.TryEnqueue(p.encode(env))
-			})
+		peers, _ := p.snapshot()
+		for _, pr := range peers {
+			pr.ackDue.Store(true)
+			pr.poke()
 		}
 	}
 }
 
-// Stats snapshots every registered peer in index order: its queue and
-// ack-layer counters, then health fills the transport's own fields
-// (state, failures, authentication).
+// Stats snapshots every registered peer in index order: its window
+// and ack-layer counters and its writes, then health fills the
+// transport's own fields (state, failures, authentication).
 func (p *Pipeline[F]) Stats(authenticated bool, health func(*network.PeerStats)) network.TransportStats {
-	peers := p.snapshot()
+	peers, _ := p.snapshot()
 	out := network.TransportStats{
 		Peers:         make([]network.PeerStats, 0, len(peers)),
-		Policy:        p.rcfg.Policy,
 		Reliable:      true,
 		Authenticated: authenticated,
 	}
 	for _, pr := range peers {
-		ps := network.PeerStats{
-			Peer:       pr.index,
-			QueueDepth: pr.q.Len(),
-			QueueCap:   pr.q.Cap(),
-			Enqueued:   pr.q.Enqueued(),
-			Sent:       pr.sent.Load(),
-			Delivered:  pr.rel.Delivered(),
-			Inflight:   pr.rel.Inflight(),
-			Resent:     pr.rel.Resent(),
-			Dropped:    pr.q.Dropped() + pr.rel.Dropped(),
-		}
+		ps := pr.rel.Stats()
+		ps.Peer, ps.Sent = pr.index, pr.sent.Load()
 		health(&ps)
 		out.Peers = append(out.Peers, ps)
 	}
 	return out
 }
 
-// Close stops the ticker and the senders, wakes every blocked Send,
-// and waits until the goroutines have exited. The transport must
-// first make its write functions return, by stopping them or closing
-// their connections.
+// Close stops the ticker and the senders, refuses further sends with
+// network.ErrTransportClosed, and waits until the goroutines have
+// exited. The transport must first make its write functions return,
+// by stopping them or closing their connections.
 func (p *Pipeline[F]) Close() {
 	p.stopOnce.Do(func() {
-		close(p.stop)
 		p.mu.Lock()
 		p.closed = true
-		for _, pr := range p.peers {
-			pr.q.Close()
-			pr.rel.Close()
-		}
 		p.mu.Unlock()
+		close(p.stop)
 		p.wg.Wait()
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"thetacrypt/internal/network"
+	"thetacrypt/internal/network/relink"
 )
 
 func asIs(env network.Envelope) network.Envelope { return env }
@@ -152,13 +153,11 @@ func TestInboxTableIsBounded(t *testing.T) {
 	}
 }
 
-// TestBroadcastAggregatesPeerFailures: under fail-fast, a stalled
-// peer's full queue fails only that peer's copy, named in a
+// TestBroadcastAggregatesPeerFailures: a stalled peer's full window
+// fails only that peer's copy, at once and named in a
 // *network.BroadcastError, while the healthy peer still gets it.
 func TestBroadcastAggregatesPeerFailures(t *testing.T) {
-	cfg := fast
-	cfg.QueueLen, cfg.Policy = 1, network.PolicyFailFast
-	a, b := newNode(t, 1, cfg), newNode(t, 2, cfg)
+	a, b := newNode(t, 1, fast), newNode(t, 2, fast)
 	stop, stalled := make(chan struct{}), make(chan struct{}, 1)
 	defer close(stop)
 	wire(a, b, nil)
@@ -168,18 +167,24 @@ func TestBroadcastAggregatesPeerFailures(t *testing.T) {
 		return false
 	})
 	ctx := context.Background()
-	// One frame stalls the sender, the next fills the queue, the third
-	// is refused.
-	err := a.p.Send(ctx, 3, network.Envelope{Kind: network.KindProto})
-	<-stalled
-	for i := 0; i < 2 && err == nil; i++ {
+	// The first frame stalls the sender; the window holds 1 024 frames
+	// and refuses the next.
+	var err error
+	for i := 0; i <= relink.Window && err == nil; i++ {
 		err = a.p.Send(ctx, 3, network.Envelope{Kind: network.KindProto})
+		if i == 0 {
+			<-stalled
+		}
 	}
 	var pe *network.PeerError
 	if !errors.As(err, &pe) || pe.Peer != 3 || !errors.Is(err, network.ErrPeerBacklogged) {
 		t.Fatalf("send into a stalled peer: %v", err)
 	}
+	start := time.Now()
 	err = a.p.Broadcast(ctx, network.Envelope{Kind: network.KindProto, Round: 9})
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("broadcast past a full window took %v", d)
+	}
 	var be *network.BroadcastError
 	if !errors.As(err, &be) || be.Peers != 2 || len(be.Failed) != 1 || be.Failed[0].Peer != 3 {
 		t.Fatalf("broadcast error %v, want peer 3 of 2 failed", err)
@@ -187,16 +192,19 @@ func TestBroadcastAggregatesPeerFailures(t *testing.T) {
 	if env := recv(t, b); env.Round != 9 || env.To != network.Broadcast {
 		t.Fatalf("healthy peer got %+v", env)
 	}
+	if ps := waitStats(t, a, 3, func(network.PeerStats) bool { return true }); ps.Dropped != 2 || ps.Inflight != relink.Window {
+		t.Fatalf("stalled peer stats %+v, want 2 refused and a full window", ps)
+	}
 	if err := a.p.Send(ctx, 4, network.Envelope{}); err == nil {
 		t.Fatal("send to an unregistered peer accepted")
 	}
 }
 
-// TestCloseWakesBlockedSend: Close releases a sender parked on a full
-// queue and refuses later registrations.
-func TestCloseWakesBlockedSend(t *testing.T) {
+// TestCloseRefusesSends: once closed, the pipeline refuses sends and
+// broadcasts with ErrTransportClosed and refuses registrations.
+func TestCloseRefusesSends(t *testing.T) {
 	stop := make(chan struct{})
-	p := New(Config{Self: 1, QueueLen: 1}, asIs, func(network.Envelope) bool { return true })
+	p := New(Config{Self: 1}, asIs, func(network.Envelope) bool { return true })
 	p.AddPeer(2, func(network.Envelope) bool { <-stop; return false })
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -204,16 +212,14 @@ func TestCloseWakesBlockedSend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done := make(chan error, 1)
-	go func() { done <- p.Send(ctx, 2, network.Envelope{Kind: network.KindProto}) }()
-	// Give the Send time to park; one arriving after Close is refused
-	// with the same error.
-	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	p.Close()
 	p.Close()
-	if err := <-done; !errors.Is(err, network.ErrTransportClosed) {
-		t.Fatalf("blocked send returned %v, want ErrTransportClosed", err)
+	if err := p.Send(ctx, 2, network.Envelope{Kind: network.KindProto}); !errors.Is(err, network.ErrTransportClosed) {
+		t.Fatalf("send after Close returned %v, want ErrTransportClosed", err)
+	}
+	if err := p.Broadcast(ctx, network.Envelope{Kind: network.KindProto}); !errors.Is(err, network.ErrTransportClosed) {
+		t.Fatalf("broadcast after Close returned %v, want ErrTransportClosed", err)
 	}
 	if p.AddPeer(3, func(network.Envelope) bool { return true }) {
 		t.Fatal("registered a peer after Close")

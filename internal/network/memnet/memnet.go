@@ -6,19 +6,19 @@
 // machine. It also serves as the fault-injection surface for tests
 // (crashed nodes, dropped or delayed messages).
 //
-// Queues, the relink ack layer and Broadcast come from the shared link
-// pipeline (internal/network/link), as in tcpnet, so the simulated
-// network offers the same queue policies, stats and reliable-delivery
+// Send windows, the relink ack layer and Broadcast come from the
+// shared link pipeline (internal/network/link), as in tcpnet, so the
+// simulated network offers the same stats and reliable-delivery
 // contract as the real one. memnet adds what it simulates: per-link
 // latency, jitter and FIFO order, crashes and restarts, a drop filter
 // for in-flight loss, and the roster check a secure handshake would
 // make. Envelopes are handed over in process, never marshaled. A
-// crashed destination stalls the senders toward it — the in-process
+// crashed destination stalls the sender toward it — the in-process
 // analogue of a dead TCP peer holding the writer in dial-retry — so
-// queues back up, policies fire, and TransportStats reports the peer
-// Down, identically to the real transport; frames lost in flight (a
-// crash race, a DropIf filter, a drop-oldest eviction) are resent and
-// deduplicated.
+// its ack window fills until sends toward it are refused, and
+// TransportStats reports the peer Down, identically to the real
+// transport; frames lost in flight (a crash race, a DropIf filter) are
+// resent and deduplicated.
 package memnet
 
 import (
@@ -59,16 +59,8 @@ type Options struct {
 	JitterFrac float64
 	// Seed makes jitter deterministic.
 	Seed uint64
-	// OutQueueLen bounds each directed link's outbound queue (default
-	// 1024), mirroring tcpnet's per-peer queues.
-	OutQueueLen int
-	// Policy selects the full-queue behavior (default PolicyBlock).
-	Policy network.QueuePolicy
-	// AckWindow bounds the unacknowledged frames retained per link for
-	// resend (default 1024); a full window is resolved by Policy.
-	AckWindow int
-	// AckInterval coalesces standalone acknowledgements and paces the
-	// resend scan (default 25 ms).
+	// AckInterval coalesces standalone acknowledgements and paces how
+	// often senders check for a due resend (default 25 ms).
 	AckInterval time.Duration
 	// ResendTimeout is how long a frame stays unacknowledged before it
 	// is retransmitted (default 500 ms).
@@ -144,22 +136,16 @@ func NewHub(n int, opts Options) *Hub {
 		lastDone:    make(map[[2]int]chan struct{}),
 	}
 	cfg := link.Config{
-		QueueLen:      opts.OutQueueLen,
-		Policy:        opts.Policy,
-		Window:        opts.AckWindow,
 		AckInterval:   opts.AckInterval,
 		ResendTimeout: opts.ResendTimeout,
 	}
 	for i := 1; i <= n; i++ {
 		e := &endpoint{hub: h, index: i, inbox: make(chan network.Envelope, inboxLen)}
 		cfg.Self = i
-		// Queues hold pointers: an 8-byte slot instead of a whole
-		// envelope keeps every idle queue small and cheap to scan for
-		// the collector.
-		e.links = link.New(cfg, func(env network.Envelope) *network.Envelope { return &env }, e.deliver)
+		e.links = link.New(cfg, func(env network.Envelope) network.Envelope { return env }, e.deliver)
 		for to := 1; to <= n; to++ {
 			if to != i {
-				e.links.AddPeer(to, func(env *network.Envelope) bool { return h.write(to, env) })
+				e.links.AddPeer(to, func(env network.Envelope) bool { return h.write(to, env) })
 			}
 		}
 		h.eps[i] = e
@@ -171,9 +157,12 @@ func NewHub(n int, opts Options) *Hub {
 func (h *Hub) Endpoint(i int) network.P2P { return h.eps[i] }
 
 // Crash makes a node unreachable and stops its sends, simulating a
-// crashed replica. Frames already queued toward it stay queued (its
-// peers' writers are "in dial-retry") and are delivered on Restart,
-// matching tcpnet's reconnect semantics.
+// crashed replica. Each peer's sender toward it stalls on the frame it
+// was writing, as a TCP writer sits in dial-retry. Frames sent toward
+// it wait in the peer's ack window and are delivered on Restart, as
+// tcpnet resends them on reconnect; once 1 024 of them are
+// unacknowledged, further sends toward it are refused at once with
+// network.ErrPeerBacklogged.
 func (h *Hub) Crash(i int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -216,8 +205,8 @@ func (h *Hub) Close() {
 
 // write is the sender of one directed link toward node to. A crashed
 // destination stalls it (the sender's "writer" is stuck redialing a
-// dead peer), so the bounded queue backs up exactly as tcpnet's does.
-func (h *Hub) write(to int, env *network.Envelope) bool {
+// dead peer), so the ack window fills exactly as tcpnet's does.
+func (h *Hub) write(to int, env network.Envelope) bool {
 	for {
 		h.mu.Lock()
 		down := h.crashed[to] && !h.closed
@@ -249,14 +238,14 @@ func (h *Hub) linkAuthentic(from, to int) bool {
 // unauthenticated link is wire loss — the handshake the frame would
 // have ridden behind never completes, matching tcpnet's rejection of
 // impostor and unrostered peers.
-func (h *Hub) transmit(to int, env *network.Envelope) {
+func (h *Hub) transmit(to int, env network.Envelope) {
 	now := time.Now()
 	if !h.linkAuthentic(env.From, to) {
 		return
 	}
 	h.mu.Lock()
 	if h.closed || h.crashed[env.From] || h.crashed[to] ||
-		(h.dropFn != nil && h.dropFn(*env)) {
+		(h.dropFn != nil && h.dropFn(env)) {
 		h.mu.Unlock()
 		return
 	}
@@ -302,12 +291,12 @@ func (h *Hub) transmit(to int, env *network.Envelope) {
 // accepted the frame is the frame reaching the engine queue just
 // before the death — in memnet's model the inbox survives the crash,
 // so it is still delivered.
-func (h *Hub) arrive(to int, env *network.Envelope) {
+func (h *Hub) arrive(to int, env network.Envelope) {
 	h.mu.Lock()
 	dead := h.closed || h.crashed[to]
 	h.mu.Unlock()
 	if !dead {
-		h.eps[to].links.Inbound(*env)
+		h.eps[to].links.Inbound(env)
 	}
 }
 
@@ -315,7 +304,7 @@ func (h *Hub) arrive(to int, env *network.Envelope) {
 type endpoint struct {
 	hub   *Hub
 	index int
-	links *link.Pipeline[*network.Envelope]
+	links *link.Pipeline[network.Envelope]
 	inbox chan network.Envelope
 }
 
@@ -344,7 +333,7 @@ func (e *endpoint) Broadcast(ctx context.Context, env network.Envelope) error {
 }
 
 // TransportStats snapshots this node's view of every peer link: a
-// crashed peer is Down (its sender is stalled, its queue backing up),
+// crashed peer is Down (its sender is stalled, its window filling),
 // an unauthenticated link on a secure hub is Down with the shape a
 // failed TCP handshake produces, everything else is Up.
 func (e *endpoint) TransportStats() network.TransportStats {

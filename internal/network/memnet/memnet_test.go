@@ -85,9 +85,9 @@ func TestCrashAndRestart(t *testing.T) {
 	hub := NewHub(2, Options{})
 	defer hub.Close()
 	hub.Crash(2)
-	// A send toward a crashed node queues on the link (the "writer" is
-	// stuck redialing the dead peer, as over TCP); nothing is delivered
-	// while the node is down.
+	// A send toward a crashed node waits in the link's window (the
+	// "writer" is stuck redialing the dead peer, as over TCP); nothing
+	// is delivered while the node is down.
 	if err := hub.Endpoint(1).Send(context.Background(), 2, network.Envelope{Payload: []byte("queued")}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCrashAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The backlog drains in order after the restart, like a TCP
-	// reconnect replaying the peer's outbound queue.
+	// reconnect replaying the peer's ack window.
 	env := recvOne(t, hub.Endpoint(2).Receive(), time.Second)
 	if string(env.Payload) != "queued" {
 		t.Fatalf("got %+v, want the queued frame first", env)

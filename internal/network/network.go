@@ -6,7 +6,7 @@
 // Three P2P implementations exist. tcpnet (TCP full mesh for
 // standalone deployments) and memnet (in-process, with a latency
 // matrix substituting for the paper's multi-region testbed) share one
-// link pipeline, internal/network/link, which owns queues, acks,
+// link pipeline, internal/network/link, which owns send windows, acks,
 // resends and Broadcast; each transport adds only how its frames move
 // (see their package comments). proxy delegates to a host platform.
 // TOB is provided by internal/tob (sequencer-based) or by the TOB
@@ -64,7 +64,7 @@ type Envelope struct {
 	// can tell a restarted peer (fresh sequence space) from a gap.
 	Epoch uint64
 	// Base is the sender's lowest retained sequence number at send time:
-	// everything below it was acknowledged or given up on, so a fresh
+	// everything below it was acknowledged, so a fresh
 	// receiver starts expecting Base, not 1.
 	Base uint64
 	// Ack piggybacks the cumulative acknowledgement for the reverse
@@ -114,18 +114,17 @@ func UnmarshalEnvelope(data []byte) (Envelope, error) {
 // Implementations must deliver each sent envelope at most once per
 // destination and preserve sender order on a per-link basis.
 //
-// Sends are asynchronous: Send and Broadcast enqueue onto a bounded
-// per-peer outbound queue in O(1) and never wait for dialing or for a
-// slow peer, so a dead peer cannot stall the protocol hot path. A full
-// queue is resolved by the transport's QueuePolicy; Broadcast reports
-// per-peer failures as a *BroadcastError (see FailedPeers).
+// Sends are asynchronous: Send and Broadcast stage the frame for the
+// peer's sender in O(1) and never wait for dialing or for a slow peer.
+// A peer with 1 024 unacknowledged frames (relink.Window) refuses
+// further ones at once with ErrPeerBacklogged; Broadcast reports per-peer
+// failures as a *BroadcastError (see FailedPeers).
 //
-// tcpnet and memnet additionally run the relink ack layer beneath
-// Send/Broadcast: every frame carries a per-link sequence number, the
-// receiver acknowledges delivery to the engine, and unacknowledged
-// frames are resent after a reconnect (bounded by the in-flight
-// window), with duplicates filtered before Receive. Such transports
-// report Reliable in their TransportStats.
+// tcpnet and memnet run the relink ack layer beneath Send/Broadcast:
+// every frame carries a per-link sequence number, the receiver
+// acknowledges delivery to the engine, and unacknowledged frames are
+// resent after a reconnect, with duplicates filtered before Receive.
+// Such transports report Reliable in their TransportStats.
 type P2P interface {
 	// Send delivers the envelope to one peer.
 	Send(ctx context.Context, to int, env Envelope) error
@@ -135,7 +134,7 @@ type P2P interface {
 	// closed by Close.
 	Receive() <-chan Envelope
 	// TransportStats snapshots the health of every peer link: state
-	// (up/dialing/down), queue depth, and send/drop counters.
+	// (up/dialing/down), unwritten frames, and send/drop counters.
 	TransportStats() TransportStats
 	// Close releases the transport.
 	Close() error

@@ -1,153 +1,42 @@
-// Package outq implements the bounded outbound queue behind each peer
-// link: producers (the protocol engine, the TOB sequencer) enqueue in
-// O(1) under a configurable full-queue policy, one consumer (the peer's
-// writer goroutine) drains. It is the flow-control seam between the
-// protocol hot path and the network: the queue absorbs bursts and peer
-// outages up to its capacity, then the policy decides who pays — the
-// caller (block), old traffic (drop-oldest), or the new frame
-// (fail-fast).
+// Package outq is a bounded FIFO queue with one consumer and any
+// number of producers. No transport uses it: each link's send
+// buffer is its relink ack window. It stays only because the
+// benchmark's microbenchmarks time one Enqueue/Dequeue cycle
+// (outq.cycle_ns).
 package outq
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"thetacrypt/internal/network"
 )
 
-// Queue is a bounded FIFO of T with one consumer and any number of
-// producers.
-type Queue[T any] struct {
-	policy network.QueuePolicy
-	ch     chan T
-	stop   chan struct{}
-	once   sync.Once
+// Queue is a bounded FIFO of T.
+type Queue[T any] struct{ ch chan T }
 
-	// evict serializes the evict-then-insert of PolicyDropOldest so
-	// concurrent producers cannot over-evict.
-	evict sync.Mutex
-
-	enqueued atomic.Uint64
-	dropped  atomic.Uint64
+// New creates a queue with the given capacity (minimum 1). Every queue
+// blocks when full; the policy argument is ignored.
+func New[T any](capacity int, _ network.QueuePolicy) *Queue[T] {
+	return &Queue[T]{ch: make(chan T, max(capacity, 1))}
 }
 
-// New creates a queue with the given capacity (minimum 1) and policy.
-func New[T any](capacity int, policy network.QueuePolicy) *Queue[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue[T]{
-		policy: policy,
-		ch:     make(chan T, capacity),
-		stop:   make(chan struct{}),
-	}
-}
-
-// Enqueue admits one item. On a full queue the policy decides:
-// PolicyBlock waits for space (bounded by ctx and Close),
-// PolicyDropOldest evicts the oldest queued item, PolicyFailFast
-// returns network.ErrPeerBacklogged. Enqueue never dials, writes, or
-// otherwise touches the network.
+// Enqueue admits one item, waiting for space as long as ctx allows.
 func (q *Queue[T]) Enqueue(ctx context.Context, item T) error {
 	select {
-	case <-q.stop:
-		return network.ErrTransportClosed
-	default:
-	}
-	select {
 	case q.ch <- item:
-		q.enqueued.Add(1)
 		return nil
-	default:
-	}
-	switch q.policy {
-	case network.PolicyDropOldest:
-		q.evict.Lock()
-		defer q.evict.Unlock()
-		for {
-			select {
-			case q.ch <- item:
-				q.enqueued.Add(1)
-				return nil
-			default:
-			}
-			select {
-			case <-q.ch: // evict the oldest; the consumer may win this race
-				q.dropped.Add(1)
-			default:
-			}
-		}
-	case network.PolicyFailFast:
-		q.dropped.Add(1)
-		return network.ErrPeerBacklogged
-	default: // PolicyBlock
-		select {
-		case q.ch <- item:
-			q.enqueued.Add(1)
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-q.stop:
-			return network.ErrTransportClosed
-		}
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// TryEnqueue admits one item only if space is immediately available,
-// regardless of policy, and reports whether it was admitted. It never
-// blocks, never evicts, and does not count a rejection as a drop: the
-// ack layer uses it for retransmissions and acknowledgements, which are
-// retried on the next tick rather than displacing fresh traffic.
-func (q *Queue[T]) TryEnqueue(item T) bool {
-	select {
-	case <-q.stop:
-		return false
-	default:
-	}
-	select {
-	case q.ch <- item:
-		q.enqueued.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-// Dequeue blocks until an item is available or the queue (or the given
-// stop channel) closes; ok is false on shutdown. Only one goroutine may
-// consume.
+// Dequeue blocks until an item is available or stop closes; ok is
+// false on stop. Only one goroutine may consume.
 func (q *Queue[T]) Dequeue(stop <-chan struct{}) (item T, ok bool) {
 	select {
 	case item = <-q.ch:
 		return item, true
-	default:
-	}
-	select {
-	case item = <-q.ch:
-		return item, true
-	case <-q.stop:
 	case <-stop:
+		return item, false
 	}
-	// Shutdown wins over any backlog: the consumer's connection is being
-	// torn down, so flushing would only delay Close.
-	var zero T
-	return zero, false
 }
-
-// Close unblocks producers and the consumer; further enqueues fail with
-// network.ErrTransportClosed.
-func (q *Queue[T]) Close() { q.once.Do(func() { close(q.stop) }) }
-
-// Len is the current queue depth.
-func (q *Queue[T]) Len() int { return len(q.ch) }
-
-// Cap is the queue capacity.
-func (q *Queue[T]) Cap() int { return cap(q.ch) }
-
-// Enqueued counts admitted items since creation.
-func (q *Queue[T]) Enqueued() uint64 { return q.enqueued.Load() }
-
-// Dropped counts items lost to the policy (evictions under drop-oldest,
-// rejections under fail-fast).
-func (q *Queue[T]) Dropped() uint64 { return q.dropped.Load() }

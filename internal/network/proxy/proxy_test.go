@@ -34,9 +34,8 @@ func TestProxyForwardsTransportStats(t *testing.T) {
 	if len(got.Peers) != len(want.Peers) || len(got.Peers) == 0 {
 		t.Fatalf("proxied snapshot has %d peers, host has %d", len(got.Peers), len(want.Peers))
 	}
-	if got.Policy != want.Policy || got.Reliable != want.Reliable {
-		t.Fatalf("proxied policy/reliability %v/%v, host %v/%v",
-			got.Policy, got.Reliable, want.Policy, want.Reliable)
+	if got.Reliable != want.Reliable {
+		t.Fatalf("proxied reliability %v, host %v", got.Reliable, want.Reliable)
 	}
 
 	// Traffic through the proxy must show up in the forwarded counters.

@@ -5,15 +5,19 @@
 // crash is counted "sent" and silently lost. relink closes that gap:
 //
 //   - Every outbound data frame carries a monotonically increasing
-//     per-link sequence number (Link.Stage) and is retained in a
-//     bounded in-flight window until the peer acknowledges it.
+//     per-link sequence number (Link.Stage) and stays in the link's
+//     window of Window frames until the peer acknowledges it. The
+//     window is the link's only send buffer: the sender takes each
+//     write from it (Link.Next), and a full window refuses the next
+//     frame at once.
 //   - The receiver (Inbox) delivers frames to the engine exactly once
 //     and in order per link, buffering out-of-order arrivals and
 //     filtering duplicates keyed by (peer, seq).
 //   - Acknowledgements are cumulative, piggybacked on reverse traffic
-//     and coalesced onto a short timer otherwise; unacknowledged frames
-//     are resent after the resend timeout, which is what redelivers
-//     everything lost across a reconnect.
+//     and coalesced onto a short timer otherwise; once the oldest
+//     unacknowledged frame was written ResendTimeout ago, the window is
+//     written again from it, which is what redelivers everything lost
+//     across a reconnect.
 //
 // A transport restart gets a fresh Epoch (incarnation id), so a peer
 // can tell a restarted sender (fresh sequence space, reset the inbound
@@ -36,33 +40,26 @@ import (
 	"thetacrypt/internal/network"
 )
 
+// Window is the number of unacknowledged frames one link holds. A
+// frame past it is refused with network.ErrPeerBacklogged, so a dead
+// or stalled peer costs its senders nothing but the refusal.
+const Window = 1024
+
 // Config tunes one transport's ack layer. The zero value selects the
 // defaults.
 type Config struct {
-	// Window bounds the unacknowledged frames retained per link
-	// (default 1024). A full window is resolved by Policy, exactly like
-	// a full outbound queue.
-	Window int
 	// AckInterval is the coalescing delay for standalone
 	// acknowledgements when no reverse traffic piggybacks them
 	// (default 25ms).
 	AckInterval time.Duration
-	// ResendTimeout is how long a staged frame stays unacknowledged
-	// before it is retransmitted (default 500ms). It should exceed one
-	// round trip plus AckInterval.
+	// ResendTimeout is how long the oldest unacknowledged frame waits
+	// after its last write before the window is written again (default
+	// 500ms). It should exceed one round trip plus AckInterval.
 	ResendTimeout time.Duration
-	// Policy resolves a full window: block (bounded by the send
-	// context), drop-oldest (evict the oldest unacknowledged frame —
-	// the only way a reliable transport definitively loses a frame), or
-	// fail-fast (reject the new frame).
-	Policy network.QueuePolicy
 }
 
 // WithDefaults fills unset fields.
 func (c Config) WithDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 1024
-	}
 	if c.AckInterval <= 0 {
 		c.AckInterval = 25 * time.Millisecond
 	}
@@ -91,30 +88,30 @@ func NewEpoch() uint64 {
 
 // entry is one staged frame awaiting acknowledgement.
 type entry struct {
-	env    network.Envelope
+	env network.Envelope
+	// sentAt is when the frame was last handed out for writing.
 	sentAt time.Time
 }
 
 // Link is the outbound half of one directed peer link: it assigns
-// sequence numbers, retains unacknowledged frames in a bounded window,
-// and hands back what must be retransmitted. Any number of goroutines
-// may Stage; Ack and Resend are typically driven by the transport's
-// reader and ticker.
+// sequence numbers, holds unacknowledged frames in the window, and
+// hands its sender the next frame to write. Any number of goroutines
+// may Stage; one sender calls Next, and the transport's reader calls
+// Ack.
 type Link struct {
 	cfg   Config
 	epoch uint64
 
 	mu      sync.Mutex
-	nextSeq uint64   // next sequence number to assign; first frame is 1
-	ackedTo uint64   // highest cumulative acknowledgement seen
-	window  []*entry // unacknowledged frames in sequence order
-	dropped uint64   // window evictions under drop-oldest
-	resent  uint64
-	closed  bool
-	// space is closed and replaced whenever window room frees up, waking
-	// block-policy stagers.
-	space chan struct{}
-	stop  chan struct{}
+	nextSeq uint64  // next sequence number to assign; first frame is 1
+	ackedTo uint64  // highest cumulative acknowledgement seen
+	window  []entry // unacknowledged frames in sequence order
+	// next is the write cursor: window[next] is the frame Next hands
+	// out. window[written:] was never handed out; next <= written.
+	next, written int
+	staged        uint64
+	dropped       uint64 // frames refused by a full window
+	resent        uint64
 }
 
 // NewLink creates the outbound state of one link under the given
@@ -125,8 +122,6 @@ func NewLink(epoch uint64, cfg Config) *Link {
 		epoch: epoch,
 		// Seq 0 marks unsequenced frames, so assignment starts at 1.
 		nextSeq: 1,
-		space:   make(chan struct{}),
-		stop:    make(chan struct{}),
 	}
 }
 
@@ -139,50 +134,53 @@ func (l *Link) baseLocked() uint64 {
 	return l.nextSeq
 }
 
-// Stage admits one data frame to the in-flight window, assigns its
-// sequence number, and returns the framed envelope to transmit. On a
-// full window the policy decides: block waits for acknowledgements
-// (bounded by ctx), drop-oldest evicts the oldest unacknowledged frame,
-// fail-fast returns network.ErrPeerBacklogged. A staged frame is
-// retained (and resent) until acknowledged, even if the transport's
-// queue later rejects or evicts it.
-func (l *Link) Stage(ctx context.Context, env network.Envelope) (network.Envelope, error) {
-	for {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return env, network.ErrTransportClosed
-		}
-		if len(l.window) >= l.cfg.Window {
-			switch l.cfg.Policy {
-			case network.PolicyDropOldest:
-				l.window = l.window[1:]
-				l.dropped++
-			case network.PolicyFailFast:
-				l.dropped++
-				l.mu.Unlock()
-				return env, network.ErrPeerBacklogged
-			default: // PolicyBlock
-				wait := l.space
-				l.mu.Unlock()
-				select {
-				case <-wait:
-					continue
-				case <-ctx.Done():
-					return env, ctx.Err()
-				case <-l.stop:
-					return env, network.ErrTransportClosed
-				}
-			}
-		}
-		env.Seq = l.nextSeq
-		l.nextSeq++
-		env.Epoch = l.epoch
-		l.window = append(l.window, &entry{env: env, sentAt: time.Now()})
-		env.Base = l.baseLocked()
-		l.mu.Unlock()
-		return env, nil
+// Stage admits one data frame to the window, assigns its sequence
+// number, and returns the framed envelope. It never waits: a full
+// window refuses the frame with network.ErrPeerBacklogged and counts it
+// in Dropped, and a refused frame gets no sequence number, so the
+// receiver sees no gap. ctx is unused.
+func (l *Link) Stage(_ context.Context, env network.Envelope) (network.Envelope, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.window) >= Window {
+		l.dropped++
+		return env, network.ErrPeerBacklogged
 	}
+	env.Seq, env.Epoch = l.nextSeq, l.epoch
+	l.nextSeq++
+	l.staged++
+	l.window = append(l.window, entry{env: env})
+	env.Base = l.baseLocked()
+	return env, nil
+}
+
+// Next hands out the frame to write now, with a current Base: the
+// oldest frame not handed out yet; else, once the oldest
+// unacknowledged frame was handed out ResendTimeout before now, that
+// frame, and the cursor goes back so that every unacknowledged frame is
+// written again in order. Frames written after a lost one are useless
+// to a receiver that delivers in order, so they go again with it. ok is
+// false when nothing is due.
+func (l *Link) Next(now time.Time) (env network.Envelope, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.next == len(l.window) {
+		if l.next == 0 || now.Sub(l.window[0].sentAt) < l.cfg.ResendTimeout {
+			return env, false
+		}
+		l.next = 0
+	}
+	if l.next < l.written {
+		l.resent++
+	} else {
+		l.written++
+	}
+	en := &l.window[l.next]
+	l.next++
+	en.sentAt = now
+	env = en.env
+	env.Base = l.baseLocked()
+	return env, true
 }
 
 // Ack discharges every staged frame with sequence <= upTo. Acks for a
@@ -192,89 +190,34 @@ func (l *Link) Ack(epoch, upTo uint64) {
 		return
 	}
 	l.mu.Lock()
-	freed := false
-	for len(l.window) > 0 && l.window[0].env.Seq <= upTo {
-		l.window = l.window[1:]
-		freed = true
+	defer l.mu.Unlock()
+	k := 0
+	for k < len(l.window) && l.window[k].env.Seq <= upTo {
+		k++
 	}
-	if upTo > l.ackedTo {
-		l.ackedTo = upTo
-	}
-	if freed {
-		close(l.space)
-		l.space = make(chan struct{})
-	}
-	l.mu.Unlock()
+	clear(l.window[:k]) // release the payloads
+	l.window = l.window[k:]
+	l.next, l.written = max(l.next-k, 0), max(l.written-k, 0)
+	l.ackedTo = max(l.ackedTo, upTo)
 }
 
-// Resend walks the window and re-emits every frame whose last
-// transmission is older than the resend timeout, with a refreshed Base.
-// emit reports whether the frame was actually requeued; only then does
-// its clock (and the resent counter) advance, so a full queue retries
-// on the next tick instead of silently aging the frame. The scan stops
-// at the first failed emit: all frames share one queue, so the rest of
-// the tick would fail (and pointlessly marshal) too. Returns the
-// number of frames requeued.
-func (l *Link) Resend(now time.Time, emit func(network.Envelope) bool) int {
+// Stats fills the link's half of a peer snapshot: the unwritten frames
+// (QueueDepth) out of the window (QueueCap), the frames staged
+// (Enqueued) and refused (Dropped), the cumulative acknowledgement
+// (Delivered), the unacknowledged frames (Inflight) and the writes that
+// were resends (Resent).
+func (l *Link) Stats() network.PeerStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	base := l.baseLocked()
-	for _, en := range l.window {
-		if now.Sub(en.sentAt) < l.cfg.ResendTimeout {
-			continue
-		}
-		env := en.env
-		env.Base = base
-		if !emit(env) {
-			break
-		}
-		en.sentAt = now
-		l.resent++
-		n++
+	return network.PeerStats{
+		QueueDepth: len(l.window) - l.written,
+		QueueCap:   Window,
+		Enqueued:   l.staged,
+		Dropped:    l.dropped,
+		Delivered:  l.ackedTo,
+		Inflight:   len(l.window),
+		Resent:     l.resent,
 	}
-	return n
-}
-
-// Close wakes blocked stagers; further stages fail with
-// network.ErrTransportClosed. Window contents are discarded — the
-// transport is going away.
-func (l *Link) Close() {
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.stop)
-	}
-	l.mu.Unlock()
-}
-
-// Delivered is the cumulative acknowledgement: frames the peer
-// confirmed were handed to its engine.
-func (l *Link) Delivered() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ackedTo
-}
-
-// Inflight is the number of staged, unacknowledged frames.
-func (l *Link) Inflight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.window)
-}
-
-// Resent counts retransmissions since creation.
-func (l *Link) Resent() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.resent
-}
-
-// Dropped counts window evictions (definitive losses) since creation.
-func (l *Link) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // inboxState is the delivery cursor of one sender incarnation.
@@ -337,7 +280,7 @@ func (in *Inbox) stateFor(env network.Envelope) *inboxState {
 	}
 	// First contact with this incarnation: start at the sender's window
 	// base — everything below it was acknowledged (possibly to a
-	// previous incarnation of this node) or given up on.
+	// previous incarnation of this node).
 	s := &inboxState{epoch: env.Epoch, expected: env.Base, buffer: make(map[uint64]network.Envelope)}
 	if s.expected == 0 {
 		s.expected = 1
@@ -354,9 +297,8 @@ func (in *Inbox) stateFor(env network.Envelope) *inboxState {
 // nothing but still mark an acknowledgement as owed — the sender
 // clearly missed our last one. A frame from an unseen sender epoch
 // opens a fresh cursor (the peer restarted); a Base above the cursor
-// jumps it (the sender gave the skipped frames up, e.g. window
-// evictions under drop-oldest, or we restarted and everything older
-// was acknowledged to our previous incarnation).
+// jumps it (we restarted, and everything older was acknowledged to our
+// previous incarnation).
 func (in *Inbox) Accept(env network.Envelope) []network.Envelope {
 	in.mu.Lock()
 	defer in.mu.Unlock()

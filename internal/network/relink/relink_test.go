@@ -29,7 +29,7 @@ func TestStageAssignsMonotonicSeqs(t *testing.T) {
 			t.Fatalf("frame %d base = %d, want 1 (nothing acked)", i, env.Base)
 		}
 	}
-	if got := l.Inflight(); got != 5 {
+	if got := l.Stats().Inflight; got != 5 {
 		t.Fatalf("inflight = %d, want 5", got)
 	}
 }
@@ -40,116 +40,85 @@ func TestAckDischargesCumulatively(t *testing.T) {
 		stage(t, l, i)
 	}
 	l.Ack(99, 4) // wrong epoch: ignored
-	if l.Delivered() != 0 || l.Inflight() != 4 {
-		t.Fatalf("foreign-epoch ack discharged frames: delivered=%d inflight=%d", l.Delivered(), l.Inflight())
+	if st := l.Stats(); st.Delivered != 0 || st.Inflight != 4 {
+		t.Fatalf("foreign-epoch ack discharged frames: delivered=%d inflight=%d", st.Delivered, st.Inflight)
 	}
 	l.Ack(7, 3)
-	if l.Delivered() != 3 || l.Inflight() != 1 {
-		t.Fatalf("after ack 3: delivered=%d inflight=%d", l.Delivered(), l.Inflight())
+	if st := l.Stats(); st.Delivered != 3 || st.Inflight != 1 {
+		t.Fatalf("after ack 3: delivered=%d inflight=%d", st.Delivered, st.Inflight)
 	}
 	if env := stage(t, l, 5); env.Base != 4 {
 		t.Fatalf("base after ack 3 = %d, want 4", env.Base)
 	}
 }
 
-func TestWindowBlockPolicyWaitsForAck(t *testing.T) {
-	l := NewLink(1, Config{Window: 2, Policy: network.PolicyBlock})
-	stage(t, l, 1)
-	stage(t, l, 2)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := l.Stage(ctx, network.Envelope{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stage into full window returned %v, want DeadlineExceeded", err)
-	}
-
-	done := make(chan network.Envelope, 1)
-	go func() {
-		env, err := l.Stage(context.Background(), network.Envelope{})
-		if err != nil {
-			t.Errorf("stage after ack: %v", err)
-		}
-		done <- env
-	}()
-	time.Sleep(10 * time.Millisecond)
-	l.Ack(1, 1)
-	select {
-	case env := <-done:
-		// Seq 3 was burned by the deadline-exceeded attempt's... no: a
-		// failed block never assigns a sequence number, so this is 3.
-		if env.Seq != 3 {
-			t.Fatalf("unblocked stage got seq %d, want 3", env.Seq)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("stage not unblocked by ack")
-	}
-}
-
+// TestWindowFailFast: the frame past a full window is refused at once
+// and counted, and takes no sequence number, so the next admitted
+// frame leaves no gap.
 func TestWindowFailFast(t *testing.T) {
-	l := NewLink(1, Config{Window: 1, Policy: network.PolicyFailFast})
-	stage(t, l, 1)
+	l := NewLink(1, Config{})
+	for i := 1; i <= Window; i++ {
+		stage(t, l, i)
+	}
+	start := time.Now()
 	if _, err := l.Stage(context.Background(), network.Envelope{}); !errors.Is(err, network.ErrPeerBacklogged) {
-		t.Fatalf("full fail-fast window returned %v, want ErrPeerBacklogged", err)
+		t.Fatalf("full window returned %v, want ErrPeerBacklogged", err)
 	}
-	if l.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", l.Dropped())
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("refusal took %v", d)
 	}
-}
-
-func TestWindowDropOldestEvictsAndAdvancesBase(t *testing.T) {
-	l := NewLink(1, Config{Window: 2, Policy: network.PolicyDropOldest})
-	stage(t, l, 1)
-	stage(t, l, 2)
-	env := stage(t, l, 3) // evicts seq 1
-	if env.Seq != 3 || env.Base != 2 {
-		t.Fatalf("post-eviction frame seq=%d base=%d, want 3/2", env.Seq, env.Base)
+	if st := l.Stats(); st.Dropped != 1 || st.Enqueued != Window || st.QueueDepth != Window || st.QueueCap != Window {
+		t.Fatalf("stats %+v, want 1 dropped and a full window", st)
 	}
-	if l.Dropped() != 1 || l.Inflight() != 2 {
-		t.Fatalf("dropped=%d inflight=%d, want 1/2", l.Dropped(), l.Inflight())
+	l.Ack(1, 1)
+	if env := stage(t, l, 0); env.Seq != Window+1 {
+		t.Fatalf("frame after the refusal got seq %d, want %d", env.Seq, Window+1)
 	}
 }
 
-func TestResendOnlyStaleFramesAndHonorsEmit(t *testing.T) {
+// TestNextWritesInOrderThenGoesBack: Next hands out each staged frame
+// once, in order; once the oldest unacknowledged frame is stale it
+// hands out every unacknowledged frame again, counted as resends, with
+// the current Base.
+func TestNextWritesInOrderThenGoesBack(t *testing.T) {
 	l := NewLink(1, Config{ResendTimeout: 10 * time.Millisecond})
 	stage(t, l, 1)
 	stage(t, l, 2)
-	if n := l.Resend(time.Now(), func(network.Envelope) bool { return true }); n != 0 {
-		t.Fatalf("fresh frames resent: %d", n)
-	}
-	later := time.Now().Add(20 * time.Millisecond)
-	var got []uint64
-	n := l.Resend(later, func(env network.Envelope) bool {
-		got = append(got, env.Seq)
-		return env.Seq == 1 // pretend the queue only had room for one
-	})
-	if n != 1 || len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("resend requeued %d of %v, want 1 of [1 2]", n, got)
-	}
-	// Frame 2 was not requeued, so it is still due; frame 1's clock
-	// advanced.
-	n = l.Resend(later, func(env network.Envelope) bool { return true })
-	if n != 1 || l.Resent() != 2 {
-		t.Fatalf("second pass requeued %d (resent total %d), want 1 (2)", n, l.Resent())
-	}
-}
-
-func TestCloseUnblocksStagers(t *testing.T) {
-	l := NewLink(1, Config{Window: 1, Policy: network.PolicyBlock})
-	stage(t, l, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := l.Stage(context.Background(), network.Envelope{})
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	l.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, network.ErrTransportClosed) {
-			t.Fatalf("blocked stage returned %v after Close", err)
+	next := func(now time.Time) uint64 {
+		t.Helper()
+		env, ok := l.Next(now)
+		if !ok {
+			return 0
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not unblock the stager")
+		return env.Seq
+	}
+	now := time.Now()
+	if a, b, c := next(now), next(now), next(now); a != 1 || b != 2 || c != 0 {
+		t.Fatalf("first writes %d %d %d, want 1 2 then nothing", a, b, c)
+	}
+	if st := l.Stats(); st.QueueDepth != 0 || st.Resent != 0 {
+		t.Fatalf("stats after the first writes %+v", st)
+	}
+	stage(t, l, 3)
+	if got := next(now.Add(5 * time.Millisecond)); got != 3 {
+		t.Fatalf("fresh frame written as %d, want 3", got)
+	}
+	if got := next(now.Add(5 * time.Millisecond)); got != 0 {
+		t.Fatalf("frame %d resent before the timeout", got)
+	}
+	l.Ack(1, 1)
+	later := now.Add(20 * time.Millisecond)
+	for _, want := range []uint64{2, 3} {
+		env, ok := l.Next(later)
+		if !ok || env.Seq != want || env.Base != 2 {
+			t.Fatalf("resend = seq %d base %d (%v), want seq %d base 2", env.Seq, env.Base, ok, want)
+		}
+	}
+	if got := next(later); got != 0 {
+		t.Fatalf("frame %d resent twice in one pass", got)
+	}
+	if st := l.Stats(); st.Resent != 2 {
+		t.Fatalf("resent = %d, want 2", st.Resent)
 	}
 }
 
@@ -270,7 +239,7 @@ func TestInboxBaseJumpSkipsSettledFrames(t *testing.T) {
 	if got := in.Accept(frame(5, 4, 4, 4)); len(got) != 2 || got[0].Round != 4 || got[1].Round != 5 {
 		t.Fatalf("base-jump delivery %v, want [4 5]", rounds(got))
 	}
-	// Mid-stream jump: the sender evicted 6 under drop-oldest.
+	// Mid-stream jump: the sender's base moved past 6.
 	if got := in.Accept(frame(5, 7, 7, 7)); len(got) != 1 || got[0].Round != 7 {
 		t.Fatalf("jump past evicted frame delivered %v, want [7]", rounds(got))
 	}
@@ -286,43 +255,29 @@ func TestInboxUnsequencedPassThroughIsCallersJob(t *testing.T) {
 }
 
 // BenchmarkRelinkStageAckCycle measures the ack layer's hot path: stage
-// one frame, accept it, discharge the window — the per-frame overhead
-// added beneath every Send.
+// one frame, hand it to the sender, accept it, discharge the window —
+// the per-frame overhead added beneath every Send.
 func BenchmarkRelinkStageAckCycle(b *testing.B) {
-	l := NewLink(3, Config{Window: 4096})
-	in := NewInbox(4096)
+	l := NewLink(3, Config{})
+	in := NewInbox(Window)
 	ctx := context.Background()
 	env := network.Envelope{Kind: network.KindProto, Payload: []byte("bench")}
+	now := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		staged, err := l.Stage(ctx, env)
-		if err != nil {
+		if _, err := l.Stage(ctx, env); err != nil {
 			b.Fatal(err)
 		}
-		out := in.Accept(staged)
+		written, ok := l.Next(now)
+		if !ok {
+			b.Fatal("staged frame not handed out")
+		}
+		out := in.Accept(written)
 		if len(out) != 1 {
 			b.Fatalf("accept delivered %d frames", len(out))
 		}
 		epoch, upTo, _ := in.AckValue()
 		l.Ack(epoch, upTo)
-	}
-}
-
-// BenchmarkRelinkResendScan measures one resend pass over a full but
-// fresh window (nothing due) — the steady-state ticker cost.
-func BenchmarkRelinkResendScan(b *testing.B) {
-	l := NewLink(3, Config{Window: 1024, ResendTimeout: time.Hour})
-	ctx := context.Background()
-	for i := 0; i < 1024; i++ {
-		if _, err := l.Stage(ctx, network.Envelope{Kind: network.KindProto}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Resend(now, func(network.Envelope) bool { return true })
 	}
 }

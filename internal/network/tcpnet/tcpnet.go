@@ -3,8 +3,8 @@
 // libp2p gossip overlay; the paper's model only requires reliable
 // point-to-point channels, which persistent TCP links provide directly.
 //
-// Queues, the relink ack layer and Broadcast come from the shared link
-// pipeline (internal/network/link). tcpnet adds what is specific to
+// Send windows, the relink ack layer and Broadcast come from the shared
+// link pipeline (internal/network/link). tcpnet adds what is specific to
 // TCP: the listener and one read loop per accepted connection, a
 // per-peer connection that its sender goroutine dials in the
 // background with exponential backoff while tracking link health
@@ -45,6 +45,14 @@ const inboundQueueLen = 1024
 // It is also the default securelink handshake deadline.
 const writeTimeout = 30 * time.Second
 
+// Dial backoff: a failed dial or write waits dialRetry before the next
+// attempt, doubling per consecutive failure up to dialBackoffMax, which
+// also bounds one dial.
+const (
+	dialRetry      = 250 * time.Millisecond
+	dialBackoffMax = 4 * time.Second
+)
+
 // Config describes one node's view of the mesh.
 type Config struct {
 	// Self is this node's index (1-based).
@@ -53,24 +61,8 @@ type Config struct {
 	ListenAddr string
 	// Peers maps node index to dialable address for every OTHER node.
 	Peers map[int]string
-	// DialRetry is the initial backoff between reconnect attempts
-	// (default 250 ms); it doubles per consecutive failure up to
-	// DialBackoffMax.
-	DialRetry time.Duration
-	// DialBackoffMax caps the exponential dial backoff (default 4 s).
-	DialBackoffMax time.Duration
-	// OutQueueLen bounds each peer's outbound queue (default 1024
-	// frames). The queue absorbs bursts and peer outages; overflow is
-	// resolved by Policy.
-	OutQueueLen int
-	// Policy selects the full-queue behavior (default PolicyBlock:
-	// wait for space, bounded by the send context).
-	Policy network.QueuePolicy
-	// AckWindow bounds the unacknowledged frames retained per link for
-	// resend (default 1024); a full window is resolved by Policy.
-	AckWindow int
-	// AckInterval coalesces standalone acknowledgements and paces the
-	// resend scan (default 25 ms).
+	// AckInterval coalesces standalone acknowledgements and paces how
+	// often senders check for a due resend (default 25 ms).
 	AckInterval time.Duration
 	// ResendTimeout is how long a frame stays unacknowledged before it
 	// is retransmitted (default 500 ms).
@@ -131,15 +123,6 @@ var _ network.P2P = (*Transport)(nil)
 // the background once traffic arrives, with exponential backoff on
 // failure.
 func New(cfg Config) (*Transport, error) {
-	if cfg.DialRetry <= 0 {
-		cfg.DialRetry = 250 * time.Millisecond
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = 4 * time.Second
-	}
-	if cfg.DialBackoffMax < cfg.DialRetry {
-		cfg.DialBackoffMax = cfg.DialRetry
-	}
 	if cfg.Secure != nil {
 		if cfg.Secure.Key == nil || len(cfg.Secure.Roster) == 0 {
 			return nil, fmt.Errorf("tcpnet: secure mode needs an identity key and a roster")
@@ -168,9 +151,6 @@ func New(cfg Config) (*Transport, error) {
 	}
 	t.links = link.New(link.Config{
 		Self:          cfg.Self,
-		QueueLen:      cfg.OutQueueLen,
-		Policy:        cfg.Policy,
-		Window:        cfg.AckWindow,
 		AckInterval:   cfg.AckInterval,
 		ResendTimeout: cfg.ResendTimeout,
 	}, network.Envelope.Marshal, t.deliver)
@@ -270,11 +250,11 @@ func (t *Transport) deliver(env network.Envelope) bool {
 
 // write delivers one frame to peer p, owning its connection. Dial
 // failures and write errors put the link into exponential backoff
-// (DialRetry doubling up to DialBackoffMax); the frame is retried, not
-// dropped — overflow policy applies only at enqueue time. It returns
-// false once the transport stops.
+// (dialRetry doubling up to dialBackoffMax); the frame is retried, not
+// dropped, while the frames behind it wait in the ack window. It
+// returns false once the transport stops.
 func (t *Transport) write(p *peer, frame []byte) bool {
-	for backoff := t.cfg.DialRetry; ; backoff = min(backoff*2, t.cfg.DialBackoffMax) {
+	for backoff := dialRetry; ; backoff = min(backoff*2, dialBackoffMax) {
 		select {
 		case <-t.stop:
 			return false
@@ -323,7 +303,7 @@ func (t *Transport) ensureConn(p *peer) (net.Conn, error) {
 	// Bound the attempt: a blackholed peer (packets silently dropped)
 	// must fail within the backoff cap, not pin the writer for the OS
 	// SYN-retry window.
-	dialer := net.Dialer{Timeout: t.cfg.DialBackoffMax}
+	dialer := net.Dialer{Timeout: dialBackoffMax}
 	conn, err := dialer.DialContext(t.dialCtx, "tcp", addr)
 	if err != nil {
 		p.noteFailure(err)
@@ -383,13 +363,13 @@ func (p *peer) dropConn(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// Send enqueues one envelope for a registered peer in O(1); the
-// peer's sender delivers it in the background (see link.Pipeline.Send).
+// Send stages one envelope for a registered peer in O(1); the peer's
+// sender delivers it in the background (see link.Pipeline.Send).
 func (t *Transport) Send(ctx context.Context, to int, env network.Envelope) error {
 	return t.links.Send(ctx, to, env)
 }
 
-// Broadcast enqueues the envelope for every registered peer, addressed
+// Broadcast stages the envelope for every registered peer, addressed
 // To=Broadcast, and aggregates per-peer failures into a
 // *network.BroadcastError.
 func (t *Transport) Broadcast(ctx context.Context, env network.Envelope) error {

@@ -2,6 +2,7 @@ package tcpnet_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -53,13 +54,13 @@ func (s *slowListener) close() {
 }
 
 // TestSlowPeerDoesNotBlockOtherSends: each peer's frames flow through
-// its own bounded queue and writer goroutine, so a peer that stops
-// reading stalls only its own link — its queue fills and (block policy)
-// its senders wait on their context, while sends to healthy peers
-// proceed untouched. The small OutQueueLen keeps the wedged link's
-// backlog bounded in memory, exactly what it does in production.
+// its own ack window and writer goroutine, so a peer that stops
+// reading stalls only its own link — its window fills and then refuses
+// further sends toward it, while sends to healthy peers proceed
+// untouched. The window bounds the wedged link's backlog to 1 024
+// frames, exactly what it does in production.
 func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
-	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", OutQueueLen: 8})
+	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +76,7 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 	// reads fill the socket buffers within a few sends.
 	spamCtx, cancelSpam := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	spamErr := make(chan error, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -84,6 +86,7 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 		}
 		for spamCtx.Err() == nil {
 			if err := t1.Send(spamCtx, 2, big); err != nil {
+				spamErr <- err
 				return
 			}
 		}
@@ -96,6 +99,14 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 		slow.close()
 	})
 	time.Sleep(300 * time.Millisecond) // let the writer fill the buffers and stall
+	select {
+	case err := <-spamErr:
+		if !errors.Is(err, network.ErrPeerBacklogged) {
+			t.Fatalf("sends into the wedged link stopped with %v, want ErrPeerBacklogged", err)
+		}
+	default:
+		t.Fatal("sends into the wedged link were never refused")
+	}
 
 	// A send to the healthy peer must complete promptly regardless.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

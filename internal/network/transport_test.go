@@ -11,6 +11,7 @@ import (
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/network/proxy"
+	"thetacrypt/internal/network/relink"
 	"thetacrypt/internal/network/tcpnet"
 	"thetacrypt/internal/orchestration"
 	"thetacrypt/internal/protocols"
@@ -176,9 +177,9 @@ func TestProxyBridgesP2P(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Conformance: the asynchronous per-peer pipeline (bounded outbound
-// queues, writer goroutines, health states, full-queue policies) must
-// behave identically over real TCP (tcpnet) and in-process (memnet).
+// Conformance: the asynchronous per-peer pipeline (ack windows, writer
+// goroutines, health states, refusal past a full window) must behave
+// identically over real TCP (tcpnet) and in-process (memnet).
 // Each harness builds an n-node mesh and can take one node fully down:
 // closing the tcpnet transport (dials refused, writers in dial-backoff)
 // or crashing the memnet node (pumps stalled).
@@ -195,12 +196,9 @@ type transportHarness struct {
 	stop    func()
 }
 
-// conformanceConfig tunes the per-peer queues and the ack layer of a
-// harness. Zero ack fields select the transport defaults.
+// conformanceConfig tunes the ack layer of a harness. Zero fields
+// select the transport defaults.
 type conformanceConfig struct {
-	outQueue      int
-	policy        network.QueuePolicy
-	ackWindow     int
 	ackInterval   time.Duration
 	resendTimeout time.Duration
 }
@@ -211,16 +209,8 @@ func tcpHarness(t *testing.T, n int, cfg conformanceConfig) *transportHarness {
 		tr, err := tcpnet.New(tcpnet.Config{
 			Self:          self,
 			ListenAddr:    addr,
-			OutQueueLen:   cfg.outQueue,
-			Policy:        cfg.policy,
-			AckWindow:     cfg.ackWindow,
 			AckInterval:   cfg.ackInterval,
 			ResendTimeout: cfg.resendTimeout,
-			// A long retry keeps a dead peer's writer parked in backoff
-			// for the duration of the assertions; short enough that a
-			// restarted peer is re-dialed within the test window.
-			DialRetry:      250 * time.Millisecond,
-			DialBackoffMax: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -275,9 +265,6 @@ func tcpHarness(t *testing.T, n int, cfg conformanceConfig) *transportHarness {
 func memHarness(t *testing.T, n int, cfg conformanceConfig) *transportHarness {
 	t.Helper()
 	hub := memnet.NewHub(n, memnet.Options{
-		OutQueueLen:   cfg.outQueue,
-		Policy:        cfg.policy,
-		AckWindow:     cfg.ackWindow,
 		AckInterval:   cfg.ackInterval,
 		ResendTimeout: cfg.resendTimeout,
 	})
@@ -335,7 +322,7 @@ func pollPeer(t *testing.T, ep network.P2P, peer int, d time.Duration, cond func
 // while TransportStats reports the dead peer failing (never Up) with
 // traffic backed up behind it.
 func TestDeadPeerDoesNotDelayBroadcast(t *testing.T) {
-	forEachTransport(t, 3, conformanceConfig{outQueue: 64}, func(t *testing.T, h *transportHarness) {
+	forEachTransport(t, 3, conformanceConfig{}, func(t *testing.T, h *transportHarness) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		h.kill(3)
@@ -386,41 +373,19 @@ func TestDeadPeerDoesNotDelayBroadcast(t *testing.T) {
 	})
 }
 
-// TestQueuePolicyDropOldest: on a full queue toward a dead peer, sends
-// keep succeeding and the oldest frames are evicted, counted in the
-// drop counter.
-func TestQueuePolicyDropOldest(t *testing.T) {
-	forEachTransport(t, 2, conformanceConfig{outQueue: 2, policy: network.PolicyDropOldest}, func(t *testing.T, h *transportHarness) {
-		h.kill(2)
-		ctx := context.Background()
-		for i := 0; i < 8; i++ {
-			if err := h.eps[0].Send(ctx, 2, network.Envelope{Instance: "d", Kind: network.KindProto, Round: i}); err != nil {
-				t.Fatalf("drop-oldest send %d errored: %v", i, err)
-			}
-		}
-		ps, ok := h.eps[0].TransportStats().Peer(2)
-		if !ok || ps.Dropped == 0 {
-			t.Fatalf("peer stats = %+v, want nonzero drops", ps)
-		}
-		if ps.QueueDepth > 2 {
-			t.Fatalf("queue depth %d exceeds its cap 2", ps.QueueDepth)
-		}
-	})
-}
-
-// TestQueuePolicyFailFast: on a full queue toward a dead peer, sends
-// fail immediately with the typed ErrPeerBacklogged attributed to the
-// peer, and never block.
-func TestQueuePolicyFailFast(t *testing.T) {
-	forEachTransport(t, 2, conformanceConfig{outQueue: 2, policy: network.PolicyFailFast}, func(t *testing.T, h *transportHarness) {
+// TestFullWindowFailsFast: once a dead peer's window is full, sends to
+// it fail immediately with the typed ErrPeerBacklogged attributed to
+// the peer, and never block.
+func TestFullWindowFailsFast(t *testing.T) {
+	forEachTransport(t, 2, conformanceConfig{}, func(t *testing.T, h *transportHarness) {
 		h.kill(2)
 		ctx := context.Background()
 		var sendErr error
-		for i := 0; i < 6 && sendErr == nil; i++ {
+		for i := 0; i <= relink.Window && sendErr == nil; i++ {
 			start := time.Now()
 			sendErr = h.eps[0].Send(ctx, 2, network.Envelope{Instance: "f", Kind: network.KindProto, Round: i})
 			if d := time.Since(start); d > time.Second {
-				t.Fatalf("fail-fast send %d blocked for %v", i, d)
+				t.Fatalf("send %d blocked for %v", i, d)
 			}
 		}
 		if !errors.Is(sendErr, network.ErrPeerBacklogged) {
@@ -436,32 +401,78 @@ func TestQueuePolicyFailFast(t *testing.T) {
 	})
 }
 
-// TestQueuePolicyBlockCancelled: with the default block policy, a send
-// into a full queue waits — and is released by its context deadline,
-// not by the dead peer.
-func TestQueuePolicyBlockCancelled(t *testing.T) {
-	forEachTransport(t, 2, conformanceConfig{outQueue: 1, policy: network.PolicyBlock}, func(t *testing.T, h *transportHarness) {
+// TestDeadPeerWindowRefusesAtOnce is the t-fault contract at the
+// transport: with one peer dead, 2 000 broadcasts each return within
+// 50 ms; the 976 past its window fail for that peer alone with
+// ErrPeerBacklogged and are counted in Dropped; the healthy peer gets
+// all 2 000; and after a restart the revived peer gets the first 1 024
+// exactly once and in order, then new traffic.
+func TestDeadPeerWindowRefusesAtOnce(t *testing.T) {
+	const frames, burst = 2000, 500
+	cfg := conformanceConfig{ackInterval: 5 * time.Millisecond, resendTimeout: 50 * time.Millisecond}
+	forEachTransport(t, 3, cfg, func(t *testing.T, h *transportHarness) {
 		h.kill(2)
-		// Fill: the writer parks one frame in its delivery retry, the
-		// queue holds the next.
-		for i := 0; i < 2; i++ {
-			if err := h.eps[0].Send(context.Background(), 2, network.Envelope{Instance: "b", Kind: network.KindProto, Round: i}); err != nil {
-				t.Fatalf("fill send %d: %v", i, err)
+		// A transport that waits for room fails the time bound instead
+		// of hanging.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		refused := 0
+		for sent := 0; sent < frames; {
+			// Bursts below the window keep the healthy link's
+			// unacknowledged frames short of it.
+			for end := sent + burst; sent < end; {
+				sent++
+				start := time.Now()
+				err := h.eps[0].Broadcast(ctx, network.Envelope{Instance: "t-fault", Kind: network.KindProto, Round: sent})
+				if d := time.Since(start); d > 50*time.Millisecond {
+					t.Fatalf("broadcast %d took %v with a dead peer", sent, d)
+				}
+				if err == nil {
+					continue
+				}
+				refused++
+				if got := network.FailedPeers(err); !errors.Is(err, network.ErrPeerBacklogged) || len(got) != 1 || got[0] != 2 {
+					t.Fatalf("broadcast %d: %v, want peer 2 backlogged", sent, err)
+				}
+				if sent <= relink.Window {
+					t.Fatalf("broadcast %d refused inside the window", sent)
+				}
+			}
+			rounds := collectRounds(t, h.eps[2].Receive(), burst, 20*time.Second)
+			for i, r := range rounds {
+				if r != sent-burst+i+1 {
+					t.Fatalf("healthy peer got round %d at position %d of the burst ending %d", r, i, sent)
+				}
+			}
+			pollPeer(t, h.eps[0], 3, 10*time.Second, func(ps network.PeerStats) bool {
+				return ps.Inflight == 0
+			}, "healthy peer never acknowledged the burst")
+		}
+		if want := frames - relink.Window; refused != want {
+			t.Fatalf("%d broadcasts refused, want %d", refused, want)
+		}
+		if ps, _ := h.eps[0].TransportStats().Peer(2); ps.Dropped != uint64(frames-relink.Window) {
+			t.Fatalf("dead peer stats %+v, want %d dropped", ps, frames-relink.Window)
+		}
+		if ps, _ := h.eps[0].TransportStats().Peer(3); ps.Dropped != 0 {
+			t.Fatalf("healthy peer stats %+v, want nothing dropped", ps)
+		}
+
+		ep2 := h.restart(t, 2)
+		rounds := collectRounds(t, ep2.Receive(), relink.Window, 30*time.Second)
+		for i, r := range rounds {
+			if r != i+1 {
+				t.Fatalf("revived peer got round %d at position %d, want %d", r, i, i+1)
 			}
 		}
-		pollPeer(t, h.eps[0], 2, 5*time.Second, func(ps network.PeerStats) bool {
-			return ps.QueueDepth >= 1
-		}, "queue toward the dead peer never filled")
-
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		defer cancel()
-		start := time.Now()
-		err := h.eps[0].Send(ctx, 2, network.Envelope{Instance: "b", Kind: network.KindProto, Round: 99})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("blocked send returned %v, want DeadlineExceeded", err)
+		pollPeer(t, h.eps[0], 2, 10*time.Second, func(ps network.PeerStats) bool {
+			return ps.Inflight == 0
+		}, "revived peer never acknowledged the window")
+		if err := h.eps[0].Send(ctx, 2, network.Envelope{Instance: "t-fault", Kind: network.KindProto, Round: frames + 1}); err != nil {
+			t.Fatal(err)
 		}
-		if d := time.Since(start); d > 3*time.Second {
-			t.Fatalf("blocked send held for %v past its 100ms deadline", d)
+		if got := collectRounds(t, ep2.Receive(), 1, 10*time.Second); got[0] != frames+1 {
+			t.Fatalf("revived peer got round %d after the window, want the new frame %d", got[0], frames+1)
 		}
 	})
 }
@@ -498,22 +509,17 @@ func checkExactlyOnce(t *testing.T, rounds []int, want int) {
 }
 
 // TestResendOnReconnectDeliversExactlyOnce is the acceptance test of
-// the ack layer: one peer is killed mid-broadcast, the outbound queue
-// toward it is far smaller than the burst (so drop-oldest definitively
-// evicts most frames from the queue — the old loss path), and after the
-// peer restarts every frame must still reach its engine exactly once:
-// the in-flight window resends what the queue lost, and the receiver
-// filters the duplicates and reordering that retransmission causes. On
-// tcpnet the restart is a fresh transport incarnation on the same
-// address (fresh epoch, empty inbound state); on memnet the crashed
-// node resumes. The healthy peer must see exactly-once delivery
-// throughout, unaffected by the retransmissions.
+// the ack layer: one peer is killed mid-broadcast, and after it
+// restarts every frame must still reach its engine exactly once: the
+// window writes again what the dead link lost, and the receiver filters
+// the duplicates and reordering that retransmission causes. On tcpnet
+// the restart is a fresh transport incarnation on the same address
+// (fresh epoch, empty inbound state); on memnet the crashed node
+// resumes. The healthy peer must see exactly-once delivery throughout,
+// unaffected by the retransmissions.
 func TestResendOnReconnectDeliversExactlyOnce(t *testing.T) {
 	const frames = 32
 	cfg := conformanceConfig{
-		outQueue:      4, // far smaller than the burst
-		policy:        network.PolicyDropOldest,
-		ackWindow:     128, // but the ack window covers it
 		ackInterval:   5 * time.Millisecond,
 		resendTimeout: 50 * time.Millisecond,
 	}
@@ -528,11 +534,13 @@ func TestResendOnReconnectDeliversExactlyOnce(t *testing.T) {
 				t.Fatalf("broadcast %d with a dead peer errored: %v", i, err)
 			}
 		}
-		// The healthy peer receives the full burst exactly once even
-		// though its small queue also dropped frames (recovered by
-		// resend, deduplicated on arrival).
+		// The healthy peer receives the full burst exactly once.
 		checkExactlyOnce(t, collectRounds(t, h.eps[2].Receive(), frames, 20*time.Second), frames)
 
+		// Stay down past the resend timeout: the window toward the dead
+		// peer comes due, so after the restart its frames go out again
+		// and the revived peer must filter the copies.
+		time.Sleep(3 * cfg.resendTimeout)
 		ep2 := h.restart(t, 2)
 		checkExactlyOnce(t, collectRounds(t, ep2.Receive(), frames, 30*time.Second), frames)
 		// Grace period of several resend timeouts: retransmissions may
@@ -558,18 +566,17 @@ func TestResendOnReconnectDeliversExactlyOnce(t *testing.T) {
 // and aggregates the failures into a typed multi-peer error naming each
 // failed peer, while healthy peers still receive the frame.
 func TestBroadcastReportsPerPeerFailures(t *testing.T) {
-	forEachTransport(t, 3, conformanceConfig{outQueue: 1, policy: network.PolicyFailFast}, func(t *testing.T, h *transportHarness) {
+	forEachTransport(t, 3, conformanceConfig{}, func(t *testing.T, h *transportHarness) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		h.kill(3)
-		// Saturate the dead peer's queue so the broadcast's enqueue
-		// fails for it.
-		for i := 0; i < 4; i++ {
+		// Fill the dead peer's window so the broadcast fails for it.
+		for i := 0; i < relink.Window; i++ {
 			_ = h.eps[0].Send(ctx, 3, network.Envelope{Instance: "sat", Kind: network.KindProto, Round: i})
 		}
 		pollPeer(t, h.eps[0], 3, 5*time.Second, func(ps network.PeerStats) bool {
 			return ps.QueueDepth >= 1
-		}, "dead peer queue never saturated")
+		}, "dead peer window never backed up")
 
 		err := h.eps[0].Broadcast(ctx, network.Envelope{Instance: "multi", Kind: network.KindProto, Payload: []byte("m")})
 		if err == nil {

@@ -68,10 +68,11 @@ var (
 // dropped (a correct peer sends at most one share per round).
 const maxBacklog = 1024
 
-// sendTimeout bounds each round broadcast onto the transport. The
-// transport enqueues in O(1), so the deadline only bites when a peer
-// queue is saturated: backpressure surfaces as a bounded wait instead
-// of a wedged worker.
+// sendTimeout bounds each round broadcast onto the transport. No
+// transport here waits on it: tcpnet and memnet stage in O(1) and
+// refuse a peer whose ack window is full at once (broadcast counts a
+// partial failure), and the proxy ignores its context. It bounds only
+// a P2P implementation that can block.
 const sendTimeout = 5 * time.Second
 
 // Key-install retry: a peer's start announcement can race ahead of the

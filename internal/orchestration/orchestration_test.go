@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +247,39 @@ func TestToleratesCrashedNodes(t *testing.T) {
 		futures = append(futures, f)
 	}
 	waitAll(t, futures)
+}
+
+// TestCrashedNodeNeverSlowsRequests is the t-fault contract at the
+// engine: with node 4 of a t = 1, n = 4 cluster crashed, 600
+// sequential CKS05 coins on nodes 1-3 each finish within 1 s. They
+// stage far more than the 1 024 frames each live node's window toward
+// the dead node holds, so past that the broadcasts toward it are
+// refused at once and counted as partial.
+func TestCrashedNodeNeverSlowsRequests(t *testing.T) {
+	const tt, n, requests = 1, 4, 600
+	c := newCluster(t, tt, n, memnet.Options{})
+	c.hub.Crash(4)
+	for i := 0; i < requests; i++ {
+		req := protocols.Request{Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte(fmt.Sprintf("coin-%d", i))}
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		for j, e := range c.engines[:3] {
+			f, err := e.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, err := f.Wait(ctx); err != nil || r.Err != nil {
+				t.Fatalf("request %d on node %d: %v / %v", i, j+1, err, r.Err)
+			}
+		}
+		cancel()
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("request %d took %v with node 4 crashed", i, d)
+		}
+	}
+	if st := c.engines[0].Stats(); st.PartialBroadcasts == 0 {
+		t.Fatalf("stats %+v: no broadcast was refused by the dead node's full window", st)
+	}
 }
 
 func TestCorruptSharesDoNotBlockProgress(t *testing.T) {

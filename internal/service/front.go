@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,6 +39,13 @@ const (
 	defaultWaitWindow = 30 * time.Second
 	maxWaitWindow     = 2 * time.Minute
 )
+
+// millis converts a client's timeout_ms to a duration, clamped before
+// the multiplication so that a huge count saturates (about 292 years)
+// instead of wrapping negative.
+func millis(ms int64) time.Duration {
+	return time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
+}
 
 // maxResultIDs bounds one results query. Each id attaches a watcher to
 // the service (on a node, creating an engine placeholder for ids it has
@@ -191,7 +199,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// same request — a stale expired deadline must not poison the
 		// fresh run with spurious timeouts.
 		if ms := body.Requests[i].TimeoutMS; ms > 0 {
-			f.deadlines.set(sub.InstanceID, now.Add(time.Duration(ms)*time.Millisecond))
+			f.deadlines.set(sub.InstanceID, now.Add(millis(ms)))
 		} else {
 			f.deadlines.clear(sub.InstanceID)
 		}
@@ -322,7 +330,7 @@ func parseResultsQuery(r *http.Request) ([]string, time.Duration, *api.Error) {
 		if err != nil || ms < 0 {
 			return nil, 0, api.Errf(api.CodeBadRequest, "bad timeout_ms %q", msParam)
 		}
-		window = min(time.Duration(ms)*time.Millisecond, maxWaitWindow)
+		window = min(millis(ms), maxWaitWindow)
 	}
 	return ids, window, nil
 }

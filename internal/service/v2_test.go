@@ -398,6 +398,44 @@ func TestV2PerRequestDeadline(t *testing.T) {
 	}
 }
 
+// TestV2HugeTimeoutDoesNotWrap: timeout_ms = MaxInt64 on both
+// endpoints means "as long as allowed". The submitted request's
+// deadline lies ahead, so a short poll finds it pending rather than
+// timed out; and a long poll waits rather than returning at once. A
+// wrapped millisecond conversion turns both into a negative duration.
+func TestV2HugeTimeoutDoesNotWrap(t *testing.T) {
+	base := clientBase(t, partialServiceV2(t))
+	const huge = "9223372036854775807"
+	resp := postJSONRaw(t, base+"/v2/protocol/submit",
+		`{"requests":[{"scheme":"BLS04","op":"sign","payload":"aHVnZQ==","timeout_ms":`+huge+`}]}`)
+	var sub api.SubmitBatchResponse
+	err := json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || len(sub.Results) != 1 {
+		t.Fatalf("submit: status %d body %+v (%v)", resp.StatusCode, sub, err)
+	}
+	id := sub.Results[0].InstanceID
+
+	var out api.ResultsResponse
+	getJSON(t, base+"/v2/protocol/results?timeout_ms=100&ids="+id, &out)
+	if len(out.Results) != 1 || out.Results[0].Done || out.Results[0].Error != nil {
+		t.Fatalf("short poll: %+v, want the request pending", out)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v2/protocol/results?timeout_ms="+huge+"&ids="+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); !errors.Is(err, context.DeadlineExceeded) {
+		if err == nil {
+			resp.Body.Close()
+		}
+		t.Fatalf("long poll with the largest timeout_ms answered within 300ms (%v)", err)
+	}
+}
+
 // TestV2BatchFewerRoundTrips is the acceptance benchmark: a batch of 32
 // requests over HTTP completes in a handful of round-trips — one POST
 // for the batch, one SSE stream for all results — where one-at-a-time

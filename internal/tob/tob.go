@@ -5,6 +5,16 @@
 // sequence of messages — with a designated sequencer assigning sequence
 // numbers. Fault tolerance of the sequencer itself is out of scope, as
 // it is for the paper's host-platform assumption.
+//
+// The sequencer has no retransmission of its own; it relies on the
+// transport's ack layer, which holds at most 1 024 unacknowledged
+// frames per peer and refuses the rest at once, so the leader never
+// waits on a follower. A follower down for more than 1 024 ORDER frames
+// therefore stops at that gap: on restart it delivers the first 1 024
+// it missed and nothing after them, while the leader and the live
+// followers go on. The same holds for a live follower that falls 1 024
+// ORDER frames behind, which a burst of that many submits within one
+// acknowledgement interval (25 ms) does.
 package tob
 
 import (
@@ -19,13 +29,6 @@ import (
 
 // ErrClosed is returned by Submit after the endpoint was closed.
 var ErrClosed = errors.New("tob: sequencer closed")
-
-// ErrLossyTransport is returned by New when the transport's queue
-// policy can drop frames and the transport has no ack layer to resend
-// them: the sequencer protocol has no retransmission of its own, so a
-// single evicted ORDER frame would leave a permanent gap in the
-// sequence and wedge every follower's delivery.
-var ErrLossyTransport = errors.New("tob: transport queue policy is lossy and unacknowledged; the sequencer requires lossless delivery")
 
 // ErrLeaderDown is returned by Submit when the transport reports the
 // sequencer leader's link down: queueing into a dead link would only
@@ -43,15 +46,8 @@ const (
 
 // Sequencer is one node's endpoint of the TOB channel. It must run on a
 // dedicated P2P transport (not shared with the orchestration traffic)
-// that either uses the lossless network.PolicyBlock (the default) or
-// runs the ack layer (TransportStats reports Reliable, as tcpnet and
-// memnet do): the sequencer protocol has no retransmission of its own,
-// so without one of the two, a lossy queue policy evicting one ORDER
-// frame would leave a permanent gap in the sequence and wedge every
-// follower's delivery. New enforces this with ErrLossyTransport. Note
-// that even on a reliable transport, drop-oldest can definitively lose
-// frames once the in-flight window itself overflows; size AckWindow
-// for the expected outage, or keep the block policy.
+// that runs the ack layer, as tcpnet and memnet do (see the package
+// doc for what a long outage costs a follower).
 type Sequencer struct {
 	p2p    network.P2P
 	self   int
@@ -77,39 +73,26 @@ type Sequencer struct {
 	out  chan network.Envelope
 	stop chan struct{}
 	done chan struct{}
-	// sendCtx bounds the sequencer's own sends (ORDER broadcasts run on
-	// the ordering path, not a caller's context); canceled by Close so a
-	// blocked enqueue cannot outlive the endpoint.
-	sendCtx    context.Context
-	sendCancel context.CancelFunc
 }
 
 var _ network.TOB = (*Sequencer)(nil)
 
 // New creates a TOB endpoint for node self (1-indexed) with the given
-// sequencer (leader) index. It validates the transport's delivery
-// guarantees: a lossy queue policy (drop-oldest, fail-fast) on a
-// transport without the ack layer is rejected with ErrLossyTransport.
-func New(p2p network.P2P, self, leader int) (*Sequencer, error) {
-	if ts := p2p.TransportStats(); !ts.Reliable && ts.Policy != network.PolicyBlock {
-		return nil, fmt.Errorf("%w (policy %v)", ErrLossyTransport, ts.Policy)
-	}
-	sendCtx, sendCancel := context.WithCancel(context.Background())
+// sequencer (leader) index.
+func New(p2p network.P2P, self, leader int) *Sequencer {
 	s := &Sequencer{
-		p2p:        p2p,
-		self:       self,
-		leader:     leader,
-		nextSeq:    1,
-		nextDel:    1,
-		pending:    make(map[int]network.Envelope),
-		out:        make(chan network.Envelope, 1024),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		sendCtx:    sendCtx,
-		sendCancel: sendCancel,
+		p2p:     p2p,
+		self:    self,
+		leader:  leader,
+		nextSeq: 1,
+		nextDel: 1,
+		pending: make(map[int]network.Envelope),
+		out:     make(chan network.Envelope, 1024),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go s.run()
-	return s, nil
+	return s
 }
 
 // Submit hands an envelope to the ordering service. After Close it
@@ -184,7 +167,6 @@ func (s *Sequencer) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.sendCancel()
 	close(s.stop)
 	<-s.done
 	// Closing stop unblocks any delivery stuck on a full out channel;
@@ -209,12 +191,11 @@ func (s *Sequencer) order(env network.Envelope) {
 		Round:    seq,
 		Payload:  env.Marshal(),
 	}
-	// Deliver locally and broadcast to the others. The transport
-	// enqueues in O(1); sendCtx only bounds a block-policy queue that is
-	// full, so a backlogged peer cannot wedge the ordering path past
-	// Close.
+	// Deliver locally and broadcast to the others. The transport stages
+	// in O(1) and never waits; a follower whose ack window is full is
+	// refused this frame and stops at the gap (see the package doc).
 	s.enqueue(seq, env)
-	_ = s.p2p.Broadcast(s.sendCtx, ordered)
+	_ = s.p2p.Broadcast(context.Background(), ordered)
 }
 
 // enqueue buffers an ordered message and flushes the in-order prefix.

@@ -16,11 +16,7 @@ func newTOBClusterOn(t *testing.T, hub *memnet.Hub, n, leader int) []*Sequencer 
 	t.Helper()
 	seqs := make([]*Sequencer, n)
 	for i := 1; i <= n; i++ {
-		s, err := New(hub.Endpoint(i), i, leader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs[i-1] = s
+		seqs[i-1] = New(hub.Endpoint(i), i, leader)
 	}
 	t.Cleanup(func() {
 		for _, s := range seqs {
@@ -136,10 +132,7 @@ func TestCloseDuringLeaderSubmit(t *testing.T) {
 	const submitters = 128
 	for i := 0; i < iterations; i++ {
 		hub := memnet.NewHub(1, memnet.Options{})
-		s, err := New(hub.Endpoint(1), 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := New(hub.Endpoint(1), 1, 1)
 		var wg sync.WaitGroup
 		// A drainer keeps out unsaturated, so submitters are actively
 		// sending — not parked — when Close lands.
@@ -176,42 +169,53 @@ func TestCloseDuringLeaderSubmit(t *testing.T) {
 	}
 }
 
-// lossyStats is a network.P2P stub whose TransportStats reports a lossy
-// queue policy without the ack layer — the configuration tob.New must
-// refuse.
-type lossyStats struct {
-	network.P2P
-	policy network.QueuePolicy
-}
-
-func (l lossyStats) TransportStats() network.TransportStats {
-	return network.TransportStats{Policy: l.policy, Reliable: false}
-}
-
-func TestNewRejectsLossyUnacknowledgedTransport(t *testing.T) {
-	hub := memnet.NewHub(1, memnet.Options{})
+// TestLeaderSubmitsPastCrashedFollower: with one follower crashed, the
+// leader's submits never wait on it. 3 000 of them, well past the
+// 1 024 frames the ack window toward the dead follower holds, complete
+// promptly, and the live follower delivers every one of them in order.
+// The submits go in bursts the live follower acknowledges in between,
+// since a follower 1 024 ORDER frames behind stops at the gap.
+func TestLeaderSubmitsPastCrashedFollower(t *testing.T) {
+	const msgs, burst = 3000, 500
+	hub := memnet.NewHub(3, memnet.Options{})
+	seqs := newTOBClusterOn(t, hub, 3, 1)
 	defer hub.Close()
-	for _, policy := range []network.QueuePolicy{network.PolicyDropOldest, network.PolicyFailFast} {
-		_, err := New(lossyStats{P2P: hub.Endpoint(1), policy: policy}, 1, 1)
-		if !errors.Is(err, ErrLossyTransport) {
-			t.Fatalf("policy %v accepted: %v", policy, err)
+	hub.Crash(3)
+	for from := 0; from < msgs; from += burst {
+		done := make(chan error, 1)
+		go func() {
+			for m := from; m < from+burst; m++ {
+				if err := seqs[0].Submit(context.Background(), network.Envelope{Payload: []byte(fmt.Sprintf("m%04d", m))}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("leader submit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("leader submits stalled behind the crashed follower after %d", from)
+		}
+		for _, s := range seqs[:2] {
+			for i, p := range collect(t, s, burst) {
+				if want := fmt.Sprintf("m%04d", from+i); p != want {
+					t.Fatalf("node %d delivered %q at %d, want %q", s.self, p, from+i, want)
+				}
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if ps, _ := hub.Endpoint(1).TransportStats().Peer(2); ps.Inflight == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the live follower never acknowledged the burst")
+			}
 		}
 	}
-	// The block policy is lossless even without acks.
-	s, err := New(lossyStats{P2P: hub.Endpoint(1), policy: network.PolicyBlock}, 1, 1)
-	if err != nil {
-		t.Fatalf("block policy rejected: %v", err)
-	}
-	_ = s.Close()
-	// A reliable transport makes the lossy policies acceptable: the ack
-	// layer resends what the queue drops.
-	lossyHub := memnet.NewHub(1, memnet.Options{Policy: network.PolicyDropOldest})
-	defer lossyHub.Close()
-	s2, err := New(lossyHub.Endpoint(1), 1, 1)
-	if err != nil {
-		t.Fatalf("lossy policy on a reliable transport rejected: %v", err)
-	}
-	_ = s2.Close()
 }
 
 func TestSubmitFailsFastWhenLeaderDown(t *testing.T) {

@@ -35,8 +35,9 @@ func (w *Writer) Bytes(b []byte) *Writer {
 	return w
 }
 
-// BigInt appends a non-negative big integer field. Negative values are
-// encoded with a sign byte so Shoup-style integer values survive.
+// BigInt appends a big integer field: a sign byte (1 for a negative
+// value) and the magnitude. Reader.Nat reads the non-negative ones
+// back; nothing reads a negative one.
 func (w *Writer) BigInt(v *big.Int) *Writer {
 	sign := byte(0)
 	if v.Sign() < 0 {
@@ -107,23 +108,6 @@ func (r *Reader) Bytes() []byte {
 	copy(out, r.buf[r.off:r.off+int(n)])
 	r.off += int(n)
 	return out
-}
-
-// BigInt reads a big integer field.
-func (r *Reader) BigInt() *big.Int {
-	b := r.Bytes()
-	if r.err != nil {
-		return nil
-	}
-	if len(b) == 0 {
-		r.err = fmt.Errorf("wire: empty big integer field")
-		return nil
-	}
-	v := new(big.Int).SetBytes(b[1:])
-	if b[0] == 1 {
-		v.Neg(v)
-	}
-	return v
 }
 
 // Nat reads a non-negative big integer in the one encoding

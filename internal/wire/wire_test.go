@@ -10,7 +10,6 @@ func TestRoundTrip(t *testing.T) {
 	w := NewWriter().
 		Bytes([]byte("hello")).
 		BigInt(big.NewInt(123456789)).
-		BigInt(big.NewInt(-42)).
 		Int(-7).
 		String("world").
 		Bytes(nil)
@@ -18,11 +17,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Bytes(); string(got) != "hello" {
 		t.Fatalf("bytes = %q", got)
 	}
-	if got := r.BigInt(); got.Int64() != 123456789 {
+	if got := r.Nat(); got.Int64() != 123456789 {
 		t.Fatalf("bigint = %v", got)
-	}
-	if got := r.BigInt(); got.Int64() != -42 {
-		t.Fatalf("negative bigint = %v", got)
 	}
 	if got := r.Int(); got != -7 {
 		t.Fatalf("int = %d", got)
@@ -52,7 +48,7 @@ func TestTruncation(t *testing.T) {
 func TestZeroBigInt(t *testing.T) {
 	enc := NewWriter().BigInt(new(big.Int)).Out()
 	r := NewReader(enc)
-	if got := r.BigInt(); r.Err() != nil || got.Sign() != 0 {
+	if got := r.Nat(); r.Err() != nil || got.Sign() != 0 {
 		t.Fatalf("zero round trip: %v %v", got, r.Err())
 	}
 }
@@ -64,7 +60,7 @@ func TestReaderErrorsSticky(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// Subsequent reads must not panic and keep the error.
-	r.BigInt()
+	r.Nat()
 	r.Int()
 	_ = r.String()
 	if r.Err() == nil || r.Done() {
@@ -82,11 +78,11 @@ func TestBadIntWidth(t *testing.T) {
 }
 
 func TestQuickRoundTripBigInts(t *testing.T) {
-	f := func(v int64) bool {
-		enc := NewWriter().BigInt(big.NewInt(v)).Out()
-		r := NewReader(enc)
-		got := r.BigInt()
-		return r.Done() && got.Int64() == v
+	f := func(v uint64) bool {
+		want := new(big.Int).SetUint64(v)
+		r := NewReader(NewWriter().BigInt(want).Out())
+		got := r.Nat()
+		return r.Done() && got.Cmp(want) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
