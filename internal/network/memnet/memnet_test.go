@@ -120,8 +120,12 @@ func TestDropFilterLossIsRepairedByResend(t *testing.T) {
 	// before the peer dies). The ack layer repairs it: while the filter
 	// holds, nothing after the gap is delivered either (per-link order);
 	// once it lifts, the resend timer redelivers the lost frame and the
-	// stream resumes in order, with nothing duplicated.
-	hub := NewHub(2, Options{AckInterval: 2 * time.Millisecond, ResendTimeout: 10 * time.Millisecond})
+	// stream resumes in order, with nothing duplicated. Each resend pass
+	// comes a ResendTimeout after the last and writes the two frames at
+	// most once, which bounds the resends.
+	const resendTimeout = 10 * time.Millisecond
+	start := time.Now()
+	hub := NewHub(2, Options{AckInterval: 2 * time.Millisecond, ResendTimeout: resendTimeout})
 	defer hub.Close()
 	hub.DropIf(func(env network.Envelope) bool { return env.Instance == "drop-me" })
 	if err := hub.Endpoint(1).Send(context.Background(), 2, network.Envelope{Instance: "drop-me"}); err != nil {
@@ -148,6 +152,11 @@ func TestDropFilterLossIsRepairedByResend(t *testing.T) {
 	case env := <-hub.Endpoint(2).Receive():
 		t.Fatalf("duplicate delivered: %+v", env)
 	case <-time.After(50 * time.Millisecond):
+	}
+	st, _ := hub.Endpoint(1).TransportStats().Peer(2)
+	passes := uint64(time.Since(start)/resendTimeout) + 1
+	if st.Resent == 0 || st.Resent > 2*passes {
+		t.Fatalf("resent %d frames in at most %d passes, want 1..%d", st.Resent, passes, 2*passes)
 	}
 }
 

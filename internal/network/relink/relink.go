@@ -15,9 +15,10 @@
 //     filtering duplicates keyed by (peer, seq).
 //   - Acknowledgements are cumulative, piggybacked on reverse traffic
 //     and coalesced onto a short timer otherwise; once the oldest
-//     unacknowledged frame was written ResendTimeout ago, the window is
-//     written again from it, which is what redelivers everything lost
-//     across a reconnect.
+//     unacknowledged frame was written ResendTimeout ago, every
+//     unacknowledged frame written that long ago is written again, in
+//     order, which is what redelivers everything lost across a
+//     reconnect.
 //
 // A transport restart gets a fresh Epoch (incarnation id), so a peer
 // can tell a restarted sender (fresh sequence space, reset the inbound
@@ -52,9 +53,9 @@ type Config struct {
 	// acknowledgements when no reverse traffic piggybacks them
 	// (default 25ms).
 	AckInterval time.Duration
-	// ResendTimeout is how long the oldest unacknowledged frame waits
-	// after its last write before the window is written again (default
-	// 500ms). It should exceed one round trip plus AckInterval.
+	// ResendTimeout is how long an unacknowledged frame waits after its
+	// last write before it is written again (default 500ms). It should
+	// exceed one round trip plus AckInterval.
 	ResendTimeout time.Duration
 }
 
@@ -157,15 +158,20 @@ func (l *Link) Stage(_ context.Context, env network.Envelope) (network.Envelope,
 // Next hands out the frame to write now, with a current Base: the
 // oldest frame not handed out yet; else, once the oldest
 // unacknowledged frame was handed out ResendTimeout before now, that
-// frame, and the cursor goes back so that every unacknowledged frame is
-// written again in order. Frames written after a lost one are useless
-// to a receiver that delivers in order, so they go again with it. ok is
-// false when nothing is due.
+// frame, and the cursor goes back over the unacknowledged frames so
+// that each one handed out ResendTimeout ago or more is written again,
+// in order. A frame handed out less than ResendTimeout ago is skipped,
+// so a live peer whose acknowledgements lag gets no copy of what it was
+// just sent. ok is false when nothing is due.
 func (l *Link) Next(now time.Time) (env network.Envelope, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	stale := func(i int) bool { return now.Sub(l.window[i].sentAt) >= l.cfg.ResendTimeout }
+	for l.next < l.written && !stale(l.next) {
+		l.next++
+	}
 	if l.next == len(l.window) {
-		if l.next == 0 || now.Sub(l.window[0].sentAt) < l.cfg.ResendTimeout {
+		if l.next == 0 || !stale(0) {
 			return env, false
 		}
 		l.next = 0

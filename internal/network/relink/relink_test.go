@@ -122,6 +122,44 @@ func TestNextWritesInOrderThenGoesBack(t *testing.T) {
 	}
 }
 
+// TestResendSkipsFramesJustWritten bounds what a lost frame costs: once
+// the oldest frame is stale, only the frames written ResendTimeout ago
+// or more go again, not those written a moment ago; those follow in the
+// next pass, once they are stale too.
+func TestResendSkipsFramesJustWritten(t *testing.T) {
+	l := NewLink(1, Config{ResendTimeout: 10 * time.Millisecond})
+	now := time.Now()
+	for i := 1; i <= 6; i++ {
+		stage(t, l, i)
+		at := now
+		if i > 3 {
+			at = now.Add(8 * time.Millisecond)
+		}
+		if env, ok := l.Next(at); !ok || env.Seq != uint64(i) {
+			t.Fatalf("first write of frame %d = seq %d (%v)", i, env.Seq, ok)
+		}
+	}
+	pass := func(at time.Time, want ...uint64) {
+		t.Helper()
+		for _, seq := range want {
+			if env, ok := l.Next(at); !ok || env.Seq != seq {
+				t.Fatalf("resend = seq %d (%v), want %d", env.Seq, ok, seq)
+			}
+		}
+		if env, ok := l.Next(at); ok {
+			t.Fatalf("frame %d resent, want the pass to end", env.Seq)
+		}
+	}
+	pass(now.Add(12*time.Millisecond), 1, 2, 3)
+	if st := l.Stats(); st.Resent != 3 {
+		t.Fatalf("resent = %d after the first pass, want 3", st.Resent)
+	}
+	pass(now.Add(22*time.Millisecond), 1, 2, 3, 4, 5, 6)
+	if st := l.Stats(); st.Resent != 9 {
+		t.Fatalf("resent = %d after the second pass, want 9", st.Resent)
+	}
+}
+
 func frame(epoch, seq, base uint64, round int) network.Envelope {
 	return network.Envelope{Kind: network.KindProto, Round: round, Seq: seq, Epoch: epoch, Base: base}
 }

@@ -402,13 +402,17 @@ func TestFullWindowFailsFast(t *testing.T) {
 }
 
 // TestDeadPeerWindowRefusesAtOnce is the t-fault contract at the
-// transport: with one peer dead, 2 000 broadcasts each return within
-// 50 ms; the 976 past its window fail for that peer alone with
-// ErrPeerBacklogged and are counted in Dropped; the healthy peer gets
-// all 2 000; and after a restart the revived peer gets the first 1 024
-// exactly once and in order, then new traffic.
+// transport: with one peer dead, 2 000 broadcasts sent back to back each
+// return within 50 ms; the dead peer is refused exactly the 976 past its
+// window, with ErrPeerBacklogged attributed to it and counted in
+// Dropped; and after a restart it gets the first 1 024 exactly once and
+// in order, then new traffic. The healthy peer is never refused inside
+// its window, and it receives every frame it accepted, exactly once and
+// in order. It is not promised all 2 000: a live peer is refused, like a
+// dead one, a frame that finds 1 024 frames of its own unacknowledged,
+// which a burst this fast may outrun its acknowledgements to reach.
 func TestDeadPeerWindowRefusesAtOnce(t *testing.T) {
-	const frames, burst = 2000, 500
+	const frames = 2000
 	cfg := conformanceConfig{ackInterval: 5 * time.Millisecond, resendTimeout: 50 * time.Millisecond}
 	forEachTransport(t, 3, cfg, func(t *testing.T, h *transportHarness) {
 		h.kill(2)
@@ -416,50 +420,54 @@ func TestDeadPeerWindowRefusesAtOnce(t *testing.T) {
 		// of hanging.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		refused := 0
-		for sent := 0; sent < frames; {
-			// Bursts below the window keep the healthy link's
-			// unacknowledged frames short of it.
-			for end := sent + burst; sent < end; {
-				sent++
-				start := time.Now()
-				err := h.eps[0].Broadcast(ctx, network.Envelope{Instance: "t-fault", Kind: network.KindProto, Round: sent})
-				if d := time.Since(start); d > 50*time.Millisecond {
-					t.Fatalf("broadcast %d took %v with a dead peer", sent, d)
-				}
-				if err == nil {
-					continue
-				}
-				refused++
-				if got := network.FailedPeers(err); !errors.Is(err, network.ErrPeerBacklogged) || len(got) != 1 || got[0] != 2 {
-					t.Fatalf("broadcast %d: %v, want peer 2 backlogged", sent, err)
-				}
-				if sent <= relink.Window {
-					t.Fatalf("broadcast %d refused inside the window", sent)
-				}
+		refused := map[int]int{}
+		var accepted []int // rounds the healthy peer accepted
+		for round := 1; round <= frames; round++ {
+			start := time.Now()
+			err := h.eps[0].Broadcast(ctx, network.Envelope{Instance: "t-fault", Kind: network.KindProto, Round: round})
+			if d := time.Since(start); d > 50*time.Millisecond {
+				t.Fatalf("broadcast %d took %v with a dead peer", round, d)
 			}
-			rounds := collectRounds(t, h.eps[2].Receive(), burst, 20*time.Second)
-			for i, r := range rounds {
-				if r != sent-burst+i+1 {
-					t.Fatalf("healthy peer got round %d at position %d of the burst ending %d", r, i, sent)
-				}
+			failed := network.FailedPeers(err)
+			if err != nil && !errors.Is(err, network.ErrPeerBacklogged) {
+				t.Fatalf("broadcast %d: %v, want only backlogged peers", round, err)
 			}
-			pollPeer(t, h.eps[0], 3, 10*time.Second, func(ps network.PeerStats) bool {
-				return ps.Inflight == 0
-			}, "healthy peer never acknowledged the burst")
+			if err != nil && round <= relink.Window {
+				t.Fatalf("broadcast %d refused inside the window: %v", round, err)
+			}
+			healthy := true
+			for _, p := range failed {
+				refused[p]++
+				healthy = healthy && p != 3
+			}
+			if healthy {
+				accepted = append(accepted, round)
+			}
 		}
-		if want := frames - relink.Window; refused != want {
-			t.Fatalf("%d broadcasts refused, want %d", refused, want)
+		if want := frames - relink.Window; refused[2] != want {
+			t.Fatalf("dead peer refused %d broadcasts, want %d", refused[2], want)
 		}
-		if ps, _ := h.eps[0].TransportStats().Peer(2); ps.Dropped != uint64(frames-relink.Window) {
-			t.Fatalf("dead peer stats %+v, want %d dropped", ps, frames-relink.Window)
+		rounds := collectRounds(t, h.eps[2].Receive(), len(accepted), 20*time.Second)
+		for i, r := range rounds {
+			if r != accepted[i] {
+				t.Fatalf("healthy peer got round %d at position %d, want %d", r, i, accepted[i])
+			}
 		}
-		if ps, _ := h.eps[0].TransportStats().Peer(3); ps.Dropped != 0 {
-			t.Fatalf("healthy peer stats %+v, want nothing dropped", ps)
+		select {
+		case env := <-h.eps[2].Receive():
+			t.Fatalf("healthy peer got round %d, which it refused or already had", env.Round)
+		case <-time.After(100 * time.Millisecond):
 		}
+		if ps, _ := h.eps[0].TransportStats().Peer(2); ps.Dropped != uint64(refused[2]) {
+			t.Fatalf("dead peer stats %+v, want %d dropped", ps, refused[2])
+		}
+		if ps, _ := h.eps[0].TransportStats().Peer(3); ps.Dropped != uint64(refused[3]) {
+			t.Fatalf("healthy peer stats %+v, want %d dropped", ps, refused[3])
+		}
+		t.Logf("healthy peer accepted %d of %d", len(accepted), frames)
 
 		ep2 := h.restart(t, 2)
-		rounds := collectRounds(t, ep2.Receive(), relink.Window, 30*time.Second)
+		rounds = collectRounds(t, ep2.Receive(), relink.Window, 30*time.Second)
 		for i, r := range rounds {
 			if r != i+1 {
 				t.Fatalf("revived peer got round %d at position %d, want %d", r, i, i+1)

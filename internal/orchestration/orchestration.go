@@ -68,13 +68,6 @@ var (
 // dropped (a correct peer sends at most one share per round).
 const maxBacklog = 1024
 
-// sendTimeout bounds each round broadcast onto the transport. No
-// transport here waits on it: tcpnet and memnet stage in O(1) and
-// refuse a peer whose ack window is full at once (broadcast counts a
-// partial failure), and the proxy ignores its context. It bounds only
-// a P2P implementation that can block.
-const sendTimeout = 5 * time.Second
-
 // Key-install retry: a peer's start announcement can race ahead of the
 // DKG finalization that installs the key it refers to (each node
 // finalizes on its own schedule). Instead of failing the instance with
@@ -738,19 +731,18 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	return inst, nil
 }
 
-// broadcast sends one envelope to every peer under sendTimeout. A
-// partial failure is tolerated only while a quorum is still feasible:
-// the threshold protocol needs t+1 shares including this node's own,
-// so at least t of the attempted peers must have been reached. A
-// tolerated incident is counted in Stats.PartialBroadcasts and the
-// lagging peer shows in Stats.Transport. A quorum-killing failure, or
-// one not attributable to specific peers (closed transport), is
-// returned to fail the instance instead of letting it stall until
-// retention expiry.
+// broadcast sends one envelope to every peer. Every P2P here stages it
+// without waiting (the proxy ignores the context), so it carries no
+// deadline. A partial failure is tolerated only while a quorum is
+// still feasible: the threshold protocol needs t+1 shares including
+// this node's own, so at least t of the attempted peers must have been
+// reached. A tolerated incident is counted in Stats.PartialBroadcasts
+// and the lagging peer shows in Stats.Transport. A quorum-killing
+// failure, or one not attributable to specific peers (closed
+// transport), is returned to fail the instance instead of letting it
+// stall until retention expiry.
 func (e *Engine) broadcast(env network.Envelope) error {
-	ctx, cancel := context.WithTimeout(context.Background(), sendTimeout)
-	defer cancel()
-	err := e.cfg.Net.Broadcast(ctx, env)
+	err := e.cfg.Net.Broadcast(context.Background(), env)
 	if err == nil {
 		return nil
 	}

@@ -8,13 +8,16 @@
 //
 // The sequencer has no retransmission of its own; it relies on the
 // transport's ack layer, which holds at most 1 024 unacknowledged
-// frames per peer and refuses the rest at once, so the leader never
-// waits on a follower. A follower down for more than 1 024 ORDER frames
+// frames per peer and refuses the rest at once. The leader orders one
+// message at a time, and before it assigns a sequence number it waits
+// until every live follower (one whose link reports no failure) has
+// room in its window, so a live follower receives every ORDER frame, in
+// order: a burst of submits is paced by the slowest live follower's
+// acknowledgements. The leader never waits on a follower whose link
+// reports failures. A follower down for more than 1 024 ORDER frames
 // therefore stops at that gap: on restart it delivers the first 1 024
 // it missed and nothing after them, while the leader and the live
-// followers go on. The same holds for a live follower that falls 1 024
-// ORDER frames behind, which a burst of that many submits within one
-// acknowledgement interval (25 ms) does.
+// followers go on.
 package tob
 
 import (
@@ -53,6 +56,12 @@ type Sequencer struct {
 	self   int
 	leader int
 
+	// ordering holds the one order in progress (leader only): the wait
+	// for window room, the sequence number and the broadcast go
+	// together, so ORDER frames are staged in sequence order and nothing
+	// else takes the room waited for.
+	ordering chan struct{}
+
 	mu      sync.Mutex
 	nextSeq int // leader: next sequence number to assign
 	nextDel int // next sequence number to deliver
@@ -81,15 +90,16 @@ var _ network.TOB = (*Sequencer)(nil)
 // sequencer (leader) index.
 func New(p2p network.P2P, self, leader int) *Sequencer {
 	s := &Sequencer{
-		p2p:     p2p,
-		self:    self,
-		leader:  leader,
-		nextSeq: 1,
-		nextDel: 1,
-		pending: make(map[int]network.Envelope),
-		out:     make(chan network.Envelope, 1024),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		p2p:      p2p,
+		self:     self,
+		leader:   leader,
+		nextSeq:  1,
+		nextDel:  1,
+		pending:  make(map[int]network.Envelope),
+		ordering: make(chan struct{}, 1),
+		out:      make(chan network.Envelope, 1024),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go s.run()
 	return s
@@ -100,7 +110,9 @@ func New(p2p network.P2P, self, leader int) *Sequencer {
 // dropped (as it would be in flight on a real network). When the
 // transport reports the leader's link down (dial or write failures
 // observed), Submit fails fast with ErrLeaderDown instead of queueing
-// into the dead link.
+// into the dead link. On the leader, Submit waits while a live
+// follower's window is full (see the package doc); if ctx ends first,
+// it returns ctx's error and the message was not ordered.
 func (s *Sequencer) Submit(ctx context.Context, env network.Envelope) error {
 	s.mu.Lock()
 	closed := s.closed
@@ -110,8 +122,7 @@ func (s *Sequencer) Submit(ctx context.Context, env network.Envelope) error {
 	}
 	env.From = s.self
 	if s.self == s.leader {
-		s.order(env)
-		return nil
+		return s.order(ctx, env)
 	}
 	if err := s.leaderDown(); err != nil {
 		return err
@@ -178,30 +189,84 @@ func (s *Sequencer) Close() error {
 }
 
 // order assigns the next sequence number and broadcasts the ORDER
-// message (leader only).
-func (s *Sequencer) order(env network.Envelope) {
+// message (leader only), one message at a time. It first waits for room
+// toward every live follower, so the broadcast reaches each of them; a
+// follower whose link is down is refused the frame once its window is
+// full and stops at that gap (see the package doc). A wait that ctx or
+// Close ends orders nothing.
+func (s *Sequencer) order(ctx context.Context, env network.Envelope) error {
+	select {
+	case s.ordering <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.stop:
+		return ErrClosed
+	}
+	defer func() { <-s.ordering }()
+	if err := s.awaitRoom(ctx); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
 	s.mu.Unlock()
-	ordered := network.Envelope{
+	_ = s.p2p.Broadcast(ctx, network.Envelope{
 		From:     s.leader,
 		Instance: env.Instance,
 		Kind:     kindOrder,
 		Round:    seq,
 		Payload:  env.Marshal(),
-	}
-	// Deliver locally and broadcast to the others. The transport stages
-	// in O(1) and never waits; a follower whose ack window is full is
-	// refused this frame and stops at the gap (see the package doc).
+	})
 	s.enqueue(seq, env)
-	_ = s.p2p.Broadcast(context.Background(), ordered)
+	return nil
 }
 
+// roomPoll is how often a leader waiting on a live follower's full
+// window looks again; acknowledgements arrive every ack interval.
+const roomPoll = time.Millisecond
+
+// awaitRoom waits until every peer whose link reports no failure has
+// room in its ack window; like leaderDown, it takes failures, not the
+// state, as the sign of an outage, so a link still dialing for the
+// first time counts as live. Only ORDER frames travel from the leader,
+// and one order runs at a time, so the room stays there for the
+// broadcast that follows.
+func (s *Sequencer) awaitRoom(ctx context.Context) error {
+	for {
+		full := false
+		for _, ps := range s.p2p.TransportStats().Peers {
+			if ps.ConsecutiveFailures == 0 && ps.QueueCap > 0 && ps.Inflight >= ps.QueueCap {
+				full = true
+				break
+			}
+		}
+		if !full {
+			return nil
+		}
+		timer := time.NewTimer(roomPoll)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return ctx.Err()
+		case <-s.stop:
+			timer.Stop()
+			return ErrClosed
+		}
+	}
+}
+
+// maxPending bounds the ordered messages a node holds ahead of the
+// next one it delivers. ORDER frames reach a live follower in sequence
+// order, so only a gap a down period left makes them wait, and nothing
+// later fills that gap.
+const maxPending = 1024
+
 // enqueue buffers an ordered message and flushes the in-order prefix.
+// A message already delivered, or maxPending or more ahead, is dropped.
 func (s *Sequencer) enqueue(seq int, env network.Envelope) {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || seq < s.nextDel || seq >= s.nextDel+maxPending {
 		s.mu.Unlock()
 		return
 	}
@@ -250,7 +315,7 @@ func (s *Sequencer) run() {
 				if err != nil {
 					continue
 				}
-				s.order(inner)
+				_ = s.order(context.Background(), inner)
 			case kindOrder:
 				if env.From != s.leader {
 					continue // only the sequencer may order

@@ -170,51 +170,101 @@ func TestCloseDuringLeaderSubmit(t *testing.T) {
 }
 
 // TestLeaderSubmitsPastCrashedFollower: with one follower crashed, the
-// leader's submits never wait on it. 3 000 of them, well past the
-// 1 024 frames the ack window toward the dead follower holds, complete
-// promptly, and the live follower delivers every one of them in order.
-// The submits go in bursts the live follower acknowledges in between,
-// since a follower 1 024 ORDER frames behind stops at the gap.
+// leader's submits never wait on it. 3 000 of them, back to back and
+// well past the 1 024 frames the ack window toward each follower holds,
+// complete promptly, and the live follower delivers every one of them
+// in order: the leader waits for its acknowledgements instead of
+// refusing it a frame.
 func TestLeaderSubmitsPastCrashedFollower(t *testing.T) {
-	const msgs, burst = 3000, 500
+	const msgs = 3000
 	hub := memnet.NewHub(3, memnet.Options{})
 	seqs := newTOBClusterOn(t, hub, 3, 1)
 	defer hub.Close()
 	hub.Crash(3)
-	for from := 0; from < msgs; from += burst {
-		done := make(chan error, 1)
+	done := make(chan error, 1)
+	go func() {
+		for m := 0; m < msgs; m++ {
+			if err := seqs[0].Submit(context.Background(), network.Envelope{Payload: []byte(fmt.Sprintf("m%04d", m))}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var wg sync.WaitGroup
+	for _, s := range seqs[:2] {
+		wg.Add(1)
 		go func() {
-			for m := from; m < from+burst; m++ {
-				if err := seqs[0].Submit(context.Background(), network.Envelope{Payload: []byte(fmt.Sprintf("m%04d", m))}); err != nil {
-					done <- err
+			defer wg.Done()
+			timeout := time.After(10 * time.Second)
+			for m := 0; m < msgs; m++ {
+				select {
+				case env := <-s.Delivered():
+					if want := fmt.Sprintf("m%04d", m); string(env.Payload) != want {
+						t.Errorf("node %d delivered %q at %d, want %q", s.self, env.Payload, m, want)
+						return
+					}
+				case <-timeout:
+					t.Errorf("node %d delivered %d of %d", s.self, m, msgs)
 					return
 				}
 			}
-			done <- nil
 		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("leader submit: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("leader submits stalled behind the crashed follower after %d", from)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("leader submit: %v", err)
 		}
-		for _, s := range seqs[:2] {
-			for i, p := range collect(t, s, burst) {
-				if want := fmt.Sprintf("m%04d", from+i); p != want {
-					t.Fatalf("node %d delivered %q at %d, want %q", s.self, p, from+i, want)
-				}
-			}
+	case <-time.After(10 * time.Second):
+		t.Fatal("leader submits stalled behind the crashed follower")
+	}
+	wg.Wait()
+	if ps, _ := hub.Endpoint(1).TransportStats().Peer(2); ps.Dropped != 0 {
+		t.Fatalf("live follower stats %+v, want nothing refused", ps)
+	}
+	if ps, _ := hub.Endpoint(1).TransportStats().Peer(3); ps.Dropped != msgs-1024 {
+		t.Fatalf("crashed follower stats %+v, want %d refused", ps, msgs-1024)
+	}
+}
+
+// TestLeaderWaitEndsWithContext: a live follower whose
+// acknowledgements stop coming back fills its window, and the leader's
+// next submit waits for it. A submit whose context ends first orders
+// nothing, so once the acknowledgements flow again the follower
+// delivers everything with no gap.
+func TestLeaderWaitEndsWithContext(t *testing.T) {
+	hub := memnet.NewHub(2, memnet.Options{AckInterval: 2 * time.Millisecond, ResendTimeout: 20 * time.Millisecond})
+	seqs := newTOBClusterOn(t, hub, 2, 1)
+	defer hub.Close()
+	go func() {
+		for range seqs[0].Delivered() {
 		}
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			if ps, _ := hub.Endpoint(1).TransportStats().Peer(2); ps.Inflight == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the live follower never acknowledged the burst")
-			}
+	}()
+	hub.DropIf(func(env network.Envelope) bool { return env.From == 2 && env.Kind == network.KindAck })
+	for m := 0; m < 1024; m++ {
+		if err := seqs[0].Submit(context.Background(), network.Envelope{Payload: []byte(fmt.Sprintf("m%04d", m))}); err != nil {
+			t.Fatalf("submit %d: %v", m, err)
 		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	err := seqs[0].Submit(ctx, network.Envelope{Payload: []byte("lost")})
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("submit into a full live window returned %v, want the context's deadline", err)
+	}
+	hub.DropIf(nil)
+	if err := seqs[0].Submit(context.Background(), network.Envelope{Payload: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, seqs[1], 1025)
+	for m, p := range got[:1024] {
+		if want := fmt.Sprintf("m%04d", m); p != want {
+			t.Fatalf("follower delivered %q at %d, want %q", p, m, want)
+		}
+	}
+	if got[1024] != "after" {
+		t.Fatalf("follower delivered %q last, want after", got[1024])
 	}
 }
 
