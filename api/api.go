@@ -438,14 +438,6 @@ func KeyInfoFromStore(store *keys.Keystore, scheme schemes.ID, keyID string) (Ke
 	}, nil
 }
 
-// BatchWaiter is implemented by Services that can wait for many handles
-// more efficiently than one Wait call per handle (the client SDK
-// streams all results over a single connection). Results are returned
-// in handle order.
-type BatchWaiter interface {
-	WaitBatch(ctx context.Context, hs []Handle) ([]Result, error)
-}
-
 // EachWaiter is implemented by Services that can deliver batch results
 // as each instance finishes, instead of all at once: fn is invoked with
 // the handle's position and its result, serially, in completion order.
@@ -576,20 +568,12 @@ func Execute(ctx context.Context, s Service, req protocols.Request) ([]byte, err
 	return res.Value, nil
 }
 
-// WaitAll waits for every handle, using the service's batch streaming
-// when available and falling back to sequential waits otherwise.
-// Results are in handle order.
+// WaitAll waits for every handle through WaitEach and returns the
+// results in handle order.
 func WaitAll(ctx context.Context, s Service, hs []Handle) ([]Result, error) {
-	if bw, ok := s.(BatchWaiter); ok {
-		return bw.WaitBatch(ctx, hs)
-	}
 	out := make([]Result, len(hs))
-	for i, h := range hs {
-		res, err := s.Wait(ctx, h)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
+	if err := WaitEach(ctx, s, hs, func(i int, res Result) { out[i] = res }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -111,7 +111,6 @@ func (c *Client) retryOverload(ctx context.Context, fn func() error) error {
 
 var (
 	_ api.Service           = (*Client)(nil)
-	_ api.BatchWaiter       = (*Client)(nil)
 	_ api.EachWaiter        = (*Client)(nil)
 	_ api.DetailedSubmitter = (*Client)(nil)
 )
@@ -264,21 +263,10 @@ func (c *Client) Wait(ctx context.Context, h api.Handle) (api.Result, error) {
 	}
 }
 
-// WaitBatch streams all results over a single SSE connection (one
-// round-trip per stream window instead of one per instance), returning
-// them in handle order.
-func (c *Client) WaitBatch(ctx context.Context, hs []api.Handle) ([]api.Result, error) {
-	results := make([]api.Result, len(hs))
-	err := c.WaitEach(ctx, hs, func(i int, res api.Result) { results[i] = res })
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// WaitEach streams results over the same SSE connection as WaitBatch
-// but hands each one to fn the moment its entry arrives, in completion
-// order — per-request completion times are observable instead of being
+// WaitEach streams all results over a single SSE connection (one
+// round-trip per stream window instead of one per instance) and hands
+// each one to fn the moment its entry arrives, in completion order —
+// per-request completion times are observable instead of being
 // flattened to the batch's wall clock.
 func (c *Client) WaitEach(ctx context.Context, hs []api.Handle, fn func(i int, res api.Result)) error {
 	// The same handle may appear several times (idempotent duplicates);

@@ -39,7 +39,7 @@ func run() error {
 	// The blockchain substrate: a total-order broadcast channel among
 	// the validators (in production this is the host chain's consensus;
 	// here the sequencer-based TOB from the network layer).
-	hub := memnet.NewHub(n, memnet.Options{Latency: memnet.Uniform(time.Millisecond)})
+	hub := memnet.NewHub(n, memnet.Options{Latency: time.Millisecond})
 	defer hub.Close()
 	channels := make([]*tob.Sequencer, n)
 	for i := 1; i <= n; i++ {

@@ -314,10 +314,7 @@ func New(t, n int, cfg Config) (*Committee, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thetacrypt: deal keys: %w", err)
 	}
-	var net memnet.Options
-	if cfg.Latency > 0 {
-		net.Latency = memnet.Uniform(cfg.Latency)
-	}
+	net := memnet.Options{Latency: cfg.Latency}
 	ids := cfg.Identities
 	roster := cfg.Roster
 	if cfg.Secure {

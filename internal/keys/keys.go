@@ -537,7 +537,7 @@ func ShareOf[S any](ks *Keystore, scheme schemes.ID, id string) (S, error) {
 }
 
 // MustPublic is Public for the default key, panicking when absent —
-// for tests, benchmarks, and calibration code on freshly dealt stores.
+// for tests and benchmarks on freshly dealt stores.
 func MustPublic[P any](ks *Keystore, scheme schemes.ID) P {
 	p, err := Public[P](ks, scheme, DefaultKeyID)
 	if err != nil {

@@ -1,10 +1,8 @@
-// Package memnet provides an in-process P2P network with a configurable
-// per-link latency model. It substitutes for the paper's multi-region
-// DigitalOcean testbed: one-way delays are drawn from a region
-// round-trip matrix plus jitter, so local (≈0.65 ms RTT) and global
-// (≈43-280 ms RTT) deployments from Table 2 can be reproduced on one
-// machine. It also serves as the fault-injection surface for tests
-// (crashed nodes, dropped or delayed messages).
+// Package memnet provides an in-process P2P network with one uniform
+// one-way link delay plus optional jitter. It runs a whole committee in
+// one process (Cluster, the sharded benchmark workload) and serves as
+// the fault-injection surface for tests (crashed nodes, dropped or
+// delayed messages).
 //
 // Send windows, the relink ack layer and Broadcast come from the
 // shared link pipeline (internal/network/link), as in tcpnet, so the
@@ -37,23 +35,14 @@ import (
 const crashPoll = time.Millisecond
 
 // inboxLen is the inbound queue length per node. A deep queue models
-// kernel socket buffers; the paper's capacity experiments drive nodes
-// far beyond their service rate.
+// kernel socket buffers, so a node driven beyond its service rate
+// queues instead of stalling its senders.
 const inboxLen = 4096
-
-// LatencyFunc returns the one-way delay for a message from node i to
-// node j (1-indexed).
-type LatencyFunc func(from, to int) time.Duration
-
-// Uniform returns a LatencyFunc with a constant one-way delay.
-func Uniform(d time.Duration) LatencyFunc {
-	return func(int, int) time.Duration { return d }
-}
 
 // Options configures a Hub.
 type Options struct {
-	// Latency is the one-way delay model; nil means zero latency.
-	Latency LatencyFunc
+	// Latency is the one-way delay of every link; zero means none.
+	Latency time.Duration
 	// JitterFrac adds uniform jitter in [0, JitterFrac) of the base
 	// latency to every message.
 	JitterFrac float64
@@ -249,10 +238,7 @@ func (h *Hub) transmit(to int, env network.Envelope) {
 		h.mu.Unlock()
 		return
 	}
-	base := time.Duration(0)
-	if h.opts.Latency != nil {
-		base = h.opts.Latency(env.From, to)
-	}
+	base := h.opts.Latency
 	if h.opts.JitterFrac > 0 && base > 0 {
 		base += time.Duration(float64(base) * h.rng.Float64() * h.opts.JitterFrac)
 	}

@@ -49,7 +49,7 @@ func TestSendAndBroadcast(t *testing.T) {
 
 func TestLatencyIsApplied(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	hub := NewHub(2, Options{Latency: Uniform(delay)})
+	hub := NewHub(2, Options{Latency: delay})
 	defer hub.Close()
 	start := time.Now()
 	if err := hub.Endpoint(1).Send(context.Background(), 2, network.Envelope{Payload: []byte("x")}); err != nil {
@@ -62,7 +62,7 @@ func TestLatencyIsApplied(t *testing.T) {
 }
 
 func TestPerLinkFIFOUnderJitter(t *testing.T) {
-	hub := NewHub(2, Options{Latency: Uniform(2 * time.Millisecond), JitterFrac: 1.0, Seed: 3})
+	hub := NewHub(2, Options{Latency: 2 * time.Millisecond, JitterFrac: 1.0, Seed: 3})
 	defer hub.Close()
 	const msgs = 25
 	for i := 0; i < msgs; i++ {

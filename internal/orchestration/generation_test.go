@@ -3,10 +3,12 @@ package orchestration
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/protocols"
 	"thetacrypt/internal/schemes"
@@ -156,4 +158,71 @@ func TestGenerationMemoryBounded(t *testing.T) {
 	if next != 201 {
 		t.Fatalf("nextGen after update = %d, want 201", next)
 	}
+}
+
+// TestStaleShareKeepsTombstone: a peer share of an evicted run (at or
+// below its generation) must not resurrect the id as a placeholder —
+// that would undo the eviction, grow the engine, and leave Attach
+// pending until RetainTTL instead of answering ErrExpired. A share of a
+// newer run still supersedes the tombstone, since a peer may be
+// re-running the instance.
+func TestStaleShareKeepsTombstone(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) {
+		cfg.RetainTTL = time.Minute
+		cfg.RetainMax = 1
+	})
+	e := c.engines[0]
+	reqA, reqB := coinReq("stale-A"), coinReq("stale-B")
+	idA := reqA.InstanceID()
+	waitAll(t, c.submitAll(t, reqA))
+	waitAll(t, c.submitAll(t, reqB)) // pushes A out of the size-1 window
+
+	tracked := func(id string) (inst, tomb bool) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, inst = e.instances[id]
+		_, tomb = e.tombstones[id]
+		return inst, tomb
+	}
+	waitUntil(t, 10*time.Second, func() bool {
+		inst, tomb := tracked(idA)
+		return !inst && tomb
+	}, "node 1 never evicted A")
+	attachExpires := func() bool {
+		select {
+		case res := <-e.Attach(idA).Done():
+			return errors.Is(res.Err, ErrExpired)
+		default:
+			return false
+		}
+	}
+	if !attachExpires() {
+		t.Fatal("Attach(A) did not answer ErrExpired at once after the eviction")
+	}
+
+	// Events are handled in order, so once the barrier's placeholder
+	// exists the share injected before it has been handled.
+	inject := func(id string, gen int) {
+		e.events <- event{env: &network.Envelope{
+			From: 2, Instance: id, Kind: network.KindProto, Round: 1, Gen: gen, Payload: []byte{1},
+		}}
+	}
+	inject(idA, 1)
+	inject("barrier", 1)
+	waitUntil(t, 5*time.Second, func() bool { inst, _ := tracked("barrier"); return inst },
+		"barrier share never handled")
+	if inst, tomb := tracked(idA); inst || !tomb {
+		t.Fatalf("stale share: A tracked=%v, tombstoned=%v; want the tombstone kept", inst, tomb)
+	}
+	if got := e.InstanceCount(); got != 2 {
+		t.Fatalf("InstanceCount = %d, want 2 (B and the barrier)", got)
+	}
+	if !attachExpires() {
+		t.Fatal("Attach(A) no longer answers ErrExpired at once after a stale share")
+	}
+
+	// A share of the next generation is a peer's re-run: it parks.
+	inject(idA, 2)
+	waitUntil(t, 5*time.Second, func() bool { inst, tomb := tracked(idA); return inst && !tomb },
+		"a share of a newer run did not supersede the tombstone")
 }

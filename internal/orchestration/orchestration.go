@@ -817,11 +817,16 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 			return
 		}
 		// Share arrived before the start announcement (or while the
-		// instance creation is in flight): park it. Any new activity
-		// for an evicted id supersedes its tombstone — a peer may be
+		// instance creation is in flight): park it. A share of a run at
+		// or below an evicted id's generation is stale and keeps the
+		// tombstone; a newer one supersedes it — a peer may be
 		// legitimately re-running the instance.
 		var evicted []*instance
 		if inst == nil {
+			if gen < e.nextGenLocked(env.Instance) {
+				e.mu.Unlock()
+				return
+			}
 			e.clearTombstoneLocked(env.Instance)
 			inst, evicted = e.newPlaceholderLocked(env.Instance)
 		}

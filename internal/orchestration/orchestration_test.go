@@ -96,7 +96,7 @@ func waitAll(t testing.TB, futures []*Future) []Result {
 
 func TestAllSchemesEndToEnd(t *testing.T) {
 	const tt, n = 1, 4
-	c := newCluster(t, tt, n, memnet.Options{Latency: memnet.Uniform(200 * time.Microsecond)})
+	c := newCluster(t, tt, n, memnet.Options{Latency: 200 * time.Microsecond})
 
 	cases := []struct {
 		name string
@@ -210,7 +210,7 @@ func TestSingleNodeSubmissionPropagates(t *testing.T) {
 	// A request submitted at ONE node must still complete everywhere via
 	// the start announcement.
 	const tt, n = 1, 4
-	c := newCluster(t, tt, n, memnet.Options{Latency: memnet.Uniform(100 * time.Microsecond)})
+	c := newCluster(t, tt, n, memnet.Options{Latency: 100 * time.Microsecond})
 	req := protocols.Request{Scheme: schemes.BLS04, Op: protocols.OpSign, Payload: []byte("solo")}
 	f, err := c.engines[2].Submit(context.Background(), req)
 	if err != nil {

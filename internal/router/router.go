@@ -70,10 +70,9 @@ type Router struct {
 }
 
 var (
-	_ api.Service     = (*Router)(nil)
-	_ api.BatchWaiter = (*Router)(nil)
-	_ api.EachWaiter  = (*Router)(nil)
-	_ api.KeyFetcher  = (*Router)(nil)
+	_ api.Service    = (*Router)(nil)
+	_ api.EachWaiter = (*Router)(nil)
+	_ api.KeyFetcher = (*Router)(nil)
 )
 
 // New creates a router over the given committees. Backends without a
@@ -357,17 +356,6 @@ func (r *Router) scatterWait(ctx context.Context, h api.Handle) (api.Result, err
 		firstErr = ctx.Err()
 	}
 	return api.Result{}, firstErr
-}
-
-// WaitBatch waits for every handle, grouped by owning committee, and
-// returns results in handle order (api.BatchWaiter).
-func (r *Router) WaitBatch(ctx context.Context, hs []api.Handle) ([]api.Result, error) {
-	results := make([]api.Result, len(hs))
-	err := r.WaitEach(ctx, hs, func(i int, res api.Result) { results[i] = res })
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // WaitEach groups the handles by owning committee and streams each

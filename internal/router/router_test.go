@@ -267,12 +267,12 @@ func TestWaitEachStreamsAcrossCommittees(t *testing.T) {
 	a.results[hs[0].InstanceID] = api.Result{InstanceID: hs[0].InstanceID, Value: []byte("r0")}
 	b.results[hs[1].InstanceID] = api.Result{InstanceID: hs[1].InstanceID, Value: []byte("r1")}
 
-	results, err := rt.WaitBatch(ctx, hs)
+	results, err := api.WaitAll(ctx, rt, hs)
 	if err != nil {
-		t.Fatalf("WaitBatch: %v", err)
+		t.Fatalf("WaitAll: %v", err)
 	}
 	if string(results[0].Value) != "r0" || string(results[1].Value) != "r1" {
-		t.Fatalf("WaitBatch order mixed up: %q, %q", results[0].Value, results[1].Value)
+		t.Fatalf("WaitAll order mixed up: %q, %q", results[0].Value, results[1].Value)
 	}
 }
 

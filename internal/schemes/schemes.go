@@ -1,42 +1,18 @@
 // Package schemes defines the common vocabulary of the cryptographic
-// core: scheme identifiers, kinds, and the static registry reproduced in
-// the paper's Table 1 and Table 3. The concrete schemes live in the
-// child packages sg02, bz03, sh00, bls04, frost, and cks05.
+// core: scheme identifiers and their registry. The concrete schemes
+// live in the child packages sg02, bz03, sh00, bls04, frost, and cks05.
 package schemes
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrUnknown is wrapped by every failed registry lookup, so callers
 // (api.ValidateRequest) can distinguish "no such scheme" from other
 // validation failures without string matching.
 var ErrUnknown = errors.New("schemes: unknown scheme")
-
-// Kind classifies a threshold scheme by its function.
-type Kind int
-
-// Scheme kinds, matching the paper's three categories.
-const (
-	KindCipher Kind = iota + 1
-	KindSignature
-	KindRandomness
-)
-
-// String returns the lowercase kind name.
-func (k Kind) String() string {
-	switch k {
-	case KindCipher:
-		return "cipher"
-	case KindSignature:
-		return "signature"
-	case KindRandomness:
-		return "randomness"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // ID identifies a scheme implementation.
 type ID string
@@ -51,49 +27,23 @@ const (
 	CKS05 ID = "CKS05"
 )
 
-// Info is the static description of a scheme: Table 1 columns (kind,
-// hardness assumption, verification strategy) plus Table 3 columns
-// (arithmetic structure, key length, communication complexity, rounds).
+// Info describes a registered scheme.
 type Info struct {
-	ID           ID
-	Kind         Kind
-	Reference    string
-	Hardness     string
-	Verification string
-	Arithmetic   string
-	KeyBits      int
-	Complexity   string
-	Rounds       int
+	ID ID
 }
 
-// Registry returns the scheme inventory in the paper's Table 1 order.
-func Registry() []Info {
-	return []Info{
-		{ID: SH00, Kind: KindSignature, Reference: "Shoup, EUROCRYPT 2000", Hardness: "RSA", Verification: "ZKP", Arithmetic: "RSA", KeyBits: 2048, Complexity: "O(n)", Rounds: 1},
-		{ID: KG20, Kind: KindSignature, Reference: "Komlo-Goldberg, SAC 2020 (FROST)", Hardness: "DL", Verification: "ZKP", Arithmetic: "EC (Ed25519)", KeyBits: 256, Complexity: "O(n^2)", Rounds: 2},
-		{ID: BLS04, Kind: KindSignature, Reference: "Boneh-Lynn-Shacham, J.Cryptol 2004", Hardness: "DL", Verification: "Pairings", Arithmetic: "EC (Bn254)", KeyBits: 254, Complexity: "O(n)", Rounds: 1},
-		{ID: SG02, Kind: KindCipher, Reference: "Shoup-Gennaro, J.Cryptol 2002 (TDH2)", Hardness: "DL", Verification: "ZKP", Arithmetic: "EC (Ed25519)", KeyBits: 256, Complexity: "O(n)", Rounds: 1},
-		{ID: BZ03, Kind: KindCipher, Reference: "Baek-Zheng, GLOBECOM 2003", Hardness: "DL", Verification: "Pairings", Arithmetic: "EC (Bn254)", KeyBits: 254, Complexity: "O(n)", Rounds: 1},
-		{ID: CKS05, Kind: KindRandomness, Reference: "Cachin-Kursawe-Shoup, J.Cryptol 2005", Hardness: "DL", Verification: "ZKP", Arithmetic: "EC (Ed25519)", KeyBits: 256, Complexity: "O(n)", Rounds: 1},
-	}
-}
+// registry lists the schemes in the paper's Table 1 order.
+var registry = []ID{SH00, KG20, BLS04, SG02, BZ03, CKS05}
 
 // Lookup returns the registry entry for an ID.
 func Lookup(id ID) (Info, error) {
-	for _, info := range Registry() {
-		if info.ID == id {
-			return info, nil
-		}
+	if slices.Contains(registry, id) {
+		return Info{ID: id}, nil
 	}
 	return Info{}, fmt.Errorf("%w %q", ErrUnknown, id)
 }
 
 // All returns the scheme IDs in registry order.
 func All() []ID {
-	reg := Registry()
-	out := make([]ID, len(reg))
-	for i, info := range reg {
-		out[i] = info.ID
-	}
-	return out
+	return slices.Clone(registry)
 }

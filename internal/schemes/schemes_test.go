@@ -3,42 +3,27 @@ package schemes
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"testing"
 )
 
 func TestRegistryCoversAllSix(t *testing.T) {
-	reg := Registry()
-	if len(reg) != 6 {
-		t.Fatalf("registry has %d entries", len(reg))
+	all := All()
+	if len(all) != 6 {
+		t.Fatalf("registry has %d entries", len(all))
 	}
-	kinds := map[Kind]int{}
-	for _, info := range reg {
-		kinds[info.Kind]++
-		if info.Rounds < 1 || info.KeyBits < 254 {
-			t.Fatalf("implausible entry %+v", info)
+	for _, id := range all {
+		info, err := Lookup(id)
+		if err != nil || info.ID != id {
+			t.Fatalf("Lookup(%s) = %+v, %v", id, info, err)
 		}
 	}
-	if kinds[KindCipher] != 2 || kinds[KindSignature] != 3 || kinds[KindRandomness] != 1 {
-		t.Fatalf("kind distribution wrong: %v", kinds)
+	if _, err := Lookup("XX99"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("unknown scheme: %v, want ErrUnknown", err)
 	}
-	if _, err := Lookup(SG02); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Lookup("XX99"); err == nil {
-		t.Fatal("unknown scheme found")
-	}
-	if len(All()) != 6 {
-		t.Fatal("All() incomplete")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindCipher.String() != "cipher" || KindSignature.String() != "signature" ||
-		KindRandomness.String() != "randomness" {
-		t.Fatal("kind names wrong")
-	}
-	if Kind(99).String() == "" {
-		t.Fatal("unknown kind must still stringify")
+	all[0] = "XX99"
+	if All()[0] == "XX99" {
+		t.Fatal("All() shares the registry with its caller")
 	}
 }
 

@@ -461,7 +461,7 @@ func TestV2BatchFewerRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := v2.WaitBatch(ctx, hs)
+	results, err := api.WaitAll(ctx, v2, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestV2SSEStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := clients[2].WaitBatch(ctx, hs)
+	results, err := api.WaitAll(ctx, clients[2], hs)
 	if err != nil {
 		t.Fatal(err)
 	}

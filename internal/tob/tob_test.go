@@ -28,7 +28,7 @@ func newTOBClusterOn(t *testing.T, hub *memnet.Hub, n, leader int) []*Sequencer 
 
 func newTOBCluster(t *testing.T, n, leader int) []*Sequencer {
 	t.Helper()
-	hub := memnet.NewHub(n, memnet.Options{Latency: memnet.Uniform(100 * time.Microsecond), JitterFrac: 0.5, Seed: 7})
+	hub := memnet.NewHub(n, memnet.Options{Latency: 100 * time.Microsecond, JitterFrac: 0.5, Seed: 7})
 	return newTOBClusterOn(t, hub, n, leader)
 }
 

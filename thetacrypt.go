@@ -121,7 +121,10 @@ const (
 )
 
 // ClusterOptions configures an embedded cluster. Its nodes run the
-// same engine and transport defaults as a standalone Node.
+// same engine and transport defaults as a standalone Node. A Cluster is
+// for demos and tests: its SH00 key (dealt unless Schemes leaves SH00
+// out) is built on the repository's public test primes, so anyone can
+// forge its signatures.
 type ClusterOptions struct {
 	// Schemes to deal keys for; empty means all six.
 	Schemes []SchemeID
@@ -146,7 +149,9 @@ type Cluster struct {
 }
 
 // NewCluster deals fresh keys and starts n in-process nodes with
-// threshold t (any t+1 cooperate, up to t may be corrupted).
+// threshold t (any t+1 cooperate, up to t may be corrupted). The SH00
+// key is dealt from the repository's public test primes, not fresh
+// ones, and can be forged: use a Cluster for demos and tests only.
 func NewCluster(t, n int, opts ClusterOptions) (*Cluster, error) {
 	com, err := committee.New(t, n, committee.Config{
 		Schemes: opts.Schemes,
