@@ -238,17 +238,17 @@ type EngineStats struct {
 	// Transport is the per-peer health of the node's P2P links; nil when
 	// the endpoint predates API v2.2 or the transport has no peers.
 	Transport *TransportStats `json:"transport,omitempty"`
-	// Crypto is the node's precompute-layer snapshot (Lagrange cache
-	// and peer-share check counts); nil when the endpoint
-	// predates API v2.5.
+	// Crypto is the node's peer-share check counts; nil when the
+	// endpoint predates API v2.5.
 	Crypto *CryptoStats `json:"crypto,omitempty"`
 }
 
-// CryptoStats is the wire form of the precompute layer's counters.
-// Field meanings match precompute.Stats.
+// CryptoStats is the wire form of the share-check counters of
+// precompute.Stats.
 type CryptoStats struct {
-	// LagrangeHits/LagrangeMisses describe the coefficient cache: a hit
-	// skips the modular-inverse chain of a Lagrange basis computation.
+	// LagrangeHits and LagrangeMisses are always 0: Lagrange
+	// coefficients are computed per combine, not cached. They stay on
+	// the wire for clients that read them.
 	LagrangeHits   int64 `json:"lagrange_hits"`
 	LagrangeMisses int64 `json:"lagrange_misses"`
 	// NonceExhaustions is always 0. It stays on the wire for clients

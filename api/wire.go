@@ -57,11 +57,9 @@ func EngineStatsOf(st orchestration.Stats) *EngineStats {
 	}
 }
 
-// CryptoStatsOf converts a precompute snapshot into the wire shape.
+// CryptoStatsOf converts a share-check snapshot into the wire shape.
 func CryptoStatsOf(cs precompute.Stats) *CryptoStats {
 	return &CryptoStats{
-		LagrangeHits:     cs.LagrangeHits,
-		LagrangeMisses:   cs.LagrangeMisses,
 		BatchesVerified:  cs.BatchesVerified,
 		BatchedRelations: cs.BatchedRelations,
 	}

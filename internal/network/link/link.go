@@ -78,8 +78,8 @@ type peer struct {
 	// wake holds one pending nudge: a frame was staged, or the ticker
 	// fired.
 	wake chan struct{}
-	// ackDue is set by the ticker: an owed acknowledgement may now go
-	// out on its own.
+	// ackDue is set by the ticker, or by Inbound once half a window is
+	// owed: an owed acknowledgement may now go out on its own.
 	ackDue atomic.Bool
 	sent   atomic.Uint64
 }
@@ -143,9 +143,10 @@ func (p *Pipeline[F]) AddPeer(index int, write func(F) bool) bool {
 }
 
 // sender writes one peer's frames in the order its Link hands them
-// out, then an acknowledgement the ticker made due, and otherwise
-// sleeps until poked. Every frame carries the current acknowledgement
-// for the reverse direction, stamped at write time.
+// out, then an acknowledgement made due, and otherwise sleeps until
+// poked. Every frame carries the current acknowledgement for the
+// reverse direction, stamped at write time, and a data frame is stamped
+// as written once its write returns.
 func (p *Pipeline[F]) sender(pr *peer, write func(F) bool) {
 	defer p.wg.Done()
 	for {
@@ -168,6 +169,9 @@ func (p *Pipeline[F]) sender(pr *peer, write func(F) bool) {
 		}
 		if !write(p.encode(env)) {
 			return
+		}
+		if env.Seq != 0 {
+			pr.rel.Wrote(env.Seq, time.Now())
 		}
 		pr.sent.Add(1)
 		if hasAck {
@@ -251,8 +255,10 @@ func (p *Pipeline[F]) stage(ctx context.Context, pr *peer, env network.Envelope)
 // acknowledgement discharges the sender link's window, standalone acks
 // end here, unsequenced frames pass through raw, and sequenced frames
 // are deduplicated and reordered per sender before whatever became
-// deliverable is handed on. It returns false once delivery reports the
-// transport stopping.
+// deliverable is handed on. Once half a window is owed to the sender,
+// the acknowledgement goes out at once instead of on the next tick, so
+// a burst does not fill the sender's window before the tick. It
+// returns false once delivery reports the transport stopping.
 func (p *Pipeline[F]) Inbound(env network.Envelope) bool {
 	p.mu.Lock()
 	pr := p.peers[env.From]
@@ -267,7 +273,12 @@ func (p *Pipeline[F]) Inbound(env network.Envelope) bool {
 	if inbox == nil {
 		return p.deliver(env)
 	}
-	for _, d := range inbox.Accept(env) {
+	ready := inbox.Accept(env)
+	if pr != nil && inbox.Owed() >= relink.Window/2 {
+		pr.ackDue.Store(true)
+		pr.poke()
+	}
+	for _, d := range ready {
 		if !p.deliver(d) {
 			return false
 		}

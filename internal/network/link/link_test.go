@@ -106,6 +106,42 @@ func TestLostFrameIsResentOnce(t *testing.T) {
 	quiet(t, b)
 }
 
+// TestBlockedWriteIsNotResentOnCompletion: a frame whose write blocks
+// for several resend timeouts, with no acknowledgement, counts as
+// written when the write returns, not when it was handed out. So it is
+// not written a second time the moment the write returns, and a late
+// acknowledgement drains the window with no resend at all.
+func TestBlockedWriteIsNotResentOnCompletion(t *testing.T) {
+	cfg := Config{AckInterval: 2 * time.Millisecond, ResendTimeout: 200 * time.Millisecond}
+	a := newNode(t, 1, cfg)
+	started, release := make(chan struct{}), make(chan struct{})
+	var writes atomic.Int32
+	var epoch atomic.Uint64
+	a.p.AddPeer(2, func(env network.Envelope) bool {
+		if env.Seq != 0 && writes.Add(1) == 1 {
+			epoch.Store(env.Epoch)
+			close(started)
+			<-release
+		}
+		return true
+	})
+	if err := a.p.Send(context.Background(), 2, network.Envelope{Kind: network.KindProto}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	time.Sleep(4 * cfg.ResendTimeout)
+	close(release)
+	time.Sleep(cfg.ResendTimeout / 4)
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("frame written %d times right after its blocked write returned, want once", n)
+	}
+	a.p.Inbound(network.Envelope{From: 2, Kind: network.KindAck, Ack: 1, AckEpoch: epoch.Load()})
+	ps := waitStats(t, a, 2, func(ps network.PeerStats) bool { return ps.Inflight == 0 })
+	if n := writes.Load(); n != 1 || ps.Resent != 0 {
+		t.Fatalf("frame written %d times, stats %+v: want one write and no resend", n, ps)
+	}
+}
+
 // TestInboundPassesControlAndUnsequencedFrames: a standalone ack ends
 // in the pipeline, an unsequenced frame reaches the engine raw, and a
 // sequenced frame from a sender not registered yet is deduplicated and

@@ -14,7 +14,8 @@
 //     and in order per link, buffering out-of-order arrivals and
 //     filtering duplicates keyed by (peer, seq).
 //   - Acknowledgements are cumulative, piggybacked on reverse traffic
-//     and coalesced onto a short timer otherwise; once the oldest
+//     and coalesced onto a short timer otherwise, or sent at once when
+//     half a window is owed (Inbox.Owed); once the oldest
 //     unacknowledged frame was written ResendTimeout ago, every
 //     unacknowledged frame written that long ago is written again, in
 //     order, which is what redelivers everything lost across a
@@ -90,7 +91,7 @@ func NewEpoch() uint64 {
 // entry is one staged frame awaiting acknowledgement.
 type entry struct {
 	env network.Envelope
-	// sentAt is when the frame was last handed out for writing.
+	// sentAt is when the frame's last write completed (Wrote).
 	sentAt time.Time
 }
 
@@ -157,12 +158,13 @@ func (l *Link) Stage(_ context.Context, env network.Envelope) (network.Envelope,
 
 // Next hands out the frame to write now, with a current Base: the
 // oldest frame not handed out yet; else, once the oldest
-// unacknowledged frame was handed out ResendTimeout before now, that
+// unacknowledged frame was written ResendTimeout before now, that
 // frame, and the cursor goes back over the unacknowledged frames so
-// that each one handed out ResendTimeout ago or more is written again,
-// in order. A frame handed out less than ResendTimeout ago is skipped,
+// that each one written ResendTimeout ago or more is written again,
+// in order. A frame written less than ResendTimeout ago is skipped,
 // so a live peer whose acknowledgements lag gets no copy of what it was
-// just sent. ok is false when nothing is due.
+// just sent. The sender reports each completed write with Wrote before
+// it calls Next again. ok is false when nothing is due.
 func (l *Link) Next(now time.Time) (env network.Envelope, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -181,12 +183,27 @@ func (l *Link) Next(now time.Time) (env network.Envelope, ok bool) {
 	} else {
 		l.written++
 	}
-	en := &l.window[l.next]
+	env = l.window[l.next].env
 	l.next++
-	en.sentAt = now
-	env = en.env
 	env.Base = l.baseLocked()
 	return env, true
+}
+
+// Wrote records that the write of frame seq completed at now; its
+// resend timeout runs from then. A write can block for as long as the
+// peer is unreachable: timed from its hand-out, the frame would look
+// stale the moment such a write succeeds and be written again at once,
+// before the peer could acknowledge it. An acknowledged frame is
+// ignored.
+func (l *Link) Wrote(seq uint64, now time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.window) == 0 || seq < l.window[0].env.Seq {
+		return
+	}
+	if i := seq - l.window[0].env.Seq; i < uint64(len(l.window)) {
+		l.window[i].sentAt = now
+	}
 }
 
 // Ack discharges every staged frame with sequence <= upTo. Acks for a
@@ -251,7 +268,9 @@ type Inbox struct {
 	states    []*inboxState
 	maxBuffer int
 	pending   bool // an acknowledgement is owed
-	dups      uint64
+	// sentEpoch and sentUpTo are the last acknowledgement that went out.
+	sentEpoch, sentUpTo uint64
+	dups                uint64
 }
 
 // NewInbox creates inbound state buffering at most maxBuffer
@@ -368,20 +387,38 @@ func (in *Inbox) PendingAck() (epoch, upTo uint64, ok bool) {
 }
 
 // ClearPending marks an acknowledgement as sent (standalone flush or
-// piggyback), passing the value that went out. It no-ops when the owed
-// acknowledgement has advanced past it since — an Accept that landed
-// between reading the value and sending it must not have its ack
-// obligation wiped, or the sender would only learn of the delivery a
-// resend timeout later.
+// piggyback), passing the value that went out, which Owed counts from.
+// It leaves the obligation set when the owed acknowledgement has
+// advanced past that value since — an Accept that landed between
+// reading the value and sending it must not have its ack obligation
+// wiped, or the sender would only learn of the delivery a resend
+// timeout later.
 func (in *Inbox) ClearPending(epoch, upTo uint64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	in.sentEpoch, in.sentUpTo = epoch, upTo
 	if len(in.states) == 0 {
 		return
 	}
 	if s := in.states[0]; s.epoch == epoch && s.expected-1 <= upTo {
 		in.pending = false
 	}
+}
+
+// Owed counts the frames of the current sender incarnation delivered
+// in order since the last acknowledgement that went out to it.
+func (in *Inbox) Owed() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(in.states) == 0 {
+		return 0
+	}
+	s := in.states[0]
+	upTo := s.expected - 1
+	if s.epoch != in.sentEpoch {
+		return upTo
+	}
+	return upTo - min(upTo, in.sentUpTo)
 }
 
 // Dups counts duplicate frames filtered since creation.

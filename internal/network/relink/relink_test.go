@@ -9,6 +9,16 @@ import (
 	"thetacrypt/internal/network"
 )
 
+// write is one step of a sender: take the next frame and report its
+// write as completed at now.
+func write(l *Link, now time.Time) (network.Envelope, bool) {
+	env, ok := l.Next(now)
+	if ok {
+		l.Wrote(env.Seq, now)
+	}
+	return env, ok
+}
+
 func stage(t *testing.T, l *Link, round int) network.Envelope {
 	t.Helper()
 	env, err := l.Stage(context.Background(), network.Envelope{Kind: network.KindProto, Round: round})
@@ -86,7 +96,7 @@ func TestNextWritesInOrderThenGoesBack(t *testing.T) {
 	stage(t, l, 2)
 	next := func(now time.Time) uint64 {
 		t.Helper()
-		env, ok := l.Next(now)
+		env, ok := write(l, now)
 		if !ok {
 			return 0
 		}
@@ -109,7 +119,7 @@ func TestNextWritesInOrderThenGoesBack(t *testing.T) {
 	l.Ack(1, 1)
 	later := now.Add(20 * time.Millisecond)
 	for _, want := range []uint64{2, 3} {
-		env, ok := l.Next(later)
+		env, ok := write(l, later)
 		if !ok || env.Seq != want || env.Base != 2 {
 			t.Fatalf("resend = seq %d base %d (%v), want seq %d base 2", env.Seq, env.Base, ok, want)
 		}
@@ -135,18 +145,18 @@ func TestResendSkipsFramesJustWritten(t *testing.T) {
 		if i > 3 {
 			at = now.Add(8 * time.Millisecond)
 		}
-		if env, ok := l.Next(at); !ok || env.Seq != uint64(i) {
+		if env, ok := write(l, at); !ok || env.Seq != uint64(i) {
 			t.Fatalf("first write of frame %d = seq %d (%v)", i, env.Seq, ok)
 		}
 	}
 	pass := func(at time.Time, want ...uint64) {
 		t.Helper()
 		for _, seq := range want {
-			if env, ok := l.Next(at); !ok || env.Seq != seq {
+			if env, ok := write(l, at); !ok || env.Seq != seq {
 				t.Fatalf("resend = seq %d (%v), want %d", env.Seq, ok, seq)
 			}
 		}
-		if env, ok := l.Next(at); ok {
+		if env, ok := write(l, at); ok {
 			t.Fatalf("frame %d resent, want the pass to end", env.Seq)
 		}
 	}
@@ -157,6 +167,60 @@ func TestResendSkipsFramesJustWritten(t *testing.T) {
 	pass(now.Add(22*time.Millisecond), 1, 2, 3, 4, 5, 6)
 	if st := l.Stats(); st.Resent != 9 {
 		t.Fatalf("resent = %d after the second pass, want 9", st.Resent)
+	}
+}
+
+// TestWroteRestampsCompletedWrite: a frame counts as written when its
+// write completed, so its resend timeout runs from then; Wrote ignores
+// a frame already acknowledged.
+func TestWroteRestampsCompletedWrite(t *testing.T) {
+	l := NewLink(1, Config{ResendTimeout: 10 * time.Millisecond})
+	l.Wrote(1, time.Now()) // empty window
+	stage(t, l, 1)
+	now := time.Now()
+	if env, ok := l.Next(now); !ok || env.Seq != 1 {
+		t.Fatalf("first write = seq %d (%v)", env.Seq, ok)
+	}
+	l.Wrote(1, now.Add(50*time.Millisecond))
+	if env, ok := l.Next(now.Add(55 * time.Millisecond)); ok {
+		t.Fatalf("frame %d resent within the timeout of its completed write", env.Seq)
+	}
+	if env, ok := l.Next(now.Add(60 * time.Millisecond)); !ok || env.Seq != 1 {
+		t.Fatalf("resend = seq %d (%v), want 1 once the timeout ran from the completed write", env.Seq, ok)
+	}
+	stage(t, l, 2)
+	l.Ack(1, 1)
+	l.Wrote(1, now) // acknowledged: ignored
+	if st := l.Stats(); st.Inflight != 1 || st.Resent != 1 {
+		t.Fatalf("stats %+v, want frame 2 in flight and one resend", st)
+	}
+}
+
+// TestOwedCountsFromLastAck: Owed counts the in-order deliveries since
+// the acknowledgement that last went out, per sender incarnation.
+func TestOwedCountsFromLastAck(t *testing.T) {
+	in := NewInbox(0)
+	if n := in.Owed(); n != 0 {
+		t.Fatalf("owed %d before any contact", n)
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		in.Accept(frame(7, seq, 1, int(seq)))
+	}
+	if n := in.Owed(); n != 5 {
+		t.Fatalf("owed %d, want 5", n)
+	}
+	in.ClearPending(7, 3)
+	in.Accept(frame(7, 6, 1, 6))
+	if n := in.Owed(); n != 3 {
+		t.Fatalf("owed %d after an ack of 3 and frame 6, want 3", n)
+	}
+	in.Accept(frame(8, 1, 1, 1)) // the sender restarted
+	if n := in.Owed(); n != 1 {
+		t.Fatalf("owed %d to the new incarnation, want 1", n)
+	}
+	in.ClearPending(8, 1)
+	if n := in.Owed(); n != 0 {
+		t.Fatalf("owed %d after acknowledging everything, want 0", n)
 	}
 }
 

@@ -113,26 +113,14 @@ func TestFrostBroadcastsPerSign(t *testing.T) {
 	}
 }
 
-// TestReshareInvalidatesPrecomputedMaterial is the precompute
-// invalidation contract: Lagrange coefficients cached under the old
-// epoch are never served after a reshare — the first post-reshare sign
-// misses the cache — and that sign still takes the two rounds and
-// verifies under the unchanged public key.
+// TestReshareInvalidatesPrecomputedMaterial: a sign after a proactive
+// refresh combines shares of the new epoch only — it still takes the
+// two rounds and verifies under the unchanged public key.
 func TestReshareInvalidatesPrecomputedMaterial(t *testing.T) {
 	const tt, n = 1, 4
 	c, counter := countingCluster(t, tt, n)
-	crypto := func() (hits, misses int64) {
-		st := c.engines[0].Stats().Crypto
-		return st.LagrangeHits, st.LagrangeMisses
-	}
-
-	// Prime the Lagrange cache under epoch 1; the second sign hits it.
-	signOn(t, c, 0, "pre-reshare-1", []byte("epoch-1 tx"))
-	hits, _ := crypto()
-	signOn(t, c, 0, "pre-reshare-2", []byte("epoch-1 tx again"))
-	if h, _ := crypto(); h <= hits {
-		t.Fatalf("second epoch-1 sign did not hit the Lagrange cache (hits %d -> %d)", hits, h)
-	}
+	pk := keys.MustPublic[*frost.PublicKey](c.nodes[0], schemes.KG20)
+	signOn(t, c, 0, "pre-reshare", []byte("epoch-1 tx"))
 
 	// Same-committee proactive refresh of the KG20 key: epoch 1 -> 2.
 	members := make([]int, n)
@@ -153,18 +141,17 @@ func TestReshareInvalidatesPrecomputedMaterial(t *testing.T) {
 		}
 	}
 
-	hits, misses := crypto()
-	postID := signOn(t, c, 0, "post-reshare", []byte("epoch-2 tx"))
-	if h, m := crypto(); h != hits || m <= misses {
-		t.Fatalf("post-reshare sign was served epoch-1 coefficients (hits %d -> %d, misses %d -> %d)", hits, h, misses, m)
+	if now := keys.MustPublic[*frost.PublicKey](c.nodes[0], schemes.KG20); !now.Y.Equal(pk.Y) {
+		t.Fatal("the refresh changed the group public key")
 	}
+	postID := signOn(t, c, 0, "post-reshare", []byte("epoch-2 tx"))
 	if got := counter.count(postID); got != 2*(tt+1) {
 		t.Fatalf("post-reshare sign used %d broadcasts, want %d", got, 2*(tt+1))
 	}
 }
 
 // TestCryptoStatsFlow: the engine's stats snapshot carries the
-// precompute counters (the /v2/info surface reads exactly this). A
+// share-check counters (the /v2/info surface reads exactly this). A
 // KG20 sign verifies its aggregate signature, not its shares, so it
 // adds no batched relation; a CKS05 coin on the same cluster does.
 func TestCryptoStatsFlow(t *testing.T) {
@@ -172,11 +159,7 @@ func TestCryptoStatsFlow(t *testing.T) {
 	c := newCluster(t, tt, n, memnet.Options{})
 	signOn(t, c, 0, "stats-1", []byte("counted tx"))
 
-	st := c.engines[0].Stats().Crypto
-	if st.LagrangeHits+st.LagrangeMisses == 0 {
-		t.Fatalf("stats carry no Lagrange traffic: %+v", st)
-	}
-	if st.BatchesVerified != 0 || st.BatchedRelations != 0 {
+	if st := c.engines[0].Stats().Crypto; st.BatchesVerified != 0 || st.BatchedRelations != 0 {
 		t.Fatalf("a KG20 sign went through the batch verifier: %+v", st)
 	}
 

@@ -47,7 +47,6 @@ import (
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/precompute"
 	"thetacrypt/internal/protocols"
-	"thetacrypt/internal/schemes"
 )
 
 // Errors returned by the engine.
@@ -172,8 +171,8 @@ type Stats struct {
 	// Transport is the P2P layer's per-peer health snapshot: link state
 	// (up/dialing/down), outbound queue depth, and send/drop counters.
 	Transport network.TransportStats
-	// Crypto snapshots the precompute layer: Lagrange cache hit rate
-	// and the count of direct peer-share checks.
+	// Crypto counts the direct peer-share checks and the relations
+	// they checked.
 	Crypto precompute.Stats
 }
 
@@ -181,10 +180,9 @@ type Stats struct {
 type Engine struct {
 	cfg  Config
 	self int
-	// suite is the node-wide precompute layer (Lagrange cache and the
-	// counting share verifier) threaded into every protocol instance.
-	// Always non-nil.
-	suite *precompute.Suite
+	// verifier is the node-wide counting share checker threaded into
+	// every protocol instance.
+	verifier precompute.Verifier
 
 	events chan event
 
@@ -366,11 +364,6 @@ type run struct {
 	// (or their generation) was started on this node (guarded by
 	// Engine.mu).
 	backlog []backlogEntry
-	// op/scheme/keyID mirror the request that started this instance
-	// (set at adoption, read at finish for precompute invalidation).
-	op     protocols.Operation
-	scheme string
-	keyID  string
 	// pelem/lelem are this instance's entries in Engine.placeholders and
 	// Engine.live (guarded by Engine.mu; nil when absent); adoptedAt is
 	// the live-run clock, set when a worker adopts the instance.
@@ -453,7 +446,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:            cfg,
 		self:           cfg.Keys.Index,
-		suite:          precompute.NewSuite(nil, precompute.Options{}),
 		events:         make(chan event, cfg.QueueLen),
 		instances:      make(map[string]*instance),
 		placeholders:   list.New(),
@@ -675,11 +667,6 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 		e.adoptLocked(inst)
 		adopt = true
 	}
-	if adopt {
-		inst.run.op = req.Op
-		inst.run.scheme = string(req.Scheme)
-		inst.run.keyID = req.EffectiveKeyID()
-	}
 	e.mu.Unlock()
 	if superseded != nil {
 		// Fail the stale copy's watchers (no-op when it had finished).
@@ -695,7 +682,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	}
 
 	proto, err := protocols.NewWith(e.cfg.Rand, e.cfg.Keys, req, protocols.Env{
-		Suite:    e.suite,
+		Verifier: &e.verifier,
 		Identity: e.cfg.Identity,
 		Roster:   e.cfg.Roster,
 	})
@@ -979,18 +966,9 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 		return
 	}
 	inst.finished = true
-	r := inst.run
 	inst.value, inst.took = res.Value, time.Since(clock)-inst.started
 	if err := res.Err; err != nil {
 		inst.err = &err
-	}
-	if r.op == protocols.OpReshare && res.Err == nil {
-		// The reshare advanced the key's epoch: drop cached Lagrange
-		// coefficients of the superseded sharing, so stale precomputed
-		// material can never meet the new shares.
-		if k, err := e.cfg.Keys.Get(schemes.ID(r.scheme), r.keyID); err == nil {
-			e.suite.Invalidate(r.scheme, r.keyID, k.Epoch)
-		}
 	}
 }
 
@@ -1259,6 +1237,6 @@ func (e *Engine) Stats() Stats {
 	st.Overloaded = e.overloaded.Load()
 	st.PartialBroadcasts = e.partialBroadcasts.Load()
 	st.Transport = e.cfg.Net.TransportStats()
-	st.Crypto = e.suite.Stats()
+	st.Crypto = e.verifier.Stats()
 	return st
 }

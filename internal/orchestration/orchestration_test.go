@@ -190,6 +190,29 @@ func TestAllSchemesEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStopAndCancelRefuseSubmissions: a submission under an ended
+// context returns the context's error, a wait under one returns it too,
+// and once the engine is stopped (Stop is idempotent) every submission
+// fails with ErrStopped.
+func TestStopAndCancelRefuseSubmissions(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{})
+	e := c.engines[0]
+	req := protocols.Request{Scheme: schemes.KG20, Op: protocols.OpSign, Payload: []byte("refused")}
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Submit(ended, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit under an ended context: %v", err)
+	}
+	if _, err := (&Future{ch: make(chan Result, 1)}).Wait(ended); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait under an ended context: %v", err)
+	}
+	e.Stop()
+	e.Stop()
+	if _, err := e.Submit(context.Background(), req); !errors.Is(err, ErrStopped) {
+		t.Fatalf("submit after Stop: %v", err)
+	}
+}
+
 func TestBZ03EndToEnd(t *testing.T) {
 	// BZ03 runs separately: its pairing-heavy verification is the
 	// slowest path and deserves its own timeout budget.

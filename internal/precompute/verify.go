@@ -39,3 +39,11 @@ func (v *Verifier) Verify(g group.Group, rels []group.Relation) error {
 	}
 	return nil
 }
+
+// Stats snapshots the counters (zero on a nil *Verifier).
+func (v *Verifier) Stats() Stats {
+	if v == nil {
+		return Stats{}
+	}
+	return Stats{BatchesVerified: v.checks.Load(), BatchedRelations: v.relations.Load()}
+}

@@ -15,17 +15,15 @@ import (
 	"thetacrypt/internal/schemes/frost"
 	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
-	"thetacrypt/internal/share"
 )
 
 // Env carries the engine-owned cross-instance facilities into a
-// protocol instance: the precompute suite (coefficient cache and the
-// counting verifier that checks each SG02 and CKS05 peer share
-// directly; a node's own share is never checked) and the dealing
-// protocol's identity material. The zero Env disables all of
-// it; New uses it.
+// protocol instance: the counting verifier that checks each SG02 and
+// CKS05 peer share directly (a node's own share is never checked) and
+// the dealing protocol's identity material. The zero Env checks
+// without counting and seals nothing; New uses it.
 type Env struct {
-	Suite *precompute.Suite
+	Verifier *precompute.Verifier
 	// Identity and Roster carry the node's transport identity key and
 	// the deployment's peer roster into the dealing protocol (keygen
 	// and reshare): when present, each sub-share box is sealed to its
@@ -53,10 +51,10 @@ func New(rand io.Reader, store *keys.Keystore, req Request) (Protocol, error) {
 }
 
 // NewWith is New threading the engine environment into the instance:
-// the precompute suite serves cached Lagrange coefficients, counts the
-// direct checks SG02 and CKS05 run on their peers' shares (BLS04 and KG20
-// check their combined signature instead, and no scheme checks the
-// share a node made itself), and seals the dealing protocol's boxes.
+// the verifier counts the direct checks SG02 and CKS05 run on their
+// peers' shares (BLS04 and KG20 check their combined signature instead,
+// and no scheme checks the share a node made itself), and the identity
+// material seals the dealing protocol's boxes.
 func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protocol, error) {
 	if req.Op == OpKeyGen {
 		return newKeygen(rand, store, req, env)
@@ -84,11 +82,6 @@ func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protoc
 // buildOp constructs the scheme protocol for a sign/decrypt/coin
 // request from resolved key material.
 func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error) {
-	// The coefficient source is scoped to this key's epoch: a reshare
-	// changes the epoch and with it every cache key, so stale
-	// coefficients are structurally unreachable.
-	src := env.Suite.Coefficients(string(k.Scheme), k.ID, k.Epoch)
-	check := env.Suite.Verifier()
 	switch {
 	case req.Scheme == schemes.SG02 && req.Op == OpDecrypt:
 		pk, ks, err := material[*sg02.PublicKey, sg02.KeyShare](k)
@@ -100,8 +93,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, fmt.Errorf("protocols: %w", err)
 		}
 		return newNonInteractive(rand, &sg02Adapter{pk: pk, ks: ks, ct: ct,
-			src: src, check: check,
-			shares: make(map[int]*sg02.DecShare)}), nil
+			check: env.Verifier, shares: make(map[int]*sg02.DecShare)}), nil
 
 	case req.Scheme == schemes.BZ03 && req.Op == OpDecrypt:
 		pk, ks, err := material[*bz03.PublicKey, bz03.KeyShare](k)
@@ -129,7 +121,6 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, err
 		}
 		return newNonInteractive(rand, &bls04Adapter{pk: pk, ks: ks, msg: req.Payload,
-			src:    src,
 			shares: make(map[int]*bls04.SigShare)}), nil
 
 	case req.Scheme == schemes.CKS05 && req.Op == OpCoin:
@@ -138,15 +129,14 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, err
 		}
 		return newNonInteractive(rand, &cks05Adapter{pk: pk, ks: ks, name: req.Payload,
-			src: src, check: check,
-			shares: make(map[int]*cks05.CoinShare)}), nil
+			check: env.Verifier, shares: make(map[int]*cks05.CoinShare)}), nil
 
 	case req.Scheme == schemes.KG20 && req.Op == OpSign:
 		pk, ks, err := material[*frost.PublicKey, frost.KeyShare](k)
 		if err != nil {
 			return nil, err
 		}
-		return newFrostWith(rand, pk, ks, req.Payload, frostEnv{src: src}), nil
+		return newFrost(rand, pk, ks, req.Payload), nil
 
 	default:
 		return nil, fmt.Errorf("protocols: scheme %q does not support operation %q", req.Scheme, req.Op)
@@ -228,7 +218,6 @@ type sg02Adapter struct {
 	pk     *sg02.PublicKey
 	ks     sg02.KeyShare
 	ct     *sg02.Ciphertext
-	src    share.CoefficientSource
 	check  *precompute.Verifier
 	shares map[int]*sg02.DecShare
 	// ctValid records that ct passed VerifyCiphertext on this node —
@@ -278,9 +267,9 @@ func (a *sg02Adapter) Combine() ([]byte, error) {
 	if !a.ctValid {
 		// A quorum of peer shares without a share of our own: the
 		// ciphertext was never checked here.
-		return sg02.CombineWith(a.src, a.pk, a.ct, dss)
+		return sg02.Combine(a.pk, a.ct, dss)
 	}
-	return sg02.CombineVerified(a.src, a.pk, a.ct, dss)
+	return sg02.CombineVerified(a.pk, a.ct, dss)
 }
 
 // bz03Adapter plugs the BZ03 threshold cipher into the single-round
@@ -376,13 +365,12 @@ func (a *sh00Adapter) Combine() ([]byte, error) {
 // bls04Adapter plugs the BLS threshold signature into the single-round
 // protocol. A BLS signature verifies itself, so shares are stored after
 // the structural checks alone and the quorum is checked once, by the
-// pairing check that CombineWith ends in. Only a failed combine checks
+// pairing check that Combine ends in. Only a failed combine checks
 // shares one by one, to drop and name the bad ones.
 type bls04Adapter struct {
 	pk     *bls04.PublicKey
 	ks     bls04.KeyShare
 	msg    []byte
-	src    share.CoefficientSource
 	shares map[int]*bls04.SigShare
 	// verdicts holds the fallback's per-share checks, nil until a
 	// combine first fails: true for a share found valid, which is not
@@ -436,7 +424,7 @@ func (a *bls04Adapter) combine() error {
 	for _, ss := range a.shares {
 		sss = append(sss, ss)
 	}
-	sig, err := bls04.CombineWith(a.src, a.pk, a.msg, sss)
+	sig, err := bls04.Combine(a.pk, a.msg, sss)
 	if err == nil {
 		a.sig = sig.Marshal()
 		return nil
@@ -472,7 +460,6 @@ type cks05Adapter struct {
 	pk     *cks05.PublicKey
 	ks     cks05.KeyShare
 	name   []byte
-	src    share.CoefficientSource
 	check  *precompute.Verifier
 	shares map[int]*cks05.CoinShare
 }
@@ -512,5 +499,5 @@ func (a *cks05Adapter) Combine() ([]byte, error) {
 	for _, cs := range a.shares {
 		css = append(css, cs)
 	}
-	return cks05.CombineWith(a.src, a.pk, a.name, css)
+	return cks05.Combine(a.pk, a.name, css)
 }

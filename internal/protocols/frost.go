@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"thetacrypt/internal/schemes/frost"
-	"thetacrypt/internal/share"
 )
 
 // frostProtocol is the FROST (KG20) signing protocol behind the TRI:
@@ -33,7 +32,6 @@ type frostProtocol struct {
 	pk   *frost.PublicKey
 	ks   frost.KeyShare
 	msg  []byte
-	env  frostEnv
 
 	signers []int // the fixed signer group, ascending
 	inGroup bool
@@ -52,21 +50,15 @@ type frostProtocol struct {
 	finalized bool
 }
 
-// frostEnv is the engine environment threaded into a FROST instance.
-// The zero value computes Lagrange coefficients directly.
-type frostEnv struct {
-	src share.CoefficientSource
-}
-
-// newFrostWith creates a FROST signing instance for the key share ks
-// under the group public key pk, bound to the engine environment.
-func newFrostWith(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte, env frostEnv) Protocol {
+// newFrost creates a FROST signing instance for the key share ks under
+// the group public key pk.
+func newFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte) Protocol {
 	signers := make([]int, pk.T+1)
 	for i := range signers {
 		signers[i] = i + 1
 	}
 	return &frostProtocol{
-		rand: rand, pk: pk, ks: ks, msg: msg, env: env,
+		rand: rand, pk: pk, ks: ks, msg: msg,
 		signers:     signers,
 		inGroup:     ks.Index <= pk.T+1,
 		commitments: make(map[int]*frost.NonceCommitment, pk.T+1),
@@ -142,7 +134,7 @@ func (p *frostProtocol) sign() error {
 		return nil
 	}
 	p.signed = true
-	ss, err := frost.SignWith(p.env.src, p.pk, p.ks, p.nonce, p.msg, p.commitmentList())
+	ss, err := frost.Sign(p.pk, p.ks, p.nonce, p.msg, p.commitmentList())
 	if err != nil {
 		return fmt.Errorf("frost signing: %w", err)
 	}
@@ -261,7 +253,7 @@ func (p *frostProtocol) settle() error {
 		if ss.Index == p.ks.Index && p.signed {
 			continue // made here by sign
 		}
-		if verr := frost.VerifyShareWith(p.env.src, p.pk, p.msg, comms, ss); verr != nil {
+		if verr := frost.VerifyShare(p.pk, p.msg, comms, ss); verr != nil {
 			if p.rejected == nil {
 				p.rejected = make(map[int]bool)
 			}

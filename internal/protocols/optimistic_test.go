@@ -305,7 +305,7 @@ func TestFrostOwnBadShareFailsInstance(t *testing.T) {
 	pk := keys.MustPublic[*frost.PublicKey](nodes[0], schemes.KG20)
 	ks := keys.MustShare[frost.KeyShare](nodes[0], schemes.KG20)
 	ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
-	p := newFrostWith(rand.Reader, pk, ks, msg, frostEnv{})
+	p := newFrost(rand.Reader, pk, ks, msg)
 	out, err := p.DoRound()
 	if err != nil {
 		t.Fatal(err)

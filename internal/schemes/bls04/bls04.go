@@ -95,14 +95,6 @@ func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
 // Combine interpolates t+1 signature shares in G1 and verifies the
 // result against the group public key (the paper's result verification).
 func Combine(pk *PublicKey, msg []byte, shares []*SigShare) (*Signature, error) {
-	return CombineWith(nil, pk, msg, shares)
-}
-
-// CombineWith is Combine drawing Lagrange coefficients from src (nil
-// selects direct computation). The pairing group cannot join the
-// precompute layer's multi-scalar batches, but the coefficient cache
-// still amortizes repeated signer subsets.
-func CombineWith(src share.CoefficientSource, pk *PublicKey, msg []byte, shares []*SigShare) (*Signature, error) {
 	if len(shares) < pk.T+1 {
 		return nil, share.ErrNotEnoughShares
 	}
@@ -120,17 +112,13 @@ func CombineWith(src share.CoefficientSource, pk *PublicKey, msg []byte, shares 
 	for idx := range chosen {
 		subset = append(subset, idx)
 	}
-	coeffs, err := share.SourceOrDirect(src).Lagrange(subset, pairing.Order())
+	coeffs, err := share.Coefficients(subset, pairing.Order())
 	if err != nil {
 		return nil, err
 	}
 	acc := pairing.G1Identity()
 	for idx, s := range chosen {
-		lambda, ok := coeffs[idx]
-		if !ok {
-			return nil, fmt.Errorf("bls04: signer %d missing from coefficient map", idx)
-		}
-		acc = acc.Add(s.Mul(lambda))
+		acc = acc.Add(s.Mul(coeffs[idx]))
 	}
 	sig := &Signature{S: acc}
 	if err := Verify(pk, msg, sig); err != nil {

@@ -125,12 +125,6 @@ func ShareRelations(pk *PublicKey, name []byte, cs *CoinShare) ([]group.Relation
 // coin value. Shares must have been verified; the combine is
 // deterministic, so all correct parties derive the same value.
 func Combine(pk *PublicKey, name []byte, css []*CoinShare) ([]byte, error) {
-	return CombineWith(nil, pk, name, css)
-}
-
-// CombineWith is Combine drawing Lagrange coefficients from src (nil
-// selects direct computation).
-func CombineWith(src share.CoefficientSource, pk *PublicKey, name []byte, css []*CoinShare) ([]byte, error) {
 	if len(css) < pk.T+1 {
 		return nil, share.ErrNotEnoughShares
 	}
@@ -144,7 +138,7 @@ func CombineWith(src share.CoefficientSource, pk *PublicKey, name []byte, css []
 	if len(points) < pk.T+1 {
 		return nil, share.ErrDuplicateIndex
 	}
-	sigma, err := share.InterpolateInExponentWith(src, pk.Group, points)
+	sigma, err := share.InterpolateInExponent(pk.Group, points)
 	if err != nil {
 		return nil, err
 	}

@@ -163,13 +163,6 @@ func signerIndices(comms []*NonceCommitment) []int {
 // Sign is FROST round 2: signer i computes its signature share
 // z_i = d_i + e_i*ρ_i + λ_i*x_i*c for the signer set fixed by comms.
 func Sign(pk *PublicKey, ks KeyShare, nonce *Nonce, msg []byte, comms []*NonceCommitment) (*SignatureShare, error) {
-	return SignWith(nil, pk, ks, nonce, msg, comms)
-}
-
-// SignWith is Sign drawing Lagrange coefficients from src (nil selects
-// direct computation), letting the precompute layer's epoch-scoped
-// cache serve repeated signer subsets.
-func SignWith(src share.CoefficientSource, pk *PublicKey, ks KeyShare, nonce *Nonce, msg []byte, comms []*NonceCommitment) (*SignatureShare, error) {
 	sorted, err := sortedCommitments(pk, comms)
 	if err != nil {
 		return nil, err
@@ -193,7 +186,7 @@ func SignWith(src share.CoefficientSource, pk *PublicKey, ks KeyShare, nonce *No
 	rho := bindingValue(pk, ks.Index, msg, sorted)
 	r := groupCommitment(pk, msg, sorted)
 	c := challenge(pk, r, msg)
-	lambda, err := lagrangeFor(src, ks.Index, sorted, g.Order())
+	lambda, err := share.LagrangeCoefficient(ks.Index, signerIndices(sorted), g.Order())
 	if err != nil {
 		return nil, err
 	}
@@ -205,36 +198,15 @@ func SignWith(src share.CoefficientSource, pk *PublicKey, ks KeyShare, nonce *No
 // VerifyShare checks z_i*G == D_i + ρ_i*E_i + c*λ_i*Y_i, identifying
 // misbehaving signers (FROST aborts on failure rather than recovering).
 func VerifyShare(pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) error {
-	return VerifyShareWith(nil, pk, msg, comms, ss)
-}
-
-// VerifyShareWith is VerifyShare drawing Lagrange coefficients from src.
-func VerifyShareWith(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) error {
-	rels, err := shareRelations(src, pk, msg, comms, ss)
-	if err != nil {
-		return err
-	}
-	for _, rel := range rels {
-		if !rel.Holds(pk.Group) {
-			return ErrInvalidShare
-		}
-	}
-	return nil
-}
-
-// shareRelations does the structural checks, binding-value and
-// challenge recomputation of share verification and returns the single
-// linear relation completing it, z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0.
-func shareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) ([]group.Relation, error) {
 	if ss == nil || ss.Z == nil || ss.Index < 1 || ss.Index > pk.N {
-		return nil, ErrInvalidShare
+		return ErrInvalidShare
 	}
 	if ss.Z.Sign() < 0 || ss.Z.Cmp(pk.Group.Order()) >= 0 {
-		return nil, ErrInvalidShare
+		return ErrInvalidShare
 	}
 	sorted, err := sortedCommitments(pk, comms)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var own *NonceCommitment
 	for _, c := range sorted {
@@ -244,39 +216,30 @@ func shareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comm
 		}
 	}
 	if own == nil {
-		return nil, ErrNotInSignerSet
+		return ErrNotInSignerSet
 	}
 	g := pk.Group
 	rho := bindingValue(pk, ss.Index, msg, sorted)
 	r := groupCommitment(pk, msg, sorted)
 	c := challenge(pk, r, msg)
-	lambda, err := lagrangeFor(src, ss.Index, sorted, g.Order())
+	lambda, err := share.LagrangeCoefficient(ss.Index, signerIndices(sorted), g.Order())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ord := g.Order()
 	neg := func(v *big.Int) *big.Int {
 		out := new(big.Int).Sub(ord, new(big.Int).Mod(v, ord))
 		return out.Mod(out, ord)
 	}
-	return []group.Relation{{
+	// z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0
+	rel := group.Relation{
 		Points:  []group.Point{g.Generator(), own.D, own.E, pk.VK[ss.Index-1]},
 		Scalars: []*big.Int{ss.Z, neg(big.NewInt(1)), neg(rho), neg(mathutil.MulMod(c, lambda, ord))},
-	}}, nil
-}
-
-// lagrangeFor resolves signer j's coefficient for the sorted commitment
-// set through a CoefficientSource.
-func lagrangeFor(src share.CoefficientSource, j int, sorted []*NonceCommitment, order *big.Int) (*big.Int, error) {
-	coeffs, err := share.SourceOrDirect(src).Lagrange(signerIndices(sorted), order)
-	if err != nil {
-		return nil, err
 	}
-	lambda, ok := coeffs[j]
-	if !ok {
-		return nil, fmt.Errorf("frost: signer %d missing from coefficient map", j)
+	if !rel.Holds(g) {
+		return ErrInvalidShare
 	}
-	return lambda, nil
+	return nil
 }
 
 // Combine aggregates the signature shares of the full signer set into a

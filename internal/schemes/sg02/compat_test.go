@@ -84,11 +84,11 @@ func TestWireBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestCombineVerifiedMatchesCombineWith: on a ciphertext that passed
+// TestCombineVerifiedMatchesCombine: on a ciphertext that passed
 // VerifyCiphertext, skipping the second check changes nothing — the same
 // plaintext, the same quorum errors — and a wrong interpolation still
 // fails at the AEAD tag.
-func TestCombineVerifiedMatchesCombineWith(t *testing.T) {
+func TestCombineVerifiedMatchesCombine(t *testing.T) {
 	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
 		t.Run(g.Name(), func(t *testing.T) {
 			pk, ks := deal(t, g, 1, 4)
@@ -105,19 +105,19 @@ func TestCombineVerifiedMatchesCombineWith(t *testing.T) {
 				}
 				dss = append(dss, ds)
 			}
-			a, errA := CombineWith(nil, pk, ct, dss)
-			b, errB := CombineVerified(nil, pk, ct, dss)
+			a, errA := Combine(pk, ct, dss)
+			b, errB := CombineVerified(pk, ct, dss)
 			if errA != nil || errB != nil || !bytes.Equal(a, msg) || !bytes.Equal(b, msg) {
-				t.Fatalf("CombineWith = %q, %v; CombineVerified = %q, %v", a, errA, b, errB)
+				t.Fatalf("Combine = %q, %v; CombineVerified = %q, %v", a, errA, b, errB)
 			}
-			if _, err := CombineVerified(nil, pk, ct, dss[:1]); err == nil {
+			if _, err := CombineVerified(pk, ct, dss[:1]); err == nil {
 				t.Fatal("one share combined at t=1")
 			}
 			// A share for a different point interpolates to the wrong
 			// h^r: the AEAD tag rejects it.
 			bad := *dss[1]
 			bad.U = bad.U.Add(g.Generator())
-			if _, err := CombineVerified(nil, pk, ct, []*DecShare{dss[0], &bad}); err == nil {
+			if _, err := CombineVerified(pk, ct, []*DecShare{dss[0], &bad}); err == nil {
 				t.Fatal("wrong interpolation opened the payload")
 			}
 		})

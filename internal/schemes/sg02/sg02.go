@@ -224,26 +224,19 @@ func ShareRelations(pk *PublicKey, ct *Ciphertext, ds *DecShare) ([]group.Relati
 // the data-encapsulation key, and opens the payload. The AEAD tag is the
 // result verification: a wrong combination cannot authenticate.
 func Combine(pk *PublicKey, ct *Ciphertext, dss []*DecShare) ([]byte, error) {
-	return CombineWith(nil, pk, ct, dss)
-}
-
-// CombineWith is Combine drawing Lagrange coefficients from src (nil
-// selects direct computation), letting the precompute layer's
-// epoch-scoped cache serve repeated signer subsets.
-func CombineWith(src share.CoefficientSource, pk *PublicKey, ct *Ciphertext, dss []*DecShare) ([]byte, error) {
 	if err := VerifyCiphertext(pk, ct); err != nil {
 		return nil, err
 	}
-	return CombineVerified(src, pk, ct, dss)
+	return CombineVerified(pk, ct, dss)
 }
 
-// CombineVerified is CombineWith without the ciphertext check, for a
+// CombineVerified is Combine without the ciphertext check, for a
 // caller that has already passed this very ciphertext through
 // VerifyCiphertext — typically through DecryptShare, which a party runs
 // before it combines — so one party checks one ciphertext once. The
 // shares must be verified (VerifyShare or their ShareRelations), and
 // the AEAD tag is still checked on the way out.
-func CombineVerified(src share.CoefficientSource, pk *PublicKey, ct *Ciphertext, dss []*DecShare) ([]byte, error) {
+func CombineVerified(pk *PublicKey, ct *Ciphertext, dss []*DecShare) ([]byte, error) {
 	if len(dss) < pk.T+1 {
 		return nil, share.ErrNotEnoughShares
 	}
@@ -257,7 +250,7 @@ func CombineVerified(src share.CoefficientSource, pk *PublicKey, ct *Ciphertext,
 	if len(points) < pk.T+1 {
 		return nil, share.ErrDuplicateIndex
 	}
-	hr, err := share.InterpolateInExponentWith(src, pk.Group, points)
+	hr, err := share.InterpolateInExponent(pk.Group, points)
 	if err != nil {
 		return nil, err
 	}

@@ -150,7 +150,7 @@ func TestForgedShareRejected(t *testing.T) {
 	}
 }
 
-func TestCombineWithTooFewShares(t *testing.T) {
+func TestCombineTooFewShares(t *testing.T) {
 	g := group.Edwards25519()
 	pk, ks := deal(t, g, 2, 5)
 	ct, _ := Encrypt(rand.Reader, pk, []byte("m"), nil)

@@ -118,8 +118,7 @@ func Split(rand io.Reader, secret *big.Int, t, n int, modulus *big.Int) ([]Share
 // removed. Callers reach interpolation with subsets in whatever order
 // they were collected (map iteration, network arrival); canonicalizing
 // here guarantees that equivalent sets produce identical coefficient
-// maps, identical operation order, and — for the precompute layer —
-// identical cache keys.
+// maps and identical operation order.
 func CanonicalSubset(subset []int) []int {
 	out := make([]int, len(subset))
 	copy(out, subset)
@@ -162,7 +161,7 @@ func LagrangeCoefficient(j int, subset []int, modulus *big.Int) (*big.Int, error
 }
 
 // Coefficients computes the full coefficient map λ_j for every j of the
-// canonicalized subset — the direct (uncached) CoefficientSource.
+// canonicalized subset.
 func Coefficients(subset []int, modulus *big.Int) (map[int]*big.Int, error) {
 	canon := CanonicalSubset(subset)
 	out := make(map[int]*big.Int, len(canon))
@@ -174,33 +173,6 @@ func Coefficients(subset []int, modulus *big.Int) (map[int]*big.Int, error) {
 		out[j] = lambda
 	}
 	return out, nil
-}
-
-// CoefficientSource supplies the Lagrange coefficient map of an index
-// subset. The direct implementation recomputes per call; the precompute
-// layer provides a cached source keyed by (scheme, key, epoch, subset).
-// Callers must treat the returned map and its values as read-only.
-type CoefficientSource interface {
-	Lagrange(subset []int, modulus *big.Int) (map[int]*big.Int, error)
-}
-
-type directSource struct{}
-
-func (directSource) Lagrange(subset []int, modulus *big.Int) (map[int]*big.Int, error) {
-	return Coefficients(subset, modulus)
-}
-
-// DirectCoefficients is the uncached CoefficientSource: every call
-// recomputes the coefficient map.
-var DirectCoefficients CoefficientSource = directSource{}
-
-// SourceOrDirect resolves the nil CoefficientSource to the direct one,
-// so plumbing can pass nil for "no cache".
-func SourceOrDirect(src CoefficientSource) CoefficientSource {
-	if src == nil {
-		return DirectCoefficients
-	}
-	return src
 }
 
 // Reconstruct interpolates f(0) from at least t+1 distinct shares.
@@ -232,17 +204,11 @@ func Reconstruct(shares []Share, t int, modulus *big.Int) (*big.Int, error) {
 
 // InterpolateInExponent combines group elements P_j = f(j)*G into
 // f(0)*G using Lagrange coefficients, the core of every threshold
-// combine step. points maps share index to group element.
+// combine step. points maps share index to group element. The subset is
+// canonicalized first, so equivalent point maps — collected in any
+// order — combine in the same order; the interpolation itself is one
+// multi-scalar multiplication.
 func InterpolateInExponent(g group.Group, points map[int]group.Point) (group.Point, error) {
-	return InterpolateInExponentWith(nil, g, points)
-}
-
-// InterpolateInExponentWith is InterpolateInExponent drawing its
-// coefficients from src (nil selects the direct source). The subset is
-// canonicalized before the lookup, so equivalent point maps — collected
-// in any order — hit the same cache entry and combine in the same
-// order; the interpolation itself is one multi-scalar multiplication.
-func InterpolateInExponentWith(src CoefficientSource, g group.Group, points map[int]group.Point) (group.Point, error) {
 	if len(points) == 0 {
 		return nil, ErrNotEnoughShares
 	}
@@ -251,19 +217,15 @@ func InterpolateInExponentWith(src CoefficientSource, g group.Group, points map[
 		subset = append(subset, idx)
 	}
 	subset = CanonicalSubset(subset)
-	coeffs, err := SourceOrDirect(src).Lagrange(subset, g.Order())
+	coeffs, err := Coefficients(subset, g.Order())
 	if err != nil {
 		return nil, err
 	}
 	pts := make([]group.Point, len(subset))
 	scalars := make([]*big.Int, len(subset))
 	for i, idx := range subset {
-		lambda, ok := coeffs[idx]
-		if !ok {
-			return nil, fmt.Errorf("share: coefficient source omitted index %d", idx)
-		}
 		pts[i] = points[idx]
-		scalars[i] = lambda
+		scalars[i] = coeffs[idx]
 	}
 	return group.MultiScalarMul(g, pts, scalars), nil
 }

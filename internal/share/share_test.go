@@ -256,27 +256,3 @@ func TestCanonicalSubset(t *testing.T) {
 		t.Fatalf("input mutated: %v", in)
 	}
 }
-
-func TestSourceOrDirectMatchesCoefficients(t *testing.T) {
-	src := SourceOrDirect(nil)
-	if src == nil {
-		t.Fatal("SourceOrDirect(nil) returned nil")
-	}
-	subset := []int{3, 1, 2}
-	viaSource, err := src.Lagrange(subset, testModulus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Coefficients(subset, testModulus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaSource) != len(direct) {
-		t.Fatalf("coefficient map sizes differ: %d vs %d", len(viaSource), len(direct))
-	}
-	for idx, want := range direct {
-		if got := viaSource[idx]; got == nil || got.Cmp(want) != 0 {
-			t.Fatalf("coefficient for index %d differs", idx)
-		}
-	}
-}

@@ -529,12 +529,12 @@ func TestRouterFrostSigning(t *testing.T) {
 	}
 	rt := thetacrypt.NewRouter(backends...)
 
-	lagrange := func() []int64 {
+	finished := func() []int {
 		info, err := rt.Info(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]int64, len(info.Committees))
+		out := make([]int, len(info.Committees))
 		for i, block := range info.Committees {
 			if block.Stats == nil || block.Stats.Crypto == nil {
 				t.Fatalf("committee %s reports no crypto stats: %+v", block.Name, block)
@@ -542,7 +542,7 @@ func TestRouterFrostSigning(t *testing.T) {
 			if block.Stats.Crypto.NonceExhaustions != 0 {
 				t.Fatalf("committee %s reports nonce exhaustions: %+v", block.Name, block.Stats.Crypto)
 			}
-			out[i] = block.Stats.Crypto.LagrangeHits + block.Stats.Crypto.LagrangeMisses
+			out[i] = block.Stats.Finished
 		}
 		return out
 	}
@@ -552,7 +552,7 @@ func TestRouterFrostSigning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := lagrange()
+		before := finished()
 		for j := 0; j < signs; j++ {
 			msg := []byte(fmt.Sprintf("routed %s %d", keyID, j))
 			val, err := thetacrypt.Execute(ctx, rt, thetacrypt.Request{
@@ -573,10 +573,10 @@ func TestRouterFrostSigning(t *testing.T) {
 				t.Fatalf("signature %s #%d does not verify under its key: %v", keyID, j, err)
 			}
 		}
-		after := lagrange()
+		after := finished()
 		for c := range keyIDs {
 			if moved := after[c] != before[c]; moved != (c == i) {
-				t.Fatalf("signs under %s: committee %s Lagrange lookups %d -> %d",
+				t.Fatalf("signs under %s: committee %s finished instances %d -> %d",
 					keyID, keyIDs[c], before[c], after[c])
 			}
 		}

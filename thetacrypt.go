@@ -53,8 +53,7 @@ type (
 	// EngineStats is a node's engine snapshot: instance lifecycle and
 	// flow control counters.
 	EngineStats = api.EngineStats
-	// CryptoStats is the precompute layer's snapshot inside EngineStats:
-	// Lagrange cache hit rate and peer-share check counts.
+	// CryptoStats is the peer-share check counts inside EngineStats.
 	CryptoStats = api.CryptoStats
 	// TransportStats is the per-peer health snapshot of a node's P2P
 	// links (state, queue depth, send/drop counters).
