@@ -19,7 +19,7 @@ internal/precompute   internal/precompute     90
 internal/service      internal/service        81
 internal/protocols    internal/protocols      83.0
 internal/orchestration internal/orchestration 94.7
-internal/tob          internal/tob            91.2
+examples/frontrunning/tob examples/frontrunning/tob 91.2
 '
 
 part="$(mktemp)"

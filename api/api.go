@@ -97,7 +97,7 @@ type KeyInfo struct {
 	Default bool   `json:"default,omitempty"`
 	// Epoch is the key's share version: 1 for freshly dealt or
 	// DKG-generated keys, bumped by every resharing. 0 marks a key
-	// loaded from a pre-epoch keystore file.
+	// that a v3 or v4 keystore file already carries at epoch 0.
 	Epoch int `json:"epoch,omitempty"`
 	// Members lists the mesh node indices of the key's committee in
 	// share-index order; empty means the identity committee 1..n.

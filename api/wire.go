@@ -66,7 +66,7 @@ func CryptoStatsOf(cs precompute.Stats) *CryptoStats {
 }
 
 // TransportStatsOf converts a transport snapshot into the wire shape;
-// nil when the transport reports no peers (embedded single node, proxy).
+// nil when the transport reports no peers (embedded single node).
 func TransportStatsOf(ts network.TransportStats) *TransportStats {
 	if len(ts.Peers) == 0 {
 		return nil

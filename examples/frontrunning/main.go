@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"thetacrypt"
+	"thetacrypt/examples/frontrunning/tob"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
-	"thetacrypt/internal/tob"
 )
 
 func main() {

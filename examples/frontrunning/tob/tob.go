@@ -1,10 +1,13 @@
-// Package tob implements a sequencer-based total-order broadcast channel
-// on top of the P2P layer. The paper treats TOB as a black box provided
-// by the hosting platform (typically a blockchain); this implementation
-// provides the same interface — every correct node delivers the same
-// sequence of messages — with a designated sequencer assigning sequence
-// numbers. Fault tolerance of the sequencer itself is out of scope, as
-// it is for the paper's host-platform assumption.
+// Package tob implements the total-order broadcast channel through
+// which the front-running example's validators order ciphertexts. The
+// paper treats TOB as a black box provided by the hosting platform
+// (typically a blockchain), and the threshold engine never submits to
+// it, so it lives here with the one application that orders through
+// it. It runs on top of a P2P transport and gives the same guarantee —
+// every correct node delivers the same sequence of messages — with a
+// designated sequencer assigning sequence numbers. It is not fault
+// tolerant: a crashed sequencer stops the channel, as the paper's
+// host-platform assumption leaves out of scope.
 //
 // The sequencer has no retransmission of its own; it relies on the
 // transport's ack layer, which holds at most 1 024 unacknowledged
@@ -83,8 +86,6 @@ type Sequencer struct {
 	stop chan struct{}
 	done chan struct{}
 }
-
-var _ network.TOB = (*Sequencer)(nil)
 
 // New creates a TOB endpoint for node self (1-indexed) with the given
 // sequencer (leader) index.

@@ -26,13 +26,7 @@ func FuzzUnmarshalKeystore(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ks, err := UnmarshalKeystore(data)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10+64*len(data)); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
-		}
+		ks, err := unmarshalBounded(t, data)
 		if err != nil {
 			return
 		}
@@ -47,4 +41,18 @@ func FuzzUnmarshalKeystore(f *testing.F) {
 			t.Fatal("accepted input loads to other keys after Marshal")
 		}
 	})
+}
+
+// unmarshalBounded decodes data and fails the test when decoding
+// allocates more than in proportion to the input.
+func unmarshalBounded(t *testing.T, data []byte) (*Keystore, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ks, err := UnmarshalKeystore(data)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10+64*len(data)); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+	}
+	return ks, err
 }

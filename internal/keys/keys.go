@@ -62,9 +62,10 @@ var (
 )
 
 // FirstEpoch is the epoch of freshly dealt or DKG-generated keys.
-// Epoch 0 is reserved for keys loaded from pre-epoch key files, so a
-// legacy key file and a fresh dealing are distinguishable; each
-// reshare advances the epoch by one.
+// Epoch 0 is left to keys that a v3 or v4 key file already carries at
+// epoch 0 (written by a release that imported pre-epoch files), so such
+// a key and a fresh dealing are distinguishable; each reshare advances
+// the epoch by one.
 const FirstEpoch = 1
 
 // ValidKeyID reports whether id is a well-formed key identifier:
@@ -96,7 +97,7 @@ type Key struct {
 	Public any
 	Share  any
 	// Epoch versions the share material: FirstEpoch at dealing/DKG
-	// time, +1 per reshare, 0 for keys loaded from pre-epoch files.
+	// time, +1 per reshare, 0 for a key a v3 or v4 file carries at 0.
 	// Shares of different epochs never combine — a reshare replaces
 	// the sharing polynomial.
 	Epoch int

@@ -11,7 +11,6 @@ import (
 	"thetacrypt/internal/schemes/cks05"
 	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
-	"thetacrypt/internal/wire"
 )
 
 func TestDealAllSchemes(t *testing.T) {
@@ -169,68 +168,6 @@ func TestNamedKeysSurviveRoundTrip(t *testing.T) {
 	for _, id := range []string{"beacon-1", "beacon-2"} {
 		if _, err := got.Get(schemes.CKS05, id); err != nil {
 			t.Fatalf("lost %s: %v", id, err)
-		}
-	}
-}
-
-// legacyMarshal writes the pre-keychain single-key format for the
-// schemes present, byte-compatible with files dealt before the
-// keystore redesign.
-func legacyMarshal(t *testing.T, ks *Keystore) []byte {
-	t.Helper()
-	w := wire.NewWriter().Int(ks.Index).Int(ks.N).Int(ks.T)
-	var present []schemes.ID
-	for _, id := range schemes.All() {
-		if ks.Has(id) {
-			present = append(present, id)
-		}
-	}
-	w.Int(len(present))
-	for _, id := range present {
-		k, err := ks.Get(id, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.String(string(id))
-		writePublic(w, k)
-		_, val := shareRef(k)
-		w.BigInt(val)
-	}
-	return w.Out()
-}
-
-func TestLegacyKeyFilesStillLoad(t *testing.T) {
-	nodes, err := Deal(rand.Reader, 1, 3, Options{
-		Schemes: []schemes.ID{schemes.SG02, schemes.CKS05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nk := range nodes {
-		got, err := UnmarshalKeystore(legacyMarshal(t, nk))
-		if err != nil {
-			t.Fatalf("legacy load: %v", err)
-		}
-		if got.Index != nk.Index || got.N != nk.N || got.T != nk.T {
-			t.Fatal("legacy header mismatch")
-		}
-		// Every legacy key surfaces under the default ID.
-		for _, id := range []schemes.ID{schemes.SG02, schemes.CKS05} {
-			k, err := got.Get(id, DefaultKeyID)
-			if err != nil {
-				t.Fatalf("legacy %s: %v", id, err)
-			}
-			if k.ID != DefaultKeyID {
-				t.Fatalf("legacy %s loaded as %q, want default", id, k.ID)
-			}
-			// Pre-epoch files surface at epoch 0: distinguishable from
-			// dealt keys (epoch 1) yet fully usable and resharable.
-			if k.Epoch != 0 {
-				t.Fatalf("legacy %s loaded at epoch %d, want 0", id, k.Epoch)
-			}
-		}
-		if MustShare[sg02.KeyShare](got, schemes.SG02).X.Cmp(MustShare[sg02.KeyShare](nk, schemes.SG02).X) != 0 {
-			t.Fatal("legacy share mismatch")
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,14 +164,29 @@ func TestKeystoreV3GoldenLoads(t *testing.T) {
 	}
 }
 
-// TestImportFormatsRefuseTrailingBytes: a v2, v3 or legacy file with
-// bytes after its last record is refused, as a v4 log already is; the
-// same file without them loads.
+// TestImportFormatsRefuseTrailingBytes: a v3 file with bytes after its
+// last record is refused, as a v4 log already is; the same file without
+// them loads.
 func TestImportFormatsRefuseTrailingBytes(t *testing.T) {
 	golden, err := os.ReadFile("testdata/keystore_v3.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, data := range map[string][]byte{"v3": golden} {
+		if _, err := UnmarshalKeystore(data); err != nil {
+			t.Fatalf("%s file: %v", name, err)
+		}
+		if _, err := UnmarshalKeystore(append(bytes.Clone(data), 1, 2, 3)); err == nil {
+			t.Fatalf("%s file with 3 trailing bytes loaded", name)
+		}
+	}
+}
+
+// TestPreV3FormatsRefused: a version-2 file and a pre-keychain file
+// (no magic: its first field is the 8-byte node index) each holding a
+// valid SG02 key are refused with an error naming the format, and
+// decoding either allocates no more than FuzzUnmarshalKeystore allows.
+func TestPreV3FormatsRefused(t *testing.T) {
 	nodes, err := Deal(rand.Reader, 1, 3, Options{Schemes: []schemes.ID{schemes.SG02}})
 	if err != nil {
 		t.Fatal(err)
@@ -178,16 +194,21 @@ func TestImportFormatsRefuseTrailingBytes(t *testing.T) {
 	ks := nodes[0]
 	k, _ := ks.Get(schemes.SG02, "")
 	_, x := shareRef(k)
-	w := wire.NewWriter().String(keystoreMagic).Int(2).Int(ks.Index).Int(ks.N).Int(ks.T).
+	v2 := wire.NewWriter().String(keystoreMagic).Int(2).Int(ks.Index).Int(ks.N).Int(ks.T).
 		Int(1).String(k.ID).String(string(k.Scheme))
-	writePublic(w, k)
-	v2 := w.BigInt(x).Out()
-	for name, data := range map[string][]byte{"v2": v2, "v3": golden, "legacy": legacyMarshal(t, ks)} {
-		if _, err := UnmarshalKeystore(data); err != nil {
-			t.Fatalf("%s file: %v", name, err)
-		}
-		if _, err := UnmarshalKeystore(append(bytes.Clone(data), 1, 2, 3)); err == nil {
-			t.Fatalf("%s file with 3 trailing bytes loaded", name)
+	writePublic(v2, k)
+	legacy := wire.NewWriter().Int(ks.Index).Int(ks.N).Int(ks.T).Int(1).String(string(k.Scheme))
+	writePublic(legacy, k)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"v2", "unsupported keystore version 2", v2.BigInt(x).Out()},
+		{"pre-keychain", "not a v3 or v4 keystore", legacy.BigInt(x).Out()},
+	} {
+		_, err := unmarshalBounded(t, c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s file: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }
@@ -558,7 +579,7 @@ func TestLogChangedBehindStore(t *testing.T) {
 // TestHostileCountsRefused: a list count that is negative or larger
 // than the file could hold is refused before anything is allocated for
 // it — the committee list and every scheme's verification-key list, in
-// the v2, v3 and v4 formats alike. On earlier releases a count of -1
+// the v3 and v4 formats alike. On earlier releases a count of -1
 // panicked and one of 2^40 exhausted memory.
 func TestHostileCountsRefused(t *testing.T) {
 	nodes, err := Deal(rand.Reader, 1, 4, Options{RSABits: 512, UseRSAFixture: true,
@@ -590,13 +611,10 @@ func TestHostileCountsRefused(t *testing.T) {
 			at := len(w.Out()) - 12
 			bad := append(append(bytes.Clone(pub[:at]), wire.NewWriter().Int(cnt).Out()...), pub[at+12:]...)
 
-			_, x := shareRef(k)
-			v2 := header(2).Int(1).String(k.ID).String(string(scheme)).Out()
-			v2 = append(append(v2, bad...), wire.NewWriter().BigInt(x).Out()...)
 			head := wire.NewWriter().String(k.ID).String(string(scheme)).Int(k.Epoch).Out()
 			body := append(wire.NewWriter().Int(ks.T).Int(ks.N).Int(0).Int(0).Out(), bad...)
 			load(string(scheme)+" verification keys", cnt, cnt == ks.N, map[int][]byte{
-				2: v2, 3: append(append(header(3).Int(1).Out(), head...), body...),
+				3: append(append(header(3).Int(1).Out(), head...), body...),
 				4: appendFrameParts(header(4).Out(), head, body),
 			})
 		}
@@ -624,16 +642,10 @@ func TestHostileCountsRefused(t *testing.T) {
 			header := func(version int) *wire.Writer {
 				return wire.NewWriter().String(keystoreMagic).Int(version).Int(ks.Index).Int(n).Int(ks.T)
 			}
-			files := map[int][]byte{
+			load(string(scheme)+" key of n = 4 in a store of", n, n == ks.N, map[int][]byte{
 				3: append(append(header(3).Int(1).Out(), head...), w.Out()...),
 				4: appendFrameParts(header(4).Out(), head, w.Out()),
-			}
-			if n > maxParties {
-				legacy := wire.NewWriter().Int(ks.Index).Int(n).Int(ks.T).Int(0).Out()
-				files[0] = legacy
-				files[2] = header(2).Int(0).Out()
-			}
-			load(string(scheme)+" key of n = 4 in a store of", n, n == ks.N, files)
+			})
 		}
 	}
 	if _, err := Deal(rand.Reader, 1, maxParties+1, Options{Schemes: []schemes.ID{schemes.SG02}}); err == nil {

@@ -41,11 +41,9 @@ import (
 // damaged length is caught where it stands, not mistaken for a frame
 // running past the end of the file.
 //
-// Older files load as import formats: version 3 (the same records,
-// counted instead of framed), version 2 (named keys, pre-epoch) and
-// the unversioned legacy format (one anonymous key per scheme; its
-// first field is an 8-byte node index where newer files carry the
-// 4-byte magic), the last two with every key at epoch 0.
+// Version 3 files (the same records, counted instead of framed) load
+// as an import format. Older files — version 2 and the unversioned
+// format without the magic — are refused.
 const (
 	keystoreMagic   = "TKS2"
 	keystoreVersion = 4
@@ -144,21 +142,18 @@ func writeBody(w *wire.Writer, k *Key) {
 	}
 }
 
-// UnmarshalKeystore parses a keystore file of any supported format:
-// the current version-4 log, the version-3 lifecycle format, the
-// pre-epoch version-2 named-key format, or the legacy
-// single-key-per-scheme format (each key loads under DefaultKeyID).
-// Pre-v3 keys load at epoch 0 with the identity committee. Every key
-// goes through Add, so the share check holds for a loaded key as for an
-// installed one, and the frames of a version-4 log must advance each
-// key's epoch, as Replace demands.
+// UnmarshalKeystore parses a keystore file: the current version-4 log
+// or the version-3 lifecycle format. Every key goes through Add, so the
+// share check holds for a loaded key as for an installed one, and the
+// frames of a version-4 log must advance each key's epoch, as Replace
+// demands.
 func UnmarshalKeystore(data []byte) (*Keystore, error) {
 	r := wire.NewReader(data)
 	if r.String() != keystoreMagic || r.Err() != nil {
-		return unmarshalLegacy(data)
+		return nil, fmt.Errorf("keys: not a v3 or v4 keystore: no %q magic", keystoreMagic)
 	}
 	version := r.Int()
-	if version < 2 || version > keystoreVersion {
+	if version < 3 || version > keystoreVersion {
 		return nil, fmt.Errorf("keys: unsupported keystore version %d", version)
 	}
 	ks := NewKeystore(r.Int(), 0, 0)
@@ -178,12 +173,7 @@ func UnmarshalKeystore(data []byte) (*Keystore, error) {
 		return nil, fmt.Errorf("keys header: %w", err)
 	}
 	for i := 0; i < count; i++ {
-		var k *Key
-		if version == 2 {
-			k, err = readRecordV2(r, ks)
-		} else {
-			k, err = readRecord(r, ks.N)
-		}
+		k, err := readRecord(r, ks.N)
 		if err != nil {
 			return nil, fmt.Errorf("keys record %d: %w", i, err)
 		}
@@ -320,19 +310,6 @@ func readCount(r *wire.Reader) (int, error) {
 	return n, nil
 }
 
-// readRecordV2 reads one pre-epoch record: ID, scheme, public
-// material, then the share value, with index and (t, n) taken from the
-// store header.
-func readRecordV2(r *wire.Reader, ks *Keystore) (*Key, error) {
-	id := r.String()
-	scheme := schemes.ID(r.String())
-	pub, shr, err := readMaterial(r, scheme, ks.Index, ks.T, ks.N)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", scheme, id, err)
-	}
-	return &Key{ID: id, Scheme: scheme, Public: pub, Share: shr}, nil
-}
-
 // readRecord reads one version-3 record, a version-4 head and body
 // back to back, in a store of maxN nodes.
 func readRecord(r *wire.Reader, maxN int) (*Key, error) {
@@ -388,44 +365,7 @@ func readBody(r *wire.Reader, scheme schemes.ID, maxN int) (*Key, error) {
 	return &Key{Scheme: scheme, Public: pub, Share: shr, Members: members}, nil
 }
 
-// unmarshalLegacy reads the pre-keychain format: Index, N, T, then one
-// anonymous record per scheme. Every key loads under DefaultKeyID, so
-// existing node*.key files keep working unchanged.
-func unmarshalLegacy(data []byte) (*Keystore, error) {
-	r := wire.NewReader(data)
-	ks := NewKeystore(r.Int(), 0, 0)
-	ks.N = r.Int()
-	ks.T = r.Int()
-	if err := checkHeader(r, ks); err != nil {
-		return nil, err
-	}
-	count := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("keys header: %w", err)
-	}
-	for i := 0; i < count; i++ {
-		scheme := schemes.ID(r.String())
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("keys record %d: %w", i, err)
-		}
-		pub, shr, err := readMaterial(r, scheme, ks.Index, ks.T, ks.N)
-		if err != nil {
-			return nil, fmt.Errorf("keys %s: %w", scheme, err)
-		}
-		if err := ks.Add(&Key{ID: DefaultKeyID, Scheme: scheme, Public: pub, Share: shr}); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.End(); err != nil {
-		return nil, fmt.Errorf("keys: %w", err)
-	}
-	return ks, nil
-}
-
-// writePublic appends one key's public material. The per-scheme
-// encodings are unchanged from the legacy format; in every pre-v3
-// record the share value followed directly, which is why the formats
-// can share the read path.
+// writePublic appends one key's public material.
 func writePublic(w *wire.Writer, k *Key) {
 	switch k.Scheme {
 	case schemes.SG02:
@@ -628,20 +568,6 @@ func readG2s(r *wire.Reader, n int) ([]*pairing.G2, error) {
 		vk[j] = p
 	}
 	return vk, nil
-}
-
-// readMaterial parses one pre-v3 record: public material, then the
-// share value, indexed by the store header.
-func readMaterial(r *wire.Reader, scheme schemes.ID, index, t, n int) (pub, shr any, err error) {
-	pub, err = readPublic(r, scheme, t, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	shr = makeShare(scheme, index, r.Nat())
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return pub, shr, nil
 }
 
 // PublicBytes marshals the key's public material (for listings and

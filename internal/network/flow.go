@@ -6,8 +6,7 @@ package network
 // in a real deployment a single slow or dead peer must not stall the
 // other N-2 links, so each peer's frames wait in its own bounded ack
 // window and are written by its own sender. These types make that
-// observable (TransportStats) across tcpnet, memnet, and the proxy
-// identically.
+// observable (TransportStats) across tcpnet and memnet identically.
 
 import (
 	"errors"

@@ -1,16 +1,13 @@
 // Package network defines the network layer of Thetacrypt: the
-// peer-to-peer (P2P) and total-order broadcast (TOB) interfaces, the
-// wire envelope, and the network manager that assembles a concrete stack
-// from configuration (the paper's Section 3.6).
+// peer-to-peer (P2P) interface the engine talks to and the wire
+// envelope (the paper's Section 3.6).
 //
-// Three P2P implementations exist. tcpnet (TCP full mesh for
+// Two P2P implementations exist. tcpnet (TCP full mesh for
 // standalone deployments) and memnet (in-process, with a latency
 // matrix substituting for the paper's multi-region testbed) share one
 // link pipeline, internal/network/link, which owns send windows, acks,
 // resends and Broadcast; each transport adds only how its frames move
-// (see their package comments). proxy delegates to a host platform.
-// TOB is provided by internal/tob (sequencer-based) or by the TOB
-// proxy.
+// (see their package comments).
 package network
 
 import (
@@ -137,17 +134,5 @@ type P2P interface {
 	// (up/dialing/down), unwritten frames, and send/drop counters.
 	TransportStats() TransportStats
 	// Close releases the transport.
-	Close() error
-}
-
-// TOB provides total-order broadcast: all correct nodes deliver the
-// same sequence of envelopes. Blockchains, sequencers, or the TOB proxy
-// provide this primitive.
-type TOB interface {
-	// Submit hands an envelope to the ordering service.
-	Submit(ctx context.Context, env Envelope) error
-	// Delivered returns the totally ordered delivery channel.
-	Delivered() <-chan Envelope
-	// Close releases the channel.
 	Close() error
 }

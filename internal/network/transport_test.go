@@ -10,7 +10,6 @@ import (
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
-	"thetacrypt/internal/network/proxy"
 	"thetacrypt/internal/network/relink"
 	"thetacrypt/internal/network/tcpnet"
 	"thetacrypt/internal/orchestration"
@@ -125,54 +124,6 @@ func TestFullClusterOverTCP(t *testing.T) {
 	}
 	if len(r.Value) != 32 {
 		t.Fatalf("coin value %d bytes", len(r.Value))
-	}
-}
-
-func TestProxyBridgesP2P(t *testing.T) {
-	// Node 1 talks through a proxy into a memnet "host platform" where
-	// node 2 lives natively.
-	hub := memnet.NewHub(2, memnet.Options{})
-	defer hub.Close()
-
-	srv, err := proxy.NewServer("127.0.0.1:0", hub.Endpoint(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := proxy.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	// Outbound: proxied node sends into the host network.
-	if err := client.Send(ctx, 2, network.Envelope{From: 1, Instance: "p", Kind: network.KindProto, Payload: []byte("via-proxy")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-hub.Endpoint(2).Receive():
-		if string(env.Payload) != "via-proxy" {
-			t.Fatalf("got %+v", env)
-		}
-	case <-ctx.Done():
-		t.Fatal("outbound proxy message lost")
-	}
-
-	// Inbound: host network delivery reaches the proxied node.
-	if err := hub.Endpoint(2).Send(ctx, 1, network.Envelope{Instance: "p", Kind: network.KindProto, Payload: []byte("to-proxy")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-client.Receive():
-		if string(env.Payload) != "to-proxy" {
-			t.Fatalf("got %+v", env)
-		}
-	case <-ctx.Done():
-		t.Fatal("inbound proxy message lost")
 	}
 }
 

@@ -719,8 +719,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 }
 
 // broadcast sends one envelope to every peer. Every P2P here stages it
-// without waiting (the proxy ignores the context), so it carries no
-// deadline. A partial failure is tolerated only while a quorum is
+// without waiting, so it carries no deadline. A partial failure is tolerated only while a quorum is
 // still feasible: the threshold protocol needs t+1 shares including
 // this node's own, so at least t of the attempted peers must have been
 // reached. A tolerated incident is counted in Stats.PartialBroadcasts
@@ -936,8 +935,6 @@ func (e *Engine) advanceLocked(id string, inst *instance, firstRound bool) {
 					Gen:      inst.gen,
 					Payload:  out.Payload,
 				}
-				// The transport hint selects P2P or TOB; with the
-				// default stack both map to the P2P broadcast channel.
 				if err := e.broadcast(env); err != nil {
 					e.finishLocked(id, inst, Result{InstanceID: id, Err: fmt.Errorf("broadcast round %d: %w", out.Round, err)})
 					return

@@ -104,9 +104,9 @@ type Request struct {
 	// current epoch, so an old-epoch share can never enter a new-epoch
 	// quorum. Zero means "the current epoch, whatever it is" — the
 	// back-compatible default. OpReshare alone treats the epoch as
-	// always pinned (zero pins a pre-epoch legacy key), so nodes
-	// mid-reshare cannot deal from different sharings under one
-	// instance ID.
+	// always pinned (zero pins a key a v3 or v4 file carries at epoch
+	// 0), so nodes mid-reshare cannot deal from different sharings
+	// under one instance ID.
 	Epoch int
 }
 

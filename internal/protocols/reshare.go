@@ -87,8 +87,8 @@ func (s ReshareSpec) Validate() error {
 // in decimal.
 //
 // Epoch pinning is strict for reshares — the request's epoch must
-// equal the key's current epoch even when zero (a pre-epoch legacy
-// key), so two nodes straddling a previous reshare can never deal from
+// equal the key's current epoch even when zero (a key a v3 or v4 file
+// carries at epoch 0), so two nodes straddling a previous reshare can never deal from
 // different sharings inside one instance.
 func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, env Env) (Protocol, error) {
 	if !keys.SupportsReshare(req.Scheme) {
