@@ -485,11 +485,14 @@ func WaitEach(ctx context.Context, s Service, hs []Handle, fn func(i int, res Re
 }
 
 // ValidateRequest classifies a request's defects into the structured
-// error model before any instance state is created. Both Service
-// implementations funnel submissions through it, so embedded and remote
-// deployments reject identical requests with identical codes. The
-// checks themselves live in protocols.Request.Validate; this maps its
-// sentinels to codes.
+// error model before any instance state is created. All six Service
+// implementations reach it: committee.Unit checks every submission
+// with it (and Committee, Cluster and Node submit through units),
+// Router before it routes, and the HTTP front before it hands a request
+// to its Service, which is where client.Client's requests are checked.
+// So embedded and remote deployments reject identical requests with
+// identical codes. The checks themselves live in
+// protocols.Request.Validate; this maps its sentinels to codes.
 func ValidateRequest(req protocols.Request) *Error {
 	err := req.Validate()
 	switch {
@@ -516,10 +519,11 @@ func ValidateRequest(req protocols.Request) *Error {
 // node does not hold fails with CodeKeyUnknown (404), a keygen naming
 // an installed key with CodeKeyExists (409), a request pinned to a
 // stale epoch with CodeKeyEpoch (409), and a quorum operation under a
-// key the node knows only publicly with CodeKeyNoShare (409). Both
-// Service implementations funnel submissions through it, so embedded
-// and remote deployments reject identical requests with identical
-// codes.
+// key the node knows only publicly with CodeKeyNoShare (409).
+// committee.Unit runs it against its node's keystore, and the other
+// five Service implementations (Committee, Cluster, Node, Router and
+// client.Client) reach a unit to submit, so embedded and remote
+// deployments reject identical requests with identical codes.
 //
 // Requests pinned to a FUTURE epoch pass: during a resharing the
 // submitting client may learn the new epoch before every node has

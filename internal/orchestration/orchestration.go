@@ -262,7 +262,7 @@ type instance struct {
 	// (guarded by Engine.mu). It is what "this instance was started"
 	// means once release has dropped the run: a finished instance only
 	// ever serves result, so it does not keep the state machine —
-	// adapter, ciphertext, every share and dealing — alive for the whole
+	// share quorum, ciphertext, every share and dealing — alive for the whole
 	// retention window.
 	created bool
 	// starting marks that a worker has claimed the instance for
@@ -681,7 +681,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 		return inst, nil
 	}
 
-	proto, err := protocols.NewWith(e.cfg.Rand, e.cfg.Keys, req, protocols.Env{
+	proto, err := protocols.New(e.cfg.Rand, e.cfg.Keys, req, protocols.Env{
 		Verifier: &e.verifier,
 		Identity: e.cfg.Identity,
 		Roster:   e.cfg.Roster,

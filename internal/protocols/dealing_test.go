@@ -60,7 +60,7 @@ func startAll(t *testing.T, nodes []*keys.Keystore, req Request, envs []Env) map
 	t.Helper()
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := NewWith(rand.Reader, nk, req, envs[i])
+		p, err := New(rand.Reader, nk, req, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func decryptsAfter(t *testing.T, nodes []*keys.Keystore) {
 	dec := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal()}
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, dec)
+		p, err := New(rand.Reader, nk, dec, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestSealedKeygenHappyPath(t *testing.T) {
 	sign := Request{Scheme: schemes.KG20, KeyID: "sealed-1", Op: OpSign, Payload: []byte("under a sealed DKG key")}
 	sp := make([]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, sign)
+		p, err := New(rand.Reader, nk, sign, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestSealedDealingCarriesNoPlaintextSubShares(t *testing.T) {
 		}
 	}
 	defer func() { TestFaultDealing = nil }()
-	p, err := NewWith(rand.Reader, nodes[0], Request{Scheme: schemes.KG20, KeyID: "capture", Op: OpKeyGen}, envs[0])
+	p, err := New(rand.Reader, nodes[0], Request{Scheme: schemes.KG20, KeyID: "capture", Op: OpKeyGen}, envs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDealerLeavesOwnBoxEmpty(t *testing.T) {
 			Payload: ReshareSpec{NewT: 1, Members: []int{2, 3, 4}}.Marshal(), Epoch: keys.FirstEpoch}, []int{2, 3, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewWith(rand.Reader, nodes[0], tc.req, envs[0])
+			p, err := New(rand.Reader, nodes[0], tc.req, envs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestSealedReshare(t *testing.T) {
 		Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := NewWith(rand.Reader, nk, req, envs[i])
+		p, err := New(rand.Reader, nk, req, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestSealedReshare(t *testing.T) {
 	dec := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal()}
 	decProtos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, dec)
+		p, err := New(rand.Reader, nk, dec, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestSealedReshareDisqualifiesFaultyDealer(t *testing.T) {
 				envs := enc.envs(t, 4)
 				// A bystander instance of node 3 receives dealer 2's
 				// dealing as captured on the wire, to see the verdict.
-				probe, err := NewWith(rand.Reader, nodes[2], req, envs[2])
+				probe, err := New(rand.Reader, nodes[2], req, envs[2])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -469,7 +469,7 @@ func TestSealedKeygenNeedsFullRoster(t *testing.T) {
 		partial[i] = envs[i-1].Roster[i]
 	}
 	env := Env{Identity: envs[0].Identity, Roster: partial}
-	_, err := NewWith(rand.Reader, nodes[0], Request{Scheme: schemes.KG20, KeyID: "short", Op: OpKeyGen}, env)
+	_, err := New(rand.Reader, nodes[0], Request{Scheme: schemes.KG20, KeyID: "short", Op: OpKeyGen}, env)
 	if err == nil {
 		t.Fatal("sealed keygen started with a partial roster")
 	}

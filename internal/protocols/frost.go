@@ -15,14 +15,15 @@ import (
 // its own nonce pair in round 1 and signs with it at most once.
 //
 // A signer signs inside the Update that completes its commitment set
-// and sends the share at the next DoRound. Peer shares are stored
-// after the structural checks alone (decoding, index equal to the
-// sender, membership in the signer group, z in [0, q)). Once every
-// signer's share is in, the Update that completed the set combines
-// them and runs the one Schnorr verification frost.Combine ends in
-// (the FROST aggregator flow). Only if that fails are the peer shares
-// verified one by one: each bad one is dropped and rejected with
-// ErrShareRejected naming its signer, whose later shares are ignored.
+// and sends the share at the next DoRound. Round 2 is a lazy share
+// quorum over the signer group: peer shares are stored after the
+// structural checks alone (decoding, index equal to the sender,
+// membership in the signer group, z in [0, q)), and the update that
+// completes the set combines them and runs the one Schnorr verification
+// frost.Combine ends in (the FROST aggregator flow). Only if that fails
+// are the peer shares verified one by one: each bad one is dropped and
+// rejected with ErrShareRejected naming its signer, whose later shares
+// are ignored.
 //
 // FROST is not robust: the protocol waits for the contributions of all
 // signers in the group, so a rejected signer leaves the instance
@@ -41,13 +42,9 @@ type frostProtocol struct {
 	signed      bool // the own share is computed (the nonce is spent)
 	sent        bool // the own share went out
 	commitments map[int]*frost.NonceCommitment
-	pending     map[int][]byte                // share payloads awaiting the commitment set
-	shares      map[int]*frost.SignatureShare // unverified, the own share included
-	// rejected marks signers whose share failed verification; their
-	// later shares are ignored. nil until a share fails.
-	rejected  map[int]bool
-	sig       []byte // the verified signature, once every share is in
-	finalized bool
+	pending     map[int][]byte                 // share payloads awaiting the commitment set
+	round2      *quorum[*frost.SignatureShare] // the signature shares
+	finalized   bool
 }
 
 // newFrost creates a FROST signing instance for the key share ks under
@@ -57,14 +54,40 @@ func newFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte
 	for i := range signers {
 		signers[i] = i + 1
 	}
-	return &frostProtocol{
+	p := &frostProtocol{
 		rand: rand, pk: pk, ks: ks, msg: msg,
 		signers:     signers,
 		inGroup:     ks.Index <= pk.T+1,
 		commitments: make(map[int]*frost.NonceCommitment, pk.T+1),
 		pending:     make(map[int][]byte),
-		shares:      make(map[int]*frost.SignatureShare, pk.T+1),
 	}
+	p.round2 = &quorum[*frost.SignatureShare]{need: len(signers), own: ks.Index, lazy: true,
+		decode: func(b []byte) (*frost.SignatureShare, error) {
+			ss, err := frost.UnmarshalSignatureShare(b)
+			switch {
+			case err != nil:
+				return nil, err
+			case ss.Index < 1 || ss.Index > len(signers):
+				// The signer group is the lowest t+1 indices.
+				return nil, frost.ErrNotInSignerSet
+			case ss.Z.Cmp(pk.Group.Order()) >= 0: // the decoder admits no negative z
+				return nil, frost.ErrInvalidShare
+			}
+			return ss, nil
+		},
+		index: func(ss *frost.SignatureShare) int { return ss.Index },
+		check: func(ss *frost.SignatureShare) error {
+			return frost.VerifyShare(pk, msg, p.commitmentList(), ss)
+		},
+		combine: func(shares []*frost.SignatureShare) ([]byte, error) {
+			sig, err := frost.Combine(pk, msg, p.commitmentList(), shares)
+			if err != nil {
+				return nil, err
+			}
+			return sig.Marshal(), nil
+		},
+	}
+	return p
 }
 
 func (p *frostProtocol) commitmentSetComplete() bool {
@@ -97,14 +120,11 @@ func (p *frostProtocol) DoRound() (*RoundOutput, error) {
 	if err := p.sign(); err != nil {
 		return nil, err
 	}
-	if err := p.settle(); err != nil {
-		return nil, err
-	}
 	if !p.owesShare() {
 		return nil, nil
 	}
 	p.sent = true
-	return &RoundOutput{Round: 2, Payload: p.shares[p.ks.Index].Marshal()}, nil
+	return &RoundOutput{Round: 2, Payload: p.round2.shares[p.ks.Index].Marshal()}, nil
 }
 
 // owesShare reports whether this signer's share is computed but not
@@ -138,12 +158,11 @@ func (p *frostProtocol) sign() error {
 	if err != nil {
 		return fmt.Errorf("frost signing: %w", err)
 	}
-	p.shares[ss.Index] = ss
-	return nil
+	return p.round2.addOwn(ss)
 }
 
 func (p *frostProtocol) Update(msg ProtocolMessage) error {
-	if p.finalized || p.sig != nil {
+	if p.finalized || p.round2.done {
 		return nil
 	}
 	var err error
@@ -158,9 +177,8 @@ func (p *frostProtocol) Update(msg ProtocolMessage) error {
 	if err != nil && Rejections(err) == nil {
 		return err
 	}
-	// The message may have completed the commitment set (releasing the
-	// parked shares) or the share set (due for its aggregate check).
-	return errors.Join(err, p.drainPending(), p.settle())
+	// A commitment that completed the set releases the parked shares.
+	return errors.Join(err, p.drainPending())
 }
 
 // updateCommitment handles a round-1 commitment; the one that
@@ -188,7 +206,7 @@ func (p *frostProtocol) updateShare(msg ProtocolMessage) error {
 		p.pending[msg.Sender] = msg.Payload
 		return nil
 	}
-	return p.acceptShare(msg.Sender, msg.Payload)
+	return p.round2.add(msg.Sender, msg.Payload)
 }
 
 // drainPending takes in the parked share messages once the commitment
@@ -199,72 +217,10 @@ func (p *frostProtocol) drainPending() error {
 	}
 	var rejections []error
 	for sender, payload := range p.pending {
-		if err := p.acceptShare(sender, payload); err != nil {
+		if err := p.round2.add(sender, payload); err != nil {
 			rejections = append(rejections, err)
 		}
 		delete(p.pending, sender)
-	}
-	return errors.Join(rejections...)
-}
-
-// acceptShare stores a peer's signature share after the structural
-// checks alone; settle verifies the complete set.
-func (p *frostProtocol) acceptShare(sender int, payload []byte) error {
-	if _, dup := p.shares[sender]; dup || p.rejected[sender] {
-		return nil
-	}
-	ss, err := frost.UnmarshalSignatureShare(payload)
-	switch {
-	case err != nil:
-		return rejectShare(sender, err)
-	case ss.Index != sender:
-		return rejectShare(sender, fmt.Errorf("share index %d", ss.Index))
-	case ss.Index < 1 || ss.Index > len(p.signers):
-		// The signer group is the lowest t+1 indices.
-		return rejectShare(sender, frost.ErrNotInSignerSet)
-	case ss.Z.Cmp(p.pk.Group.Order()) >= 0: // the decoder admits no negative z
-		return rejectShare(sender, frost.ErrInvalidShare)
-	}
-	p.shares[ss.Index] = ss
-	return nil
-}
-
-// settle runs the aggregate check once every signer's share is in:
-// frost.Combine ends in one Schnorr verification against the group
-// key. Only if it fails are the peer shares verified one by one; the
-// bad ones are dropped, their signers remembered, and the rejections
-// returned.
-func (p *frostProtocol) settle() error {
-	if p.sig != nil || len(p.shares) < len(p.signers) {
-		return nil
-	}
-	comms := p.commitmentList()
-	shares := make([]*frost.SignatureShare, 0, len(p.signers))
-	for _, idx := range p.signers {
-		shares = append(shares, p.shares[idx])
-	}
-	sig, err := frost.Combine(p.pk, p.msg, comms, shares)
-	if err == nil {
-		p.sig = sig.Marshal()
-		return nil
-	}
-	var rejections []error
-	for _, ss := range shares {
-		if ss.Index == p.ks.Index && p.signed {
-			continue // made here by sign
-		}
-		if verr := frost.VerifyShare(p.pk, p.msg, comms, ss); verr != nil {
-			if p.rejected == nil {
-				p.rejected = make(map[int]bool)
-			}
-			delete(p.shares, ss.Index)
-			p.rejected[ss.Index] = true
-			rejections = append(rejections, rejectShare(ss.Index, verr))
-		}
-	}
-	if len(rejections) == 0 {
-		// Every peer share checks out, so the own share must be bad.
-		return fmt.Errorf("frost: valid peer shares do not combine: %w", err)
 	}
 	return errors.Join(rejections...)
 }
@@ -285,7 +241,7 @@ func (p *frostProtocol) IsReadyForNextRound() bool {
 // IsReadyToFinalize holds once the shares verified and this signer's
 // own share went out: the other signers wait for it.
 func (p *frostProtocol) IsReadyToFinalize() bool {
-	return !p.finalized && p.sig != nil && !p.owesShare()
+	return !p.finalized && p.round2.done && !p.owesShare()
 }
 
 func (p *frostProtocol) Finalize() ([]byte, error) {
@@ -293,5 +249,5 @@ func (p *frostProtocol) Finalize() ([]byte, error) {
 		return nil, ErrNotReady
 	}
 	p.finalized = true
-	return p.sig, nil
+	return p.round2.result, nil
 }

@@ -29,7 +29,7 @@ func startBLS04(t *testing.T, nodes []*keys.Keystore, msg []byte) *bls04Run {
 	r := &bls04Run{pk: keys.MustPublic[*bls04.PublicKey](nodes[0], schemes.BLS04), msg: msg}
 	req := Request{Scheme: schemes.BLS04, Op: OpSign, Payload: msg}
 	for _, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,12 +180,10 @@ func TestBLS04PairingChecksPerRequest(t *testing.T) {
 // a local fault that ends the instance instead of blaming a peer.
 func TestBLS04OwnBadShareFailsInstance(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.BLS04)
-	pk := keys.MustPublic[*bls04.PublicKey](nodes[0], schemes.BLS04)
 	ks := keys.MustShare[bls04.KeyShare](nodes[0], schemes.BLS04)
 	ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
 	msg := []byte("own share corrupted")
-	p := newNonInteractive(rand.Reader, &bls04Adapter{pk: pk, ks: ks, msg: msg,
-		shares: make(map[int]*bls04.SigShare)})
+	p := withShare(t, nodes[0], Request{Scheme: schemes.BLS04, Op: OpSign, Payload: msg}, ks)
 	if _, err := p.DoRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func startFrost(t *testing.T, nodes []*keys.Keystore, msg []byte) *frostRun {
 	r := &frostRun{pk: keys.MustPublic[*frost.PublicKey](nodes[0], schemes.KG20), msg: msg}
 	req := Request{Scheme: schemes.KG20, Op: OpSign, Payload: msg}
 	for _, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +342,7 @@ func TestFrostShareBeforeCommitment(t *testing.T) {
 	signers := make([]Protocol, 2)
 	comms := make([][]byte, 2)
 	for i := range signers {
-		p, err := New(rand.Reader, nodes[i], req)
+		p, err := New(rand.Reader, nodes[i], req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

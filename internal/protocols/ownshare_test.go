@@ -60,7 +60,7 @@ func TestOwnShareQuorumOfOne(t *testing.T) {
 		t.Run(string(tc.req.Scheme), func(t *testing.T) {
 			var first []byte
 			for i, nk := range nodes {
-				p, err := New(rand.Reader, nk, tc.req)
+				p, err := New(rand.Reader, nk, tc.req, Env{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,11 +96,29 @@ func plaintext(want []byte) func([]byte) error {
 	}
 }
 
+// withShare builds node's protocol for req from a copy of its key whose
+// share material is replaced by ks, as a corrupt keystore would.
+func withShare(t *testing.T, node *keys.Keystore, req Request, ks any) Protocol {
+	t.Helper()
+	k, err := node.Get(req.Scheme, req.EffectiveKeyID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := *k
+	corrupt.Share = ks
+	p, err := buildOp(rand.Reader, &corrupt, req, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestOwnBadShareFailsAtCombine: a node never checks the share it made
 // itself, so a share made from a corrupt key share is only found when
 // the quorum it joins fails to combine. For SG02, BZ03 and SH00 that
-// ends the instance locally: the valid peer share is accepted, no
-// rejection names a peer, and no result is released. BLS04's twin is
+// ends the instance locally, in the Update that completes the quorum:
+// the valid peer share passes its check, no rejection names a peer,
+// and no result is released. BLS04's twin is
 // TestBLS04OwnBadShareFailsInstance.
 func TestOwnBadShareFailsAtCombine(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.SG02, schemes.BZ03, schemes.SH00)
@@ -140,32 +158,33 @@ func TestOwnBadShareFailsAtCombine(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name    string
-		adapter shareAdapter // node 1's, on the corrupt key share
-		peer    []byte       // node 2's valid share
-		want    error
+		name string
+		req  Request
+		ks   any    // node 1's corrupt key share
+		peer []byte // node 2's valid share
+		want error
 	}{
-		{"SG02", &sg02Adapter{pk: sgpk, ks: sgks, ct: sgct, shares: make(map[int]*sg02.DecShare)},
+		{"SG02", Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: sgct.Marshal()}, sgks,
 			sgpeer.Marshal(), schemes.ErrPayloadAuth},
-		{"BZ03", &bz03Adapter{pk: bzpk, ks: bzks, ct: bzct, shares: make(map[int]*bz03.DecShare)},
+		{"BZ03", Request{Scheme: schemes.BZ03, Op: OpDecrypt, Payload: bzct.Marshal()}, bzks,
 			bzpeer.Marshal(), schemes.ErrPayloadAuth},
-		{"SH00", &sh00Adapter{pk: shpk, ks: shks, msg: msg, shares: make(map[int]*sh00.SigShare)},
+		{"SH00", Request{Scheme: schemes.SH00, Op: OpSign, Payload: msg}, shks,
 			shpeer.Marshal(), sh00.ErrInvalidSignature},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := newNonInteractive(rand.Reader, tc.adapter)
+			p := withShare(t, nodes[0], tc.req, tc.ks)
 			if _, err := p.DoRound(); err != nil {
 				t.Fatalf("own share refused: %v", err)
 			}
-			if err := p.Update(ProtocolMessage{Sender: 2, Round: 1, Payload: tc.peer}); err != nil {
-				t.Fatalf("valid peer share refused: %v", err)
+			err := p.Update(ProtocolMessage{Sender: 2, Round: 1, Payload: tc.peer})
+			if err == nil || Rejections(err) != nil || !errors.Is(err, tc.want) {
+				t.Fatalf("want a local failure wrapping %v, got %v", tc.want, err)
 			}
-			if !p.IsReadyToFinalize() {
-				t.Fatal("quorum of own and peer share not ready")
+			if p.IsReadyToFinalize() {
+				t.Fatal("a quorum that did not combine is ready")
 			}
-			out, err := p.Finalize()
-			if err == nil || out != nil || Rejections(err) != nil || !errors.Is(err, tc.want) {
-				t.Fatalf("want a local failure wrapping %v, got %x, %v", tc.want, out, err)
+			if out, err := p.Finalize(); out != nil || !errors.Is(err, ErrNotReady) {
+				t.Fatalf("released %x, %v after a failed combine", out, err)
 			}
 		})
 	}

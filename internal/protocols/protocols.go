@@ -1,7 +1,8 @@
 // Package protocols implements the core layer's protocol module: the
 // Threshold Round Interface (TRI) that unifies non-interactive and
-// multi-round threshold protocols, the generic single-round executor
-// used by all non-interactive schemes, and the two-round FROST protocol.
+// multi-round threshold protocols, the one share quorum every scheme's
+// shares go through, the single-round protocol that runs it for the
+// non-interactive schemes, and the two-round FROST protocol.
 //
 // The TRI reproduces the paper's five functions (Section 3.5): DoRound,
 // Update, IsReadyForNextRound, IsReadyToFinalize, and Finalize. A round
@@ -14,7 +15,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 
 	"thetacrypt/internal/group"
 	"thetacrypt/internal/keys"
@@ -290,10 +290,10 @@ var (
 	ErrAlreadyFinalized = errors.New("protocols: instance already finalized")
 )
 
-// shareRejection names the sender of a share that failed a check made
-// after the message carrying it was delivered: an aggregate check run
-// when a later share completed the quorum, or a parked share checked
-// when the commitment set completed.
+// shareRejection names the sender of a rejected share. That is not
+// always the sender of the message being delivered: a stored share can
+// fail when a later one completes the quorum, and a parked FROST share
+// when the commitment set completes.
 type shareRejection struct {
 	sender int
 	err    error
@@ -328,96 +328,4 @@ func Rejections(err error) []error {
 		out = append(out, r...)
 	}
 	return out
-}
-
-// shareAdapter is the minimal surface a non-interactive scheme exposes
-// to the generic single-round protocol: create and record the local
-// share, check and accumulate peer shares, and combine once a quorum is
-// reached. This is the seam that lets a new scheme plug into the
-// protocol module without touching it (the paper's extensibility
-// claim).
-//
-// Peer shares are checked; the node's own share is not, since a check
-// could only fail on a local fault. Such a fault still surfaces: the
-// combine of SG02, BZ03, SH00 and BLS04 verifies its output and ends
-// the instance locally, naming no peer. CKS05's combine does not, so
-// it relies on the keystore, which refuses a discrete-log key share
-// that does not match its verification key at install.
-type shareAdapter interface {
-	// CreateShare computes this party's share of the result and records
-	// it as built, unchecked and without a round trip through its
-	// encoding. It returns the encoding to send to the peers. When the
-	// own share alone completes a quorum (t = 0) BLS04 combines here.
-	CreateShare(rand io.Reader) (payload []byte, err error)
-	// OnShare checks and accumulates a peer's share. Schemes whose
-	// result does not verify itself check each share here; BLS04
-	// checks the combined signature once the share completes a quorum
-	// and, only if that fails, the peer shares one by one. Invalid
-	// shares return ErrShareRejected (wrapped); shares rejected by a
-	// quorum's check come back as rejectShare errors naming their own
-	// senders, joined when there are several.
-	OnShare(sender int, payload []byte) error
-	// Ready reports whether a combining quorum has accumulated.
-	Ready() bool
-	// Combine assembles the final result from accumulated shares.
-	Combine() ([]byte, error)
-}
-
-// nonInteractive runs any shareAdapter as a one-round TRI protocol.
-type nonInteractive struct {
-	adapter   shareAdapter
-	rand      io.Reader
-	started   bool
-	finalized bool
-}
-
-// newNonInteractive wraps a scheme adapter into the TRI.
-func newNonInteractive(rand io.Reader, adapter shareAdapter) Protocol {
-	return &nonInteractive{adapter: adapter, rand: rand}
-}
-
-func (p *nonInteractive) DoRound() (*RoundOutput, error) {
-	if p.finalized {
-		return nil, ErrAlreadyFinalized
-	}
-	if p.started {
-		// Single-round protocol: nothing to do in later rounds.
-		return nil, nil
-	}
-	p.started = true
-	payload, err := p.adapter.CreateShare(p.rand)
-	if err != nil {
-		return nil, fmt.Errorf("create share: %w", err)
-	}
-	return &RoundOutput{Round: 1, Payload: payload}, nil
-}
-
-func (p *nonInteractive) Update(msg ProtocolMessage) error {
-	if p.finalized {
-		return nil // late shares are ignored
-	}
-	err := p.adapter.OnShare(msg.Sender, msg.Payload)
-	var attributed *shareRejection
-	if err == nil || errors.As(err, &attributed) {
-		return err
-	}
-	return fmt.Errorf("share from %d: %w", msg.Sender, err)
-}
-
-func (p *nonInteractive) IsReadyForNextRound() bool { return false }
-
-func (p *nonInteractive) IsReadyToFinalize() bool {
-	return p.started && !p.finalized && p.adapter.Ready()
-}
-
-func (p *nonInteractive) Finalize() ([]byte, error) {
-	if !p.adapter.Ready() {
-		return nil, ErrNotReady
-	}
-	out, err := p.adapter.Combine()
-	if err != nil {
-		return nil, err
-	}
-	p.finalized = true
-	return out, nil
 }

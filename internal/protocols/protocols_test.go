@@ -127,7 +127,7 @@ func TestUnsupportedCombos(t *testing.T) {
 		{Scheme: schemes.SG02, Op: OpDecrypt}, // no SG02 keys dealt
 	}
 	for _, req := range bad {
-		if _, err := New(rand.Reader, nodes[0], req); err == nil {
+		if _, err := New(rand.Reader, nodes[0], req, Env{}); err == nil {
 			t.Fatalf("request %v accepted", req)
 		}
 	}
@@ -138,7 +138,7 @@ func TestNonInteractiveTRISemantics(t *testing.T) {
 	protos := make([]Protocol, len(nodes))
 	req := Request{Scheme: schemes.CKS05, Op: OpCoin, Payload: []byte("tri")}
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestFrostTRITwoRounds(t *testing.T) {
 	protos := make([]Protocol, len(nodes))
 	req := Request{Scheme: schemes.KG20, Op: OpSign, Payload: []byte("frost tri")}
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestFrostTRITwoRounds(t *testing.T) {
 func TestRejectedSharesSurfaceButDoNotKill(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.CKS05)
 	req := Request{Scheme: schemes.CKS05, Op: OpCoin, Payload: []byte("byz")}
-	p, err := New(rand.Reader, nodes[0], req)
+	p, err := New(rand.Reader, nodes[0], req, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestKeygenProtocolInstallsAgreedKey(t *testing.T) {
 	gen := Request{Scheme: schemes.KG20, KeyID: "runtime-1", Op: OpKeyGen}
 	protos := make([]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, gen)
+		p, err := New(rand.Reader, nk, gen, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestKeygenProtocolInstallsAgreedKey(t *testing.T) {
 		sign := Request{Scheme: schemes.KG20, KeyID: "runtime-1", Op: OpSign, Payload: []byte("signed under DKG key")}
 		sp := make([]Protocol, len(nodes))
 		for i, nk := range nodes {
-			p, err := New(rand.Reader, nk, sign)
+			p, err := New(rand.Reader, nk, sign, Env{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,13 +265,13 @@ func TestKeygenProtocolInstallsAgreedKey(t *testing.T) {
 		}
 	})
 	t.Run("conflict", func(t *testing.T) {
-		if _, err := New(rand.Reader, nodes[0], gen); !errors.Is(err, keys.ErrKeyExists) {
+		if _, err := New(rand.Reader, nodes[0], gen, Env{}); !errors.Is(err, keys.ErrKeyExists) {
 			t.Fatalf("re-running keygen for an installed key: %v", err)
 		}
 	})
 	t.Run("unknown-key-lookup", func(t *testing.T) {
 		req := Request{Scheme: schemes.KG20, KeyID: "never-made", Op: OpSign, Payload: []byte("x")}
-		if _, err := New(rand.Reader, nodes[0], req); !errors.Is(err, keys.ErrKeyUnknown) {
+		if _, err := New(rand.Reader, nodes[0], req, Env{}); !errors.Is(err, keys.ErrKeyUnknown) {
 			t.Fatalf("unknown key: %v", err)
 		}
 	})

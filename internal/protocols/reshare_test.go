@@ -112,7 +112,7 @@ func TestReshareRefreshAdvancesEpoch(t *testing.T) {
 		Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestReshareRefreshAdvancesEpoch(t *testing.T) {
 	dec := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal()}
 	decProtos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, dec)
+		p, err := New(rand.Reader, nk, dec, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestReshareMembershipChange(t *testing.T) {
 	req := Request{Scheme: schemes.SG02, Op: OpReshare, Payload: spec.Marshal(), Epoch: keys.FirstEpoch}
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestReshareMembershipChange(t *testing.T) {
 		t.Fatalf("leaving node kept epoch=%d share=%v", k1.Epoch, k1.Share)
 	}
 	dec := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal()}
-	if _, err := New(rand.Reader, nodes[0], dec); !errors.Is(err, keys.ErrKeyNoShare) {
+	if _, err := New(rand.Reader, nodes[0], dec, Env{}); !errors.Is(err, keys.ErrKeyNoShare) {
 		t.Fatalf("decrypt on leaving node = %v, want ErrKeyNoShare", err)
 	}
 
@@ -218,7 +218,7 @@ func TestReshareMembershipChange(t *testing.T) {
 	// Decryption among the new members, with real mesh sender indices.
 	decProtos := make(map[int]Protocol, len(spec.Members))
 	for _, nodeIdx := range spec.Members {
-		p, err := New(rand.Reader, nodes[nodeIdx-1], dec)
+		p, err := New(rand.Reader, nodes[nodeIdx-1], dec, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestReshareMembershipChange(t *testing.T) {
 
 	// A share from outside the committee is rejected by the sender map,
 	// not silently mis-attributed to a committee index.
-	outsider, err := New(rand.Reader, nodes[1], dec)
+	outsider, err := New(rand.Reader, nodes[1], dec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestReshareEpochPinning(t *testing.T) {
 		Payload: identitySpec(1, 3).Marshal(), Epoch: keys.FirstEpoch}
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req)
+		p, err := New(rand.Reader, nk, req, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,20 +265,20 @@ func TestReshareEpochPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal(), Epoch: 1}
-	if _, err := New(rand.Reader, nodes[0], stale); !errors.Is(err, keys.ErrKeyEpoch) {
+	if _, err := New(rand.Reader, nodes[0], stale, Env{}); !errors.Is(err, keys.ErrKeyEpoch) {
 		t.Fatalf("old-epoch decrypt = %v, want ErrKeyEpoch", err)
 	}
 	current := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal(), Epoch: 2}
-	if _, err := New(rand.Reader, nodes[0], current); err != nil {
+	if _, err := New(rand.Reader, nodes[0], current, Env{}); err != nil {
 		t.Fatalf("current-epoch decrypt rejected: %v", err)
 	}
 	unpinned := Request{Scheme: schemes.SG02, Op: OpDecrypt, Payload: ct.Marshal()}
-	if _, err := New(rand.Reader, nodes[0], unpinned); err != nil {
+	if _, err := New(rand.Reader, nodes[0], unpinned, Env{}); err != nil {
 		t.Fatalf("unpinned decrypt rejected: %v", err)
 	}
 	staleReshare := Request{Scheme: schemes.SG02, Op: OpReshare,
 		Payload: identitySpec(1, 3).Marshal(), Epoch: 1}
-	if _, err := New(rand.Reader, nodes[0], staleReshare); !errors.Is(err, keys.ErrKeyEpoch) {
+	if _, err := New(rand.Reader, nodes[0], staleReshare, Env{}); !errors.Is(err, keys.ErrKeyEpoch) {
 		t.Fatalf("stale reshare = %v, want ErrKeyEpoch", err)
 	}
 }

@@ -93,13 +93,6 @@ func New(backends []Backend) *Router {
 	}
 }
 
-// Backends returns the committees behind the router, in routing order.
-func (r *Router) Backends() []Backend {
-	out := make([]Backend, len(r.backends))
-	copy(out, r.backends)
-	return out
-}
-
 func effectiveKeyID(id string) string {
 	if id == "" {
 		return keys.DefaultKeyID

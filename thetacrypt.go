@@ -21,7 +21,6 @@ import (
 
 	"thetacrypt/api"
 	"thetacrypt/internal/committee"
-	"thetacrypt/internal/group"
 	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network/securelink"
@@ -60,9 +59,6 @@ type (
 	TransportStats = api.TransportStats
 	// PeerStats is one peer link's health inside TransportStats.
 	PeerStats = api.PeerStats
-	// Future resolves to a raw engine result (embedded deployments
-	// only; the Service interface uses Wait).
-	Future = orchestration.Future
 	// Keystore is a node's keychain: named keys addressed by
 	// (scheme, key ID), dealt offline or generated at runtime.
 	Keystore = keys.Keystore
@@ -177,20 +173,6 @@ func (c *Cluster) KeystoreAt(i int) *Keystore { return c.com.UnitAt(i).Store }
 // Cluster implements the unified Service interface.
 var _ Service = (*Cluster)(nil)
 
-// SubmitAt starts a threshold operation at node i (1-indexed) and
-// returns its raw engine future — embedded-only access for tests and
-// fault-injection scenarios. Applications use the Service methods.
-func (c *Cluster) SubmitAt(ctx context.Context, i int, req Request) (*Future, error) {
-	u := c.com.UnitAt(i)
-	if e := api.ValidateRequest(req); e != nil {
-		return nil, e
-	}
-	if e := api.CheckRequestKey(u.Store, req); e != nil {
-		return nil, e
-	}
-	return u.Engine.Submit(ctx, req)
-}
-
 // Submit starts a threshold operation at node 1 (Service interface).
 func (c *Cluster) Submit(ctx context.Context, req Request) (Handle, error) {
 	return c.com.Submit(ctx, req)
@@ -281,9 +263,6 @@ func NewRouter(backends ...RouterBackend) *Router {
 func ServiceHandler(svc api.Service) http.Handler {
 	return service.NewFront(svc)
 }
-
-// DefaultGroup returns the group used by the DL-based schemes.
-func DefaultGroup() group.Group { return group.Edwards25519() }
 
 // Secure-mesh identity material (see internal/identity).
 type (
