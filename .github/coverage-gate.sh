@@ -14,6 +14,7 @@ internal/network/...  internal/network        83.3
 internal/identity     internal/identity       78
 internal/{keys,dkg}   internal/(keys|dkg)     88.1
 internal/share        internal/share          86
+internal/schemes/...  internal/schemes/       87.9
 internal/router       internal/router         75
 internal/precompute   internal/precompute     90
 internal/service      internal/service        81

@@ -184,7 +184,7 @@ func ReshareRequest(store *keys.Keystore, scheme schemes.ID, keyID string, opts 
 	if err != nil {
 		return protocols.Request{}, Errf(CodeKeyUnknown, "%v", err)
 	}
-	if !keys.SupportsReshare(scheme) {
+	if !keys.SupportsDKG(scheme) {
 		return protocols.Request{}, Errf(CodeBadRequest, "scheme %s does not support resharing", scheme)
 	}
 	t, n := k.Params()

@@ -96,7 +96,7 @@ func TestDKGKeysDriveAScheme(t *testing.T) {
 	name := []byte("dkg-coin")
 	var css []*cks05.CoinShare
 	for _, r := range results[:tt+1] {
-		cs, err := cks05.Share(rand.Reader, pk, cks05.KeyShare{Index: r.Index, X: r.Share}, name)
+		cs, err := cks05.Share(rand.Reader, pk, cks05.KeyShare{Index: r.Index, Value: r.Share}, name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 // p256Group wraps the standard library's NIST P-256 curve behind the Group
 // interface. P-256 has a prime-order group (cofactor 1), so no subgroup
 // checks are needed beyond the on-curve check. It is the second Group the
-// schemes can be keyed on (the benchmark's P-256 workloads, and
-// BenchmarkAblationGroups in the root bench_test.go), with the stdlib's
-// scalar multiplication underneath and math/big coordinates at the seam.
+// schemes can be keyed on (the benchmark's P-256 workloads), with the
+// stdlib's scalar multiplication underneath and math/big coordinates at
+// the seam.
 type p256Group struct{}
 
 // P256 returns the NIST P-256 group.

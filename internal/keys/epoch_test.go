@@ -47,11 +47,11 @@ func TestEpochedKeystoreRoundTrip(t *testing.T) {
 		ID: DefaultKeyID, Scheme: schemes.SG02, Epoch: 2, Members: []int{1, 3},
 		Public: &sg02.PublicKey{
 			Group: cur.Public.(*sg02.PublicKey).Group,
-			H:     cur.Public.(*sg02.PublicKey).H,
+			Y:     cur.Public.(*sg02.PublicKey).Y,
 			VK:    cur.Public.(*sg02.PublicKey).VK[:2],
 			T:     1, N: 2,
 		},
-		Share: sg02.KeyShare{Index: 1, X: cur.Share.(sg02.KeyShare).X},
+		Share: sg02.KeyShare{Index: 1, Value: cur.Share.(sg02.KeyShare).Value},
 	}
 	if err := nodes[0].Replace(member); err != nil {
 		t.Fatal(err)

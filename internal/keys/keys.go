@@ -21,10 +21,8 @@ import (
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
 	"thetacrypt/internal/schemes/bz03"
-	"thetacrypt/internal/schemes/cks05"
-	"thetacrypt/internal/schemes/frost"
-	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
+	"thetacrypt/internal/share"
 )
 
 // DefaultKeyID names the key a request without an explicit key ID
@@ -87,9 +85,11 @@ func ValidKeyID(id string) bool {
 }
 
 // Key is one named key of the keystore: the public material shared by
-// all nodes and this node's private share. Public and Share hold the
-// scheme's own types (*sg02.PublicKey and sg02.KeyShare for SG02, and
-// so on); Group labels the arithmetic structure for listings.
+// all nodes and this node's private share. The discrete-log schemes
+// (SG02, KG20, CKS05) hold the one *share.PublicKey and share.Share;
+// BZ03 and BLS04 hold their own public key with a share.Share, and SH00
+// its own public key and key share. Group labels the arithmetic
+// structure for listings.
 type Key struct {
 	ID     string
 	Scheme schemes.ID
@@ -132,17 +132,13 @@ type Info struct {
 // deployment-wide Index/N/T header.
 func (k *Key) Params() (t, n int) {
 	switch pk := k.Public.(type) {
-	case *sg02.PublicKey:
+	case *share.PublicKey:
 		return pk.T, pk.N
 	case *bz03.PublicKey:
 		return pk.T, pk.N
 	case *sh00.PublicKey:
 		return pk.T, pk.NParties
 	case *bls04.PublicKey:
-		return pk.T, pk.N
-	case *frost.PublicKey:
-		return pk.T, pk.N
-	case *cks05.PublicKey:
 		return pk.T, pk.N
 	default:
 		return 0, 0
@@ -281,6 +277,9 @@ func (ks *Keystore) install(k *Key, replace bool) error {
 		if _, err := schemes.Lookup(k.Scheme); err != nil {
 			return err
 		}
+	}
+	if err := share.ValidateParams(k.Params()); err != nil {
+		return fmt.Errorf("keys: %s/%s: %w", k.Scheme, k.ID, err)
 	}
 	if err := checkShare(k); err != nil {
 		return err
@@ -564,25 +563,12 @@ func MustShare[S any](ks *Keystore, scheme schemes.ID) S {
 // corrupt local share from reaching a request. Every dealt, generated,
 // reshared and loaded key comes through it. Public-only keys pass.
 func checkShare(k *Key) error {
-	var (
-		g  group.Group
-		vk []group.Point
-	)
-	switch pk := k.Public.(type) {
-	case *sg02.PublicKey:
-		g, vk = pk.Group, pk.VK
-	case *frost.PublicKey:
-		g, vk = pk.Group, pk.VK
-	case *cks05.PublicKey:
-		g, vk = pk.Group, pk.VK
-	default:
-		return nil
-	}
-	if k.Share == nil {
+	pk, ok := k.Public.(*share.PublicKey)
+	if !ok || k.Share == nil {
 		return nil
 	}
 	idx, x := shareRef(k)
-	if x == nil || idx < 1 || idx > len(vk) || !g.BaseMul(x).Equal(vk[idx-1]) {
+	if x == nil || idx < 1 || idx > len(pk.VK) || !pk.Group.BaseMul(x).Equal(pk.VK[idx-1]) {
 		return fmt.Errorf("%w: %s/%s share %d", ErrKeyShare, k.Scheme, k.ID, idx)
 	}
 	return nil
@@ -592,11 +578,7 @@ func checkShare(k *Key) error {
 // material.
 func deriveGroup(k *Key) string {
 	switch pk := k.Public.(type) {
-	case *sg02.PublicKey:
-		return pk.Group.Name()
-	case *frost.PublicKey:
-		return pk.Group.Name()
-	case *cks05.PublicKey:
+	case *share.PublicKey:
 		return pk.Group.Name()
 	case *bz03.PublicKey, *bls04.PublicKey:
 		return "bn254"
@@ -607,10 +589,12 @@ func deriveGroup(k *Key) string {
 	}
 }
 
-// SupportsDKG reports whether runtime key generation (internal/dkg,
-// Pedersen JF-DKG over a DL group) can produce keys for the scheme.
+// SupportsDKG reports whether the scheme's key is the discrete-log key
+// (share.PublicKey): runtime key generation (internal/dkg, Pedersen
+// JF-DKG over a DL group) produces it, and proactive refresh and
+// membership change (the internal/share reshare primitives) renew it.
 // The RSA scheme (SH00) and the pairing-based schemes (BZ03, BLS04)
-// need dealer- or scheme-specific setups and remain deal-only.
+// need dealer- or scheme-specific setups and keep dealer-fixed shares.
 func SupportsDKG(scheme schemes.ID) bool {
 	switch scheme {
 	case schemes.SG02, schemes.KG20, schemes.CKS05:
@@ -619,12 +603,6 @@ func SupportsDKG(scheme schemes.ID) bool {
 		return false
 	}
 }
-
-// SupportsReshare reports whether proactive refresh and membership
-// change (internal/share reshare primitives over a DL group) apply to
-// the scheme — the same set as DKG: the RSA and pairing schemes keep
-// dealer-fixed shares.
-func SupportsReshare(scheme schemes.ID) bool { return SupportsDKG(scheme) }
 
 // Options configures the dealer.
 type Options struct {
@@ -683,10 +661,10 @@ func Deal(rand io.Reader, t, n int, opts Options) ([]*Keystore, error) {
 	}
 	for _, id := range opts.Schemes {
 		switch id {
-		case schemes.SG02:
-			pk, kss, err := sg02.Deal(rand, opts.Group, t, n)
+		case schemes.SG02, schemes.KG20, schemes.CKS05:
+			pk, kss, err := share.Deal(rand, opts.Group, t, n)
 			if err != nil {
-				return nil, fmt.Errorf("deal sg02: %w", err)
+				return nil, fmt.Errorf("deal %s: %w", id, err)
 			}
 			if err := add(id, func(int) any { return pk }, func(i int) any { return kss[i] }); err != nil {
 				return nil, err
@@ -720,22 +698,6 @@ func Deal(rand io.Reader, t, n int, opts Options) ([]*Keystore, error) {
 			pk, kss, err := bls04.Deal(rand, t, n)
 			if err != nil {
 				return nil, fmt.Errorf("deal bls04: %w", err)
-			}
-			if err := add(id, func(int) any { return pk }, func(i int) any { return kss[i] }); err != nil {
-				return nil, err
-			}
-		case schemes.KG20:
-			pk, kss, err := frost.Deal(rand, opts.Group, t, n)
-			if err != nil {
-				return nil, fmt.Errorf("deal frost: %w", err)
-			}
-			if err := add(id, func(int) any { return pk }, func(i int) any { return kss[i] }); err != nil {
-				return nil, err
-			}
-		case schemes.CKS05:
-			pk, kss, err := cks05.Deal(rand, opts.Group, t, n)
-			if err != nil {
-				return nil, fmt.Errorf("deal cks05: %w", err)
 			}
 			if err := add(id, func(int) any { return pk }, func(i int) any { return kss[i] }); err != nil {
 				return nil, err

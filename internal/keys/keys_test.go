@@ -137,7 +137,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("round trip lost %s", id)
 			}
 		}
-		if MustShare[sg02.KeyShare](got, schemes.SG02).X.Cmp(MustShare[sg02.KeyShare](nk, schemes.SG02).X) != 0 {
+		if MustShare[sg02.KeyShare](got, schemes.SG02).Value.Cmp(MustShare[sg02.KeyShare](nk, schemes.SG02).Value) != 0 {
 			t.Fatal("share mismatch")
 		}
 		if !MustPublic[*cks05.PublicKey](got, schemes.CKS05).Y.Equal(MustPublic[*cks05.PublicKey](nk, schemes.CKS05).Y) {

@@ -19,7 +19,6 @@ import (
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
 	"thetacrypt/internal/schemes/bz03"
-	"thetacrypt/internal/schemes/cks05"
 	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
 	"thetacrypt/internal/wire"
@@ -693,7 +692,8 @@ func TestNonCanonicalIntegersRefused(t *testing.T) {
 	}
 }
 
-// withoutVK returns a copy of a public key with no verification keys.
+// withoutVK returns a copy of a public key with no verification keys;
+// *sg02.PublicKey is the discrete-log key of KG20 and CKS05 too.
 func withoutVK(pub any) any {
 	switch pk := pub.(type) {
 	case *sg02.PublicKey:
@@ -709,10 +709,6 @@ func withoutVK(pub any) any {
 		c.VK = nil
 		return &c
 	case *bls04.PublicKey:
-		c := *pk
-		c.VK = nil
-		return &c
-	case *cks05.PublicKey:
 		c := *pk
 		c.VK = nil
 		return &c

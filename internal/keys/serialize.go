@@ -12,10 +12,8 @@ import (
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
 	"thetacrypt/internal/schemes/bz03"
-	"thetacrypt/internal/schemes/cks05"
-	"thetacrypt/internal/schemes/frost"
-	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
+	"thetacrypt/internal/share"
 	"thetacrypt/internal/wire"
 )
 
@@ -368,10 +366,10 @@ func readBody(r *wire.Reader, scheme schemes.ID, maxN int) (*Key, error) {
 // writePublic appends one key's public material.
 func writePublic(w *wire.Writer, k *Key) {
 	switch k.Scheme {
-	case schemes.SG02:
-		pk := k.Public.(*sg02.PublicKey)
+	case schemes.SG02, schemes.KG20, schemes.CKS05:
+		pk := k.Public.(*share.PublicKey)
 		w.String(pk.Group.Name())
-		w.Bytes(pk.H.Marshal())
+		w.Bytes(pk.Y.Marshal())
 		writePoints(w, pk.VK)
 	case schemes.BZ03:
 		pk := k.Public.(*bz03.PublicKey)
@@ -394,16 +392,6 @@ func writePublic(w *wire.Writer, k *Key) {
 		for _, vk := range pk.VK {
 			w.Bytes(vk.Marshal())
 		}
-	case schemes.KG20:
-		pk := k.Public.(*frost.PublicKey)
-		w.String(pk.Group.Name())
-		w.Bytes(pk.Y.Marshal())
-		writePoints(w, pk.VK)
-	case schemes.CKS05:
-		pk := k.Public.(*cks05.PublicKey)
-		w.String(pk.Group.Name())
-		w.Bytes(pk.Y.Marshal())
-		writePoints(w, pk.VK)
 	}
 }
 
@@ -411,41 +399,22 @@ func writePublic(w *wire.Writer, k *Key) {
 // material; (0, nil) for public-only records.
 func shareRef(k *Key) (int, *big.Int) {
 	switch s := k.Share.(type) {
-	case sg02.KeyShare:
-		return s.Index, s.X
-	case bz03.KeyShare:
-		return s.Index, s.X
+	case share.Share:
+		return s.Index, s.Value
 	case sh00.KeyShare:
 		return s.Index, s.S
-	case bls04.KeyShare:
-		return s.Index, s.X
-	case frost.KeyShare:
-		return s.Index, s.X
-	case cks05.KeyShare:
-		return s.Index, s.X
 	default:
 		return 0, nil
 	}
 }
 
-// makeShare wraps a share scalar in the scheme's key-share type.
+// makeShare wraps a share scalar in the scheme's key-share type: SH00
+// keeps its own, every other scheme shares one (index, scalar) pair.
 func makeShare(scheme schemes.ID, index int, v *big.Int) any {
-	switch scheme {
-	case schemes.SG02:
-		return sg02.KeyShare{Index: index, X: v}
-	case schemes.BZ03:
-		return bz03.KeyShare{Index: index, X: v}
-	case schemes.SH00:
+	if scheme == schemes.SH00 {
 		return sh00.KeyShare{Index: index, S: v}
-	case schemes.BLS04:
-		return bls04.KeyShare{Index: index, X: v}
-	case schemes.KG20:
-		return frost.KeyShare{Index: index, X: v}
-	case schemes.CKS05:
-		return cks05.KeyShare{Index: index, X: v}
-	default:
-		return nil
 	}
+	return share.Share{Index: index, Value: v}
 }
 
 // readPublic parses one key's public material into the scheme's
@@ -455,12 +424,12 @@ func makeShare(scheme schemes.ID, index int, v *big.Int) any {
 func readPublic(r *wire.Reader, scheme schemes.ID, t, n int) (any, error) {
 	var pub any
 	switch scheme {
-	case schemes.SG02:
-		g, h, vk, err := readDLPublic(r, n)
+	case schemes.SG02, schemes.KG20, schemes.CKS05:
+		g, y, vk, err := readDLPublic(r, n)
 		if err != nil {
 			return nil, err
 		}
-		pub = &sg02.PublicKey{Group: g, H: h, VK: vk, T: t, N: n}
+		pub = &share.PublicKey{Group: g, Y: y, VK: vk, T: t, N: n}
 	case schemes.BZ03:
 		y, ok := pairing.UnmarshalG1(r.Bytes())
 		if !ok {
@@ -497,18 +466,6 @@ func readPublic(r *wire.Reader, scheme schemes.ID, t, n int) (any, error) {
 			return nil, err
 		}
 		pub = &bls04.PublicKey{Y: y, VK: vk, T: t, N: n}
-	case schemes.KG20:
-		g, y, vk, err := readDLPublic(r, n)
-		if err != nil {
-			return nil, err
-		}
-		pub = &frost.PublicKey{Group: g, Y: y, VK: vk, T: t, N: n}
-	case schemes.CKS05:
-		g, y, vk, err := readDLPublic(r, n)
-		if err != nil {
-			return nil, err
-		}
-		pub = &cks05.PublicKey{Group: g, Y: y, VK: vk, T: t, N: n}
 	default:
 		return nil, fmt.Errorf("keys: unknown scheme %q in key file", scheme)
 	}
@@ -575,17 +532,13 @@ func readG2s(r *wire.Reader, n int) ([]*pairing.G2, error) {
 func (k *Key) PublicBytes() []byte {
 	w := wire.NewWriter()
 	switch pk := k.Public.(type) {
-	case *sg02.PublicKey:
-		w.Bytes(pk.H.Marshal())
+	case *share.PublicKey:
+		w.Bytes(pk.Y.Marshal())
 	case *bz03.PublicKey:
 		w.Bytes(pk.Y.Marshal())
 	case *sh00.PublicKey:
 		w.BigInt(pk.N).BigInt(pk.E)
 	case *bls04.PublicKey:
-		w.Bytes(pk.Y.Marshal())
-	case *frost.PublicKey:
-		w.Bytes(pk.Y.Marshal())
-	case *cks05.PublicKey:
 		w.Bytes(pk.Y.Marshal())
 	default:
 		return nil

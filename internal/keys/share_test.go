@@ -4,12 +4,11 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"thetacrypt/internal/schemes"
-	"thetacrypt/internal/schemes/cks05"
-	"thetacrypt/internal/schemes/frost"
-	"thetacrypt/internal/schemes/sg02"
+	"thetacrypt/internal/share"
 )
 
 // TestKeystoreRefusesMismatchedShare: Add, Replace and loading a key
@@ -18,41 +17,34 @@ import (
 // check the share a node makes itself, so this is where a corrupt local
 // share is caught.
 func TestKeystoreRefusesMismatchedShare(t *testing.T) {
-	for _, tc := range []struct {
-		scheme schemes.ID
-		share  func(index int, x *big.Int) any
-	}{
-		{schemes.SG02, func(i int, x *big.Int) any { return sg02.KeyShare{Index: i, X: x} }},
-		{schemes.KG20, func(i int, x *big.Int) any { return frost.KeyShare{Index: i, X: x} }},
-		{schemes.CKS05, func(i int, x *big.Int) any { return cks05.KeyShare{Index: i, X: x} }},
-	} {
-		t.Run(string(tc.scheme), func(t *testing.T) {
-			nodes, err := Deal(rand.Reader, 1, 3, Options{Schemes: []schemes.ID{tc.scheme}})
+	for _, scheme := range []schemes.ID{schemes.SG02, schemes.KG20, schemes.CKS05} {
+		t.Run(string(scheme), func(t *testing.T) {
+			nodes, err := Deal(rand.Reader, 1, 3, Options{Schemes: []schemes.ID{scheme}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ks := nodes[1]
-			cur, _ := ks.Get(tc.scheme, "")
+			cur, _ := ks.Get(scheme, "")
 			idx, x := shareRef(cur)
 			bad := map[string]any{
-				"value":        tc.share(idx, new(big.Int).Add(x, big.NewInt(1))),
-				"peer-index":   tc.share(idx+1, x),
-				"index-zero":   tc.share(0, x),
-				"index-past-n": tc.share(4, x),
+				"value":        share.Share{Index: idx, Value: new(big.Int).Add(x, big.NewInt(1))},
+				"peer-index":   share.Share{Index: idx + 1, Value: x},
+				"index-zero":   share.Share{Index: 0, Value: x},
+				"index-past-n": share.Share{Index: 4, Value: x},
 			}
 			for name, shr := range bad {
-				add := &Key{ID: "bad", Scheme: tc.scheme, Epoch: FirstEpoch, Public: cur.Public, Share: shr}
+				add := &Key{ID: "bad", Scheme: scheme, Epoch: FirstEpoch, Public: cur.Public, Share: shr}
 				if err := ks.Add(add); !errors.Is(err, ErrKeyShare) {
 					t.Fatalf("%s: Add = %v, want ErrKeyShare", name, err)
 				}
-				if _, err := ks.Get(tc.scheme, "bad"); !errors.Is(err, ErrKeyUnknown) {
+				if _, err := ks.Get(scheme, "bad"); !errors.Is(err, ErrKeyUnknown) {
 					t.Fatalf("%s: a refused Add installed the key: %v", name, err)
 				}
-				next := &Key{ID: DefaultKeyID, Scheme: tc.scheme, Epoch: cur.Epoch + 1, Public: cur.Public, Share: shr}
+				next := &Key{ID: DefaultKeyID, Scheme: scheme, Epoch: cur.Epoch + 1, Public: cur.Public, Share: shr}
 				if err := ks.Replace(next); !errors.Is(err, ErrKeyShare) {
 					t.Fatalf("%s: Replace = %v, want ErrKeyShare", name, err)
 				}
-				if k, _ := ks.Get(tc.scheme, ""); k != cur {
+				if k, _ := ks.Get(scheme, ""); k != cur {
 					t.Fatalf("%s: a refused Replace swapped the key", name)
 				}
 			}
@@ -61,9 +53,9 @@ func TestKeystoreRefusesMismatchedShare(t *testing.T) {
 			// store is written past the check, as a file edited or
 			// damaged on disk would be.
 			file := NewKeystore(ks.Index, ks.T, ks.N)
-			corrupt := &Key{ID: DefaultKeyID, Scheme: tc.scheme, Epoch: FirstEpoch,
+			corrupt := &Key{ID: DefaultKeyID, Scheme: scheme, Epoch: FirstEpoch,
 				Public: cur.Public, Share: bad["value"]}
-			file.byRef[keyRef{scheme: tc.scheme, id: DefaultKeyID}] = corrupt
+			file.byRef[keyRef{scheme: scheme, id: DefaultKeyID}] = corrupt
 			file.order = append(file.order, corrupt)
 			if _, err := UnmarshalKeystore(file.Marshal()); !errors.Is(err, ErrKeyShare) {
 				t.Fatalf("loading a corrupt share = %v, want ErrKeyShare", err)
@@ -73,10 +65,48 @@ func TestKeystoreRefusesMismatchedShare(t *testing.T) {
 			if _, err := UnmarshalKeystore(ks.Marshal()); err != nil {
 				t.Fatal(err)
 			}
-			observer := &Key{ID: "observer", Scheme: tc.scheme, Epoch: FirstEpoch, Public: cur.Public}
+			observer := &Key{ID: "observer", Scheme: scheme, Epoch: FirstEpoch, Public: cur.Public}
 			if err := ks.Add(observer); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestKeystoreRefusesInvalidThreshold: a key file whose key carries a
+// threshold that is not a valid sharing of its n parties does not load,
+// and the error names the key. A negative t would panic the first
+// signing round; t >= n leaves every request short of a quorum.
+func TestKeystoreRefusesInvalidThreshold(t *testing.T) {
+	nodes, err := Deal(rand.Reader, 1, 4, Options{Schemes: []schemes.ID{schemes.SG02, schemes.KG20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scheme schemes.ID
+		t      int
+	}{
+		{schemes.KG20, -2},
+		{schemes.SG02, 4},
+	} {
+		cur, _ := nodes[0].Get(tc.scheme, "")
+		pk := *cur.Public.(*share.PublicKey)
+		pk.T = tc.t
+		bad := *cur
+		bad.Public = &pk
+		next := bad
+		next.Epoch++
+		if err := nodes[0].Replace(&next); err == nil {
+			t.Fatalf("%s at t = %d replaced the key", tc.scheme, tc.t)
+		}
+		// Written past the check, as a file edited or damaged on disk
+		// would be.
+		file := NewKeystore(1, 1, 4)
+		file.byRef[keyRef{scheme: tc.scheme, id: DefaultKeyID}] = &bad
+		file.order = append(file.order, &bad)
+		_, err := UnmarshalKeystore(file.Marshal())
+		if want := string(tc.scheme) + "/" + DefaultKeyID; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("loading %s at t = %d: %v, want an error naming %s", tc.scheme, tc.t, err, want)
+		}
 	}
 }

@@ -94,16 +94,13 @@ func checkSameKey(t *testing.T, nodes []*keys.Keystore, scheme schemes.ID, keyID
 		if err != nil {
 			t.Fatalf("node %d: %v", i+1, err)
 		}
-		g, pub, vk, err := dlView(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pk := k.Public.(*sharepkg.PublicKey)
 		if ref == nil {
-			ref = pub
-		} else if !pub.Equal(ref) {
+			ref = pk.Y
+		} else if !pk.Y.Equal(ref) {
 			t.Fatalf("node %d installed a different public key", i+1)
 		}
-		if idx, x, ok := dlShare(k); ok && !g.BaseMul(x).Equal(vk[idx-1]) {
+		if s, ok := k.Share.(sharepkg.Share); ok && !pk.Group.BaseMul(s.Value).Equal(pk.VK[s.Index-1]) {
 			t.Fatalf("node %d share inconsistent with its verification key", i+1)
 		}
 	}
@@ -309,7 +306,7 @@ func TestSealedReshare(t *testing.T) {
 		}
 	}
 	for i, nk := range nodes {
-		if !keys.MustPublic[*sg02.PublicKey](nk, schemes.SG02).H.Equal(pk.H) {
+		if !keys.MustPublic[*sg02.PublicKey](nk, schemes.SG02).Y.Equal(pk.Y) {
 			t.Fatalf("node %d public key changed across the sealed refresh", i+1)
 		}
 	}
@@ -392,7 +389,7 @@ func TestSealedReshareDisqualifiesFaultyDealer(t *testing.T) {
 				}
 				checkQualified(t, protos, []int{1, 3, 4}, fc.unresolved)
 				checkSameKey(t, nodes, schemes.SG02, "")
-				if !keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02).H.Equal(pk.H) {
+				if !keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02).Y.Equal(pk.Y) {
 					t.Fatal("public key changed")
 				}
 				decryptsAfter(t, nodes)

@@ -69,8 +69,8 @@ func newKeygen(rand io.Reader, store *keys.Keystore, req Request, env Env) (Prot
 				return nil, fmt.Errorf("keygen: %w", err)
 			}
 			key := &keys.Key{ID: req.KeyID, Scheme: req.Scheme, Epoch: keys.FirstEpoch,
-				Public: dlMakePublic(req.Scheme, g, res.PublicKey, res.VK, t, n),
-				Share:  dlMakeShare(req.Scheme, res.Index, res.Share)}
+				Public: &sharepkg.PublicKey{Group: g, Y: res.PublicKey, VK: res.VK, T: t, N: n},
+				Share:  sharepkg.Share{Index: res.Index, Value: res.Share}}
 			if err := store.Add(key); err != nil {
 				// A concurrent generation won the (scheme, id) slot.
 				if errors.Is(err, keys.ErrKeyExists) {

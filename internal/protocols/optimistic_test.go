@@ -181,7 +181,7 @@ func TestBLS04PairingChecksPerRequest(t *testing.T) {
 func TestBLS04OwnBadShareFailsInstance(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.BLS04)
 	ks := keys.MustShare[bls04.KeyShare](nodes[0], schemes.BLS04)
-	ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
+	ks.Value = new(big.Int).Add(ks.Value, big.NewInt(1))
 	msg := []byte("own share corrupted")
 	p := withShare(t, nodes[0], Request{Scheme: schemes.BLS04, Op: OpSign, Payload: msg}, ks)
 	if _, err := p.DoRound(); err != nil {
@@ -302,7 +302,7 @@ func TestFrostOwnBadShareFailsInstance(t *testing.T) {
 	msg := []byte("own share corrupted")
 	pk := keys.MustPublic[*frost.PublicKey](nodes[0], schemes.KG20)
 	ks := keys.MustShare[frost.KeyShare](nodes[0], schemes.KG20)
-	ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
+	ks.Value = new(big.Int).Add(ks.Value, big.NewInt(1))
 	p := newFrost(rand.Reader, pk, ks, msg)
 	out, err := p.DoRound()
 	if err != nil {

@@ -131,7 +131,7 @@ func TestOwnBadShareFailsAtCombine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sgks := keys.MustShare[sg02.KeyShare](nodes[0], schemes.SG02)
-	sgks.X = plusOne(sgks.X)
+	sgks.Value = plusOne(sgks.Value)
 	sgpeer, err := sg02.DecryptShare(rand.Reader, sgpk, keys.MustShare[sg02.KeyShare](nodes[1], schemes.SG02), sgct)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestOwnBadShareFailsAtCombine(t *testing.T) {
 		t.Fatal(err)
 	}
 	bzks := keys.MustShare[bz03.KeyShare](nodes[0], schemes.BZ03)
-	bzks.X = plusOne(bzks.X)
+	bzks.Value = plusOne(bzks.Value)
 	bzpeer, err := bz03.DecryptShare(bzpk, keys.MustShare[bz03.KeyShare](nodes[1], schemes.BZ03), bzct)
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func (r Request) Validate() error {
 		if !keys.ValidKeyID(r.EffectiveKeyID()) {
 			return fmt.Errorf("%w %q", ErrBadKeyID, r.KeyID)
 		}
-		if !keys.SupportsReshare(r.Scheme) {
+		if !keys.SupportsDKG(r.Scheme) {
 			return fmt.Errorf("%w: scheme %s is deal-only", ErrReshareUnsupported, r.Scheme)
 		}
 		spec, err := UnmarshalReshareSpec(r.Payload)

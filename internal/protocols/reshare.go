@@ -3,15 +3,9 @@ package protocols
 import (
 	"fmt"
 	"io"
-	"math/big"
 	"strconv"
 
-	"thetacrypt/internal/group"
 	"thetacrypt/internal/keys"
-	"thetacrypt/internal/schemes"
-	"thetacrypt/internal/schemes/cks05"
-	"thetacrypt/internal/schemes/frost"
-	"thetacrypt/internal/schemes/sg02"
 	sharepkg "thetacrypt/internal/share"
 	"thetacrypt/internal/wire"
 )
@@ -91,7 +85,7 @@ func (s ReshareSpec) Validate() error {
 // carries at epoch 0), so two nodes straddling a previous reshare can never deal from
 // different sharings inside one instance.
 func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, env Env) (Protocol, error) {
-	if !keys.SupportsReshare(req.Scheme) {
+	if !keys.SupportsDKG(req.Scheme) {
 		return nil, fmt.Errorf("%w: scheme %s is deal-only", ErrReshareUnsupported, req.Scheme)
 	}
 	spec, err := UnmarshalReshareSpec(req.Payload)
@@ -106,11 +100,12 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 			return nil, fmt.Errorf("%w: member %d outside deployment of %d nodes", ErrReshareUnsupported, m, store.N)
 		}
 	}
-	g, oldPub, oldVK, err := dlView(k)
-	if err != nil {
-		return nil, err
+	oldPub, ok := k.Public.(*sharepkg.PublicKey)
+	if !ok {
+		return nil, fmt.Errorf("%w: key %s/%s has no DL sharing", ErrReshareUnsupported, k.Scheme, k.ID)
 	}
-	oldT, oldN := k.Params()
+	g := oldPub.Group
+	oldT, oldN := oldPub.T, oldPub.N
 	oldMembers := k.Members
 	if oldMembers == nil {
 		oldMembers = allNodes(oldN)
@@ -123,11 +118,11 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 		dealers:    oldMembers,
 		recipients: spec.Members,
 		deal: func() (*sharepkg.FeldmanCommitment, []sharepkg.Share, error) {
-			idx, val, ok := dlShare(k)
+			own, ok := k.Share.(sharepkg.Share)
 			if !ok {
 				return nil, nil, fmt.Errorf("node %d holds no share of %s/%s", store.Index, k.Scheme, k.ID)
 			}
-			d, err := sharepkg.Reshare(rand, g, sharepkg.Share{Index: idx, Value: val}, spec.NewT, newN)
+			d, err := sharepkg.Reshare(rand, g, own, spec.NewT, newN)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -137,7 +132,7 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 			return d.Commitment, d.SubShares, nil
 		},
 		check: func(dealer int, com *sharepkg.FeldmanCommitment) error {
-			return sharepkg.VerifyReshareDealing(g, &sharepkg.ReshareDealing{Dealer: dealer, Commitment: com}, oldVK[dealer-1], spec.NewT)
+			return sharepkg.VerifyReshareDealing(g, &sharepkg.ReshareDealing{Dealer: dealer, Commitment: com}, oldPub.VK[dealer-1], spec.NewT)
 		},
 		finish: func(qual []int, coms map[int]*sharepkg.FeldmanCommitment, subs map[int]sharepkg.Share) ([]byte, error) {
 			if len(qual) < oldT+1 {
@@ -154,7 +149,7 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 			if err != nil {
 				return nil, fmt.Errorf("reshare: %w", err)
 			}
-			if !pub.Equal(oldPub) {
+			if !pub.Equal(oldPub.Y) {
 				return nil, fmt.Errorf("reshare: new sharing does not preserve the public key")
 			}
 			var shr any
@@ -163,13 +158,13 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 				if err != nil {
 					return nil, fmt.Errorf("reshare combine: %w", err)
 				}
-				shr = dlMakeShare(req.Scheme, myNewIdx, x)
+				shr = sharepkg.Share{Index: myNewIdx, Value: x}
 			}
 			next := &keys.Key{
 				ID:      k.ID,
 				Scheme:  req.Scheme,
 				Group:   k.Group,
-				Public:  dlMakePublic(req.Scheme, g, oldPub, vk, spec.NewT, newN),
+				Public:  &sharepkg.PublicKey{Group: g, Y: oldPub.Y, VK: vk, T: spec.NewT, N: newN},
 				Share:   shr,
 				Epoch:   k.Epoch + 1,
 				Members: append([]int(nil), spec.Members...),
@@ -186,63 +181,4 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 		return nil, fmt.Errorf("%w: %v", ErrReshareUnsupported, err)
 	}
 	return p, nil
-}
-
-// dlView extracts the discrete-log view shared by the reshareable
-// schemes: the group, the public point, and the verification keys.
-func dlView(k *keys.Key) (group.Group, group.Point, []group.Point, error) {
-	switch pk := k.Public.(type) {
-	case *sg02.PublicKey:
-		return pk.Group, pk.H, pk.VK, nil
-	case *frost.PublicKey:
-		return pk.Group, pk.Y, pk.VK, nil
-	case *cks05.PublicKey:
-		return pk.Group, pk.Y, pk.VK, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("%w: key %s/%s has no DL sharing", ErrReshareUnsupported, k.Scheme, k.ID)
-	}
-}
-
-// dlShare extracts the share index and scalar of a reshareable key's
-// share material.
-func dlShare(k *keys.Key) (int, *big.Int, bool) {
-	switch s := k.Share.(type) {
-	case sg02.KeyShare:
-		return s.Index, s.X, true
-	case frost.KeyShare:
-		return s.Index, s.X, true
-	case cks05.KeyShare:
-		return s.Index, s.X, true
-	default:
-		return 0, nil, false
-	}
-}
-
-// dlMakeShare wraps a reshared scalar in the scheme's key-share type.
-func dlMakeShare(scheme schemes.ID, index int, x *big.Int) any {
-	switch scheme {
-	case schemes.SG02:
-		return sg02.KeyShare{Index: index, X: x}
-	case schemes.KG20:
-		return frost.KeyShare{Index: index, X: x}
-	case schemes.CKS05:
-		return cks05.KeyShare{Index: index, X: x}
-	default:
-		return nil
-	}
-}
-
-// dlMakePublic builds the scheme's public key from the group key, the
-// verification keys and the sharing parameters.
-func dlMakePublic(scheme schemes.ID, g group.Group, pub group.Point, vk []group.Point, t, n int) any {
-	switch scheme {
-	case schemes.SG02:
-		return &sg02.PublicKey{Group: g, H: pub, VK: vk, T: t, N: n}
-	case schemes.KG20:
-		return &frost.PublicKey{Group: g, Y: pub, VK: vk, T: t, N: n}
-	case schemes.CKS05:
-		return &cks05.PublicKey{Group: g, Y: pub, VK: vk, T: t, N: n}
-	default:
-		return nil
-	}
 }

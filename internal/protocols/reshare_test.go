@@ -105,7 +105,7 @@ func TestReshareRefreshAdvancesEpoch(t *testing.T) {
 	}
 	oldShares := make(map[int]*big.Int)
 	for i, nk := range nodes {
-		oldShares[i+1] = keys.MustShare[sg02.KeyShare](nk, schemes.SG02).X
+		oldShares[i+1] = keys.MustShare[sg02.KeyShare](nk, schemes.SG02).Value
 	}
 
 	req := Request{Scheme: schemes.SG02, Op: OpReshare,
@@ -135,10 +135,10 @@ func TestReshareRefreshAdvancesEpoch(t *testing.T) {
 		if share.Index != i+1 {
 			t.Fatalf("node %d share index moved to %d in a same-committee refresh", i+1, share.Index)
 		}
-		if share.X.Cmp(oldShares[i+1]) == 0 {
+		if share.Value.Cmp(oldShares[i+1]) == 0 {
 			t.Fatalf("node %d share unchanged: the refresh did not re-randomize", i+1)
 		}
-		if !keys.MustPublic[*sg02.PublicKey](nk, schemes.SG02).H.Equal(pk.H) {
+		if !keys.MustPublic[*sg02.PublicKey](nk, schemes.SG02).Y.Equal(pk.Y) {
 			t.Fatalf("node %d public key changed across the refresh", i+1)
 		}
 	}

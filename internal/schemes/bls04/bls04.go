@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"thetacrypt/internal/mathutil"
 	"thetacrypt/internal/pairing"
@@ -32,11 +31,8 @@ type PublicKey struct {
 	N  int
 }
 
-// KeyShare is party i's share x_i of the signing key.
-type KeyShare struct {
-	Index int
-	X     *big.Int
-}
+// KeyShare is party i's share x_i (Value) of the signing key.
+type KeyShare = share.Share
 
 // Deal runs the trusted-dealer setup.
 func Deal(rand io.Reader, t, n int) (*PublicKey, []KeyShare, error) {
@@ -52,12 +48,10 @@ func Deal(rand io.Reader, t, n int) (*PublicKey, []KeyShare, error) {
 		return nil, nil, err
 	}
 	pk := &PublicKey{Y: pairing.G2BaseMul(x), VK: make([]*pairing.G2, n), T: t, N: n}
-	ks := make([]KeyShare, n)
 	for i, s := range shares {
-		ks[i] = KeyShare{Index: s.Index, X: s.Value}
 		pk.VK[i] = pairing.G2BaseMul(s.Value)
 	}
-	return pk, ks, nil
+	return pk, shares, nil
 }
 
 // SigShare is party i's partial signature x_i*H(m).
@@ -78,7 +72,7 @@ func hashToPoint(msg []byte) *pairing.G1 {
 
 // SignShare produces party i's deterministic signature share.
 func SignShare(ks KeyShare, msg []byte) *SigShare {
-	return &SigShare{Index: ks.Index, S: hashToPoint(msg).Mul(ks.X)}
+	return &SigShare{Index: ks.Index, S: hashToPoint(msg).Mul(ks.Value)}
 }
 
 // VerifyShare checks e(S_i, G2) == e(H(m), VK_i).

@@ -139,11 +139,7 @@ func TestKeyShareConsistency(t *testing.T) {
 	// Reconstructing the secret from key shares yields the public key's
 	// discrete log.
 	pk, ks := deal(t, 1, 3)
-	sh := []share.Share{
-		{Index: ks[0].Index, Value: ks[0].X},
-		{Index: ks[1].Index, Value: ks[1].X},
-	}
-	x, err := share.Reconstruct(sh, 1, pairing.Order())
+	x, err := share.Reconstruct(ks[:2], 1, pairing.Order())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"thetacrypt/internal/mathutil"
 	"thetacrypt/internal/pairing"
@@ -45,11 +44,8 @@ type PublicKey struct {
 	N  int
 }
 
-// KeyShare is party i's share x_i of the decryption key.
-type KeyShare struct {
-	Index int
-	X     *big.Int
-}
+// KeyShare is party i's share x_i (Value) of the decryption key.
+type KeyShare = share.Share
 
 // Deal runs the trusted-dealer setup.
 func Deal(rand io.Reader, t, n int) (*PublicKey, []KeyShare, error) {
@@ -65,12 +61,10 @@ func Deal(rand io.Reader, t, n int) (*PublicKey, []KeyShare, error) {
 		return nil, nil, err
 	}
 	pk := &PublicKey{Y: pairing.G1BaseMul(x), VK: make([]*pairing.G2, n), T: t, N: n}
-	ks := make([]KeyShare, n)
 	for i, s := range shares {
-		ks[i] = KeyShare{Index: s.Index, X: s.Value}
 		pk.VK[i] = pairing.G2BaseMul(s.Value)
 	}
-	return pk, ks, nil
+	return pk, shares, nil
 }
 
 // Ciphertext is a BZ03 hybrid ciphertext.
@@ -137,7 +131,7 @@ func DecryptShare(pk *PublicKey, ks KeyShare, ct *Ciphertext) (*DecShare, error)
 	if err := VerifyCiphertext(pk, ct); err != nil {
 		return nil, err
 	}
-	return &DecShare{Index: ks.Index, D: ct.U.Mul(ks.X)}, nil
+	return &DecShare{Index: ks.Index, D: ct.U.Mul(ks.Value)}, nil
 }
 
 // VerifyShare checks e(δ_i, G2) == e(U, VK_i).

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"thetacrypt/internal/group"
 	"thetacrypt/internal/share"
@@ -26,42 +25,11 @@ var ErrInvalidShare = errors.New("cks05: invalid coin share")
 const ValueSize = 32
 
 // PublicKey holds the coin verification keys: Y = x*G and per-party
-// VK[i-1] = x_i*G.
-type PublicKey struct {
-	Group group.Group
-	Y     group.Point
-	VK    []group.Point
-	T     int
-	N     int
-}
+// VK[i-1] = x_i*G, the discrete-log key shared by SG02, KG20 and CKS05.
+type PublicKey = share.PublicKey
 
-// KeyShare is party i's share x_i of the coin secret.
-type KeyShare struct {
-	Index int
-	X     *big.Int
-}
-
-// Deal runs the trusted-dealer setup.
-func Deal(rand io.Reader, g group.Group, t, n int) (*PublicKey, []KeyShare, error) {
-	if err := share.ValidateParams(t, n); err != nil {
-		return nil, nil, err
-	}
-	x, err := g.RandomScalar(rand)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample secret: %w", err)
-	}
-	shares, err := share.Split(rand, x, t, n, g.Order())
-	if err != nil {
-		return nil, nil, err
-	}
-	pk := &PublicKey{Group: g, Y: g.BaseMul(x), VK: make([]group.Point, n), T: t, N: n}
-	ks := make([]KeyShare, n)
-	for i, s := range shares {
-		ks[i] = KeyShare{Index: s.Index, X: s.Value}
-		pk.VK[i] = g.BaseMul(s.Value)
-	}
-	return pk, ks, nil
-}
+// KeyShare is party i's share x_i (Value) of the coin secret.
+type KeyShare = share.Share
 
 // CoinShare is party i's share Ĥ(C)^{x_i} with its DLEQ validity proof.
 type CoinShare struct {
@@ -79,9 +47,9 @@ func coinBase(g group.Group, name []byte) group.Point {
 func Share(rand io.Reader, pk *PublicKey, ks KeyShare, name []byte) (*CoinShare, error) {
 	g := pk.Group
 	base := coinBase(g, name)
-	sigma := base.Mul(ks.X)
+	sigma := base.Mul(ks.Value)
 	proof, err := zkp.ProveDLEQ(rand, g, "cks05/share",
-		g.Generator(), pk.VK[ks.Index-1], base, sigma, ks.X, name)
+		g.Generator(), pk.VK[ks.Index-1], base, sigma, ks.Value, name)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 
 func deal(t *testing.T, g group.Group, tt, n int) (*PublicKey, []KeyShare) {
 	t.Helper()
-	pk, ks, err := Deal(rand.Reader, g, tt, n)
+	pk, ks, err := share.Deal(rand.Reader, g, tt, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"thetacrypt/internal/group"
+	"thetacrypt/internal/share"
 )
 
 // FuzzCKS05Decoders feeds arbitrary bytes to the coin-share decoder,
@@ -19,7 +20,7 @@ import (
 func FuzzCKS05Decoders(f *testing.F) {
 	groups := []group.Group{group.Edwards25519(), group.P256()}
 	for i, g := range groups {
-		pk, ks, err := Deal(rand.Reader, g, 1, 4)
+		pk, ks, err := share.Deal(rand.Reader, g, 1, 4)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -28,42 +28,12 @@ var (
 	ErrBadCommitmentSet = errors.New("frost: malformed commitment set")
 )
 
-// PublicKey is the group key Y = x*G with per-party verification keys.
-type PublicKey struct {
-	Group group.Group
-	Y     group.Point
-	VK    []group.Point
-	T     int
-	N     int
-}
+// PublicKey is the group key Y = x*G with per-party verification keys
+// VK[i-1] = x_i*G: the discrete-log key shared by SG02, KG20 and CKS05.
+type PublicKey = share.PublicKey
 
-// KeyShare is party i's share x_i of the signing key.
-type KeyShare struct {
-	Index int
-	X     *big.Int
-}
-
-// Deal runs the trusted-dealer setup.
-func Deal(rand io.Reader, g group.Group, t, n int) (*PublicKey, []KeyShare, error) {
-	if err := share.ValidateParams(t, n); err != nil {
-		return nil, nil, err
-	}
-	x, err := g.RandomScalar(rand)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample secret: %w", err)
-	}
-	shares, err := share.Split(rand, x, t, n, g.Order())
-	if err != nil {
-		return nil, nil, err
-	}
-	pk := &PublicKey{Group: g, Y: g.BaseMul(x), VK: make([]group.Point, n), T: t, N: n}
-	ks := make([]KeyShare, n)
-	for i, s := range shares {
-		ks[i] = KeyShare{Index: s.Index, X: s.Value}
-		pk.VK[i] = g.BaseMul(s.Value)
-	}
-	return pk, ks, nil
-}
+// KeyShare is party i's share x_i (Value) of the signing key.
+type KeyShare = share.Share
 
 // Nonce is a signer's secret nonce pair (d, e); it must be used for
 // exactly one signature.
@@ -191,7 +161,7 @@ func Sign(pk *PublicKey, ks KeyShare, nonce *Nonce, msg []byte, comms []*NonceCo
 		return nil, err
 	}
 	z := mathutil.AddMod(nonce.D, mathutil.MulMod(nonce.E, rho, g.Order()), g.Order())
-	z = mathutil.AddMod(z, mathutil.MulMod(mathutil.MulMod(lambda, ks.X, g.Order()), c, g.Order()), g.Order())
+	z = mathutil.AddMod(z, mathutil.MulMod(mathutil.MulMod(lambda, ks.Value, g.Order()), c, g.Order()), g.Order())
 	return &SignatureShare{Index: ks.Index, Z: z}, nil
 }
 

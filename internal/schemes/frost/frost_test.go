@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"thetacrypt/internal/group"
+	"thetacrypt/internal/share"
 	"thetacrypt/internal/wire"
 )
 
@@ -20,7 +21,7 @@ type signer struct {
 
 func setup(t *testing.T, g group.Group, tt, n int, signerIdx []int) (*PublicKey, []signer, []*NonceCommitment) {
 	t.Helper()
-	pk, ks, err := Deal(rand.Reader, g, tt, n)
+	pk, ks, err := share.Deal(rand.Reader, g, tt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestPrecomputedOneRoundSigning(t *testing.T) {
 	// With nonce batches generated and exchanged ahead of time (FROST's
 	// preprocessing), signing needs only round 2.
 	g := group.Edwards25519()
-	pk, ks, err := Deal(rand.Reader, g, 1, 3)
+	pk, ks, err := share.Deal(rand.Reader, g, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCombineRequiresFullSignerSet(t *testing.T) {
 
 func TestSignerOutsideSetRejected(t *testing.T) {
 	g := group.Edwards25519()
-	pk, ks, _ := Deal(rand.Reader, g, 1, 4)
+	pk, ks, _ := share.Deal(rand.Reader, g, 1, 4)
 	_, comm1, _ := GenerateNonce(rand.Reader, g, 1)
 	_, comm2, _ := GenerateNonce(rand.Reader, g, 2)
 	comms := []*NonceCommitment{comm1, comm2}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"thetacrypt/internal/group"
+	"thetacrypt/internal/share"
 )
 
 // streamReader is a deterministic randomness source: SHA-256 of a seed
@@ -53,7 +54,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 	}
 	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			pk, ks, err := Deal(stream(g.Name()+"/deal"), g, 1, 4)
+			pk, ks, err := share.Deal(stream(g.Name()+"/deal"), g, 1, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"thetacrypt/internal/group"
+	"thetacrypt/internal/share"
 	"thetacrypt/internal/wire"
 	"thetacrypt/internal/zkp"
 )
@@ -28,7 +29,7 @@ func sg02Decoders(tb testing.TB) []sg02Decoder {
 	tb.Helper()
 	var out []sg02Decoder
 	for _, g := range []group.Group{group.Edwards25519(), group.P256()} {
-		pk, ks, err := Deal(stream(g.Name()+"/deal"), g, 1, 4)
+		pk, ks, err := share.Deal(stream(g.Name()+"/deal"), g, 1, 4)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestSG02DecodersRejectNonCanonical(t *testing.T) {
 	}
 
 	g := group.P256()
-	pk, ks, err := Deal(stream("noncanonical/deal"), g, 1, 4)
+	pk, ks, err := share.Deal(stream("noncanonical/deal"), g, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,49 +30,17 @@ var (
 	ErrInvalidShare      = errors.New("sg02: invalid decryption share")
 )
 
-// PublicKey is the scheme public key together with the per-party
-// verification keys.
-type PublicKey struct {
-	Group group.Group
-	// H is the encryption key h = x*G.
-	H group.Point
-	// VK holds per-party verification keys h_i = x_i*G (1-indexed by
-	// share index; VK[0] belongs to party 1).
-	VK []group.Point
-	T  int
-	N  int
-}
+// PublicKey is the scheme public key, the discrete-log key shared by
+// SG02, KG20 and CKS05: Y is the encryption key h = x*G, and VK holds
+// the per-party verification keys h_i = x_i*G (VK[0] belongs to party
+// 1).
+type PublicKey = share.PublicKey
 
-// KeyShare is party i's share x_i of the decryption key.
-type KeyShare struct {
-	Index int
-	X     *big.Int
-}
+// KeyShare is party i's share x_i (Value) of the decryption key.
+type KeyShare = share.Share
 
-// Deal runs the trusted-dealer setup: it samples the secret key, shares
-// it with threshold t among n parties, and derives the verification keys.
-func Deal(rand io.Reader, g group.Group, t, n int) (*PublicKey, []KeyShare, error) {
-	if err := share.ValidateParams(t, n); err != nil {
-		return nil, nil, err
-	}
-	x, err := g.RandomScalar(rand)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample secret: %w", err)
-	}
-	shares, err := share.Split(rand, x, t, n, g.Order())
-	if err != nil {
-		return nil, nil, err
-	}
-	pk := &PublicKey{Group: g, H: g.BaseMul(x), VK: make([]group.Point, n), T: t, N: n}
-	ks := make([]KeyShare, n)
-	for i, s := range shares {
-		ks[i] = KeyShare{Index: s.Index, X: s.Value}
-		pk.VK[i] = g.BaseMul(s.Value)
-	}
-	return pk, ks, nil
-}
-
-// Ciphertext is a TDH2 hybrid ciphertext:
+// Ciphertext is a TDH2 hybrid ciphertext under the encryption key
+// h = PublicKey.Y:
 //
 //	EncKey  = H1(h^r) XOR dek            (key encapsulation)
 //	Payload = AEAD(dek, message, label)  (data encapsulation)
@@ -127,7 +95,7 @@ func Encrypt(rand io.Reader, pk *PublicKey, message, label []byte) (*Ciphertext,
 	w := g.BaseMul(s)
 	ub := gb.Mul(r)
 	wb := gb.Mul(s)
-	encKey, err := schemes.XORBytes(kdf(pk.H.Mul(r)), dek)
+	encKey, err := schemes.XORBytes(kdf(pk.Y.Mul(r)), dek)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +147,9 @@ func DecryptShare(rand io.Reader, pk *PublicKey, ks KeyShare, ct *Ciphertext) (*
 		return nil, err
 	}
 	g := pk.Group
-	ui := ct.U.Mul(ks.X)
+	ui := ct.U.Mul(ks.Value)
 	proof, err := zkp.ProveDLEQ(rand, g, "sg02/share",
-		g.Generator(), pk.VK[ks.Index-1], ct.U, ui, ks.X, ct.EncKey)
+		g.Generator(), pk.VK[ks.Index-1], ct.U, ui, ks.Value, ct.EncKey)
 	if err != nil {
 		return nil, err
 	}

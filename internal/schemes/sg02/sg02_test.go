@@ -13,7 +13,7 @@ import (
 
 func deal(t *testing.T, g group.Group, tt, n int) (*PublicKey, []KeyShare) {
 	t.Helper()
-	pk, ks, err := Deal(rand.Reader, g, tt, n)
+	pk, ks, err := share.Deal(rand.Reader, g, tt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,10 @@ func TestCiphertextMarshalRoundTrip(t *testing.T) {
 
 func TestDealParamValidation(t *testing.T) {
 	g := group.Edwards25519()
-	if _, _, err := Deal(rand.Reader, g, 5, 5); err == nil {
+	if _, _, err := share.Deal(rand.Reader, g, 5, 5); err == nil {
 		t.Fatal("t+1 > n accepted")
 	}
-	if _, _, err := Deal(rand.Reader, g, -1, 3); err == nil {
+	if _, _, err := share.Deal(rand.Reader, g, -1, 3); err == nil {
 		t.Fatal("negative t accepted")
 	}
 }

@@ -113,6 +113,40 @@ func Split(rand io.Reader, secret *big.Int, t, n int, modulus *big.Int) ([]Share
 	return poly.Shares(n), nil
 }
 
+// PublicKey is the public half of a discrete-log threshold key, the one
+// key of SG02, KG20 and CKS05: the group key Y = x*G, the verification
+// keys VK[i-1] = x_i*G of shares 1..n, and the threshold t. A party's
+// private half is its Share x_i.
+type PublicKey struct {
+	Group group.Group
+	Y     group.Point
+	VK    []group.Point
+	T     int
+	N     int
+}
+
+// Deal runs the trusted-dealer setup of a discrete-log key: it samples
+// the secret x, shares it with threshold t among n parties over the
+// order of g, and derives the group key and the verification keys.
+func Deal(rand io.Reader, g group.Group, t, n int) (*PublicKey, []Share, error) {
+	if err := ValidateParams(t, n); err != nil {
+		return nil, nil, err
+	}
+	x, err := g.RandomScalar(rand)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sample secret: %w", err)
+	}
+	shares, err := Split(rand, x, t, n, g.Order())
+	if err != nil {
+		return nil, nil, err
+	}
+	pk := &PublicKey{Group: g, Y: g.BaseMul(x), VK: make([]group.Point, n), T: t, N: n}
+	for i, s := range shares {
+		pk.VK[i] = g.BaseMul(s.Value)
+	}
+	return pk, shares, nil
+}
+
 // CanonicalSubset is the single canonicalization point for signer/share
 // index subsets: a strictly ascending copy of subset with duplicates
 // removed. Callers reach interpolation with subsets in whatever order

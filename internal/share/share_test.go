@@ -2,6 +2,7 @@ package share
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,49 @@ func TestSplitReconstruct(t *testing.T) {
 		if got.Cmp(secret) != 0 {
 			t.Fatalf("t=%d n=%d: reconstructed %v, want %v", tc.t, tc.n, got, secret)
 		}
+	}
+}
+
+// TestDeal: a dealt discrete-log key gives share i index i and
+// x_i·G = VK[i-1], any t+1 shares reconstruct the x with x·G = Y, and a
+// quorum larger than n is refused.
+func TestDeal(t *testing.T) {
+	for _, tc := range []struct {
+		g    group.Group
+		t, n int
+	}{
+		{group.Edwards25519(), 0, 1},
+		{group.Edwards25519(), 1, 4},
+		{group.P256(), 2, 5},
+	} {
+		t.Run(fmt.Sprintf("%s-t%d-n%d", tc.g.Name(), tc.t, tc.n), func(t *testing.T) {
+			pk, shares, err := Deal(rand.Reader, tc.g, tc.t, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pk.Group != tc.g || pk.T != tc.t || pk.N != tc.n || len(pk.VK) != tc.n || len(shares) != tc.n {
+				t.Fatalf("dealt (%s, t=%d, n=%d) with %d verification keys and %d shares",
+					pk.Group.Name(), pk.T, pk.N, len(pk.VK), len(shares))
+			}
+			for i, s := range shares {
+				if s.Index != i+1 {
+					t.Fatalf("share %d has index %d", i+1, s.Index)
+				}
+				if !tc.g.BaseMul(s.Value).Equal(pk.VK[i]) {
+					t.Fatalf("share %d does not match VK[%d]", s.Index, i)
+				}
+			}
+			x, err := Reconstruct(shares[tc.n-tc.t-1:], tc.t, tc.g.Order())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.g.BaseMul(x).Equal(pk.Y) {
+				t.Fatal("t+1 shares do not reconstruct the discrete log of Y")
+			}
+			if _, _, err := Deal(rand.Reader, tc.g, tc.n, tc.n); err == nil {
+				t.Fatalf("dealt a quorum of %d among %d", tc.n+1, tc.n)
+			}
+		})
 	}
 }
 
