@@ -276,7 +276,8 @@ type TransportStats struct {
 	// and deduplicated before delivery.
 	Reliable bool `json:"reliable,omitempty"`
 	// Authenticated reports that every link runs identity-keyed,
-	// mutually authenticated TLS 1.3.
+	// mutually authenticated TLS 1.3. It is false on an in-process
+	// Cluster, whose links cross no wire.
 	Authenticated bool `json:"authenticated,omitempty"`
 }
 
@@ -316,7 +317,7 @@ type PeerStats struct {
 	ConsecutiveFailures uint64 `json:"consecutive_failures"`
 	LastError           string `json:"last_error,omitempty"`
 	// Authenticated marks the link's current connection as having
-	// completed the roster handshake.
+	// completed the roster handshake (never on an in-process Cluster).
 	Authenticated bool `json:"authenticated,omitempty"`
 }
 

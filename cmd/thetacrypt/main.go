@@ -1,13 +1,13 @@
-// Command thetacrypt runs one standalone Thetacrypt service node: TCP
-// P2P mesh to its peers plus the HTTP service layer for applications.
+// Command thetacrypt runs one standalone Thetacrypt service node: a
+// TCP P2P mesh to its peers, every link mutually authenticated TLS 1.3
+// pinned to the roster, plus the HTTP service layer for applications.
 // With -router it instead runs the stateless routing tier in front of
 // several committee deployments, serving the same /v2 surface.
 //
 // Usage:
 //
-//	thetacrypt -key keys/node1.key -peers keys/peers.txt -listen :7001 -http :8081
-//	thetacrypt -key keys/node1.key -peers keys/peers.txt -listen :7001 -http :8081 \
-//	           -secure -identity keys/node1.id -roster keys/roster.json
+//	thetacrypt -key keys/node1.key -identity keys/node1.id -roster keys/roster.json \
+//	           -peers keys/peers.txt -listen :7001 -http :8081
 //	thetacrypt -router -committees alpha=http://10.0.0.1:8081,beta=http://10.0.1.1:8081 -http :8080
 package main
 
@@ -45,7 +45,6 @@ func run() error {
 		persist    = flag.Bool("persist", false, "make the -key file durable: rewrite it at start, then append one fsynced frame per installed key (generated keys, reshared epochs) and zero the share each reshare supersedes")
 		routerMode = flag.Bool("router", false, "run the stateless routing tier over committee endpoints instead of a node")
 		committees = flag.String("committees", "", "router mode: comma-separated committee endpoints, each \"url\" or \"name=url\"")
-		secure     = flag.Bool("secure", false, "authenticated mesh: require -identity and -roster, run every link over mutually authenticated TLS 1.3 pinned to the roster, seal DKG sub-shares")
 		idPath     = flag.String("identity", "", "path to this node's private identity file (node<i>.id from thetakeygen)")
 		rosterPath = flag.String("roster", "", "path to the mesh roster file (roster.json from thetakeygen)")
 	)
@@ -53,8 +52,8 @@ func run() error {
 	if *routerMode {
 		return runRouter(*committees, *httpAddr)
 	}
-	if *keyPath == "" || *peersPath == "" {
-		return fmt.Errorf("both -key and -peers are required")
+	if *keyPath == "" || *peersPath == "" || *idPath == "" || *rosterPath == "" {
+		return fmt.Errorf("-key, -identity, -roster and -peers are all required")
 	}
 	raw, err := os.ReadFile(*keyPath)
 	if err != nil {
@@ -68,24 +67,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Secure mode: -identity and -roster travel together; naming either
-	// one implies the intent, and -secure guards against silently
-	// falling back to plaintext links when a path is forgotten.
-	if *secure && (*idPath == "" || *rosterPath == "") {
-		return fmt.Errorf("-secure requires both -identity and -roster")
+	nodeID, err := thetacrypt.LoadIdentity(*idPath)
+	if err != nil {
+		return err
 	}
-	if (*idPath == "") != (*rosterPath == "") {
-		return fmt.Errorf("-identity and -roster must be given together")
-	}
-	var nodeID *thetacrypt.IdentityKey
-	var roster thetacrypt.IdentityRoster
-	if *idPath != "" {
-		if nodeID, err = thetacrypt.LoadIdentity(*idPath); err != nil {
-			return err
-		}
-		if roster, err = thetacrypt.LoadRoster(*rosterPath); err != nil {
-			return err
-		}
+	roster, err := thetacrypt.LoadRoster(*rosterPath)
+	if err != nil {
+		return err
 	}
 	keyFile := ""
 	if *persist {
@@ -105,12 +93,8 @@ func run() error {
 	defer node.Close()
 
 	st := node.Stats()
-	mesh := "plaintext mesh"
-	if nodeID != nil {
-		mesh = "secure mesh"
-	}
-	fmt.Printf("node %d up: p2p %s (%s), http %s, n=%d t=%d, queue=%d, retention: see /v2/info stats\n",
-		nk.Index, *listen, mesh, *httpAddr, nk.N, nk.T, st.QueueCap)
+	fmt.Printf("node %d up: p2p %s, http %s, n=%d t=%d, queue=%d, retention: see /v2/info stats\n",
+		nk.Index, *listen, *httpAddr, nk.N, nk.T, st.QueueCap)
 	return serveUntilSignal(&http.Server{Addr: *httpAddr, Handler: node.Handler()})
 }
 

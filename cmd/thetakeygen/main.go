@@ -46,7 +46,7 @@ type manifest struct {
 	Keys   []manifestKey `json:"keys"`
 	// Peers is the transport identity roster (node index → public
 	// identity keys), the same shape as the standalone roster.json.
-	// Nodes running with -secure enforce it on every link.
+	// Every node enforces it on every link.
 	Peers map[string]identity.PublicJSON `json:"peers,omitempty"`
 }
 
@@ -118,20 +118,17 @@ func run() error {
 		fmt.Println("wrote", path)
 	}
 	// Transport identities: one private identity file per node plus the
-	// shared roster, consumed by cmd/thetacrypt's -identity/-roster
-	// flags. Generated unconditionally so a deployment can turn on
-	// -secure later without re-dealing shares.
-	roster := make(identity.Roster, *n)
-	for i := 1; i <= *n; i++ {
-		id, err := identity.Generate(rand.Reader, i)
-		if err != nil {
-			return fmt.Errorf("generate identity %d: %w", i, err)
-		}
-		path := filepath.Join(*out, fmt.Sprintf("node%d.id", i))
+	// shared roster, which cmd/thetacrypt requires as -identity and
+	// -roster.
+	ids, roster, err := identity.GenerateMesh(rand.Reader, *n)
+	if err != nil {
+		return fmt.Errorf("generate identities: %w", err)
+	}
+	for _, id := range ids {
+		path := filepath.Join(*out, fmt.Sprintf("node%d.id", id.Node))
 		if err := id.Save(path); err != nil {
 			return fmt.Errorf("write identity: %w", err)
 		}
-		roster[i] = id.Public()
 		fmt.Println("wrote", path)
 	}
 	rosterPath := filepath.Join(*out, "roster.json")

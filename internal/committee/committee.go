@@ -279,18 +279,6 @@ type Config struct {
 	// defaults. It is the seam through which a harness wraps each
 	// node's transport.
 	Engine func(orchestration.Config) orchestration.Config
-	// Secure switches the committee to the authenticated mesh: every
-	// node gets a transport identity, the hub enforces the roster, and
-	// DKG/reshare sub-share boxes are sealed to each recipient's
-	// identity key. Fresh identities are generated unless
-	// Identities/Roster override them.
-	Secure bool
-	// Identities overrides the generated per-node identities (node
-	// index → private identity). Tests model an impostor by registering
-	// a key that does not match the roster entry.
-	Identities map[int]*identity.Key
-	// Roster overrides the roster derived from Identities.
-	Roster identity.Roster
 }
 
 // Committee is an embedded in-process Θ-network of n units over a
@@ -303,8 +291,9 @@ type Committee struct {
 
 var _ api.Service = (*Committee)(nil)
 
-// New deals fresh keys and starts n in-process units with threshold t
-// (any t+1 cooperate, up to t may be corrupted).
+// New deals fresh keys and identities and starts n in-process units
+// with threshold t (any t+1 cooperate, up to t may be corrupted). Every
+// engine holds its identity, so its dealings are sealed.
 func New(t, n int, cfg Config) (*Committee, error) {
 	stores, err := keys.Deal(rand.Reader, t, n, keys.Options{
 		Schemes:       cfg.Schemes,
@@ -314,35 +303,18 @@ func New(t, n int, cfg Config) (*Committee, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thetacrypt: deal keys: %w", err)
 	}
-	net := memnet.Options{Latency: cfg.Latency}
-	ids := cfg.Identities
-	roster := cfg.Roster
-	if cfg.Secure {
-		if ids == nil {
-			ids = make(map[int]*identity.Key, n)
-			for i := 1; i <= n; i++ {
-				k, err := identity.Generate(rand.Reader, i)
-				if err != nil {
-					return nil, fmt.Errorf("thetacrypt: generate identity %d: %w", i, err)
-				}
-				ids[i] = k
-			}
-		}
-		if roster == nil {
-			roster = make(identity.Roster, len(ids))
-			for i, k := range ids {
-				roster[i] = k.Public()
-			}
-		}
-		net.Secure = &memnet.SecureOptions{Identities: ids, Roster: roster}
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		return nil, fmt.Errorf("thetacrypt: generate identities: %w", err)
 	}
-	hub := memnet.NewHub(n, net)
+	hub := memnet.NewHub(n, memnet.Options{Latency: cfg.Latency})
 	units := make([]Unit, n)
 	for i := 0; i < n; i++ {
-		ecfg := orchestration.Config{Keys: stores[i], Net: hub.Endpoint(i + 1)}
-		if cfg.Secure {
-			ecfg.Identity = ids[i+1]
-			ecfg.Roster = roster
+		ecfg := orchestration.Config{
+			Keys:     stores[i],
+			Net:      hub.Endpoint(i + 1),
+			Identity: ids[i],
+			Roster:   roster,
 		}
 		if cfg.Engine != nil {
 			ecfg = cfg.Engine(ecfg)

@@ -2,92 +2,18 @@ package committee
 
 import (
 	"context"
-	"crypto/rand"
 	"testing"
 	"time"
 
 	"thetacrypt/api"
-	"thetacrypt/internal/identity"
-	"thetacrypt/internal/protocols"
 	"thetacrypt/internal/schemes"
 )
 
-// TestSecureImpostorCutOffMemnet mirrors the tcpnet impostor test on
-// the simulated transport: node 4 registers an identity that does not
-// match its roster entry, so the hub refuses to carry its links —
-// while the honest quorum keeps serving operations and reports the
-// impostor's links as unauthenticated.
-func TestSecureImpostorCutOffMemnet(t *testing.T) {
-	const tt, n = 1, 4
-	ids := make(map[int]*identity.Key, n)
-	roster := make(identity.Roster, n)
-	for i := 1; i <= n; i++ {
-		k, err := identity.Generate(rand.Reader, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = k
-		roster[i] = k.Public()
-	}
-	impostor, err := identity.Generate(rand.Reader, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids[4] = impostor
-
-	com, err := New(tt, n, Config{
-		Schemes:    []schemes.ID{schemes.SG02},
-		Secure:     true,
-		Identities: ids,
-		Roster:     roster,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(com.Close)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	secret := []byte("memnet quorum survives the impostor")
-	ct, err := com.Encrypt(ctx, schemes.SG02, "", secret, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := com.Submit(ctx, protocols.Request{
-		Scheme: schemes.SG02, Op: protocols.OpDecrypt, Payload: ct,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := com.Wait(ctx, h)
-	if err != nil || res.Err != nil || string(res.Value) != string(secret) {
-		t.Fatalf("decrypt with impostor in the mesh: %v / %+v", err, res)
-	}
-
-	// The honest node's stats mark the impostor's link unauthenticated
-	// and every honest link authenticated.
-	ts := com.UnitAt(1).Stats().Transport
-	if ts == nil || !ts.Authenticated {
-		t.Fatalf("secure hub not marked authenticated: %+v", ts)
-	}
-	for _, p := range ts.Peers {
-		if want := p.Peer != 4; p.Authenticated != want {
-			t.Fatalf("peer %d authenticated=%v, want %v", p.Peer, p.Authenticated, want)
-		}
-	}
-	// From the impostor's own endpoint, no link authenticates.
-	for _, p := range com.UnitAt(4).Stats().Transport.Peers {
-		if p.Authenticated {
-			t.Fatalf("impostor authenticated a link to peer %d", p.Peer)
-		}
-	}
-}
-
-// TestSecureCommitteeGeneratedIdentities pins the default path: Secure
-// with no overrides generates a consistent identity set, and a sealed
-// DKG across the committee completes.
+// TestSecureCommitteeGeneratedIdentities pins the one path: New
+// generates a consistent identity set, and a sealed DKG across the
+// committee completes.
 func TestSecureCommitteeGeneratedIdentities(t *testing.T) {
-	com, err := New(1, 4, Config{Schemes: []schemes.ID{schemes.SG02}, Secure: true})
+	com, err := New(1, 4, Config{Schemes: []schemes.ID{schemes.SG02}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,6 +79,21 @@ func Generate(rand io.Reader, node int) (*Key, error) {
 	return &Key{Node: node, Sign: sign, Box: box}, nil
 }
 
+// GenerateMesh creates fresh identities for nodes 1..n, keys[i] being
+// node i+1's, and the roster they prove.
+func GenerateMesh(rand io.Reader, n int) ([]*Key, Roster, error) {
+	keys := make([]*Key, n)
+	roster := make(Roster, n)
+	for i := range keys {
+		k, err := Generate(rand, i+1)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i], roster[i+1] = k, k.Public()
+	}
+	return keys, roster, nil
+}
+
 // Roster maps node index → public identity. It is the authenticated
 // membership of the mesh: transports reject peers without an entry,
 // and DKG dealings seal sub-shares only to rostered recipients.

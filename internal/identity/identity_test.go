@@ -43,6 +43,27 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGenerateMesh: keys[i] speaks for node i+1 and proves exactly its
+// roster entry, and no two nodes share a key.
+func TestGenerateMesh(t *testing.T) {
+	keys, roster, err := GenerateMesh(rand.Reader, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 3 || len(roster) != 3 {
+		t.Fatalf("%d keys and %d roster entries, want 3 and 3", len(keys), len(roster))
+	}
+	for i, k := range keys {
+		pub, err := roster.Lookup(i + 1)
+		if err != nil || k.Node != i+1 || !pub.Sign.Equal(k.Public().Sign) || !pub.Box.Equal(k.Public().Box) {
+			t.Fatalf("key %d (node %d) does not prove roster entry %d: %v", i, k.Node, i+1, err)
+		}
+	}
+	if keys[0].Sign.Equal(keys[1].Sign) {
+		t.Fatal("two nodes share a signing key")
+	}
+}
+
 func TestLoadKeyRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{

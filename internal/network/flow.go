@@ -91,9 +91,9 @@ type PeerStats struct {
 	// LastError is the most recent dial/write failure, empty when none.
 	LastError string
 	// Authenticated reports that the link's current connection completed
-	// the mutual-authentication handshake against the roster (always
-	// false on an insecure transport, and false while a secure link is
-	// down or redialing).
+	// the mutual-authentication handshake against the roster: false
+	// while a TCP link is down or redialing, and always false in
+	// process (memnet), where no wire exists to authenticate.
 	Authenticated bool
 }
 
@@ -107,7 +107,8 @@ type TransportStats struct {
 	Reliable bool
 	// Authenticated reports that the transport runs every link through
 	// the identity-keyed mutual-authentication handshake: unrostered
-	// peers cannot join, and frames ride TLS 1.3 records.
+	// peers cannot join, and frames ride TLS 1.3 records. tcpnet sets
+	// it; memnet hands envelopes over in process and does not.
 	Authenticated bool
 }
 

@@ -8,9 +8,10 @@
 // shared link pipeline (internal/network/link), as in tcpnet, so the
 // simulated network offers the same stats and reliable-delivery
 // contract as the real one. memnet adds what it simulates: per-link
-// latency, jitter and FIFO order, crashes and restarts, a drop filter
-// for in-flight loss, and the roster check a secure handshake would
-// make. Envelopes are handed over in process, never marshaled. A
+// latency, jitter and FIFO order, crashes and restarts, and a drop
+// filter for in-flight loss. Envelopes are handed over in process,
+// never marshaled, so there is no wire to authenticate and
+// TransportStats reports no link Authenticated. A
 // crashed destination stalls the sender toward it — the in-process
 // analogue of a dead TCP peer holding the writer in dial-retry — so
 // its ack window fills until sends toward it are refused, and
@@ -25,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"thetacrypt/internal/identity"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/link"
 )
@@ -54,42 +54,6 @@ type Options struct {
 	// ResendTimeout is how long a frame stays unacknowledged before it
 	// is retransmitted (default 500 ms).
 	ResendTimeout time.Duration
-	// Secure enables roster enforcement, mirroring tcpnet's
-	// secure-link semantics in-process so the conformance suite
-	// exercises identical seams on both transports: a link carries
-	// traffic only when both endpoints' identity keys match their
-	// roster entries — an impostor or unrostered node is cut off
-	// exactly as a failed handshake cuts it off on TCP — and
-	// TransportStats reports the same Authenticated markers. Nil means
-	// no roster check.
-	Secure *SecureOptions
-}
-
-// SecureOptions carries the mesh identities into a secure hub. Tests
-// model an impostor by registering a key that does not match the
-// node's roster entry.
-type SecureOptions struct {
-	// Identities maps node index → that node's private identity (the
-	// in-process analogue of each node's identity file).
-	Identities map[int]*identity.Key
-	// Roster is the shared membership authority all nodes enforce.
-	Roster identity.Roster
-}
-
-// authentic reports whether node i's registered identity proves its
-// roster entry — the in-process analogue of node i being able to
-// complete the handshake.
-func (s *SecureOptions) authentic(i int) bool {
-	k, ok := s.Identities[i]
-	if !ok || k == nil || k.Node != i {
-		return false
-	}
-	p, err := s.Roster.Lookup(i)
-	if err != nil {
-		return false
-	}
-	pub := k.Public()
-	return pub.Sign.Equal(p.Sign) && pub.Box.Equal(p.Box)
 }
 
 // Hub connects n in-process endpoints.
@@ -129,7 +93,7 @@ func NewHub(n int, opts Options) *Hub {
 		ResendTimeout: opts.ResendTimeout,
 	}
 	for i := 1; i <= n; i++ {
-		e := &endpoint{hub: h, index: i, inbox: make(chan network.Envelope, inboxLen)}
+		e := &endpoint{hub: h, inbox: make(chan network.Envelope, inboxLen)}
 		cfg.Self = i
 		e.links = link.New(cfg, func(env network.Envelope) network.Envelope { return env }, e.deliver)
 		for to := 1; to <= n; to++ {
@@ -212,26 +176,9 @@ func (h *Hub) write(to int, env network.Envelope) bool {
 	}
 }
 
-// linkAuthentic reports whether the (from, to) link would survive the
-// secure handshake: both endpoints must prove their roster entries.
-// Always true on an insecure hub.
-func (h *Hub) linkAuthentic(from, to int) bool {
-	s := h.opts.Secure
-	if s == nil {
-		return true
-	}
-	return s.authentic(from) && s.authentic(to)
-}
-
-// transmit schedules delivery of env to node `to`. On a secure hub an
-// unauthenticated link is wire loss — the handshake the frame would
-// have ridden behind never completes, matching tcpnet's rejection of
-// impostor and unrostered peers.
+// transmit schedules delivery of env to node `to`.
 func (h *Hub) transmit(to int, env network.Envelope) {
 	now := time.Now()
-	if !h.linkAuthentic(env.From, to) {
-		return
-	}
 	h.mu.Lock()
 	if h.closed || h.crashed[env.From] || h.crashed[to] ||
 		(h.dropFn != nil && h.dropFn(env)) {
@@ -289,7 +236,6 @@ func (h *Hub) arrive(to int, env network.Envelope) {
 // endpoint is one node of the hub.
 type endpoint struct {
 	hub   *Hub
-	index int
 	links *link.Pipeline[network.Envelope]
 	inbox chan network.Envelope
 }
@@ -320,21 +266,11 @@ func (e *endpoint) Broadcast(ctx context.Context, env network.Envelope) error {
 
 // TransportStats snapshots this node's view of every peer link: a
 // crashed peer is Down (its sender is stalled, its window filling),
-// an unauthenticated link on a secure hub is Down with the shape a
-// failed TCP handshake produces, everything else is Up.
+// everything else is Up.
 func (e *endpoint) TransportStats() network.TransportStats {
 	h := e.hub
-	secure := h.opts.Secure != nil
-	return e.links.Stats(secure, func(ps *network.PeerStats) {
+	return e.links.Stats(false, func(ps *network.PeerStats) {
 		ps.State = network.PeerUp
-		if secure {
-			ps.Authenticated = h.linkAuthentic(e.index, ps.Peer)
-			if !ps.Authenticated {
-				ps.State = network.PeerDown
-				ps.ConsecutiveFailures = 1
-				ps.LastError = "handshake rejected"
-			}
-		}
 		h.mu.Lock()
 		crashed := h.crashed[ps.Peer]
 		h.mu.Unlock()

@@ -8,9 +8,9 @@
 // TCP: the listener and one read loop per accepted connection, a
 // per-peer connection that its sender goroutine dials in the
 // background with exponential backoff while tracking link health
-// (up/dialing/down), the optional securelink handshake with the
-// sender pinned to the authenticated peer, and the length-prefixed
-// frame codec.
+// (up/dialing/down), the securelink handshake every connection runs
+// before its first frame, with the sender pinned to the authenticated
+// peer, and the length-prefixed frame codec.
 package tcpnet
 
 import (
@@ -67,15 +67,15 @@ type Config struct {
 	// ResendTimeout is how long a frame stays unacknowledged before it
 	// is retransmitted (default 500 ms).
 	ResendTimeout time.Duration
-	// Secure enables the identity-keyed secure-link layer: every
-	// connection — dialed and accepted — runs a mutually authenticated
-	// TLS 1.3 handshake with self-signed Ed25519 certificates before
-	// any relink frame flows, peers whose certificate key is not their
-	// roster entry are rejected, and all traffic rides TLS records.
-	// The handshake runs under its own deadline (Secure.Timeout,
-	// defaulting to 30 s) so a black-holed or protocol-stalled peer
-	// releases the dialer instead of wedging it. Nil means plaintext
-	// TCP.
+	// Secure is this node's identity key and the mesh roster; it is
+	// required. Every connection — dialed and accepted — runs a
+	// mutually authenticated TLS 1.3 handshake with self-signed Ed25519
+	// certificates before any relink frame flows, peers whose
+	// certificate key is not their roster entry are rejected, and all
+	// traffic rides TLS records. The handshake runs under its own
+	// deadline (Secure.Timeout, defaulting to 30 s) so a black-holed or
+	// protocol-stalled peer releases the dialer instead of wedging it,
+	// and Close aborts it at once.
 	Secure *securelink.Config
 }
 
@@ -111,9 +111,6 @@ type peer struct {
 	state       network.PeerState
 	consecFails uint64
 	lastErr     error
-	// authed marks the current outbound connection as having completed
-	// the secure-link handshake; cleared whenever the conn drops.
-	authed bool
 }
 
 var _ network.P2P = (*Transport)(nil)
@@ -121,20 +118,18 @@ var _ network.P2P = (*Transport)(nil)
 // New starts listening and returns the transport. A sender goroutine
 // is started per configured peer; outbound connections are dialed in
 // the background once traffic arrives, with exponential backoff on
-// failure.
+// failure. It refuses a config without an identity key and a roster.
 func New(cfg Config) (*Transport, error) {
-	if cfg.Secure != nil {
-		if cfg.Secure.Key == nil || len(cfg.Secure.Roster) == 0 {
-			return nil, fmt.Errorf("tcpnet: secure mode needs an identity key and a roster")
-		}
-		// Copy so defaulting the handshake deadline never mutates a
-		// caller-shared config.
-		s := *cfg.Secure
-		if s.Timeout <= 0 {
-			s.Timeout = writeTimeout
-		}
-		cfg.Secure = &s
+	if cfg.Secure == nil || cfg.Secure.Key == nil || len(cfg.Secure.Roster) == 0 {
+		return nil, fmt.Errorf("tcpnet: the mesh needs an identity key and a roster")
 	}
+	// Copy so defaulting the handshake deadline never mutates a
+	// caller-shared config.
+	s := *cfg.Secure
+	if s.Timeout <= 0 {
+		s.Timeout = writeTimeout
+	}
+	cfg.Secure = &s
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
@@ -204,22 +199,18 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.done.Done()
 	defer conn.Close()
-	// In secure mode the accepted connection must authenticate before
-	// a single relink frame is read: the handshake binds the peer to a
-	// roster identity (rejecting unrostered or impostor peers) and
-	// replaces conn with the TLS link. The handshake runs under its
-	// own deadline, so a connect-and-stall peer cannot pin this
-	// goroutine.
-	from := 0
-	if t.cfg.Secure != nil {
-		sconn, peer, err := securelink.Server(conn, *t.cfg.Secure)
-		if err != nil {
-			return // unauthenticated connection: drop it
-		}
-		conn, from = sconn, peer
+	// The accepted connection must authenticate before a single relink
+	// frame is read: the handshake binds the peer to a roster identity
+	// (rejecting unrostered or impostor peers) and wraps conn in the
+	// TLS link. The handshake runs under its own deadline, so a
+	// connect-and-stall peer cannot pin this goroutine, and Close
+	// closes the raw conn under it.
+	sconn, from, err := securelink.Server(conn, *t.cfg.Secure)
+	if err != nil {
+		return // unauthenticated connection: drop it
 	}
 	for {
-		frame, err := readFrame(conn)
+		frame, err := readFrame(sconn)
 		if err != nil {
 			return
 		}
@@ -229,7 +220,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		}
 		// An authenticated link pins the sender: a rostered peer still
 		// cannot speak for anyone but itself.
-		if from != 0 && env.From != from {
+		if env.From != from {
 			continue
 		}
 		if !t.links.Inbound(env) {
@@ -309,27 +300,25 @@ func (t *Transport) ensureConn(p *peer) (net.Conn, error) {
 		p.noteFailure(err)
 		return nil, err
 	}
-	authed := false
-	if t.cfg.Secure != nil {
-		// Authenticate before the link carries a single frame. The
-		// handshake runs under its own deadline (armed inside Client),
-		// so a peer that accepts and stalls fails the attempt instead
-		// of wedging this writer; failure lands in the same dial
-		// backoff as a refused connection.
-		sconn, err := securelink.Client(conn, *t.cfg.Secure, p.index)
-		if err != nil {
-			_ = conn.Close()
-			p.noteFailure(err)
-			return nil, err
-		}
-		conn, authed = sconn, true
+	// Authenticate before the link carries a single frame. The
+	// handshake runs under its own deadline (armed inside Client), so a
+	// peer that accepts and stalls fails the attempt instead of wedging
+	// this writer; failure lands in the same dial backoff as a refused
+	// connection. Close cancels dialCtx, which closes the raw conn and
+	// so aborts a handshake still in flight.
+	stop := context.AfterFunc(t.dialCtx, func() { _ = conn.Close() })
+	sconn, err := securelink.Client(conn, *t.cfg.Secure, p.index)
+	stop()
+	if err != nil {
+		_ = conn.Close()
+		p.noteFailure(err)
+		return nil, err
 	}
 	p.mu.Lock()
-	p.conn = conn
-	p.authed = authed
+	p.conn = sconn
 	p.mu.Unlock()
 	p.noteUp()
-	return conn, nil
+	return sconn, nil
 }
 
 // noteUp records a working link.
@@ -348,7 +337,6 @@ func (p *peer) noteFailure(err error) {
 	p.state = network.PeerDown
 	p.consecFails++
 	p.lastErr = err
-	p.authed = false
 	p.mu.Unlock()
 }
 
@@ -358,7 +346,6 @@ func (p *peer) dropConn(conn net.Conn) {
 	p.mu.Lock()
 	if p.conn == conn {
 		p.conn = nil
-		p.authed = false
 	}
 	p.mu.Unlock()
 }
@@ -376,9 +363,10 @@ func (t *Transport) Broadcast(ctx context.Context, env network.Envelope) error {
 	return t.links.Broadcast(ctx, env)
 }
 
-// TransportStats snapshots every peer link.
+// TransportStats snapshots every peer link. Only a handshaked
+// connection is ever kept, so a link with one is authenticated.
 func (t *Transport) TransportStats() network.TransportStats {
-	return t.links.Stats(t.cfg.Secure != nil, func(ps *network.PeerStats) {
+	return t.links.Stats(true, func(ps *network.PeerStats) {
 		t.mu.Lock()
 		p := t.peers[ps.Peer]
 		t.mu.Unlock()
@@ -386,7 +374,7 @@ func (t *Transport) TransportStats() network.TransportStats {
 		defer p.mu.Unlock()
 		ps.State = p.state
 		ps.ConsecutiveFailures = p.consecFails
-		ps.Authenticated = p.authed
+		ps.Authenticated = p.conn != nil
 		if p.lastErr != nil {
 			ps.LastError = p.lastErr.Error()
 		}

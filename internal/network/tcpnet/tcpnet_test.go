@@ -2,26 +2,62 @@ package tcpnet_test
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"thetacrypt/internal/identity"
 	"thetacrypt/internal/network"
+	"thetacrypt/internal/network/securelink"
 	"thetacrypt/internal/network/tcpnet"
 )
 
-// slowListener accepts connections and never reads from them, so the
-// peer's socket buffers fill and its writes stall — the profile of a
-// wedged or overloaded node.
+// meshIdentities returns the link config of nodes 1..n, secs[i] being
+// node i+1's: its identity and the shared roster.
+func meshIdentities(t *testing.T, n int) []*securelink.Config {
+	t.Helper()
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := make([]*securelink.Config, n)
+	for i, id := range ids {
+		secs[i] = &securelink.Config{Key: id, Roster: roster}
+	}
+	return secs
+}
+
+// TestNewRequiresIdentity: every link is authenticated, so a transport
+// without an identity key and a roster is refused.
+func TestNewRequiresIdentity(t *testing.T) {
+	sec := meshIdentities(t, 2)[0]
+	for name, cfg := range map[string]*securelink.Config{
+		"nil":       nil,
+		"no key":    {Roster: sec.Roster},
+		"no roster": {Key: sec.Key},
+	} {
+		if tr, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Secure: cfg}); err == nil {
+			_ = tr.Close()
+			t.Fatalf("%s: transport started without an identity", name)
+		}
+	}
+}
+
+// slowListener accepts connections and never reads protocol frames
+// from them, so the peer's socket buffers fill and its writes stall —
+// the profile of a wedged or overloaded node. With a link config it
+// first completes the handshake as that node; without one it never
+// answers the handshake either.
 type slowListener struct {
 	ln    net.Listener
 	mu    sync.Mutex
 	conns []net.Conn
 }
 
-func newSlowListener(t *testing.T) *slowListener {
+func newSlowListener(t *testing.T, sec *securelink.Config) *slowListener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,6 +73,9 @@ func newSlowListener(t *testing.T) *slowListener {
 			s.mu.Lock()
 			s.conns = append(s.conns, c)
 			s.mu.Unlock()
+			if sec != nil {
+				go func() { _, _, _ = securelink.Server(c, *sec) }()
+			}
 		}
 	}()
 	return s
@@ -60,15 +99,16 @@ func (s *slowListener) close() {
 // untouched. The window bounds the wedged link's backlog to 1 024
 // frames, exactly what it does in production.
 func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
-	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0"})
+	secs := meshIdentities(t, 3)
+	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Secure: secs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3, err := tcpnet.New(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0"})
+	t3, err := tcpnet.New(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Secure: secs[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := newSlowListener(t)
+	slow := newSlowListener(t, secs[1])
 	t1.SetPeer(2, slow.addr())
 	t1.SetPeer(3, t3.Addr())
 
@@ -160,9 +200,10 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 // owed acknowledgements flush, draining the sender's window and ending
 // the resend loop. Nothing is ever delivered twice.
 func TestLateRegistrationDoesNotRedeliver(t *testing.T) {
+	secs := meshIdentities(t, 2)
 	mk := func(self int) *tcpnet.Transport {
 		tr, err := tcpnet.New(tcpnet.Config{
-			Self: self, ListenAddr: "127.0.0.1:0",
+			Self: self, ListenAddr: "127.0.0.1:0", Secure: secs[self-1],
 			AckInterval:   5 * time.Millisecond,
 			ResendTimeout: 25 * time.Millisecond,
 		})
@@ -214,9 +255,10 @@ func TestLateRegistrationDoesNotRedeliver(t *testing.T) {
 // (memnet semantics) on every link, even though each peer's copy now
 // carries its own per-link sequence number from the ack layer.
 func TestBroadcastAddressing(t *testing.T) {
+	secs := meshIdentities(t, 3)
 	transports := make([]*tcpnet.Transport, 3)
 	for i := range transports {
-		tr, err := tcpnet.New(tcpnet.Config{Self: i + 1, ListenAddr: "127.0.0.1:0"})
+		tr, err := tcpnet.New(tcpnet.Config{Self: i + 1, ListenAddr: "127.0.0.1:0", Secure: secs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,5 +291,41 @@ func TestBroadcastAddressing(t *testing.T) {
 		case <-ctx.Done():
 			t.Fatal("broadcast not delivered")
 		}
+	}
+}
+
+// TestCloseAbortsStalledHandshake: a peer that accepts the connection
+// and never answers the handshake holds the dial for up to the
+// handshake deadline (30 s by default); Close must not wait it out.
+func TestCloseAbortsStalledHandshake(t *testing.T) {
+	secs := meshIdentities(t, 2)
+	tr, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Secure: secs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := newSlowListener(t, nil)
+	defer slow.close()
+	tr.SetPeer(2, slow.addr())
+	if err := tr.Send(context.Background(), 2, network.Envelope{Instance: "stall", Kind: network.KindProto}); err != nil {
+		t.Fatal(err)
+	}
+	// The TCP connect succeeds at once; wait until the listener holds
+	// the connection, so the dialer is inside the handshake.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		slow.mu.Lock()
+		accepted := len(slow.conns)
+		slow.mu.Unlock()
+		if accepted > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the dialer never connected to the stalling peer")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	_ = tr.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a handshake stalled, want under 1 s", d)
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
 	"thetacrypt/internal/network/relink"
+	"thetacrypt/internal/network/securelink"
 	"thetacrypt/internal/network/tcpnet"
 	"thetacrypt/internal/orchestration"
 	"thetacrypt/internal/protocols"
@@ -35,14 +37,30 @@ func TestEnvelopeMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// meshIdentities returns the link config of nodes 1..n, secs[i] being
+// node i+1's: its identity and the shared roster.
+func meshIdentities(t *testing.T, n int) []*securelink.Config {
+	t.Helper()
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := make([]*securelink.Config, n)
+	for i, id := range ids {
+		secs[i] = &securelink.Config{Key: id, Roster: roster}
+	}
+	return secs
+}
+
 func TestTCPNetBasic(t *testing.T) {
 	// Two-node mesh over real TCP sockets.
-	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0"})
+	secs := meshIdentities(t, 2)
+	t1, err := tcpnet.New(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Secure: secs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t1.Close()
-	t2, err := tcpnet.New(tcpnet.Config{Self: 2, ListenAddr: "127.0.0.1:0"})
+	t2, err := tcpnet.New(tcpnet.Config{Self: 2, ListenAddr: "127.0.0.1:0", Secure: secs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +105,10 @@ func TestFullClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := meshIdentities(t, n)
 	transports := make([]*tcpnet.Transport, n)
 	for i := 0; i < n; i++ {
-		tr, err := tcpnet.New(tcpnet.Config{Self: i + 1, ListenAddr: "127.0.0.1:0"})
+		tr, err := tcpnet.New(tcpnet.Config{Self: i + 1, ListenAddr: "127.0.0.1:0", Secure: secs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,12 +175,14 @@ type conformanceConfig struct {
 
 func tcpHarness(t *testing.T, n int, cfg conformanceConfig) *transportHarness {
 	t.Helper()
+	secs := meshIdentities(t, n)
 	mkTransport := func(self int, addr string) *tcpnet.Transport {
 		tr, err := tcpnet.New(tcpnet.Config{
 			Self:          self,
 			ListenAddr:    addr,
 			AckInterval:   cfg.ackInterval,
 			ResendTimeout: cfg.resendTimeout,
+			Secure:        secs[self-1],
 		})
 		if err != nil {
 			t.Fatal(err)

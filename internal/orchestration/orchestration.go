@@ -134,12 +134,11 @@ type Config struct {
 	// and tests), once per rejected share. It runs on the worker
 	// goroutine and must be fast.
 	OnRejectedShare func(instanceID string, err error)
-	// Identity and Roster, when set, seal each DKG and reshare
-	// sub-share box to its recipient's identity key; without them a
-	// box carries the bare sub-share. Both run the same three rounds.
-	// All nodes of a deployment must agree (a node opens only the box
-	// encoding it produces). They are typically the same identity
-	// material the secure transport authenticates with.
+	// Identity and Roster seal each DKG and reshare sub-share box to
+	// its recipient's identity key. Without them a keygen or reshare
+	// fails when its instance is created; every other operation runs.
+	// They are the same identity material the transport authenticates
+	// with.
 	Identity *identity.Key
 	Roster   identity.Roster
 }

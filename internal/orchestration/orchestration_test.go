@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/network"
 	"thetacrypt/internal/network/memnet"
@@ -29,8 +31,9 @@ type cluster struct {
 	engines []*Engine
 }
 
-// newCluster builds the Θ-network; optional mutators tune every node's
-// engine config (retention, queue, workers) before start.
+// newCluster builds the Θ-network, every node with its identity;
+// optional mutators tune every node's engine config (retention, queue,
+// workers) before start.
 func newCluster(t testing.TB, tt, n int, opts memnet.Options, mutate ...func(*Config)) *cluster {
 	t.Helper()
 	nodes, err := keys.Deal(rand.Reader, tt, n, keys.Options{
@@ -39,12 +42,18 @@ func newCluster(t testing.TB, tt, n int, opts memnet.Options, mutate ...func(*Co
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hub := memnet.NewHub(n, opts)
 	engines := make([]*Engine, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Keys: nodes[i],
-			Net:  hub.Endpoint(i + 1),
+			Keys:     nodes[i],
+			Net:      hub.Endpoint(i + 1),
+			Identity: ids[i],
+			Roster:   roster,
 		}
 		for _, m := range mutate {
 			m(&cfg)
@@ -543,6 +552,27 @@ func TestKeygenThroughEngines(t *testing.T) {
 	}
 	if err := frost.Verify(ref, []byte("raced"), sig); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeygenWithoutIdentityFailsAtOnce: a dealing seals every
+// sub-share to its recipient's identity, so on an engine built without
+// one a keygen fails when its instance is created, naming the missing
+// key, instead of waiting out its retention.
+func TestKeygenWithoutIdentityFailsAtOnce(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) { cfg.Identity, cfg.Roster = nil, nil })
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	gen := protocols.Request{Scheme: schemes.KG20, KeyID: "no-identity", Op: protocols.OpKeyGen}
+	f, err := c.engines[0].Submit(ctx, gen)
+	if err == nil {
+		var res Result
+		if res, err = f.Wait(ctx); err == nil {
+			err = res.Err
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "no identity key") {
+		t.Fatalf("keygen without an identity = %v, want a prompt failure naming the identity key", err)
 	}
 }
 

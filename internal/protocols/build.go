@@ -20,15 +20,14 @@ import (
 // protocol instance: the counting verifier that checks each SG02 and
 // CKS05 peer share directly (a node's own share is never checked) and
 // the dealing protocol's identity material. The zero Env checks
-// without counting and seals nothing.
+// without counting and cannot deal.
 type Env struct {
 	Verifier *precompute.Verifier
 	// Identity and Roster carry the node's transport identity key and
 	// the deployment's peer roster into the dealing protocol (keygen
-	// and reshare): when present, each sub-share box is sealed to its
-	// recipient's identity key; with nil Identity a box carries the
-	// bare sub-share. All nodes of a deployment must agree, since a
-	// node opens only the box encoding it produces itself.
+	// and reshare), which seals each sub-share box to its recipient's
+	// identity key. A keygen or reshare without them fails when its
+	// instance is created.
 	Identity *identity.Key
 	Roster   identity.Roster
 }

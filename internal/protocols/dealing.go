@@ -35,15 +35,13 @@ import (
 // broadcast, so every honest node drops the same dealers and the role
 // combines the same qualified set.
 //
-// When the node has an identity key, boxes are ECIES-sealed to each
-// recipient's identity key, so no sub-share crosses the wire in the
-// clear. Without one (an insecure mesh has no roster to seal to), a
-// box is the bare sub-share encoding. Only recipientKeys, seal and
-// open see the difference.
+// Boxes are ECIES-sealed to each recipient's identity key, so no
+// sub-share crosses the wire in the clear: a node without an identity
+// key and a roster cannot take part.
 type dealingProtocol struct {
 	role   dealingRole
 	rand   io.Reader
-	id     *identity.Key     // nil: boxes carry bare sub-shares
+	id     *identity.Key
 	boxTo  []identity.Public // recipients' identity keys, by share index-1
 	instID string
 
@@ -321,11 +319,12 @@ func (p *dealingProtocol) Finalize() ([]byte, error) {
 	return out, nil
 }
 
-// recipientKeys resolves the identity key each box is sealed to, or
-// nil when the node has no identity and boxes go unsealed.
+// recipientKeys resolves the identity key each box is sealed to. A
+// node without an identity key cannot open its own box, so it is
+// refused here, when the instance is created.
 func recipientKeys(env Env, recipients []int) ([]identity.Public, error) {
 	if env.Identity == nil {
-		return nil, nil
+		return nil, errors.New("no identity key: a dealing seals every sub-share to its recipient's identity")
 	}
 	pubs := make([]identity.Public, len(recipients))
 	for j, m := range recipients {
@@ -338,26 +337,19 @@ func recipientKeys(env Env, recipients []int) ([]identity.Public, error) {
 }
 
 // seal boxes sub-share s for the recipient of share index j+1: ECIES
-// to its identity key when this node has one, the bare encoding
-// otherwise.
+// to its identity key.
 func (p *dealingProtocol) seal(j int, s sharepkg.Share) ([]byte, error) {
-	if p.id == nil {
-		return marshalSubShare(s), nil
-	}
 	ctx := boxContext(p.role.kind, p.instID, p.self, p.role.recipients[j])
 	return identity.Seal(p.rand, p.boxTo[j], ctx, marshalSubShare(s))
 }
 
-// open reverses seal for a box from mesh node dealer. A node accepts
-// only the box encoding it produces itself.
+// open reverses seal for a box from mesh node dealer.
 func (p *dealingProtocol) open(dealer int, box []byte) (sharepkg.Share, error) {
-	if p.id != nil {
-		var err error
-		if box, err = p.id.Open(boxContext(p.role.kind, p.instID, dealer, p.self), box); err != nil {
-			return sharepkg.Share{}, err
-		}
+	plain, err := p.id.Open(boxContext(p.role.kind, p.instID, dealer, p.self), box)
+	if err != nil {
+		return sharepkg.Share{}, err
 	}
-	return unmarshalSubShare(box)
+	return unmarshalSubShare(plain)
 }
 
 // boxContext binds a sealed box to its exact slot: protocol kind,

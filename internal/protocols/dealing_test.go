@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"thetacrypt/internal/dkg"
@@ -25,34 +26,18 @@ import (
 )
 
 // testEnvs generates per-node identity keys and a shared roster for a
-// secure deployment of n nodes, whose dealings carry sealed boxes.
+// deployment of n nodes, whose dealings carry sealed boxes.
 func testEnvs(t *testing.T, n int) []Env {
 	t.Helper()
-	roster := make(identity.Roster, n)
-	ids := make([]*identity.Key, n)
-	for i := 1; i <= n; i++ {
-		k, err := identity.Generate(rand.Reader, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i-1] = k
-		roster[i] = k.Public()
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	envs := make([]Env, n)
 	for i := range envs {
 		envs[i] = Env{Identity: ids[i], Roster: roster}
 	}
 	return envs
-}
-
-// encodings runs a dealing test under both box encodings: sealed to
-// identity keys, and bare on an insecure mesh.
-var encodings = []struct {
-	name string
-	envs func(*testing.T, int) []Env
-}{
-	{"sealed", testEnvs},
-	{"unsealed", func(_ *testing.T, n int) []Env { return make([]Env, n) }},
 }
 
 // startAll builds one instance of req per node, keyed by mesh node.
@@ -250,7 +235,7 @@ func TestDealerLeavesOwnBoxEmpty(t *testing.T) {
 }
 
 // TestSealedKeygenDisqualifiesFaultyDealer corrupts node 2's sub-share
-// for node 3 before boxing, under both encodings. Node 3's box opens
+// for node 3 before sealing. Node 3's box opens
 // but fails Feldman verification, so it complains; node 2's
 // justification reveals the same bad share, fails on every node —
 // node 2 included — and the dealer is disqualified identically
@@ -262,20 +247,18 @@ func TestSealedKeygenDisqualifiesFaultyDealer(t *testing.T) {
 		}
 	}
 	defer func() { TestFaultDealing = nil }()
-	for _, enc := range encodings {
-		t.Run(enc.name, func(t *testing.T) {
-			nodes := dealNodes(t, 1, 4)
-			gen := Request{Scheme: schemes.KG20, KeyID: "faulty", Op: OpKeyGen}
-			protos := startAll(t, nodes, gen, enc.envs(t, 4))
-			for idx, v := range driveNodes(t, protos) {
-				if string(v) != "faulty" {
-					t.Fatalf("node %d keygen result %q", idx, v)
-				}
+	t.Run("sealed", func(t *testing.T) {
+		nodes := dealNodes(t, 1, 4)
+		gen := Request{Scheme: schemes.KG20, KeyID: "faulty", Op: OpKeyGen}
+		protos := startAll(t, nodes, gen, testEnvs(t, 4))
+		for idx, v := range driveNodes(t, protos) {
+			if string(v) != "faulty" {
+				t.Fatalf("node %d keygen result %q", idx, v)
 			}
-			checkQualified(t, protos, []int{1, 3, 4}, []int{2})
-			checkSameKey(t, nodes, schemes.KG20, "faulty")
-		})
-	}
+		}
+		checkQualified(t, protos, []int{1, 3, 4}, []int{2})
+		checkSameKey(t, nodes, schemes.KG20, "faulty")
+	})
 }
 
 // TestSealedReshare runs a sealed same-committee refresh: dealings are
@@ -327,7 +310,7 @@ func TestSealedReshare(t *testing.T) {
 }
 
 // TestSealedReshareDisqualifiesFaultyDealer makes old member 2 a
-// faulty reshare dealer, under both encodings, in two ways:
+// faulty reshare dealer in two ways:
 //   - bad-sub-share: its sub-share for new member 3 is forged, so the
 //     complaint round drops it;
 //   - forged-commitment: it reshares a value that is not its share, so
@@ -352,55 +335,53 @@ func TestSealedReshareDisqualifiesFaultyDealer(t *testing.T) {
 			*d = *forged
 		}, nil},
 	}
-	for _, enc := range encodings {
-		for _, fc := range faults {
-			t.Run(enc.name+"/"+fc.name, func(t *testing.T) {
-				nodes := dealNodes(t, 1, 4, schemes.SG02)
-				pk := keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02)
-				TestFaultReshareDealing = func(node int, d *sharepkg.ReshareDealing) {
-					if node == 2 {
-						fc.fault(pk.Group, d)
-					}
+	for _, fc := range faults {
+		t.Run("sealed/"+fc.name, func(t *testing.T) {
+			nodes := dealNodes(t, 1, 4, schemes.SG02)
+			pk := keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02)
+			TestFaultReshareDealing = func(node int, d *sharepkg.ReshareDealing) {
+				if node == 2 {
+					fc.fault(pk.Group, d)
 				}
-				defer func() { TestFaultReshareDealing = nil }()
-				req := Request{Scheme: schemes.SG02, Op: OpReshare,
-					Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}
-				envs := enc.envs(t, 4)
-				// A bystander instance of node 3 receives dealer 2's
-				// dealing as captured on the wire, to see the verdict.
-				probe, err := New(rand.Reader, nodes[2], req, envs[2])
-				if err != nil {
-					t.Fatal(err)
+			}
+			defer func() { TestFaultReshareDealing = nil }()
+			req := Request{Scheme: schemes.SG02, Op: OpReshare,
+				Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}
+			envs := testEnvs(t, 4)
+			// A bystander instance of node 3 receives dealer 2's
+			// dealing as captured on the wire, to see the verdict.
+			probe, err := New(rand.Reader, nodes[2], req, envs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dealing2 *ProtocolMessage
+			protos := startAll(t, nodes, req, envs)
+			results := driveWith(t, protos, func(to int, m *ProtocolMessage) {
+				if m.Sender == 2 && m.Round == 1 && dealing2 == nil {
+					dealing2 = &ProtocolMessage{Sender: 2, Round: 1, Payload: m.Payload}
 				}
-				var dealing2 *ProtocolMessage
-				protos := startAll(t, nodes, req, envs)
-				results := driveWith(t, protos, func(to int, m *ProtocolMessage) {
-					if m.Sender == 2 && m.Round == 1 && dealing2 == nil {
-						dealing2 = &ProtocolMessage{Sender: 2, Round: 1, Payload: m.Payload}
-					}
-				})
-				for idx, val := range results {
-					if string(val) != "2" {
-						t.Fatalf("node %d reshare result %q, want \"2\"", idx, val)
-					}
-				}
-				if err := probe.Update(*dealing2); !errors.Is(err, ErrShareRejected) {
-					t.Fatalf("dealer 2's dealing = %v, want ErrShareRejected", err)
-				}
-				checkQualified(t, protos, []int{1, 3, 4}, fc.unresolved)
-				checkSameKey(t, nodes, schemes.SG02, "")
-				if !keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02).Y.Equal(pk.Y) {
-					t.Fatal("public key changed")
-				}
-				decryptsAfter(t, nodes)
 			})
-		}
+			for idx, val := range results {
+				if string(val) != "2" {
+					t.Fatalf("node %d reshare result %q, want \"2\"", idx, val)
+				}
+			}
+			if err := probe.Update(*dealing2); !errors.Is(err, ErrShareRejected) {
+				t.Fatalf("dealer 2's dealing = %v, want ErrShareRejected", err)
+			}
+			checkQualified(t, protos, []int{1, 3, 4}, fc.unresolved)
+			checkSameKey(t, nodes, schemes.SG02, "")
+			if !keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02).Y.Equal(pk.Y) {
+				t.Fatal("public key changed")
+			}
+			decryptsAfter(t, nodes)
+		})
 	}
 }
 
 // TestJustificationRepairsFalseComplaint corrupts, in transit, the box
 // an honest dealer (node 2) sends to node 3, for key generation and
-// resharing under both encodings. Node 3 complains, node 2's
+// resharing. Node 3 complains, node 2's
 // justification verifies and discharges the complaint, node 3 adopts
 // the revealed sub-share, and every node keeps all four dealers and
 // installs the same key.
@@ -416,48 +397,48 @@ func TestJustificationRepairsFalseComplaint(t *testing.T) {
 			Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}, "2"},
 	}
 	for _, op := range ops {
-		for _, enc := range encodings {
-			t.Run(op.name+"/"+enc.name, func(t *testing.T) {
-				nodes := dealNodes(t, 1, 4, op.scheme)
-				protos := startAll(t, nodes, op.req, enc.envs(t, 4))
-				g := protos[3].(*dealingProtocol).role.g
-				tampered := false
-				results := driveWith(t, protos, func(to int, m *ProtocolMessage) {
-					if m.Sender != 2 || m.Round != 1 || to != 3 {
-						return
-					}
-					com, boxes, err := unmarshalDealing(g, 4, m.Payload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					box := append([]byte(nil), boxes[2]...)
-					box[len(box)-1] ^= 1
-					boxes[2] = box
-					m.Payload = marshalDealing(com.Points, boxes)
-					tampered = true
-				})
-				if !tampered {
-					t.Fatal("dealer 2's dealing never reached node 3")
+		t.Run(op.name+"/sealed", func(t *testing.T) {
+			nodes := dealNodes(t, 1, 4, op.scheme)
+			protos := startAll(t, nodes, op.req, testEnvs(t, 4))
+			g := protos[3].(*dealingProtocol).role.g
+			tampered := false
+			results := driveWith(t, protos, func(to int, m *ProtocolMessage) {
+				if m.Sender != 2 || m.Round != 1 || to != 3 {
+					return
 				}
-				for idx, val := range results {
-					if string(val) != op.result {
-						t.Fatalf("node %d result %q, want %q", idx, val, op.result)
-					}
+				com, boxes, err := unmarshalDealing(g, 4, m.Payload)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for idx, p := range protos {
-					if got := p.(*dealingProtocol).log.Against(2); !reflect.DeepEqual(got, []int{3}) {
-						t.Fatalf("node %d recorded complaints %v against dealer 2, want [3]", idx, got)
-					}
-				}
-				checkQualified(t, protos, []int{1, 2, 3, 4}, nil)
-				checkSameKey(t, nodes, op.scheme, op.req.KeyID)
+				box := append([]byte(nil), boxes[2]...)
+				box[len(box)-1] ^= 1
+				boxes[2] = box
+				m.Payload = marshalDealing(com.Points, boxes)
+				tampered = true
 			})
-		}
+			if !tampered {
+				t.Fatal("dealer 2's dealing never reached node 3")
+			}
+			for idx, val := range results {
+				if string(val) != op.result {
+					t.Fatalf("node %d result %q, want %q", idx, val, op.result)
+				}
+			}
+			for idx, p := range protos {
+				if got := p.(*dealingProtocol).log.Against(2); !reflect.DeepEqual(got, []int{3}) {
+					t.Fatalf("node %d recorded complaints %v against dealer 2, want [3]", idx, got)
+				}
+			}
+			checkQualified(t, protos, []int{1, 2, 3, 4}, nil)
+			checkSameKey(t, nodes, op.scheme, op.req.KeyID)
+		})
 	}
 }
 
 // TestSealedKeygenNeedsFullRoster pins the configuration contract: a
-// sealed DKG cannot start unless every deployment node is rostered.
+// sealed DKG cannot start unless every deployment node is rostered,
+// and a node without an identity key is refused with an error naming
+// it.
 func TestSealedKeygenNeedsFullRoster(t *testing.T) {
 	nodes := dealNodes(t, 1, 4)
 	envs := testEnvs(t, 4)
@@ -466,9 +447,12 @@ func TestSealedKeygenNeedsFullRoster(t *testing.T) {
 		partial[i] = envs[i-1].Roster[i]
 	}
 	env := Env{Identity: envs[0].Identity, Roster: partial}
-	_, err := New(rand.Reader, nodes[0], Request{Scheme: schemes.KG20, KeyID: "short", Op: OpKeyGen}, env)
-	if err == nil {
+	gen := Request{Scheme: schemes.KG20, KeyID: "short", Op: OpKeyGen}
+	if _, err := New(rand.Reader, nodes[0], gen, env); err == nil {
 		t.Fatal("sealed keygen started with a partial roster")
+	}
+	if _, err := New(rand.Reader, nodes[0], gen, Env{}); err == nil || !strings.Contains(err.Error(), "no identity key") {
+		t.Fatalf("keygen without an identity = %v, want a refusal naming the identity key", err)
 	}
 }
 

@@ -211,9 +211,10 @@ func TestRejectedSharesSurfaceButDoNotKill(t *testing.T) {
 func TestKeygenProtocolInstallsAgreedKey(t *testing.T) {
 	nodes := dealNodes(t, 1, 4, schemes.CKS05) // keygen needs only thresholds, but deal CKS05 for contrast
 	gen := Request{Scheme: schemes.KG20, KeyID: "runtime-1", Op: OpKeyGen}
+	envs := testEnvs(t, len(nodes))
 	protos := make([]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, gen, Env{})
+		p, err := New(rand.Reader, nk, gen, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,9 +110,10 @@ func TestReshareRefreshAdvancesEpoch(t *testing.T) {
 
 	req := Request{Scheme: schemes.SG02, Op: OpReshare,
 		Payload: identitySpec(1, 4).Marshal(), Epoch: keys.FirstEpoch}
+	envs := testEnvs(t, len(nodes))
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req, Env{})
+		p, err := New(rand.Reader, nk, req, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,9 +177,10 @@ func TestReshareMembershipChange(t *testing.T) {
 
 	spec := ReshareSpec{NewT: 1, Members: []int{2, 3, 4}}
 	req := Request{Scheme: schemes.SG02, Op: OpReshare, Payload: spec.Marshal(), Epoch: keys.FirstEpoch}
+	envs := testEnvs(t, len(nodes))
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req, Env{})
+		p, err := New(rand.Reader, nk, req, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,9 +251,10 @@ func TestReshareEpochPinning(t *testing.T) {
 	nodes := dealNodes(t, 1, 3, schemes.SG02)
 	req := Request{Scheme: schemes.SG02, Op: OpReshare,
 		Payload: identitySpec(1, 3).Marshal(), Epoch: keys.FirstEpoch}
+	envs := testEnvs(t, len(nodes))
 	protos := make(map[int]Protocol, len(nodes))
 	for i, nk := range nodes {
-		p, err := New(rand.Reader, nk, req, Env{})
+		p, err := New(rand.Reader, nk, req, envs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,27 +41,24 @@ func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func testServiceV2(t *testing.T) ([]*client.Client, []*keys.Keystore, []*countingHandler) {
 	t.Helper()
 	const tt, n = 1, 4
-	nodes, err := keys.Deal(rand.Reader, tt, n, keys.Options{
+	com, err := committee.New(tt, n, committee.Config{
 		Schemes: []schemes.ID{schemes.SG02, schemes.BLS04, schemes.CKS05},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := memnet.NewHub(n, memnet.Options{})
+	t.Cleanup(com.Close)
 	clients := make([]*client.Client, n)
+	nodes := make([]*keys.Keystore, n)
 	counters := make([]*countingHandler, n)
 	for i := 0; i < n; i++ {
-		engine := orchestration.New(orchestration.Config{
-			Keys: nodes[i],
-			Net:  hub.Endpoint(i + 1),
-		})
-		counters[i] = &countingHandler{h: NewFront(committee.Unit{Store: nodes[i], Engine: engine})}
+		unit := com.UnitAt(i + 1)
+		nodes[i] = unit.Store
+		counters[i] = &countingHandler{h: NewFront(unit)}
 		srv := httptest.NewServer(counters[i])
 		clients[i] = client.New(srv.URL)
 		t.Cleanup(srv.Close)
-		t.Cleanup(engine.Stop)
 	}
-	t.Cleanup(hub.Close)
 	return clients, nodes, counters
 }
 
@@ -911,19 +908,12 @@ func (u *keysCountingUnit) Keys(ctx context.Context) ([]api.KeyInfo, error) {
 // every reshare.
 func TestReshareEpochWithoutKeyListing(t *testing.T) {
 	const tt, n = 1, 4
-	nodes, err := keys.Deal(rand.Reader, tt, n, keys.Options{Schemes: []schemes.ID{schemes.CKS05}})
+	com, err := committee.New(tt, n, committee.Config{Schemes: []schemes.ID{schemes.CKS05}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := memnet.NewHub(n, memnet.Options{})
-	t.Cleanup(hub.Close)
-	units := make([]committee.Unit, n)
-	for i := range units {
-		engine := orchestration.New(orchestration.Config{Keys: nodes[i], Net: hub.Endpoint(i + 1)})
-		t.Cleanup(engine.Stop)
-		units[i] = committee.Unit{Store: nodes[i], Engine: engine}
-	}
-	svc := &keysCountingUnit{Unit: units[0]}
+	t.Cleanup(com.Close)
+	svc := &keysCountingUnit{Unit: com.UnitAt(1)}
 	srv := httptest.NewServer(NewFront(svc))
 	t.Cleanup(srv.Close)
 
@@ -945,7 +935,8 @@ func TestReshareEpochWithoutKeyListing(t *testing.T) {
 			t.Fatalf("reshare result %+v, %v; want epoch %d", res, err, want)
 		}
 		// The next reshare pins the new epoch on every node.
-		for i, store := range nodes {
+		for i := 1; i <= n; i++ {
+			store := com.UnitAt(i).Store
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				k, err := store.Get(schemes.CKS05, keys.DefaultKeyID)
@@ -953,7 +944,7 @@ func TestReshareEpochWithoutKeyListing(t *testing.T) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("node %d never installed epoch %d", i+1, want)
+					t.Fatalf("node %d never installed epoch %d", i, want)
 				}
 				time.Sleep(5 * time.Millisecond)
 			}

@@ -16,6 +16,7 @@ import (
 
 	"thetacrypt"
 	"thetacrypt/api"
+	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/protocols"
 	"thetacrypt/internal/schemes"
@@ -134,7 +135,7 @@ func TestReshareConformanceRemote(t *testing.T) {
 }
 
 func TestReshareConformanceNodeTCP(t *testing.T) {
-	exerciseReshare(t, nodeDeployment(t)[0])
+	exerciseReshare(t, nodeDeployment(t, nil)[0])
 }
 
 // TestNodeKeystoreDurableAcrossRestart is the durability acceptance
@@ -153,6 +154,10 @@ func TestNodeKeystoreDurableAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := make([]*thetacrypt.Node, n)
 	t.Cleanup(func() {
 		for _, nd := range nodes {
@@ -166,6 +171,8 @@ func TestNodeKeystoreDurableAcrossRestart(t *testing.T) {
 			Keys:       stores[i],
 			KeyFile:    keyFile(i + 1),
 			ListenAddr: "127.0.0.1:0",
+			Identity:   ids[i],
+			Roster:     roster,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -264,6 +271,8 @@ func TestNodeKeystoreDurableAcrossRestart(t *testing.T) {
 		Keys:       store2,
 		KeyFile:    keyFile(2),
 		ListenAddr: "127.0.0.1:0",
+		Identity:   ids[1],
+		Roster:     roster,
 	})
 	if err != nil {
 		t.Fatal(err)

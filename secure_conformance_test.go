@@ -1,20 +1,25 @@
 package thetacrypt_test
 
-// Conformance for the secure mesh: identity-authenticated links and
-// sealed complaint-round DKG exercised end to end on both transports.
-// The memnet cluster and the tcpnet deployment run the same lifecycle
-// (generate → sign → reshare), an impostor is rejected at the handshake
-// while the rest of the mesh stays live, a dealer that seals one bad
-// sub-share is disqualified by the complaint round on both transports,
-// and a wire capture of a tcpnet DKG proves no sub-share material —
-// and no protocol plaintext at all — leaves a node unencrypted.
+// Conformance for the mesh: identity-authenticated links and sealed
+// complaint-round DKG exercised end to end on both transports. The
+// memnet cluster and the tcpnet deployment run the same lifecycle
+// (generate → sign → reshare), a node without its identity is refused,
+// an impostor is rejected at the handshake while the rest of the mesh
+// stays live, a dealer that seals one bad sub-share is disqualified by
+// the complaint round on both transports, and a wire capture of a
+// tcpnet DKG proves no sub-share material — and no protocol plaintext
+// at all — leaves a node unencrypted.
 
 import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -27,57 +32,33 @@ import (
 	"thetacrypt/internal/schemes"
 )
 
-// secureIdentities generates n node identities and the roster they
-// prove.
-func secureIdentities(t *testing.T, n int) ([]*identity.Key, identity.Roster) {
-	t.Helper()
-	ids := make([]*identity.Key, n)
-	roster := make(identity.Roster, n)
-	for i := 1; i <= n; i++ {
-		k, err := identity.Generate(rand.Reader, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i-1] = k
-		roster[i] = k.Public()
-	}
-	return ids, roster
-}
-
-// secureNodeDeployment stands up a 4-node tcpnet deployment in secure
-// mode. ids[i] is node i+1's private identity — a test plants an
-// impostor by swapping in a key that does not match the roster.
-func secureNodeDeployment(t *testing.T, ids []*identity.Key, roster identity.Roster) []*thetacrypt.Node {
-	t.Helper()
-	const tt, n = 1, 4
-	stores, err := keys.Deal(rand.Reader, tt, n, keys.Options{
-		Schemes: []schemes.ID{schemes.SG02, schemes.CKS05},
-	})
+// TestNodeRequiresIdentity: a node without its identity and the roster
+// is refused before it writes its key file.
+func TestNodeRequiresIdentity(t *testing.T) {
+	stores, err := keys.Deal(rand.Reader, 1, 4, keys.Options{Schemes: []schemes.ID{schemes.SG02}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*thetacrypt.Node, n)
-	for i := 0; i < n; i++ {
-		node, err := thetacrypt.NewNode(thetacrypt.NodeConfig{
-			Keys:       stores[i],
-			ListenAddr: "127.0.0.1:0",
-			Identity:   ids[i],
-			Roster:     roster,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		t.Cleanup(node.Close)
+	ids, roster, err := identity.GenerateMesh(rand.Reader, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				nodes[i].SetPeer(j+1, nodes[j].P2PAddr())
-			}
+	keyFile := filepath.Join(t.TempDir(), "node1.key")
+	for name, cfg := range map[string]thetacrypt.NodeConfig{
+		"neither":                 {},
+		"no identity":             {Roster: roster},
+		"no roster":               {Identity: ids[0]},
+		"another node's identity": {Identity: ids[1], Roster: roster},
+	} {
+		cfg.Keys, cfg.KeyFile, cfg.ListenAddr = stores[0], keyFile, "127.0.0.1:0"
+		if node, err := thetacrypt.NewNode(cfg); err == nil {
+			node.Close()
+			t.Fatalf("%s: node started", name)
+		}
+		if _, err := os.Stat(keyFile); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: key file written before the refusal (stat: %v)", name, err)
 		}
 	}
-	return nodes
 }
 
 // exerciseSecureLifecycle is the acceptance lifecycle: DKG-generate a
@@ -110,7 +91,6 @@ func exerciseSecureLifecycle(t *testing.T, svc thetacrypt.Service) {
 func TestSecureConformanceEmbedded(t *testing.T) {
 	cluster, err := thetacrypt.NewCluster(1, 4, thetacrypt.ClusterOptions{
 		Schemes: []thetacrypt.SchemeID{thetacrypt.SG02, thetacrypt.CKS05},
-		Secure:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,13 +100,12 @@ func TestSecureConformanceEmbedded(t *testing.T) {
 }
 
 func TestSecureConformanceNodeTCP(t *testing.T) {
-	ids, roster := secureIdentities(t, 4)
-	nodes := secureNodeDeployment(t, ids, roster)
+	nodes := nodeDeployment(t, nil)
 	exerciseSecureLifecycle(t, nodes[0])
 	// Every link of the deployment reports the handshake marker.
 	ts := nodes[0].Stats().Transport
 	if ts == nil || !ts.Authenticated {
-		t.Fatalf("secure transport not marked authenticated: %+v", ts)
+		t.Fatalf("transport not marked authenticated: %+v", ts)
 	}
 	for _, p := range ts.Peers {
 		if !p.Authenticated {
@@ -140,13 +119,11 @@ func TestSecureConformanceNodeTCP(t *testing.T) {
 // part of fails, so it never joins — while the mesh of honest nodes
 // stays live and serves quorum operations throughout.
 func TestSecureImpostorRejectedTCP(t *testing.T) {
-	ids, roster := secureIdentities(t, 4)
 	impostor, err := identity.Generate(rand.Reader, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids[3] = impostor
-	nodes := secureNodeDeployment(t, ids, roster)
+	nodes := nodeDeployment(t, func(ids []*identity.Key) { ids[3] = impostor })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -207,7 +184,6 @@ func TestSecureFaultyDealerDisqualified(t *testing.T) {
 	t.Run("memnet", func(t *testing.T) {
 		cluster, err := thetacrypt.NewCluster(1, 4, thetacrypt.ClusterOptions{
 			Schemes: []thetacrypt.SchemeID{thetacrypt.SG02},
-			Secure:  true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -233,8 +209,7 @@ func TestSecureFaultyDealerDisqualified(t *testing.T) {
 	})
 
 	t.Run("tcpnet", func(t *testing.T) {
-		ids, roster := secureIdentities(t, 4)
-		nodes := secureNodeDeployment(t, ids, roster)
+		nodes := nodeDeployment(t, nil)
 		exerciseFaultyDealerKeygen(t, nodes[0], func() []keyFetcherAt {
 			fs := make([]keyFetcherAt, len(nodes))
 			for i := range fs {
@@ -366,37 +341,42 @@ func tapAddr(t *testing.T, target string, rec *recorder) string {
 	return ln.Addr().String()
 }
 
-// wireCaptureDeployment wires a 4-node tcpnet deployment so that every
-// inter-node connection passes through a recording tap.
-func wireCaptureDeployment(t *testing.T, ids []*identity.Key, roster identity.Roster, rec *recorder) []*thetacrypt.Node {
+// sinkAddr starts a tap that accepts every connection and forwards
+// nothing.
+func sinkAddr(t *testing.T) string {
 	t.Helper()
-	const tt, n = 1, 4
-	stores, err := keys.Deal(rand.Reader, tt, n, keys.Options{
-		Schemes: []schemes.ID{schemes.SG02},
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*thetacrypt.Node, n)
-	for i := 0; i < n; i++ {
-		cfg := thetacrypt.NodeConfig{Keys: stores[i], ListenAddr: "127.0.0.1:0"}
-		if ids != nil {
-			cfg.Identity = ids[i]
-			cfg.Roster = roster
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				io.Copy(io.Discard, c)
+			}(c)
 		}
-		node, err := thetacrypt.NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		t.Cleanup(node.Close)
+	}()
+	return ln.Addr().String()
+}
+
+// wireCaptureDeployment wires a 4-node tcpnet deployment so that every
+// inter-node connection passes through a tap: tap(target) starts one in
+// front of a node's listen address and returns its own address.
+func wireCaptureDeployment(t *testing.T, tap func(target string) string) []*thetacrypt.Node {
+	t.Helper()
+	nodes := nodeDeployment(t, nil)
+	taps := make([]string, len(nodes))
+	for i, node := range nodes {
+		taps[i] = tap(node.P2PAddr())
 	}
-	taps := make([]string, n)
-	for i := 0; i < n; i++ {
-		taps[i] = tapAddr(t, nodes[i].P2PAddr(), rec)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+	for i := range nodes {
+		for j := range nodes {
 			if i != j {
 				nodes[i].SetPeer(j+1, taps[j])
 			}
@@ -408,45 +388,36 @@ func wireCaptureDeployment(t *testing.T, ids []*identity.Key, roster identity.Ro
 // TestSecureDKGWireCapture runs a sealed DKG over tcpnet with every
 // link tapped and asserts that neither the sub-share scalars (captured
 // at the dealing seam before sealing) nor even the instance-ID
-// plaintext appear anywhere in the traffic. A control run without
-// secure mode proves the taps see real protocol bytes: the same
-// instance-ID canary IS on the wire there.
+// plaintext appear anywhere in the traffic. A control run whose taps
+// forward nothing proves every link crosses a tap: its keygen cannot
+// finish.
 func TestSecureDKGWireCapture(t *testing.T) {
 	const canary = "wire-capture-canary"
-	run := func(t *testing.T, secure bool) ([]byte, [][]byte) {
-		var rec recorder
-		var nodes []*thetacrypt.Node
-		if secure {
-			ids, roster := secureIdentities(t, 4)
-			nodes = wireCaptureDeployment(t, ids, roster, &rec)
-		} else {
-			nodes = wireCaptureDeployment(t, nil, nil, &rec)
-		}
-		var mu sync.Mutex
-		var subShares [][]byte
-		protocols.TestFaultDealing = func(node int, d *dkg.Dealing) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, s := range d.SubShares {
-				subShares = append(subShares, s.Value.Bytes())
-			}
-		}
-		defer func() { protocols.TestFaultDealing = nil }()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		kh, err := nodes[0].GenerateKey(ctx, thetacrypt.KG20, thetacrypt.GenerateKeyOptions{KeyID: canary})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kres, err := nodes[0].Wait(ctx, kh); err != nil || kres.Err != nil {
-			t.Fatalf("keygen over taps: %v / %+v", err, kres)
-		}
+	var rec recorder
+	nodes := wireCaptureDeployment(t, func(target string) string { return tapAddr(t, target, &rec) })
+	var mu sync.Mutex
+	var subShares [][]byte
+	protocols.TestFaultDealing = func(node int, d *dkg.Dealing) {
 		mu.Lock()
 		defer mu.Unlock()
-		return rec.Bytes(), subShares
+		for _, s := range d.SubShares {
+			subShares = append(subShares, s.Value.Bytes())
+		}
 	}
+	defer func() { protocols.TestFaultDealing = nil }()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	kh, err := nodes[0].GenerateKey(ctx, thetacrypt.KG20, thetacrypt.GenerateKeyOptions{KeyID: canary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kres, err := nodes[0].Wait(ctx, kh); err != nil || kres.Err != nil {
+		t.Fatalf("keygen over taps: %v / %+v", err, kres)
+	}
+	mu.Lock()
+	captured := rec.Bytes()
+	mu.Unlock()
 
-	captured, subShares := run(t, true)
 	if len(captured) == 0 {
 		t.Fatal("taps captured no traffic — the deployment bypassed them")
 	}
@@ -462,10 +433,16 @@ func TestSecureDKGWireCapture(t *testing.T) {
 		t.Fatal("instance-ID plaintext appears on the secured wire")
 	}
 
-	// Control: the identical run without -secure leaks the canary,
-	// proving the taps observe the real protocol stream.
-	control, _ := run(t, false)
-	if !bytes.Contains(control, []byte(canary)) {
-		t.Fatal("control capture does not contain the canary — the tap harness is not observing protocol traffic")
+	// Control: the identical keygen with every tap forwarding nothing
+	// must not finish, so no link of the deployment bypasses its tap.
+	dark := wireCaptureDeployment(t, func(string) string { return sinkAddr(t) })
+	dctx, dcancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer dcancel()
+	kh, err = dark[0].GenerateKey(dctx, thetacrypt.KG20, thetacrypt.GenerateKeyOptions{KeyID: canary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kres, err := dark[0].Wait(dctx, kh); err == nil && kres.Err == nil {
+		t.Fatal("keygen finished with every tap forwarding nothing — a link bypasses the taps")
 	}
 }

@@ -22,9 +22,8 @@ import (
 	"thetacrypt/api"
 	"thetacrypt/client"
 	"thetacrypt/internal/committee"
+	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
-	"thetacrypt/internal/network/memnet"
-	"thetacrypt/internal/orchestration"
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/frost"
 	"thetacrypt/internal/service"
@@ -34,28 +33,21 @@ import (
 // returns the SDK client of node 1.
 func remoteService(t *testing.T) thetacrypt.Service {
 	t.Helper()
-	const tt, n = 1, 4
-	nodes, err := keys.Deal(rand.Reader, tt, n, keys.Options{
+	com, err := committee.New(1, 4, committee.Config{
 		Schemes: []schemes.ID{schemes.SG02, schemes.CKS05},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := memnet.NewHub(n, memnet.Options{})
+	t.Cleanup(com.Close)
 	var first thetacrypt.Service
-	for i := 0; i < n; i++ {
-		engine := orchestration.New(orchestration.Config{
-			Keys: nodes[i],
-			Net:  hub.Endpoint(i + 1),
-		})
-		srv := httptest.NewServer(service.NewFront(committee.Unit{Store: nodes[i], Engine: engine}))
-		if i == 0 {
+	for i := 1; i <= com.N(); i++ {
+		srv := httptest.NewServer(service.NewFront(com.UnitAt(i)))
+		if i == 1 {
 			first = client.New(srv.URL)
 		}
 		t.Cleanup(srv.Close)
-		t.Cleanup(engine.Stop)
 	}
-	t.Cleanup(hub.Close)
 	return first
 }
 
@@ -74,7 +66,10 @@ func embeddedService(t *testing.T) thetacrypt.Service {
 // nodeDeployment stands up a real 4-node tcpnet deployment on loopback
 // (dynamic ports, peers wired after construction) and returns all
 // nodes; node 1 serves as the standalone-Node Service implementation.
-func nodeDeployment(t *testing.T) []*thetacrypt.Node {
+// Every node gets a fresh identity; plant, when set, may swap keys in
+// ids (node i+1's at ids[i]) before the nodes start — a test plants an
+// impostor with a key that does not match the roster.
+func nodeDeployment(t *testing.T, plant func(ids []*identity.Key)) []*thetacrypt.Node {
 	t.Helper()
 	const tt, n = 1, 4
 	stores, err := keys.Deal(rand.Reader, tt, n, keys.Options{
@@ -83,11 +78,20 @@ func nodeDeployment(t *testing.T) []*thetacrypt.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids, roster, err := identity.GenerateMesh(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plant != nil {
+		plant(ids)
+	}
 	nodes := make([]*thetacrypt.Node, n)
 	for i := 0; i < n; i++ {
 		node, err := thetacrypt.NewNode(thetacrypt.NodeConfig{
 			Keys:       stores[i],
 			ListenAddr: "127.0.0.1:0",
+			Identity:   ids[i],
+			Roster:     roster,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +382,7 @@ func TestServiceConformanceRemote(t *testing.T) {
 }
 
 func TestServiceConformanceNodeTCP(t *testing.T) {
-	exercise(t, nodeDeployment(t)[0])
+	exercise(t, nodeDeployment(t, nil)[0])
 }
 
 // TestRouterInfoMergesCommittees checks the router's fleet view against
@@ -592,7 +596,7 @@ func TestRouterFrostSigning(t *testing.T) {
 func TestKeyListsAgreeAcrossImplementations(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	nodes := nodeDeployment(t)
+	nodes := nodeDeployment(t, nil)
 
 	srv := httptest.NewServer(nodes[0].Handler())
 	t.Cleanup(srv.Close)

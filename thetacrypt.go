@@ -8,6 +8,10 @@
 //   - Node: one member of a real deployment over TCP, exposing the
 //     HTTP service layer (used by cmd/thetacrypt).
 //
+// Every node holds a transport identity, and each DKG and reshare
+// sub-share is sealed to its recipient's. A Node's links are mutually
+// authenticated TLS 1.3 pinned to the roster.
+//
 // Low-level scheme access (the paper's scheme API) is available through
 // the re-exported key material: sg02/bz03 ciphertexts can be created
 // with Cluster.Encrypt, signatures verified with the scheme packages.
@@ -116,10 +120,10 @@ const (
 )
 
 // ClusterOptions configures an embedded cluster. Its nodes run the
-// same engine and transport defaults as a standalone Node. A Cluster is
-// for demos and tests: its SH00 key (dealt unless Schemes leaves SH00
-// out) is built on the repository's public test primes, so anyone can
-// forge its signatures.
+// same engine and transport defaults as a standalone Node, each with a
+// fresh identity. A Cluster is for demos and tests: its SH00 key
+// (dealt unless Schemes leaves SH00 out) is built on the repository's
+// public test primes, so anyone can forge its signatures.
 type ClusterOptions struct {
 	// Schemes to deal keys for; empty means all six.
 	Schemes []SchemeID
@@ -129,12 +133,6 @@ type ClusterOptions struct {
 	KeyID string
 	// Latency is the simulated one-way network delay between nodes.
 	Latency time.Duration
-	// Secure switches the cluster to the authenticated mesh: each node
-	// gets a fresh transport identity, the simulated hub enforces the
-	// shared roster (mirroring tcpnet's handshake semantics), and
-	// DKG/reshare sub-share boxes are sealed to each recipient's
-	// identity key instead of carrying bare sub-shares.
-	Secure bool
 }
 
 // Cluster is an embedded in-process Θ-network of n nodes: one
@@ -152,7 +150,6 @@ func NewCluster(t, n int, opts ClusterOptions) (*Cluster, error) {
 		Schemes: opts.Schemes,
 		KeyID:   opts.KeyID,
 		Latency: opts.Latency,
-		Secure:  opts.Secure,
 	})
 	if err != nil {
 		return nil, err
@@ -264,14 +261,14 @@ func ServiceHandler(svc api.Service) http.Handler {
 	return service.NewFront(svc)
 }
 
-// Secure-mesh identity material (see internal/identity).
+// Mesh identity material (see internal/identity).
 type (
 	// IdentityKey is one node's private transport identity: the Ed25519
 	// key that authenticates its links and the X25519 key DKG sub-share
 	// boxes are sealed to.
 	IdentityKey = identity.Key
 	// IdentityRoster maps node index → public identity; it is the
-	// membership authority every secure node enforces.
+	// membership authority every node enforces.
 	IdentityRoster = identity.Roster
 )
 
@@ -302,16 +299,14 @@ type NodeConfig struct {
 	// Peers maps node index to P2P address for all other nodes.
 	Peers map[int]string
 	// Identity is this node's private transport identity (from
-	// cmd/thetakeygen's node<i>.id file or identity.Generate). Set
-	// together with Roster it switches the node to secure mode: every
-	// P2P link runs mutually authenticated TLS 1.3 pinned to the
-	// roster, unrostered peers are rejected before any protocol byte
-	// flows, and DKG/reshare sub-share boxes are sealed. All nodes of a
-	// deployment must agree on the mode — it changes both the link and
-	// the dealing box encoding.
+	// cmd/thetakeygen's node<i>.id file or identity.Generate); it is
+	// required. Every P2P link runs mutually authenticated TLS 1.3
+	// pinned to the roster, unrostered peers are rejected before any
+	// protocol byte flows, and DKG/reshare sub-share boxes are sealed
+	// to each recipient's identity.
 	Identity *IdentityKey
 	// Roster maps node index → public identity for every deployment
-	// member, this node included. Required in secure mode.
+	// member, this node included; it is required.
 	Roster IdentityRoster
 }
 
@@ -323,30 +318,28 @@ type Node struct {
 	handler   http.Handler
 }
 
-// NewNode starts the network transport and orchestration engine.
+// NewNode starts the network transport and orchestration engine. It
+// refuses a config without Identity and Roster before it writes the
+// keystore.
 func NewNode(cfg NodeConfig) (*Node, error) {
+	if cfg.Identity == nil || len(cfg.Roster) == 0 {
+		return nil, fmt.Errorf("thetacrypt: a node needs its Identity and the Roster")
+	}
+	if cfg.Identity.Node != cfg.Keys.Index {
+		return nil, fmt.Errorf("thetacrypt: identity is for node %d but keystore is node %d",
+			cfg.Identity.Node, cfg.Keys.Index)
+	}
 	if cfg.KeyFile != "" {
 		cfg.Keys.SetPersistPath(cfg.KeyFile)
 		if err := cfg.Keys.Save(); err != nil {
 			return nil, fmt.Errorf("thetacrypt: persist keystore: %w", err)
 		}
 	}
-	var secure *securelink.Config
-	if cfg.Identity != nil || len(cfg.Roster) > 0 {
-		if cfg.Identity == nil || len(cfg.Roster) == 0 {
-			return nil, fmt.Errorf("thetacrypt: secure mode needs both Identity and Roster")
-		}
-		if cfg.Identity.Node != cfg.Keys.Index {
-			return nil, fmt.Errorf("thetacrypt: identity is for node %d but keystore is node %d",
-				cfg.Identity.Node, cfg.Keys.Index)
-		}
-		secure = &securelink.Config{Key: cfg.Identity, Roster: cfg.Roster}
-	}
 	transport, err := tcpnet.New(tcpnet.Config{
 		Self:       cfg.Keys.Index,
 		ListenAddr: cfg.ListenAddr,
 		Peers:      cfg.Peers,
-		Secure:     secure,
+		Secure:     &securelink.Config{Key: cfg.Identity, Roster: cfg.Roster},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("thetacrypt: transport: %w", err)
