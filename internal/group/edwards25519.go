@@ -174,13 +174,24 @@ func (p *ed25519Point) Marshal() []byte {
 	return out[:]
 }
 
+// msmStackTerms is the largest multi-scalar multiplication whose
+// scratch space (about 1.5 kB per term) lives on the stack.
+const msmStackTerms = 8
+
 // multiScalarMul is the edwards25519 fast path of MultiScalarMul: Straus's
 // method over width-5 NAFs, so k terms share one doubling chain and each
 // costs a table of eight odd multiples plus about one addition per six
-// scalar bits. Variable-time — callers pass public scalars only.
+// scalar bits. Variable-time — callers pass public scalars only. Up to
+// msmStackTerms terms (a FROST commitment sum or Schnorr check, a DLEQ
+// relation) keep their NAFs and tables on the stack.
 func (ed25519Group) multiScalarMul(points []Point, scalars []*big.Int) Point {
-	nafs := make([][256]int8, len(points))
-	tables := make([]nafLookupTable5, len(points))
+	var nafBuf [msmStackTerms][256]int8
+	var tableBuf [msmStackTerms]nafLookupTable5
+	nafs, tables := nafBuf[:], tableBuf[:]
+	if len(points) > msmStackTerms {
+		nafs, tables = make([][256]int8, len(points)), make([]nafLookupTable5, len(points))
+	}
+	nafs, tables = nafs[:len(points)], tables[:len(points)]
 	for i, p := range points {
 		s := ed25519Scalar(scalars[i])
 		nafs[i] = nonAdjacentForm5(&s)

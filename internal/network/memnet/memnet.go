@@ -34,11 +34,6 @@ import (
 // destination; the in-process stand-in for tcpnet's dial backoff.
 const crashPoll = time.Millisecond
 
-// inboxLen is the inbound queue length per node. A deep queue models
-// kernel socket buffers, so a node driven beyond its service rate
-// queues instead of stalling its senders.
-const inboxLen = 4096
-
 // Options configures a Hub.
 type Options struct {
 	// Latency is the one-way delay of every link; zero means none.
@@ -93,7 +88,7 @@ func NewHub(n int, opts Options) *Hub {
 		ResendTimeout: opts.ResendTimeout,
 	}
 	for i := 1; i <= n; i++ {
-		e := &endpoint{hub: h, inbox: make(chan network.Envelope, inboxLen)}
+		e := &endpoint{hub: h, inbox: make(chan network.Envelope, network.InboundQueueLen)}
 		cfg.Self = i
 		e.links = link.New(cfg, func(env network.Envelope) network.Envelope { return env }, e.deliver)
 		for to := 1; to <= n; to++ {

@@ -36,6 +36,19 @@ const (
 // Broadcast is the To value addressing all peers.
 const Broadcast = 0
 
+// InboundQueueLen is the capacity of a transport's Receive channel, in
+// both tcpnet and memnet. The engine's pump hands each delivered
+// envelope straight on to the engine's own event queue (4096 events by
+// default), so these slots are only burst slack in front of that queue;
+// a consumer that falls behind blocks the transport's delivery, which
+// leaves the frames unacknowledged on the sender's side (relink.Window)
+// rather than lost. Every slot is an envelope allocated when the
+// transport starts, for each node of a process, so a deeper queue costs
+// resident memory and buys nothing the event queue does not. Much
+// shallower queues were measured to slow the key-lifecycle benchmark:
+// with a smaller live heap the collector runs more often.
+const InboundQueueLen = 1024
+
 // Envelope is the unit of internode communication.
 type Envelope struct {
 	From     int

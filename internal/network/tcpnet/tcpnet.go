@@ -30,15 +30,6 @@ import (
 // maxFrame bounds a single wire frame (16 MiB).
 const maxFrame = 16 << 20
 
-// inboundQueueLen is the capacity of the channel delivered frames wait
-// in until the consumer (the engine's pump) takes them. The pump hands
-// each one straight on to the engine's own event queue, so this is
-// only burst slack in front of that queue, and every slot is an
-// envelope allocated up front. Much smaller buffers were measured to
-// slow the key-lifecycle benchmark: with a smaller live heap the
-// collector runs more often.
-const inboundQueueLen = 1024
-
 // writeTimeout bounds one frame write on an established connection. A
 // peer that accepts the connection but stops reading trips it,
 // dropping the link into redial instead of wedging the writer forever.
@@ -138,7 +129,7 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:        cfg,
 		ln:         ln,
-		in:         make(chan network.Envelope, inboundQueueLen),
+		in:         make(chan network.Envelope, network.InboundQueueLen),
 		peers:      make(map[int]*peer),
 		stop:       make(chan struct{}),
 		dialCtx:    dialCtx,

@@ -560,20 +560,43 @@ func TestKeygenThroughEngines(t *testing.T) {
 // one a keygen fails when its instance is created, naming the missing
 // key, instead of waiting out its retention.
 func TestKeygenWithoutIdentityFailsAtOnce(t *testing.T) {
+	gen := protocols.Request{Scheme: schemes.KG20, KeyID: "no-identity", Op: protocols.OpKeyGen}
+	if err := submitWithoutIdentity(t, gen); err == nil || !strings.Contains(err.Error(), "no identity key") {
+		t.Fatalf("keygen without an identity = %v, want a prompt failure naming the identity key", err)
+	}
+}
+
+// TestReshareWithoutIdentityFailsAtOnce: a reshare runs the same sealed
+// dealing, so it is refused for the same reason and names it, not as a
+// reshare the scheme or the spec cannot run.
+func TestReshareWithoutIdentityFailsAtOnce(t *testing.T) {
+	spec := protocols.ReshareSpec{NewT: 1, Members: []int{1, 2, 3, 4}}
+	reshare := protocols.Request{Scheme: schemes.KG20, Op: protocols.OpReshare,
+		Payload: spec.Marshal(), Epoch: keys.FirstEpoch}
+	err := submitWithoutIdentity(t, reshare)
+	if err == nil || !strings.Contains(err.Error(), "no identity key") {
+		t.Fatalf("reshare without an identity = %v, want a prompt failure naming the identity key", err)
+	}
+	if errors.Is(err, protocols.ErrReshareUnsupported) {
+		t.Fatalf("reshare without an identity = %v, reported as unsupported", err)
+	}
+}
+
+// submitWithoutIdentity runs req on node 1 of a four-node cluster whose
+// engines have no identity key and returns its error, giving it one
+// second.
+func submitWithoutIdentity(t *testing.T, req protocols.Request) error {
 	c := newCluster(t, 1, 4, memnet.Options{}, func(cfg *Config) { cfg.Identity, cfg.Roster = nil, nil })
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	gen := protocols.Request{Scheme: schemes.KG20, KeyID: "no-identity", Op: protocols.OpKeyGen}
-	f, err := c.engines[0].Submit(ctx, gen)
+	f, err := c.engines[0].Submit(ctx, req)
 	if err == nil {
 		var res Result
 		if res, err = f.Wait(ctx); err == nil {
 			err = res.Err
 		}
 	}
-	if err == nil || !strings.Contains(err.Error(), "no identity key") {
-		t.Fatalf("keygen without an identity = %v, want a prompt failure naming the identity key", err)
-	}
+	return err
 }
 
 // TestStartForMissingKeyEventuallyFails pins the other side of the

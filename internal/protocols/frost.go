@@ -14,16 +14,22 @@ import (
 // indices), round 2 exchanges signature shares. Every instance draws
 // its own nonce pair in round 1 and signs with it at most once.
 //
+// The commitment that completes the set builds the instance's one
+// frost.Session: the binding factors, the group commitment R (one
+// variable-time multi-scalar multiplication over public values), the
+// challenge and the Lagrange coefficients are derived there once, and
+// signing, the combine and the fallback share checks all read them.
+//
 // A signer signs inside the Update that completes its commitment set
 // and sends the share at the next DoRound. Round 2 is a lazy share
 // quorum over the signer group: peer shares are stored after the
 // structural checks alone (decoding, index equal to the sender,
 // membership in the signer group, z in [0, q)), and the update that
 // completes the set combines them and runs the one Schnorr verification
-// frost.Combine ends in (the FROST aggregator flow). Only if that fails
-// are the peer shares verified one by one: each bad one is dropped and
-// rejected with ErrShareRejected naming its signer, whose later shares
-// are ignored.
+// Session.Combine ends in (the FROST aggregator flow). Only if that
+// fails are the peer shares verified one by one: each bad one is
+// dropped and rejected with ErrShareRejected naming its signer, whose
+// later shares are ignored.
 //
 // FROST is not robust: the protocol waits for the contributions of all
 // signers in the group, so a rejected signer leaves the instance
@@ -42,6 +48,7 @@ type frostProtocol struct {
 	signed      bool // the own share is computed (the nonce is spent)
 	sent        bool // the own share went out
 	commitments map[int]*frost.NonceCommitment
+	session     *frost.Session                 // built when the commitment set completes
 	pending     map[int][]byte                 // share payloads awaiting the commitment set
 	round2      *quorum[*frost.SignatureShare] // the signature shares
 	finalized   bool
@@ -76,11 +83,9 @@ func newFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte
 			return ss, nil
 		},
 		index: func(ss *frost.SignatureShare) int { return ss.Index },
-		check: func(ss *frost.SignatureShare) error {
-			return frost.VerifyShare(pk, msg, p.commitmentList(), ss)
-		},
+		check: func(ss *frost.SignatureShare) error { return p.session.VerifyShare(ss) },
 		combine: func(shares []*frost.SignatureShare) ([]byte, error) {
-			sig, err := frost.Combine(pk, msg, p.commitmentList(), shares)
+			sig, err := p.session.Combine(shares)
 			if err != nil {
 				return nil, err
 			}
@@ -90,21 +95,27 @@ func newFrost(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []byte
 	return p
 }
 
-func (p *frostProtocol) commitmentSetComplete() bool {
+// addCommitment stores a signer's commitment; the one that completes
+// the set builds the signing session.
+func (p *frostProtocol) addCommitment(comm *frost.NonceCommitment) error {
+	p.commitments[comm.Index] = comm
+	if p.session != nil {
+		return nil
+	}
+	list := make([]*frost.NonceCommitment, 0, len(p.signers))
 	for _, idx := range p.signers {
-		if _, ok := p.commitments[idx]; !ok {
-			return false
+		c, ok := p.commitments[idx]
+		if !ok {
+			return nil
 		}
+		list = append(list, c)
 	}
-	return true
-}
-
-func (p *frostProtocol) commitmentList() []*frost.NonceCommitment {
-	out := make([]*frost.NonceCommitment, 0, len(p.signers))
-	for _, idx := range p.signers {
-		out = append(out, p.commitments[idx])
+	s, err := frost.NewSession(p.pk, p.msg, list)
+	if err != nil {
+		return fmt.Errorf("frost session: %w", err)
 	}
-	return out
+	p.session = s
+	return nil
 }
 
 func (p *frostProtocol) DoRound() (*RoundOutput, error) {
@@ -142,7 +153,9 @@ func (p *frostProtocol) commit() (*RoundOutput, error) {
 		return nil, fmt.Errorf("frost round 1: %w", err)
 	}
 	p.nonce = nonce
-	p.commitments[comm.Index] = comm
+	if err := p.addCommitment(comm); err != nil {
+		return nil, err
+	}
 	return &RoundOutput{Round: 1, Payload: comm.Marshal()}, nil
 }
 
@@ -150,11 +163,11 @@ func (p *frostProtocol) commit() (*RoundOutput, error) {
 // commitment set are known; the next DoRound sends it. It signs at most
 // once per instance.
 func (p *frostProtocol) sign() error {
-	if !p.inGroup || p.signed || p.nonce == nil || !p.commitmentSetComplete() {
+	if !p.inGroup || p.signed || p.nonce == nil || p.session == nil {
 		return nil
 	}
 	p.signed = true
-	ss, err := frost.Sign(p.pk, p.ks, p.nonce, p.msg, p.commitmentList())
+	ss, err := p.session.Sign(p.ks, p.nonce)
 	if err != nil {
 		return fmt.Errorf("frost signing: %w", err)
 	}
@@ -194,13 +207,15 @@ func (p *frostProtocol) updateCommitment(msg ProtocolMessage) error {
 	if _, dup := p.commitments[comm.Index]; dup {
 		return nil // idempotent redelivery
 	}
-	p.commitments[comm.Index] = comm
+	if err := p.addCommitment(comm); err != nil {
+		return err
+	}
 	return p.sign()
 }
 
 // updateShare handles a round-2 signature share.
 func (p *frostProtocol) updateShare(msg ProtocolMessage) error {
-	if !p.commitmentSetComplete() {
+	if p.session == nil {
 		// Shares can arrive before the last commitment on slow links;
 		// they are checked once the set is complete.
 		p.pending[msg.Sender] = msg.Payload
@@ -212,7 +227,7 @@ func (p *frostProtocol) updateShare(msg ProtocolMessage) error {
 // drainPending takes in the parked share messages once the commitment
 // set is complete and returns their rejections, each naming its sender.
 func (p *frostProtocol) drainPending() error {
-	if !p.commitmentSetComplete() {
+	if p.session == nil {
 		return nil
 	}
 	var rejections []error
@@ -234,7 +249,7 @@ func (p *frostProtocol) IsReadyForNextRound() bool {
 		return true
 	default:
 		// The own commitment completed the set: sign in DoRound.
-		return !p.signed && p.nonce != nil && p.commitmentSetComplete()
+		return !p.signed && p.nonce != nil && p.session != nil
 	}
 }
 

@@ -178,7 +178,9 @@ func newReshare(rand io.Reader, store *keys.Keystore, k *keys.Key, req Request, 
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrReshareUnsupported, err)
+		// The node's own configuration (no identity key, a partial
+		// roster) refuses it, as it refuses a keygen.
+		return nil, err
 	}
 	return p, nil
 }

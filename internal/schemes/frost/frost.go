@@ -5,9 +5,21 @@
 // the second round; the service always runs both. FROST is not robust:
 // a misbehaving signer causes the protocol to abort (and to identify
 // the culprit), matching the paper's description.
+//
+// A Session derives everything that depends only on the message and the
+// complete commitment set once per signing: the binding factors from
+// one encoding of the set, the group commitment R by one
+// group.MultiScalarMul, the challenge and the Lagrange coefficients.
+// Sign, VerifyShare and Combine read it; the package-level functions of
+// the same names run them on a fresh session. The multi-scalar
+// multiplication is variable-time, which is sound because it only ever
+// sees public values (commitments, binding factors, the challenge, z
+// and the verification keys); nonces and key shares go only through
+// Group.BaseMul and scalar arithmetic.
 package frost
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -42,10 +54,22 @@ type Nonce struct {
 }
 
 // NonceCommitment is the public commitment (D, E) = (d*G, e*G) broadcast
-// in round 1.
+// in round 1. A decoded commitment keeps the bytes it was decoded from,
+// which are its one encoding, so the binding factors hash them without
+// encoding the points again; its fields are not to be changed.
 type NonceCommitment struct {
 	Index int
 	D, E  group.Point
+
+	raw []byte // the decoded bytes; nil when not decoded
+}
+
+// encoding returns Marshal's output, from the decoded bytes if any.
+func (nc *NonceCommitment) encoding() []byte {
+	if nc.raw != nil {
+		return nc.raw
+	}
+	return nc.Marshal()
 }
 
 // GenerateNonce produces a fresh nonce pair and its commitment (FROST
@@ -94,26 +118,68 @@ func sortedCommitments(pk *PublicKey, comms []*NonceCommitment) ([]*NonceCommitm
 	return out, nil
 }
 
-// bindingValue computes ρ_j = H1(j, m, B) binding each signer's nonce to
-// the message and the full commitment list.
-func bindingValue(pk *PublicKey, j int, msg []byte, comms []*NonceCommitment) *big.Int {
-	data := make([][]byte, 0, 2+2*len(comms))
-	idx := wire.NewWriter().Int(j).Out()
-	data = append(data, idx, msg)
-	for _, c := range comms {
-		data = append(data, wire.NewWriter().Int(c.Index).Bytes(c.D.Marshal()).Bytes(c.E.Marshal()).Out())
-	}
-	return pk.Group.HashToScalar("frost/rho", data...)
+// Session is one signing session: what every signer, share checker
+// and aggregator derives from the message and the complete commitment
+// set B, computed once when the set is known. It holds the sorted
+// commitments, every binding value ρ_i = H1(i, m, B) hashed from one
+// encoding of B, the group commitment R = Σ D_i + ρ_i*E_i, the
+// challenge c = H2(R, Y, m) and the Lagrange coefficient of every
+// signer. A session belongs to one signer set: another set is another
+// session.
+type Session struct {
+	pk     *PublicKey
+	comms  []*NonceCommitment // ascending by index
+	rho    []*big.Int         // ρ of comms[k]
+	lambda map[int]*big.Int   // λ by signer index, over the signer set
+	r      group.Point
+	c      *big.Int
 }
 
-// groupCommitment computes R = Π D_j + ρ_j*E_j.
-func groupCommitment(pk *PublicKey, msg []byte, comms []*NonceCommitment) group.Point {
-	acc := pk.Group.Identity()
-	for _, c := range comms {
-		rho := bindingValue(pk, c.Index, msg, comms)
-		acc = acc.Add(c.D).Add(c.E.Mul(rho))
+// NewSession validates the commitment set comms and derives the
+// session's values for signing msg.
+func NewSession(pk *PublicKey, msg []byte, comms []*NonceCommitment) (*Session, error) {
+	sorted, err := sortedCommitments(pk, comms)
+	if err != nil {
+		return nil, err
 	}
-	return acc
+	g, k := pk.Group, len(sorted)
+	s := &Session{pk: pk, comms: sorted, rho: make([]*big.Int, k)}
+	// ρ_j hashes (j, m, enc(B_1), ..., enc(B_k)): B is encoded once (a
+	// decoded commitment brings its bytes) and only the leading index
+	// differs between signers.
+	data := make([][]byte, 2+k)
+	data[1] = msg
+	for i, c := range sorted {
+		data[2+i] = c.encoding()
+	}
+	indices := make([]int, k)
+	points := make([]group.Point, 2*k)
+	scalars := make([]*big.Int, 2*k)
+	one := big.NewInt(1)
+	for i, c := range sorted {
+		data[0] = wire.NewWriter().Int(c.Index).Out()
+		s.rho[i] = g.HashToScalar("frost/rho", data...)
+		indices[i] = c.Index
+		points[2*i], scalars[2*i] = c.D, one
+		points[2*i+1], scalars[2*i+1] = c.E, s.rho[i]
+	}
+	s.r = group.MultiScalarMul(g, points, scalars)
+	s.c = challenge(pk, s.r, msg)
+	if s.lambda, err = share.Coefficients(indices, g.Order()); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// position returns the position of signer index in the session's
+// commitment list, or -1.
+func (s *Session) position(index int) int {
+	for i, c := range s.comms {
+		if c.Index == index {
+			return i
+		}
+	}
+	return -1
 }
 
 // challenge computes c = H2(R, Y, m).
@@ -121,90 +187,45 @@ func challenge(pk *PublicKey, r group.Point, msg []byte) *big.Int {
 	return pk.Group.HashToScalar("frost/challenge", r.Marshal(), pk.Y.Marshal(), msg)
 }
 
-// signerIndices returns the sorted index set of a commitment list.
-func signerIndices(comms []*NonceCommitment) []int {
-	out := make([]int, len(comms))
-	for i, c := range comms {
-		out[i] = c.Index
-	}
-	return out
-}
-
 // Sign is FROST round 2: signer i computes its signature share
-// z_i = d_i + e_i*ρ_i + λ_i*x_i*c for the signer set fixed by comms.
-func Sign(pk *PublicKey, ks KeyShare, nonce *Nonce, msg []byte, comms []*NonceCommitment) (*SignatureShare, error) {
-	sorted, err := sortedCommitments(pk, comms)
-	if err != nil {
-		return nil, err
-	}
-	var own *NonceCommitment
-	for _, c := range sorted {
-		if c.Index == ks.Index {
-			own = c
-			break
-		}
-	}
-	if own == nil {
+// z_i = d_i + e_i*ρ_i + λ_i*x_i*c.
+func (s *Session) Sign(ks KeyShare, nonce *Nonce) (*SignatureShare, error) {
+	i := s.position(ks.Index)
+	if i < 0 {
 		return nil, ErrNotInSignerSet
 	}
-	g := pk.Group
+	g, own := s.pk.Group, s.comms[i]
 	// The signer must only use a nonce matching its own broadcast
 	// commitment; mixing nonces leaks the key share.
 	if !g.BaseMul(nonce.D).Equal(own.D) || !g.BaseMul(nonce.E).Equal(own.E) {
 		return nil, fmt.Errorf("frost: nonce does not match own commitment")
 	}
-	rho := bindingValue(pk, ks.Index, msg, sorted)
-	r := groupCommitment(pk, msg, sorted)
-	c := challenge(pk, r, msg)
-	lambda, err := share.LagrangeCoefficient(ks.Index, signerIndices(sorted), g.Order())
-	if err != nil {
-		return nil, err
-	}
-	z := mathutil.AddMod(nonce.D, mathutil.MulMod(nonce.E, rho, g.Order()), g.Order())
-	z = mathutil.AddMod(z, mathutil.MulMod(mathutil.MulMod(lambda, ks.Value, g.Order()), c, g.Order()), g.Order())
+	ord := g.Order()
+	z := mathutil.AddMod(nonce.D, mathutil.MulMod(nonce.E, s.rho[i], ord), ord)
+	z = mathutil.AddMod(z, mathutil.MulMod(mathutil.MulMod(s.lambda[ks.Index], ks.Value, ord), s.c, ord), ord)
 	return &SignatureShare{Index: ks.Index, Z: z}, nil
 }
 
 // VerifyShare checks z_i*G == D_i + ρ_i*E_i + c*λ_i*Y_i, identifying
 // misbehaving signers (FROST aborts on failure rather than recovering).
-func VerifyShare(pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) error {
+func (s *Session) VerifyShare(ss *SignatureShare) error {
+	pk := s.pk
 	if ss == nil || ss.Z == nil || ss.Index < 1 || ss.Index > pk.N {
 		return ErrInvalidShare
 	}
 	if ss.Z.Sign() < 0 || ss.Z.Cmp(pk.Group.Order()) >= 0 {
 		return ErrInvalidShare
 	}
-	sorted, err := sortedCommitments(pk, comms)
-	if err != nil {
-		return err
-	}
-	var own *NonceCommitment
-	for _, c := range sorted {
-		if c.Index == ss.Index {
-			own = c
-			break
-		}
-	}
-	if own == nil {
+	i := s.position(ss.Index)
+	if i < 0 {
 		return ErrNotInSignerSet
 	}
-	g := pk.Group
-	rho := bindingValue(pk, ss.Index, msg, sorted)
-	r := groupCommitment(pk, msg, sorted)
-	c := challenge(pk, r, msg)
-	lambda, err := share.LagrangeCoefficient(ss.Index, signerIndices(sorted), g.Order())
-	if err != nil {
-		return err
-	}
-	ord := g.Order()
-	neg := func(v *big.Int) *big.Int {
-		out := new(big.Int).Sub(ord, new(big.Int).Mod(v, ord))
-		return out.Mod(out, ord)
-	}
-	// z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0
+	g, own := pk.Group, s.comms[i]
+	// z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0; MultiScalarMul reduces
+	// the negative scalars modulo the order.
 	rel := group.Relation{
 		Points:  []group.Point{g.Generator(), own.D, own.E, pk.VK[ss.Index-1]},
-		Scalars: []*big.Int{ss.Z, neg(big.NewInt(1)), neg(rho), neg(mathutil.MulMod(c, lambda, ord))},
+		Scalars: []*big.Int{ss.Z, big.NewInt(-1), new(big.Int).Neg(s.rho[i]), new(big.Int).Neg(mathutil.MulMod(s.c, s.lambda[ss.Index], g.Order()))},
 	}
 	if !rel.Holds(g) {
 		return ErrInvalidShare
@@ -215,40 +236,70 @@ func VerifyShare(pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *Signat
 // Combine aggregates the signature shares of the full signer set into a
 // Schnorr signature and verifies it. Every signer in the commitment set
 // must contribute: FROST waits for its a-priori fixed signing group.
-func Combine(pk *PublicKey, msg []byte, comms []*NonceCommitment, shares []*SignatureShare) (*Signature, error) {
-	sorted, err := sortedCommitments(pk, comms)
-	if err != nil {
-		return nil, err
-	}
+func (s *Session) Combine(shares []*SignatureShare) (*Signature, error) {
 	byIndex := make(map[int]*SignatureShare, len(shares))
 	for _, ss := range shares {
 		byIndex[ss.Index] = ss
 	}
-	g := pk.Group
+	g := s.pk.Group
 	z := new(big.Int)
-	for _, c := range sorted {
+	for _, c := range s.comms {
 		ss, ok := byIndex[c.Index]
 		if !ok {
 			return nil, fmt.Errorf("frost: missing share from signer %d: %w", c.Index, share.ErrNotEnoughShares)
 		}
 		z = mathutil.AddMod(z, ss.Z, g.Order())
 	}
-	sig := &Signature{R: groupCommitment(pk, msg, sorted), Z: z}
-	if err := Verify(pk, msg, sig); err != nil {
-		return nil, err
+	sig := &Signature{R: s.r, Z: z}
+	if !schnorrHolds(s.pk, sig, s.c) {
+		return nil, ErrInvalidSignature
 	}
 	return sig, nil
+}
+
+// schnorrHolds checks the Schnorr relation z*G − R − c*Y == 0.
+func schnorrHolds(pk *PublicKey, sig *Signature, c *big.Int) bool {
+	g := pk.Group
+	return group.Relation{
+		Points:  []group.Point{g.Generator(), sig.R, pk.Y},
+		Scalars: []*big.Int{sig.Z, big.NewInt(-1), new(big.Int).Neg(c)},
+	}.Holds(g)
+}
+
+// Sign computes signer ks's share for the signer set fixed by comms:
+// Session.Sign on a fresh session.
+func Sign(pk *PublicKey, ks KeyShare, nonce *Nonce, msg []byte, comms []*NonceCommitment) (*SignatureShare, error) {
+	s, err := NewSession(pk, msg, comms)
+	if err != nil {
+		return nil, err
+	}
+	return s.Sign(ks, nonce)
+}
+
+// VerifyShare checks one signature share: Session.VerifyShare on a
+// fresh session.
+func VerifyShare(pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) error {
+	s, err := NewSession(pk, msg, comms)
+	if err != nil {
+		return err
+	}
+	return s.VerifyShare(ss)
+}
+
+// Combine aggregates and verifies a signature: Session.Combine on a
+// fresh session.
+func Combine(pk *PublicKey, msg []byte, comms []*NonceCommitment, shares []*SignatureShare) (*Signature, error) {
+	s, err := NewSession(pk, msg, comms)
+	if err != nil {
+		return nil, err
+	}
+	return s.Combine(shares)
 }
 
 // Verify checks the combined signature as a plain Schnorr signature; the
 // output is indistinguishable from a single-signer Schnorr signature.
 func Verify(pk *PublicKey, msg []byte, sig *Signature) error {
-	if sig == nil || sig.R == nil || sig.Z == nil {
-		return ErrInvalidSignature
-	}
-	g := pk.Group
-	c := challenge(pk, sig.R, msg)
-	if !g.BaseMul(sig.Z).Equal(sig.R.Add(pk.Y.Mul(c))) {
+	if sig == nil || sig.R == nil || sig.Z == nil || !schnorrHolds(pk, sig, challenge(pk, sig.R, msg)) {
 		return ErrInvalidSignature
 	}
 	return nil
@@ -278,7 +329,7 @@ func UnmarshalNonceCommitment(g group.Group, data []byte) (*NonceCommitment, err
 	if err != nil {
 		return nil, fmt.Errorf("frost commitment E: %w", err)
 	}
-	return &NonceCommitment{Index: idx, D: d, E: e}, nil
+	return &NonceCommitment{Index: idx, D: d, E: e, raw: bytes.Clone(data)}, nil
 }
 
 // Marshal encodes a signature share.
