@@ -59,8 +59,9 @@ type Envelope struct {
 	// Gen is the run generation of the instance: a re-submission after a
 	// retention eviction announces a higher generation so peers that
 	// still retain the previous run join the fresh one deliberately
-	// instead of treating the announcement as a duplicate. Zero means
-	// generation 1 (unversioned sender).
+	// instead of treating the announcement as a duplicate. Every start
+	// and protocol envelope carries a generation ≥ 1; the engine drops
+	// one with Gen < 1 as malformed.
 	Gen     int
 	Payload []byte
 

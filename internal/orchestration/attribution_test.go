@@ -111,7 +111,7 @@ func TestBLS04CorruptShareAttributed(t *testing.T) {
 	// each node's own share, so the bad share completes the first quorum.
 	for copies := 0; copies < 2; copies++ {
 		if err := hub.Endpoint(4).Broadcast(context.Background(), network.Envelope{
-			Instance: req.InstanceID(), Kind: network.KindProto, Round: 1, Payload: ss.Marshal(),
+			Instance: req.InstanceID(), Kind: network.KindProto, Round: 1, Gen: 1, Payload: ss.Marshal(),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestKG20CorruptShareAttributed(t *testing.T) {
 		payload []byte
 	}{{1, comm2.Marshal()}, {2, ss.Marshal()}} {
 		if err := adversary.Broadcast(context.Background(), network.Envelope{
-			Instance: req.InstanceID(), Kind: network.KindProto, Round: m.round, Payload: m.payload,
+			Instance: req.InstanceID(), Kind: network.KindProto, Round: m.round, Gen: 1, Payload: m.payload,
 		}); err != nil {
 			t.Fatal(err)
 		}

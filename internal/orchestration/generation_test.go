@@ -99,58 +99,79 @@ func TestResubmitAfterCapEvictionJoinsPeersFreshRun(t *testing.T) {
 }
 
 // TestGenerationMemorySurvivesTombstoneEviction is the regression test
-// for the double-eviction stall: generation info used to live only in
-// the tombstone, so once churn pushed an id's tombstone out of its
-// bounded FIFO, a re-submission restarted at generation 1 — which peers
-// still retaining generation N ignore, stalling the run until liveTTL.
-// The gens backstop must keep answering with the next generation after
-// the tombstone itself is gone.
+// for the double-eviction stall: an id that restarts at generation 1
+// after its generation N was evicted is ignored by peers still
+// retaining N, stalling the run until liveTTL. So a cleared or
+// re-tombstoned id keeps its highest generation, and so does a
+// tombstone that fillers follow, as long as the FIFO keeps its record;
+// a re-tombstone is a new eviction, so it lasts 16 × RetainMax further
+// evictions however old the id's first one is.
 func TestGenerationMemorySurvivesTombstoneEviction(t *testing.T) {
 	c := newCluster(t, 1, 3, memnet.Options{}, func(cfg *Config) {
-		cfg.RetainMax = 1 // tombstoneMax = 4: a handful of fillers evicts any tombstone
+		cfg.RetainMax = 1 // 16 records
 	})
 	e := c.engines[0]
 
 	e.mu.Lock()
-	e.tombstoneLocked("doomed", 2)
+	m := &e.evictedIDs
+	m.tombstone("doomed", 2)
 	for i := 0; i < 8; i++ {
-		e.tombstoneLocked(fmt.Sprintf("filler-%d", i), 1)
+		m.tombstone(fmt.Sprintf("filler-%d", i), 1)
 	}
-	_, tombed := e.tombstones["doomed"]
-	got := e.nextGenLocked("doomed")
+	afterFillers := m.nextGen("doomed")
+	m.clear("doomed")
+	cleared, clearedTomb := m.nextGen("doomed"), m.tombstoned("doomed")
+	m.tombstone("doomed", 1) // a lower generation does not lower the record
+	retombed, retombedTomb := m.nextGen("doomed"), m.tombstoned("doomed")
+	for i := 8; i < 23; i++ {
+		m.tombstone(fmt.Sprintf("filler-%d", i), 1)
+	}
+	lasted, lastedTomb := m.nextGen("doomed"), m.tombstoned("doomed")
+	m.tombstone("filler-23", 1)
+	forgotten := m.nextGen("doomed")
 	e.mu.Unlock()
 
-	if tombed {
-		t.Fatal("filler flood did not evict the tombstone; the test no longer exercises the double eviction")
+	if afterFillers != 3 {
+		t.Fatalf("nextGen after fillers = %d, want 3", afterFillers)
 	}
-	if got != 3 {
-		t.Fatalf("nextGen after tombstone eviction = %d, want 3", got)
+	if cleared != 3 || clearedTomb {
+		t.Fatalf("cleared: nextGen %d tombstoned %v, want 3 and false", cleared, clearedTomb)
+	}
+	if retombed != 3 || !retombedTomb {
+		t.Fatalf("re-tombstoned: nextGen %d tombstoned %v, want 3 and true", retombed, retombedTomb)
+	}
+	if lasted != 3 || !lastedTomb {
+		t.Fatalf("15 evictions after the re-tombstone: nextGen %d tombstoned %v, want 3 and true", lasted, lastedTomb)
+	}
+	if forgotten != 1 {
+		t.Fatalf("16 evictions after the re-tombstone: nextGen %d, want 1", forgotten)
 	}
 }
 
-// TestGenerationMemoryBounded pins the backstop's own bounds: it may
+// TestGenerationMemoryBounded pins the memory's own bounds: it may
 // forget the oldest ids under FIFO pressure, but never grows past
-// genMax, and updating a remembered id keeps the highest generation
-// without duplicating its entry.
+// 16 × RetainMax records, and updating a remembered id keeps the highest
+// generation without duplicating its entry.
 func TestGenerationMemoryBounded(t *testing.T) {
 	c := newCluster(t, 1, 3, memnet.Options{}, func(cfg *Config) {
-		cfg.RetainMax = 1 // genMax = 16
+		cfg.RetainMax = 1 // 16 records
 	})
 	e := c.engines[0]
 
 	e.mu.Lock()
+	m := &e.evictedIDs
 	for i := 0; i < 100; i++ {
-		e.tombstoneLocked(fmt.Sprintf("id-%d", i), i+1)
+		m.tombstone(fmt.Sprintf("id-%d", i), i+1)
 	}
-	size, capacity := len(e.gens), e.genMax
-	e.tombstoneLocked("id-99", 200)
-	e.tombstoneLocked("id-99", 150) // lower generation must not regress the memory
-	next := e.nextGenLocked("id-99")
-	sizeAfter := len(e.gens)
+	size := len(m.recs)
+	m.tombstone("id-99", 200)
+	m.tombstone("id-99", 150) // lower generation must not regress the memory
+	next := m.nextGen("id-99")
+	sizeAfter := len(m.recs)
 	e.mu.Unlock()
 
-	if size > capacity {
-		t.Fatalf("gen memory grew to %d entries, cap is %d", size, capacity)
+	if size > 16 {
+		t.Fatalf("gen memory grew to %d entries, cap is 16", size)
 	}
 	if sizeAfter != size {
 		t.Fatalf("re-recording a remembered id changed the entry count: %d -> %d", size, sizeAfter)
@@ -181,7 +202,7 @@ func TestStaleShareKeepsTombstone(t *testing.T) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		_, inst = e.instances[id]
-		_, tomb = e.tombstones[id]
+		tomb = e.evictedIDs.tombstoned(id)
 		return inst, tomb
 	}
 	waitUntil(t, 10*time.Second, func() bool {
@@ -225,4 +246,35 @@ func TestStaleShareKeepsTombstone(t *testing.T) {
 	inject(idA, 2)
 	waitUntil(t, 5*time.Second, func() bool { inst, tomb := tracked(idA); return inst && !tomb },
 		"a share of a newer run did not supersede the tombstone")
+}
+
+// TestUnversionedShareIgnored: every engine stamps generation ≥ 1 on its
+// envelopes, so a share with Gen 0 is malformed. It neither parks nor,
+// once the run starts, counts as a rejected share.
+func TestUnversionedShareIgnored(t *testing.T) {
+	c := newCluster(t, 1, 4, memnet.Options{})
+	e := c.engines[0]
+	req := coinReq("unversioned")
+	// Events are handled in order, so once the barrier's placeholder
+	// exists the share injected before it has been handled.
+	e.events <- event{env: &network.Envelope{
+		From: 4, Instance: req.InstanceID(), Kind: network.KindProto, Round: 1, Payload: []byte("not a share"),
+	}}
+	e.events <- event{env: &network.Envelope{
+		From: 4, Instance: "barrier", Kind: network.KindProto, Round: 1, Gen: 1, Payload: []byte{1},
+	}}
+	tracked := func(id string) bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, ok := e.instances[id]
+		return ok
+	}
+	waitUntil(t, 5*time.Second, func() bool { return tracked("barrier") }, "barrier share never handled")
+	if tracked(req.InstanceID()) {
+		t.Fatal("a Gen 0 share parked on a placeholder")
+	}
+	waitAll(t, c.submitAll(t, req))
+	if st := e.Stats(); st.RejectedShares != 0 {
+		t.Fatalf("stats after the run: %+v, want no rejected share", st)
+	}
 }

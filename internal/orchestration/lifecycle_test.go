@@ -78,7 +78,7 @@ func TestRetentionCapBoundsMemory(t *testing.T) {
 		settled := func() (retained, live, placeholders, tracked int) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			return e.retained.n, e.live.Len(), e.placeholders.Len(), len(e.instances)
+			return e.lists[retainedList].n, e.lists[liveList].n, e.lists[placeholderList].n, len(e.instances)
 		}
 		waitUntil(t, 20*time.Second, func() bool {
 			retained, live, _, _ := settled()
@@ -182,7 +182,7 @@ func TestFinishedInstanceReleasesProtocolState(t *testing.T) {
 	// parsed (garbage would otherwise count as a rejected share). The
 	// worker handles events in order, so once a later request finished
 	// the late share has been through.
-	late := network.Envelope{Instance: id, Kind: network.KindProto, Round: 1, Payload: []byte("late")}
+	late := network.Envelope{Instance: id, Kind: network.KindProto, Round: 1, Gen: 1, Payload: []byte("late")}
 	if err := c.hub.Endpoint(4).Send(ctx, 1, late); err != nil {
 		t.Fatal(err)
 	}
@@ -207,45 +207,222 @@ func TestRetainedInstanceFootprint(t *testing.T) {
 	}
 }
 
-// TestRetentionWindowLinks walks the intrusive FIFO through the removals
-// the engine makes: the front (cap and TTL eviction), the middle and the
-// back (supersession), and an instance that is not in the window.
-func TestRetentionWindowLinks(t *testing.T) {
-	var w retention
-	insts := make([]*instance, 5)
-	for i := range insts {
-		insts[i] = &instance{id: fmt.Sprint(i)}
-		w.pushBack(insts[i])
+// bareEngine is an engine's bookkeeping without its goroutines, network
+// or keys, for driving the lists and the eviction memory step by step.
+func bareEngine(retainMax int) *Engine {
+	return &Engine{
+		cfg:            Config{RetainMax: retainMax, RetainTTL: time.Minute},
+		instances:      make(map[string]*instance),
+		placeholderMax: 4 * retainMax,
+		liveTTL:        4 * time.Minute,
+		evictedIDs:     newEvictionMemory(16 * retainMax),
 	}
-	order := func() string {
+}
+
+// checkLists walks every instance list of e forwards and backwards and
+// returns each one's ids in order. The links must agree both ways, each
+// count must match its walk, every member must carry its list's tag and
+// be the tracked instance of its id, and the lists together must hold
+// every tracked instance.
+func checkLists(t *testing.T, e *Engine) [listTags]string {
+	t.Helper()
+	var ids [listTags]string
+	members := 0
+	for tag := range e.lists {
+		l := &e.lists[tag]
 		var fwd, back string
-		for inst := w.front; inst != nil; inst = inst.next {
+		n := 0
+		for inst := l.front; inst != nil; inst = inst.next {
+			if inst.list != listTag(tag) || e.instances[inst.id] != inst {
+				t.Fatalf("list %d holds %s, tagged %d, tracked %v", tag, inst.id, inst.list, e.instances[inst.id] == inst)
+			}
 			fwd += inst.id
+			n++
 		}
-		for inst := w.back; inst != nil; inst = inst.prev {
+		for inst := l.back; inst != nil; inst = inst.prev {
 			back = inst.id + back
 		}
-		if fwd != back || len(fwd) != w.n {
-			t.Fatalf("window reads %q forwards, %q backwards, n=%d", fwd, back, w.n)
+		if fwd != back || n != l.n {
+			t.Fatalf("list %d reads %q forwards, %q backwards, n=%d", tag, fwd, back, l.n)
 		}
-		return fwd
+		ids[tag] = fwd
+		members += n
 	}
-	for _, step := range []struct {
-		remove int
-		want   string
-	}{{2, "0134"}, {0, "134"}, {4, "13"}, {4, "13"}, {1, "3"}, {3, ""}} {
-		w.remove(insts[step.remove])
-		if got := order(); got != step.want {
-			t.Fatalf("after removing %d: %q, want %q", step.remove, got, step.want)
+	if members != len(e.instances) || ids[noList] != "" {
+		t.Fatalf("lists hold %d instances (%q unlisted), engine tracks %d", members, ids[noList], len(e.instances))
+	}
+	return ids
+}
+
+// TestRetentionWindowLinks walks the one intrusive FIFO through the
+// removals the engine makes on each of its three lists: the front (cap
+// and TTL eviction), the middle and the back (supersession), with and
+// without a tombstone; then an instance's moves from placeholder to live
+// to retained, the placeholder and retention caps, and a sweep that
+// expires every list.
+func TestRetentionWindowLinks(t *testing.T) {
+	for name, tag := range map[string]listTag{"placeholders": placeholderList, "live": liveList, "retained": retainedList} {
+		tag := tag
+		t.Run(name, func(t *testing.T) {
+			e := bareEngine(1)
+			insts := make([]*instance, 5)
+			for i := range insts {
+				insts[i] = newInstance(fmt.Sprint(i), 1)
+				e.instances[insts[i].id] = insts[i]
+				e.listLocked(insts[i], tag)
+			}
+			for _, step := range []struct {
+				drop int
+				tomb bool
+				want string
+			}{{2, false, "0134"}, {0, true, "134"}, {4, false, "13"}, {1, true, "3"}, {3, false, ""}} {
+				e.dropLocked(insts[step.drop], step.tomb)
+				if got := checkLists(t, e)[tag]; got != step.want {
+					t.Fatalf("after dropping %d: %q, want %q", step.drop, got, step.want)
+				}
+				in := insts[step.drop]
+				if in.list != noList || in.prev != nil || in.next != nil {
+					t.Fatalf("dropped instance %d keeps links", step.drop)
+				}
+				if got := e.evictedIDs.tombstoned(in.id); got != step.tomb {
+					t.Fatalf("dropped instance %d tombstoned=%v, want %v", step.drop, got, step.tomb)
+				}
+			}
+			if e.evicted != 5 {
+				t.Fatalf("Evicted = %d after five drops", e.evicted)
+			}
+			e.instances["2"] = insts[2]
+			e.listLocked(insts[2], tag)
+			if got := checkLists(t, e)[tag]; got != "2" {
+				t.Fatalf("re-inserted into an emptied list: %q", got)
+			}
+		})
+	}
+
+	t.Run("moves", func(t *testing.T) {
+		e := bareEngine(2) // 8 placeholders, 2 retained
+		want := func(placeholders, live, retained string) {
+			t.Helper()
+			if got := checkLists(t, e); got[placeholderList] != placeholders || got[liveList] != live || got[retainedList] != retained {
+				t.Fatalf("lists %q / %q / %q, want %q / %q / %q", got[placeholderList], got[liveList], got[retainedList], placeholders, live, retained)
+			}
 		}
-		if in := insts[step.remove]; in.retained || in.prev != nil || in.next != nil {
-			t.Fatalf("removed instance %d keeps links", step.remove)
+		insts := map[string]*instance{}
+		for _, id := range []string{"a", "b", "c"} {
+			insts[id], _ = e.newPlaceholderLocked(id)
 		}
+		e.adoptLocked(insts["b"])
+		e.adoptLocked(insts["a"])
+		want("c", "ba", "")
+		finish := func(id string) {
+			insts[id].created, insts[id].finished = true, true
+			e.retire(insts[id])
+		}
+		finish("b")
+		want("c", "a", "b")
+		finish("a")
+		want("c", "", "ba")
+		var evicted []*instance
+		for _, id := range []string{"d", "e", "f", "g", "h", "i", "j", "k"} {
+			var out []*instance
+			insts[id], out = e.newPlaceholderLocked(id)
+			evicted = append(evicted, out...)
+		}
+		if len(evicted) != 1 || evicted[0] != insts["c"] || e.evictedIDs.tombstoned("c") {
+			t.Fatalf("the placeholder cap pushed out %d instances, want c alone and no tombstone", len(evicted))
+		}
+		want("defghijk", "", "ba")
+		e.adoptLocked(insts["e"])
+		e.adoptLocked(insts["k"])
+		insts["k"].created = true
+		finish("e")
+		want("dfghij", "k", "ae")
+		if !e.evictedIDs.tombstoned("b") || e.instances["b"] != nil {
+			t.Fatal("the retention cap did not evict b, the oldest result, with a tombstone")
+		}
+		e.sweep(time.Now().Add(time.Hour))
+		want("", "", "")
+		for id, tomb := range map[string]bool{"a": true, "e": true, "k": true, "d": false} {
+			if got := e.evictedIDs.tombstoned(id); got != tomb {
+				t.Fatalf("after the sweep %s tombstoned=%v, want %v", id, got, tomb)
+			}
+		}
+	})
+}
+
+// recordingProto is a protocol that never advances and records the
+// sender of every message it is fed.
+type recordingProto struct{ senders []int }
+
+func (p *recordingProto) DoRound() (*protocols.RoundOutput, error) { return nil, nil }
+func (p *recordingProto) Update(msg protocols.ProtocolMessage) error {
+	p.senders = append(p.senders, msg.Sender)
+	return nil
+}
+func (p *recordingProto) IsReadyForNextRound() bool { return false }
+func (p *recordingProto) IsReadyToFinalize() bool   { return false }
+func (p *recordingProto) Finalize() ([]byte, error) { return nil, nil }
+
+// parked is a backlog with one share of each of generations 1 to 3, the
+// share of generation g sent by node g.
+func parked() []backlogEntry {
+	var b []backlogEntry
+	for gen := 1; gen <= 3; gen++ {
+		b = append(b, backlogEntry{msg: protocols.ProtocolMessage{Sender: gen, Round: 1}, gen: gen})
 	}
-	w.pushBack(insts[2])
-	if got := order(); got != "2" {
-		t.Fatalf("re-inserted into an emptied window: %q", got)
+	return b
+}
+
+// TestDrainBacklogKeepsNewerGeneration: a started run of generation 2
+// is fed its own parked share, drops the stale one and leaves the share
+// of generation 3 parked for the start that will supersede it.
+func TestDrainBacklogKeepsNewerGeneration(t *testing.T) {
+	e := bareEngine(1)
+	inst := newInstance("x", 2)
+	proto := &recordingProto{}
+	inst.run.proto, inst.run.backlog, inst.created = proto, parked(), true
+	e.drainBacklog("x", inst)
+	if fmt.Sprint(proto.senders) != "[2]" {
+		t.Fatalf("delivered shares of senders %v, want [2]", proto.senders)
 	}
+	if b := inst.run.backlog; len(b) != 1 || b[0].gen != 3 {
+		t.Fatalf("backlog after the drain: %+v, want the generation-3 share alone", b)
+	}
+}
+
+// TestReleaseKeepsNewerGenerationShare: releasing a finished instance
+// fires its watchers and drops the protocol, but a share parked for a
+// newer generation stays, on a bare run, for the superseding start.
+func TestReleaseKeepsNewerGenerationShare(t *testing.T) {
+	inst := newInstance("x", 1)
+	f := &Future{ch: make(chan Result, 1)}
+	inst.run.proto, inst.run.futures = &recordingProto{}, []*Future{f}
+	inst.run.backlog = parked()[2:]
+	inst.finished = true
+	inst.releaseLocked()
+	select {
+	case <-f.Done():
+	default:
+		t.Fatal("release did not fire the watcher")
+	}
+	if r := inst.run; r == nil || r.proto != nil || r.futures != nil || len(r.backlog) != 1 || r.backlog[0].gen != 3 {
+		t.Fatalf("run after the release: %+v, want a bare run holding the generation-3 share", r)
+	}
+}
+
+// TestPumpStopsWhileQueueFull: Stop ends the pump while it waits for
+// room in a full event queue to hand a received envelope on.
+func TestPumpStopsWhileQueueFull(t *testing.T) {
+	in := make(chan network.Envelope)
+	e := bareEngine(1)
+	e.cfg.Net = &blockingNet{in: in}
+	e.events = make(chan event) // no worker: the hand-off never completes
+	e.stop = make(chan struct{})
+	e.done.Add(1)
+	go e.pump()
+	in <- network.Envelope{Gen: 1} // taken: the pump now waits on the queue
+	close(e.stop)
+	e.done.Wait()
 }
 
 // TestRetainedInstanceParksNewerGenerationShare: a share of generation
@@ -276,7 +453,7 @@ func TestRetainedInstanceParksNewerGenerationShare(t *testing.T) {
 	}, "the early share never parked on the retained instance")
 	e.mu.Lock()
 	inst := e.instances[id]
-	parked, bare := len(inst.run.backlog), inst.run.proto == nil && inst.run.futures == nil && inst.run.lelem == nil
+	parked, bare := len(inst.run.backlog), inst.run.proto == nil && inst.run.futures == nil && inst.list == retainedList
 	e.mu.Unlock()
 	if parked != 1 || !bare {
 		t.Fatalf("retained instance after an early share: %d parked, bare run=%v; want 1 on a bare run", parked, bare)
@@ -545,6 +722,7 @@ func TestRejectedSharesCounted(t *testing.T) {
 		Instance: req.InstanceID(),
 		Kind:     network.KindProto,
 		Round:    1,
+		Gen:      1,
 		Payload:  []byte("not a share"),
 	}
 	if err := c.hub.Endpoint(4).Broadcast(context.Background(), garbage); err != nil {

@@ -14,29 +14,32 @@
 //   - Instance lifecycle: finished instances stay retrievable for a
 //     retention window (RetainTTL, capped at RetainMax instances) and
 //     are then evicted by a background sweeper or by O(1) cap
-//     enforcement at finish time. An evicted instance leaves a bounded
-//     tombstone behind, so Attach and result queries report a typed
-//     ErrExpired instead of silently recreating state, and a
-//     re-submission of the same request starts a fresh instance.
+//     enforcement at finish time. An evicted id leaves one record behind
+//     until 16 × RetainMax further evictions have followed its last
+//     one: its highest generation and a tombstone flag, so Attach and
+//     result queries report a typed ErrExpired instead of silently
+//     recreating state, and a re-submission of the same request starts
+//     a fresh instance of the next generation. Records are keyed by a
+//     hash of the id; a collision errs toward a higher generation, an
+//     ErrExpired, or a fresh id's early shares being dropped until its
+//     start arrives.
 //     Placeholders (watchers for ids this node never ran) and started
 //     instances that never finish (a quorum that never forms) expire
 //     the same way, so no path grows engine state without bound.
 //
 //   - Flow control: the event queue never blocks a submitter. When it
-//     is saturated, Submit and SubmitBatch fail fast with a typed
-//     ErrOverloaded that the service layer translates to HTTP 429 and
-//     the client SDK retries with backoff.
+//     is saturated, a submission fails fast with a typed ErrOverloaded
+//     that the service layer translates to HTTP 429 and the client SDK
+//     retries with backoff.
 //
 // Stats exposes a snapshot of both subsystems for metrics and tests.
 package orchestration
 
 import (
-	"container/list"
 	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -151,8 +154,11 @@ type Stats struct {
 	Live int
 	// Finished counts finished instances inside the retention window.
 	Finished int
-	// Evicted counts instances evicted since engine start (retention
-	// cap, TTL expiry, and expired placeholders).
+	// Evicted counts instances dropped since engine start: finished
+	// instances evicted by the retention cap or TTL, placeholders expired
+	// or pushed out by the placeholder cap, stalled live runs expired
+	// after their run window, and stale copies superseded by a newer
+	// generation.
 	Evicted uint64
 	// QueueDepth and QueueCap describe the event queue.
 	QueueDepth int
@@ -188,42 +194,31 @@ type Engine struct {
 	mu        sync.Mutex
 	instances map[string]*instance
 	stopped   bool
-	// retained holds finished instances in finish order; the front is
-	// always the next to evict, making both cap and TTL eviction O(1)
-	// per instance.
-	retained retention
-	// placeholders holds bare instances awaiting adoption (creation
-	// order): watchers for ids this node has not seen and parked early
-	// shares. They expire after RetainTTL and are capped at
-	// placeholderMax (oldest evicted first), so unauthenticated result
-	// queries cannot grow engine state without bound.
-	placeholders   *list.List
+	// lists holds every tracked instance on exactly one FIFO, the one
+	// its list tag names; the front of each is the next to expire, so
+	// every eviction is O(1):
+	//   - placeholderList: bare instances awaiting adoption, in creation
+	//     order — watchers for ids this node has not seen and parked
+	//     early shares. They expire after RetainTTL and are capped at
+	//     placeholderMax (oldest evicted first), so unauthenticated
+	//     result queries cannot grow engine state without bound.
+	//   - liveList: started instances in adoption order; a run that
+	//     never finishes (e.g. a quorum that never forms) is expired
+	//     after liveTTL.
+	//   - retainedList: finished instances in finish order, evicted by
+	//     RetainMax and RetainTTL.
+	// lists[noList] stays empty.
+	lists          [listTags]fifo
 	placeholderMax int
-	// live holds started instances in adoption order; a run that never
-	// finishes (e.g. a quorum that never forms) is expired after
-	// liveTTL, so no path grows engine state without bound.
-	live    *list.List
-	liveTTL time.Duration
-	// tombstones remembers evicted instance ids so lookups report
-	// ErrExpired instead of recreating state: id -> position of its
-	// slot in tombOrder, a bounded FIFO of tombstoneMax live entries.
-	// See evictions.go.
-	tombstones   map[string]uint64
-	tombOrder    ring[tombSlot]
-	tombstoneMax int
-	// gens is a second, longer memory of the highest generation an id
-	// is known to have run as, keyed by a hash of the id under genSeed.
-	// An id's generation moves here when its tombstone is pushed out of
-	// its FIFO or superseded: without it, a double eviction (the
-	// tombstone itself evicted by churn before the re-submission
-	// arrives) would restart the id at generation 1, which peers still
-	// retaining generation N ignore, stalling the run until liveTTL.
-	// Bounded FIFO (genOrder) of genMax.
-	gens     map[uint64]int
-	genOrder ring[uint64]
-	genSeed  maphash.Seed
-	genMax   int
-	evicted  uint64
+	liveTTL        time.Duration
+	// evictedIDs remembers, for the ids of the last 16 × RetainMax
+	// evictions, the highest generation each ran as and whether it is
+	// tombstoned, so Attach reports ErrExpired instead of recreating
+	// state and a re-submission runs above every generation its peers
+	// may retain (see evictions.go). The record evicted longest ago is
+	// forgotten first.
+	evictedIDs evictionMemory
+	evicted    uint64
 
 	rejectedShares    atomic.Uint64
 	overloaded        atomic.Uint64
@@ -276,9 +271,9 @@ type instance struct {
 	// which happens after the engine's own books show the instance
 	// finished (see releaseLocked).
 	released bool
-	// retained marks membership of Engine.retained, whose links are
-	// prev and next (all three guarded by Engine.mu).
-	retained   bool
+	// list names the Engine.lists FIFO that holds the instance, whose
+	// links are prev and next (all three guarded by Engine.mu).
+	list       listTag
 	prev, next *instance
 	// started is the creation time, as an offset from clock: the start
 	// of the server-side latency and the placeholder sweep's clock. With
@@ -315,16 +310,26 @@ func (inst *instance) startedAt() time.Time { return clock.Add(inst.started) }
 // finishedAt is when the instance finished: the retention clock.
 func (inst *instance) finishedAt() time.Time { return clock.Add(inst.started + inst.took) }
 
-// retention is the retention window: a FIFO of finished instances linked
-// through the instances themselves, so that a retained result costs no
-// list element on top of its instance.
-type retention struct {
+// listTag names one of the engine's instance lists.
+type listTag uint8
+
+const (
+	noList listTag = iota
+	placeholderList
+	liveList
+	retainedList
+	listTags
+)
+
+// fifo is a list of instances linked through the instances themselves,
+// so that an instance costs no list element on top of itself.
+type fifo struct {
 	front, back *instance
 	n           int
 }
 
-func (l *retention) pushBack(inst *instance) {
-	inst.retained, inst.prev, inst.next = true, l.back, nil
+func (l *fifo) pushBack(inst *instance) {
+	inst.prev, inst.next = l.back, nil
 	if l.back != nil {
 		l.back.next = inst
 	} else {
@@ -334,11 +339,8 @@ func (l *retention) pushBack(inst *instance) {
 	l.n++
 }
 
-// remove unlinks inst if it is in the window.
-func (l *retention) remove(inst *instance) {
-	if !inst.retained {
-		return
-	}
+// remove unlinks inst, which is in the list.
+func (l *fifo) remove(inst *instance) {
 	if inst.prev != nil {
 		inst.prev.next = inst.next
 	} else {
@@ -349,8 +351,20 @@ func (l *retention) remove(inst *instance) {
 	} else {
 		l.back = inst.prev
 	}
-	inst.retained, inst.prev, inst.next = false, nil, nil
+	inst.prev, inst.next = nil, nil
 	l.n--
+}
+
+// listLocked moves inst to the back of list tag, or off every list for
+// noList; e.mu is held.
+func (e *Engine) listLocked(inst *instance, tag listTag) {
+	if inst.list != noList {
+		e.lists[inst.list].remove(inst)
+	}
+	if tag != noList {
+		e.lists[tag].pushBack(inst)
+	}
+	inst.list = tag
 }
 
 // run is the state of an instance that only a live run reads: released
@@ -363,11 +377,9 @@ type run struct {
 	// (or their generation) was started on this node (guarded by
 	// Engine.mu).
 	backlog []backlogEntry
-	// pelem/lelem are this instance's entries in Engine.placeholders and
-	// Engine.live (guarded by Engine.mu; nil when absent); adoptedAt is
-	// the live-run clock, set when a worker adopts the instance.
-	pelem, lelem *list.Element
-	adoptedAt    time.Time
+	// adoptedAt is the live-run clock, set when a worker adopts the
+	// instance (guarded by Engine.mu).
+	adoptedAt time.Time
 }
 
 func newInstance(id string, gen int) *instance {
@@ -388,11 +400,9 @@ func (inst *instance) parkLocked(msg protocols.ProtocolMessage, gen int) {
 }
 
 type event struct {
-	// Exactly one of req/batch/env is meaningful.
-	req    *protocols.Request
-	future *Future
-	batch  []batchItem
-	env    *network.Envelope
+	// Exactly one of batch/env is meaningful.
+	batch []batchItem
+	env   *network.Envelope
 	// keyRetries counts how often a start announcement was deferred
 	// waiting for its key to be installed.
 	keyRetries int
@@ -447,16 +457,9 @@ func New(cfg Config) *Engine {
 		self:           cfg.Keys.Index,
 		events:         make(chan event, cfg.QueueLen),
 		instances:      make(map[string]*instance),
-		placeholders:   list.New(),
 		placeholderMax: 4 * cfg.RetainMax,
-		live:           list.New(),
 		liveTTL:        liveTTL,
-		tombstones:     make(map[string]uint64),
-		tombstoneMax:   4 * cfg.RetainMax,
-		gens:           make(map[uint64]int),
-		genOrder:       ring[uint64]{limit: 16 * cfg.RetainMax},
-		genSeed:        maphash.MakeSeed(),
-		genMax:         16 * cfg.RetainMax,
+		evictedIDs:     newEvictionMemory(16 * cfg.RetainMax),
 		stop:           make(chan struct{}),
 	}
 	e.done.Add(3)
@@ -480,15 +483,16 @@ func (e *Engine) Stop() {
 }
 
 // Submit starts a protocol instance for the request on this node and
-// announces it to the peers. The same request submitted on several nodes
-// joins a single logical instance. Submit never blocks on a saturated
-// engine: it fails fast with ErrOverloaded and the caller retries.
+// announces it to the peers: a SubmitBatch of one. The same request
+// submitted on several nodes joins a single logical instance. Submit
+// never blocks on a saturated engine: it fails fast with ErrOverloaded
+// and the caller retries.
 func (e *Engine) Submit(ctx context.Context, req protocols.Request) (*Future, error) {
-	f := &Future{ch: make(chan Result, 1)}
-	if err := e.enqueueEvent(ctx, event{req: &req, future: f}); err != nil {
+	subs, err := e.SubmitBatch(ctx, []protocols.Request{req})
+	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return subs[0].Future, nil
 }
 
 // Submission describes one request of a batched submission: its
@@ -509,7 +513,9 @@ type Submission struct {
 // same request still join one instance, only the flag is best-effort
 // for the loser of the race. An instance evicted after its retention
 // window does not count as existing: re-submitting it starts a fresh
-// run. Like Submit, a saturated queue yields ErrOverloaded, not a stall.
+// run. The hand-off never blocks on a full queue (admission control):
+// saturation is reported as ErrOverloaded, so the caller can shed or
+// retry with backoff.
 func (e *Engine) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]Submission, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -531,29 +537,19 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]S
 		inBatch[id] = true
 	}
 	e.mu.Unlock()
-	if err := e.enqueueEvent(ctx, event{batch: items}); err != nil {
-		return nil, err
-	}
-	return subs, nil
-}
-
-// enqueueEvent admits one submission event without ever blocking on a
-// full queue (admission control): saturation is reported as
-// ErrOverloaded so the caller can shed or retry with backoff.
-func (e *Engine) enqueueEvent(ctx context.Context, ev event) error {
 	select {
 	case <-e.stop:
-		return ErrStopped
+		return nil, ErrStopped
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	default:
 	}
 	select {
-	case e.events <- ev:
-		return nil
+	case e.events <- event{batch: items}:
+		return subs, nil
 	default:
 		e.overloaded.Add(1)
-		return ErrOverloaded
+		return nil, ErrOverloaded
 	}
 }
 
@@ -593,15 +589,12 @@ func (e *Engine) worker() {
 }
 
 func (e *Engine) handle(ev event) {
-	switch {
-	case ev.req != nil:
-		e.handleSubmit(*ev.req, ev.future)
-	case ev.batch != nil:
-		for _, item := range ev.batch {
-			e.handleSubmit(item.req, item.future)
-		}
-	case ev.env != nil:
+	if ev.env != nil {
 		e.handleEnvelope(*ev.env, ev.keyRetries)
+		return
+	}
+	for _, item := range ev.batch {
+		e.handleSubmit(item.req, item.future)
 	}
 }
 
@@ -625,7 +618,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	var superseded *instance
 	if ok && gen > inst.gen && (inst.starting || inst.created) {
 		superseded = inst
-		e.supersedeLocked(inst)
+		e.dropLocked(inst, false)
 		inst, ok = nil, false
 	}
 	adopt := false
@@ -636,7 +629,7 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 				// Local adoption of a placeholder: join the newest run
 				// hinted by parked shares, else start the next known
 				// generation.
-				g = e.nextGenLocked(id)
+				g = e.evictedIDs.nextGen(id)
 				for _, b := range inst.run.backlog {
 					if b.gen > g {
 						g = b.gen
@@ -652,9 +645,9 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	} else {
 		g := gen
 		if g == 0 {
-			g = e.nextGenLocked(id)
+			g = e.evictedIDs.nextGen(id)
 		}
-		e.clearTombstoneLocked(id)
+		e.evictedIDs.clear(id)
 		inst = newInstance(id, g)
 		if superseded != nil && superseded.run != nil {
 			// Early shares of the fresh run may have parked on the old
@@ -755,10 +748,9 @@ func (e *Engine) handleSubmit(req protocols.Request, future *Future) {
 }
 
 func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
-	// Unversioned senders mean generation 1.
 	gen := env.Gen
 	if gen < 1 {
-		gen = 1
+		return // every engine stamps generation ≥ 1; malformed, ignore
 	}
 	switch env.Kind {
 	case network.KindStart:
@@ -808,11 +800,11 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 		// legitimately re-running the instance.
 		var evicted []*instance
 		if inst == nil {
-			if gen < e.nextGenLocked(env.Instance) {
+			if gen < e.evictedIDs.nextGen(env.Instance) {
 				e.mu.Unlock()
 				return
 			}
-			e.clearTombstoneLocked(env.Instance)
+			e.evictedIDs.clear(env.Instance)
 			inst, evicted = e.newPlaceholderLocked(env.Instance)
 		}
 		inst.parkLocked(msg, gen)
@@ -1025,11 +1017,10 @@ func (e *Engine) retire(inst *instance) {
 	}
 	e.mu.Lock()
 	// Unless already retired, or evicted and replaced.
-	if !inst.retained && e.instances[inst.id] == inst {
-		e.unlistLocked(inst)
-		e.retained.pushBack(inst)
-		for e.retained.n > e.cfg.RetainMax {
-			e.evictLocked(e.retained.front)
+	if inst.list != retainedList && e.instances[inst.id] == inst {
+		e.listLocked(inst, retainedList)
+		for e.lists[retainedList].n > e.cfg.RetainMax {
+			e.dropLocked(e.lists[retainedList].front, true)
 		}
 	}
 	// Nobody holds a finished instance's mutex for long, so taking it
@@ -1040,76 +1031,46 @@ func (e *Engine) retire(inst *instance) {
 	e.mu.Unlock()
 }
 
-// evictLocked removes a retained instance from the engine, leaving a
-// tombstone; e.mu is held.
-func (e *Engine) evictLocked(inst *instance) {
-	e.retained.remove(inst)
-	if cur, ok := e.instances[inst.id]; ok && cur == inst {
+// dropLocked removes an instance from the engine's books and counts it
+// in Stats.Evicted; e.mu is held. With tomb set, the id is recorded as
+// evicted. Only a run that ended here is: an expired placeholder leaves
+// no tombstone, so a later Attach may park a fresh watcher, and a
+// superseded copy leaves none because the fresh run replaces it at once.
+// The caller expires a dropped unfinished instance outside e.mu, failing
+// its watchers with ErrExpired.
+func (e *Engine) dropLocked(inst *instance, tomb bool) {
+	e.listLocked(inst, noList)
+	if e.instances[inst.id] == inst {
 		delete(e.instances, inst.id)
 	}
-	e.tombstoneLocked(inst.id, inst.gen)
-	e.evicted++
-}
-
-// supersedeLocked detaches a stale copy of an instance (an older
-// generation a peer is re-running) so a fresh instance can take its
-// id; e.mu is held. No tombstone is left — the fresh run immediately
-// replaces the entry. The caller expires the detached copy outside
-// e.mu: a finished copy's watchers already fired, an unfinished one
-// fails with ErrExpired.
-func (e *Engine) supersedeLocked(inst *instance) {
-	e.unlistLocked(inst)
-	e.retained.remove(inst)
-	if cur, ok := e.instances[inst.id]; ok && cur == inst {
-		delete(e.instances, inst.id)
+	if tomb {
+		e.evictedIDs.tombstone(inst.id, inst.gen)
 	}
 	e.evicted++
 }
 
 // newPlaceholderLocked registers a bare instance awaiting adoption and
 // enforces the placeholder cap; e.mu is held. Evicted placeholders are
-// returned for the caller to expire once e.mu is released (their
-// watchers get ErrExpired). No tombstone is left — the id never ran
-// here, so a later Attach may park a fresh watcher.
+// returned for the caller to expire once e.mu is released.
 func (e *Engine) newPlaceholderLocked(id string) (*instance, []*instance) {
 	inst := newInstance(id, 0)
 	e.instances[id] = inst
-	inst.run.pelem = e.placeholders.PushBack(inst)
+	e.listLocked(inst, placeholderList)
 	var evicted []*instance
-	for e.placeholders.Len() > e.placeholderMax {
-		old := e.placeholders.Front().Value.(*instance)
-		e.unlistLocked(old)
-		delete(e.instances, old.id)
-		e.evicted++
+	for e.lists[placeholderList].n > e.placeholderMax {
+		old := e.lists[placeholderList].front
+		e.dropLocked(old, false)
 		evicted = append(evicted, old)
 	}
 	return inst, evicted
 }
 
 // adoptLocked marks an instance as claimed for protocol creation and
-// moves it onto the live-run sweep list; e.mu is held.
+// moves it onto the live-run list; e.mu is held.
 func (e *Engine) adoptLocked(inst *instance) {
 	inst.starting = true
-	e.unlistLocked(inst)
 	inst.run.adoptedAt = time.Now()
-	inst.run.lelem = e.live.PushBack(inst)
-}
-
-// unlistLocked drops an instance from whichever sweep list holds it;
-// e.mu is held.
-func (e *Engine) unlistLocked(inst *instance) {
-	r := inst.run
-	if r == nil {
-		return // released: on neither list
-	}
-	if r.pelem != nil {
-		e.placeholders.Remove(r.pelem)
-		r.pelem = nil
-	}
-	if r.lelem != nil {
-		e.live.Remove(r.lelem)
-		r.lelem = nil
-	}
+	e.listLocked(inst, liveList)
 }
 
 // expireAll finishes evicted instances with ErrExpired, firing their
@@ -1140,44 +1101,36 @@ func (e *Engine) sweeper() {
 	}
 }
 
-// sweep runs one sweeper pass. Both lists are ordered by their
-// respective clocks, so each pass touches only the entries it evicts.
+// sweep runs one sweeper pass. Each list is ordered by its own clock,
+// so each pass touches only the entries it evicts.
 func (e *Engine) sweep(now time.Time) {
 	var expired []*instance
 	e.mu.Lock()
-	for inst := e.retained.front; inst != nil; inst = e.retained.front {
+	for inst := e.lists[retainedList].front; inst != nil; inst = e.lists[retainedList].front {
 		if now.Sub(inst.finishedAt()) < e.cfg.RetainTTL {
 			break
 		}
-		e.evictLocked(inst)
+		e.dropLocked(inst, true)
 	}
 	// Bare placeholders that never materialized expire after RetainTTL.
-	// No tombstone: the id never ran here.
-	for front := e.placeholders.Front(); front != nil; front = e.placeholders.Front() {
-		inst := front.Value.(*instance)
+	for inst := e.lists[placeholderList].front; inst != nil; inst = e.lists[placeholderList].front {
 		if now.Sub(inst.startedAt()) < e.cfg.RetainTTL {
 			break
 		}
-		e.unlistLocked(inst)
-		delete(e.instances, inst.id)
-		e.evicted++
+		e.dropLocked(inst, false)
 		expired = append(expired, inst)
 	}
 	// Started instances that never finish (a quorum that never forms, a
 	// wedged run) expire after the longer liveTTL, so engine state
 	// stays bounded on every path.
-	for front := e.live.Front(); front != nil; front = e.live.Front() {
-		inst := front.Value.(*instance)
+	for inst := e.lists[liveList].front; inst != nil; inst = e.lists[liveList].front {
 		if now.Sub(inst.run.adoptedAt) < e.liveTTL {
 			break
 		}
 		if !inst.created {
 			break // protocol creation in flight; the next pass decides
 		}
-		e.unlistLocked(inst)
-		delete(e.instances, inst.id)
-		e.tombstoneLocked(inst.id, inst.gen)
-		e.evicted++
+		e.dropLocked(inst, true)
 		expired = append(expired, inst)
 	}
 	e.mu.Unlock()
@@ -1195,7 +1148,7 @@ func (e *Engine) Attach(id string) *Future {
 	inst, ok := e.instances[id]
 	var evicted []*instance
 	if !ok {
-		if _, tomb := e.tombstones[id]; tomb {
+		if e.evictedIDs.tombstoned(id) {
 			e.mu.Unlock()
 			f.ch <- Result{InstanceID: id, Err: ErrExpired}
 			return f
@@ -1222,8 +1175,8 @@ func (e *Engine) InstanceCount() int {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := Stats{
-		Live:       len(e.instances) - e.retained.n,
-		Finished:   e.retained.n,
+		Live:       len(e.instances) - e.lists[retainedList].n,
+		Finished:   e.lists[retainedList].n,
 		Evicted:    e.evicted,
 		QueueDepth: len(e.events),
 		QueueCap:   cap(e.events),

@@ -353,6 +353,7 @@ func TestCorruptSharesDoNotBlockProgress(t *testing.T) {
 		Instance: req.InstanceID(),
 		Kind:     network.KindProto,
 		Round:    1,
+		Gen:      1,
 		Payload:  []byte("not a share"),
 	}
 	if err := adv.Broadcast(context.Background(), garbage); err != nil {

@@ -138,7 +138,7 @@ func TestSG02CorruptDLEQShareAttributed(t *testing.T) {
 	// arriving after the run finished is dropped unparsed. It parks on
 	// a placeholder and is verified when the submission adopts it.
 	if err := hub.Endpoint(4).Broadcast(context.Background(), network.Envelope{
-		Instance: req.InstanceID(), Kind: network.KindProto, Round: 1, Payload: ds.Marshal(),
+		Instance: req.InstanceID(), Kind: network.KindProto, Round: 1, Gen: 1, Payload: ds.Marshal(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
-// Package router implements the stateless router tier: the fourth
-// api.Service implementation, fronting N independent committees and
-// owning the placement map key_id -> committee. One committee's
-// throughput is hard-capped by n and its sequencer; the router turns
-// "a cluster" into "a fleet" by partitioning keys across committees
-// and forwarding each request to the committee that holds its key.
+// Package router implements the stateless router tier: one of the six
+// api.Service implementations (with committee.Unit, committee.Committee,
+// the root package's Cluster and Node, and client.Client), fronting N
+// independent committees and owning the placement map key_id ->
+// committee. One committee's throughput is hard-capped by n and its
+// sequencer; the router turns "a cluster" into "a fleet" by
+// partitioning keys across committees and forwarding each request to
+// the committee that holds its key.
 //
 // The router holds no protocol state: the placement map is seeded from
 // the committees' own keystore metadata (Keys listings) and updated on

@@ -336,7 +336,7 @@ func sameKeyLists(a, b []thetacrypt.KeyInfo) bool {
 }
 
 // routerService stands up two independent embedded committees behind
-// the stateless router — the fourth Service implementation. Both
+// the stateless router, one of the six Service implementations. Both
 // committees are dealt the same default key IDs, so the router's
 // first-wins placement shadows the duplicates and the fleet presents
 // the same two-key keychain the single-committee harnesses do.

@@ -237,8 +237,9 @@ func (c *Cluster) StatsAt(i int) EngineStats {
 	return c.com.UnitAt(i).Stats()
 }
 
-// Router is the stateless router tier over several committees — the
-// fourth Service implementation (see internal/router).
+// Router is the stateless router tier over several committees — one of
+// the six Service implementations, beside Unit, Committee, Cluster, Node
+// and client.Client (see internal/router).
 type Router = router.Router
 
 // RouterBackend names one committee behind a Router; its Service may be
