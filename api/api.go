@@ -486,19 +486,22 @@ func WaitEach(ctx context.Context, s Service, hs []Handle, fn func(i int, res Re
 }
 
 // ValidateRequest classifies a request's defects into the structured
-// error model before any instance state is created. All six Service
-// implementations reach it: committee.Unit checks every submission
-// with it (and Committee, Cluster and Node submit through units),
-// Router before it routes, and the HTTP front before it hands a request
-// to its Service, which is where client.Client's requests are checked.
-// So embedded and remote deployments reject identical requests with
-// identical codes. The checks themselves live in
-// protocols.Request.Validate; this maps its sentinels to codes.
+// error model before any instance state is created. Every Service
+// implementation reaches it: committee.Unit — the one node-side
+// implementation, which Committee, Cluster and Node serve through —
+// checks every submission with it, Router before it routes, and the
+// HTTP front before it hands a request to its Service, which is where
+// client.Client's requests are checked. So embedded and remote
+// deployments reject identical requests with identical codes. The
+// checks themselves live in protocols.Request.Validate; this maps its
+// sentinels to codes.
 func ValidateRequest(req protocols.Request) *Error {
 	err := req.Validate()
 	switch {
 	case err == nil:
 		return nil
+	case errors.Is(err, protocols.ErrUnknownOperation):
+		return Errf(CodeOpUnknown, "%v", err)
 	case errors.Is(err, schemes.ErrUnknown):
 		// Matched explicitly: only a failed scheme-registry lookup may
 		// classify as scheme_unknown. New validation failures fall to
@@ -508,8 +511,8 @@ func ValidateRequest(req protocols.Request) *Error {
 	case errors.Is(err, protocols.ErrPayloadTooLarge):
 		return Errf(CodePayloadTooLarge, "%v", err)
 	default:
-		// Unknown operations, malformed key IDs, unsupported keygen
-		// targets, and any future structural defect.
+		// Malformed key IDs, unsupported keygen targets, and any
+		// future structural defect.
 		return Errf(CodeBadRequest, "%v", err)
 	}
 }
@@ -521,10 +524,11 @@ func ValidateRequest(req protocols.Request) *Error {
 // an installed key with CodeKeyExists (409), a request pinned to a
 // stale epoch with CodeKeyEpoch (409), and a quorum operation under a
 // key the node knows only publicly with CodeKeyNoShare (409).
-// committee.Unit runs it against its node's keystore, and the other
-// five Service implementations (Committee, Cluster, Node, Router and
-// client.Client) reach a unit to submit, so embedded and remote
-// deployments reject identical requests with identical codes.
+// committee.Unit — the one node-side Service implementation, which
+// Committee, Cluster and Node serve through — runs it against its
+// node's keystore, and Router and client.Client reach a unit to
+// submit, so embedded and remote deployments reject identical requests
+// with identical codes.
 //
 // Requests pinned to a FUTURE epoch pass: during a resharing the
 // submitting client may learn the new epoch before every node has

@@ -61,7 +61,7 @@ func TestValidateRequest(t *testing.T) {
 		t.Fatalf("oversized payload: %v", e)
 	}
 	bad := protocols.Request{Scheme: schemes.BLS04, Op: protocols.Operation(42), Payload: []byte("m")}
-	if e := ValidateRequest(bad); e == nil || e.Code != CodeBadRequest {
+	if e := ValidateRequest(bad); e == nil || e.Code != CodeOpUnknown {
 		t.Fatalf("bad op: %v", e)
 	}
 	// Only the scheme-registry lookup may classify as scheme_unknown:

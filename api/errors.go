@@ -7,8 +7,9 @@ import (
 )
 
 // Code is a machine-readable error classification shared by every v2
-// endpoint and by both Service implementations. Clients branch on the
-// code, never on error strings.
+// endpoint and by every Service implementation (committee.Unit,
+// router.Router and client.Client). Clients branch on the code, never
+// on error strings.
 type Code string
 
 // Error codes of the v2 API.
@@ -18,7 +19,8 @@ const (
 	CodeBadRequest Code = "bad_request"
 	// CodeSchemeUnknown flags a scheme identifier outside Table 1.
 	CodeSchemeUnknown Code = "scheme_unknown"
-	// CodeOpUnknown flags an operation other than sign|decrypt|coin.
+	// CodeOpUnknown flags an operation other than
+	// sign|decrypt|coin|keygen|reshare.
 	CodeOpUnknown Code = "op_unknown"
 	// CodeSchemeNoKeys flags a scheme the node holds no key material
 	// for (keys were not dealt for it).

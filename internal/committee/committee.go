@@ -1,9 +1,10 @@
 // Package committee extracts the reusable committee unit from the
 // embedded cluster: one node's keystore plus orchestration engine
 // (Unit), and a self-contained in-process Θ-network of n such units
-// over a simulated transport (Committee). Both implement api.Service,
-// so a process can host one committee (the classic embedded cluster),
-// point a standalone node's service layer at a Unit, or front several
+// over a simulated transport (Committee). Unit is the one node-side
+// api.Service and Committee serves through its node 1 Unit, so a
+// process can host one committee (the classic embedded cluster), point
+// a standalone node's service layer at a Unit, or front several
 // committees with the router tier — the same protocol, scheme, and
 // keychain paths in every arrangement.
 package committee
@@ -27,18 +28,15 @@ import (
 )
 
 // Unit is one committee member: a keystore and the engine running its
-// protocol instances. It is the atom every deployment style is built
-// from — Cluster and Node wrap it, the router forwards to it — and it
-// implements the full api.Service against its own node.
+// protocol instances. It is the one node-side api.Service: Committee,
+// Cluster and Node serve its methods as their own, and the router and
+// the HTTP front forward to it. Every submission — Submit,
+// SubmitBatch, SubmitDetailed, GenerateKey, ReshareKey — passes check
+// before it reaches the engine.
 type Unit struct {
 	Store  *keys.Keystore
 	Engine *orchestration.Engine
 }
-
-var (
-	_ api.Service           = Unit{}
-	_ api.DetailedSubmitter = Unit{}
-)
 
 // check validates a request and resolves its named key against the
 // unit's keystore, before any instance state is created.
@@ -49,17 +47,17 @@ func (u Unit) check(req protocols.Request) *api.Error {
 	return api.CheckRequestKey(u.Store, req)
 }
 
-// Submit starts a threshold operation on this unit's engine: validate,
-// resolve the named key, hand off, map errors onto the structured
-// model.
+// Submit starts one threshold operation on this unit's engine: a
+// SubmitDetailed of one, its entry's error returned as the call's.
 func (u Unit) Submit(ctx context.Context, req protocols.Request) (api.Handle, error) {
-	if e := u.check(req); e != nil {
+	entries, err := u.SubmitDetailed(ctx, []protocols.Request{req})
+	if err != nil {
+		return api.Handle{}, err
+	}
+	if e := entries[0].Error; e != nil {
 		return api.Handle{}, e
 	}
-	if _, err := u.Engine.Submit(ctx, req); err != nil {
-		return api.Handle{}, EngineErr(err)
-	}
-	return api.Handle{InstanceID: req.InstanceID()}, nil
+	return api.Handle{InstanceID: entries[0].InstanceID}, nil
 }
 
 // SubmitBatch starts 1..N operations with a single engine hand-off,
@@ -155,38 +153,26 @@ func (u Unit) Key(_ context.Context, scheme schemes.ID, keyID string) (api.KeyIn
 }
 
 // GenerateKey starts a distributed key generation: build the keygen
-// request through the shared api seam, pre-check the local keystore,
-// and submit it like any protocol instance.
+// request through the shared api seam and submit it like any protocol
+// instance.
 func (u Unit) GenerateKey(ctx context.Context, scheme schemes.ID, opts api.GenerateKeyOptions) (api.Handle, error) {
 	req, e := api.KeygenRequest(scheme, opts)
 	if e != nil {
 		return api.Handle{}, e
 	}
-	if e := api.CheckRequestKey(u.Store, req); e != nil {
-		return api.Handle{}, e
-	}
-	if _, err := u.Engine.Submit(ctx, req); err != nil {
-		return api.Handle{}, EngineErr(err)
-	}
-	return api.Handle{InstanceID: req.InstanceID()}, nil
+	return u.Submit(ctx, req)
 }
 
 // ReshareKey starts a live resharing of a named key: build the reshare
 // request through the shared api seam — which pins it to the key's
 // current epoch and fills threshold/committee defaults from the local
-// keystore — pre-check, and submit it like any protocol instance.
+// keystore — and submit it like any protocol instance.
 func (u Unit) ReshareKey(ctx context.Context, scheme schemes.ID, keyID string, opts api.ReshareOptions) (api.Handle, error) {
 	req, e := api.ReshareRequest(u.Store, scheme, keyID, opts)
 	if e != nil {
 		return api.Handle{}, e
 	}
-	if e := api.CheckRequestKey(u.Store, req); e != nil {
-		return api.Handle{}, e
-	}
-	if _, err := u.Engine.Submit(ctx, req); err != nil {
-		return api.Handle{}, EngineErr(err)
-	}
-	return api.Handle{InstanceID: req.InstanceID()}, nil
+	return u.Submit(ctx, req)
 }
 
 // Stats snapshots the unit's engine: instance lifecycle and flow
@@ -282,14 +268,21 @@ type Config struct {
 }
 
 // Committee is an embedded in-process Θ-network of n units over a
-// simulated transport. Its Service methods answer at node 1, like a
-// client talking to one deployment member.
+// simulated transport. It embeds node 1's Unit, so node 1 answers the
+// Service methods (Submit, SubmitBatch, SubmitDetailed, Wait, Encrypt,
+// Info, Keys, Key, GenerateKey, ReshareKey) and Stats, like a client
+// talking to one deployment member.
 type Committee struct {
+	Unit
 	units []Unit
 	hub   *memnet.Hub
 }
 
-var _ api.Service = (*Committee)(nil)
+var (
+	_ api.Service           = (*Committee)(nil)
+	_ api.KeyFetcher        = (*Committee)(nil)
+	_ api.DetailedSubmitter = (*Committee)(nil)
+)
 
 // New deals fresh keys and identities and starts n in-process units
 // with threshold t (any t+1 cooperate, up to t may be corrupted). Every
@@ -321,7 +314,7 @@ func New(t, n int, cfg Config) (*Committee, error) {
 		}
 		units[i] = Unit{Store: stores[i], Engine: orchestration.New(ecfg)}
 	}
-	return &Committee{units: units, hub: hub}, nil
+	return &Committee{Unit: units[0], units: units, hub: hub}, nil
 }
 
 // Close stops all units.
@@ -335,44 +328,5 @@ func (c *Committee) Close() {
 // N returns the committee size.
 func (c *Committee) N() int { return len(c.units) }
 
-// Front returns the unit answering the Service methods (node 1).
-func (c *Committee) Front() Unit { return c.units[0] }
-
 // UnitAt returns node i's unit (1-indexed).
 func (c *Committee) UnitAt(i int) Unit { return c.units[i-1] }
-
-func (c *Committee) Submit(ctx context.Context, req protocols.Request) (api.Handle, error) {
-	return c.Front().Submit(ctx, req)
-}
-
-func (c *Committee) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]api.Handle, error) {
-	return c.Front().SubmitBatch(ctx, reqs)
-}
-
-func (c *Committee) Wait(ctx context.Context, h api.Handle) (api.Result, error) {
-	return c.Front().Wait(ctx, h)
-}
-
-func (c *Committee) Encrypt(ctx context.Context, scheme schemes.ID, keyID string, message, label []byte) ([]byte, error) {
-	return c.Front().Encrypt(ctx, scheme, keyID, message, label)
-}
-
-func (c *Committee) Info(ctx context.Context) (api.Info, error) {
-	return c.Front().Info(ctx)
-}
-
-func (c *Committee) Keys(ctx context.Context) ([]api.KeyInfo, error) {
-	return c.Front().Keys(ctx)
-}
-
-func (c *Committee) Key(ctx context.Context, scheme schemes.ID, keyID string) (api.KeyInfo, error) {
-	return c.Front().Key(ctx, scheme, keyID)
-}
-
-func (c *Committee) GenerateKey(ctx context.Context, scheme schemes.ID, opts api.GenerateKeyOptions) (api.Handle, error) {
-	return c.Front().GenerateKey(ctx, scheme, opts)
-}
-
-func (c *Committee) ReshareKey(ctx context.Context, scheme schemes.ID, keyID string, opts api.ReshareOptions) (api.Handle, error) {
-	return c.Front().ReshareKey(ctx, scheme, keyID, opts)
-}

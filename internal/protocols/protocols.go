@@ -147,6 +147,11 @@ func (r Request) EffectiveKeyID() string {
 // node is a runtime property checked at submission and execution, not
 // here.
 func (r Request) Validate() error {
+	// The operation is checked before the scheme, in the order the
+	// service layer's wire parse (api.SubmitItem.Request) checks them.
+	if r.Op < OpSign || r.Op > OpReshare {
+		return fmt.Errorf("%w %d", ErrUnknownOperation, int(r.Op))
+	}
 	if _, err := schemes.Lookup(r.Scheme); err != nil {
 		return err
 	}
@@ -181,8 +186,6 @@ func (r Request) Validate() error {
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrReshareUnsupported, err)
 		}
-	default:
-		return fmt.Errorf("%w %d", ErrUnknownOperation, int(r.Op))
 	}
 	if r.Epoch < 0 {
 		return fmt.Errorf("%w %d", ErrBadEpoch, r.Epoch)

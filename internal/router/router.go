@@ -1,6 +1,7 @@
-// Package router implements the stateless router tier: one of the six
-// api.Service implementations (with committee.Unit, committee.Committee,
-// the root package's Cluster and Node, and client.Client), fronting N
+// Package router implements the stateless router tier: one of three
+// api.Service implementations (with committee.Unit, the one node-side
+// implementation that committee.Committee and the root package's
+// Cluster and Node serve through, and client.Client), fronting N
 // independent committees and owning the placement map key_id ->
 // committee. One committee's throughput is hard-capped by n and its
 // sequencer; the router turns "a cluster" into "a fleet" by

@@ -74,8 +74,9 @@ const (
 // Front is the HTTP handler of the /v2 API over an api.Service.
 //
 // Services that implement api.DetailedSubmitter (committee.Unit, the
-// node a deployment serves; client.Client) report each batch item on
-// its own, with the idempotent-duplicate flag. Services without it (the
+// node a deployment serves, and the Committee, Cluster and Node that
+// serve through a Unit; client.Client) report each batch item on its
+// own, with the idempotent-duplicate flag. Services without it (the
 // router) are driven through SubmitBatch, which differs in two ways:
 // re-accepted items answer 202 without duplicate=true, and a
 // re-submission's timeout_ms replaces the instance's deadline rather

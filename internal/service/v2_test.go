@@ -275,10 +275,25 @@ func TestV2EncryptErrors(t *testing.T) {
 	}
 }
 
+// TestV2IdempotentDuplicateSubmit runs over a front on one node's Unit
+// and over a front on a whole embedded Committee, which serves through
+// its node 1 Unit: both flag the re-submission as a duplicate.
 func TestV2IdempotentDuplicateSubmit(t *testing.T) {
-	clients, _, counters := testServiceV2(t)
-	srv := httptest.NewServer(counters[0])
+	_, _, counters := testServiceV2(t)
+	com, err := committee.New(1, 4, committee.Config{Schemes: []schemes.ID{schemes.CKS05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(com.Close)
+	for name, h := range map[string]http.Handler{"unit": counters[0], "committee": NewFront(com)} {
+		t.Run(name, func(t *testing.T) { idempotentDuplicateSubmit(t, h) })
+	}
+}
+
+func idempotentDuplicateSubmit(t *testing.T, h http.Handler) {
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
+	cl := client.New(srv.URL)
 	body := `{"requests":[{"scheme":"CKS05","op":"coin","payload":"ZHVw","session":"dup-1"}]}`
 
 	resp1, err := http.Post(srv.URL+"/v2/protocol/submit", "application/json", strings.NewReader(body))
@@ -302,7 +317,7 @@ func TestV2IdempotentDuplicateSubmit(t *testing.T) {
 	// queued: wait until the worker has taken it before re-submitting.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := clients[0].Wait(ctx, api.Handle{InstanceID: out1.Results[0].InstanceID}); err != nil {
+	if _, err := cl.Wait(ctx, api.Handle{InstanceID: out1.Results[0].InstanceID}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,14 +343,14 @@ func TestV2IdempotentDuplicateSubmit(t *testing.T) {
 	req := protocols.Request{
 		Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte("dup"), Session: "dup-1",
 	}
-	entries, err := clients[0].SubmitDetailed(ctx, []protocols.Request{req})
+	entries, err := cl.SubmitDetailed(ctx, []protocols.Request{req})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !entries[0].Duplicate {
 		t.Fatalf("SDK re-submission not flagged duplicate: %+v", entries[0])
 	}
-	res, err := clients[0].Wait(ctx, api.Handle{InstanceID: entries[0].InstanceID})
+	res, err := cl.Wait(ctx, api.Handle{InstanceID: entries[0].InstanceID})
 	if err != nil {
 		t.Fatal(err)
 	}

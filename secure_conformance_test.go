@@ -61,6 +61,26 @@ func TestNodeRequiresIdentity(t *testing.T) {
 	}
 }
 
+// TestNodeRequiresKeys: a node with its identity and the roster but no
+// keystore is refused with an error, not a panic, and writes no file.
+func TestNodeRequiresKeys(t *testing.T) {
+	ids, roster, err := identity.GenerateMesh(rand.Reader, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyFile := filepath.Join(t.TempDir(), "node1.key")
+	node, err := thetacrypt.NewNode(thetacrypt.NodeConfig{
+		Identity: ids[0], Roster: roster, KeyFile: keyFile, ListenAddr: "127.0.0.1:0",
+	})
+	if err == nil {
+		node.Close()
+		t.Fatal("node started without a keystore")
+	}
+	if _, err := os.Stat(keyFile); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("key file written before the refusal (stat: %v)", err)
+	}
+}
+
 // exerciseSecureLifecycle is the acceptance lifecycle: DKG-generate a
 // KG20 key over sealed dealings, sign under it, then run the full
 // reshare conformance (generate → reshare → epoch-guarded decrypt).

@@ -297,6 +297,18 @@ func exercise(t *testing.T, svc thetacrypt.Service) {
 	}); api.CodeOf(err) != api.CodeSchemeUnknown {
 		t.Fatalf("unknown scheme: got %v (code %s)", err, api.CodeOf(err))
 	}
+	// An unknown operation is op_unknown, checked before the scheme, as
+	// the wire parse checks it.
+	if _, err := svc.Submit(ctx, thetacrypt.Request{
+		Scheme: thetacrypt.BLS04, Op: thetacrypt.Operation(9), Payload: []byte("x"),
+	}); api.CodeOf(err) != api.CodeOpUnknown {
+		t.Fatalf("unknown op: got %v (code %s)", err, api.CodeOf(err))
+	}
+	if _, err := svc.Submit(ctx, thetacrypt.Request{
+		Scheme: "NOPE", Op: thetacrypt.Operation(9), Payload: []byte("x"),
+	}); api.CodeOf(err) != api.CodeOpUnknown {
+		t.Fatalf("unknown scheme and op: got %v (code %s)", err, api.CodeOf(err))
+	}
 	if _, err := svc.Submit(ctx, thetacrypt.Request{
 		Scheme: thetacrypt.CKS05, KeyID: "no-such-key", Op: thetacrypt.OpCoin, Payload: []byte("x"),
 	}); api.CodeOf(err) != api.CodeKeyUnknown {
@@ -336,10 +348,12 @@ func sameKeyLists(a, b []thetacrypt.KeyInfo) bool {
 }
 
 // routerService stands up two independent embedded committees behind
-// the stateless router, one of the six Service implementations. Both
-// committees are dealt the same default key IDs, so the router's
-// first-wins placement shadows the duplicates and the fleet presents
-// the same two-key keychain the single-committee harnesses do.
+// the stateless router, one of the three Service implementations (with
+// committee.Unit, which Cluster and Node serve through, and
+// client.Client). Both committees are dealt the same default key IDs,
+// so the router's first-wins placement shadows the duplicates and the
+// fleet presents the same two-key keychain the single-committee
+// harnesses do.
 func routerService(t *testing.T) *thetacrypt.Router {
 	t.Helper()
 	backends := make([]thetacrypt.RouterBackend, 2)

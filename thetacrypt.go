@@ -135,9 +135,36 @@ type ClusterOptions struct {
 	Latency time.Duration
 }
 
+// unitService is the surface a Cluster or Node serves from its
+// committee.Unit. Embedding it through this unexported interface
+// promotes the Service methods without exporting the Unit's engine
+// and keystore.
+type unitService interface {
+	api.Service
+	api.KeyFetcher
+	api.DetailedSubmitter
+	Stats() EngineStats
+}
+
+var (
+	_ Service               = (*Cluster)(nil)
+	_ api.KeyFetcher        = (*Cluster)(nil)
+	_ api.DetailedSubmitter = (*Cluster)(nil)
+	_ Service               = (*Node)(nil)
+	_ api.KeyFetcher        = (*Node)(nil)
+	_ api.DetailedSubmitter = (*Node)(nil)
+)
+
 // Cluster is an embedded in-process Θ-network of n nodes: one
-// committee.Committee behind the facade's option types.
+// committee.Committee behind the facade's option types. Node 1 answers
+// the Service methods — Submit, SubmitBatch, SubmitDetailed, Wait,
+// Encrypt, Info, Keys, Key (api.KeyFetcher), GenerateKey and
+// ReshareKey — and Stats snapshots node 1's engine. GenerateKey and
+// ReshareKey run real protocol instances across every node; Encrypt
+// creates an SG02 or BZ03 ciphertext under a named public key (the
+// scheme API), the empty key ID selecting the scheme's default key.
 type Cluster struct {
+	unitService
 	com *committee.Committee
 }
 
@@ -154,7 +181,7 @@ func NewCluster(t, n int, opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{com: com}, nil
+	return &Cluster{unitService: com.Unit, com: com}, nil
 }
 
 // Close stops all nodes.
@@ -167,79 +194,14 @@ func (c *Cluster) N() int { return c.com.N() }
 // serve as the scheme API.
 func (c *Cluster) KeystoreAt(i int) *Keystore { return c.com.UnitAt(i).Store }
 
-// Cluster implements the unified Service interface.
-var _ Service = (*Cluster)(nil)
-
-// Submit starts a threshold operation at node 1 (Service interface).
-func (c *Cluster) Submit(ctx context.Context, req Request) (Handle, error) {
-	return c.com.Submit(ctx, req)
-}
-
-// SubmitBatch starts 1..N operations with a single engine hand-off,
-// amortizing dispatch across the batch. Invalid requests fail the whole
-// call (the engine is never reached).
-func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) ([]Handle, error) {
-	return c.com.SubmitBatch(ctx, reqs)
-}
-
-// Wait blocks until the instance finishes or ctx expires.
-func (c *Cluster) Wait(ctx context.Context, h Handle) (Result, error) {
-	return c.com.Wait(ctx, h)
-}
-
-// Execute submits at node 1 and waits for the result.
-func (c *Cluster) Execute(ctx context.Context, req Request) ([]byte, error) {
-	return api.Execute(ctx, c, req)
-}
-
-// Encrypt creates a threshold ciphertext under a named public key of
-// the cluster (scheme API; SG02 or BZ03). The empty keyID selects the
-// scheme's default key.
-func (c *Cluster) Encrypt(ctx context.Context, scheme SchemeID, keyID string, message, label []byte) ([]byte, error) {
-	return c.com.Encrypt(ctx, scheme, keyID, message, label)
-}
-
-// Info reports the deployment parameters, the keychain, and node 1's
-// engine snapshot (Service interface).
-func (c *Cluster) Info(ctx context.Context) (ServiceInfo, error) {
-	return c.com.Info(ctx)
-}
-
-// Keys lists the named keys of node 1's keystore (Service interface).
-func (c *Cluster) Keys(ctx context.Context) ([]KeyInfo, error) {
-	return c.com.Keys(ctx)
-}
-
-// Key resolves one named key of node 1's keystore (api.KeyFetcher).
-func (c *Cluster) Key(ctx context.Context, scheme SchemeID, keyID string) (KeyInfo, error) {
-	return c.com.Key(ctx, scheme, keyID)
-}
-
-// GenerateKey runs a distributed key generation across the cluster
-// (Service interface): a real protocol instance through the
-// orchestration engines, after which every node holds a share of the
-// new key under the returned handle's result ID.
-func (c *Cluster) GenerateKey(ctx context.Context, scheme SchemeID, opts GenerateKeyOptions) (Handle, error) {
-	return c.com.GenerateKey(ctx, scheme, opts)
-}
-
-// ReshareKey runs a live resharing of a named key across the cluster
-// (Service interface): the key's epoch advances by one and its shares
-// move to the committee in opts, while the public key — and every
-// ciphertext and signature under it — stays valid.
-func (c *Cluster) ReshareKey(ctx context.Context, scheme SchemeID, keyID string, opts ReshareOptions) (Handle, error) {
-	return c.com.ReshareKey(ctx, scheme, keyID, opts)
-}
-
 // StatsAt snapshots node i's engine (1-indexed): instance lifecycle and
 // flow control counters.
-func (c *Cluster) StatsAt(i int) EngineStats {
-	return c.com.UnitAt(i).Stats()
-}
+func (c *Cluster) StatsAt(i int) EngineStats { return c.com.UnitAt(i).Stats() }
 
-// Router is the stateless router tier over several committees — one of
-// the six Service implementations, beside Unit, Committee, Cluster, Node
-// and client.Client (see internal/router).
+// Router is the stateless router tier over several committees (see
+// internal/router). It is one of three Service implementations: the
+// node-side committee.Unit, which Cluster, Node and the embedded
+// committee serve through; Router; and client.Client.
 type Router = router.Router
 
 // RouterBackend names one committee behind a Router; its Service may be
@@ -313,18 +275,24 @@ type NodeConfig struct {
 
 // Node is one standalone Thetacrypt service node over TCP: a
 // committee.Unit bound to a real transport and the HTTP service layer.
+// The Unit answers the Service methods in-process for the hosting
+// application — Submit, SubmitBatch, SubmitDetailed, Wait, Encrypt,
+// Info, Keys, Key (api.KeyFetcher), GenerateKey and ReshareKey — and
+// Stats snapshots its engine; remote applications reach the same
+// surface through Handler's /v2 endpoints and the client SDK.
 type Node struct {
-	unit      committee.Unit
+	unitService
+	engine    *orchestration.Engine
 	transport *tcpnet.Transport
 	handler   http.Handler
 }
 
 // NewNode starts the network transport and orchestration engine. It
-// refuses a config without Identity and Roster before it writes the
-// keystore.
+// refuses a config without Keys, Identity and Roster before it writes
+// the keystore.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Identity == nil || len(cfg.Roster) == 0 {
-		return nil, fmt.Errorf("thetacrypt: a node needs its Identity and the Roster")
+	if cfg.Keys == nil || cfg.Identity == nil || len(cfg.Roster) == 0 {
+		return nil, fmt.Errorf("thetacrypt: a node needs its Keys, its Identity and the Roster")
 	}
 	if cfg.Identity.Node != cfg.Keys.Index {
 		return nil, fmt.Errorf("thetacrypt: identity is for node %d but keystore is node %d",
@@ -353,19 +321,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	})
 	unit := committee.Unit{Store: cfg.Keys, Engine: engine}
 	return &Node{
-		unit:      unit,
-		transport: transport,
-		handler:   service.NewFront(unit),
+		unitService: unit,
+		engine:      engine,
+		transport:   transport,
+		handler:     service.NewFront(unit),
 	}, nil
 }
-
-// Node implements the unified Service interface for in-process use by
-// the hosting application; remote applications reach the same surface
-// through Handler's /v2 endpoints and the client SDK.
-var (
-	_ Service               = (*Node)(nil)
-	_ api.DetailedSubmitter = (*Node)(nil)
-)
 
 // Handler returns the node's /v2 HTTP handler: the same front
 // ServiceHandler builds, over this node.
@@ -380,70 +341,8 @@ func (n *Node) P2PAddr() string { return n.transport.Addr() }
 // start every node on ":0", then exchange the bound addresses.
 func (n *Node) SetPeer(index int, addr string) { n.transport.SetPeer(index, addr) }
 
-// Submit starts a threshold operation locally (Service interface).
-func (n *Node) Submit(ctx context.Context, req Request) (Handle, error) {
-	return n.unit.Submit(ctx, req)
-}
-
-// SubmitBatch starts 1..N operations with a single engine hand-off.
-func (n *Node) SubmitBatch(ctx context.Context, reqs []Request) ([]Handle, error) {
-	return n.unit.SubmitBatch(ctx, reqs)
-}
-
-// SubmitDetailed starts 1..N operations and reports each on its own,
-// with the idempotent-duplicate flag (api.DetailedSubmitter).
-func (n *Node) SubmitDetailed(ctx context.Context, reqs []Request) ([]api.SubmitEntry, error) {
-	return n.unit.SubmitDetailed(ctx, reqs)
-}
-
-// Wait blocks until the instance finishes or ctx expires.
-func (n *Node) Wait(ctx context.Context, h Handle) (Result, error) {
-	return n.unit.Wait(ctx, h)
-}
-
-// Encrypt creates a threshold ciphertext under a named public key of
-// the deployment (scheme API).
-func (n *Node) Encrypt(ctx context.Context, scheme SchemeID, keyID string, message, label []byte) ([]byte, error) {
-	return n.unit.Encrypt(ctx, scheme, keyID, message, label)
-}
-
-// Info reports the deployment parameters, the keychain, and the engine
-// snapshot (Service interface).
-func (n *Node) Info(ctx context.Context) (ServiceInfo, error) {
-	return n.unit.Info(ctx)
-}
-
-// Keys lists the named keys of the node's keystore (Service
-// interface).
-func (n *Node) Keys(ctx context.Context) ([]KeyInfo, error) {
-	return n.unit.Keys(ctx)
-}
-
-// Key resolves one named key of the node's keystore (api.KeyFetcher).
-func (n *Node) Key(ctx context.Context, scheme SchemeID, keyID string) (KeyInfo, error) {
-	return n.unit.Key(ctx, scheme, keyID)
-}
-
-// GenerateKey runs a distributed key generation across the deployment
-// (Service interface).
-func (n *Node) GenerateKey(ctx context.Context, scheme SchemeID, opts GenerateKeyOptions) (Handle, error) {
-	return n.unit.GenerateKey(ctx, scheme, opts)
-}
-
-// ReshareKey runs a live resharing of a named key across the
-// deployment (Service interface).
-func (n *Node) ReshareKey(ctx context.Context, scheme SchemeID, keyID string, opts ReshareOptions) (Handle, error) {
-	return n.unit.ReshareKey(ctx, scheme, keyID, opts)
-}
-
-// Stats snapshots the node's engine: instance lifecycle and flow
-// control counters.
-func (n *Node) Stats() EngineStats {
-	return n.unit.Stats()
-}
-
 // Close stops the node.
 func (n *Node) Close() {
-	n.unit.Engine.Stop()
+	n.engine.Stop()
 	_ = n.transport.Close()
 }
